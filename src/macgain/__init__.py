@@ -10,27 +10,8 @@ promises (F < 2 always, F <= 1.5372 globally, F <= 1.321 on both power
 tails, peak near 1.537).
 """
 
-from .core import (
-    ChannelConfig,
-    GainSolution,
-    PowerVector,
-    average_power,
-    capacity_fb,
-    capacity_nofb,
-    db_convert,
-    db_to_linear,
-    db_residual,
-    dlambda_dpi_massive,
-    f_of,
-    gain_factor,
-    linear_to_db,
-    log1p_over_x,
-    massive_parametric,
-)
+from .core import ChannelConfig, GainSolution
 from .solvers import (
-    DEFAULT_FROM_DB,
-    DEFAULT_SETTINGS,
-    DEFAULT_TO_DB,
     BracketError,
     ConvergenceError,
     CurvePoint,
@@ -44,61 +25,22 @@ from .solvers import (
     solve_lambda_star,
     sweep_curve,
 )
-from .verify import (
-    BoundReport,
-    SampleSpec,
-    check_derivative,
-    check_monotone_unimodal,
-    check_point_bounds,
-    check_tail_bounds,
-    check_thomas_and_improved,
-    draw_samples,
-    run_suite,
-    suite_passed,
-)
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "__version__",
     "ChannelConfig",
-    "PowerVector",
     "GainSolution",
     "SolverSettings",
     "CurvePoint",
     "PeakResult",
-    "BoundReport",
-    "SampleSpec",
     "BracketError",
     "ConvergenceError",
     "NoPeakError",
-    "DEFAULT_SETTINGS",
-    "DEFAULT_FROM_DB",
-    "DEFAULT_TO_DB",
-    "db_convert",
-    "linear_to_db",
-    "db_to_linear",
-    "log1p_over_x",
-    "average_power",
-    "capacity_nofb",
-    "capacity_fb",
-    "gain_factor",
-    "db_residual",
-    "f_of",
-    "dlambda_dpi_massive",
-    "massive_parametric",
     "solve_lambda_star",
     "solve_lambda_massive",
     "invert_massive_parametric",
     "eval_point",
     "sweep_curve",
     "find_peak",
-    "draw_samples",
-    "check_point_bounds",
-    "check_tail_bounds",
-    "check_derivative",
-    "check_monotone_unimodal",
-    "check_thomas_and_improved",
-    "run_suite",
-    "suite_passed",
 ]

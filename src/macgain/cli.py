@@ -22,7 +22,7 @@ from .solvers import (
     BracketError,
     ConvergenceError,
     CurvePoint,
-    NoPeakError,
+    check_db_grid,
     eval_point,
     find_peak,
     sweep_curve,
@@ -37,6 +37,20 @@ CSV_HEADER = "pi_db,pi,K,lambda,lambda_db,F"
 _LN2 = math.log(2.0)
 
 _DEFAULT_FIGURE_USERS = "2,3,10,100,massive"
+
+
+def _db_arg(text: str) -> float:
+    """A dB value whose linear power is a positive finite float."""
+    value = float(text)
+    try:
+        power = db_to_linear(value)
+    except OverflowError:
+        power = math.inf
+    if not 0.0 < power < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"{text} dB has no positive finite linear power"
+        )
+    return value
 
 
 def _precision_arg(text: str) -> int:
@@ -88,11 +102,6 @@ def _write_output(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _fail(message: str) -> int:
-    print(f"macgain: {message}", file=sys.stderr)
-    return 1
-
-
 def _selected_users(args: argparse.Namespace) -> int | None:
     return None if args.massive else args.users
 
@@ -101,20 +110,17 @@ def run_solve(args: argparse.Namespace) -> int:
     if args.massive and args.power_db is not None:
         args.parser.error("the massive limit takes --total-power-db only")
     users = _selected_users(args)
-    try:
-        if users is None:
-            config = ChannelConfig.massive(db_to_linear(args.total_power_db))
-        elif args.total_power_db is not None:
-            config = ChannelConfig.finite(
-                users, total_power=db_to_linear(args.total_power_db)
-            )
-        else:
-            config = ChannelConfig.finite(
-                users, per_user_power=db_to_linear(args.power_db)
-            )
-        sol = eval_point(config, DEFAULT_SETTINGS)
-    except (BracketError, ConvergenceError, ValueError) as exc:
-        return _fail(str(exc))
+    if users is None:
+        config = ChannelConfig.massive(db_to_linear(args.total_power_db))
+    elif args.total_power_db is not None:
+        config = ChannelConfig.finite(
+            users, total_power=db_to_linear(args.total_power_db)
+        )
+    else:
+        config = ChannelConfig.finite(
+            users, per_user_power=db_to_linear(args.power_db)
+        )
+    sol = eval_point(config, DEFAULT_SETTINGS)
     p = args.precision
     if args.format == "json":
         payload: dict = {
@@ -163,16 +169,42 @@ def _point_dict(pt: CurvePoint) -> dict:
     }
 
 
-def run_curve(args: argparse.Namespace) -> int:
-    if args.from_db > args.to_db:
-        args.parser.error("--from-db must not exceed --to-db")
-    if args.step_db <= 0.0:
-        args.parser.error("--step-db must be > 0")
-    users = _selected_users(args)
+def _check_grid(args: argparse.Namespace, step_db: float) -> None:
+    """Turn a range or grid size the solvers would refuse into a usage error."""
     try:
-        points = sweep_curve(users, args.from_db, args.to_db, args.step_db)
-    except (BracketError, ConvergenceError, ValueError) as exc:
-        return _fail(str(exc))
+        check_db_grid(args.from_db, args.to_db, step_db)
+    except ValueError as exc:
+        args.parser.error(str(exc))
+
+
+def _sweeps(
+    args: argparse.Namespace, users_list: tuple[int | None, ...]
+) -> list[tuple[int | None, list[CurvePoint]]]:
+    _check_grid(args, args.step_db)
+    return [
+        (users, sweep_curve(users, args.from_db, args.to_db, args.step_db))
+        for users in users_list
+    ]
+
+
+def _chart(curves: list[tuple[int | None, list[CurvePoint]]], pfactor: bool) -> str:
+    return line_chart(
+        [
+            (
+                "massive" if users is None else f"K={users}",
+                [(pt.pi_db, pt.lam_db if pfactor else pt.F) for pt in curve],
+            )
+            for users, curve in curves
+        ],
+        title="Power gain factor" if pfactor else "Capacity gain factor",
+        x_label="total power pi (dB)",
+        y_label="lambda (dB)" if pfactor else "F",
+    )
+
+
+def run_curve(args: argparse.Namespace) -> int:
+    curves = _sweeps(args, (_selected_users(args),))
+    points = curves[0][1]
     p = args.precision
     if args.format == "csv":
         rows = [CSV_HEADER]
@@ -194,13 +226,7 @@ def run_curve(args: argparse.Namespace) -> int:
         text = json.dumps({"points": [_point_dict(pt) for pt in points]}, indent=2)
         text += "\n"
     else:
-        label = "massive" if users is None else f"K={users}"
-        text = line_chart(
-            [(label, [(pt.pi_db, pt.F) for pt in points])],
-            title="Capacity gain factor",
-            x_label="total power pi (dB)",
-            y_label="F",
-        )
+        text = _chart(curves, pfactor=False)
     _write_output(text, args.out)
     return 0
 
@@ -208,13 +234,9 @@ def run_curve(args: argparse.Namespace) -> int:
 def run_peak(args: argparse.Namespace) -> int:
     if args.from_db >= args.to_db:
         args.parser.error("--from-db must be below --to-db")
+    _check_grid(args, DEFAULT_SETTINGS.scan_step_db)
     users = _selected_users(args)
-    try:
-        peak = find_peak(users, args.from_db, args.to_db)
-    except NoPeakError as exc:
-        return _fail(str(exc))
-    except (BracketError, ConvergenceError, ValueError) as exc:
-        return _fail(str(exc))
+    peak = find_peak(users, args.from_db, args.to_db)
     p = args.precision
     if args.format == "json":
         payload = {
@@ -275,17 +297,7 @@ def run_verify(args: argparse.Namespace) -> int:
 
 
 def run_figure(args: argparse.Namespace) -> int:
-    if args.from_db > args.to_db:
-        args.parser.error("--from-db must not exceed --to-db")
-    if args.step_db <= 0.0:
-        args.parser.error("--step-db must be > 0")
-    try:
-        curves = [
-            (users, sweep_curve(users, args.from_db, args.to_db, args.step_db))
-            for users in args.users
-        ]
-    except (BracketError, ConvergenceError, ValueError) as exc:
-        return _fail(str(exc))
+    curves = _sweeps(args, args.users)
     p = args.precision
     pfactor = args.which == "pfactor"
     if args.format == "csv":
@@ -307,19 +319,7 @@ def run_figure(args: argparse.Namespace) -> int:
         ]
         text = json.dumps({"which": args.which, "series": series}, indent=2) + "\n"
     else:
-        series_data = []
-        for users, curve in curves:
-            label = "massive" if users is None else f"K={users}"
-            if pfactor:
-                series_data.append((label, [(pt.pi_db, pt.lam_db) for pt in curve]))
-            else:
-                series_data.append((label, [(pt.pi_db, pt.F) for pt in curve]))
-        text = line_chart(
-            series_data,
-            title="Power gain factor" if pfactor else "Capacity gain factor",
-            x_label="total power pi (dB)",
-            y_label="lambda (dB)" if pfactor else "F",
-        )
+        text = _chart(curves, pfactor)
     _write_output(text, args.out)
     return 0
 
@@ -343,12 +343,12 @@ def _add_output_opts(parser: argparse.ArgumentParser, formats: tuple[str, ...]) 
 
 
 def _add_range_opts(parser: argparse.ArgumentParser, with_step: bool) -> None:
-    parser.add_argument("--from-db", type=float, default=DEFAULT_FROM_DB,
+    parser.add_argument("--from-db", type=_db_arg, default=DEFAULT_FROM_DB,
                         metavar="DB", help="sweep start in dB (default: -10)")
-    parser.add_argument("--to-db", type=float, default=DEFAULT_TO_DB,
+    parser.add_argument("--to-db", type=_db_arg, default=DEFAULT_TO_DB,
                         metavar="DB", help="sweep end in dB (default: 30)")
     if with_step:
-        parser.add_argument("--step-db", type=float, default=0.1, metavar="DB",
+        parser.add_argument("--step-db", type=_db_arg, default=0.1, metavar="DB",
                             help="grid step in dB (default: 0.1)")
 
 
@@ -364,9 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="solve one operating point")
     _add_users_choice(solve)
     power = solve.add_mutually_exclusive_group(required=True)
-    power.add_argument("--power-db", type=float, metavar="DB",
+    power.add_argument("--power-db", type=_db_arg, metavar="DB",
                        help="per-user power in dB (finite users only)")
-    power.add_argument("--total-power-db", type=float, metavar="DB",
+    power.add_argument("--total-power-db", type=_db_arg, metavar="DB",
                        help="total power in dB")
     solve.add_argument("--bits", action="store_true",
                        help="also render capacities in bits")
@@ -412,9 +412,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except (BracketError, ConvergenceError, ValueError) as exc:
+        # NoPeakError is a ValueError; every solver failure exits 1 here.
+        print(f"macgain: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -12,13 +12,10 @@ from dataclasses import dataclass
 
 __all__ = [
     "ChannelConfig",
-    "PowerVector",
     "GainSolution",
-    "db_convert",
     "linear_to_db",
     "db_to_linear",
     "log1p_over_x",
-    "average_power",
     "capacity_nofb",
     "capacity_fb",
     "gain_factor",
@@ -43,18 +40,6 @@ def linear_to_db(value: float) -> float:
 def db_to_linear(value_db: float) -> float:
     """Inverse of :func:`linear_to_db`; accepts any real dB value."""
     return 10.0 ** (value_db / 10.0)
-
-
-def db_convert(value: float, direction: str) -> float:
-    """Convert between linear power and decibels.
-
-    ``direction`` is ``"to_db"`` (requires ``value > 0``) or ``"from_db"``.
-    """
-    if direction == "to_db":
-        return linear_to_db(value)
-    if direction == "from_db":
-        return db_to_linear(value)
-    raise ValueError(f"direction must be 'to_db' or 'from_db', got {direction!r}")
 
 
 def log1p_over_x(x: float) -> float:
@@ -157,28 +142,6 @@ class ChannelConfig:
 
 
 @dataclass(frozen=True)
-class PowerVector:
-    """Per-user transmit powers, all strictly positive, at least two users."""
-
-    per_user: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        powers = tuple(float(p) for p in self.per_user)
-        if len(powers) < 2:
-            raise ValueError("need powers for at least 2 users")
-        for p in powers:
-            if not math.isfinite(p) or p <= 0.0:
-                raise ValueError(f"powers must be positive and finite, got {p!r}")
-        object.__setattr__(self, "per_user", powers)
-
-    def __len__(self) -> int:
-        return len(self.per_user)
-
-    def average(self) -> float:
-        return math.fsum(self.per_user) / len(self.per_user)
-
-
-@dataclass(frozen=True)
 class GainSolution:
     """A solved operating point of the balance equation.
 
@@ -195,17 +158,6 @@ class GainSolution:
     capacity_fb: float
     gain_F: float
     degenerate: bool = False
-
-
-def average_power(powers: "PowerVector | object") -> tuple[int, float]:
-    """Reduce per-user powers to (user count, symmetric average power).
-
-    Downstream analysis is symmetric in the users, so an asymmetric power
-    assignment enters only through its arithmetic mean.
-    """
-    if not isinstance(powers, PowerVector):
-        powers = PowerVector(tuple(powers))  # type: ignore[arg-type]
-    return len(powers), powers.average()
 
 
 def capacity_nofb(pi: float) -> float:

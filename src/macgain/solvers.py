@@ -34,6 +34,8 @@ __all__ = [
     "DEFAULT_SETTINGS",
     "DEFAULT_FROM_DB",
     "DEFAULT_TO_DB",
+    "MAX_GRID_POINTS",
+    "check_db_grid",
     "solve_lambda_star",
     "solve_lambda_massive",
     "invert_massive_parametric",
@@ -44,6 +46,11 @@ __all__ = [
 
 DEFAULT_FROM_DB = -10.0
 DEFAULT_TO_DB = 30.0
+
+# Sweeps and peak scans refuse larger grids before allocating them.  The
+# finest grid in use holds 2001 points; a billion-point grid would exhaust
+# memory.
+MAX_GRID_POINTS = 20_000
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -307,13 +314,27 @@ def _config_for(users: int | None, pi: float) -> ChannelConfig:
     return ChannelConfig.finite(users, total_power=pi)
 
 
-def _db_grid(from_db: float, to_db: float, step_db: float) -> list[float]:
+def check_db_grid(from_db: float, to_db: float, step_db: float) -> int:
+    """Whole steps of the dB grid from_db..to_db, counted before it is built.
+
+    Raises ValueError for a non-positive step, a reversed range, or a grid
+    that would exceed MAX_GRID_POINTS points.
+    """
     if not step_db > 0.0:
         raise ValueError(f"step must be > 0 dB, got {step_db!r}")
     if from_db > to_db:
         raise ValueError(f"empty sweep range: from {from_db!r} to {to_db!r} dB")
-    span = to_db - from_db
-    count = int(math.floor(span / step_db + 1e-9))
+    steps = (to_db - from_db) / step_db + 1e-9
+    if not steps < MAX_GRID_POINTS:
+        raise ValueError(
+            f"a {step_db!r} dB step from {from_db!r} to {to_db!r} dB needs more "
+            f"than {MAX_GRID_POINTS} grid points"
+        )
+    return int(steps)
+
+
+def _db_grid(from_db: float, to_db: float, step_db: float) -> list[float]:
+    count = check_db_grid(from_db, to_db, step_db)
     grid = [from_db + i * step_db for i in range(count + 1)]
     if grid[-1] < to_db - 1e-9 * max(1.0, abs(to_db)):
         grid.append(to_db)
@@ -361,21 +382,16 @@ def find_peak(users: int | None, from_db: float = DEFAULT_FROM_DB,
         sol = eval_point(_config_for(users, db_to_linear(pi_db)), settings)
         return sol.gain_F
 
-    grid = _db_grid(from_db, to_db, settings.scan_step_db)
-    values = [F_at(x) for x in grid]
-    k = max(range(len(grid)), key=values.__getitem__)
-    if k == 0 or k == len(grid) - 1:
+    scan = sweep_curve(users, from_db, to_db, settings.scan_step_db, settings)
+    k = max(range(len(scan)), key=lambda i: scan[i].F)
+    if k == 0 or k == len(scan) - 1:
         raise NoPeakError(
             f"F has no interior maximum in [{from_db!r}, {to_db!r}] dB; "
             f"widen the range"
         )
-    evidence = (
-        (grid[k - 1], values[k - 1]),
-        (grid[k], values[k]),
-        (grid[k + 1], values[k + 1]),
-    )
+    evidence = tuple((pt.pi_db, pt.F) for pt in scan[k - 1:k + 2])
 
-    lo, hi = grid[k - 1], grid[k + 1]
+    lo, hi = scan[k - 1].pi_db, scan[k + 1].pi_db
     x1 = hi - _INVPHI * (hi - lo)
     x2 = lo + _INVPHI * (hi - lo)
     f1, f2 = F_at(x1), F_at(x2)
@@ -394,8 +410,8 @@ def find_peak(users: int | None, from_db: float = DEFAULT_FROM_DB,
     pi_star_db = 0.5 * (lo + hi)
     # The scan maximum is kept as a floor so the result can never dip below
     # its own bracket evidence.
-    if values[k] > F_at(pi_star_db):
-        pi_star_db = grid[k]
+    if scan[k].F > F_at(pi_star_db):
+        pi_star_db = scan[k].pi_db
     pi_star = db_to_linear(pi_star_db)
     sol = eval_point(_config_for(users, pi_star), settings)
     return PeakResult(

@@ -37,11 +37,9 @@ __all__ = [
     "SampleSpec",
     "draw_samples",
     "point_bound_slacks",
-    "check_point_bounds",
     "check_tail_bounds",
     "check_derivative",
     "check_monotone_unimodal",
-    "check_thomas_and_improved",
     "run_suite",
     "suite_passed",
 ]
@@ -169,23 +167,6 @@ def point_bound_slacks(K: int, P: float, lam: float) -> list[tuple[str, float]]:
     return slacks
 
 
-def check_point_bounds(K: int, P: float,
-                       settings: SolverSettings = DEFAULT_SETTINGS,
-                       perturb: float = 0.0) -> BoundReport:
-    """Solve one finite operating point and measure its inequality chains.
-
-    A nonzero perturb shifts the evaluation off the root (clamped into
-    [1, K]); large shifts must break the fixed-point ceiling, which makes
-    this the negative control for the whole chain machinery.
-    """
-    sol = solve_lambda_star(K, P, settings)
-    lam = min(sol.lambda_star + perturb, float(K)) if perturb else sol.lambda_star
-    tracker = _Tracker("point_bounds")
-    for name, slack in point_bound_slacks(K, P, lam):
-        tracker.add(slack, f"{name} at K={K} P={P:.6g}")
-    return tracker.report()
-
-
 def check_tail_bounds(settings: SolverSettings = DEFAULT_SETTINGS) -> BoundReport:
     """Check the gain caps on both tails of the massive curve.
 
@@ -301,30 +282,6 @@ def check_monotone_unimodal(users_list: tuple[int | None, ...] = DEFAULT_USERS,
     return tracker.report()
 
 
-def _gain_slacks(tracker: _Tracker, F: float, w: str) -> None:
-    tracker.add(F - 1.0, f"gain_at_least_1 at {w}")
-    tracker.add(2.0 - F, f"doubling_cap at {w}")
-    tracker.add(IMPROVED_GAIN_CAP - F, f"improved_cap at {w}")
-
-
-def _witness_slacks(tracker: _Tracker, settings: SolverSettings) -> None:
-    # Near-extremal witness: the massive curve close to its peak power.
-    F = solve_lambda_massive(5.38, settings).gain_F
-    tracker.add(F - 1.53, "near_extremal_witness_floor at pi=5.38")
-    tracker.add(1.54 - F, "near_extremal_witness_cap at pi=5.38")
-
-
-def check_thomas_and_improved(sample: SampleSpec,
-                              settings: SolverSettings = DEFAULT_SETTINGS) -> BoundReport:
-    """Check 1 <= F < 2 and the improved cap F <= 1.5372 over random points."""
-    tracker = _Tracker("global_gain_bounds")
-    for K, P in draw_samples(sample):
-        F = solve_lambda_star(K, P, settings).gain_F
-        _gain_slacks(tracker, F, f"K={K} P={P:.6g}")
-    _witness_slacks(tracker, settings)
-    return tracker.report()
-
-
 def run_suite(sample: SampleSpec,
               settings: SolverSettings = DEFAULT_SETTINGS,
               sabotage: bool = False) -> list[BoundReport]:
@@ -350,8 +307,14 @@ def run_suite(sample: SampleSpec,
         quality.add(float(K) - lam, f"lambda_at_most_K at {w}")
         for name, slack in point_bound_slacks(K, P, lam):
             point.add(slack, f"{name} at {w}")
-        _gain_slacks(gains, gain_factor(K * P, lam), w)
-    _witness_slacks(gains, settings)
+        F = gain_factor(K * P, lam)
+        gains.add(F - 1.0, f"gain_at_least_1 at {w}")
+        gains.add(2.0 - F, f"doubling_cap at {w}")
+        gains.add(IMPROVED_GAIN_CAP - F, f"improved_cap at {w}")
+    # Near-extremal witness: the massive curve close to its peak power.
+    F = solve_lambda_massive(5.38, settings).gain_F
+    gains.add(F - 1.53, "near_extremal_witness_floor at pi=5.38")
+    gains.add(1.54 - F, "near_extremal_witness_cap at pi=5.38")
 
     large = _Tracker("sandwich_large_k")
     for K in (10**2, 10**4, 10**6, 10**8):

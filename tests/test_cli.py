@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import json
 import math
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -76,6 +78,44 @@ class TestUsageErrors:
 
     def test_figure_rejects_empty_user_list(self):
         assert_usage_error(["figure", "--which", "cfactor", "--users", ","])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--users", "2", "--power-db", "4000"],
+            ["solve", "--massive", "--total-power-db", "4000"],
+            ["solve", "--users", "2", "--power-db", "-4000"],
+            ["curve", "--massive", "--to-db", "inf"],
+            ["curve", "--massive", "--from-db", "nan"],
+            ["peak", "--massive", "--to-db", "1e400"],
+            ["figure", "--which", "cfactor", "--to-db", "inf"],
+        ],
+    )
+    def test_unrepresentable_db(self, argv):
+        assert_usage_error(argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["curve", "--users", "2", "--step-db", "1e-7"],
+            ["figure", "--which", "cfactor", "--step-db", "1e-7"],
+            ["peak", "--massive", "--from-db", "-1500", "--to-db", "1500"],
+        ],
+    )
+    def test_oversized_grid(self, argv):
+        # The child gets 512 MiB of address space, so a grid that is built
+        # before it is refused fails fast instead of exhausting memory.
+        code = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29))\n"
+            "from macgain.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *argv], capture_output=True, timeout=60
+        )
+        assert proc.returncode == 2
+        assert b"grid points" in proc.stderr
 
 
 class TestSolve:
@@ -254,6 +294,22 @@ class TestPeak:
         assert out == ""
         assert err.startswith("macgain: ")
         assert "widen the range" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "--users", "2", "--power-db", "54"], "still above"),
+        (["curve", "--users", "2", "--from-db", "57", "--to-db", "58"], "still above"),
+        (["peak", "--massive", "--from-db", "-10", "--to-db", "0"], "widen the range"),
+    ],
+)
+def test_solver_failure_exits_1(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("macgain: ") and message in err
+    assert "Traceback" not in err
 
 
 class TestVerify:

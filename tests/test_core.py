@@ -10,11 +10,8 @@ from hypothesis import given, strategies as st
 
 from macgain.core import (
     ChannelConfig,
-    PowerVector,
-    average_power,
     capacity_fb,
     capacity_nofb,
-    db_convert,
     db_to_linear,
     db_residual,
     dlambda_dpi_massive,
@@ -28,13 +25,13 @@ from macgain.core import (
 
 class TestDbConvert:
     def test_unit_power_is_zero_db(self):
-        assert db_convert(1.0, "to_db") == 0.0
+        assert linear_to_db(1.0) == 0.0
 
     def test_three_decades(self):
-        assert db_convert(30.0, "from_db") == 1000.0
+        assert db_to_linear(30.0) == 1000.0
 
     def test_peak_power_in_db(self):
-        assert db_convert(5.38, "to_db") == pytest.approx(7.31, abs=5e-3)
+        assert linear_to_db(5.38) == pytest.approx(7.31, abs=5e-3)
 
     @given(st.floats(min_value=1e-6, max_value=1e6))
     def test_round_trip(self, x):
@@ -42,13 +39,9 @@ class TestDbConvert:
 
     def test_rejects_nonpositive_power(self):
         with pytest.raises(ValueError):
-            db_convert(0.0, "to_db")
+            linear_to_db(0.0)
         with pytest.raises(ValueError):
             linear_to_db(-3.0)
-
-    def test_rejects_unknown_direction(self):
-        with pytest.raises(ValueError):
-            db_convert(1.0, "sideways")
 
 
 class TestLog1pOverX:
@@ -79,30 +72,6 @@ class TestLog1pOverX:
         if abs(x) > 1e-6:
             assert log_term < x
             assert log_term > x / (1.0 + x)
-
-
-class TestPowers:
-    @pytest.mark.parametrize(
-        "powers, expected",
-        [
-            ((1.0, 1.0), (2, 1.0)),
-            ((0.5, 1.5, 1.0), (3, 1.0)),
-            ((2.0, 2.0, 2.0, 2.0), (4, 2.0)),
-        ],
-    )
-    def test_average_power(self, powers, expected):
-        assert average_power(PowerVector(powers)) == expected
-
-    def test_accepts_plain_iterable(self):
-        assert average_power([2.0, 4.0]) == (2, 3.0)
-
-    def test_too_few_users(self):
-        with pytest.raises(ValueError):
-            PowerVector((1.0,))
-
-    def test_nonpositive_entry(self):
-        with pytest.raises(ValueError):
-            PowerVector((1.0, 0.0))
 
 
 class TestChannelConfig:

@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from macgain.solvers import solve_lambda_massive
+from macgain.solvers import solve_lambda_massive, solve_lambda_star
 from macgain.verify import (
     BoundReport,
     DEFAULT_USERS,
@@ -18,9 +18,7 @@ from macgain.verify import (
     TAIL_GAIN_CAP,
     check_derivative,
     check_monotone_unimodal,
-    check_point_bounds,
     check_tail_bounds,
-    check_thomas_and_improved,
     draw_samples,
     point_bound_slacks,
     run_suite,
@@ -115,20 +113,9 @@ class TestPointBounds:
 
     @pytest.mark.parametrize("K, P", [(2, 1.0), (100, 1.0), (17, 0.003)])
     def test_clean_points_pass(self, K, P):
-        report = check_point_bounds(K, P)
-        assert report.passed
-        assert report.samples == 5
-        assert report.violations == 0
-        assert report.worst_slack > 0.0
-
-    def test_off_root_point_is_caught(self):
-        # Half a unit above the hundred-user root the fixed-point ceiling
-        # fails, which proves the slack machinery can see a bad root.
-        report = check_point_bounds(100, 1.0, perturb=0.5)
-        assert not report.passed
-        assert report.violations >= 1
-        assert "fixed_point_ceiling" in report.witness
-        assert report.worst_slack < -1e-3
+        slacks = point_bound_slacks(K, P, solve_lambda_star(K, P).lambda_star)
+        assert len(slacks) == 5
+        assert min(slack for _, slack in slacks) > 0.0
 
 
 class TestTailBounds:
@@ -182,7 +169,7 @@ class TestCurveShape:
 
 class TestGlobalGainBounds:
     def test_random_sample_clean(self):
-        report = check_thomas_and_improved(SampleSpec(seed=7, n_samples=200))
+        report = run_suite(SampleSpec(seed=7, n_samples=200))[-1]
         assert report.check_name == "global_gain_bounds"
         assert report.passed
         assert report.samples == 3 * 200 + 2
@@ -233,6 +220,12 @@ class TestRunSuite:
         assert quality.violations == 10
         assert quality.worst_slack < -1e-9
         assert "residual_within_tol" in quality.witness
+        # Off the root the fixed-point ceiling fails, which proves the slack
+        # machinery can see a bad root.
+        point = by_name["point_bounds"]
+        assert point.violations >= 1
+        assert "fixed_point_ceiling" in point.witness
+        assert point.worst_slack < -1e-3
         # Checks that never see the perturbed roots still pass.
         assert by_name["tail_bounds"].passed
         assert by_name["curve_shape"].passed
