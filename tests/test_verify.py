@@ -117,6 +117,16 @@ class TestPointBounds:
         assert len(slacks) == 5
         assert min(slack for _, slack in slacks) > 0.0
 
+    def test_off_root_point_is_caught(self):
+        # Half a unit above the hundred-user root the fixed-point ceiling
+        # fails, which proves the slack machinery can see a bad root.
+        lam = min(solve_lambda_star(100, 1.0).lambda_star + 0.5, 100.0)
+        slacks = dict(point_bound_slacks(100, 1.0, lam))
+        failing = [name for name, slack in slacks.items() if slack < -NUMERIC_SLOP]
+        assert len(failing) >= 1
+        assert min(slacks, key=slacks.get) == "fixed_point_ceiling"
+        assert slacks["fixed_point_ceiling"] < -1e-3
+
 
 class TestTailBounds:
     def test_clean(self):
