@@ -239,3 +239,53 @@ class TestRunSuite:
         # Checks that never see the perturbed roots still pass.
         assert by_name["tail_bounds"].passed
         assert by_name["curve_shape"].passed
+
+
+# Report lines of the default suite and of the sabotage control, recorded
+# from the scalar per-sample solver.  The batched suite must reproduce them
+# byte for byte.
+GOLDEN_LINES = [
+    "point_bounds: pass samples=50000 violations=0 worst_slack=1.087676e-07 "
+    "witness[bracket_cap at K=9921 P=930.265]",
+    "root_quality: pass samples=30000 violations=0 worst_slack=8.802869e-11 "
+    "witness[residual_within_tol at K=2 P=749.488]",
+    "sandwich_large_k: pass samples=8 violations=0 worst_slack=2.106078e-06 "
+    "witness[fixed_point_ceiling at K=100000000 P=1]",
+    "tail_bounds: pass samples=136 violations=0 worst_slack=7.238240e-08 "
+    "witness[large_power_tight_cap at pi=1e+06]",
+    "derivative_consistency: pass samples=14 violations=0 worst_slack=9.997825e-06 "
+    "witness[derivative_fd_match at pi=0.1]",
+    "curve_shape: pass samples=26 violations=0 worst_slack=0.000000e+00 "
+    "witness[F_unimodal at K=2]",
+    "global_gain_bounds: pass samples=30002 violations=0 worst_slack=1.061291e-04 "
+    "witness[improved_cap at K=4292 P=0.00126205]",
+]
+
+GOLDEN_SABOTAGE_LINES = [
+    "point_bounds: FAIL samples=49 violations=14 worst_slack=-4.379128e-01 "
+    "witness[fixed_point_ceiling at K=3406 P=2.09404]",
+    "root_quality: FAIL samples=30 violations=10 worst_slack=-4.116075e+00 "
+    "witness[residual_within_tol at K=2 P=939.727]",
+    "sandwich_large_k: pass samples=8 violations=0 worst_slack=2.106078e-06 "
+    "witness[fixed_point_ceiling at K=100000000 P=1]",
+    "tail_bounds: pass samples=136 violations=0 worst_slack=7.238240e-08 "
+    "witness[large_power_tight_cap at pi=1e+06]",
+    "derivative_consistency: pass samples=14 violations=0 worst_slack=9.997825e-06 "
+    "witness[derivative_fd_match at pi=0.1]",
+    "curve_shape: pass samples=26 violations=0 worst_slack=0.000000e+00 "
+    "witness[F_unimodal at K=2]",
+    "global_gain_bounds: FAIL samples=32 violations=1 worst_slack=-9.060161e-03 "
+    "witness[improved_cap at K=13 P=0.468228]",
+]
+
+
+class TestGoldenReports:
+    def test_default_suite_lines(self):
+        reports = run_suite(SampleSpec(seed=42, n_samples=10_000))
+        assert [r.line() for r in reports] == GOLDEN_LINES
+
+    def test_sabotage_suite_lines(self):
+        # The sabotage clamp pins some roots at lam = K, where bracket_cap
+        # is undefined: 49 point slacks from 10 samples, not 50.
+        reports = run_suite(SampleSpec(seed=7, n_samples=10), sabotage=True)
+        assert [r.line() for r in reports] == GOLDEN_SABOTAGE_LINES
