@@ -28,7 +28,6 @@ from .solvers import (
     sweep_curve,
 )
 from .svgplot import line_chart
-from .verify import SampleSpec, run_suite, suite_passed
 
 __all__ = ["main", "build_parser", "CSV_HEADER"]
 
@@ -260,6 +259,9 @@ def run_peak(args: argparse.Namespace) -> int:
 
 
 def run_verify(args: argparse.Namespace) -> int:
+    # Imported here so that only verify pays for loading numpy.
+    from .verify import SampleSpec, run_suite, suite_passed
+
     if args.samples < 1:
         args.parser.error("--samples must be >= 1")
     spec = SampleSpec(seed=args.seed, n_samples=args.samples)

@@ -131,7 +131,8 @@ def _bisect(fn, lo: float, hi: float, f_lo: float, f_hi: float,
 
     Returns (x, fn(x), iterations) at the evaluated point with smallest
     |fn|.  Stops when the interval is narrower than tol, when no float
-    fits strictly between the ends, or at the iteration cap.
+    fits strictly between the ends, or at the iteration cap.  A NaN
+    residual carries no sign and raises ConvergenceError.
     """
     if abs(f_lo) <= abs(f_hi):
         best_x, best_f = lo, f_lo
@@ -150,8 +151,10 @@ def _bisect(fn, lo: float, hi: float, f_lo: float, f_hi: float,
             lo = mid
         elif f_mid > 0.0:
             hi = mid
-        else:
+        elif f_mid == 0.0:
             return mid, 0.0, iterations
+        else:
+            raise ConvergenceError(f"residual is NaN at {mid!r}")
     return best_x, best_f, iterations
 
 
@@ -229,6 +232,11 @@ def _solve_massive(config: ChannelConfig, settings: SolverSettings) -> GainSolut
         hi *= 2.0
         f_hi = slack(hi)
         expansions += 1
+    if math.isnan(f_hi):
+        # pi*lam overflowed inside f_of; the slack has no sign to bisect.
+        raise ConvergenceError(
+            f"fixed-point slack is NaN at lam={hi!r} for pi={pi!r}"
+        )
     lam, res, iters = _bisect(
         slack, lo, hi, f_lo, f_hi, settings.lambda_tol, settings.max_iter
     )

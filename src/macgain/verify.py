@@ -17,16 +17,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import db_to_linear, db_residual, dlambda_dpi_massive, f_of, gain_factor
+from .core import _SERIES_CUTOFF, _check_users, db_to_linear, dlambda_dpi_massive, f_of
 from .solvers import (
     DEFAULT_FROM_DB,
     DEFAULT_SETTINGS,
     DEFAULT_TO_DB,
+    BracketError,
+    ConvergenceError,
     SolverSettings,
     _db_grid,
     solve_lambda_massive,
     solve_lambda_star,
-    sweep_curve,
 )
 
 __all__ = [
@@ -138,6 +139,28 @@ class _Tracker:
         if not slack >= -self.slop:
             self.violations += 1
 
+    def add_table(self, columns: list[tuple[str, np.ndarray]], label,
+                  valid: np.ndarray | None = None) -> None:
+        """add() a table of slacks: one row per sample, one column per link.
+
+        Equivalent to calling add(slack, f"{name} at {label(row)}") row by
+        row and column by column, skipping entries where valid is False,
+        but only the winning witness is ever formatted.
+        """
+        table = np.column_stack([slack for _, slack in columns])
+        if valid is None:
+            valid = np.ones(table.shape, dtype=bool)
+        self.samples += int(np.count_nonzero(valid))
+        self.violations += int(np.count_nonzero(valid & ~(table >= -self.slop)))
+        # A NaN never wins add()'s strict comparison, so it is never the
+        # witness; argmin returns the first minimum in row-major order.
+        ranked = np.where(valid & ~np.isnan(table), table, math.inf)
+        first = int(np.argmin(ranked))
+        if ranked.flat[first] < self.worst:
+            row, col = divmod(first, table.shape[1])
+            self.worst = float(ranked.flat[first])
+            self.witness = f"{columns[col][0]} at {label(row)}"
+
     def report(self) -> BoundReport:
         worst = self.worst if self.samples else math.nan
         return BoundReport(
@@ -145,26 +168,186 @@ class _Tracker:
         )
 
 
-def point_bound_slacks(K: int, P: float, lam: float) -> list[tuple[str, float]]:
+def point_bound_slacks(K, P, lam) -> list[tuple[str, float]]:
     """Slacks of the root-point inequality chains, evaluated at lam.
 
     The five links: a two-sided logarithm bracket around ln(1+pi*lam), a
     two-sided sandwich around the root itself, and the cap that keeps the
     bracket's upper end below K*lam/(K-lam) (defined only for lam < K).
+
+    K, P and lam are scalars, or equal-length arrays for a batch of points.
+    A batch gets every link as an array, and its bracket_cap entries mean
+    nothing where lam >= K.
     """
-    pi = K * P
-    t = pi * lam
-    log_term = math.log1p(t)
-    upper = pi * lam * lam / (1.0 + (K - lam) * P * lam)
-    slacks = [
-        ("log_bracket_lower", log_term - t * lam / (1.0 + t)),
-        ("log_bracket_upper", upper - log_term),
-        ("gain_floor", lam - K * log_term / (K + log_term)),
-        ("fixed_point_ceiling", f_of(pi, lam) - lam),
-    ]
-    if lam < K:
-        slacks.append(("bracket_cap", K * lam / (K - lam) - upper))
+    batch = isinstance(lam, np.ndarray)
+    log1p = np.log1p if batch else math.log1p
+    with np.errstate(all="ignore"):
+        pi = K * P
+        t = pi * lam
+        log_term = log1p(t)
+        upper = pi * lam * lam / (1.0 + (K - lam) * P * lam)
+        slacks = [
+            ("log_bracket_lower", log_term - t * lam / (1.0 + t)),
+            ("log_bracket_upper", upper - log_term),
+            ("gain_floor", lam - K * log_term / (K + log_term)),
+            ("fixed_point_ceiling", (_f_of_many if batch else f_of)(pi, lam) - lam),
+        ]
+        if batch or lam < K:
+            slacks.append(("bracket_cap", K * lam / (K - lam) - upper))
     return slacks
+
+
+def _f_of_many(pi: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """core.f_of over arrays, with the same series switch near t = 0."""
+    t = pi * lam
+    series = 1.0 - t * (0.5 - t * (1.0 / 3.0 - 0.25 * t))
+    return (1.0 + t) * np.where(np.abs(t) < _SERIES_CUTOFF, series, np.log1p(t) / t)
+
+
+def _raw_residual_many(K: np.ndarray, P: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """core.db_residual's raw form over arrays, in the same operation order."""
+    return np.log1p(K * P * lam) / K - np.log1p((K - lam) * P * lam) / (K - 1.0)
+
+
+def _bisect_many(fn, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray,
+                 f_hi: np.ndarray, tol: float, max_iter: int):
+    """solvers._bisect applied element by element to arrays of brackets.
+
+    fn maps an array of points to the residuals of the elements at them.
+    Each element takes the same midpoints, stops by the same rules and
+    keeps the same smallest-|fn| point as the scalar loop would.  An exact
+    zero or a NaN residual stops an element at its midpoint; where the
+    scalar loop raises on the NaN, the caller reports it.  Returns
+    (x, fn(x), iterations).
+    """
+    lo, hi = lo.copy(), hi.copy()
+    take_lo = np.abs(f_lo) <= np.abs(f_hi)
+    best_x = np.where(take_lo, lo, hi)
+    best_f = np.where(take_lo, f_lo, f_hi)
+    iterations = np.zeros(lo.size, dtype=int)
+    going = np.ones(lo.size, dtype=bool)
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        going &= (hi - lo > tol) & (lo < mid) & (mid < hi)
+        if not going.any():
+            break
+        # Stopped elements are evaluated too, and their results dropped:
+        # all elements stop within a few iterations of each other.
+        f_mid = fn(mid)
+        iterations += going
+        below = going & (f_mid < 0.0)
+        above = going & (f_mid > 0.0)
+        keep = going & (~(below | above) | (np.abs(f_mid) < np.abs(best_f)))
+        np.copyto(best_x, mid, where=keep)
+        np.copyto(best_f, f_mid, where=keep)
+        np.copyto(lo, mid, where=below)
+        np.copyto(hi, mid, where=above)
+        going = below | above
+    return best_x, best_f, iterations
+
+
+def _check_powers(values: np.ndarray, name: str) -> None:
+    bad = np.flatnonzero(~((values > 0.0) & (values < math.inf)))
+    if bad.size:
+        raise ValueError(
+            f"{name} must be a positive finite power, got {float(values[bad[0]])!r}"
+        )
+
+
+def _solve_finite_many(K: np.ndarray, P: np.ndarray,
+                       settings: SolverSettings) -> np.ndarray:
+    """solve_lambda_star's root for every (K, P) pair, in one bisection.
+
+    Keeps the scalar solver's gates: the vanishing-power short circuit to
+    lam = 1, BracketError on bad end signs and ConvergenceError when the
+    residual misses residual_tol.  A failure raises for the first failing
+    pair in input order.
+    """
+    _check_powers(P, "per-user power")
+    Kf = K.astype(float)
+    tol = settings.residual_tol
+    with np.errstate(all="ignore"):
+        f_lo = _raw_residual_many(Kf, P, np.ones_like(Kf))
+        f_hi = _raw_residual_many(Kf, P, Kf)
+        degenerate = (np.abs(f_lo) <= tol) & (np.abs(f_hi) <= tol)
+        bracketed = (f_lo < 0.0) & (0.0 < f_hi)
+        todo = np.flatnonzero(~degenerate & bracketed)
+        Ks, Ps = Kf[todo], P[todo]
+        lam_b, res_b, iters_b = _bisect_many(
+            lambda x: _raw_residual_many(Ks, Ps, x),
+            np.ones(todo.size), Ks, f_lo[todo], f_hi[todo],
+            settings.lambda_tol, settings.max_iter,
+        )
+    lam = np.ones_like(Kf)
+    lam[todo] = lam_b
+    unconverged = np.zeros(K.size, dtype=bool)
+    unconverged[todo] = ~(np.abs(res_b) <= tol)
+    failed = np.flatnonzero((~degenerate & ~bracketed) | unconverged)
+    if failed.size:
+        i = int(failed[0])
+        k, p = int(K[i]), float(P[i])
+        if not unconverged[i]:
+            raise BracketError(
+                f"balance residual must be negative at lam=1 and positive at "
+                f"lam=K; got ({float(f_lo[i])!r}, {float(f_hi[i])!r}) for "
+                f"K={k}, P={p!r}"
+            )
+        j = int(np.searchsorted(todo, i))
+        raise ConvergenceError(
+            f"residual {float(res_b[j])!r} still above {tol!r} after "
+            f"{int(iters_b[j])} iterations for K={k}, P={p!r}"
+        )
+    return lam
+
+
+def _solve_massive_many(pi: np.ndarray, settings: SolverSettings) -> np.ndarray:
+    """solve_lambda_massive's root for every total power pi, in one bisection.
+
+    Doubles each upper bracket end from [1, 2] as the scalar solver does,
+    counting the doublings against max_iter, and raises ConvergenceError
+    for the first power in input order whose slack cannot be bracketed, is
+    NaN or misses residual_tol.
+    """
+    _check_powers(pi, "total power")
+
+    def slack(lam: np.ndarray, i=slice(None)) -> np.ndarray:
+        return lam - _f_of_many(pi[i], lam)
+
+    with np.errstate(all="ignore"):
+        lo = np.ones_like(pi)
+        f_lo = slack(lo)
+        hi = np.full_like(pi, 2.0)
+        f_hi = slack(hi)
+        capped = np.zeros(pi.size, dtype=bool)
+        growing = np.flatnonzero(f_hi <= 0.0)
+        expansions = 1
+        while growing.size:
+            if expansions >= settings.max_iter:
+                capped[growing] = True
+                break
+            lo[growing], f_lo[growing] = hi[growing], f_hi[growing]
+            hi[growing] *= 2.0
+            f_hi[growing] = slack(hi[growing], growing)
+            expansions += 1
+            growing = growing[f_hi[growing] <= 0.0]
+        todo = np.flatnonzero(~capped & ~np.isnan(f_hi))
+        lam_b, res_b, _ = _bisect_many(
+            lambda x: slack(x, todo), lo[todo], hi[todo], f_lo[todo],
+            f_hi[todo], settings.lambda_tol, settings.max_iter,
+        )
+    lam = np.full_like(pi, math.nan)
+    lam[todo] = lam_b
+    res = np.full_like(pi, math.nan)
+    res[todo] = res_b
+    failed = np.flatnonzero(~(np.abs(res) <= settings.residual_tol))
+    if failed.size:
+        i = int(failed[0])
+        raise ConvergenceError(
+            f"no root of the fixed-point slack within {settings.residual_tol!r} "
+            f"(bracket [{float(lo[i])!r}, {float(hi[i])!r}], slack "
+            f"{float(res[i])!r}) for pi={float(pi[i])!r}"
+        )
+    return lam
 
 
 def check_tail_bounds(settings: SolverSettings = DEFAULT_SETTINGS) -> BoundReport:
@@ -244,34 +427,41 @@ def check_monotone_unimodal(users_list: tuple[int | None, ...] = DEFAULT_USERS,
     limits are anchored too: F(0.001) <= 1.01 and F(1e6) <= 1.321.
     """
     tracker = _Tracker("curve_shape")
-    from_db, to_db = range_db
-    curves: dict[int | None, list] = {}
+    grid = _db_grid(*range_db, step_db)
+    pis = np.array([db_to_linear(pi_db) for pi_db in grid])
+    finite = [_check_users(u) for u in users_list if u is not None]
+    lams: dict[int | None, np.ndarray] = {}
+    if finite:
+        # Every finite curve in one batch, one row per user count.
+        K = np.repeat(finite, len(grid))
+        pi = np.tile(pis, len(finite))
+        rows = _solve_finite_many(K, pi / K, settings).reshape(len(finite), -1)
+        lams.update(zip(finite, rows))
+    if None in users_list:
+        lams[None] = _solve_massive_many(pis, settings)
     for users in users_list:
-        curve = sweep_curve(users, from_db, to_db, step_db, settings)
-        curves[users] = curve
+        lam = lams[users]
+        F = np.log1p(pis * lam) / np.log1p(pis)
         label = "massive" if users is None else str(users)
-        lam_steps = [b.lam - a.lam for a, b in zip(curve, curve[1:])]
-        tracker.add(min(lam_steps), f"lambda_nondecreasing at K={label}")
-        diffs = [b.F - a.F for a, b in zip(curve, curve[1:])]
-        signs = [d > 0.0 for d in diffs if d != 0.0]
-        flips = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+        tracker.add(float(np.min(np.diff(lam))), f"lambda_nondecreasing at K={label}")
+        diffs = np.diff(F)
+        signs = diffs[diffs != 0.0] > 0.0
+        flips = int(np.count_nonzero(signs[1:] != signs[:-1]))
         if flips == 1 and signs[0] and not signs[-1]:
             defect = 0.0
         else:
             defect = float(max(flips - 1, 1))
         tracker.add(0.0 if defect == 0.0 else -defect, f"F_unimodal at K={label}")
-        peak_F = max(p.F for p in curve)
-        tracker.add(peak_F - curve[0].F, f"edge_below_peak_low at K={label}")
-        tracker.add(peak_F - curve[-1].F, f"edge_below_peak_high at K={label}")
+        peak_F = float(np.max(F))
+        tracker.add(peak_F - float(F[0]), f"edge_below_peak_low at K={label}")
+        tracker.add(peak_F - float(F[-1]), f"edge_below_peak_high at K={label}")
 
     ordered: list[int | None] = sorted(u for u in users_list if u is not None)
     if None in users_list:
         ordered.append(None)
     for smaller, bigger in zip(ordered, ordered[1:]):
         big_label = "massive" if bigger is None else str(bigger)
-        worst = min(
-            cb.lam - ca.lam for ca, cb in zip(curves[smaller], curves[bigger])
-        )
+        worst = float(np.min(lams[bigger] - lams[smaller]))
         tracker.add(worst, f"cross_k_domination K={smaller} vs K={big_label}")
 
     if None in users_list:
@@ -287,30 +477,45 @@ def run_suite(sample: SampleSpec,
               sabotage: bool = False) -> list[BoundReport]:
     """Run every check once, sharing one solve per random sample.
 
-    With sabotage=True every per-sample check is evaluated half a unit off
-    the root (clamped into [1, K]); the residual gate must then flag every
-    sample, so a passing sabotage run would expose a broken harness.
-    Failures are returned as data, never raised.
+    The samples are solved together in one batched bisection that follows
+    the scalar solver's stopping rule, and their slacks are evaluated as
+    arrays.  With sabotage=True every per-sample check is evaluated half a
+    unit off the root (clamped into [1, K]); the residual gate must then
+    flag every sample, so a passing sabotage run would expose a broken
+    harness.  Failures are returned as data, never raised.
     """
     point = _Tracker("point_bounds")
     quality = _Tracker("root_quality", slop=0.0)
     gains = _Tracker("global_gain_bounds")
-    for K, P in draw_samples(sample):
-        sol = solve_lambda_star(K, P, settings)
-        lam = sol.lambda_star
-        if sabotage:
-            lam = min(lam + 0.5, float(K))
-        w = f"K={K} P={P:.6g}"
-        res = db_residual(lam, K, P, "raw")
-        quality.add(settings.residual_tol - abs(res), f"residual_within_tol at {w}")
-        quality.add(lam - 1.0, f"lambda_at_least_1 at {w}")
-        quality.add(float(K) - lam, f"lambda_at_most_K at {w}")
-        for name, slack in point_bound_slacks(K, P, lam):
-            point.add(slack, f"{name} at {w}")
-        F = gain_factor(K * P, lam)
-        gains.add(F - 1.0, f"gain_at_least_1 at {w}")
-        gains.add(2.0 - F, f"doubling_cap at {w}")
-        gains.add(IMPROVED_GAIN_CAP - F, f"improved_cap at {w}")
+    pairs = draw_samples(sample)
+    K = np.array([k for k, _ in pairs])
+    P = np.array([p for _, p in pairs])
+    Kf = K.astype(float)
+    lam = _solve_finite_many(K, P, settings)
+    if sabotage:
+        lam = np.minimum(lam + 0.5, Kf)
+
+    def at(row: int) -> str:
+        return f"K={int(K[row])} P={float(P[row]):.6g}"
+
+    # The residual is recomputed at the (possibly sabotaged) lam.
+    res = _raw_residual_many(Kf, P, lam)
+    quality.add_table([
+        ("residual_within_tol", settings.residual_tol - np.abs(res)),
+        ("lambda_at_least_1", lam - 1.0),
+        ("lambda_at_most_K", Kf - lam),
+    ], at)
+    links = point_bound_slacks(Kf, P, lam)
+    exists = np.ones((K.size, len(links)), dtype=bool)
+    exists[:, -1] = lam < Kf  # bracket_cap, the last link
+    point.add_table(links, at, exists)
+    pi = Kf * P
+    F = np.log1p(pi * lam) / np.log1p(pi)
+    gains.add_table([
+        ("gain_at_least_1", F - 1.0),
+        ("doubling_cap", 2.0 - F),
+        ("improved_cap", IMPROVED_GAIN_CAP - F),
+    ], at)
     # Near-extremal witness: the massive curve close to its peak power.
     F = solve_lambda_massive(5.38, settings).gain_F
     gains.add(F - 1.53, "near_extremal_witness_floor at pi=5.38")

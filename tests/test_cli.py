@@ -302,6 +302,9 @@ class TestPeak:
         (["solve", "--users", "2", "--power-db", "54"], "still above"),
         (["curve", "--users", "2", "--from-db", "57", "--to-db", "58"], "still above"),
         (["peak", "--massive", "--from-db", "-10", "--to-db", "0"], "widen the range"),
+        # pi*lam overflows in the fixed-point map; a NaN slack is no root.
+        (["solve", "--massive", "--total-power-db", "3070"], "NaN"),
+        (["solve", "--massive", "--total-power-db", "3080"], "NaN"),
     ],
 )
 def test_solver_failure_exits_1(capsys, argv, message):

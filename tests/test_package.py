@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import importlib
+import importlib.util
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import macgain
@@ -15,3 +20,28 @@ def test_public_surface_is_documented():
     assert undocumented == []
     for name in macgain.__all__:
         getattr(macgain, name)
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # Only `verify` needs numpy; every other command must start without it.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH", "")) if p)}
+    code = "import sys, macgain.cli; sys.exit('numpy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
+    assert result.returncode == 0
+
+
+def test_traced_names_resolve():
+    # The benchmark's tracer looks these functions up by name; a dropped or
+    # renamed one would only surface when the benchmark runs.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    names = tracing.COUNTED + tracing.SPANNED
+    assert names
+    for name in names:
+        module_name, _, attr = name.partition(".")
+        module = importlib.import_module(f"macgain.{module_name}")
+        assert callable(getattr(module, attr, None)), name

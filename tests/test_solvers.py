@@ -69,6 +69,11 @@ class TestBisectKernel:
         assert iters == 0
         assert x in (lo, hi)
 
+    def test_nan_midpoint_raises(self):
+        # A NaN has no sign; it must not pass for an exact zero.
+        with pytest.raises(ConvergenceError, match="NaN"):
+            _bisect(lambda x: math.nan, 0.0, 1.0, -1.0, 1.0, 1e-12, 200)
+
 
 class TestSolverSettings:
     def test_defaults(self):
@@ -196,6 +201,18 @@ class TestMassiveSolver:
 
     def test_determinism(self):
         assert solve_lambda_massive(5.38) == solve_lambda_massive(5.38)
+
+    def test_top_of_float_range(self):
+        assert solve_lambda_massive(1e300).lambda_star == pytest.approx(
+            697.322776, abs=5e-7
+        )
+
+    @pytest.mark.parametrize("pi_db", [3070.0, 3079.0, 3080.0])
+    def test_overflowing_slack_raises(self, pi_db):
+        # pi*lam overflows inside f_of, so the slack turns NaN before it
+        # turns positive; that is no root.
+        with pytest.raises(ConvergenceError, match="NaN"):
+            solve_lambda_massive(db_to_linear(pi_db))
 
 
 class TestParametricCrossCheck:

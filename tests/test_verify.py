@@ -3,12 +3,28 @@ the individual checks, and the sabotage negative control."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import re
 
 import pytest
 
-from macgain.solvers import solve_lambda_massive, solve_lambda_star
+import numpy as np
+
+from macgain.core import db_to_linear
+from macgain.solvers import (
+    DEFAULT_SETTINGS,
+    BracketError,
+    ConvergenceError,
+    _bisect,
+    solve_lambda_massive,
+    solve_lambda_star,
+    sweep_curve,
+)
 from macgain.verify import (
+    _bisect_many,
+    _solve_finite_many,
+    _solve_massive_many,
     BoundReport,
     DEFAULT_USERS,
     DERIVATIVE_GRID,
@@ -289,3 +305,103 @@ class TestGoldenReports:
         # is undefined: 49 point slacks from 10 samples, not 50.
         reports = run_suite(SampleSpec(seed=7, n_samples=10), sabotage=True)
         assert [r.line() for r in reports] == GOLDEN_SABOTAGE_LINES
+
+
+class TestBatchedSolve:
+    """The batched bisection against the scalar solvers it stands in for."""
+
+    @pytest.mark.parametrize(
+        "lo, hi, root, tol, max_iter",
+        [
+            (0.0, 1.0, 0.3, 1e-12, 200),  # ordinary root
+            (0.0, 1.0, 0.5, 1e-12, 200),  # exact zero at the first midpoint
+            (0.0, 1.0, 0.3, 1e-30, 7),  # iteration cap
+            (1.0, math.nextafter(1.0, 2.0), 2.0, 0.0, 200),  # no float between ends
+            (-3.0, 5.0, 1.0 / 3.0, 1e-15, 200),
+        ],
+    )
+    def test_kernel_matches_scalar_bisect(self, lo, hi, root, tol, max_iter):
+        want = _bisect(lambda x: x - root, lo, hi, lo - root, hi - root, tol, max_iter)
+        # Four copies of the bracket, so every lane must take the same path.
+        x, fx, iters = _bisect_many(
+            lambda x: x - root, np.full(4, lo), np.full(4, hi),
+            np.full(4, lo - root), np.full(4, hi - root), tol, max_iter,
+        )
+        for lane in range(4):
+            assert (float(x[lane]), float(fx[lane]), int(iters[lane])) == want
+
+    def test_kernel_stops_a_nan_lane_alone(self):
+        x, fx, iters = _bisect_many(
+            lambda x: np.where(x > 0.0, x - 0.3, math.nan),
+            np.array([0.0, -1.0]), np.array([1.0, 1.0]),
+            np.array([-0.3, -1.3]), np.array([0.7, 0.7]), 1e-12, 200,
+        )
+        assert abs(fx[0]) < 1e-11 and iters[0] > 30
+        assert math.isnan(fx[1]) and x[1] == 0.0 and iters[1] == 1
+
+    def test_samples_match_scalar_solver(self):
+        pairs = draw_samples(SampleSpec(seed=42, n_samples=10_000))
+        K = np.array([k for k, _ in pairs])
+        P = np.array([p for _, p in pairs])
+        lam = _solve_finite_many(K, P, DEFAULT_SETTINGS)
+        want = np.array([solve_lambda_star(k, p).lambda_star for k, p in pairs])
+        assert np.max(np.abs(lam - want) / want) <= 1e-10
+
+    @pytest.mark.parametrize("users", DEFAULT_USERS)
+    def test_curves_match_sweep(self, users):
+        curve = sweep_curve(users, -10.0, 30.0, 0.1)
+        pis = np.array([pt.pi for pt in curve])
+        want = np.array([pt.lam for pt in curve])
+        if users is None:
+            lam = _solve_massive_many(pis, DEFAULT_SETTINGS)
+        else:
+            K = np.full(pis.size, users)
+            lam = _solve_finite_many(K, pis / K, DEFAULT_SETTINGS)
+        assert np.max(np.abs(lam - want) / want) <= 1e-10
+
+    def test_vanishing_power_degenerates(self):
+        # At P=1e-12 both bracket ends meet residual_tol; at 1e-9 they do not.
+        assert solve_lambda_star(100, 1e-12).degenerate
+        assert not solve_lambda_star(100, 1e-9).degenerate
+        lam = _solve_finite_many(np.array([100, 100, 3]),
+                                 np.array([1e-12, 1e-9, 10.0]), DEFAULT_SETTINGS)
+        assert lam[0] == 1.0
+        assert lam[1] == pytest.approx(solve_lambda_star(100, 1e-9).lambda_star,
+                                       rel=1e-15)
+        assert lam[2] == pytest.approx(solve_lambda_star(3, 10.0).lambda_star,
+                                       rel=1e-10)
+
+    def test_unconverged_element_raises_like_scalar(self):
+        P54 = db_to_linear(54.0)
+        with pytest.raises(ConvergenceError):
+            solve_lambda_star(2, P54)
+        with pytest.raises(ConvergenceError, match="K=2, P="):
+            _solve_finite_many(np.array([100, 2, 10]), np.array([1.0, P54, 1.0]),
+                               DEFAULT_SETTINGS)
+
+    def test_first_failure_in_input_order_wins(self):
+        # K=2 at 3080 dB overflows both bracket ends: a BracketError.
+        bad_bracket, bad_residual = 1e308, db_to_linear(54.0)
+        with pytest.raises(BracketError):
+            solve_lambda_star(2, bad_bracket)
+        K = np.array([2, 2])
+        with pytest.raises(BracketError):
+            _solve_finite_many(K, np.array([bad_bracket, bad_residual]),
+                               DEFAULT_SETTINGS)
+        with pytest.raises(ConvergenceError):
+            _solve_finite_many(K, np.array([bad_residual, bad_bracket]),
+                               DEFAULT_SETTINGS)
+
+    def test_overflowing_massive_slack_raises(self):
+        lam = _solve_massive_many(np.array([1e300]), DEFAULT_SETTINGS)
+        assert lam[0] == solve_lambda_massive(1e300).lambda_star
+        for pi_db in (3070.0, 3080.0):
+            pis = np.array([1e300, db_to_linear(pi_db), 5.38])
+            with pytest.raises(ConvergenceError, match=re.escape(f"pi={float(pis[1])!r}")):
+                _solve_massive_many(pis, DEFAULT_SETTINGS)
+
+    def test_massive_doubling_counts_against_max_iter(self):
+        # lam(1000) is above 8, so three doublings cannot bracket it.
+        with pytest.raises(ConvergenceError):
+            _solve_massive_many(np.array([0.1, 1000.0]),
+                                dataclasses.replace(DEFAULT_SETTINGS, max_iter=3))
