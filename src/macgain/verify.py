@@ -168,7 +168,7 @@ class _Tracker:
         )
 
 
-def point_bound_slacks(K, P, lam) -> list[tuple[str, float]]:
+def point_bound_slacks(K, P, lam) -> list[tuple[str, float | np.ndarray]]:
     """Slacks of the root-point inequality chains, evaluated at lam.
 
     The five links: a two-sided logarithm bracket around ln(1+pi*lam), a
@@ -264,25 +264,23 @@ def _solve_finite_many(K: np.ndarray, P: np.ndarray,
     pair in input order.
     """
     _check_powers(P, "per-user power")
-    Kf = K.astype(float)
+    K = np.asarray(K, dtype=float)
     tol = settings.residual_tol
     with np.errstate(all="ignore"):
-        f_lo = _raw_residual_many(Kf, P, np.ones_like(Kf))
-        f_hi = _raw_residual_many(Kf, P, Kf)
+        f_lo = _raw_residual_many(K, P, 1.0)
+        f_hi = _raw_residual_many(K, P, K)
         degenerate = (np.abs(f_lo) <= tol) & (np.abs(f_hi) <= tol)
         bracketed = (f_lo < 0.0) & (0.0 < f_hi)
-        todo = np.flatnonzero(~degenerate & bracketed)
-        Ks, Ps = Kf[todo], P[todo]
-        lam_b, res_b, iters_b = _bisect_many(
-            lambda x: _raw_residual_many(Ks, Ps, x),
-            np.ones(todo.size), Ks, f_lo[todo], f_hi[todo],
-            settings.lambda_tol, settings.max_iter,
+        run = bracketed & ~degenerate
+        # Every other pair gets the empty bracket [1, 1], which stops before
+        # its first step at lam = 1: the degenerate root, or an error below.
+        lam, res, iterations = _bisect_many(
+            lambda x: _raw_residual_many(K, P, x), np.ones_like(K),
+            np.where(run, K, 1.0), f_lo, f_hi, settings.lambda_tol,
+            settings.max_iter,
         )
-    lam = np.ones_like(Kf)
-    lam[todo] = lam_b
-    unconverged = np.zeros(K.size, dtype=bool)
-    unconverged[todo] = ~(np.abs(res_b) <= tol)
-    failed = np.flatnonzero((~degenerate & ~bracketed) | unconverged)
+    unconverged = run & ~(np.abs(res) <= tol)
+    failed = np.flatnonzero((~bracketed & ~degenerate) | unconverged)
     if failed.size:
         i = int(failed[0])
         k, p = int(K[i]), float(P[i])
@@ -292,10 +290,9 @@ def _solve_finite_many(K: np.ndarray, P: np.ndarray,
                 f"lam=K; got ({float(f_lo[i])!r}, {float(f_hi[i])!r}) for "
                 f"K={k}, P={p!r}"
             )
-        j = int(np.searchsorted(todo, i))
         raise ConvergenceError(
-            f"residual {float(res_b[j])!r} still above {tol!r} after "
-            f"{int(iters_b[j])} iterations for K={k}, P={p!r}"
+            f"residual {float(res[i])!r} still above {tol!r} after "
+            f"{int(iterations[i])} iterations for K={k}, P={p!r}"
         )
     return lam
 
@@ -330,22 +327,28 @@ def _solve_massive_many(pi: np.ndarray, settings: SolverSettings) -> np.ndarray:
             f_hi[growing] = slack(hi[growing], growing)
             expansions += 1
             growing = growing[f_hi[growing] <= 0.0]
-        todo = np.flatnonzero(~capped & ~np.isnan(f_hi))
-        lam_b, res_b, _ = _bisect_many(
-            lambda x: slack(x, todo), lo[todo], hi[todo], f_lo[todo],
-            f_hi[todo], settings.lambda_tol, settings.max_iter,
+        # Unbracketed and NaN elements are bisected too, then reported.
+        lam, res, iterations = _bisect_many(
+            slack, lo, hi, f_lo, f_hi, settings.lambda_tol, settings.max_iter
         )
-    lam = np.full_like(pi, math.nan)
-    lam[todo] = lam_b
-    res = np.full_like(pi, math.nan)
-    res[todo] = res_b
-    failed = np.flatnonzero(~(np.abs(res) <= settings.residual_tol))
+    unconverged = ~(np.abs(res) <= settings.residual_tol)
+    failed = np.flatnonzero(capped | np.isnan(f_hi) | unconverged)
     if failed.size:
         i = int(failed[0])
+        p, end = float(pi[i]), float(hi[i])
+        if capped[i]:
+            raise ConvergenceError(
+                f"no sign change of the fixed-point slack up to lam={end!r} "
+                f"for pi={p!r}"
+            )
+        if math.isnan(f_hi[i]):
+            raise ConvergenceError(
+                f"fixed-point slack is NaN at lam={end!r} for pi={p!r}"
+            )
         raise ConvergenceError(
-            f"no root of the fixed-point slack within {settings.residual_tol!r} "
-            f"(bracket [{float(lo[i])!r}, {float(hi[i])!r}], slack "
-            f"{float(res[i])!r}) for pi={float(pi[i])!r}"
+            f"fixed-point slack {float(res[i])!r} still above "
+            f"{settings.residual_tol!r} after {int(iterations[i])} iterations "
+            f"for pi={p!r}"
         )
     return lam
 
@@ -487,29 +490,26 @@ def run_suite(sample: SampleSpec,
     point = _Tracker("point_bounds")
     quality = _Tracker("root_quality", slop=0.0)
     gains = _Tracker("global_gain_bounds")
-    pairs = draw_samples(sample)
-    K = np.array([k for k, _ in pairs])
-    P = np.array([p for _, p in pairs])
-    Kf = K.astype(float)
+    K, P = (np.array(column, dtype=float) for column in zip(*draw_samples(sample)))
     lam = _solve_finite_many(K, P, settings)
     if sabotage:
-        lam = np.minimum(lam + 0.5, Kf)
+        lam = np.minimum(lam + 0.5, K)
 
     def at(row: int) -> str:
         return f"K={int(K[row])} P={float(P[row]):.6g}"
 
     # The residual is recomputed at the (possibly sabotaged) lam.
-    res = _raw_residual_many(Kf, P, lam)
+    res = _raw_residual_many(K, P, lam)
     quality.add_table([
         ("residual_within_tol", settings.residual_tol - np.abs(res)),
         ("lambda_at_least_1", lam - 1.0),
-        ("lambda_at_most_K", Kf - lam),
+        ("lambda_at_most_K", K - lam),
     ], at)
-    links = point_bound_slacks(Kf, P, lam)
+    links = point_bound_slacks(K, P, lam)
     exists = np.ones((K.size, len(links)), dtype=bool)
-    exists[:, -1] = lam < Kf  # bracket_cap, the last link
+    exists[:, -1] = lam < K  # bracket_cap, the last link
     point.add_table(links, at, exists)
-    pi = Kf * P
+    pi = K * P
     F = np.log1p(pi * lam) / np.log1p(pi)
     gains.add_table([
         ("gain_at_least_1", F - 1.0),

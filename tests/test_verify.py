@@ -22,6 +22,7 @@ from macgain.solvers import (
     sweep_curve,
 )
 from macgain.verify import (
+    _Tracker,
     _bisect_many,
     _solve_finite_many,
     _solve_massive_many,
@@ -307,6 +308,36 @@ class TestGoldenReports:
         assert [r.line() for r in reports] == GOLDEN_SABOTAGE_LINES
 
 
+class TestTrackerTable:
+    def test_table_matches_add_loop(self):
+        # Ties, a NaN, a -inf, skipped entries and a violation, fed row by
+        # row through add() as the reference.
+        columns = [
+            ("a", np.array([0.5, 0.2, math.nan, 0.2, 1.0])),
+            ("b", np.array([0.2, -1.0, 0.3, -math.inf, -1.0])),
+            ("c", np.array([math.nan, 0.4, -2.0, 0.1, 0.0])),
+        ]
+        valid = np.ones((5, 3), dtype=bool)
+        valid[2, 2] = valid[3, 1] = False
+        reference = _Tracker("t")
+        for row in range(5):
+            for col, (name, slack) in enumerate(columns):
+                if valid[row, col]:
+                    reference.add(float(slack[row]), f"{name} at row{row}")
+        table = _Tracker("t")
+        table.add_table(columns, lambda row: f"row{row}", valid)
+        assert table.report() == reference.report()
+        assert table.report().witness == "b at row1"
+
+    def test_all_nan_table_has_no_witness(self):
+        reference = _Tracker("t")
+        reference.add(math.nan, "a at row0")
+        table = _Tracker("t")
+        table.add_table([("a", np.array([math.nan]))], lambda row: f"row{row}")
+        assert table.report() == reference.report()
+        assert table.report().violations == 1 and table.report().witness == ""
+
+
 class TestBatchedSolve:
     """The batched bisection against the scalar solvers it stands in for."""
 
@@ -318,6 +349,7 @@ class TestBatchedSolve:
             (0.0, 1.0, 0.3, 1e-30, 7),  # iteration cap
             (1.0, math.nextafter(1.0, 2.0), 2.0, 0.0, 200),  # no float between ends
             (-3.0, 5.0, 1.0 / 3.0, 1e-15, 200),
+            (0.0, 1.0, 0.5, 2.0, 200),  # no step; |f| ties, lo wins
         ],
     )
     def test_kernel_matches_scalar_bisect(self, lo, hi, root, tol, max_iter):
@@ -395,9 +427,15 @@ class TestBatchedSolve:
     def test_overflowing_massive_slack_raises(self):
         lam = _solve_massive_many(np.array([1e300]), DEFAULT_SETTINGS)
         assert lam[0] == solve_lambda_massive(1e300).lambda_star
-        for pi_db in (3070.0, 3080.0):
-            pis = np.array([1e300, db_to_linear(pi_db), 5.38])
-            with pytest.raises(ConvergenceError, match=re.escape(f"pi={float(pis[1])!r}")):
+        # At 2e305 the doubling overflows past a root that the bisection
+        # could still reach; the scalar solver refuses it, so must the batch.
+        for bad in (db_to_linear(3070.0), db_to_linear(3080.0), 2e305):
+            with pytest.raises(ConvergenceError):
+                solve_lambda_massive(bad)
+            pis = np.array([1e300, bad, 5.38])
+            with pytest.raises(ConvergenceError,
+                               match=re.escape(f"NaN at lam=") + ".*"
+                               + re.escape(f"pi={float(pis[1])!r}")):
                 _solve_massive_many(pis, DEFAULT_SETTINGS)
 
     def test_massive_doubling_counts_against_max_iter(self):
