@@ -262,9 +262,10 @@ def run_verify(args: argparse.Namespace) -> int:
     # Imported here so that only verify pays for loading numpy.
     from .verify import SampleSpec, run_suite, suite_passed
 
-    if args.samples < 1:
-        args.parser.error("--samples must be >= 1")
-    spec = SampleSpec(seed=args.seed, n_samples=args.samples)
+    try:
+        spec = SampleSpec(seed=args.seed, n_samples=args.samples)
+    except ValueError as exc:
+        args.parser.error(str(exc))
     start = time.perf_counter()
     reports = run_suite(spec, DEFAULT_SETTINGS, sabotage=args.sabotage)
     elapsed = time.perf_counter() - start

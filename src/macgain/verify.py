@@ -6,8 +6,8 @@ Slacks below -1e-9 count as violations; the slop absorbs floating-point
 noise on claims whose strict version only degenerates at analytic
 boundaries (vanishing power).  Root-quality checks use zero slop because
 their tolerances are already explicit.  All checks are pure and
-deterministic under a fixed seed; failures are reported as data, never
-raised.
+deterministic under a fixed seed.  Check violations are reported as data;
+a solver error (BracketError, ConvergenceError) propagates.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ from .solvers import (
     DEFAULT_FROM_DB,
     DEFAULT_SETTINGS,
     DEFAULT_TO_DB,
-    BracketError,
-    ConvergenceError,
     SolverSettings,
     _db_grid,
     solve_lambda_massive,
@@ -35,6 +33,7 @@ __all__ = [
     "DERIVATIVE_GRID",
     "DEFAULT_USERS",
     "BoundReport",
+    "MAX_SAMPLES",
     "SampleSpec",
     "draw_samples",
     "point_bound_slacks",
@@ -56,6 +55,10 @@ TAIL_GAIN_CAP = 1.321
 
 # Certified global cap on the gain factor over the sampled (K, P) box.
 IMPROVED_GAIN_CAP = 1.5372
+
+# Larger sample plans are refused before drawing.  The largest plan in use
+# holds 10000 samples; a billion-sample plan would exhaust memory.
+MAX_SAMPLES = 100_000
 
 
 @dataclass(frozen=True)
@@ -91,8 +94,12 @@ class SampleSpec:
     P_range: tuple[float, float] = (1e-3, 1e3)
 
     def __post_init__(self) -> None:
-        if self.n_samples < 1:
-            raise ValueError(f"n_samples must be >= 1, got {self.n_samples!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
+        if not 1 <= self.n_samples <= MAX_SAMPLES:
+            raise ValueError(
+                f"n_samples must be in [1, {MAX_SAMPLES}], got {self.n_samples!r}"
+            )
         k_lo, k_hi = self.K_range
         if k_lo < 2 or k_hi < k_lo:
             raise ValueError(f"bad user-count range {self.K_range!r}")
@@ -101,13 +108,13 @@ class SampleSpec:
             raise ValueError(f"bad power range {self.P_range!r}")
 
 
-def draw_samples(spec: SampleSpec) -> list[tuple[int, float]]:
+def draw_samples(spec: SampleSpec) -> tuple[np.ndarray, np.ndarray]:
     """Draw (K, P) pairs, log-uniform in both coordinates.
 
     Both quantities span decades, so uniform-in-log is the only draw that
     exercises every scale.  The user count is drawn first, then the power,
-    each as one vectorized pass, so a given seed always yields the same
-    pairs.
+    each as one vectorized pass into an int and a float array, so a given
+    seed always yields the same pairs.
     """
     rng = np.random.default_rng(spec.seed)
     k_lo, k_hi = spec.K_range
@@ -117,7 +124,7 @@ def draw_samples(spec: SampleSpec) -> list[tuple[int, float]]:
     ).astype(int)
     ks = np.clip(ks, k_lo, k_hi)
     ps = np.exp(rng.uniform(math.log(p_lo), math.log(p_hi), spec.n_samples))
-    return [(int(k), float(p)) for k, p in zip(ks, ps)]
+    return ks, ps
 
 
 class _Tracker:
@@ -216,8 +223,8 @@ def _bisect_many(fn, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray,
     fn maps an array of points to the residuals of the elements at them.
     Each element takes the same midpoints, stops by the same rules and
     keeps the same smallest-|fn| point as the scalar loop would.  An exact
-    zero or a NaN residual stops an element at its midpoint; where the
-    scalar loop raises on the NaN, the caller reports it.  Returns
+    zero or a NaN residual stops an element at its midpoint; the caller
+    hands a NaN element to the scalar solver, which raises.  Returns
     (x, fn(x), iterations).
     """
     lo, hi = lo.copy(), hi.copy()
@@ -246,54 +253,30 @@ def _bisect_many(fn, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray,
     return best_x, best_f, iterations
 
 
-def _check_powers(values: np.ndarray, name: str) -> None:
-    bad = np.flatnonzero(~((values > 0.0) & (values < math.inf)))
-    if bad.size:
-        raise ValueError(
-            f"{name} must be a positive finite power, got {float(values[bad[0]])!r}"
-        )
-
-
 def _solve_finite_many(K: np.ndarray, P: np.ndarray,
                        settings: SolverSettings) -> np.ndarray:
     """solve_lambda_star's root for every (K, P) pair, in one bisection.
 
-    Keeps the scalar solver's gates: the vanishing-power short circuit to
-    lam = 1, BracketError on bad end signs and ConvergenceError when the
-    residual misses residual_tol.  A failure raises for the first failing
-    pair in input order.
+    An element is settled here when its residual is (-, +) at the bracket
+    ends, it is not the vanishing-power case and its root meets
+    residual_tol.  Every other element goes, in input order, to
+    solve_lambda_star, which pins it to lam = 1, solves it or raises its
+    own error.  Where np.log1p and math.log1p disagree right at a gate,
+    the scalar solver may return a root the batch could not settle.
     """
-    _check_powers(P, "per-user power")
     K = np.asarray(K, dtype=float)
     tol = settings.residual_tol
     with np.errstate(all="ignore"):
         f_lo = _raw_residual_many(K, P, 1.0)
         f_hi = _raw_residual_many(K, P, K)
         degenerate = (np.abs(f_lo) <= tol) & (np.abs(f_hi) <= tol)
-        bracketed = (f_lo < 0.0) & (0.0 < f_hi)
-        run = bracketed & ~degenerate
-        # Every other pair gets the empty bracket [1, 1], which stops before
-        # its first step at lam = 1: the degenerate root, or an error below.
-        lam, res, iterations = _bisect_many(
-            lambda x: _raw_residual_many(K, P, x), np.ones_like(K),
-            np.where(run, K, 1.0), f_lo, f_hi, settings.lambda_tol,
-            settings.max_iter,
+        lam, res, _ = _bisect_many(
+            lambda x: _raw_residual_many(K, P, x), np.ones_like(K), K,
+            f_lo, f_hi, settings.lambda_tol, settings.max_iter,
         )
-    unconverged = run & ~(np.abs(res) <= tol)
-    failed = np.flatnonzero((~bracketed & ~degenerate) | unconverged)
-    if failed.size:
-        i = int(failed[0])
-        k, p = int(K[i]), float(P[i])
-        if not unconverged[i]:
-            raise BracketError(
-                f"balance residual must be negative at lam=1 and positive at "
-                f"lam=K; got ({float(f_lo[i])!r}, {float(f_hi[i])!r}) for "
-                f"K={k}, P={p!r}"
-            )
-        raise ConvergenceError(
-            f"residual {float(res[i])!r} still above {tol!r} after "
-            f"{int(iterations[i])} iterations for K={k}, P={p!r}"
-        )
+    settled = (f_lo < 0.0) & (0.0 < f_hi) & ~degenerate & (np.abs(res) <= tol)
+    for i in np.flatnonzero(~settled):
+        lam[i] = solve_lambda_star(int(K[i]), float(P[i]), settings).lambda_star
     return lam
 
 
@@ -301,11 +284,11 @@ def _solve_massive_many(pi: np.ndarray, settings: SolverSettings) -> np.ndarray:
     """solve_lambda_massive's root for every total power pi, in one bisection.
 
     Doubles each upper bracket end from [1, 2] as the scalar solver does,
-    counting the doublings against max_iter, and raises ConvergenceError
-    for the first power in input order whose slack cannot be bracketed, is
-    NaN or misses residual_tol.
+    up to max_iter bracket ends.  An element is settled here when its slack
+    is (-, +) at the final bracket ends and its root meets residual_tol;
+    every other element goes to solve_lambda_massive, as in
+    _solve_finite_many.
     """
-    _check_powers(pi, "total power")
 
     def slack(lam: np.ndarray, i=slice(None)) -> np.ndarray:
         return lam - _f_of_many(pi[i], lam)
@@ -315,41 +298,20 @@ def _solve_massive_many(pi: np.ndarray, settings: SolverSettings) -> np.ndarray:
         f_lo = slack(lo)
         hi = np.full_like(pi, 2.0)
         f_hi = slack(hi)
-        capped = np.zeros(pi.size, dtype=bool)
         growing = np.flatnonzero(f_hi <= 0.0)
         expansions = 1
-        while growing.size:
-            if expansions >= settings.max_iter:
-                capped[growing] = True
-                break
+        while growing.size and expansions < settings.max_iter:
             lo[growing], f_lo[growing] = hi[growing], f_hi[growing]
             hi[growing] *= 2.0
             f_hi[growing] = slack(hi[growing], growing)
             expansions += 1
             growing = growing[f_hi[growing] <= 0.0]
-        # Unbracketed and NaN elements are bisected too, then reported.
-        lam, res, iterations = _bisect_many(
+        lam, res, _ = _bisect_many(
             slack, lo, hi, f_lo, f_hi, settings.lambda_tol, settings.max_iter
         )
-    unconverged = ~(np.abs(res) <= settings.residual_tol)
-    failed = np.flatnonzero(capped | np.isnan(f_hi) | unconverged)
-    if failed.size:
-        i = int(failed[0])
-        p, end = float(pi[i]), float(hi[i])
-        if capped[i]:
-            raise ConvergenceError(
-                f"no sign change of the fixed-point slack up to lam={end!r} "
-                f"for pi={p!r}"
-            )
-        if math.isnan(f_hi[i]):
-            raise ConvergenceError(
-                f"fixed-point slack is NaN at lam={end!r} for pi={p!r}"
-            )
-        raise ConvergenceError(
-            f"fixed-point slack {float(res[i])!r} still above "
-            f"{settings.residual_tol!r} after {int(iterations[i])} iterations "
-            f"for pi={p!r}"
-        )
+    settled = (f_lo < 0.0) & (f_hi > 0.0) & (np.abs(res) <= settings.residual_tol)
+    for i in np.flatnonzero(~settled):
+        lam[i] = solve_lambda_massive(float(pi[i]), settings).lambda_star
     return lam
 
 
@@ -433,13 +395,11 @@ def check_monotone_unimodal(users_list: tuple[int | None, ...] = DEFAULT_USERS,
     grid = _db_grid(*range_db, step_db)
     pis = np.array([db_to_linear(pi_db) for pi_db in grid])
     finite = [_check_users(u) for u in users_list if u is not None]
-    lams: dict[int | None, np.ndarray] = {}
-    if finite:
-        # Every finite curve in one batch, one row per user count.
-        K = np.repeat(finite, len(grid))
-        pi = np.tile(pis, len(finite))
-        rows = _solve_finite_many(K, pi / K, settings).reshape(len(finite), -1)
-        lams.update(zip(finite, rows))
+    # Every finite curve in one batch, one row per user count.
+    K = np.repeat(finite, len(grid))
+    pi = np.tile(pis, len(finite))
+    rows = _solve_finite_many(K, pi / K, settings).reshape(len(finite), len(grid))
+    lams: dict[int | None, np.ndarray] = dict(zip(finite, rows))
     if None in users_list:
         lams[None] = _solve_massive_many(pis, settings)
     for users in users_list:
@@ -480,17 +440,17 @@ def run_suite(sample: SampleSpec,
               sabotage: bool = False) -> list[BoundReport]:
     """Run every check once, sharing one solve per random sample.
 
-    The samples are solved together in one batched bisection that follows
-    the scalar solver's stopping rule, and their slacks are evaluated as
+    The samples are solved in one batched bisection, which hands any it
+    cannot settle to the scalar solver, and their slacks are evaluated as
     arrays.  With sabotage=True every per-sample check is evaluated half a
     unit off the root (clamped into [1, K]); the residual gate must then
     flag every sample, so a passing sabotage run would expose a broken
-    harness.  Failures are returned as data, never raised.
+    harness.  Violations are returned as data; solver errors propagate.
     """
     point = _Tracker("point_bounds")
     quality = _Tracker("root_quality", slop=0.0)
     gains = _Tracker("global_gain_bounds")
-    K, P = (np.array(column, dtype=float) for column in zip(*draw_samples(sample)))
+    K, P = draw_samples(sample)
     lam = _solve_finite_many(K, P, settings)
     if sabotage:
         lam = np.minimum(lam + 0.5, K)

@@ -34,7 +34,8 @@ SAMPLE_PLAN = SampleSpec(seed=42, n_samples=10_000)
 
 @pytest.fixture(scope="module")
 def sampled_solutions():
-    pairs = draw_samples(SAMPLE_PLAN)
+    K, P = draw_samples(SAMPLE_PLAN)
+    pairs = [(int(k), float(p)) for k, p in zip(K, P)]
     start = time.perf_counter()
     sols = [solve_lambda_star(K, P) for K, P in pairs]
     elapsed = time.perf_counter() - start

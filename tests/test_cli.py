@@ -34,6 +34,20 @@ def assert_usage_error(argv):
     assert excinfo.value.code == 2
 
 
+def run_with_capped_memory(argv):
+    # The child gets 512 MiB of address space, so an input that is built
+    # before it is refused fails fast instead of exhausting memory.
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29))\n"
+        "from macgain.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, timeout=60
+    )
+
+
 class TestUsageErrors:
     def test_no_command(self):
         assert_usage_error([])
@@ -73,6 +87,9 @@ class TestUsageErrors:
     def test_verify_rejects_zero_samples(self):
         assert_usage_error(["verify", "--samples", "0"])
 
+    def test_verify_rejects_negative_seed(self):
+        assert_usage_error(["verify", "--seed", "-1"])
+
     def test_figure_rejects_bad_user_token(self):
         assert_usage_error(["figure", "--which", "cfactor", "--users", "1"])
 
@@ -103,19 +120,14 @@ class TestUsageErrors:
         ],
     )
     def test_oversized_grid(self, argv):
-        # The child gets 512 MiB of address space, so a grid that is built
-        # before it is refused fails fast instead of exhausting memory.
-        code = (
-            "import resource, sys\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29))\n"
-            "from macgain.cli import main\n"
-            "sys.exit(main(sys.argv[1:]))\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", code, *argv], capture_output=True, timeout=60
-        )
+        proc = run_with_capped_memory(argv)
         assert proc.returncode == 2
         assert b"grid points" in proc.stderr
+
+    def test_oversized_sample_plan(self):
+        proc = run_with_capped_memory(["verify", "--samples", "1000000000"])
+        assert proc.returncode == 2
+        assert b"n_samples must be in [1, 100000]" in proc.stderr
 
 
 class TestSolve:

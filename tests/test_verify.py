@@ -11,11 +11,13 @@ import pytest
 
 import numpy as np
 
+import macgain.verify
 from macgain.core import db_to_linear
 from macgain.solvers import (
     DEFAULT_SETTINGS,
     BracketError,
     ConvergenceError,
+    SolverSettings,
     _bisect,
     solve_lambda_massive,
     solve_lambda_star,
@@ -30,6 +32,7 @@ from macgain.verify import (
     DEFAULT_USERS,
     DERIVATIVE_GRID,
     IMPROVED_GAIN_CAP,
+    MAX_SAMPLES,
     NUMERIC_SLOP,
     SampleSpec,
     TAIL_GAIN_CAP,
@@ -73,6 +76,7 @@ class TestSampleSpec:
         spec = SampleSpec(seed=0, n_samples=5)
         assert spec.K_range == (2, 10_000)
         assert spec.P_range == (1e-3, 1e3)
+        assert SampleSpec(seed=0, n_samples=MAX_SAMPLES).n_samples == MAX_SAMPLES
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -82,6 +86,8 @@ class TestSampleSpec:
             {"K_range": (10, 2)},
             {"P_range": (0.0, 1.0)},
             {"P_range": (2.0, 1.0)},
+            {"seed": -1},
+            {"n_samples": MAX_SAMPLES + 1},
         ],
     )
     def test_rejects_bad_plans(self, kwargs):
@@ -93,18 +99,20 @@ class TestSampleSpec:
 class TestDrawSamples:
     def test_deterministic(self):
         spec = SampleSpec(seed=11, n_samples=50)
-        assert draw_samples(spec) == draw_samples(spec)
+        (k_a, p_a), (k_b, p_b) = draw_samples(spec), draw_samples(spec)
+        assert np.array_equal(k_a, k_b) and np.array_equal(p_a, p_b)
 
     def test_seed_changes_draw(self):
-        a = draw_samples(SampleSpec(seed=11, n_samples=50))
-        b = draw_samples(SampleSpec(seed=12, n_samples=50))
-        assert a != b
+        k_a, p_a = draw_samples(SampleSpec(seed=11, n_samples=50))
+        k_b, p_b = draw_samples(SampleSpec(seed=12, n_samples=50))
+        assert not (np.array_equal(k_a, k_b) and np.array_equal(p_a, p_b))
 
     def test_ranges_and_spread(self):
-        pairs = draw_samples(SampleSpec(seed=0, n_samples=1000))
-        assert len(pairs) == 1000
-        ks = [k for k, _ in pairs]
-        ps = [p for _, p in pairs]
+        K, P = draw_samples(SampleSpec(seed=0, n_samples=1000))
+        assert len(K) == 1000 and len(P) == 1000
+        assert K.dtype.kind == "i" and P.dtype == np.float64
+        ks = [int(k) for k in K]
+        ps = [float(p) for p in P]
         assert min(ks) >= 2 and max(ks) <= 10_000
         assert min(ps) >= 1e-3 and max(ps) <= 1e3
         # Log-uniform draws must populate every decade of both axes.
@@ -237,6 +245,13 @@ class TestRunSuite:
 
     def test_deterministic(self, reports):
         assert run_suite(SampleSpec(seed=7, n_samples=10)) == reports
+
+    def test_solver_errors_propagate(self):
+        # The K=6 sample's root cannot meet this residual tolerance; the
+        # suite raises the scalar solver's error instead of reporting it.
+        with pytest.raises(ConvergenceError, match="still above 1e-30"):
+            run_suite(SampleSpec(seed=1, n_samples=10),
+                      SolverSettings(residual_tol=1e-30))
 
     def test_sabotage_is_flagged(self):
         reports = run_suite(SampleSpec(seed=7, n_samples=10), sabotage=True)
@@ -372,11 +387,10 @@ class TestBatchedSolve:
         assert math.isnan(fx[1]) and x[1] == 0.0 and iters[1] == 1
 
     def test_samples_match_scalar_solver(self):
-        pairs = draw_samples(SampleSpec(seed=42, n_samples=10_000))
-        K = np.array([k for k, _ in pairs])
-        P = np.array([p for _, p in pairs])
+        K, P = draw_samples(SampleSpec(seed=42, n_samples=10_000))
         lam = _solve_finite_many(K, P, DEFAULT_SETTINGS)
-        want = np.array([solve_lambda_star(k, p).lambda_star for k, p in pairs])
+        want = np.array([solve_lambda_star(int(k), float(p)).lambda_star
+                         for k, p in zip(K, P)])
         assert np.max(np.abs(lam - want) / want) <= 1e-10
 
     @pytest.mark.parametrize("users", DEFAULT_USERS)
@@ -443,3 +457,33 @@ class TestBatchedSolve:
         with pytest.raises(ConvergenceError):
             _solve_massive_many(np.array([0.1, 1000.0]),
                                 dataclasses.replace(DEFAULT_SETTINGS, max_iter=3))
+
+    @pytest.mark.parametrize("bad", [0.0, -0.5, -2.0, math.nan, math.inf])
+    def test_invalid_power_raises_scalar_message(self, bad):
+        # The batch has no power check of its own: the element reaches the
+        # scalar solver's config validation.
+        message = f"must be a positive finite power, got {bad!r}"
+        with pytest.raises(ValueError, match="per-user power " + re.escape(message)):
+            _solve_finite_many(np.array([10, 10, 2]), np.array([1.0, bad, bad]),
+                               DEFAULT_SETTINGS)
+        with pytest.raises(ValueError, match="total power " + re.escape(message)):
+            _solve_massive_many(np.array([1.0, bad]), DEFAULT_SETTINGS)
+
+    def test_default_suite_settles_every_sample_in_the_batch(self, monkeypatch):
+        # Only sandwich_large_k (4) and the massive checks (34 tail, 21
+        # derivative, 1 witness, 2 limits) call the scalar solvers; a batch
+        # that handed samples or curve points to them would add calls.
+        calls = {"finite": 0, "massive": 0}
+
+        def counted(name, solve):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return solve(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(macgain.verify, "solve_lambda_star",
+                            counted("finite", solve_lambda_star))
+        monkeypatch.setattr(macgain.verify, "solve_lambda_massive",
+                            counted("massive", solve_lambda_massive))
+        run_suite(SampleSpec(seed=42, n_samples=10_000))
+        assert calls == {"finite": 4, "massive": 58}
