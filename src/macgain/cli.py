@@ -14,7 +14,7 @@ import math
 import sys
 import time
 
-from .core import ChannelConfig, db_to_linear, linear_to_db
+from .core import ChannelConfig, _check_users, db_to_linear, linear_to_db
 from .solvers import (
     DEFAULT_FROM_DB,
     DEFAULT_SETTINGS,
@@ -61,9 +61,10 @@ def _precision_arg(text: str) -> int:
 
 def _users_arg(text: str) -> int:
     value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError("user count must be >= 2")
-    return value
+    try:
+        return _check_users(value)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
 
 
 def _users_list_arg(text: str) -> tuple[int | None, ...]:

@@ -8,6 +8,7 @@ Powers are linear (dimensionless SNR); decibel values are 10*log10 of power.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 __all__ = [
@@ -61,6 +62,8 @@ def _check_users(users: int) -> int:
         raise ValueError(f"user count must be an integer, got {users!r}")
     if users < 2:
         raise ValueError(f"need at least 2 users, got {users}")
+    if users > sys.float_info.max:
+        raise ValueError("user count is beyond float range (above 1.8e308)")
     return users
 
 
@@ -145,9 +148,11 @@ class ChannelConfig:
 class GainSolution:
     """A solved operating point of the balance equation.
 
-    ``degenerate`` marks the vanishing-power short circuit where both
-    bracket ends already satisfy the residual tolerance and the gain is
-    pinned to 1 instead of bisecting noise.
+    ``residual`` is the solver's residual at the returned root: for finite K
+    the balanced form of :func:`db_residual`, K*(K-1) times the per-user
+    one, and for the massive limit lam - f_of(pi, lam).  ``degenerate``
+    marks a power too small for the residual to separate lam = 1 from the
+    root: it is >= 0 already at lam = 1, so the gain is pinned to 1.
     """
 
     config: ChannelConfig
@@ -189,26 +194,21 @@ def gain_factor(pi: float, lam: float) -> float:
     return math.log1p(pi * lam) / math.log1p(pi)
 
 
-def db_residual(lam: float, K: int, P: float, form: str = "raw") -> float:
+def db_residual(lam: float, K: int, P: float) -> float:
     """Signed imbalance of the cooperation constraint at power gain lam.
 
-    Both forms are negative below the balance root, zero at it, and
-    positive above it on [1, K]:
-
-    * ``raw``       per-user form, ln(1+K*P*lam)/K - ln(1+(K-lam)*P*lam)/(K-1)
-    * ``balanced``  single-log form, K*ln(1 + P*lam^2/(1+(K-lam)*P*lam))
-      minus ln(1+K*P*lam), oriented to share the raw form's sign
+    K*ln(1 + P*lam^2/(1+(K-lam)*P*lam)) - ln(1+K*P*lam) is negative below
+    the balance root, zero at it, and positive above it on [1, K].  It is
+    K*(K-1) times the per-user form
+    ln(1+K*P*lam)/K - ln(1+(K-lam)*P*lam)/(K-1), whose two terms cancel at
+    large K; this single-log form keeps its sign there.
     """
     K = _check_users(K)
     P = _check_power(P, "per-user power")
     if not 1.0 <= lam <= K:
         raise ValueError(f"power gain must lie in [1, {K}], got {lam!r}")
-    if form == "raw":
-        return math.log1p(K * P * lam) / K - math.log1p((K - lam) * P * lam) / (K - 1.0)
-    if form == "balanced":
-        boosted = P * lam * lam / (1.0 + (K - lam) * P * lam)
-        return K * math.log1p(boosted) - math.log1p(K * P * lam)
-    raise ValueError(f"form must be 'raw' or 'balanced', got {form!r}")
+    boosted = P * lam * lam / (1.0 + (K - lam) * P * lam)
+    return K * math.log1p(boosted) - math.log1p(K * P * lam)
 
 
 def f_of(pi: float, lam: float) -> float:

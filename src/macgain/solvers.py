@@ -1,10 +1,13 @@
 """Root finding and curve exploration for feedback power gains.
 
 The finite-user balance residual has a guaranteed sign change on [1, K]
-and the massive-limit slack lam - f(pi, lam) has one on [1, inf), so plain
-bisection is the contract in both cases; nothing about convergence relies
-on numerical luck.  Peak search runs on the dB axis and uses golden-section
-refinement, which assumes only unimodality.
+and the massive-limit slack lam - f(pi, lam) has one on [1, inf).  One
+routine brackets both by doubling from [1, 2] and bisects; a root is
+accepted for its (-, +) bracket, never for a small residual, so nothing
+about convergence relies on numerical luck.  The finite residual is the
+balanced single-log form, which keeps its sign at large K.  Peak search
+runs on the dB axis and uses golden-section refinement, which assumes
+only unimodality.
 """
 
 from __future__ import annotations
@@ -65,7 +68,11 @@ class BracketError(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """Bisection finished without meeting the residual tolerance."""
+    """The root could not be bracketed to tolerance.
+
+    Raised when a residual is NaN, so it has no sign, or when max_iter runs
+    out before the bracket is narrower than lambda_tol.
+    """
 
 
 class NoPeakError(ValueError):
@@ -76,18 +83,18 @@ class NoPeakError(ValueError):
 class SolverSettings:
     """Tolerances and step sizes shared by all solvers.
 
-    lambda_tol and residual_tol are absolute; scan_step_db and peak_tol_db
-    act on the dB axis during peak search.
+    lambda_tol is the absolute bracket width bisection must reach; max_iter
+    caps the bracket doublings and, separately, the bisection steps.
+    scan_step_db and peak_tol_db act on the dB axis during peak search.
     """
 
     lambda_tol: float = 1e-12
-    residual_tol: float = 1e-10
     max_iter: int = 200
     scan_step_db: float = 0.1
     peak_tol_db: float = 1e-4
 
     def __post_init__(self) -> None:
-        for name in ("lambda_tol", "residual_tol", "scan_step_db", "peak_tol_db"):
+        for name in ("lambda_tol", "scan_step_db", "peak_tol_db"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
         if self.max_iter < 1:
@@ -130,19 +137,25 @@ def _bisect(fn, lo: float, hi: float, f_lo: float, f_hi: float,
     """Bisect fn on [lo, hi] given f(lo) < 0 < f(hi).
 
     Returns (x, fn(x), iterations) at the evaluated point with smallest
-    |fn|.  Stops when the interval is narrower than tol, when no float
-    fits strictly between the ends, or at the iteration cap.  A NaN
-    residual carries no sign and raises ConvergenceError.
+    |fn|.  Stops when the interval is narrower than tol or when no float
+    fits strictly between the ends.  A NaN residual carries no sign, and
+    max_iter steps that leave a wider bracket certify nothing; both raise
+    ConvergenceError.
     """
     if abs(f_lo) <= abs(f_hi):
         best_x, best_f = lo, f_lo
     else:
         best_x, best_f = hi, f_hi
     iterations = 0
-    while hi - lo > tol and iterations < max_iter:
+    while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
+        if iterations == max_iter:
+            raise ConvergenceError(
+                f"bracket [{lo!r}, {hi!r}] is wider than {tol!r} after "
+                f"{max_iter} iterations"
+            )
         f_mid = fn(mid)
         iterations += 1
         if abs(f_mid) < abs(best_f):
@@ -154,50 +167,70 @@ def _bisect(fn, lo: float, hi: float, f_lo: float, f_hi: float,
         elif f_mid == 0.0:
             return mid, 0.0, iterations
         else:
-            raise ConvergenceError(f"residual is NaN at {mid!r}")
+            raise ConvergenceError(f"residual is NaN at lam={mid!r}")
     return best_x, best_f, iterations
 
 
-def _solve_finite(config: ChannelConfig, settings: SolverSettings) -> GainSolution:
-    K = config.users
-    P = config.per_user_power
-    pi = config.total_power
-    Km1 = K - 1.0
+def _root(fn, cap: float, settings: SolverSettings,
+          where) -> tuple[float, float, int, bool]:
+    """Root of fn on [1, cap], where fn is negative below it and positive above.
 
-    def residual(lam: float) -> float:
-        # Same arithmetic as db_residual(..., form="raw"), inlined to keep
-        # per-call validation out of the bisection loop.
-        return math.log1p(K * P * lam) / K - math.log1p((K - lam) * P * lam) / Km1
-
-    f_lo = residual(1.0)
-    f_hi = residual(float(K))
-    if abs(f_lo) <= settings.residual_tol and abs(f_hi) <= settings.residual_tol:
-        # Vanishing power: the residual is below tolerance across the whole
-        # interval, so pin the root to its known limit instead of bisecting
-        # noise.
-        return GainSolution(
-            config=config,
-            lambda_star=1.0,
-            residual=f_lo,
-            iterations=0,
-            capacity_nofb=capacity_nofb(pi),
-            capacity_fb=capacity_fb(pi, 1.0),
-            gain_F=gain_factor(pi, 1.0),
-            degenerate=True,
-        )
-    if not (f_lo < 0.0 < f_hi):
+    Doubles the upper end from 2, never past cap >= 2, until fn turns
+    positive, then bisects; the (-, +) bracket certifies the root.  Returns
+    (lam, fn(lam), doublings plus bisection steps, degenerate).  If 0 <=
+    fn(1) < fn(2), the power is too small for fn to separate lam = 1 from
+    the root, which is pinned to 1 as degenerate.  A NaN or max_iter
+    doublings raise ConvergenceError, any other sign pattern BracketError;
+    every message ends with where(), formatted only on failure.
+    """
+    lo, f_lo = 1.0, fn(1.0)
+    hi, f_hi = 2.0, fn(2.0)
+    if 0.0 <= f_lo < f_hi:
+        return 1.0, f_lo, 0, True
+    expansions = 1
+    while f_lo < 0.0 and f_hi <= 0.0 and hi < cap:
+        if expansions >= settings.max_iter:
+            raise ConvergenceError(f"no sign change up to lam={hi!r} for {where()}")
+        lo, f_lo = hi, f_hi
+        hi = 2.0 * hi if 2.0 * hi < cap else cap
+        f_hi = fn(hi)
+        expansions += 1
+    if not f_lo <= 0.0 < f_hi:
+        if math.isnan(f_lo) or math.isnan(f_hi):  # an overflow inside fn
+            nan_at = lo if math.isnan(f_lo) else hi
+            raise ConvergenceError(f"residual is NaN at lam={nan_at!r} for {where()}")
         raise BracketError(
-            f"balance residual must be negative at lam=1 and positive at "
-            f"lam=K; got ({f_lo!r}, {f_hi!r}) for K={K}, P={P!r}"
+            f"residual must change sign from - to + on [{lo!r}, {hi!r}]; "
+            f"got ({f_lo!r}, {f_hi!r}) for {where()}"
         )
-    lam, res, iters = _bisect(
-        residual, 1.0, float(K), f_lo, f_hi, settings.lambda_tol, settings.max_iter
-    )
-    if abs(res) > settings.residual_tol:
-        raise ConvergenceError(
-            f"residual {res!r} still above {settings.residual_tol!r} after "
-            f"{iters} iterations for K={K}, P={P!r}"
+    try:
+        lam, res, iters = _bisect(
+            fn, lo, hi, f_lo, f_hi, settings.lambda_tol, settings.max_iter
         )
+    except ConvergenceError as err:
+        raise ConvergenceError(f"{err} for {where()}") from None
+    return lam, res, expansions + iters, False
+
+
+def _solve(config: ChannelConfig, settings: SolverSettings) -> GainSolution:
+    pi = config.total_power
+    if config.is_massive:
+        def residual(lam: float) -> float:
+            return lam - f_of(pi, lam)
+
+        cap, where = math.inf, lambda: f"pi={pi!r}"
+    else:
+        K, P = config.users, config.per_user_power
+        Kf, KP = float(K), K * P
+
+        def residual(lam: float) -> float:
+            # core.db_residual without its validation; hoisting float(K)
+            # and K*P leaves every rounding as it is.
+            boosted = P * lam * lam / (1.0 + (Kf - lam) * P * lam)
+            return Kf * math.log1p(boosted) - math.log1p(KP * lam)
+
+        cap, where = Kf, lambda: f"K={K}, P={P!r}"
+    lam, res, iters, degenerate = _root(residual, cap, settings, where)
     return GainSolution(
         config=config,
         lambda_star=lam,
@@ -206,53 +239,7 @@ def _solve_finite(config: ChannelConfig, settings: SolverSettings) -> GainSoluti
         capacity_nofb=capacity_nofb(pi),
         capacity_fb=capacity_fb(pi, lam),
         gain_F=gain_factor(pi, lam),
-    )
-
-
-def _solve_massive(config: ChannelConfig, settings: SolverSettings) -> GainSolution:
-    pi = config.total_power
-
-    def slack(lam: float) -> float:
-        return lam - f_of(pi, lam)
-
-    # slack(1) = 1 - f(pi, 1) < 0 for every pi > 0; expand the upper end
-    # until the slack turns positive, which must happen because f grows
-    # only logarithmically in lam.
-    lo, f_lo = 1.0, slack(1.0)
-    hi = 2.0
-    f_hi = slack(hi)
-    expansions = 1
-    while f_hi <= 0.0:
-        if expansions >= settings.max_iter:
-            raise ConvergenceError(
-                f"no sign change of the fixed-point slack up to lam={hi!r} "
-                f"for pi={pi!r}"
-            )
-        lo, f_lo = hi, f_hi
-        hi *= 2.0
-        f_hi = slack(hi)
-        expansions += 1
-    if math.isnan(f_hi):
-        # pi*lam overflowed inside f_of; the slack has no sign to bisect.
-        raise ConvergenceError(
-            f"fixed-point slack is NaN at lam={hi!r} for pi={pi!r}"
-        )
-    lam, res, iters = _bisect(
-        slack, lo, hi, f_lo, f_hi, settings.lambda_tol, settings.max_iter
-    )
-    if abs(res) > settings.residual_tol:
-        raise ConvergenceError(
-            f"fixed-point slack {res!r} still above {settings.residual_tol!r} "
-            f"after {iters} iterations for pi={pi!r}"
-        )
-    return GainSolution(
-        config=config,
-        lambda_star=lam,
-        residual=res,
-        iterations=expansions + iters,
-        capacity_nofb=capacity_nofb(pi),
-        capacity_fb=capacity_fb(pi, lam),
-        gain_F=gain_factor(pi, lam),
+        degenerate=degenerate,
     )
 
 
@@ -260,16 +247,16 @@ def solve_lambda_star(K: int, P: float,
                       settings: SolverSettings = DEFAULT_SETTINGS) -> GainSolution:
     """Solve the balance equation for K users at per-user power P.
 
-    Returns the unique root of the raw residual in [1, K] with the
-    capacities and gain factor filled in.
+    Returns the unique root in [1, K] of the balanced residual
+    core.db_residual, with the capacities and gain factor filled in.
     """
-    return _solve_finite(ChannelConfig.finite(K, per_user_power=P), settings)
+    return _solve(ChannelConfig.finite(K, per_user_power=P), settings)
 
 
 def solve_lambda_massive(pi: float,
                          settings: SolverSettings = DEFAULT_SETTINGS) -> GainSolution:
     """Solve lam = f_of(pi, lam) for the massive limit at total power pi."""
-    return _solve_massive(ChannelConfig.massive(pi), settings)
+    return _solve(ChannelConfig.massive(pi), settings)
 
 
 def invert_massive_parametric(pi: float,
@@ -277,43 +264,27 @@ def invert_massive_parametric(pi: float,
     """Invert the closed-form curve parametrization at total power pi.
 
     Finds t with massive_parametric(t) = (pi, lam) by bisecting the
-    strictly increasing map t -> pi(t); returns (t, lam).  This is an
-    independent route to the same curve as solve_lambda_massive and is
-    kept separate so the two can cross-check each other.
+    strictly increasing map s -> pi(pi*s) - pi for s = t/pi >= 1; returns
+    (t, lam).  This is an independent route to the same curve as
+    solve_lambda_massive and is kept separate so the two can cross-check
+    each other.
     """
     if pi <= 0.0:
         raise ValueError(f"total power must be > 0, got {pi!r}")
 
-    def overshoot(t: float) -> float:
-        return massive_parametric(t)[0] - pi
+    def overshoot(s: float) -> float:
+        return massive_parametric(pi * s)[0] - pi
 
-    # pi(t) <= t, so the root sits at or above t = pi.
-    lo, f_lo = pi, overshoot(pi)
-    if f_lo >= 0.0:
-        return pi, massive_parametric(pi)[1]
-    hi = max(2.0 * pi, 2.0)
-    f_hi = overshoot(hi)
-    expansions = 1
-    while f_hi <= 0.0:
-        if expansions >= settings.max_iter:
-            raise ConvergenceError(f"could not bracket t for pi={pi!r}")
-        lo, f_lo = hi, f_hi
-        hi *= 2.0
-        f_hi = overshoot(hi)
-        expansions += 1
-    # lam moves slower than t everywhere on the curve, so a relative t
-    # width of 0.1 * lambda_tol leaves lam well inside lambda_tol.
-    t_tol = 0.1 * settings.lambda_tol * max(1.0, hi)
-    t, _, _ = _bisect(overshoot, lo, hi, f_lo, f_hi, t_tol, settings.max_iter)
+    # pi(t) <= t, so the root sits at or above t = pi, that is s = 1.
+    s, _, _, _ = _root(overshoot, math.inf, settings, lambda: f"pi={pi!r}")
+    t = pi * s
     return t, massive_parametric(t)[1]
 
 
 def eval_point(config: ChannelConfig,
                settings: SolverSettings = DEFAULT_SETTINGS) -> GainSolution:
     """Solve whichever balance problem the config describes."""
-    if config.is_massive:
-        return _solve_massive(config, settings)
-    return _solve_finite(config, settings)
+    return _solve(config, settings)
 
 
 def _config_for(users: int | None, pi: float) -> ChannelConfig:

@@ -56,6 +56,9 @@ TAIL_GAIN_CAP = 1.321
 # Certified global cap on the gain factor over the sampled (K, P) box.
 IMPROVED_GAIN_CAP = 1.5372
 
+# Bound on the per-user residual at every sampled root (root_quality).
+ROOT_RESIDUAL_TOL = 1e-10
+
 # Larger sample plans are refused before drawing.  The largest plan in use
 # holds 10000 samples; a billion-sample plan would exhaust memory.
 MAX_SAMPLES = 100_000
@@ -212,7 +215,7 @@ def _f_of_many(pi: np.ndarray, lam: np.ndarray) -> np.ndarray:
 
 
 def _raw_residual_many(K: np.ndarray, P: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """core.db_residual's raw form over arrays, in the same operation order."""
+    """The per-user residual, 1/(K*(K-1)) times core.db_residual, over arrays."""
     return np.log1p(K * P * lam) / K - np.log1p((K - lam) * P * lam) / (K - 1.0)
 
 
@@ -253,66 +256,65 @@ def _bisect_many(fn, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray,
     return best_x, best_f, iterations
 
 
-def _solve_finite_many(K: np.ndarray, P: np.ndarray,
-                       settings: SolverSettings) -> np.ndarray:
-    """solve_lambda_star's root for every (K, P) pair, in one bisection.
+def _root_many(fn, cap: np.ndarray, settings: SolverSettings, solve_one):
+    """solvers._root over arrays: one doubling pass, then one _bisect_many.
 
-    An element is settled here when its residual is (-, +) at the bracket
-    ends, it is not the vanishing-power case and its root meets
-    residual_tol.  Every other element goes, in input order, to
-    solve_lambda_star, which pins it to lam = 1, solves it or raises its
-    own error.  Where np.log1p and math.log1p disagree right at a gate,
-    the scalar solver may return a root the batch could not settle.
+    fn(lam, i) gives the residuals of elements i at the points lam, and
+    fn(lam) those of every element; each upper end doubles from 2, never
+    past its cap.  An element is settled here when fn(1) < 0, its final
+    bracket is (-, +) and it took fewer than max_iter bisection steps.
+    Every other element goes, in input order, to the scalar solve_one(i),
+    which pins it to lam = 1, solves it or raises its own error.  Where
+    np.log1p and math.log1p disagree in the last ulp, the scalar solver may
+    settle an element the batch could not.
     """
-    K = np.asarray(K, dtype=float)
-    tol = settings.residual_tol
     with np.errstate(all="ignore"):
-        f_lo = _raw_residual_many(K, P, 1.0)
-        f_hi = _raw_residual_many(K, P, K)
-        degenerate = (np.abs(f_lo) <= tol) & (np.abs(f_hi) <= tol)
-        lam, res, _ = _bisect_many(
-            lambda x: _raw_residual_many(K, P, x), np.ones_like(K), K,
-            f_lo, f_hi, settings.lambda_tol, settings.max_iter,
+        lo = np.ones_like(cap)
+        f_lo = fn(lo)
+        hi = np.minimum(2.0, cap)
+        f_hi = fn(hi)
+        growing = np.flatnonzero((f_lo < 0.0) & (f_hi <= 0.0) & (hi < cap))
+        expansions = 1
+        while growing.size and expansions < settings.max_iter:
+            lo[growing], f_lo[growing] = hi[growing], f_hi[growing]
+            hi[growing] = np.minimum(2.0 * hi[growing], cap[growing])
+            f_hi[growing] = fn(hi[growing], growing)
+            expansions += 1
+            growing = growing[(f_hi[growing] <= 0.0) & (hi[growing] < cap[growing])]
+        lam, _, iterations = _bisect_many(
+            fn, lo, hi, f_lo, f_hi, settings.lambda_tol, settings.max_iter
         )
-    settled = (f_lo < 0.0) & (0.0 < f_hi) & ~degenerate & (np.abs(res) <= tol)
+    settled = (f_lo < 0.0) & (f_hi > 0.0) & (iterations < settings.max_iter)
     for i in np.flatnonzero(~settled):
-        lam[i] = solve_lambda_star(int(K[i]), float(P[i]), settings).lambda_star
+        lam[i] = solve_one(i).lambda_star
     return lam
 
 
-def _solve_massive_many(pi: np.ndarray, settings: SolverSettings) -> np.ndarray:
-    """solve_lambda_massive's root for every total power pi, in one bisection.
+def _solve_finite_many(K: np.ndarray, P: np.ndarray,
+                       settings: SolverSettings) -> np.ndarray:
+    """solve_lambda_star's root for every (K, P) pair, in one batch."""
+    K = np.asarray(K, dtype=float)
 
-    Doubles each upper bracket end from [1, 2] as the scalar solver does,
-    up to max_iter bracket ends.  An element is settled here when its slack
-    is (-, +) at the final bracket ends and its root meets residual_tol;
-    every other element goes to solve_lambda_massive, as in
-    _solve_finite_many.
-    """
+    def residual(lam: np.ndarray, i=slice(None)) -> np.ndarray:
+        # core.db_residual over arrays, in the same operation order.
+        k, p = K[i], P[i]
+        boosted = p * lam * lam / (1.0 + (k - lam) * p * lam)
+        return k * np.log1p(boosted) - np.log1p(k * p * lam)
+
+    return _root_many(
+        residual, K, settings,
+        lambda i: solve_lambda_star(int(K[i]), float(P[i]), settings),
+    )
+
+
+def _solve_massive_many(pi: np.ndarray, settings: SolverSettings) -> np.ndarray:
+    """solve_lambda_massive's root for every total power pi, in one batch."""
 
     def slack(lam: np.ndarray, i=slice(None)) -> np.ndarray:
         return lam - _f_of_many(pi[i], lam)
 
-    with np.errstate(all="ignore"):
-        lo = np.ones_like(pi)
-        f_lo = slack(lo)
-        hi = np.full_like(pi, 2.0)
-        f_hi = slack(hi)
-        growing = np.flatnonzero(f_hi <= 0.0)
-        expansions = 1
-        while growing.size and expansions < settings.max_iter:
-            lo[growing], f_lo[growing] = hi[growing], f_hi[growing]
-            hi[growing] *= 2.0
-            f_hi[growing] = slack(hi[growing], growing)
-            expansions += 1
-            growing = growing[f_hi[growing] <= 0.0]
-        lam, res, _ = _bisect_many(
-            slack, lo, hi, f_lo, f_hi, settings.lambda_tol, settings.max_iter
-        )
-    settled = (f_lo < 0.0) & (f_hi > 0.0) & (np.abs(res) <= settings.residual_tol)
-    for i in np.flatnonzero(~settled):
-        lam[i] = solve_lambda_massive(float(pi[i]), settings).lambda_star
-    return lam
+    return _root_many(slack, np.full_like(pi, math.inf), settings,
+                      lambda i: solve_lambda_massive(float(pi[i]), settings))
 
 
 def check_tail_bounds(settings: SolverSettings = DEFAULT_SETTINGS) -> BoundReport:
@@ -461,7 +463,7 @@ def run_suite(sample: SampleSpec,
     # The residual is recomputed at the (possibly sabotaged) lam.
     res = _raw_residual_many(K, P, lam)
     quality.add_table([
-        ("residual_within_tol", settings.residual_tol - np.abs(res)),
+        ("residual_within_tol", ROOT_RESIDUAL_TOL - np.abs(res)),
         ("lambda_at_least_1", lam - 1.0),
         ("lambda_at_most_K", K - lam),
     ], at)

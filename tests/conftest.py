@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp, mpf
 
 
 def pytest_configure(config):
@@ -35,9 +36,48 @@ def acceptance_log(request):
     return log
 
 
+def raw_residual(lam: float, K: int, P: float) -> float:
+    """Per-user balance residual, ln(1+K*P*lam)/K - ln(1+(K-lam)*P*lam)/(K-1).
+
+    The solvers bisect core.db_residual, which is K*(K-1) times this, so it
+    checks their roots independently.
+    """
+    return math.log1p(K * P * lam) / K - math.log1p((K - lam) * P * lam) / (K - 1.0)
+
+
 def raw_residual_array(lams: np.ndarray, K: int, P: float) -> np.ndarray:
-    """Vectorized balance residual, same formula as the scalar raw form."""
+    """Vectorized twin of raw_residual."""
     return np.log1p(K * P * lams) / K - np.log1p((K - lams) * P * lams) / (K - 1.0)
+
+
+def finite_certified(K: int, P: float, lam: float, tol: float) -> bool:
+    """True when 50-digit arithmetic puts the K-user root within relative tol of lam.
+
+    The balanced residual, evaluated exactly at the float inputs, must be
+    <= 0 at lam*(1 - tol) and >= 0 at lam*(1 + tol), both clamped to [1, K].
+    """
+    with mp.workdps(50):
+        K_, P_, lam_ = mpf(K), mpf(P), mpf(lam)
+
+        def residual(x):
+            boosted = P_ * x * x / (1 + (K_ - x) * P_ * x)
+            return K_ * mp.log1p(boosted) - mp.log1p(K_ * P_ * x)
+
+        lo = max(mpf(1), lam_ * (1 - mpf(tol)))
+        hi = min(K_, lam_ * (1 + mpf(tol)))
+        return 1 <= lam_ <= K_ and residual(lo) <= 0 <= residual(hi)
+
+
+def massive_certified(pi: float, lam: float, tol: float) -> bool:
+    """The massive-limit twin of finite_certified, on lam - f(pi, lam) over [1, inf)."""
+    with mp.workdps(50):
+        pi_, lam_ = mpf(pi), mpf(lam)
+
+        def slack(x):
+            return x - (1 + 1 / (pi_ * x)) * mp.log1p(pi_ * x)
+
+        lo = max(mpf(1), lam_ * (1 - mpf(tol)))
+        return lam_ >= 1 and slack(lo) <= 0 <= slack(lam_ * (1 + mpf(tol)))
 
 
 def sign_scan_root(K: int, P: float, n_grid: int, refine_tol: float) -> float:
@@ -51,13 +91,9 @@ def sign_scan_root(K: int, P: float, n_grid: int, refine_tol: float) -> float:
     idx = int(np.argmax(vals > 0.0))
     assert idx > 0, "expected a sign change inside the grid"
     lo, hi = float(lams[idx - 1]), float(lams[idx])
-
-    def residual(lam: float) -> float:
-        return math.log1p(K * P * lam) / K - math.log1p((K - lam) * P * lam) / (K - 1.0)
-
     while hi - lo > refine_tol:
         mid = 0.5 * (lo + hi)
-        if residual(mid) > 0.0:
+        if raw_residual(mid, K, P) > 0.0:
             hi = mid
         else:
             lo = mid

@@ -12,8 +12,8 @@ import time
 
 import pytest
 
-from conftest import sign_scan_root
-from macgain.core import db_residual, linear_to_db
+from conftest import raw_residual, sign_scan_root
+from macgain.core import linear_to_db
 from macgain.solvers import (
     find_peak,
     invert_massive_parametric,
@@ -150,7 +150,7 @@ def test_criterion_7_residual_and_sandwich(acceptance_log, sampled_solutions):
     in_range = True
     for (K, P), sol in zip(pairs, sols):
         lam = sol.lambda_star
-        worst_res = max(worst_res, abs(db_residual(lam, K, P, "raw")))
+        worst_res = max(worst_res, abs(raw_residual(lam, K, P)))
         in_range = in_range and 1.0 <= lam <= K
         for _, slack in point_bound_slacks(K, P, lam):
             worst_slack = min(worst_slack, slack)

@@ -11,6 +11,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from conftest import finite_certified
 from macgain.cli import CSV_HEADER, main
 
 
@@ -68,6 +69,21 @@ class TestUsageErrors:
 
     def test_user_count_floor(self):
         assert_usage_error(["solve", "--users", "1", "--power-db", "0"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--power-db", "0", "--users"],
+            ["curve", "--users"],
+            ["peak", "--users"],
+            ["figure", "--which", "cfactor", "--users"],
+        ],
+    )
+    def test_user_count_beyond_float_range(self, capsys, argv):
+        assert_usage_error([*argv, str(10**400)])
+        err = capsys.readouterr().err
+        assert "beyond float range" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("precision", ["0", "18", "-3"])
     def test_precision_window(self, precision):
@@ -165,7 +181,7 @@ class TestSolve:
 
     def test_degenerate_point(self, capsys):
         code, out, _ = run_cli(
-            capsys, "solve", "--users", "2", "--power-db", "-120"
+            capsys, "solve", "--users", "2", "--power-db", "-200"
         )
         assert code == 0
         values = parse_kv(out)
@@ -311,8 +327,10 @@ class TestPeak:
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["solve", "--users", "2", "--power-db", "54"], "still above"),
-        (["curve", "--users", "2", "--from-db", "57", "--to-db", "58"], "still above"),
+        # K*P*lam overflows in the balance residual at the top of the range.
+        (["solve", "--users", "2", "--power-db", "3080"], "NaN"),
+        (["curve", "--users", "10", "--from-db", "3000", "--to-db", "3080",
+          "--step-db", "40"], "NaN"),
         (["peak", "--massive", "--from-db", "-10", "--to-db", "0"], "widen the range"),
         # pi*lam overflows in the fixed-point map; a NaN slack is no root.
         (["solve", "--massive", "--total-power-db", "3070"], "NaN"),
@@ -324,7 +342,39 @@ def test_solver_failure_exits_1(capsys, argv, message):
     assert code == 1
     assert out == ""
     assert err.startswith("macgain: ") and message in err
+    assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+class TestLargeKAndHighPower:
+    """Inputs where a per-user residual with an absolute tolerance failed."""
+
+    @pytest.mark.parametrize("power_db", ["54", "56", "60"])
+    def test_two_users_at_high_power(self, capsys, power_db):
+        code, out, err = run_cli(capsys, "solve", "--users", "2", "--power-db",
+                                 power_db, "--format", "json")
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert not payload["degenerate"]
+        assert finite_certified(2, payload["pi"] / 2, payload["lambda"], 1e-12)
+
+    def test_two_user_curve_at_high_power(self, capsys):
+        code, out, err = run_cli(capsys, "curve", "--users", "2", "--from-db", "57",
+                                 "--to-db", "58", "--format", "json")
+        assert code == 0 and err == ""
+        points = json.loads(out)["points"]
+        assert len(points) == 11
+        for point in points:
+            assert finite_certified(2, point["pi"] / 2, point["lambda"], 1e-12)
+
+    def test_trillion_users(self, capsys):
+        code, out, err = run_cli(capsys, "solve", "--users", "1000000000000",
+                                 "--power-db", "0")
+        assert code == 0 and err == ""
+        values = parse_kv(out)
+        assert values["lambda_star"] == "31.0671728"
+        assert "degenerate" not in values
+        assert finite_certified(10**12, 1.0, float(values["lambda_star"]), 1e-8)
 
 
 class TestVerify:

@@ -8,6 +8,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import raw_residual
 from macgain.core import (
     ChannelConfig,
     capacity_fb,
@@ -104,6 +105,12 @@ class TestChannelConfig:
         with pytest.raises(ValueError):
             ChannelConfig.finite(1, per_user_power=1.0)
 
+    def test_rejects_user_count_beyond_float_range(self):
+        # K*P would raise OverflowError inside the solver instead.
+        with pytest.raises(ValueError, match="beyond float range"):
+            ChannelConfig.finite(10**400, per_user_power=1.0)
+        assert ChannelConfig.finite(10**300, per_user_power=1.0).users == 10**300
+
     def test_rejects_nonpositive_power(self):
         with pytest.raises(ValueError):
             ChannelConfig.finite(2, per_user_power=-1.0)
@@ -155,18 +162,16 @@ class TestGainFactor:
 
 
 class TestDbResidual:
+    # The per-user anchors below are scaled by K*(K-1) to the balanced form.
     def test_low_end_example(self):
-        expected = 0.5 * math.log(3.0) - math.log(2.0)
-        assert db_residual(1.0, 2, 1.0, "raw") == pytest.approx(expected, rel=1e-14)
+        expected = 2.0 * (0.5 * math.log(3.0) - math.log(2.0))
+        assert db_residual(1.0, 2, 1.0) == pytest.approx(expected, rel=1e-14)
 
     def test_high_end_positive(self):
         K, P = 3, 0.7
-        value = db_residual(float(K), K, P, "raw")
-        assert value == pytest.approx(math.log1p(K * K * P) / K, rel=1e-14)
+        value = db_residual(float(K), K, P)
+        assert value == pytest.approx(K * (K - 1.0) * math.log1p(K * K * P) / K, rel=1e-14)
         assert value > 0.0
-
-    def test_raw_default_form(self):
-        assert db_residual(1.5, 2, 1.0) == db_residual(1.5, 2, 1.0, "raw")
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -177,8 +182,6 @@ class TestDbResidual:
             db_residual(1.5, 1, 1.0)
         with pytest.raises(ValueError):
             db_residual(1.5, 2, 0.0)
-        with pytest.raises(ValueError):
-            db_residual(1.5, 2, 1.0, "sideways")
 
     @given(
         st.integers(min_value=2, max_value=1000),
@@ -200,8 +203,8 @@ class TestDbResidual:
     )
     def test_forms_share_sign_and_scale(self, K, P, frac):
         lam = 1.0 + frac * (K - 1.0)
-        raw = db_residual(lam, K, P, "raw")
-        balanced = db_residual(lam, K, P, "balanced")
+        raw = raw_residual(lam, K, P)
+        balanced = db_residual(lam, K, P)
         assert (raw > 0.0) == (balanced > 0.0)
         assert (raw < 0.0) == (balanced < 0.0)
         # Identical zero set: the balanced form is exactly K*(K-1) times raw.

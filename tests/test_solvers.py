@@ -9,7 +9,7 @@ import math
 import pytest
 
 import macgain.solvers as solvers_module
-from conftest import brute_peak_k2, sign_scan_root
+from conftest import brute_peak_k2, raw_residual, sign_scan_root
 from macgain.core import ChannelConfig, db_residual, db_to_linear, f_of
 from macgain.solvers import (
     BracketError,
@@ -57,9 +57,10 @@ class TestBisectKernel:
         assert iters == 1
 
     def test_iteration_cap(self):
-        x, fx, iters = _bisect(lambda x: x - 0.3, 0.0, 1.0, -0.3, 0.7, 1e-30, 7)
-        assert iters == 7
-        assert abs(x - 0.3) < 0.01
+        # Seven steps leave a bracket far wider than 1e-30 that still has
+        # a midpoint: nothing is certified.
+        with pytest.raises(ConvergenceError, match="after 7 iterations"):
+            _bisect(lambda x: x - 0.3, 0.0, 1.0, -0.3, 0.7, 1e-30, 7)
 
     def test_float_exhaustion_stops(self):
         # Interval of two adjacent floats has no representable midpoint.
@@ -79,7 +80,6 @@ class TestSolverSettings:
     def test_defaults(self):
         s = SolverSettings()
         assert s.lambda_tol == 1e-12
-        assert s.residual_tol == 1e-10
         assert s.max_iter == 200
         assert s.scan_step_db == 0.1
         assert s.peak_tol_db == 1e-4
@@ -90,7 +90,7 @@ class TestSolverSettings:
         [
             {"lambda_tol": 0.0},
             {"lambda_tol": -1e-12},
-            {"residual_tol": 0.0},
+            {"lambda_tol": math.nan},
             {"max_iter": 0},
             {"scan_step_db": -0.1},
             {"peak_tol_db": 0.0},
@@ -123,8 +123,8 @@ class TestFiniteSolver:
         sol = solve_lambda_star(K, P)
         pi = sol.config.pi
         assert 1.0 <= sol.lambda_star <= K
-        assert abs(sol.residual) <= DEFAULT_SETTINGS.residual_tol
-        assert sol.residual == db_residual(sol.lambda_star, K, P, "raw")
+        assert abs(raw_residual(sol.lambda_star, K, P)) <= 1e-10
+        assert sol.residual == db_residual(sol.lambda_star, K, P)
         assert sol.capacity_nofb == math.log1p(pi)
         assert sol.capacity_fb == math.log1p(pi * sol.lambda_star)
         assert sol.gain_F == sol.capacity_fb / sol.capacity_nofb
@@ -143,7 +143,9 @@ class TestFiniteSolver:
         assert 1.0 < sol.lambda_star < 1.0 + 1e-6
 
     def test_vanishing_power_degenerates(self):
-        sol = solve_lambda_star(2, 1e-12)
+        # At -200 dB the residual is exactly 0 at lam = 1 and cannot
+        # separate it from the root.
+        sol = solve_lambda_star(2, 1e-20)
         assert sol.degenerate
         assert sol.lambda_star == 1.0
         assert sol.iterations == 0
@@ -161,8 +163,8 @@ class TestFiniteSolver:
             solve_lambda_star(3, 10.0)
 
     def test_unreachable_tolerance_raises(self):
-        settings = SolverSettings(residual_tol=1e-30, max_iter=5)
-        with pytest.raises(ConvergenceError):
+        settings = SolverSettings(max_iter=5)
+        with pytest.raises(ConvergenceError, match="after 5 iterations for K=3, P=10.0"):
             solve_lambda_star(3, 10.0, settings)
 
 
@@ -189,7 +191,7 @@ class TestMassiveSolver:
         assert sol.config.is_massive
         assert sol.lambda_star > 1.0
         assert sol.residual == sol.lambda_star - f_of(7.0, sol.lambda_star)
-        assert abs(sol.residual) <= DEFAULT_SETTINGS.residual_tol
+        assert abs(sol.residual) <= 1e-10
         assert sol.gain_F == sol.capacity_fb / sol.capacity_nofb
         assert sol.iterations > 0
         assert not sol.degenerate
@@ -239,6 +241,18 @@ class TestParametricCrossCheck:
     def test_rejects_nonpositive_power(self):
         with pytest.raises(ValueError):
             invert_massive_parametric(0.0)
+
+    def test_top_of_float_range(self):
+        t, lam = invert_massive_parametric(1e300)
+        assert lam == pytest.approx(697.322776, abs=5e-7)
+        assert lam == pytest.approx(solve_lambda_massive(1e300).lambda_star, rel=1e-9)
+
+    @pytest.mark.parametrize("pi_db", [3055.0, 3080.0])
+    def test_overflowing_overshoot_raises(self, pi_db):
+        # t = pi*s overflows before the overshoot turns positive, so the
+        # parametrization returns NaN; that is no root.
+        with pytest.raises(ConvergenceError, match="NaN"):
+            invert_massive_parametric(db_to_linear(pi_db))
 
 
 class TestEvalPoint:

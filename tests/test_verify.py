@@ -15,7 +15,6 @@ import macgain.verify
 from macgain.core import db_to_linear
 from macgain.solvers import (
     DEFAULT_SETTINGS,
-    BracketError,
     ConvergenceError,
     SolverSettings,
     _bisect,
@@ -247,11 +246,11 @@ class TestRunSuite:
         assert run_suite(SampleSpec(seed=7, n_samples=10)) == reports
 
     def test_solver_errors_propagate(self):
-        # The K=6 sample's root cannot meet this residual tolerance; the
-        # suite raises the scalar solver's error instead of reporting it.
-        with pytest.raises(ConvergenceError, match="still above 1e-30"):
-            run_suite(SampleSpec(seed=1, n_samples=10),
-                      SolverSettings(residual_tol=1e-30))
+        # Five bisection steps cannot narrow any sample's bracket to
+        # lambda_tol; the suite raises the scalar solver's error instead of
+        # reporting it.
+        with pytest.raises(ConvergenceError, match="after 5 iterations"):
+            run_suite(SampleSpec(seed=1, n_samples=10), SolverSettings(max_iter=5))
 
     def test_sabotage_is_flagged(self):
         reports = run_suite(SampleSpec(seed=7, n_samples=10), sabotage=True)
@@ -275,13 +274,14 @@ class TestRunSuite:
 
 # Report lines of the default suite and of the sabotage control, recorded
 # from the scalar per-sample solver.  The batched suite must reproduce them
-# byte for byte.
+# byte for byte.  The sandwich_large_k slack is that of the balanced-form
+# root at K=1e8; 50-digit arithmetic gives 2.308710058e-06.
 GOLDEN_LINES = [
     "point_bounds: pass samples=50000 violations=0 worst_slack=1.087676e-07 "
     "witness[bracket_cap at K=9921 P=930.265]",
     "root_quality: pass samples=30000 violations=0 worst_slack=8.802869e-11 "
     "witness[residual_within_tol at K=2 P=749.488]",
-    "sandwich_large_k: pass samples=8 violations=0 worst_slack=2.106078e-06 "
+    "sandwich_large_k: pass samples=8 violations=0 worst_slack=2.308710e-06 "
     "witness[fixed_point_ceiling at K=100000000 P=1]",
     "tail_bounds: pass samples=136 violations=0 worst_slack=7.238240e-08 "
     "witness[large_power_tight_cap at pi=1e+06]",
@@ -298,7 +298,7 @@ GOLDEN_SABOTAGE_LINES = [
     "witness[fixed_point_ceiling at K=3406 P=2.09404]",
     "root_quality: FAIL samples=30 violations=10 worst_slack=-4.116075e+00 "
     "witness[residual_within_tol at K=2 P=939.727]",
-    "sandwich_large_k: pass samples=8 violations=0 worst_slack=2.106078e-06 "
+    "sandwich_large_k: pass samples=8 violations=0 worst_slack=2.308710e-06 "
     "witness[fixed_point_ceiling at K=100000000 P=1]",
     "tail_bounds: pass samples=136 violations=0 worst_slack=7.238240e-08 "
     "witness[large_power_tight_cap at pi=1e+06]",
@@ -368,12 +368,20 @@ class TestBatchedSolve:
         ],
     )
     def test_kernel_matches_scalar_bisect(self, lo, hi, root, tol, max_iter):
-        want = _bisect(lambda x: x - root, lo, hi, lo - root, hi - root, tol, max_iter)
         # Four copies of the bracket, so every lane must take the same path.
         x, fx, iters = _bisect_many(
             lambda x: x - root, np.full(4, lo), np.full(4, hi),
             np.full(4, lo - root), np.full(4, hi - root), tol, max_iter,
         )
+        args = (lambda x: x - root, lo, hi, lo - root, hi - root, tol, max_iter)
+        if max_iter == 7:
+            # The scalar kernel raises at the cap; the batch reports the
+            # steps, and its callers hand such lanes to the scalar solver.
+            with pytest.raises(ConvergenceError, match="after 7 iterations"):
+                _bisect(*args)
+            assert list(iters) == [7] * 4
+            return
+        want = _bisect(*args)
         for lane in range(4):
             assert (float(x[lane]), float(fx[lane]), int(iters[lane])) == want
 
@@ -406,11 +414,11 @@ class TestBatchedSolve:
         assert np.max(np.abs(lam - want) / want) <= 1e-10
 
     def test_vanishing_power_degenerates(self):
-        # At P=1e-12 both bracket ends meet residual_tol; at 1e-9 they do not.
-        assert solve_lambda_star(100, 1e-12).degenerate
+        # At P=1e-20 the residual is 0 at lam = 1; at 1e-9 it is negative.
+        assert solve_lambda_star(100, 1e-20).degenerate
         assert not solve_lambda_star(100, 1e-9).degenerate
         lam = _solve_finite_many(np.array([100, 100, 3]),
-                                 np.array([1e-12, 1e-9, 10.0]), DEFAULT_SETTINGS)
+                                 np.array([1e-20, 1e-9, 10.0]), DEFAULT_SETTINGS)
         assert lam[0] == 1.0
         assert lam[1] == pytest.approx(solve_lambda_star(100, 1e-9).lambda_star,
                                        rel=1e-15)
@@ -418,25 +426,19 @@ class TestBatchedSolve:
                                        rel=1e-10)
 
     def test_unconverged_element_raises_like_scalar(self):
-        P54 = db_to_linear(54.0)
-        with pytest.raises(ConvergenceError):
-            solve_lambda_star(2, P54)
-        with pytest.raises(ConvergenceError, match="K=2, P="):
-            _solve_finite_many(np.array([100, 2, 10]), np.array([1.0, P54, 1.0]),
+        # K=2 at 3080 dB overflows the residual at lam = 2: a NaN.
+        with pytest.raises(ConvergenceError, match="NaN"):
+            solve_lambda_star(2, 1e308)
+        with pytest.raises(ConvergenceError, match="NaN at lam=2.0 for K=2, P="):
+            _solve_finite_many(np.array([100, 2, 10]), np.array([1.0, 1e308, 1.0]),
                                DEFAULT_SETTINGS)
 
     def test_first_failure_in_input_order_wins(self):
-        # K=2 at 3080 dB overflows both bracket ends: a BracketError.
-        bad_bracket, bad_residual = 1e308, db_to_linear(54.0)
-        with pytest.raises(BracketError):
-            solve_lambda_star(2, bad_bracket)
-        K = np.array([2, 2])
-        with pytest.raises(BracketError):
-            _solve_finite_many(K, np.array([bad_bracket, bad_residual]),
-                               DEFAULT_SETTINGS)
-        with pytest.raises(ConvergenceError):
-            _solve_finite_many(K, np.array([bad_residual, bad_bracket]),
-                               DEFAULT_SETTINGS)
+        # Both overflow to a NaN residual, at lam = 2 and at lam = 8.
+        K, P = np.array([2, 10]), np.array([1e308, 1e307])
+        for order, first in (([0, 1], "K=2, P="), ([1, 0], "K=10, P=")):
+            with pytest.raises(ConvergenceError, match=first):
+                _solve_finite_many(K[order], P[order], DEFAULT_SETTINGS)
 
     def test_overflowing_massive_slack_raises(self):
         lam = _solve_massive_many(np.array([1e300]), DEFAULT_SETTINGS)
