@@ -17,7 +17,6 @@ from .solvers import (
     CurvePoint,
     NoPeakError,
     PeakResult,
-    SolverSettings,
     eval_point,
     find_peak,
     invert_massive_parametric,
@@ -31,7 +30,6 @@ __version__ = "1.0.0"
 __all__ = [
     "ChannelConfig",
     "GainSolution",
-    "SolverSettings",
     "CurvePoint",
     "PeakResult",
     "BracketError",

@@ -79,9 +79,10 @@ class ChannelConfig:
     """One operating point: user count plus the power that drives it.
 
     ``users`` is an integer K >= 2, or ``None`` for the massive limit
-    (K -> infinity at fixed total power).  Finite configs may be built from
-    per-user power P or total power pi = K*P; both are stored, consistent
-    to rounding.  The massive limit only admits a total power.
+    (K -> infinity at fixed total power).  Finite configs are built from
+    either per-user power P or total power pi = K*P, never both; the other
+    is derived and both are stored.  The massive limit only admits a total
+    power.
     """
 
     users: int | None
@@ -99,23 +100,13 @@ class ChannelConfig:
             )
             return
         _check_users(self.users)
-        if self.per_user_power is None and self.total_power is None:
-            raise ValueError("finite config needs per-user or total power")
-        per_user = self.per_user_power
-        total = self.total_power
-        if per_user is not None:
-            per_user = _check_power(per_user, "per-user power")
-        if total is not None:
-            total = _check_power(total, "total power")
-        if per_user is not None and total is not None:
-            if abs(total - self.users * per_user) > 1e-9 * total:
-                raise ValueError(
-                    f"inconsistent powers: total {total!r} != "
-                    f"{self.users} * {per_user!r}"
-                )
-        elif per_user is not None:
+        if (self.per_user_power is None) == (self.total_power is None):
+            raise ValueError("finite config needs exactly one of per-user or total power")
+        if self.per_user_power is not None:
+            per_user = _check_power(self.per_user_power, "per-user power")
             total = self.users * per_user
         else:
+            total = _check_power(self.total_power, "total power")
             per_user = total / self.users
         object.__setattr__(self, "per_user_power", per_user)
         object.__setattr__(self, "total_power", total)
@@ -137,11 +128,6 @@ class ChannelConfig:
     @property
     def is_massive(self) -> bool:
         return self.users is None
-
-    @property
-    def pi(self) -> float:
-        """Total transmit power."""
-        return self.total_power  # type: ignore[return-value]
 
 
 @dataclass(frozen=True)

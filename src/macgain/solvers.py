@@ -28,13 +28,15 @@ from .core import (
 )
 
 __all__ = [
-    "SolverSettings",
     "CurvePoint",
     "PeakResult",
     "BracketError",
     "ConvergenceError",
     "NoPeakError",
-    "DEFAULT_SETTINGS",
+    "LAMBDA_TOL",
+    "MAX_ITER",
+    "SCAN_STEP_DB",
+    "PEAK_TOL_DB",
     "DEFAULT_FROM_DB",
     "DEFAULT_TO_DB",
     "MAX_GRID_POINTS",
@@ -46,6 +48,14 @@ __all__ = [
     "sweep_curve",
     "find_peak",
 ]
+
+# Every root is bracketed to LAMBDA_TOL wide; MAX_ITER caps the bracket
+# doublings and, separately, the bisection steps.  Peak search scans the
+# dB axis at SCAN_STEP_DB and refines the maximum to PEAK_TOL_DB.
+LAMBDA_TOL = 1e-12
+MAX_ITER = 200
+SCAN_STEP_DB = 0.1
+PEAK_TOL_DB = 1e-4
 
 DEFAULT_FROM_DB = -10.0
 DEFAULT_TO_DB = 30.0
@@ -70,38 +80,13 @@ class BracketError(RuntimeError):
 class ConvergenceError(RuntimeError):
     """The root could not be bracketed to tolerance.
 
-    Raised when a residual is NaN, so it has no sign, or when max_iter runs
-    out before the bracket is narrower than lambda_tol.
+    Raised when a residual is NaN, so it has no sign, or when MAX_ITER runs
+    out before the bracket is narrower than LAMBDA_TOL.
     """
 
 
 class NoPeakError(ValueError):
     """The scanned range has no interior maximum; widen the range."""
-
-
-@dataclass(frozen=True)
-class SolverSettings:
-    """Tolerances and step sizes shared by all solvers.
-
-    lambda_tol is the absolute bracket width bisection must reach; max_iter
-    caps the bracket doublings and, separately, the bisection steps.
-    scan_step_db and peak_tol_db act on the dB axis during peak search.
-    """
-
-    lambda_tol: float = 1e-12
-    max_iter: int = 200
-    scan_step_db: float = 0.1
-    peak_tol_db: float = 1e-4
-
-    def __post_init__(self) -> None:
-        for name in ("lambda_tol", "scan_step_db", "peak_tol_db"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter!r}")
-
-
-DEFAULT_SETTINGS = SolverSettings()
 
 
 @dataclass(frozen=True)
@@ -171,17 +156,18 @@ def _bisect(fn, lo: float, hi: float, f_lo: float, f_hi: float,
     return best_x, best_f, iterations
 
 
-def _root(fn, cap: float, settings: SolverSettings,
-          where) -> tuple[float, float, int, bool]:
+def _root(fn, cap: float, where,
+          tol: float = LAMBDA_TOL) -> tuple[float, float, int, bool]:
     """Root of fn on [1, cap], where fn is negative below it and positive above.
 
     Doubles the upper end from 2, never past cap >= 2, until fn turns
     positive, then bisects; the (-, +) bracket certifies the root.  Returns
     (lam, fn(lam), doublings plus bisection steps, degenerate).  If 0 <=
     fn(1) < fn(2), the power is too small for fn to separate lam = 1 from
-    the root, which is pinned to 1 as degenerate.  A NaN or max_iter
+    the root, which is pinned to 1 as degenerate.  A NaN or MAX_ITER
     doublings raise ConvergenceError, any other sign pattern BracketError;
-    every message ends with where(), formatted only on failure.
+    every message ends with where(), formatted only on failure.  tol is the
+    bracket width bisection must reach.
     """
     lo, f_lo = 1.0, fn(1.0)
     hi, f_hi = 2.0, fn(2.0)
@@ -189,7 +175,7 @@ def _root(fn, cap: float, settings: SolverSettings,
         return 1.0, f_lo, 0, True
     expansions = 1
     while f_lo < 0.0 and f_hi <= 0.0 and hi < cap:
-        if expansions >= settings.max_iter:
+        if expansions >= MAX_ITER:
             raise ConvergenceError(f"no sign change up to lam={hi!r} for {where()}")
         lo, f_lo = hi, f_hi
         hi = 2.0 * hi if 2.0 * hi < cap else cap
@@ -204,15 +190,13 @@ def _root(fn, cap: float, settings: SolverSettings,
             f"got ({f_lo!r}, {f_hi!r}) for {where()}"
         )
     try:
-        lam, res, iters = _bisect(
-            fn, lo, hi, f_lo, f_hi, settings.lambda_tol, settings.max_iter
-        )
+        lam, res, iters = _bisect(fn, lo, hi, f_lo, f_hi, tol, MAX_ITER)
     except ConvergenceError as err:
         raise ConvergenceError(f"{err} for {where()}") from None
     return lam, res, expansions + iters, False
 
 
-def _solve(config: ChannelConfig, settings: SolverSettings) -> GainSolution:
+def _solve(config: ChannelConfig, tol: float = LAMBDA_TOL) -> GainSolution:
     pi = config.total_power
     if config.is_massive:
         def residual(lam: float) -> float:
@@ -230,7 +214,7 @@ def _solve(config: ChannelConfig, settings: SolverSettings) -> GainSolution:
             return Kf * math.log1p(boosted) - math.log1p(KP * lam)
 
         cap, where = Kf, lambda: f"K={K}, P={P!r}"
-    lam, res, iters, degenerate = _root(residual, cap, settings, where)
+    lam, res, iters, degenerate = _root(residual, cap, where, tol)
     return GainSolution(
         config=config,
         lambda_star=lam,
@@ -243,24 +227,21 @@ def _solve(config: ChannelConfig, settings: SolverSettings) -> GainSolution:
     )
 
 
-def solve_lambda_star(K: int, P: float,
-                      settings: SolverSettings = DEFAULT_SETTINGS) -> GainSolution:
+def solve_lambda_star(K: int, P: float) -> GainSolution:
     """Solve the balance equation for K users at per-user power P.
 
     Returns the unique root in [1, K] of the balanced residual
     core.db_residual, with the capacities and gain factor filled in.
     """
-    return _solve(ChannelConfig.finite(K, per_user_power=P), settings)
+    return _solve(ChannelConfig.finite(K, per_user_power=P))
 
 
-def solve_lambda_massive(pi: float,
-                         settings: SolverSettings = DEFAULT_SETTINGS) -> GainSolution:
+def solve_lambda_massive(pi: float) -> GainSolution:
     """Solve lam = f_of(pi, lam) for the massive limit at total power pi."""
-    return _solve(ChannelConfig.massive(pi), settings)
+    return _solve(ChannelConfig.massive(pi))
 
 
-def invert_massive_parametric(pi: float,
-                              settings: SolverSettings = DEFAULT_SETTINGS) -> tuple[float, float]:
+def invert_massive_parametric(pi: float) -> tuple[float, float]:
     """Invert the closed-form curve parametrization at total power pi.
 
     Finds t with massive_parametric(t) = (pi, lam) by bisecting the
@@ -276,15 +257,14 @@ def invert_massive_parametric(pi: float,
         return massive_parametric(pi * s)[0] - pi
 
     # pi(t) <= t, so the root sits at or above t = pi, that is s = 1.
-    s, _, _, _ = _root(overshoot, math.inf, settings, lambda: f"pi={pi!r}")
+    s, _, _, _ = _root(overshoot, math.inf, lambda: f"pi={pi!r}")
     t = pi * s
     return t, massive_parametric(t)[1]
 
 
-def eval_point(config: ChannelConfig,
-               settings: SolverSettings = DEFAULT_SETTINGS) -> GainSolution:
+def eval_point(config: ChannelConfig) -> GainSolution:
     """Solve whichever balance problem the config describes."""
-    return _solve(config, settings)
+    return _solve(config)
 
 
 def _config_for(users: int | None, pi: float) -> ChannelConfig:
@@ -322,8 +302,8 @@ def _db_grid(from_db: float, to_db: float, step_db: float) -> list[float]:
     return grid
 
 
-def sweep_curve(users: int | None, from_db: float, to_db: float, step_db: float,
-                settings: SolverSettings = DEFAULT_SETTINGS) -> list[CurvePoint]:
+def sweep_curve(users: int | None, from_db: float, to_db: float,
+                step_db: float) -> list[CurvePoint]:
     """Solve one curve on a uniform dB grid, ascending in pi_db.
 
     The final point is clamped to to_db; a zero-width range yields the
@@ -332,7 +312,7 @@ def sweep_curve(users: int | None, from_db: float, to_db: float, step_db: float,
     points: list[CurvePoint] = []
     for pi_db in _db_grid(from_db, to_db, step_db):
         pi = db_to_linear(pi_db)
-        sol = eval_point(_config_for(users, pi), settings)
+        sol = eval_point(_config_for(users, pi))
         points.append(
             CurvePoint(
                 pi_db=pi_db,
@@ -347,21 +327,20 @@ def sweep_curve(users: int | None, from_db: float, to_db: float, step_db: float,
 
 
 def find_peak(users: int | None, from_db: float = DEFAULT_FROM_DB,
-              to_db: float = DEFAULT_TO_DB,
-              settings: SolverSettings = DEFAULT_SETTINGS) -> PeakResult:
+              to_db: float = DEFAULT_TO_DB) -> PeakResult:
     """Locate the maximum of F along one curve inside [from_db, to_db].
 
-    A coarse scan at scan_step_db finds a rise-then-fall triple, then
-    golden-section refinement narrows the dB interval to peak_tol_db.
+    A coarse scan at SCAN_STEP_DB finds a rise-then-fall triple, then
+    golden-section refinement narrows the dB interval to PEAK_TOL_DB.
     """
     if not to_db > from_db:
         raise ValueError(f"peak search needs from_db < to_db, got {from_db!r}..{to_db!r}")
 
     def F_at(pi_db: float) -> float:
-        sol = eval_point(_config_for(users, db_to_linear(pi_db)), settings)
+        sol = eval_point(_config_for(users, db_to_linear(pi_db)))
         return sol.gain_F
 
-    scan = sweep_curve(users, from_db, to_db, settings.scan_step_db, settings)
+    scan = sweep_curve(users, from_db, to_db, SCAN_STEP_DB)
     k = max(range(len(scan)), key=lambda i: scan[i].F)
     if k == 0 or k == len(scan) - 1:
         raise NoPeakError(
@@ -374,7 +353,7 @@ def find_peak(users: int | None, from_db: float = DEFAULT_FROM_DB,
     x1 = hi - _INVPHI * (hi - lo)
     x2 = lo + _INVPHI * (hi - lo)
     f1, f2 = F_at(x1), F_at(x2)
-    while hi - lo > settings.peak_tol_db:
+    while hi - lo > PEAK_TOL_DB:
         if f1 < f2:
             lo = x1
             x1, f1 = x2, f2
@@ -392,7 +371,7 @@ def find_peak(users: int | None, from_db: float = DEFAULT_FROM_DB,
     if scan[k].F > F_at(pi_star_db):
         pi_star_db = scan[k].pi_db
     pi_star = db_to_linear(pi_star_db)
-    sol = eval_point(_config_for(users, pi_star), settings)
+    sol = eval_point(_config_for(users, pi_star))
     return PeakResult(
         users=users,
         pi_star=pi_star,

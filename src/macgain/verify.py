@@ -13,17 +13,17 @@ a solver error (BracketError, ConvergenceError) propagates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _SERIES_CUTOFF, _check_users, db_to_linear, dlambda_dpi_massive, f_of
+from . import solvers
+from .core import _SERIES_CUTOFF, ChannelConfig, db_to_linear, dlambda_dpi_massive, f_of
 from .solvers import (
     DEFAULT_FROM_DB,
-    DEFAULT_SETTINGS,
     DEFAULT_TO_DB,
-    SolverSettings,
     _db_grid,
+    _solve,
     solve_lambda_massive,
     solve_lambda_star,
 )
@@ -48,7 +48,12 @@ NUMERIC_SLOP = 1e-9
 
 DERIVATIVE_GRID = (0.1, 0.5, 1.0, 5.38, 10.0, 100.0, 1000.0)
 
+# The curves check_monotone_unimodal compares: ascending, massive last.
 DEFAULT_USERS = (2, 3, 10, 100, None)
+
+# The box run_suite samples: user counts and per-user powers, both ends in.
+SAMPLE_USERS = (2, 10_000)
+SAMPLE_POWERS = (1e-3, 1e3)
 
 # Certified cap on the gain factor near both ends of the power axis.
 TAIL_GAIN_CAP = 1.321
@@ -93,8 +98,6 @@ class SampleSpec:
 
     seed: int
     n_samples: int
-    K_range: tuple[int, int] = (2, 10_000)
-    P_range: tuple[float, float] = (1e-3, 1e3)
 
     def __post_init__(self) -> None:
         if self.seed < 0:
@@ -103,16 +106,10 @@ class SampleSpec:
             raise ValueError(
                 f"n_samples must be in [1, {MAX_SAMPLES}], got {self.n_samples!r}"
             )
-        k_lo, k_hi = self.K_range
-        if k_lo < 2 or k_hi < k_lo:
-            raise ValueError(f"bad user-count range {self.K_range!r}")
-        p_lo, p_hi = self.P_range
-        if not (0.0 < p_lo <= p_hi):
-            raise ValueError(f"bad power range {self.P_range!r}")
 
 
 def draw_samples(spec: SampleSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Draw (K, P) pairs, log-uniform in both coordinates.
+    """Draw (K, P) pairs from the sample box, log-uniform in both coordinates.
 
     Both quantities span decades, so uniform-in-log is the only draw that
     exercises every scale.  The user count is drawn first, then the power,
@@ -120,8 +117,8 @@ def draw_samples(spec: SampleSpec) -> tuple[np.ndarray, np.ndarray]:
     seed always yields the same pairs.
     """
     rng = np.random.default_rng(spec.seed)
-    k_lo, k_hi = spec.K_range
-    p_lo, p_hi = spec.P_range
+    k_lo, k_hi = SAMPLE_USERS
+    p_lo, p_hi = SAMPLE_POWERS
     ks = np.floor(
         np.exp(rng.uniform(math.log(k_lo), math.log(k_hi + 1), spec.n_samples))
     ).astype(int)
@@ -256,13 +253,16 @@ def _bisect_many(fn, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray,
     return best_x, best_f, iterations
 
 
-def _root_many(fn, cap: np.ndarray, settings: SolverSettings, solve_one):
+def _root_many(fn, cap: np.ndarray, solve_one):
     """solvers._root over arrays: one doubling pass, then one _bisect_many.
+
+    The tolerances are read off the solvers module at call time, so the
+    batch and the scalar solver it hands off to always share them.
 
     fn(lam, i) gives the residuals of elements i at the points lam, and
     fn(lam) those of every element; each upper end doubles from 2, never
     past its cap.  An element is settled here when fn(1) < 0, its final
-    bracket is (-, +) and it took fewer than max_iter bisection steps.
+    bracket is (-, +) and it took fewer than MAX_ITER bisection steps.
     Every other element goes, in input order, to the scalar solve_one(i),
     which pins it to lam = 1, solves it or raises its own error.  Where
     np.log1p and math.log1p disagree in the last ulp, the scalar solver may
@@ -275,23 +275,22 @@ def _root_many(fn, cap: np.ndarray, settings: SolverSettings, solve_one):
         f_hi = fn(hi)
         growing = np.flatnonzero((f_lo < 0.0) & (f_hi <= 0.0) & (hi < cap))
         expansions = 1
-        while growing.size and expansions < settings.max_iter:
+        while growing.size and expansions < solvers.MAX_ITER:
             lo[growing], f_lo[growing] = hi[growing], f_hi[growing]
             hi[growing] = np.minimum(2.0 * hi[growing], cap[growing])
             f_hi[growing] = fn(hi[growing], growing)
             expansions += 1
             growing = growing[(f_hi[growing] <= 0.0) & (hi[growing] < cap[growing])]
         lam, _, iterations = _bisect_many(
-            fn, lo, hi, f_lo, f_hi, settings.lambda_tol, settings.max_iter
+            fn, lo, hi, f_lo, f_hi, solvers.LAMBDA_TOL, solvers.MAX_ITER
         )
-    settled = (f_lo < 0.0) & (f_hi > 0.0) & (iterations < settings.max_iter)
+    settled = (f_lo < 0.0) & (f_hi > 0.0) & (iterations < solvers.MAX_ITER)
     for i in np.flatnonzero(~settled):
         lam[i] = solve_one(i).lambda_star
     return lam
 
 
-def _solve_finite_many(K: np.ndarray, P: np.ndarray,
-                       settings: SolverSettings) -> np.ndarray:
+def _solve_finite_many(K: np.ndarray, P: np.ndarray) -> np.ndarray:
     """solve_lambda_star's root for every (K, P) pair, in one batch."""
     K = np.asarray(K, dtype=float)
 
@@ -301,23 +300,20 @@ def _solve_finite_many(K: np.ndarray, P: np.ndarray,
         boosted = p * lam * lam / (1.0 + (k - lam) * p * lam)
         return k * np.log1p(boosted) - np.log1p(k * p * lam)
 
-    return _root_many(
-        residual, K, settings,
-        lambda i: solve_lambda_star(int(K[i]), float(P[i]), settings),
-    )
+    return _root_many(residual, K, lambda i: solve_lambda_star(int(K[i]), float(P[i])))
 
 
-def _solve_massive_many(pi: np.ndarray, settings: SolverSettings) -> np.ndarray:
+def _solve_massive_many(pi: np.ndarray) -> np.ndarray:
     """solve_lambda_massive's root for every total power pi, in one batch."""
 
     def slack(lam: np.ndarray, i=slice(None)) -> np.ndarray:
         return lam - _f_of_many(pi[i], lam)
 
-    return _root_many(slack, np.full_like(pi, math.inf), settings,
-                      lambda i: solve_lambda_massive(float(pi[i]), settings))
+    return _root_many(slack, np.full_like(pi, math.inf),
+                      lambda i: solve_lambda_massive(float(pi[i])))
 
 
-def check_tail_bounds(settings: SolverSettings = DEFAULT_SETTINGS) -> BoundReport:
+def check_tail_bounds() -> BoundReport:
     """Check the gain caps on both tails of the massive curve.
 
     Low tail (pi <= 0.1): F <= (1+pi)*lam <= (1+pi)/(1-pi) and F <= 11/9.
@@ -329,7 +325,7 @@ def check_tail_bounds(settings: SolverSettings = DEFAULT_SETTINGS) -> BoundRepor
     tracker = _Tracker("tail_bounds")
     for pi_db in _db_grid(-60.0, -10.0, 2.5):
         pi = db_to_linear(pi_db)
-        sol = solve_lambda_massive(pi, settings)
+        sol = solve_lambda_massive(pi)
         lam, F = sol.lambda_star, sol.gain_F
         w = f"pi={pi:.6g}"
         tracker.add((1.0 + pi) * lam - F, f"small_power_linear_cap at {w}")
@@ -341,7 +337,7 @@ def check_tail_bounds(settings: SolverSettings = DEFAULT_SETTINGS) -> BoundRepor
         tracker.add(TAIL_GAIN_CAP - F, f"tail_cap at {w}")
     for pi_db in _db_grid(30.0, 60.0, 2.5):
         pi = db_to_linear(pi_db)
-        sol = solve_lambda_massive(pi, settings)
+        sol = solve_lambda_massive(pi)
         lam, F = sol.lambda_star, sol.gain_F
         w = f"pi={pi:.6g}"
         t = pi * lam
@@ -358,53 +354,52 @@ def check_tail_bounds(settings: SolverSettings = DEFAULT_SETTINGS) -> BoundRepor
     return tracker.report()
 
 
-def check_derivative(pi_grid: tuple[float, ...] = DERIVATIVE_GRID,
-                     settings: SolverSettings = DEFAULT_SETTINGS) -> BoundReport:
+def check_derivative() -> BoundReport:
     """Validate the analytic slope of the massive curve against central differences.
 
-    The solver runs at a tightened lambda tolerance so the difference
-    quotient at relative step 1e-6 is not dominated by root noise.
+    The roots are bracketed to 1e-15 rather than LAMBDA_TOL so the
+    difference quotient at relative step 1e-6 is not dominated by root noise.
     """
     tracker = _Tracker("derivative_consistency")
-    tight = replace(settings, lambda_tol=min(settings.lambda_tol, 1e-15))
     h = 1e-6
-    for pi in pi_grid:
-        lam = solve_lambda_massive(pi, tight).lambda_star
+
+    def lam_at(pi: float) -> float:
+        return _solve(ChannelConfig.massive(pi), tol=1e-15).lambda_star
+
+    for pi in DERIVATIVE_GRID:
+        lam = lam_at(pi)
         analytic = dlambda_dpi_massive(pi, lam)
         w = f"pi={pi:.6g}"
         tracker.add(analytic, f"derivative_positive at {w}")
-        lam_hi = solve_lambda_massive(pi * (1.0 + h), tight).lambda_star
-        lam_lo = solve_lambda_massive(pi * (1.0 - h), tight).lambda_star
+        lam_hi = lam_at(pi * (1.0 + h))
+        lam_lo = lam_at(pi * (1.0 - h))
         fd = (lam_hi - lam_lo) / (2.0 * pi * h)
         rel_err = abs(fd - analytic) / abs(analytic)
         tracker.add(1e-5 - rel_err, f"derivative_fd_match at {w}")
     return tracker.report()
 
 
-def check_monotone_unimodal(users_list: tuple[int | None, ...] = DEFAULT_USERS,
-                            range_db: tuple[float, float] = (DEFAULT_FROM_DB, DEFAULT_TO_DB),
-                            settings: SolverSettings = DEFAULT_SETTINGS,
-                            step_db: float = 0.1) -> BoundReport:
+def check_monotone_unimodal() -> BoundReport:
     """Check curve shapes: lam monotone, F unimodal, bigger K dominates.
 
-    Unimodality is scored by sign changes of consecutive F differences
-    (zero differences carry no sign information): a clean curve rises,
-    flips sign exactly once, and falls, and scores a slack of 0; each
-    defect costs -1.  When the massive curve is included, its far-end
-    limits are anchored too: F(0.001) <= 1.01 and F(1e6) <= 1.321.
+    Every DEFAULT_USERS curve is solved on the 0.1 dB grid from
+    DEFAULT_FROM_DB to DEFAULT_TO_DB.  Unimodality is scored by sign
+    changes of consecutive F differences (zero differences carry no sign
+    information): a clean curve rises, flips sign exactly once, and falls,
+    and scores a slack of 0; each defect costs -1.  The massive curve's
+    far-end limits are anchored too: F(0.001) <= 1.01 and F(1e6) <= 1.321.
     """
     tracker = _Tracker("curve_shape")
-    grid = _db_grid(*range_db, step_db)
+    grid = _db_grid(DEFAULT_FROM_DB, DEFAULT_TO_DB, 0.1)
     pis = np.array([db_to_linear(pi_db) for pi_db in grid])
-    finite = [_check_users(u) for u in users_list if u is not None]
+    finite = DEFAULT_USERS[:-1]
     # Every finite curve in one batch, one row per user count.
     K = np.repeat(finite, len(grid))
     pi = np.tile(pis, len(finite))
-    rows = _solve_finite_many(K, pi / K, settings).reshape(len(finite), len(grid))
+    rows = _solve_finite_many(K, pi / K).reshape(len(finite), len(grid))
     lams: dict[int | None, np.ndarray] = dict(zip(finite, rows))
-    if None in users_list:
-        lams[None] = _solve_massive_many(pis, settings)
-    for users in users_list:
+    lams[None] = _solve_massive_many(pis)
+    for users in DEFAULT_USERS:
         lam = lams[users]
         F = np.log1p(pis * lam) / np.log1p(pis)
         label = "massive" if users is None else str(users)
@@ -421,25 +416,19 @@ def check_monotone_unimodal(users_list: tuple[int | None, ...] = DEFAULT_USERS,
         tracker.add(peak_F - float(F[0]), f"edge_below_peak_low at K={label}")
         tracker.add(peak_F - float(F[-1]), f"edge_below_peak_high at K={label}")
 
-    ordered: list[int | None] = sorted(u for u in users_list if u is not None)
-    if None in users_list:
-        ordered.append(None)
-    for smaller, bigger in zip(ordered, ordered[1:]):
+    for smaller, bigger in zip(DEFAULT_USERS, DEFAULT_USERS[1:]):
         big_label = "massive" if bigger is None else str(bigger)
         worst = float(np.min(lams[bigger] - lams[smaller]))
         tracker.add(worst, f"cross_k_domination K={smaller} vs K={big_label}")
 
-    if None in users_list:
-        F_small = solve_lambda_massive(1e-3, settings).gain_F
-        tracker.add(1.01 - F_small, "small_power_limit at pi=0.001")
-        F_big = solve_lambda_massive(1e6, settings).gain_F
-        tracker.add(TAIL_GAIN_CAP - F_big, "large_power_limit at pi=1e+06")
+    F_small = solve_lambda_massive(1e-3).gain_F
+    tracker.add(1.01 - F_small, "small_power_limit at pi=0.001")
+    F_big = solve_lambda_massive(1e6).gain_F
+    tracker.add(TAIL_GAIN_CAP - F_big, "large_power_limit at pi=1e+06")
     return tracker.report()
 
 
-def run_suite(sample: SampleSpec,
-              settings: SolverSettings = DEFAULT_SETTINGS,
-              sabotage: bool = False) -> list[BoundReport]:
+def run_suite(sample: SampleSpec, sabotage: bool = False) -> list[BoundReport]:
     """Run every check once, sharing one solve per random sample.
 
     The samples are solved in one batched bisection, which hands any it
@@ -453,7 +442,7 @@ def run_suite(sample: SampleSpec,
     quality = _Tracker("root_quality", slop=0.0)
     gains = _Tracker("global_gain_bounds")
     K, P = draw_samples(sample)
-    lam = _solve_finite_many(K, P, settings)
+    lam = _solve_finite_many(K, P)
     if sabotage:
         lam = np.minimum(lam + 0.5, K)
 
@@ -479,13 +468,13 @@ def run_suite(sample: SampleSpec,
         ("improved_cap", IMPROVED_GAIN_CAP - F),
     ], at)
     # Near-extremal witness: the massive curve close to its peak power.
-    F = solve_lambda_massive(5.38, settings).gain_F
+    F = solve_lambda_massive(5.38).gain_F
     gains.add(F - 1.53, "near_extremal_witness_floor at pi=5.38")
     gains.add(1.54 - F, "near_extremal_witness_cap at pi=5.38")
 
     large = _Tracker("sandwich_large_k")
     for K in (10**2, 10**4, 10**6, 10**8):
-        sol = solve_lambda_star(K, 1.0, settings)
+        sol = solve_lambda_star(K, 1.0)
         w = f"K={K} P=1"
         for name, slack in point_bound_slacks(K, 1.0, sol.lambda_star):
             if name in ("gain_floor", "fixed_point_ceiling"):
@@ -495,9 +484,9 @@ def run_suite(sample: SampleSpec,
         point.report(),
         quality.report(),
         large.report(),
-        check_tail_bounds(settings),
-        check_derivative(settings=settings),
-        check_monotone_unimodal(settings=settings),
+        check_tail_bounds(),
+        check_derivative(),
+        check_monotone_unimodal(),
         gains.report(),
     ]
 

@@ -8,6 +8,8 @@ itself.
 from __future__ import annotations
 
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,13 @@ from mpmath import mp, mpf
 
 def pytest_configure(config):
     config._acceptance_lines = []
+    # pyproject's pythonpath puts src/ on this process's path; subprocess
+    # tests need it too, so they run this checkout whether or not the
+    # package is installed.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH", "")) if p
+    )
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

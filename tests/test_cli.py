@@ -3,8 +3,10 @@ exit codes, and byte-level output stability."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -96,6 +98,10 @@ class TestUsageErrors:
 
     def test_curve_rejects_zero_step(self):
         assert_usage_error(["curve", "--massive", "--step-db", "0"])
+
+    @pytest.mark.parametrize("step", ["inf", "nan", "-1"])
+    def test_step_must_be_finite_and_positive(self, step):
+        assert_usage_error(["curve", "--massive", "--step-db", step])
 
     def test_peak_rejects_empty_range(self):
         assert_usage_error(["peak", "--massive", "--from-db", "5", "--to-db", "5"])
@@ -252,6 +258,16 @@ class TestCurve:
         assert len(lines) == 4
         assert all(line.split(",")[2] == "3" for line in lines[1:])
 
+    def test_step_wider_than_range(self, capsys):
+        # A step is a width in dB, not a power: 3090 dB is a valid step
+        # even though no linear power is 3090 dB.
+        code, out, err = run_cli(
+            capsys, "curve", "--massive", "--from-db", "0", "--to-db", "10",
+            "--step-db", "3090",
+        )
+        assert code == 0 and err == ""
+        assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["0", "10"]
+
     def test_single_point_range(self, capsys):
         code, out, _ = run_cli(
             capsys, "curve", "--massive", "--from-db", "30", "--to-db", "30"
@@ -379,14 +395,16 @@ class TestLargeKAndHighPower:
 
 class TestVerify:
     def test_smoke_pass(self, capsys):
-        code, out, _ = run_cli(
+        code, out, err = run_cli(
             capsys, "verify", "--samples", "50", "--seed", "7"
         )
         assert code == 0
         lines = out.splitlines()
         assert len(lines) == 8
         assert lines[0].startswith("point_bounds: pass ")
-        assert lines[-1].startswith("suite: PASS (7 checks, 0 violations, ")
+        assert lines[-1] == "suite: PASS (7 checks, 0 violations)"
+        # The wall time goes to stderr, so stdout stays byte-reproducible.
+        assert re.fullmatch(r"macgain: verify took \d+\.\d\d s\n", err)
 
     def test_sabotage_fails(self, capsys):
         code, out, _ = run_cli(
@@ -395,7 +413,7 @@ class TestVerify:
         assert code == 1
         lines = out.splitlines()
         assert any(line.startswith("root_quality: FAIL ") for line in lines)
-        assert lines[-1].startswith("suite: FAIL (")
+        assert lines[-1] == "suite: FAIL (7 checks, 134 violations)"
 
     def test_json_payload(self, capsys):
         code, out, _ = run_cli(
@@ -506,3 +524,111 @@ class TestOutFile:
         )
         assert code == 0
         assert "lambda_star = " in out
+
+
+# Exact stdout of the README examples and of full-precision solves, frozen
+# from the release whose numbers the README quotes.  A change to any of
+# these bytes is a change to the CLI's output contract and must be listed.
+GOLDEN_STDOUT = {
+    "solve --users 100 --power-db 0": (
+        "lambda_star = 6.245751\n"
+        "lambda_star_db = 7.95584666\n"
+        "capacity_nofb_nats = 4.61512052\n"
+        "capacity_fb_nats = 6.43867139\n"
+        "gain_F = 1.3951253\n"
+    ),
+    "solve --users 2 --power-db -200": (
+        "lambda_star = 1\n"
+        "lambda_star_db = 0\n"
+        "capacity_nofb_nats = 2e-20\n"
+        "capacity_fb_nats = 2e-20\n"
+        "gain_F = 1\n"
+        "degenerate = true\n"
+    ),
+    "solve --users 3 --power-db 10 --precision 17 --bits": (
+        "lambda_star = 2.3055011808601193\n"
+        "lambda_star_db = 3.6276534899780435\n"
+        "capacity_nofb_nats = 3.4339872044851463\n"
+        "capacity_fb_nats = 4.2508501160957755\n"
+        "capacity_nofb_bits = 4.9541963103868758\n"
+        "capacity_fb_bits = 6.1326803820536497\n"
+        "gain_F = 1.2378759334174922\n"
+    ),
+    "solve --massive --total-power-db 30 --format json": (
+        '{\n'
+        '  "users": "massive",\n'
+        '  "pi": 1000.0,\n'
+        '  "pi_db": 30.0,\n'
+        '  "lambda": 9.119252679077363,\n'
+        '  "lambda_db": 9.599592494412173,\n'
+        '  "capacity_nofb_nats": 6.90875477931522,\n'
+        '  "capacity_fb_nats": 9.118252788723757,\n'
+        '  "gain_F": 1.319811323456401,\n'
+        '  "residual": -3.090860900556436e-13,\n'
+        '  "iterations": 47,\n'
+        '  "degenerate": false\n'
+        '}\n'
+    ),
+    "solve --users 100 --power-db 0 --format json": (
+        '{\n'
+        '  "users": 100,\n'
+        '  "pi": 100.0,\n'
+        '  "pi_db": 20.0,\n'
+        '  "lambda": 6.245751003217265,\n'
+        '  "lambda_db": 7.955846664000603,\n'
+        '  "capacity_nofb_nats": 4.61512051684126,\n'
+        '  "capacity_fb_nats": 6.438671387162997,\n'
+        '  "gain_F": 1.3951252981731093,\n'
+        '  "residual": 1.7674750552032492e-13,\n'
+        '  "iterations": 45,\n'
+        '  "degenerate": false\n'
+        '}\n'
+    ),
+    "peak --massive": (
+        "pi_star = 5.35410937\n"
+        "pi_star_db = 7.28687239\n"
+        "F_star = 1.53733266\n"
+        "lambda_at_peak = 3.01857389\n"
+    ),
+    "peak --users 10 --format json": (
+        '{\n'
+        '  "users": 10,\n'
+        '  "pi_star": 5.293567869982146,\n'
+        '  "pi_star_db": 7.237484856351227,\n'
+        '  "F_star": 1.4458875142357555,\n'
+        '  "lambda_at_peak": 2.5111091000853776,\n'
+        '  "bracket_evidence": [\n'
+        '    [\n'
+        '      7.100000000000001,\n'
+        '      1.4458447968671762\n'
+        '    ],\n'
+        '    [\n'
+        '      7.199999999999999,\n'
+        '      1.4458843671664043\n'
+        '    ],\n'
+        '    [\n'
+        '      7.300000000000001,\n'
+        '      1.4458788274555379\n'
+        '    ]\n'
+        '  ]\n'
+        '}\n'
+    ),
+}
+
+# The README's 401-point massive curve, frozen by digest.
+GOLDEN_CURVE = "curve --massive --from-db -10 --to-db 30 --step-db 0.1 --format csv"
+GOLDEN_CURVE_SHA256 = "70f9504c3cc3e1224afcef28fb0e1b854df6aff4f71d8bccc78101b44e74183e"
+
+
+class TestGoldenStdout:
+    @pytest.mark.parametrize("command", list(GOLDEN_STDOUT))
+    def test_exact_stdout(self, capsys, command):
+        code, out, err = run_cli(capsys, *command.split())
+        assert (code, err) == (0, "")
+        assert out == GOLDEN_STDOUT[command]
+
+    def test_readme_curve_digest(self, capsys):
+        code, out, err = run_cli(capsys, *GOLDEN_CURVE.split())
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 402
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_CURVE_SHA256

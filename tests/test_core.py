@@ -79,20 +79,24 @@ class TestChannelConfig:
     def test_finite_fills_total(self):
         config = ChannelConfig.finite(4, per_user_power=0.5)
         assert config.total_power == 2.0
-        assert config.pi == 2.0
         assert not config.is_massive
 
     def test_finite_fills_per_user(self):
         config = ChannelConfig.finite(4, total_power=2.0)
         assert config.per_user_power == 0.5
 
-    def test_consistent_pair_accepted(self):
-        config = ChannelConfig.finite(2, per_user_power=1.0, total_power=2.0)
-        assert config.users == 2
+    def test_both_powers_rejected(self):
+        # One power derives the other; a pair is refused even when it agrees.
+        with pytest.raises(ValueError, match="exactly one"):
+            ChannelConfig.finite(2, per_user_power=1.0, total_power=2.0)
 
     def test_inconsistent_pair_rejected(self):
         with pytest.raises(ValueError):
             ChannelConfig.finite(2, per_user_power=1.0, total_power=3.0)
+
+    def test_finite_requires_a_power(self):
+        with pytest.raises(ValueError, match="exactly one"):
+            ChannelConfig(2, None, None)
 
     def test_massive_requires_total(self):
         with pytest.raises(ValueError):

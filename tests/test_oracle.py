@@ -15,7 +15,6 @@ import pytest
 from conftest import finite_certified, massive_certified
 from macgain.core import db_to_linear
 from macgain.solvers import (
-    DEFAULT_SETTINGS,
     invert_massive_parametric,
     solve_lambda_massive,
     solve_lambda_star,
@@ -67,7 +66,7 @@ def test_vanishing_power_pins_a_certified_root():
 def test_finite_grid_in_one_batch():
     K = np.repeat(GRID_USERS, len(GRID_POWER_DB))
     P = np.tile([db_to_linear(power_db) for power_db in GRID_POWER_DB], len(GRID_USERS))
-    lam = _solve_finite_many(K, P, DEFAULT_SETTINGS)
+    lam = _solve_finite_many(K, P)
     assert uncertified(zip(K.tolist(), P.tolist(), lam.tolist())) == []
 
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
-import os
 import re
 import subprocess
 import sys
@@ -24,11 +23,8 @@ def test_public_surface_is_documented():
 
 def test_cli_import_leaves_numpy_unloaded():
     # Only `verify` needs numpy; every other command must start without it.
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (str(src), os.environ.get("PYTHONPATH", "")) if p)}
     code = "import sys, macgain.cli; sys.exit('numpy' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
+    result = subprocess.run([sys.executable, "-c", code], timeout=60)
     assert result.returncode == 0
 
 

@@ -14,9 +14,11 @@ from macgain.core import ChannelConfig, db_residual, db_to_linear, f_of
 from macgain.solvers import (
     BracketError,
     ConvergenceError,
-    DEFAULT_SETTINGS,
+    LAMBDA_TOL,
+    MAX_ITER,
     NoPeakError,
-    SolverSettings,
+    PEAK_TOL_DB,
+    SCAN_STEP_DB,
     _bisect,
     eval_point,
     find_peak,
@@ -78,27 +80,11 @@ class TestBisectKernel:
 
 class TestSolverSettings:
     def test_defaults(self):
-        s = SolverSettings()
-        assert s.lambda_tol == 1e-12
-        assert s.max_iter == 200
-        assert s.scan_step_db == 0.1
-        assert s.peak_tol_db == 1e-4
-        assert DEFAULT_SETTINGS == s
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"lambda_tol": 0.0},
-            {"lambda_tol": -1e-12},
-            {"lambda_tol": math.nan},
-            {"max_iter": 0},
-            {"scan_step_db": -0.1},
-            {"peak_tol_db": 0.0},
-        ],
-    )
-    def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValueError):
-            SolverSettings(**kwargs)
+        # The fixed tolerances every solve, sweep and peak search uses.
+        assert LAMBDA_TOL == 1e-12
+        assert MAX_ITER == 200
+        assert SCAN_STEP_DB == 0.1
+        assert PEAK_TOL_DB == 1e-4
 
 
 class TestFiniteSolver:
@@ -121,7 +107,7 @@ class TestFiniteSolver:
     @pytest.mark.parametrize("K, P", [(2, 1.0), (3, 10.0), (7, 0.04), (100, 1.0)])
     def test_solution_fields_consistent(self, K, P):
         sol = solve_lambda_star(K, P)
-        pi = sol.config.pi
+        pi = sol.config.total_power
         assert 1.0 <= sol.lambda_star <= K
         assert abs(raw_residual(sol.lambda_star, K, P)) <= 1e-10
         assert sol.residual == db_residual(sol.lambda_star, K, P)
@@ -162,10 +148,10 @@ class TestFiniteSolver:
         with pytest.raises(BracketError):
             solve_lambda_star(3, 10.0)
 
-    def test_unreachable_tolerance_raises(self):
-        settings = SolverSettings(max_iter=5)
+    def test_unreachable_tolerance_raises(self, monkeypatch):
+        monkeypatch.setattr(solvers_module, "MAX_ITER", 5)
         with pytest.raises(ConvergenceError, match="after 5 iterations for K=3, P=10.0"):
-            solve_lambda_star(3, 10.0, settings)
+            solve_lambda_star(3, 10.0)
 
 
 class TestMassiveSolver:
@@ -196,10 +182,11 @@ class TestMassiveSolver:
         assert sol.iterations > 0
         assert not sol.degenerate
 
-    def test_expansion_cap_raises(self):
+    def test_expansion_cap_raises(self, monkeypatch):
         # lam(1000) is above 8, so three doublings cannot bracket it.
+        monkeypatch.setattr(solvers_module, "MAX_ITER", 3)
         with pytest.raises(ConvergenceError):
-            solve_lambda_massive(1000.0, SolverSettings(max_iter=3))
+            solve_lambda_massive(1000.0)
 
     def test_determinism(self):
         assert solve_lambda_massive(5.38) == solve_lambda_massive(5.38)
