@@ -348,6 +348,10 @@ def _add_output_opts(parser: argparse.ArgumentParser, formats: tuple[str, ...]) 
                         help=f"output format (default: {formats[0]})")
     parser.add_argument("--out", metavar="PATH",
                         help="output file (default: stdout)")
+
+
+def _add_number_opts(parser: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
+    _add_output_opts(parser, formats)
     parser.add_argument("--precision", type=_precision_arg, default=9,
                         metavar="DIGITS",
                         help="significant digits for rendered numbers (1..17)")
@@ -381,19 +385,19 @@ def build_parser() -> argparse.ArgumentParser:
                        help="total power in dB")
     solve.add_argument("--bits", action="store_true",
                        help="also render capacities in bits")
-    _add_output_opts(solve, ("text", "json"))
+    _add_number_opts(solve, ("text", "json"))
     solve.set_defaults(func=run_solve, parser=solve)
 
     curve = sub.add_parser("curve", help="sweep one gain curve over a dB range")
     _add_users_choice(curve)
     _add_range_opts(curve, with_step=True)
-    _add_output_opts(curve, ("csv", "json", "svg"))
+    _add_number_opts(curve, ("csv", "json", "svg"))
     curve.set_defaults(func=run_curve, parser=curve)
 
     peak = sub.add_parser("peak", help="locate the maximum capacity gain factor")
     _add_users_choice(peak)
     _add_range_opts(peak, with_step=False)
-    _add_output_opts(peak, ("text", "json"))
+    _add_number_opts(peak, ("text", "json"))
     peak.set_defaults(func=run_peak, parser=peak)
 
     verify = sub.add_parser("verify", help="run the verification suite")
@@ -416,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated user counts, 'massive' allowed "
                              f"(default: {_DEFAULT_FIGURE_USERS})")
     _add_range_opts(figure, with_step=True)
-    _add_output_opts(figure, ("csv", "json", "svg"))
+    _add_number_opts(figure, ("csv", "json", "svg"))
     figure.set_defaults(func=run_figure, parser=figure)
 
     return parser

@@ -17,9 +17,6 @@ __all__ = [
     "linear_to_db",
     "db_to_linear",
     "log1p_over_x",
-    "capacity_nofb",
-    "capacity_fb",
-    "gain_factor",
     "db_residual",
     "f_of",
     "dlambda_dpi_massive",
@@ -81,8 +78,9 @@ class ChannelConfig:
     ``users`` is an integer K >= 2, or ``None`` for the massive limit
     (K -> infinity at fixed total power).  Finite configs are built from
     either per-user power P or total power pi = K*P, never both; the other
-    is derived and both are stored.  The massive limit only admits a total
-    power.
+    is derived and both are stored.  Both must be positive finite floats,
+    so a K*P that overflows or a pi/K that underflows is refused.  The
+    massive limit only admits a total power.
     """
 
     users: int | None
@@ -104,10 +102,10 @@ class ChannelConfig:
             raise ValueError("finite config needs exactly one of per-user or total power")
         if self.per_user_power is not None:
             per_user = _check_power(self.per_user_power, "per-user power")
-            total = self.users * per_user
+            total = _check_power(self.users * per_user, "total power")
         else:
             total = _check_power(self.total_power, "total power")
-            per_user = total / self.users
+            per_user = _check_power(total / self.users, "per-user power")
         object.__setattr__(self, "per_user_power", per_user)
         object.__setattr__(self, "total_power", total)
 
@@ -138,7 +136,9 @@ class GainSolution:
     the balanced form of :func:`db_residual`, K*(K-1) times the per-user
     one, and for the massive limit lam - f_of(pi, lam).  ``degenerate``
     marks a power too small for the residual to separate lam = 1 from the
-    root: it is >= 0 already at lam = 1, so the gain is pinned to 1.
+    root: it is >= 0 already at lam = 1, so the gain is pinned to 1.  The
+    capacities are ln(1+pi) without and ln(1+pi*lam) with feedback, in
+    nats, and ``gain_F`` is their ratio.
     """
 
     config: ChannelConfig
@@ -149,35 +149,6 @@ class GainSolution:
     capacity_fb: float
     gain_F: float
     degenerate: bool = False
-
-
-def capacity_nofb(pi: float) -> float:
-    """Sum-rate capacity without feedback, ln(1 + pi), in nats."""
-    if pi < 0.0:
-        raise ValueError(f"total power must be >= 0, got {pi!r}")
-    return math.log1p(pi)
-
-
-def capacity_fb(pi: float, lam: float) -> float:
-    """Sum-rate capacity with feedback at power gain lam, ln(1 + pi*lam)."""
-    if pi < 0.0:
-        raise ValueError(f"total power must be >= 0, got {pi!r}")
-    if lam < 1.0:
-        raise ValueError(f"power gain must be >= 1, got {lam!r}")
-    return math.log1p(pi * lam)
-
-
-def gain_factor(pi: float, lam: float) -> float:
-    """Capacity gain factor ln(1 + pi*lam) / ln(1 + pi).
-
-    The pi -> 0 limit value 1 is the caller's analytic special case; zero
-    power is rejected here rather than silently returning it.
-    """
-    if pi <= 0.0:
-        raise ValueError(f"total power must be > 0, got {pi!r}")
-    if lam < 1.0:
-        raise ValueError(f"power gain must be >= 1, got {lam!r}")
-    return math.log1p(pi * lam) / math.log1p(pi)
 
 
 def db_residual(lam: float, K: int, P: float) -> float:

@@ -18,11 +18,8 @@ from dataclasses import dataclass
 from .core import (
     ChannelConfig,
     GainSolution,
-    capacity_fb,
-    capacity_nofb,
     db_to_linear,
     f_of,
-    gain_factor,
     linear_to_db,
     massive_parametric,
 )
@@ -215,14 +212,16 @@ def _solve(config: ChannelConfig, tol: float = LAMBDA_TOL) -> GainSolution:
 
         cap, where = Kf, lambda: f"K={K}, P={P!r}"
     lam, res, iters, degenerate = _root(residual, cap, where, tol)
+    capacity_nofb = math.log1p(pi)
+    capacity_fb = math.log1p(pi * lam)
     return GainSolution(
         config=config,
         lambda_star=lam,
         residual=res,
         iterations=iters,
-        capacity_nofb=capacity_nofb(pi),
-        capacity_fb=capacity_fb(pi, lam),
-        gain_F=gain_factor(pi, lam),
+        capacity_nofb=capacity_nofb,
+        capacity_fb=capacity_fb,
+        gain_F=capacity_fb / capacity_nofb,
         degenerate=degenerate,
     )
 
@@ -366,17 +365,12 @@ def find_peak(users: int | None, from_db: float = DEFAULT_FROM_DB,
             f1 = F_at(x1)
 
     pi_star_db = 0.5 * (lo + hi)
-    # The scan maximum is kept as a floor so the result can never dip below
-    # its own bracket evidence.
-    if scan[k].F > F_at(pi_star_db):
-        pi_star_db = scan[k].pi_db
     pi_star = db_to_linear(pi_star_db)
     sol = eval_point(_config_for(users, pi_star))
-    return PeakResult(
-        users=users,
-        pi_star=pi_star,
-        pi_star_db=pi_star_db,
-        F_star=sol.gain_F,
-        lambda_at_peak=sol.lambda_star,
-        bracket_evidence=evidence,
-    )
+    best = (pi_star, pi_star_db, sol.gain_F, sol.lambda_star)
+    # The scan maximum is kept as a floor so the result can never dip below
+    # its own bracket evidence; the scan already holds its solve.
+    top = scan[k]
+    if top.F > sol.gain_F:
+        best = (top.pi, top.pi_db, top.F, top.lam)
+    return PeakResult(users, *best, evidence)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import solvers
-from .core import _SERIES_CUTOFF, ChannelConfig, db_to_linear, dlambda_dpi_massive, f_of
+from .core import ChannelConfig, db_to_linear, dlambda_dpi_massive
 from .solvers import (
     DEFAULT_FROM_DB,
     DEFAULT_TO_DB,
@@ -175,40 +175,37 @@ class _Tracker:
         )
 
 
-def point_bound_slacks(K, P, lam) -> list[tuple[str, float | np.ndarray]]:
-    """Slacks of the root-point inequality chains, evaluated at lam.
+def point_bound_slacks(K: np.ndarray, P: np.ndarray,
+                       lam: np.ndarray) -> list[tuple[str, np.ndarray]]:
+    """Slacks of the root-point inequality chains at equal-length arrays.
 
-    The five links: a two-sided logarithm bracket around ln(1+pi*lam), a
-    two-sided sandwich around the root itself, and the cap that keeps the
-    bracket's upper end below K*lam/(K-lam) (defined only for lam < K).
-
-    K, P and lam are scalars, or equal-length arrays for a batch of points.
-    A batch gets every link as an array, and its bracket_cap entries mean
-    nothing where lam >= K.
+    The five links, one array each: a two-sided logarithm bracket around
+    ln(1+pi*lam), a two-sided sandwich around the root itself, and the cap
+    that keeps the bracket's upper end below K*lam/(K-lam).  The cap is
+    defined only for lam < K; callers drop its other entries.
     """
-    batch = isinstance(lam, np.ndarray)
-    log1p = np.log1p if batch else math.log1p
     with np.errstate(all="ignore"):
         pi = K * P
         t = pi * lam
-        log_term = log1p(t)
+        log_term = np.log1p(t)
         upper = pi * lam * lam / (1.0 + (K - lam) * P * lam)
-        slacks = [
+        return [
             ("log_bracket_lower", log_term - t * lam / (1.0 + t)),
             ("log_bracket_upper", upper - log_term),
             ("gain_floor", lam - K * log_term / (K + log_term)),
-            ("fixed_point_ceiling", (_f_of_many if batch else f_of)(pi, lam) - lam),
+            ("fixed_point_ceiling", _f_of_many(pi, lam) - lam),
+            ("bracket_cap", K * lam / (K - lam) - upper),
         ]
-        if batch or lam < K:
-            slacks.append(("bracket_cap", K * lam / (K - lam) - upper))
-    return slacks
 
 
 def _f_of_many(pi: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """core.f_of over arrays, with the same series switch near t = 0."""
+    """core.f_of over arrays.
+
+    Every caller has pi*lam >= 1e-3, far above the 1e-8 where core.f_of
+    switches to its series, so the quotient is all f_of would evaluate.
+    """
     t = pi * lam
-    series = 1.0 - t * (0.5 - t * (1.0 / 3.0 - 0.25 * t))
-    return (1.0 + t) * np.where(np.abs(t) < _SERIES_CUTOFF, series, np.log1p(t) / t)
+    return (1.0 + t) * (np.log1p(t) / t)
 
 
 def _raw_residual_many(K: np.ndarray, P: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -387,7 +384,8 @@ def check_monotone_unimodal() -> BoundReport:
     changes of consecutive F differences (zero differences carry no sign
     information): a clean curve rises, flips sign exactly once, and falls,
     and scores a slack of 0; each defect costs -1.  The massive curve's
-    far-end limits are anchored too: F(0.001) <= 1.01 and F(1e6) <= 1.321.
+    far-end limits are anchored too: F(0.001) <= 1.01 and F(1e6) <= 1.321;
+    they are solved in the massive curve's batch.
     """
     tracker = _Tracker("curve_shape")
     grid = _db_grid(DEFAULT_FROM_DB, DEFAULT_TO_DB, 0.1)
@@ -398,7 +396,9 @@ def check_monotone_unimodal() -> BoundReport:
     pi = np.tile(pis, len(finite))
     rows = _solve_finite_many(K, pi / K).reshape(len(finite), len(grid))
     lams: dict[int | None, np.ndarray] = dict(zip(finite, rows))
-    lams[None] = _solve_massive_many(pis)
+    limit_pis = np.array([1e-3, 1e6])
+    massive = _solve_massive_many(np.append(pis, limit_pis))
+    lams[None] = massive[:-2]
     for users in DEFAULT_USERS:
         lam = lams[users]
         F = np.log1p(pis * lam) / np.log1p(pis)
@@ -421,28 +421,31 @@ def check_monotone_unimodal() -> BoundReport:
         worst = float(np.min(lams[bigger] - lams[smaller]))
         tracker.add(worst, f"cross_k_domination K={smaller} vs K={big_label}")
 
-    F_small = solve_lambda_massive(1e-3).gain_F
-    tracker.add(1.01 - F_small, "small_power_limit at pi=0.001")
-    F_big = solve_lambda_massive(1e6).gain_F
-    tracker.add(TAIL_GAIN_CAP - F_big, "large_power_limit at pi=1e+06")
+    F_small, F_big = np.log1p(limit_pis * massive[-2:]) / np.log1p(limit_pis)
+    tracker.add(1.01 - float(F_small), "small_power_limit at pi=0.001")
+    tracker.add(TAIL_GAIN_CAP - float(F_big), "large_power_limit at pi=1e+06")
     return tracker.report()
 
 
 def run_suite(sample: SampleSpec, sabotage: bool = False) -> list[BoundReport]:
     """Run every check once, sharing one solve per random sample.
 
-    The samples are solved in one batched bisection, which hands any it
-    cannot settle to the scalar solver, and their slacks are evaluated as
-    arrays.  With sabotage=True every per-sample check is evaluated half a
-    unit off the root (clamped into [1, K]); the residual gate must then
-    flag every sample, so a passing sabotage run would expose a broken
-    harness.  Violations are returned as data; solver errors propagate.
+    The samples and sandwich_large_k's four points (K = 1e2..1e8 at P = 1)
+    are solved in one batched bisection, which hands any it cannot settle
+    to the scalar solver, and their slacks are evaluated as arrays.  With
+    sabotage=True every per-sample check is evaluated half a unit off the
+    root (clamped into [1, K]); the residual gate must then flag every
+    sample, so a passing sabotage run would expose a broken harness.  The
+    four large-K points are split off before that and keep their roots.
+    Violations are returned as data; solver errors propagate.
     """
     point = _Tracker("point_bounds")
     quality = _Tracker("root_quality", slop=0.0)
     gains = _Tracker("global_gain_bounds")
     K, P = draw_samples(sample)
-    lam = _solve_finite_many(K, P)
+    large_K, large_P = np.array([10**2, 10**4, 10**6, 10**8]), np.ones(4)
+    lam = _solve_finite_many(np.append(K, large_K), np.append(P, large_P))
+    lam, large_lam = lam[:K.size], lam[K.size:]
     if sabotage:
         lam = np.minimum(lam + 0.5, K)
 
@@ -473,12 +476,11 @@ def run_suite(sample: SampleSpec, sabotage: bool = False) -> list[BoundReport]:
     gains.add(1.54 - F, "near_extremal_witness_cap at pi=5.38")
 
     large = _Tracker("sandwich_large_k")
-    for K in (10**2, 10**4, 10**6, 10**8):
-        sol = solve_lambda_star(K, 1.0)
-        w = f"K={K} P=1"
-        for name, slack in point_bound_slacks(K, 1.0, sol.lambda_star):
-            if name in ("gain_floor", "fixed_point_ceiling"):
-                large.add(slack, f"{name} at {w}")
+    links = dict(point_bound_slacks(large_K, large_P, large_lam))
+    large.add_table(
+        [(name, links[name]) for name in ("gain_floor", "fixed_point_ceiling")],
+        lambda row: f"K={large_K[row]} P=1",
+    )
 
     return [
         point.report(),

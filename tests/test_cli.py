@@ -112,6 +112,10 @@ class TestUsageErrors:
     def test_verify_rejects_negative_seed(self):
         assert_usage_error(["verify", "--seed", "-1"])
 
+    def test_verify_has_no_precision(self):
+        # Its report lines have fixed formats; the option changed nothing.
+        assert_usage_error(["verify", "--samples", "10", "--precision", "3"])
+
     def test_figure_rejects_bad_user_token(self):
         assert_usage_error(["figure", "--which", "cfactor", "--users", "1"])
 
@@ -344,13 +348,20 @@ class TestPeak:
     "argv, message",
     [
         # K*P*lam overflows in the balance residual at the top of the range.
-        (["solve", "--users", "2", "--power-db", "3080"], "NaN"),
+        (["solve", "--users", "2", "--power-db", "3077"], "NaN"),
         (["curve", "--users", "10", "--from-db", "3000", "--to-db", "3080",
           "--step-db", "40"], "NaN"),
         (["peak", "--massive", "--from-db", "-10", "--to-db", "0"], "widen the range"),
         # pi*lam overflows in the fixed-point map; a NaN slack is no root.
         (["solve", "--massive", "--total-power-db", "3070"], "NaN"),
         (["solve", "--massive", "--total-power-db", "3080"], "NaN"),
+        # A derived power that leaves the float range is refused unsolved.
+        (["solve", "--users", "2", "--power-db", "3080"],
+         "total power must be a positive finite power, got inf"),
+        (["solve", "--users", "3", "--total-power-db", "-3233"],
+         "per-user power must be a positive finite power, got 0.0"),
+        (["curve", "--users", "2", "--from-db", "-3233", "--to-db", "-3230",
+          "--step-db", "1"], "per-user power must be a positive finite power, got 0.0"),
     ],
 )
 def test_solver_failure_exits_1(capsys, argv, message):

@@ -4,6 +4,7 @@ fixed-point map, and the closed-form curve parametrization."""
 from __future__ import annotations
 
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,17 +12,15 @@ from hypothesis import given, strategies as st
 from conftest import raw_residual
 from macgain.core import (
     ChannelConfig,
-    capacity_fb,
-    capacity_nofb,
     db_to_linear,
     db_residual,
     dlambda_dpi_massive,
     f_of,
-    gain_factor,
     linear_to_db,
     log1p_over_x,
     massive_parametric,
 )
+from macgain.solvers import solve_lambda_massive, solve_lambda_star
 
 
 class TestDbConvert:
@@ -121,48 +120,78 @@ class TestChannelConfig:
         with pytest.raises(ValueError):
             ChannelConfig.massive(0.0)
 
+    def test_rejects_underflowing_per_user_power(self):
+        # 10**-323.3 is subnormal; a third of it rounds to 0.
+        message = "per-user power must be a positive finite power, got 0.0"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ChannelConfig.finite(3, total_power=db_to_linear(-3233.0))
+
+    def test_rejects_overflowing_total_power(self):
+        message = "total power must be a positive finite power, got inf"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ChannelConfig.finite(10**299, per_user_power=1e10)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ChannelConfig.finite(2, per_user_power=1e308)
+
 
 class TestCapacities:
+    """The capacities a solve reports, ln(1+pi) and ln(1+pi*lam) in nats."""
+
     def test_zero_power(self):
-        assert capacity_nofb(0.0) == 0.0
-        assert capacity_fb(0.0, 1.5) == 0.0
+        # Zero power has no solve; the smallest positive one pins lam = 1,
+        # where both capacities are pi itself.
+        with pytest.raises(ValueError):
+            solve_lambda_massive(0.0)
+        sol = solve_lambda_massive(5e-324)
+        assert sol.degenerate
+        assert sol.capacity_nofb == sol.capacity_fb == 5e-324
 
     def test_one_nat(self):
-        assert capacity_nofb(math.e - 1.0) == pytest.approx(1.0, rel=1e-14)
+        sol = solve_lambda_massive(math.e - 1.0)
+        assert sol.capacity_nofb == pytest.approx(1.0, rel=1e-14)
 
     def test_direct_value(self):
-        assert capacity_nofb(1000.0) == pytest.approx(math.log(1001.0), rel=1e-15)
+        sol = solve_lambda_star(10, 100.0)
+        assert sol.capacity_nofb == pytest.approx(math.log(1001.0), rel=1e-15)
 
     def test_fb_collapses_at_unit_gain(self):
-        for pi in (0.0, 0.1, 1.0, 1000.0):
-            assert capacity_fb(pi, 1.0) == capacity_nofb(pi)
+        for sol in (solve_lambda_star(2, 1e-20), solve_lambda_star(10**15, 1e-32),
+                    solve_lambda_massive(1e-20)):
+            assert sol.degenerate and sol.lambda_star == 1.0
+            assert sol.capacity_fb == sol.capacity_nofb
 
     def test_fb_anchor(self):
-        assert capacity_fb(1000.0, 9.119) == pytest.approx(math.log(9120.0), abs=1e-12)
+        sol = solve_lambda_massive(1000.0)
+        assert sol.capacity_fb == pytest.approx(math.log(1.0 + 1000.0 * 9.1193),
+                                                abs=1e-5)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            capacity_nofb(-0.5)
+            solve_lambda_massive(-0.5)
         with pytest.raises(ValueError):
-            capacity_fb(1.0, 0.99)
+            solve_lambda_star(2, -0.5)
 
 
 class TestGainFactor:
+    """The gain factor a solve reports, ln(1+pi*lam) / ln(1+pi)."""
+
     def test_unit_gain_is_one(self):
-        for pi in (1e-6, 0.1, 1.0, 1e6):
-            assert gain_factor(pi, 1.0) == 1.0
+        for sol in (solve_lambda_star(100, 1e-20), solve_lambda_massive(1e-20)):
+            assert sol.degenerate
+            assert sol.gain_F == 1.0
 
     def test_large_power_anchor(self):
-        assert gain_factor(1000.0, 9.119) == pytest.approx(1.320, abs=1e-3)
+        assert solve_lambda_massive(1000.0).gain_F == pytest.approx(1.320, abs=1e-3)
 
     def test_hundred_user_anchor(self):
-        assert gain_factor(100.0, 6.31) == pytest.approx(1.4, abs=0.05)
+        assert solve_lambda_star(100, 1.0).gain_F == pytest.approx(1.4, abs=0.05)
 
     def test_domain_errors(self):
+        # A total power whose per-user share underflows has no gain factor.
+        with pytest.raises(ValueError, match="per-user power"):
+            ChannelConfig.finite(3, total_power=5e-324)
         with pytest.raises(ValueError):
-            gain_factor(0.0, 1.5)
-        with pytest.raises(ValueError):
-            gain_factor(1.0, 0.5)
+            solve_lambda_star(3, 0.0)
 
 
 class TestDbResidual:

@@ -135,6 +135,7 @@ class TestFiniteSolver:
         assert sol.degenerate
         assert sol.lambda_star == 1.0
         assert sol.iterations == 0
+        assert sol.capacity_fb == sol.capacity_nofb == math.log1p(2e-20)
         assert sol.gain_F == 1.0
 
     def test_determinism(self):
@@ -178,6 +179,8 @@ class TestMassiveSolver:
         assert sol.lambda_star > 1.0
         assert sol.residual == sol.lambda_star - f_of(7.0, sol.lambda_star)
         assert abs(sol.residual) <= 1e-10
+        assert sol.capacity_nofb == math.log1p(7.0)
+        assert sol.capacity_fb == math.log1p(7.0 * sol.lambda_star)
         assert sol.gain_F == sol.capacity_fb / sol.capacity_nofb
         assert sol.iterations > 0
         assert not sol.degenerate
@@ -356,6 +359,39 @@ class TestFindPeak:
 
     def test_determinism(self):
         assert find_peak(2) == find_peak(2)
+
+    def test_solves_its_peak_once(self, monkeypatch):
+        solved = []
+
+        def counted(config):
+            solved.append(config.total_power)
+            return eval_point(config)
+
+        monkeypatch.setattr(solvers_module, "eval_point", counted)
+        peak = find_peak(None)
+        assert solved.count(peak.pi_star) == 1
+
+    def test_scan_maximum_is_the_floor(self, monkeypatch):
+        # Every solve after the 401-point scan reports a lower F, so the
+        # refined point loses to the scan maximum, which is returned as
+        # scanned and not solved again.
+        top = max(sweep_curve(None, -10.0, 30.0, SCAN_STEP_DB), key=lambda pt: pt.F)
+        solved = []
+
+        def damped(config):
+            solved.append(config.total_power)
+            sol = eval_point(config)
+            if len(solved) > 401:
+                sol = dataclasses.replace(sol, gain_F=sol.gain_F - 0.01)
+            return sol
+
+        monkeypatch.setattr(solvers_module, "eval_point", damped)
+        peak = find_peak(None)
+        assert (peak.pi_star, peak.pi_star_db, peak.F_star, peak.lambda_at_peak) == (
+            top.pi, top.pi_db, top.F, top.lam
+        )
+        assert peak.bracket_evidence[1] == (top.pi_db, top.F)
+        assert solved.count(peak.pi_star) == 1
 
     def test_result_is_frozen(self):
         peak = find_peak(2)
