@@ -2,12 +2,13 @@
 
 The finite-user balance residual has a guaranteed sign change on [1, K]
 and the massive-limit slack lam - f(pi, lam) has one on [1, inf).  One
-routine brackets both by doubling from [1, 2] and bisects; a root is
-accepted for its (-, +) bracket, never for a small residual, so nothing
-about convergence relies on numerical luck.  The finite residual is the
-balanced single-log form, which keeps its sign at large K.  Peak search
-runs on the dB axis and uses golden-section refinement, which assumes
-only unimodality.
+routine brackets both by doubling from [1, 2] and narrows the bracket by
+ITP steps (interpolate, truncate, project), which never take more than
+one step beyond bisection; a root is accepted for its (-, +) bracket,
+never for a small residual, so nothing about convergence relies on
+numerical luck.  The finite residual is the balanced single-log form,
+which keeps its sign at large K.  Peak search runs on the dB axis and uses
+golden-section refinement, which assumes only unimodality.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ __all__ = [
 ]
 
 # Every root is bracketed to LAMBDA_TOL wide; MAX_ITER caps the bracket
-# doublings and, separately, the bisection steps.  Peak search scans the
+# doublings and, separately, the ITP steps.  Peak search scans the
 # dB axis at SCAN_STEP_DB and refines the maximum to PEAK_TOL_DB.
 LAMBDA_TOL = 1e-12
 MAX_ITER = 200
@@ -63,6 +64,14 @@ DEFAULT_TO_DB = 30.0
 MAX_GRID_POINTS = 20_000
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+# ITP root steps (Oliveira & Takahashi, "An Enhancement of the Bisection
+# Method Average Performance Preserving Minmax Optimality", ACM TOMS 47(1),
+# 2020) with kappa1 = _ITP_K1 / initial width, kappa2 = 2 and n0 = _ITP_N0:
+# after any number of steps the bracket is at most 2**_ITP_N0 times as wide
+# as bisection's, so no tol takes more than _ITP_N0 extra steps.
+_ITP_K1 = 0.2
+_ITP_N0 = 1
 
 
 class BracketError(RuntimeError):
@@ -116,18 +125,25 @@ class PeakResult:
 
 def _bisect(fn, lo: float, hi: float, f_lo: float, f_hi: float,
             tol: float, max_iter: int) -> tuple[float, float, int]:
-    """Bisect fn on [lo, hi] given f(lo) < 0 < f(hi).
+    """Narrow [lo, hi] given f(lo) < 0 < f(hi) by ITP steps.
 
-    Returns (x, fn(x), iterations) at the evaluated point with smallest
-    |fn|.  Stops when the interval is narrower than tol or when no float
-    fits strictly between the ends.  A NaN residual carries no sign, and
-    max_iter steps that leave a wider bracket certify nothing; both raise
-    ConvergenceError.
+    Each step takes the regula-falsi point of the bracket ends, moves it
+    toward the midpoint by kappa1 * width**2 and projects it into the
+    interval around the midpoint that keeps the bracket within budget:
+    after step j at most 2**(_ITP_N0 - j) times the initial width.  It
+    evaluates the midpoint instead if that point is not finite or not
+    strictly inside the bracket.  Returns (x, fn(x), iterations) at the
+    evaluated point with smallest |fn|.  Stops when the interval is
+    narrower than tol or when no float fits strictly between the ends.  A
+    NaN residual carries no sign, and max_iter steps that leave a wider
+    bracket certify nothing; both raise ConvergenceError.
     """
     if abs(f_lo) <= abs(f_hi):
         best_x, best_f = lo, f_lo
     else:
         best_x, best_f = hi, f_hi
+    k1 = _ITP_K1 / (hi - lo)
+    budget = math.ldexp(hi - lo, _ITP_N0 - 1)
     iterations = 0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
@@ -138,18 +154,32 @@ def _bisect(fn, lo: float, hi: float, f_lo: float, f_hi: float,
                 f"bracket [{lo!r}, {hi!r}] is wider than {tol!r} after "
                 f"{max_iter} iterations"
             )
-        f_mid = fn(mid)
+        # verify._bisect_many repeats these operations in this order.
+        width = hi - lo
+        x_f = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        d = mid - x_f
+        delta = k1 * width * width
+        x = x_f + math.copysign(delta, d) if delta <= abs(d) else mid
+        r = max(budget - 0.5 * width, 0.0)
+        if x < mid - r:
+            x = mid - r
+        elif x > mid + r:
+            x = mid + r
+        if not lo < x < hi:
+            x = mid
+        budget *= 0.5
+        f_x = fn(x)
         iterations += 1
-        if abs(f_mid) < abs(best_f):
-            best_x, best_f = mid, f_mid
-        if f_mid < 0.0:
-            lo = mid
-        elif f_mid > 0.0:
-            hi = mid
-        elif f_mid == 0.0:
-            return mid, 0.0, iterations
+        if abs(f_x) < abs(best_f):
+            best_x, best_f = x, f_x
+        if f_x < 0.0:
+            lo, f_lo = x, f_x
+        elif f_x > 0.0:
+            hi, f_hi = x, f_x
+        elif f_x == 0.0:
+            return x, 0.0, iterations
         else:
-            raise ConvergenceError(f"residual is NaN at lam={mid!r}")
+            raise ConvergenceError(f"residual is NaN at lam={x!r}")
     return best_x, best_f, iterations
 
 
@@ -158,13 +188,14 @@ def _root(fn, cap: float, where,
     """Root of fn on [1, cap], where fn is negative below it and positive above.
 
     Doubles the upper end from 2, never past cap >= 2, until fn turns
-    positive, then bisects; the (-, +) bracket certifies the root.  Returns
-    (lam, fn(lam), doublings plus bisection steps, degenerate).  If 0 <=
-    fn(1) < fn(2), the power is too small for fn to separate lam = 1 from
-    the root, which is pinned to 1 as degenerate.  A NaN or MAX_ITER
-    doublings raise ConvergenceError, any other sign pattern BracketError;
-    every message ends with where(), formatted only on failure.  tol is the
-    bracket width bisection must reach.
+    positive, then narrows the bracket by _bisect's ITP steps; the (-, +)
+    bracket certifies the root.  Returns (lam, fn(lam), doublings plus ITP
+    steps, degenerate).  If 0 <= fn(1) < fn(2), the power is too small for
+    fn to separate lam = 1 from the root, which is pinned to 1 as
+    degenerate.  A NaN or MAX_ITER doublings raise ConvergenceError, any
+    other sign pattern BracketError; every message ends with where(),
+    formatted only on failure.  tol is the bracket width the ITP steps must
+    reach.
     """
     lo, f_lo = 1.0, fn(1.0)
     hi, f_hi = 2.0, fn(2.0)
@@ -243,9 +274,9 @@ def solve_lambda_massive(pi: float) -> GainSolution:
 def invert_massive_parametric(pi: float) -> tuple[float, float]:
     """Invert the closed-form curve parametrization at total power pi.
 
-    Finds t with massive_parametric(t) = (pi, lam) by bisecting the
-    strictly increasing map s -> pi(pi*s) - pi for s = t/pi >= 1; returns
-    (t, lam).  This is an independent route to the same curve as
+    Finds t with massive_parametric(t) = (pi, lam) as the bracketed root
+    of the strictly increasing map s -> pi(pi*s) - pi for s = t/pi >= 1;
+    returns (t, lam).  This is an independent route to the same curve as
     solve_lambda_massive and is kept separate so the two can cross-check
     each other.
     """

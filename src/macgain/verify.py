@@ -217,36 +217,55 @@ def _bisect_many(fn, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray,
                  f_hi: np.ndarray, tol: float, max_iter: int):
     """solvers._bisect applied element by element to arrays of brackets.
 
-    fn maps an array of points to the residuals of the elements at them.
-    Each element takes the same midpoints, stops by the same rules and
-    keeps the same smallest-|fn| point as the scalar loop would.  An exact
-    zero or a NaN residual stops an element at its midpoint; the caller
-    hands a NaN element to the scalar solver, which raises.  Returns
-    (x, fn(x), iterations).
+    fn(x, i) gives the residuals of elements i at the points x.  Each
+    element computes its ITP points with the scalar loop's operations in
+    the scalar loop's order, stops by the same rules and keeps the same
+    smallest-|fn| point, so it matches the scalar loop bit for bit wherever
+    fn does.  Only the elements still running are evaluated.  An exact
+    zero or a NaN residual stops an element at that point; the caller
+    hands a NaN element to the scalar solver, which raises.  An element
+    still running after max_iter steps reports max_iter iterations.
+    Returns (x, fn(x), iterations).
     """
-    lo, hi = lo.copy(), hi.copy()
     take_lo = np.abs(f_lo) <= np.abs(f_hi)
     best_x = np.where(take_lo, lo, hi)
     best_f = np.where(take_lo, f_lo, f_hi)
     iterations = np.zeros(lo.size, dtype=int)
-    going = np.ones(lo.size, dtype=bool)
+    # The running elements: their indices, brackets and ITP state.
+    run = np.arange(lo.size)
+    k1 = solvers._ITP_K1 / (hi - lo)
+    budget = np.ldexp(hi - lo, solvers._ITP_N0 - 1)
+    signed = np.ones(lo.size, dtype=bool)
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
-        going &= (hi - lo > tol) & (lo < mid) & (mid < hi)
-        if not going.any():
-            break
-        # Stopped elements are evaluated too, and their results dropped:
-        # all elements stop within a few iterations of each other.
-        f_mid = fn(mid)
-        iterations += going
-        below = going & (f_mid < 0.0)
-        above = going & (f_mid > 0.0)
-        keep = going & (~(below | above) | (np.abs(f_mid) < np.abs(best_f)))
-        np.copyto(best_x, mid, where=keep)
-        np.copyto(best_f, f_mid, where=keep)
-        np.copyto(lo, mid, where=below)
-        np.copyto(hi, mid, where=above)
-        going = below | above
+        going = signed & (hi - lo > tol) & (lo < mid) & (mid < hi)
+        if not going.all():
+            run, lo, hi, f_lo, f_hi, k1, budget, mid = (
+                a[going] for a in (run, lo, hi, f_lo, f_hi, k1, budget, mid)
+            )
+            if not run.size:
+                break
+        width = hi - lo
+        x_f = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        d = mid - x_f
+        delta = k1 * width * width
+        x = np.where(delta <= np.abs(d), x_f + np.copysign(delta, d), mid)
+        r = np.maximum(budget - 0.5 * width, 0.0)
+        x = np.minimum(np.maximum(x, mid - r), mid + r)
+        x = np.where((lo < x) & (x < hi), x, mid)
+        budget = budget * 0.5
+        f_x = fn(x, run)
+        iterations[run] += 1
+        below = f_x < 0.0
+        above = f_x > 0.0
+        signed = below | above
+        keep = ~signed | (np.abs(f_x) < np.abs(best_f[run]))
+        best_x[run[keep]] = x[keep]
+        best_f[run[keep]] = f_x[keep]
+        lo = np.where(below, x, lo)
+        f_lo = np.where(below, f_x, f_lo)
+        hi = np.where(above, x, hi)
+        f_hi = np.where(above, f_x, f_hi)
     return best_x, best_f, iterations
 
 
@@ -258,12 +277,16 @@ def _root_many(fn, cap: np.ndarray, solve_one):
 
     fn(lam, i) gives the residuals of elements i at the points lam, and
     fn(lam) those of every element; each upper end doubles from 2, never
-    past its cap.  An element is settled here when fn(1) < 0, its final
-    bracket is (-, +) and it took fewer than MAX_ITER bisection steps.
-    Every other element goes, in input order, to the scalar solve_one(i),
-    which pins it to lam = 1, solves it or raises its own error.  Where
-    np.log1p and math.log1p disagree in the last ulp, the scalar solver may
-    settle an element the batch could not.
+    past its cap, and _bisect_many evaluates only the elements it is still
+    narrowing.  An element is settled here when fn(1) < 0, its doubled
+    bracket is (-, +), no ITP step met a NaN and it took fewer than
+    MAX_ITER steps.  Every other element goes, in input order, to the
+    scalar solve_one(i), which pins it to lam = 1, solves it or raises its
+    own error.  The ITP points depend on the residual values, so where
+    np.log1p and math.log1p disagree in the last ulp the batch and the
+    scalar solver may return roots a few ulps apart, both certified by
+    their brackets, and the scalar solver may settle an element the batch
+    could not.
     """
     with np.errstate(all="ignore"):
         lo = np.ones_like(cap)
@@ -278,10 +301,11 @@ def _root_many(fn, cap: np.ndarray, solve_one):
             f_hi[growing] = fn(hi[growing], growing)
             expansions += 1
             growing = growing[(f_hi[growing] <= 0.0) & (hi[growing] < cap[growing])]
-        lam, _, iterations = _bisect_many(
+        lam, res, iterations = _bisect_many(
             fn, lo, hi, f_lo, f_hi, solvers.LAMBDA_TOL, solvers.MAX_ITER
         )
-    settled = (f_lo < 0.0) & (f_hi > 0.0) & (iterations < solvers.MAX_ITER)
+    settled = ((f_lo < 0.0) & (f_hi > 0.0) & ~np.isnan(res)
+               & (iterations < solvers.MAX_ITER))
     for i in np.flatnonzero(~settled):
         lam[i] = solve_one(i).lambda_star
     return lam
@@ -431,7 +455,7 @@ def run_suite(sample: SampleSpec, sabotage: bool = False) -> list[BoundReport]:
     """Run every check once, sharing one solve per random sample.
 
     The samples and sandwich_large_k's four points (K = 1e2..1e8 at P = 1)
-    are solved in one batched bisection, which hands any it cannot settle
+    are solved in one batched root solve, which hands any it cannot settle
     to the scalar solver, and their slacks are evaluated as arrays.  With
     sabotage=True every per-sample check is evaluated half a unit off the
     root (clamped into [1, K]); the residual gate must then flag every

@@ -557,26 +557,26 @@ GOLDEN_STDOUT = {
         "degenerate = true\n"
     ),
     "solve --users 3 --power-db 10 --precision 17 --bits": (
-        "lambda_star = 2.3055011808601193\n"
-        "lambda_star_db = 3.6276534899780435\n"
+        "lambda_star = 2.3055011808597623\n"
+        "lambda_star_db = 3.6276534899773711\n"
         "capacity_nofb_nats = 3.4339872044851463\n"
-        "capacity_fb_nats = 4.2508501160957755\n"
+        "capacity_fb_nats = 4.2508501160956227\n"
         "capacity_nofb_bits = 4.9541963103868758\n"
-        "capacity_fb_bits = 6.1326803820536497\n"
-        "gain_F = 1.2378759334174922\n"
+        "capacity_fb_bits = 6.1326803820534295\n"
+        "gain_F = 1.2378759334174478\n"
     ),
     "solve --massive --total-power-db 30 --format json": (
         '{\n'
         '  "users": "massive",\n'
         '  "pi": 1000.0,\n'
         '  "pi_db": 30.0,\n'
-        '  "lambda": 9.119252679077363,\n'
-        '  "lambda_db": 9.599592494412173,\n'
+        '  "lambda": 9.119252679077709,\n'
+        '  "lambda_db": 9.599592494412338,\n'
         '  "capacity_nofb_nats": 6.90875477931522,\n'
-        '  "capacity_fb_nats": 9.118252788723757,\n'
-        '  "gain_F": 1.319811323456401,\n'
-        '  "residual": -3.090860900556436e-13,\n'
-        '  "iterations": 47,\n'
+        '  "capacity_fb_nats": 9.118252788723794,\n'
+        '  "gain_F": 1.3198113234564064,\n'
+        '  "residual": 0.0,\n'
+        '  "iterations": 12,\n'
         '  "degenerate": false\n'
         '}\n'
     ),
@@ -585,13 +585,13 @@ GOLDEN_STDOUT = {
         '  "users": 100,\n'
         '  "pi": 100.0,\n'
         '  "pi_db": 20.0,\n'
-        '  "lambda": 6.245751003217265,\n'
-        '  "lambda_db": 7.955846664000603,\n'
+        '  "lambda": 6.245751003217071,\n'
+        '  "lambda_db": 7.955846664000469,\n'
         '  "capacity_nofb_nats": 4.61512051684126,\n'
-        '  "capacity_fb_nats": 6.438671387162997,\n'
-        '  "gain_F": 1.3951252981731093,\n'
-        '  "residual": 1.7674750552032492e-13,\n'
-        '  "iterations": 45,\n'
+        '  "capacity_fb_nats": 6.438671387162966,\n'
+        '  "gain_F": 1.3951252981731026,\n'
+        '  "residual": 0.0,\n'
+        '  "iterations": 13,\n'
         '  "degenerate": false\n'
         '}\n'
     ),
@@ -606,20 +606,20 @@ GOLDEN_STDOUT = {
         '  "users": 10,\n'
         '  "pi_star": 5.293567869982146,\n'
         '  "pi_star_db": 7.237484856351227,\n'
-        '  "F_star": 1.4458875142357555,\n'
-        '  "lambda_at_peak": 2.5111091000853776,\n'
+        '  "F_star": 1.445887514235721,\n'
+        '  "lambda_at_peak": 2.511109100085206,\n'
         '  "bracket_evidence": [\n'
         '    [\n'
         '      7.100000000000001,\n'
-        '      1.4458447968671762\n'
+        '      1.4458447968672192\n'
         '    ],\n'
         '    [\n'
         '      7.199999999999999,\n'
-        '      1.4458843671664043\n'
+        '      1.4458843671663573\n'
         '    ],\n'
         '    [\n'
         '      7.300000000000001,\n'
-        '      1.4458788274555379\n'
+        '      1.4458788274554593\n'
         '    ]\n'
         '  ]\n'
         '}\n'

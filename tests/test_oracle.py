@@ -9,17 +9,20 @@ the top of the float range.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 from conftest import finite_certified, massive_certified
-from macgain.core import db_to_linear
+from macgain.core import ChannelConfig, db_to_linear
 from macgain.solvers import (
     invert_massive_parametric,
     solve_lambda_massive,
     solve_lambda_star,
 )
 from macgain.verify import _solve_finite_many
+from test_cli import GOLDEN_STDOUT
 
 TOL = 1e-12
 
@@ -91,3 +94,18 @@ def test_finite_converges_to_massive(pi):
         K = 10**exponent
         lam = solve_lambda_star(K, pi / K).lambda_star
         assert abs(lam - massive) / massive <= 10.0 / K, K
+
+
+def test_golden_lambdas_are_certified():
+    # The full-precision lambdas frozen in test_cli.GOLDEN_STDOUT are roots,
+    # not only the bytes some release printed.
+    text = dict(line.split(" = ") for line in GOLDEN_STDOUT[
+        "solve --users 3 --power-db 10 --precision 17 --bits"].splitlines())
+    massive = json.loads(GOLDEN_STDOUT["solve --massive --total-power-db 30 --format json"])
+    hundred = json.loads(GOLDEN_STDOUT["solve --users 100 --power-db 0 --format json"])
+    peak = json.loads(GOLDEN_STDOUT["peak --users 10 --format json"])
+    peak_P = ChannelConfig.finite(10, total_power=peak["pi_star"]).per_user_power
+    assert finite_certified(3, db_to_linear(10.0), float(text["lambda_star"]), TOL)
+    assert massive_certified(massive["pi"], massive["lambda"], TOL)
+    assert finite_certified(100, db_to_linear(0.0), hundred["lambda"], TOL)
+    assert finite_certified(10, peak_P, peak["lambda_at_peak"], TOL)

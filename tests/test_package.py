@@ -7,6 +7,7 @@ import importlib
 import importlib.util
 import re
 import subprocess
+import symtable
 import sys
 from pathlib import Path
 
@@ -45,35 +46,52 @@ def test_traced_names_resolve():
         assert callable(getattr(module, attr, None)), name
 
 
-def _bound_names(stmt: ast.stmt) -> set[str]:
-    """Names a top-level statement defines."""
-    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-        return {stmt.name}
-    targets = stmt.targets if isinstance(stmt, ast.Assign) else [
-        getattr(stmt, "target", None)
-    ]
-    return {t.id for t in targets if isinstance(t, ast.Name)}
+def _global_reads(table: symtable.SymbolTable, top: str | None = None):
+    """(top, name) for every name a scope reads from its module or an import.
+
+    top is the top-level definition the scope sits in, None at module level.
+    Python's own scoping decides: a parameter, a local variable or a class
+    attribute is not a module read, whatever it is called.
+    """
+    for sym in table.get_symbols():
+        if sym.is_referenced() and (top is None or sym.is_global() or sym.is_imported()):
+            yield top, sym.get_name()
+    for child in table.get_children():
+        yield from _global_reads(child, top or child.get_name())
 
 
-def _names_used_in_src() -> set[str]:
-    """Names read by src/ code outside the top-level statement defining them.
+def _names_used_in_src() -> set[tuple[str, str]]:
+    """(module, name) for every read in src/ that resolves to that module.
 
-    Imports and comments do not count; a read as a bare name or as an
-    attribute (solvers.MAX_ITER) does.
+    A bare name bound by `from .core import name` is a use of core.name;
+    any other module-level name is a use of the reading module's own
+    definition, unless it is read inside that definition.  `module.name`
+    counts when `module` is bound by `from . import module`.  Imports and
+    comments do not count, nor do attributes of other objects, such as the
+    fields of a returned dataclass.
     """
     used = set()
     for path in (ROOT / "src" / "macgain").glob("*.py"):
-        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
-            bound = _bound_names(stmt)
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                    name = node.id
-                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                    name = node.attr
-                else:
-                    continue
-                if name not in bound:
-                    used.add(name)
+        source = path.read_text(encoding="utf-8")
+        nodes = list(ast.walk(ast.parse(source)))
+        origin, modules = {}, {}
+        for node in nodes:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    local = alias.asname or alias.name
+                    if node.module:
+                        origin[local] = (node.module, alias.name)
+                    else:
+                        modules[local] = alias.name
+        for node in nodes:
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                    and isinstance(node.value, ast.Name) and node.value.id in modules):
+                used.add((modules[node.value.id], node.attr))
+        for top, name in _global_reads(symtable.symtable(source, str(path), "exec")):
+            if name in origin:
+                used.add(origin[name])
+            elif name != top:
+                used.add((path.stem, name))
     return used
 
 
@@ -85,6 +103,6 @@ def test_exported_names_are_used_or_documented():
         module = importlib.import_module(f"macgain.{module_name}")
         orphans = [
             name for name in module.__all__
-            if name not in used and not re.search(rf"\b{name}\b", README)
+            if (module_name, name) not in used and not re.search(rf"\b{name}\b", README)
         ]
         assert orphans == [], module_name

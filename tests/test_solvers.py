@@ -5,11 +5,14 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import statistics
+from fractions import Fraction
 
 import pytest
 
 import macgain.solvers as solvers_module
 from conftest import brute_peak_k2, raw_residual, sign_scan_root
+from test_oracle import GRID_POWER_DB, GRID_USERS, MASSIVE_POWER_DB
 from macgain.core import ChannelConfig, db_residual, db_to_linear, f_of
 from macgain.solvers import (
     BracketError,
@@ -27,6 +30,7 @@ from macgain.solvers import (
     solve_lambda_star,
     sweep_curve,
 )
+from macgain.verify import SampleSpec, draw_samples
 
 # Root of the three-user balance equation at P = 10, solved before the build
 # by an independent scan-and-refine pass over the raw residual.
@@ -76,6 +80,62 @@ class TestBisectKernel:
         # A NaN has no sign; it must not pass for an exact zero.
         with pytest.raises(ConvergenceError, match="NaN"):
             _bisect(lambda x: math.nan, 0.0, 1.0, -1.0, 1.0, 1e-12, 200)
+
+
+def _bisection_steps(lo: float, hi: float, tol: float) -> int:
+    """ceil(log2((hi - lo) / tol)) in exact arithmetic: bisection's step count."""
+    return (math.ceil(Fraction(hi - lo) / Fraction(tol)) - 1).bit_length()
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """(lo, hi, tol, steps) of every _bisect call that a solve makes."""
+    calls = []
+    kernel = solvers_module._bisect
+
+    def logged(fn, lo, hi, f_lo, f_hi, tol, max_iter):
+        result = kernel(fn, lo, hi, f_lo, f_hi, tol, max_iter)
+        calls.append((lo, hi, tol, result[2]))
+        return result
+
+    monkeypatch.setattr(solvers_module, "_bisect", logged)
+    return calls
+
+
+class TestITPSteps:
+    """ITP keeps bisection's worst case, and beats it on average."""
+
+    @pytest.mark.parametrize(
+        "solve_grid",
+        [pytest.param(lambda K=K: [solve_lambda_star(K, db_to_linear(power_db))
+                                   for power_db in GRID_POWER_DB], id=f"K={K}")
+         for K in GRID_USERS]
+        + [pytest.param(lambda: [solve_lambda_massive(db_to_linear(pi_db))
+                                 for pi_db in MASSIVE_POWER_DB], id="massive"),
+           pytest.param(lambda: [invert_massive_parametric(db_to_linear(pi_db))
+                                 for pi_db in MASSIVE_POWER_DB], id="inversion")],
+    )
+    def test_at_most_one_step_beyond_bisection(self, kernel_calls, solve_grid):
+        solve_grid()
+        assert kernel_calls
+        over = [(lo, hi, steps) for lo, hi, tol, steps in kernel_calls
+                if steps > _bisection_steps(lo, hi, tol) + 1]
+        assert over == []
+
+    def test_mean_steps_on_the_sample_box(self):
+        # The verify sample box, where bisection took 44.5 steps per root.
+        K, P = draw_samples(SampleSpec(seed=42, n_samples=2000))
+        steps = [solve_lambda_star(int(k), float(p)).iterations for k, p in zip(K, P)]
+        assert statistics.mean(steps) <= 15
+
+    def test_mean_steps_on_the_oracle_grid(self):
+        # Bisection took 47.0 steps per root here.  For K = 2, 3 and 10 at
+        # high power the residual climbs a logarithmic pole at lam = K,
+        # interpolation cannot follow it and ITP bisects (42 to 46 steps),
+        # which holds the grid's mean at 17.5.
+        steps = [solve_lambda_star(K, db_to_linear(power_db)).iterations
+                 for K in GRID_USERS for power_db in GRID_POWER_DB]
+        assert statistics.mean(steps) <= 18
 
 
 class TestSolverSettings:

@@ -280,8 +280,8 @@ GOLDEN_LINES = [
     "witness[fixed_point_ceiling at K=100000000 P=1]",
     "tail_bounds: pass samples=136 violations=0 worst_slack=7.238240e-08 "
     "witness[large_power_tight_cap at pi=1e+06]",
-    "derivative_consistency: pass samples=14 violations=0 worst_slack=9.997825e-06 "
-    "witness[derivative_fd_match at pi=0.1]",
+    "derivative_consistency: pass samples=14 violations=0 worst_slack=9.999184e-06 "
+    "witness[derivative_fd_match at pi=1000]",
     "curve_shape: pass samples=26 violations=0 worst_slack=0.000000e+00 "
     "witness[F_unimodal at K=2]",
     "global_gain_bounds: pass samples=30002 violations=0 worst_slack=1.061291e-04 "
@@ -297,8 +297,8 @@ GOLDEN_SABOTAGE_LINES = [
     "witness[fixed_point_ceiling at K=100000000 P=1]",
     "tail_bounds: pass samples=136 violations=0 worst_slack=7.238240e-08 "
     "witness[large_power_tight_cap at pi=1e+06]",
-    "derivative_consistency: pass samples=14 violations=0 worst_slack=9.997825e-06 "
-    "witness[derivative_fd_match at pi=0.1]",
+    "derivative_consistency: pass samples=14 violations=0 worst_slack=9.999184e-06 "
+    "witness[derivative_fd_match at pi=1000]",
     "curve_shape: pass samples=26 violations=0 worst_slack=0.000000e+00 "
     "witness[F_unimodal at K=2]",
     "global_gain_bounds: FAIL samples=32 violations=1 worst_slack=-9.060161e-03 "
@@ -365,7 +365,7 @@ class TestBatchedSolve:
     def test_kernel_matches_scalar_bisect(self, lo, hi, root, tol, max_iter):
         # Four copies of the bracket, so every lane must take the same path.
         x, fx, iters = _bisect_many(
-            lambda x: x - root, np.full(4, lo), np.full(4, hi),
+            lambda x, i: x - root, np.full(4, lo), np.full(4, hi),
             np.full(4, lo - root), np.full(4, hi - root), tol, max_iter,
         )
         args = (lambda x: x - root, lo, hi, lo - root, hi - root, tol, max_iter)
@@ -382,12 +382,91 @@ class TestBatchedSolve:
 
     def test_kernel_stops_a_nan_lane_alone(self):
         x, fx, iters = _bisect_many(
-            lambda x: np.where(x > 0.0, x - 0.3, math.nan),
+            lambda x, i: np.where(x > 0.0, x - 0.3, math.nan),
             np.array([0.0, -1.0]), np.array([1.0, 1.0]),
             np.array([-0.3, -1.3]), np.array([0.7, 0.7]), 1e-12, 200,
         )
-        assert abs(fx[0]) < 1e-11 and iters[0] > 30
+        # Lane 0 runs on after lane 1 stops, exactly as the scalar loop.
+        want = _bisect(lambda x: x - 0.3, 0.0, 1.0, -0.3, 0.7, 1e-12, 200)
+        assert (float(x[0]), float(fx[0]), int(iters[0])) == want
+        assert want[2] > 1
         assert math.isnan(fx[1]) and x[1] == 0.0 and iters[1] == 1
+
+    @pytest.mark.parametrize(
+        "fn, lo, hi, f_lo, f_hi, tol",
+        [
+            # An infinite end residual makes the regula-falsi point NaN.
+            (lambda x: x * x - 0.2, 0.0, 1.0, -math.inf, 0.8, 1e-12),
+            (lambda x: x * x - 0.2, 0.1, 1.0, -0.19, math.inf, 1e-12),
+            # lo * f_hi overflows: the regula-falsi point is +inf, and the
+            # projection puts it on the upper end.
+            (lambda x: x - 1.3e200, 1e200, 2e200, -0.3e200, 0.7e200, 1e-12),
+            # No float between the ends: no step at all.
+            (lambda x: x - 1.0 - 2.0**-53, 1.0, math.nextafter(1.0, 2.0),
+             -(2.0**-53), 2.0**-53, 0.0),
+        ],
+        ids=["nan_from_lower_inf", "nan_from_upper_inf", "projected_onto_end",
+             "adjacent_floats"],
+    )
+    def test_fallback_takes_the_midpoint(self, fn, lo, hi, f_lo, f_hi, tol):
+        scalar_steps, batch_steps = [], []
+
+        def scalar_fn(x):
+            scalar_steps.append(x)
+            return fn(x)
+
+        def batch_fn(x, i):
+            batch_steps.append(float(x[0]))
+            return fn(x)
+
+        want = _bisect(scalar_fn, lo, hi, f_lo, f_hi, tol, 200)
+        with np.errstate(all="ignore"):
+            x, fx, iters = _bisect_many(batch_fn, np.array([lo]), np.array([hi]),
+                                        np.array([f_lo]), np.array([f_hi]), tol, 200)
+        assert (float(x[0]), float(fx[0]), int(iters[0])) == want
+        assert batch_steps == scalar_steps
+        if tol == 0.0:
+            assert want[2] == 0 and want[0] in (lo, hi)
+            return
+        # The first step is the midpoint.  The kernel stops on an exact
+        # zero or inside a (-, +) bracket at most tol wide.
+        assert scalar_steps[0] == 0.5 * (lo + hi)
+        below = max([lo] + [s for s in scalar_steps if fn(s) < 0.0])
+        above = min([hi] + [s for s in scalar_steps if fn(s) > 0.0])
+        assert want[1] == 0.0 or (above - below <= tol and below <= want[0] <= above)
+
+    def test_nan_inside_the_bracket_goes_to_the_scalar_solver(self):
+        # The ends bracket the root, but the first ITP point is NaN: the
+        # scalar solver raises there, so the batch must not keep the point.
+        def fn(lam, i=slice(None)):
+            return np.where(np.abs(lam - 1.5) < 0.1, math.nan, lam - 1.5)
+
+        handed = []
+
+        def solve_one(i):
+            handed.append(int(i))
+            raise ConvergenceError("residual is NaN")
+
+        with pytest.raises(ConvergenceError):
+            macgain.verify._root_many(fn, np.array([2.0, 2.0]), solve_one)
+        assert handed == [0]
+
+    def test_batch_matches_scalar_bits_with_scalar_residuals(self):
+        # The ITP points depend on residual values, so a batch fed exactly
+        # the scalar residual's bits must return exactly the scalar roots.
+        log1p = np.frompyfunc(math.log1p, 1, 1)
+        K, P = draw_samples(SampleSpec(seed=42, n_samples=500))
+        Kf = K.astype(float)
+
+        def residual(lam, i=slice(None)):
+            k, p = Kf[i], P[i]
+            boosted = p * lam * lam / (1.0 + (k - lam) * p * lam)
+            return (k * log1p(boosted) - log1p(k * p * lam)).astype(float)
+
+        lam = macgain.verify._root_many(
+            residual, Kf, lambda i: solve_lambda_star(int(K[i]), float(P[i])))
+        want = [solve_lambda_star(int(k), float(p)).lambda_star for k, p in zip(K, P)]
+        assert lam.tolist() == want
 
     def test_samples_match_scalar_solver(self):
         K, P = draw_samples(SampleSpec(seed=42, n_samples=10_000))
