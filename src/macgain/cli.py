@@ -430,8 +430,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (BracketError, ConvergenceError, ValueError) as exc:
-        # NoPeakError is a ValueError; every solver failure exits 1 here.
+    except (BracketError, ConvergenceError, OSError, ValueError) as exc:
+        # NoPeakError is a ValueError; every solver failure and every
+        # unwritable --out (an OSError) exits 1 here.
         print(f"macgain: {exc}", file=sys.stderr)
         return 1
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from .core import (
     ChannelConfig,
     GainSolution,
+    _check_power,
     db_to_linear,
     f_of,
     linear_to_db,
@@ -183,19 +184,17 @@ def _bisect(fn, lo: float, hi: float, f_lo: float, f_hi: float,
     return best_x, best_f, iterations
 
 
-def _root(fn, cap: float, where,
-          tol: float = LAMBDA_TOL) -> tuple[float, float, int, bool]:
+def _root(fn, cap: float, where) -> tuple[float, float, int, bool]:
     """Root of fn on [1, cap], where fn is negative below it and positive above.
 
     Doubles the upper end from 2, never past cap >= 2, until fn turns
-    positive, then narrows the bracket by _bisect's ITP steps; the (-, +)
-    bracket certifies the root.  Returns (lam, fn(lam), doublings plus ITP
-    steps, degenerate).  If 0 <= fn(1) < fn(2), the power is too small for
-    fn to separate lam = 1 from the root, which is pinned to 1 as
-    degenerate.  A NaN or MAX_ITER doublings raise ConvergenceError, any
+    positive, then narrows the bracket to LAMBDA_TOL by _bisect's ITP
+    steps; the (-, +) bracket certifies the root.  Returns (lam, fn(lam),
+    doublings plus ITP steps, degenerate).  If 0 <= fn(1) < fn(2), the power
+    is too small for fn to separate lam = 1 from the root, which is pinned
+    to 1 as degenerate.  A NaN or MAX_ITER doublings raise ConvergenceError, any
     other sign pattern BracketError; every message ends with where(),
-    formatted only on failure.  tol is the bracket width the ITP steps must
-    reach.
+    formatted only on failure.
     """
     lo, f_lo = 1.0, fn(1.0)
     hi, f_hi = 2.0, fn(2.0)
@@ -218,13 +217,13 @@ def _root(fn, cap: float, where,
             f"got ({f_lo!r}, {f_hi!r}) for {where()}"
         )
     try:
-        lam, res, iters = _bisect(fn, lo, hi, f_lo, f_hi, tol, MAX_ITER)
+        lam, res, iters = _bisect(fn, lo, hi, f_lo, f_hi, LAMBDA_TOL, MAX_ITER)
     except ConvergenceError as err:
         raise ConvergenceError(f"{err} for {where()}") from None
     return lam, res, expansions + iters, False
 
 
-def _solve(config: ChannelConfig, tol: float = LAMBDA_TOL) -> GainSolution:
+def _solve(config: ChannelConfig) -> GainSolution:
     pi = config.total_power
     if config.is_massive:
         def residual(lam: float) -> float:
@@ -242,7 +241,7 @@ def _solve(config: ChannelConfig, tol: float = LAMBDA_TOL) -> GainSolution:
             return Kf * math.log1p(boosted) - math.log1p(KP * lam)
 
         cap, where = Kf, lambda: f"K={K}, P={P!r}"
-    lam, res, iters, degenerate = _root(residual, cap, where, tol)
+    lam, res, iters, degenerate = _root(residual, cap, where)
     capacity_nofb = math.log1p(pi)
     capacity_fb = math.log1p(pi * lam)
     return GainSolution(
@@ -280,8 +279,7 @@ def invert_massive_parametric(pi: float) -> tuple[float, float]:
     solve_lambda_massive and is kept separate so the two can cross-check
     each other.
     """
-    if pi <= 0.0:
-        raise ValueError(f"total power must be > 0, got {pi!r}")
+    pi = _check_power(pi, "total power")  # as ChannelConfig.massive does
 
     def overshoot(s: float) -> float:
         return massive_parametric(pi * s)[0] - pi

@@ -373,6 +373,23 @@ def test_solver_failure_exits_1(capsys, argv, message):
     assert "Traceback" not in err
 
 
+def test_unwritable_out_exits_1(tmp_path):
+    # The --out directory does not exist: one message line, no traceback,
+    # nothing on stdout.
+    target = tmp_path / "missing" / "x"
+    result = subprocess.run(
+        [sys.executable, "-m", "macgain", "solve", "--users", "2", "--power-db", "0",
+         "--out", str(target)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith("macgain: ") and str(target) in result.stderr
+    assert result.stderr.count("\n") == 1
+    assert "Traceback" not in result.stderr
+    assert not target.parent.exists()
+
+
 class TestLargeKAndHighPower:
     """Inputs where a per-user residual with an absolute tolerance failed."""
 

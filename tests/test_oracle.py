@@ -13,15 +13,17 @@ import json
 
 import numpy as np
 import pytest
+from mpmath import mp, mpf
 
 from conftest import finite_certified, massive_certified
 from macgain.core import ChannelConfig, db_to_linear
 from macgain.solvers import (
+    LAMBDA_TOL,
     invert_massive_parametric,
     solve_lambda_massive,
     solve_lambda_star,
 )
-from macgain.verify import _solve_finite_many
+from macgain.verify import DERIVATIVE_GRID, DERIVATIVE_STEP, _solve_finite_many
 from test_cli import GOLDEN_STDOUT
 
 TOL = 1e-12
@@ -109,3 +111,30 @@ def test_golden_lambdas_are_certified():
     assert massive_certified(massive["pi"], massive["lambda"], TOL)
     assert finite_certified(100, db_to_linear(0.0), hundred["lambda"], TOL)
     assert finite_certified(10, peak_P, peak["lambda_at_peak"], TOL)
+
+
+def test_derivative_step_error_budget():
+    # check_derivative compares the analytic slope with a central difference
+    # of roots bracketed to LAMBDA_TOL.  At its step, the quotient's exact
+    # truncation error plus what two such roots can move it by,
+    # LAMBDA_TOL/(pi*h*lam'), must stay within a tenth of the check's 1e-5
+    # bound.
+    h = DERIVATIVE_STEP
+    with mp.workdps(40):
+        def slack(pi, x):
+            return x - (1 + 1 / (pi * x)) * mp.log1p(pi * x)
+
+        def lam(pi):
+            return mp.findroot(lambda x: slack(pi, x),
+                               solve_lambda_massive(float(pi)).lambda_star)
+
+        for pi in DERIVATIVE_GRID:
+            pi_ = mpf(pi)
+            root = lam(pi_)
+            slope = (-mp.diff(lambda p: slack(p, root), pi_)
+                     / mp.diff(lambda x: slack(pi_, x), root))
+            # The quotient's powers are the floats check_derivative solves at.
+            fd = (lam(mpf(pi * (1.0 + h))) - lam(mpf(pi * (1.0 - h)))) / (2 * pi_ * mpf(h))
+            truncation = abs(fd - slope) / slope
+            root_noise = LAMBDA_TOL / (pi_ * mpf(h) * slope)
+            assert truncation + root_noise <= 1e-6, pi

@@ -106,3 +106,30 @@ def test_exported_names_are_used_or_documented():
             if (module_name, name) not in used and not re.search(rf"\b{name}\b", README)
         ]
         assert orphans == [], module_name
+
+
+def test_only_the_root_kernels_take_a_tolerance():
+    # Every root is bracketed to solvers.LAMBDA_TOL within MAX_ITER steps.
+    # Only the two kernels take both as parameters, so that their tests can
+    # drive float exhaustion (tol = 0) and a small step cap.
+    takers = set()
+    for path in (ROOT / "src" / "macgain").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+                if {p.arg for p in params if p} & {"tol", "max_iter"}:
+                    takers.add(f"{path.stem}.{getattr(node, 'name', '<lambda>')}")
+    assert takers == {"solvers._bisect", "verify._bisect_many"}
+
+
+def test_verify_imports_no_private_solver_route():
+    # verify solves through the public solvers; _db_grid only builds grids.
+    source = (ROOT / "src" / "macgain" / "verify.py").read_text(encoding="utf-8")
+    private = {
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.module == "solvers"
+        for alias in node.names if alias.name.startswith("_")
+    }
+    assert private <= {"_db_grid"}

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 import statistics
 from fractions import Fraction
 
@@ -289,8 +290,12 @@ class TestParametricCrossCheck:
             assert lam_back == lam
 
     def test_rejects_nonpositive_power(self):
-        with pytest.raises(ValueError):
-            invert_massive_parametric(0.0)
+        # Both massive routes validate the power the way ChannelConfig does.
+        for solve in (solve_lambda_massive, invert_massive_parametric):
+            for pi in (0.0, -1.0, math.nan, math.inf):
+                message = f"total power must be a positive finite power, got {pi!r}"
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    solve(pi)
 
     def test_top_of_float_range(self):
         t, lam = invert_massive_parametric(1e300)

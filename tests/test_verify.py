@@ -12,7 +12,7 @@ import numpy as np
 
 import macgain.solvers
 import macgain.verify
-from macgain.core import db_to_linear
+from macgain.core import db_to_linear, dlambda_dpi_massive
 from macgain.solvers import (
     ConvergenceError,
     _bisect,
@@ -183,6 +183,17 @@ class TestDerivativeCheck:
         assert report.samples == 2 * len(DERIVATIVE_GRID)
         assert report.worst_slack > 0.0
 
+    @pytest.mark.parametrize("error, flagged", [(2e-5, True), (5e-6, False)])
+    def test_flags_slope_errors_near_the_bound(self, monkeypatch, error, flagged):
+        # The step's error budget (test_oracle) leaves the 1e-5 bound sharp:
+        # a slope 2e-5 off fails at every power, one 5e-6 off still passes.
+        def skewed(pi, lam):
+            return (1.0 + error) * dlambda_dpi_massive(pi, lam)
+
+        monkeypatch.setattr(macgain.verify, "dlambda_dpi_massive", skewed)
+        report = check_derivative()
+        assert report.violations == (len(DERIVATIVE_GRID) if flagged else 0)
+
 
 class TestCurveShape:
     def test_clean_defaults(self):
@@ -280,8 +291,8 @@ GOLDEN_LINES = [
     "witness[fixed_point_ceiling at K=100000000 P=1]",
     "tail_bounds: pass samples=136 violations=0 worst_slack=7.238240e-08 "
     "witness[large_power_tight_cap at pi=1e+06]",
-    "derivative_consistency: pass samples=14 violations=0 worst_slack=9.999184e-06 "
-    "witness[derivative_fd_match at pi=1000]",
+    "derivative_consistency: pass samples=14 violations=0 worst_slack=9.656197e-06 "
+    "witness[derivative_fd_match at pi=100]",
     "curve_shape: pass samples=26 violations=0 worst_slack=0.000000e+00 "
     "witness[F_unimodal at K=2]",
     "global_gain_bounds: pass samples=30002 violations=0 worst_slack=1.061291e-04 "
@@ -297,8 +308,8 @@ GOLDEN_SABOTAGE_LINES = [
     "witness[fixed_point_ceiling at K=100000000 P=1]",
     "tail_bounds: pass samples=136 violations=0 worst_slack=7.238240e-08 "
     "witness[large_power_tight_cap at pi=1e+06]",
-    "derivative_consistency: pass samples=14 violations=0 worst_slack=9.999184e-06 "
-    "witness[derivative_fd_match at pi=1000]",
+    "derivative_consistency: pass samples=14 violations=0 worst_slack=9.656197e-06 "
+    "witness[derivative_fd_match at pi=100]",
     "curve_shape: pass samples=26 violations=0 worst_slack=0.000000e+00 "
     "witness[F_unimodal at K=2]",
     "global_gain_bounds: FAIL samples=32 violations=1 worst_slack=-9.060161e-03 "
@@ -544,10 +555,9 @@ class TestBatchedSolve:
             _solve_massive_many(np.array([1.0, bad]))
 
     def test_default_suite_settles_every_sample_in_the_batch(self, monkeypatch):
-        # Only the massive checks (34 tail, 1 witness) call the public
-        # scalar solvers; sandwich_large_k rides in the samples' batch, the
-        # two curve limits in the massive curve's, and the 21 derivative
-        # solves go through solvers._solve at a tighter tolerance.  A batch
+        # Only the massive checks (34 tail, 21 derivative, 1 witness) call
+        # the public scalar solvers; sandwich_large_k rides in the samples'
+        # batch and the two curve limits in the massive curve's.  A batch
         # that handed samples or curve points to the scalar solvers would
         # add calls.
         calls = {"finite": 0, "massive": 0}
@@ -563,4 +573,4 @@ class TestBatchedSolve:
         monkeypatch.setattr(macgain.verify, "solve_lambda_massive",
                             counted("massive", solve_lambda_massive))
         run_suite(SampleSpec(seed=42, n_samples=10_000))
-        assert calls == {"finite": 0, "massive": 35}
+        assert calls == {"finite": 0, "massive": 56}
