@@ -13,11 +13,14 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict
+from typing import TextIO
 
 from .core import ChannelConfig, _check_users, db_to_linear, linear_to_db
 from .solvers import (
     DEFAULT_FROM_DB,
     DEFAULT_TO_DB,
+    DEFAULT_USERS,
     SCAN_STEP_DB,
     BracketError,
     ConvergenceError,
@@ -34,8 +37,6 @@ __all__ = ["main", "build_parser", "CSV_HEADER"]
 CSV_HEADER = "pi_db,pi,K,lambda,lambda_db,F"
 
 _LN2 = math.log(2.0)
-
-_DEFAULT_FIGURE_USERS = "2,3,10,100,massive"
 
 
 def _db_arg(text: str) -> float:
@@ -102,32 +103,18 @@ def _users_json_value(users: int | None) -> "int | str":
     return "massive" if users is None else users
 
 
-def _write_output(text: str, out: str | None) -> None:
-    if out is None or out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-
-
 def _selected_users(args: argparse.Namespace) -> int | None:
     return None if args.massive else args.users
 
 
-def run_solve(args: argparse.Namespace) -> int:
+def run_solve(args: argparse.Namespace, out: TextIO) -> int:
     if args.massive and args.power_db is not None:
         args.parser.error("the massive limit takes --total-power-db only")
     users = _selected_users(args)
-    if users is None:
-        config = ChannelConfig.massive(db_to_linear(args.total_power_db))
-    elif args.total_power_db is not None:
-        config = ChannelConfig.finite(
-            users, total_power=db_to_linear(args.total_power_db)
-        )
+    if args.power_db is not None:
+        config = ChannelConfig(users, per_user_power=db_to_linear(args.power_db))
     else:
-        config = ChannelConfig.finite(
-            users, per_user_power=db_to_linear(args.power_db)
-        )
+        config = ChannelConfig(users, total_power=db_to_linear(args.total_power_db))
     sol = eval_point(config)
     p = args.precision
     if args.format == "json":
@@ -162,7 +149,7 @@ def run_solve(args: argparse.Namespace) -> int:
         if sol.degenerate:
             lines.append("degenerate = true")
         text = "\n".join(lines) + "\n"
-    _write_output(text, args.out)
+    out.write(text)
     return 0
 
 
@@ -210,7 +197,7 @@ def _chart(curves: list[tuple[int | None, list[CurvePoint]]], pfactor: bool) -> 
     )
 
 
-def run_curve(args: argparse.Namespace) -> int:
+def run_curve(args: argparse.Namespace, out: TextIO) -> int:
     curves = _sweeps(args, (_selected_users(args),))
     points = curves[0][1]
     p = args.precision
@@ -235,11 +222,11 @@ def run_curve(args: argparse.Namespace) -> int:
         text += "\n"
     else:
         text = _chart(curves, pfactor=False)
-    _write_output(text, args.out)
+    out.write(text)
     return 0
 
 
-def run_peak(args: argparse.Namespace) -> int:
+def run_peak(args: argparse.Namespace, out: TextIO) -> int:
     if args.from_db >= args.to_db:
         args.parser.error("--from-db must be below --to-db")
     _check_grid(args, SCAN_STEP_DB)
@@ -247,14 +234,7 @@ def run_peak(args: argparse.Namespace) -> int:
     peak = find_peak(users, args.from_db, args.to_db)
     p = args.precision
     if args.format == "json":
-        payload = {
-            "users": _users_json_value(users),
-            "pi_star": peak.pi_star,
-            "pi_star_db": peak.pi_star_db,
-            "F_star": peak.F_star,
-            "lambda_at_peak": peak.lambda_at_peak,
-            "bracket_evidence": [list(pair) for pair in peak.bracket_evidence],
-        }
+        payload = {**asdict(peak), "users": _users_json_value(users)}
         text = json.dumps(payload, indent=2) + "\n"
     else:
         text = (
@@ -263,11 +243,11 @@ def run_peak(args: argparse.Namespace) -> int:
             f"F_star = {_fmt(peak.F_star, p)}\n"
             f"lambda_at_peak = {_fmt(peak.lambda_at_peak, p)}\n"
         )
-    _write_output(text, args.out)
+    out.write(text)
     return 0
 
 
-def run_verify(args: argparse.Namespace) -> int:
+def run_verify(args: argparse.Namespace, out: TextIO) -> int:
     # Imported here so that only verify pays for loading numpy.
     from .verify import SampleSpec, run_suite, suite_passed
 
@@ -283,16 +263,7 @@ def run_verify(args: argparse.Namespace) -> int:
         payload = {
             "passed": ok,
             "elapsed_s": elapsed,
-            "reports": [
-                {
-                    "check_name": r.check_name,
-                    "samples": r.samples,
-                    "violations": r.violations,
-                    "worst_slack": r.worst_slack,
-                    "witness": r.witness,
-                }
-                for r in reports
-            ],
+            "reports": [asdict(r) for r in reports],
         }
         text = json.dumps(payload, indent=2) + "\n"
     else:
@@ -303,11 +274,11 @@ def run_verify(args: argparse.Namespace) -> int:
         text = "\n".join(lines) + "\n"
         # Wall time varies run to run, so it stays off stdout.
         print(f"macgain: verify took {elapsed:.2f} s", file=sys.stderr)
-    _write_output(text, args.out)
+    out.write(text)
     return 0 if ok else 1
 
 
-def run_figure(args: argparse.Namespace) -> int:
+def run_figure(args: argparse.Namespace, out: TextIO) -> int:
     curves = _sweeps(args, args.users)
     p = args.precision
     pfactor = args.which == "pfactor"
@@ -331,7 +302,7 @@ def run_figure(args: argparse.Namespace) -> int:
         text = json.dumps({"which": args.which, "series": series}, indent=2) + "\n"
     else:
         text = _chart(curves, pfactor)
-    _write_output(text, args.out)
+    out.write(text)
     return 0
 
 
@@ -414,11 +385,11 @@ def build_parser() -> argparse.ArgumentParser:
     figure.add_argument("--which", choices=("pfactor", "cfactor"), required=True,
                         help="pfactor: power gain curves; cfactor: capacity "
                              "gain curves")
-    figure.add_argument("--users", type=_users_list_arg,
-                        default=_users_list_arg(_DEFAULT_FIGURE_USERS),
+    default_users = ",".join("massive" if u is None else str(u) for u in DEFAULT_USERS)
+    figure.add_argument("--users", type=_users_list_arg, default=DEFAULT_USERS,
                         metavar="LIST",
                         help="comma-separated user counts, 'massive' allowed "
-                             f"(default: {_DEFAULT_FIGURE_USERS})")
+                             f"(default: {default_users})")
     _add_range_opts(figure, with_step=True)
     _add_number_opts(figure, ("csv", "json", "svg"))
     figure.set_defaults(func=run_figure, parser=figure)
@@ -429,7 +400,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if args.out is None or args.out == "-":
+            return args.func(args, sys.stdout)
+        # Like a shell's > PATH: created or truncated before the command runs,
+        # so an unwritable path fails first and a failing command leaves it empty.
+        with open(args.out, "w", encoding="utf-8", newline="") as out:
+            return args.func(args, out)
     except (BracketError, ConvergenceError, OSError, ValueError) as exc:
         # NoPeakError is a ValueError; every solver failure and every
         # unwritable --out (an OSError) exits 1 here.

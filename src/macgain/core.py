@@ -151,6 +151,20 @@ class GainSolution:
     degenerate: bool = False
 
 
+def _balance(K, P, log1p):
+    """db_residual's formula as a function of lam, unvalidated, with K*P hoisted.
+
+    log1p is math.log1p for float K and P, or np.log1p for arrays of them.
+    """
+    KP = K * P
+
+    def residual(lam):
+        boosted = P * lam * lam / (1.0 + (K - lam) * P * lam)
+        return K * log1p(boosted) - log1p(KP * lam)
+
+    return residual
+
+
 def db_residual(lam: float, K: int, P: float) -> float:
     """Signed imbalance of the cooperation constraint at power gain lam.
 
@@ -158,14 +172,14 @@ def db_residual(lam: float, K: int, P: float) -> float:
     the balance root, zero at it, and positive above it on [1, K].  It is
     K*(K-1) times the per-user form
     ln(1+K*P*lam)/K - ln(1+(K-lam)*P*lam)/(K-1), whose two terms cancel at
-    large K; this single-log form keeps its sign there.
+    large K; this single-log form keeps its sign there.  The solvers and
+    verify's batch evaluate this same function, without the validation.
     """
     K = _check_users(K)
     P = _check_power(P, "per-user power")
     if not 1.0 <= lam <= K:
         raise ValueError(f"power gain must lie in [1, {K}], got {lam!r}")
-    boosted = P * lam * lam / (1.0 + (K - lam) * P * lam)
-    return K * math.log1p(boosted) - math.log1p(K * P * lam)
+    return _balance(K, P, math.log1p)(lam)
 
 
 def f_of(pi: float, lam: float) -> float:
@@ -186,13 +200,13 @@ def dlambda_dpi_massive(pi: float, lam: float) -> float:
     """Slope of the massive power gain along its curve, by implicit differentiation.
 
     Only meaningful when (pi, lam) satisfies the massive fixed-point
-    equation; strictly positive there.  A non-positive denominator cannot
-    occur on the curve and signals an off-curve call.
+    equation; strictly positive there.  pi must be a positive finite
+    power.  A denominator that is not positive, NaN included, cannot occur
+    on the curve and signals an off-curve call.
     """
-    if pi <= 0.0:
-        raise ValueError(f"total power must be > 0, got {pi!r}")
+    pi = _check_power(pi, "total power")
     denom = pi * lam * (lam - 1.0) + 2.0 * lam - 1.0
-    if denom <= 0.0:
+    if not denom > 0.0:
         raise ValueError(
             f"denominator {denom!r} <= 0: (pi={pi!r}, lam={lam!r}) is off the curve"
         )
@@ -204,8 +218,9 @@ def massive_parametric(t: float) -> tuple[float, float]:
 
     Returns (pi, lam) with lam = (1+t)*ln(1+t)/t and pi = t/lam; the map
     t -> pi is strictly increasing, so this parametrizes the whole curve.
+    t = inf gives (nan, nan), invert_massive_parametric's overflow signal.
     """
-    if t <= 0.0:
+    if not t > 0.0:
         raise ValueError(f"parameter must be > 0, got {t!r}")
     lam = (1.0 + t) * log1p_over_x(t)
     return t / lam, lam

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from .core import (
     ChannelConfig,
     GainSolution,
+    _balance,
     _check_power,
     db_to_linear,
     f_of,
@@ -38,6 +39,7 @@ __all__ = [
     "PEAK_TOL_DB",
     "DEFAULT_FROM_DB",
     "DEFAULT_TO_DB",
+    "DEFAULT_USERS",
     "MAX_GRID_POINTS",
     "check_db_grid",
     "solve_lambda_star",
@@ -58,6 +60,8 @@ PEAK_TOL_DB = 1e-4
 
 DEFAULT_FROM_DB = -10.0
 DEFAULT_TO_DB = 30.0
+# The default curve set, ascending with the massive limit last.
+DEFAULT_USERS = (2, 3, 10, 100, None)
 
 # Sweeps and peak scans refuse larger grids before allocating them.  The
 # finest grid in use holds 2001 points; a billion-point grid would exhaust
@@ -232,15 +236,8 @@ def _solve(config: ChannelConfig) -> GainSolution:
         cap, where = math.inf, lambda: f"pi={pi!r}"
     else:
         K, P = config.users, config.per_user_power
-        Kf, KP = float(K), K * P
-
-        def residual(lam: float) -> float:
-            # core.db_residual without its validation; hoisting float(K)
-            # and K*P leaves every rounding as it is.
-            boosted = P * lam * lam / (1.0 + (Kf - lam) * P * lam)
-            return Kf * math.log1p(boosted) - math.log1p(KP * lam)
-
-        cap, where = Kf, lambda: f"K={K}, P={P!r}"
+        residual = _balance(float(K), P, math.log1p)
+        cap, where = float(K), lambda: f"K={K}, P={P!r}"
     lam, res, iters, degenerate = _root(residual, cap, where)
     capacity_nofb = math.log1p(pi)
     capacity_fb = math.log1p(pi * lam)
@@ -295,12 +292,6 @@ def eval_point(config: ChannelConfig) -> GainSolution:
     return _solve(config)
 
 
-def _config_for(users: int | None, pi: float) -> ChannelConfig:
-    if users is None:
-        return ChannelConfig.massive(pi)
-    return ChannelConfig.finite(users, total_power=pi)
-
-
 def check_db_grid(from_db: float, to_db: float, step_db: float) -> int:
     """Whole steps of the dB grid from_db..to_db, counted before it is built.
 
@@ -340,7 +331,7 @@ def sweep_curve(users: int | None, from_db: float, to_db: float,
     points: list[CurvePoint] = []
     for pi_db in _db_grid(from_db, to_db, step_db):
         pi = db_to_linear(pi_db)
-        sol = eval_point(_config_for(users, pi))
+        sol = eval_point(ChannelConfig(users, total_power=pi))
         points.append(
             CurvePoint(
                 pi_db=pi_db,
@@ -365,7 +356,7 @@ def find_peak(users: int | None, from_db: float = DEFAULT_FROM_DB,
         raise ValueError(f"peak search needs from_db < to_db, got {from_db!r}..{to_db!r}")
 
     def F_at(pi_db: float) -> float:
-        sol = eval_point(_config_for(users, db_to_linear(pi_db)))
+        sol = eval_point(ChannelConfig(users, total_power=db_to_linear(pi_db)))
         return sol.gain_F
 
     scan = sweep_curve(users, from_db, to_db, SCAN_STEP_DB)
@@ -395,7 +386,7 @@ def find_peak(users: int | None, from_db: float = DEFAULT_FROM_DB,
 
     pi_star_db = 0.5 * (lo + hi)
     pi_star = db_to_linear(pi_star_db)
-    sol = eval_point(_config_for(users, pi_star))
+    sol = eval_point(ChannelConfig(users, total_power=pi_star))
     best = (pi_star, pi_star_db, sol.gain_F, sol.lambda_star)
     # The scan maximum is kept as a floor so the result can never dip below
     # its own bracket evidence; the scan already holds its solve.

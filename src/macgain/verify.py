@@ -18,20 +18,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import solvers
-from .core import db_to_linear, dlambda_dpi_massive
+from .core import _balance, db_to_linear, dlambda_dpi_massive
 from .solvers import (
     DEFAULT_FROM_DB,
     DEFAULT_TO_DB,
+    DEFAULT_USERS,
     _db_grid,
     solve_lambda_massive,
     solve_lambda_star,
+    sweep_curve,
 )
 
 __all__ = [
     "NUMERIC_SLOP",
     "DERIVATIVE_GRID",
     "DERIVATIVE_STEP",
-    "DEFAULT_USERS",
     "BoundReport",
     "MAX_SAMPLES",
     "SampleSpec",
@@ -49,9 +50,6 @@ NUMERIC_SLOP = 1e-9
 DERIVATIVE_GRID = (0.1, 0.5, 1.0, 5.38, 10.0, 100.0, 1000.0)
 # Relative step of check_derivative's central differences.
 DERIVATIVE_STEP = 1e-3
-
-# The curves check_monotone_unimodal compares: ascending, massive last.
-DEFAULT_USERS = (2, 3, 10, 100, None)
 
 # The box run_suite samples: user counts and per-user powers, both ends in.
 SAMPLE_USERS = (2, 10_000)
@@ -314,14 +312,11 @@ def _root_many(fn, cap: np.ndarray, solve_one):
 
 
 def _solve_finite_many(K: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """solve_lambda_star's root for every (K, P) pair, in one batch."""
+    """solve_lambda_star's root for every (K, P) pair, in one batch of core._balance."""
     K = np.asarray(K, dtype=float)
 
     def residual(lam: np.ndarray, i=slice(None)) -> np.ndarray:
-        # core.db_residual over arrays, in the same operation order.
-        k, p = K[i], P[i]
-        boosted = p * lam * lam / (1.0 + (k - lam) * p * lam)
-        return k * np.log1p(boosted) - np.log1p(k * p * lam)
+        return _balance(K[i], P[i], np.log1p)(lam)
 
     return _root_many(residual, K, lambda i: solve_lambda_star(int(K[i]), float(P[i])))
 
@@ -343,13 +338,12 @@ def check_tail_bounds() -> BoundReport:
     High tail (pi >= 1000): lam dominates ln(1+pi*lam), F stays below the
     tight cap lam / (ln(e^a + lam - 1) - ln lam) with a = pi*lam^2/(1+pi*lam),
     and that cap stays below its loose closed form wherever lam > e.
-    Both tails respect F <= 1.321.
+    Both tails respect F <= 1.321.  Each tail is one massive sweep_curve
+    at 2.5 dB steps, 34 powers in all.
     """
     tracker = _Tracker("tail_bounds")
-    for pi_db in _db_grid(-60.0, -10.0, 2.5):
-        pi = db_to_linear(pi_db)
-        sol = solve_lambda_massive(pi)
-        lam, F = sol.lambda_star, sol.gain_F
+    for pt in sweep_curve(None, -60.0, -10.0, 2.5):
+        pi, lam, F = pt.pi, pt.lam, pt.F
         w = f"pi={pi:.6g}"
         tracker.add((1.0 + pi) * lam - F, f"small_power_linear_cap at {w}")
         tracker.add(
@@ -358,10 +352,8 @@ def check_tail_bounds() -> BoundReport:
         )
         tracker.add(11.0 / 9.0 - F, f"small_power_11_9 at {w}")
         tracker.add(TAIL_GAIN_CAP - F, f"tail_cap at {w}")
-    for pi_db in _db_grid(30.0, 60.0, 2.5):
-        pi = db_to_linear(pi_db)
-        sol = solve_lambda_massive(pi)
-        lam, F = sol.lambda_star, sol.gain_F
+    for pt in sweep_curve(None, 30.0, 60.0, 2.5):
+        pi, lam, F = pt.pi, pt.lam, pt.F
         w = f"pi={pi:.6g}"
         t = pi * lam
         tracker.add(lam - math.log1p(t), f"log_dominated at {w}")

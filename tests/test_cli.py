@@ -390,6 +390,34 @@ def test_unwritable_out_exits_1(tmp_path):
     assert not target.parent.exists()
 
 
+def test_unwritable_out_fails_before_computing(tmp_path):
+    # --out is opened before the command runs, so verify never starts and
+    # its timing line never prints.
+    target = tmp_path / "missing" / "x"
+    result = subprocess.run(
+        [sys.executable, "-m", "macgain", "verify", "--samples", "100",
+         "--out", str(target)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith("macgain: ") and str(target) in result.stderr
+    assert result.stderr.count("\n") == 1
+    assert "verify took" not in result.stderr
+
+
+def test_failing_command_leaves_out_empty(capsys, tmp_path):
+    # Like a shell's > PATH, --out is truncated before the command runs.
+    target = tmp_path / "out.txt"
+    target.write_text("stale\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "solve", "--users", "2", "--power-db", "3077",
+                             "--out", str(target))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("macgain: ") and err.count("\n") == 1
+    assert target.read_text(encoding="utf-8") == ""
+
+
 class TestLargeKAndHighPower:
     """Inputs where a per-user residual with an absolute tolerance failed."""
 

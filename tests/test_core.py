@@ -306,8 +306,12 @@ class TestMassiveParametric:
             assert abs(lam - f_of(pi, lam)) <= 1e-12
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            massive_parametric(0.0)
+        for t in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                massive_parametric(t)
+        # t = inf is no error: (nan, nan) is the overflow signal that
+        # invert_massive_parametric turns into a ConvergenceError.
+        assert all(math.isnan(v) for v in massive_parametric(math.inf))
 
 
 class TestMassiveDerivative:
@@ -321,5 +325,6 @@ class TestMassiveDerivative:
             dlambda_dpi_massive(0.5, 0.2)
 
     def test_rejects_nonpositive_power(self):
-        with pytest.raises(ValueError):
-            dlambda_dpi_massive(0.0, 2.0)
+        for pi, lam in ((0.0, 2.0), (math.nan, 2.0), (math.inf, 2.0), (1.0, math.nan)):
+            with pytest.raises(ValueError):
+                dlambda_dpi_massive(pi, lam)

@@ -133,3 +133,37 @@ def test_verify_imports_no_private_solver_route():
         for alias in node.names if alias.name.startswith("_")
     }
     assert private <= {"_db_grid"}
+
+
+def _src_trees():
+    for path in sorted((ROOT / "src" / "macgain").glob("*.py")):
+        yield path.stem, ast.parse(path.read_text(encoding="utf-8"))
+
+
+def test_one_balance_residual():
+    # The finite balance residual is written once, in core._balance; the
+    # scalar solver, verify's batch and db_residual all evaluate it.
+    sites = [
+        module
+        for module, tree in _src_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "log1p"
+        and any(isinstance(arg, ast.Name) and arg.id == "boosted" for arg in node.args)
+    ]
+    assert sites == ["core"]
+
+
+def test_no_restated_configs_or_defaults():
+    # ChannelConfig(users, total_power=pi) serves both finite and massive
+    # curves, and the default curve set lives in solvers alone.
+    definers: dict[str, set[str]] = {}
+    for module, tree in _src_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                definers.setdefault(node.name, set()).add(module)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                definers.setdefault(node.id, set()).add(module)
+    assert "_config_for" not in definers
+    assert "_DEFAULT_FIGURE_USERS" not in definers
+    assert definers["DEFAULT_USERS"] == {"solvers"}

@@ -12,8 +12,9 @@ import numpy as np
 
 import macgain.solvers
 import macgain.verify
-from macgain.core import db_to_linear, dlambda_dpi_massive
+from macgain.core import _balance, db_to_linear, dlambda_dpi_massive
 from macgain.solvers import (
+    DEFAULT_USERS,
     ConvergenceError,
     _bisect,
     solve_lambda_massive,
@@ -26,7 +27,6 @@ from macgain.verify import (
     _solve_finite_many,
     _solve_massive_many,
     BoundReport,
-    DEFAULT_USERS,
     DERIVATIVE_GRID,
     IMPROVED_GAIN_CAP,
     MAX_SAMPLES,
@@ -470,9 +470,7 @@ class TestBatchedSolve:
         Kf = K.astype(float)
 
         def residual(lam, i=slice(None)):
-            k, p = Kf[i], P[i]
-            boosted = p * lam * lam / (1.0 + (k - lam) * p * lam)
-            return (k * log1p(boosted) - log1p(k * p * lam)).astype(float)
+            return _balance(Kf[i], P[i], log1p)(lam).astype(float)
 
         lam = macgain.verify._root_many(
             residual, Kf, lambda i: solve_lambda_star(int(K[i]), float(P[i])))
@@ -555,11 +553,11 @@ class TestBatchedSolve:
             _solve_massive_many(np.array([1.0, bad]))
 
     def test_default_suite_settles_every_sample_in_the_batch(self, monkeypatch):
-        # Only the massive checks (34 tail, 21 derivative, 1 witness) call
-        # the public scalar solvers; sandwich_large_k rides in the samples'
-        # batch and the two curve limits in the massive curve's.  A batch
-        # that handed samples or curve points to the scalar solvers would
-        # add calls.
+        # Only the massive checks (21 derivative, 1 witness) call the
+        # public scalar solvers; the 34 tail solves go through sweep_curve,
+        # sandwich_large_k rides in the samples' batch and the two curve
+        # limits in the massive curve's.  A batch that handed samples or
+        # curve points to the scalar solvers would add calls.
         calls = {"finite": 0, "massive": 0}
 
         def counted(name, solve):
@@ -573,4 +571,4 @@ class TestBatchedSolve:
         monkeypatch.setattr(macgain.verify, "solve_lambda_massive",
                             counted("massive", solve_lambda_massive))
         run_suite(SampleSpec(seed=42, n_samples=10_000))
-        assert calls == {"finite": 0, "massive": 56}
+        assert calls == {"finite": 0, "massive": 22}
