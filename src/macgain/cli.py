@@ -21,7 +21,6 @@ from .solvers import (
     DEFAULT_FROM_DB,
     DEFAULT_TO_DB,
     DEFAULT_USERS,
-    SCAN_STEP_DB,
     BracketError,
     ConvergenceError,
     CurvePoint,
@@ -164,18 +163,14 @@ def _point_dict(pt: CurvePoint) -> dict:
     }
 
 
-def _check_grid(args: argparse.Namespace, step_db: float) -> None:
-    """Turn a range or grid size the solvers would refuse into a usage error."""
-    try:
-        check_db_grid(args.from_db, args.to_db, step_db)
-    except ValueError as exc:
-        args.parser.error(str(exc))
-
-
 def _sweeps(
     args: argparse.Namespace, users_list: tuple[int | None, ...]
 ) -> list[tuple[int | None, list[CurvePoint]]]:
-    _check_grid(args, args.step_db)
+    # A range or grid size the solvers would refuse is a usage error.
+    try:
+        check_db_grid(args.from_db, args.to_db, args.step_db)
+    except ValueError as exc:
+        args.parser.error(str(exc))
     return [
         (users, sweep_curve(users, args.from_db, args.to_db, args.step_db))
         for users in users_list
@@ -229,7 +224,6 @@ def run_curve(args: argparse.Namespace, out: TextIO) -> int:
 def run_peak(args: argparse.Namespace, out: TextIO) -> int:
     if args.from_db >= args.to_db:
         args.parser.error("--from-db must be below --to-db")
-    _check_grid(args, SCAN_STEP_DB)
     users = _selected_users(args)
     peak = find_peak(users, args.from_db, args.to_db)
     p = args.precision

@@ -19,7 +19,7 @@ __all__ = [
     "log1p_over_x",
     "db_residual",
     "f_of",
-    "dlambda_dpi_massive",
+    "dlambda_dpi",
     "massive_parametric",
 ]
 
@@ -45,13 +45,13 @@ def log1p_over_x(x: float) -> float:
 
     Switches to the alternating series 1 - x/2 + x^2/3 - x^3/4 for
     |x| < 1e-8, where the direct quotient would just amplify the rounding
-    of log1p.
+    of log1p.  x = inf gives the limit 0.0; NaN is refused.
     """
-    if x <= -1.0:
+    if not x > -1.0:
         raise ValueError(f"log1p_over_x needs x > -1, got {x!r}")
     if abs(x) < _SERIES_CUTOFF:
         return 1.0 - x * (0.5 - x * (1.0 / 3.0 - 0.25 * x))
-    return math.log1p(x) / x
+    return math.log1p(x) / x if x < math.inf else 0.0
 
 
 def _check_users(users: int) -> int:
@@ -186,31 +186,37 @@ def f_of(pi: float, lam: float) -> float:
     """Fixed-point map of the massive-user limit, (1 + 1/(pi*lam)) * ln(1 + pi*lam).
 
     Its unique fixed point lam = f_of(pi, lam) with lam >= 1 is the massive
-    power gain at total power pi.
+    power gain at total power pi.  NaN and infinite arguments are refused;
+    a pi*lam that overflows gives NaN, the solver's overflow signal.
     """
-    if pi <= 0.0:
-        raise ValueError(f"total power must be > 0, got {pi!r}")
-    if lam < 1.0:
-        raise ValueError(f"power gain must be >= 1, got {lam!r}")
+    if not 0.0 < pi < math.inf:
+        raise ValueError(f"total power must be positive and finite, got {pi!r}")
+    if not 1.0 <= lam < math.inf:
+        raise ValueError(f"power gain must be >= 1 and finite, got {lam!r}")
     t = pi * lam
     return (1.0 + t) * log1p_over_x(t)
 
 
-def dlambda_dpi_massive(pi: float, lam: float) -> float:
-    """Slope of the massive power gain along its curve, by implicit differentiation.
+def dlambda_dpi(users: int | None, pi: float, lam: float) -> float:
+    """Slope dlam/dpi of the power gain along its curve, by implicit differentiation.
 
-    Only meaningful when (pi, lam) satisfies the massive fixed-point
-    equation; strictly positive there.  pi must be a positive finite
-    power.  A denominator that is not positive, NaN included, cannot occur
-    on the curve and signals an off-curve call.
+    With t = pi*lam, lam' = (b - lam) / (pi*(2 + t - b/lam)), where
+    b = 1 + (K - lam)*(pi/K)*lam for K users and b = 1 + t in the massive
+    limit (users None); dividing lam out keeps every term finite while t
+    is.  Only meaningful when (pi, lam) solves the balance equation at that
+    K; strictly positive there.  pi must be a positive finite power.  A
+    denominator that is not positive, NaN included, cannot occur on the
+    curve and signals an off-curve call.
     """
     pi = _check_power(pi, "total power")
-    denom = pi * lam * (lam - 1.0) + 2.0 * lam - 1.0
+    t = pi * lam
+    b = 1.0 + t if users is None else 1.0 + (users - lam) * (pi / users) * lam
+    denom = 2.0 + t - b / lam
     if not denom > 0.0:
         raise ValueError(
             f"denominator {denom!r} <= 0: (pi={pi!r}, lam={lam!r}) is off the curve"
         )
-    return (lam / pi) * (((pi - 1.0) * lam + 1.0) / denom)
+    return (b - lam) / denom / pi
 
 
 def massive_parametric(t: float) -> tuple[float, float]:

@@ -7,8 +7,9 @@ ITP steps (interpolate, truncate, project), which never take more than
 one step beyond bisection; a root is accepted for its (-, +) bracket,
 never for a small residual, so nothing about convergence relies on
 numerical luck.  The finite residual is the balanced single-log form,
-which keeps its sign at large K.  Peak search runs on the dB axis and uses
-golden-section refinement, which assumes only unimodality.
+which keeps its sign at large K.  Peak search runs the same routine on
+the dB axis: the maximum of F is the (-, +) root of its negated slope,
+which core.dlambda_dpi gives in closed form.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .core import (
     _balance,
     _check_power,
     db_to_linear,
+    dlambda_dpi,
     f_of,
     linear_to_db,
     massive_parametric,
@@ -35,8 +37,6 @@ __all__ = [
     "NoPeakError",
     "LAMBDA_TOL",
     "MAX_ITER",
-    "SCAN_STEP_DB",
-    "PEAK_TOL_DB",
     "DEFAULT_FROM_DB",
     "DEFAULT_TO_DB",
     "DEFAULT_USERS",
@@ -50,25 +50,19 @@ __all__ = [
     "find_peak",
 ]
 
-# Every root is bracketed to LAMBDA_TOL wide; MAX_ITER caps the bracket
-# doublings and, separately, the ITP steps.  Peak search scans the
-# dB axis at SCAN_STEP_DB and refines the maximum to PEAK_TOL_DB.
+# Every root, the peak's dB included, is bracketed to LAMBDA_TOL wide;
+# MAX_ITER caps the bracket doublings and, separately, the ITP steps.
 LAMBDA_TOL = 1e-12
 MAX_ITER = 200
-SCAN_STEP_DB = 0.1
-PEAK_TOL_DB = 1e-4
 
 DEFAULT_FROM_DB = -10.0
 DEFAULT_TO_DB = 30.0
 # The default curve set, ascending with the massive limit last.
 DEFAULT_USERS = (2, 3, 10, 100, None)
 
-# Sweeps and peak scans refuse larger grids before allocating them.  The
-# finest grid in use holds 2001 points; a billion-point grid would exhaust
-# memory.
+# Sweeps refuse larger grids before allocating them.  The finest grid in
+# use holds 2001 points; a billion-point grid would exhaust memory.
 MAX_GRID_POINTS = 20_000
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 # ITP root steps (Oliveira & Takahashi, "An Enhancement of the Bisection
 # Method Average Performance Preserving Minmax Optimality", ACM TOMS 47(1),
@@ -97,7 +91,7 @@ class ConvergenceError(RuntimeError):
 
 
 class NoPeakError(ValueError):
-    """The scanned range has no interior maximum; widen the range."""
+    """F's negated slope is not (-, +) at the ends of the range; widen the range."""
 
 
 @dataclass(frozen=True)
@@ -116,8 +110,9 @@ class CurvePoint:
 class PeakResult:
     """Located maximum of F along one curve.
 
-    bracket_evidence holds the three coarse-scan points (pi_db, F) that
-    establish the rise-then-fall pattern around the maximum.
+    bracket_evidence is the final bracket of the search, two (pi_db, g)
+    pairs where g, the normalised negated slope of F, is negative at the
+    first (F still rising) and positive at the second (F falling).
     """
 
     users: int | None
@@ -125,7 +120,7 @@ class PeakResult:
     pi_star_db: float
     F_star: float
     lambda_at_peak: float
-    bracket_evidence: tuple[tuple[float, float], tuple[float, float], tuple[float, float]]
+    bracket_evidence: tuple[tuple[float, float], tuple[float, float]]
 
 
 def _bisect(fn, lo: float, hi: float, f_lo: float, f_hi: float,
@@ -349,48 +344,40 @@ def find_peak(users: int | None, from_db: float = DEFAULT_FROM_DB,
               to_db: float = DEFAULT_TO_DB) -> PeakResult:
     """Locate the maximum of F along one curve inside [from_db, to_db].
 
-    A coarse scan at SCAN_STEP_DB finds a rise-then-fall triple, then
-    golden-section refinement narrows the dB interval to PEAK_TOL_DB.
+    F rises while g = 1 - (lam + pi*lam') * (ln(1+pi)/ln(1+pi*lam)) *
+    ((1+pi)/(1+pi*lam)) is negative and falls while it is positive: g is
+    -dF/dpi scaled to O(1).  The peak is g's (-, +) root on the dB axis,
+    bracketed to LAMBDA_TOL by _bisect; the solve at the returned point
+    gives F* and lam.  Where lam - 1 <= LAMBDA_TOL the solve cannot tell
+    lam from 1 and F is flat at 1, so g counts as negative there.  Raises
+    NoPeakError unless g is negative at from_db and positive at to_db.
     """
     if not to_db > from_db:
         raise ValueError(f"peak search needs from_db < to_db, got {from_db!r}..{to_db!r}")
+    solved: dict[float, GainSolution] = {}
+    ends: dict[bool, tuple[float, float]] = {}  # the last (pi_db, g) of each sign
 
-    def F_at(pi_db: float) -> float:
+    def descent(pi_db: float) -> float:
         sol = eval_point(ChannelConfig(users, total_power=db_to_linear(pi_db)))
-        return sol.gain_F
+        solved[pi_db] = sol
+        pi, lam = sol.config.total_power, sol.lambda_star
+        if lam - 1.0 <= LAMBDA_TOL:
+            g = -1.0
+        else:
+            g = 1.0 - ((lam + pi * dlambda_dpi(users, pi, lam))
+                       * (sol.capacity_nofb / sol.capacity_fb)
+                       * ((1.0 + pi) / (1.0 + pi * lam)))
+        if g != 0.0:
+            ends[g > 0.0] = (pi_db, g)
+        return g
 
-    scan = sweep_curve(users, from_db, to_db, SCAN_STEP_DB)
-    k = max(range(len(scan)), key=lambda i: scan[i].F)
-    if k == 0 or k == len(scan) - 1:
+    g_lo, g_hi = descent(from_db), descent(to_db)
+    if not g_lo < 0.0 < g_hi:
         raise NoPeakError(
             f"F has no interior maximum in [{from_db!r}, {to_db!r}] dB; "
             f"widen the range"
         )
-    evidence = tuple((pt.pi_db, pt.F) for pt in scan[k - 1:k + 2])
-
-    lo, hi = scan[k - 1].pi_db, scan[k + 1].pi_db
-    x1 = hi - _INVPHI * (hi - lo)
-    x2 = lo + _INVPHI * (hi - lo)
-    f1, f2 = F_at(x1), F_at(x2)
-    while hi - lo > PEAK_TOL_DB:
-        if f1 < f2:
-            lo = x1
-            x1, f1 = x2, f2
-            x2 = lo + _INVPHI * (hi - lo)
-            f2 = F_at(x2)
-        else:
-            hi = x2
-            x2, f2 = x1, f1
-            x1 = hi - _INVPHI * (hi - lo)
-            f1 = F_at(x1)
-
-    pi_star_db = 0.5 * (lo + hi)
-    pi_star = db_to_linear(pi_star_db)
-    sol = eval_point(ChannelConfig(users, total_power=pi_star))
-    best = (pi_star, pi_star_db, sol.gain_F, sol.lambda_star)
-    # The scan maximum is kept as a floor so the result can never dip below
-    # its own bracket evidence; the scan already holds its solve.
-    top = scan[k]
-    if top.F > sol.gain_F:
-        best = (top.pi, top.pi_db, top.F, top.lam)
-    return PeakResult(users, *best, evidence)
+    pi_star_db, _, _ = _bisect(descent, from_db, to_db, g_lo, g_hi, LAMBDA_TOL, MAX_ITER)
+    sol = solved[pi_star_db]
+    return PeakResult(users, sol.config.total_power, pi_star_db, sol.gain_F,
+                      sol.lambda_star, (ends[False], ends[True]))

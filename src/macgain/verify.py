@@ -18,12 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import solvers
-from .core import _balance, db_to_linear, dlambda_dpi_massive
+from .core import ChannelConfig, _balance, db_to_linear, dlambda_dpi
 from .solvers import (
     DEFAULT_FROM_DB,
     DEFAULT_TO_DB,
     DEFAULT_USERS,
     _db_grid,
+    eval_point,
     solve_lambda_massive,
     solve_lambda_star,
     sweep_curve,
@@ -32,6 +33,7 @@ from .solvers import (
 __all__ = [
     "NUMERIC_SLOP",
     "DERIVATIVE_GRID",
+    "DERIVATIVE_USERS",
     "DERIVATIVE_STEP",
     "BoundReport",
     "MAX_SAMPLES",
@@ -48,6 +50,8 @@ __all__ = [
 NUMERIC_SLOP = 1e-9
 
 DERIVATIVE_GRID = (0.1, 0.5, 1.0, 5.38, 10.0, 100.0, 1000.0)
+# The curves check_derivative differentiates, the massive limit last.
+DERIVATIVE_USERS = (2, 10, 10_000, None)
 # Relative step of check_derivative's central differences.
 DERIVATIVE_STEP = 1e-3
 
@@ -370,26 +374,29 @@ def check_tail_bounds() -> BoundReport:
 
 
 def check_derivative() -> BoundReport:
-    """Validate the analytic slope of the massive curve against central differences.
+    """Validate the analytic slope dlambda_dpi against central differences.
 
-    The quotient takes roots at pi*(1 -+ DERIVATIVE_STEP), bracketed to
-    LAMBDA_TOL like every other root.  At that step its truncation error
-    is at most 3.44e-7 relative (at pi = 100) and root errors move it by at
-    most LAMBDA_TOL/(pi*h*lam') = 1.94e-8 (at pi = 0.1): together under 4%
-    of the 1e-5 bound.
+    On every DERIVATIVE_USERS curve at every DERIVATIVE_GRID power, the
+    quotient takes roots at pi*(1 -+ DERIVATIVE_STEP), bracketed to
+    LAMBDA_TOL like every other root.  At that step its truncation error is
+    at most 6.17e-7 relative (K = 2, pi = 1000) and root errors move it by
+    at most LAMBDA_TOL/(pi*h*lam') = 4.58e-8 (same point): together under
+    7% of the 1e-5 bound.
     """
     tracker = _Tracker("derivative_consistency")
     h = DERIVATIVE_STEP
-    for pi in DERIVATIVE_GRID:
-        lam = solve_lambda_massive(pi).lambda_star
-        analytic = dlambda_dpi_massive(pi, lam)
-        w = f"pi={pi:.6g}"
-        tracker.add(analytic, f"derivative_positive at {w}")
-        lam_hi = solve_lambda_massive(pi * (1.0 + h)).lambda_star
-        lam_lo = solve_lambda_massive(pi * (1.0 - h)).lambda_star
-        fd = (lam_hi - lam_lo) / (2.0 * pi * h)
-        rel_err = abs(fd - analytic) / abs(analytic)
-        tracker.add(1e-5 - rel_err, f"derivative_fd_match at {w}")
+    for users in DERIVATIVE_USERS:
+        for pi in DERIVATIVE_GRID:
+            lam, lam_hi, lam_lo = (
+                eval_point(ChannelConfig(users, total_power=p)).lambda_star
+                for p in (pi, pi * (1.0 + h), pi * (1.0 - h))
+            )
+            analytic = dlambda_dpi(users, pi, lam)
+            w = f"pi={pi:.6g}" if users is None else f"K={users}, pi={pi:.6g}"
+            tracker.add(analytic, f"derivative_positive at {w}")
+            fd = (lam_hi - lam_lo) / (2.0 * pi * h)
+            rel_err = abs(fd - analytic) / abs(analytic)
+            tracker.add(1e-5 - rel_err, f"derivative_fd_match at {w}")
     return tracker.report()
 
 

@@ -170,7 +170,7 @@ def test_criterion_7_residual_and_sandwich(acceptance_log, sampled_solutions):
 
 def test_criterion_8_derivative_consistency(acceptance_log):
     report, elapsed = timed(lambda: check_derivative())
-    ok = report.passed and report.samples == 14
+    ok = report.passed and report.samples == 56
     acceptance_log(
         f"criterion 8 (analytic slope vs central differences): "
         f"{'PASS' if ok else 'FAIL'}; {report.samples} slacks, "

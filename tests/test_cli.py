@@ -142,7 +142,7 @@ class TestUsageErrors:
         [
             ["curve", "--users", "2", "--step-db", "1e-7"],
             ["figure", "--which", "cfactor", "--step-db", "1e-7"],
-            ["peak", "--massive", "--from-db", "-1500", "--to-db", "1500"],
+            ["curve", "--massive", "--from-db", "-1500", "--to-db", "1500"],
         ],
     )
     def test_oversized_grid(self, argv):
@@ -329,10 +329,20 @@ class TestPeak:
         assert payload["users"] == 2
         assert payload["F_star"] == pytest.approx(1.1903994, abs=1e-6)
         assert payload["pi_star_db"] == pytest.approx(7.104, abs=2e-3)
-        evidence = payload["bracket_evidence"]
-        assert len(evidence) == 3
-        assert evidence[0][0] < evidence[1][0] < evidence[2][0]
-        assert payload["F_star"] >= evidence[1][1]
+        # The final bracket of the slope root: (pi_db, g) with g < 0 where F
+        # still rises and g > 0 where it falls, around pi_star_db.
+        (left_db, left_g), (right_db, right_g) = payload["bracket_evidence"]
+        assert left_db <= payload["pi_star_db"] <= right_db
+        assert left_g < 0.0 < right_g
+
+    def test_range_wider_than_any_grid(self, capsys):
+        # Peak search builds no grid, so a range past MAX_GRID_POINTS at
+        # 0.1 dB is served, with the same peak as the default range.
+        code, out, err = run_cli(
+            capsys, "peak", "--massive", "--from-db", "-300", "--to-db", "3000"
+        )
+        assert (code, err) == (0, "")
+        assert out == GOLDEN_STDOUT["peak --massive"]
 
     def test_no_interior_peak_fails(self, capsys):
         code, out, err = run_cli(
@@ -641,30 +651,26 @@ GOLDEN_STDOUT = {
         '}\n'
     ),
     "peak --massive": (
-        "pi_star = 5.35410937\n"
-        "pi_star_db = 7.28687239\n"
+        "pi_star = 5.35410431\n"
+        "pi_star_db = 7.28686828\n"
         "F_star = 1.53733266\n"
-        "lambda_at_peak = 3.01857389\n"
+        "lambda_at_peak = 3.01857282\n"
     ),
     "peak --users 10 --format json": (
         '{\n'
         '  "users": 10,\n'
-        '  "pi_star": 5.293567869982146,\n'
-        '  "pi_star_db": 7.237484856351227,\n'
-        '  "F_star": 1.445887514235721,\n'
-        '  "lambda_at_peak": 2.511109100085206,\n'
+        '  "pi_star": 5.2935538364358425,\n'
+        '  "pi_star_db": 7.237473342944862,\n'
+        '  "F_star": 1.4458875142360172,\n'
+        '  "lambda_at_peak": 2.5111070521201784,\n'
         '  "bracket_evidence": [\n'
         '    [\n'
-        '      7.100000000000001,\n'
-        '      1.4458447968672192\n'
+        '      7.237473342940626,\n'
+        '      -1.2434497875801753e-13\n'
         '    ],\n'
         '    [\n'
-        '      7.199999999999999,\n'
-        '      1.4458843671663573\n'
-        '    ],\n'
-        '    [\n'
-        '      7.300000000000001,\n'
-        '      1.4458788274554593\n'
+        '      7.237473343517604,\n'
+        '      1.6809553748942108e-11\n'
         '    ]\n'
         '  ]\n'
         '}\n'

@@ -14,7 +14,7 @@ from macgain.core import (
     ChannelConfig,
     db_to_linear,
     db_residual,
-    dlambda_dpi_massive,
+    dlambda_dpi,
     f_of,
     linear_to_db,
     log1p_over_x,
@@ -60,8 +60,12 @@ class TestLog1pOverX:
         assert log1p_over_x(math.e - 1.0) == pytest.approx(1.0 / (math.e - 1.0), rel=1e-14)
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            log1p_over_x(-1.0)
+        for x in (-1.0, -math.inf, math.nan):
+            with pytest.raises(ValueError):
+                log1p_over_x(x)
+
+    def test_limit_at_infinity(self):
+        assert log1p_over_x(math.inf) == 0.0
 
     @given(st.floats(min_value=-0.999999, max_value=1e6))
     def test_log_sandwich(self, x):
@@ -258,10 +262,15 @@ class TestFixedPointMap:
         assert f_of(pi, 1.0) > 1.0
 
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            f_of(0.0, 1.0)
-        with pytest.raises(ValueError):
-            f_of(1.0, 0.5)
+        for pi, lam in ((0.0, 1.0), (1.0, 0.5), (math.nan, 2.0), (math.inf, 2.0),
+                        (1.0, math.nan), (1.0, math.inf)):
+            with pytest.raises(ValueError):
+                f_of(pi, lam)
+
+    def test_overflowing_product_is_nan(self):
+        # Finite arguments whose product overflows give NaN, the solver's
+        # overflow signal, not an error.
+        assert math.isnan(f_of(1e300, 1e10))
 
     @pytest.mark.parametrize("pi", [0.01, 0.1, 1.0, 10.0, 1000.0])
     @pytest.mark.parametrize("lam", [1.0, 1.5, 2.0, 5.0, 10.0])
@@ -318,13 +327,35 @@ class TestMassiveDerivative:
     def test_positive_along_curve(self):
         for k in range(-12, 13):
             pi, lam = massive_parametric(10.0 ** (k / 2.0))
-            assert dlambda_dpi_massive(pi, lam) > 0.0
+            assert dlambda_dpi(None, pi, lam) > 0.0
 
     def test_off_curve_denominator_guard(self):
-        with pytest.raises(ValueError):
-            dlambda_dpi_massive(0.5, 0.2)
+        for users in (None, 2):
+            with pytest.raises(ValueError):
+                dlambda_dpi(users, 0.5, 0.2)
 
     def test_rejects_nonpositive_power(self):
         for pi, lam in ((0.0, 2.0), (math.nan, 2.0), (math.inf, 2.0), (1.0, math.nan)):
             with pytest.raises(ValueError):
-                dlambda_dpi_massive(pi, lam)
+                dlambda_dpi(None, pi, lam)
+
+
+class TestFiniteDerivative:
+    @pytest.mark.parametrize("K", [2, 10, 10**4, 10**12])
+    def test_matches_central_differences(self, K):
+        # Implicit differentiation of the balance equation at K users,
+        # against a quotient of roots at pi*(1 -+ 1e-4).
+        for pi in (0.1, 1.0, 5.38, 100.0):
+            lam = solve_lambda_star(K, pi / K).lambda_star
+            slope = dlambda_dpi(K, pi, lam)
+            h = 1e-4
+            fd = (solve_lambda_star(K, pi * (1 + h) / K).lambda_star
+                  - solve_lambda_star(K, pi * (1 - h) / K).lambda_star) / (2 * pi * h)
+            assert slope > 0.0
+            assert fd == pytest.approx(slope, rel=1e-7)
+
+    def test_large_K_approaches_the_massive_slope(self):
+        pi = 5.38
+        massive = dlambda_dpi(None, pi, solve_lambda_massive(pi).lambda_star)
+        finite = dlambda_dpi(10**12, pi, solve_lambda_star(10**12, pi / 10**12).lambda_star)
+        assert finite == pytest.approx(massive, rel=1e-9)

@@ -19,11 +19,17 @@ from conftest import finite_certified, massive_certified
 from macgain.core import ChannelConfig, db_to_linear
 from macgain.solvers import (
     LAMBDA_TOL,
+    find_peak,
     invert_massive_parametric,
     solve_lambda_massive,
     solve_lambda_star,
 )
-from macgain.verify import DERIVATIVE_GRID, DERIVATIVE_STEP, _solve_finite_many
+from macgain.verify import (
+    DERIVATIVE_GRID,
+    DERIVATIVE_STEP,
+    DERIVATIVE_USERS,
+    _solve_finite_many,
+)
 from test_cli import GOLDEN_STDOUT
 
 TOL = 1e-12
@@ -113,28 +119,60 @@ def test_golden_lambdas_are_certified():
     assert finite_certified(10, peak_P, peak["lambda_at_peak"], TOL)
 
 
+def mp_balance(users, pi, x):
+    """The balance residual at total power pi in mpmath; users None is the massive limit."""
+    if users is None:
+        return x - (1 + 1 / (pi * x)) * mp.log1p(pi * x)
+    K = mpf(users)
+    P = pi / K
+    return K * mp.log1p(P * x * x / (1 + (K - x) * P * x)) - mp.log1p(K * P * x)
+
+
+def mp_lambda(users, pi):
+    """mpmath's root of mp_balance, bracketed on [1, K], or on [1, 100] when massive."""
+    cap = 100 if users is None else users
+    return mp.findroot(lambda x: mp_balance(users, pi, x), (mpf(1), mpf(cap)),
+                       solver="anderson")
+
+
 def test_derivative_step_error_budget():
     # check_derivative compares the analytic slope with a central difference
     # of roots bracketed to LAMBDA_TOL.  At its step, the quotient's exact
     # truncation error plus what two such roots can move it by,
     # LAMBDA_TOL/(pi*h*lam'), must stay within a tenth of the check's 1e-5
-    # bound.
+    # bound on every curve it checks.
     h = DERIVATIVE_STEP
     with mp.workdps(40):
-        def slack(pi, x):
-            return x - (1 + 1 / (pi * x)) * mp.log1p(pi * x)
+        for users in DERIVATIVE_USERS:
+            for pi in DERIVATIVE_GRID:
+                pi_ = mpf(pi)
+                root = mp_lambda(users, pi_)
+                slope = (-mp.diff(lambda p: mp_balance(users, p, root), pi_)
+                         / mp.diff(lambda x: mp_balance(users, pi_, x), root))
+                # The quotient's powers are the floats check_derivative solves at.
+                fd = ((mp_lambda(users, mpf(pi * (1.0 + h)))
+                       - mp_lambda(users, mpf(pi * (1.0 - h)))) / (2 * pi_ * mpf(h)))
+                truncation = abs(fd - slope) / slope
+                root_noise = LAMBDA_TOL / (pi_ * mpf(h) * slope)
+                assert truncation + root_noise <= 1e-6, (users, pi)
 
-        def lam(pi):
-            return mp.findroot(lambda x: slack(pi, x),
-                               solve_lambda_massive(float(pi)).lambda_star)
 
-        for pi in DERIVATIVE_GRID:
-            pi_ = mpf(pi)
-            root = lam(pi_)
-            slope = (-mp.diff(lambda p: slack(p, root), pi_)
-                     / mp.diff(lambda x: slack(pi_, x), root))
-            # The quotient's powers are the floats check_derivative solves at.
-            fd = (lam(mpf(pi * (1.0 + h))) - lam(mpf(pi * (1.0 - h)))) / (2 * pi_ * mpf(h))
-            truncation = abs(fd - slope) / slope
-            root_noise = LAMBDA_TOL / (pi_ * mpf(h) * slope)
-            assert truncation + root_noise <= 1e-6, pi
+def mp_gain_slope(users, pi_db):
+    """dF/dpi at pi_db dB in 50-digit arithmetic, from mpmath's own roots.
+
+    F(pi) = ln(1 + pi*lam)/ln(1 + pi) with lam found by mp.findroot on the
+    balance equation (the massive fixed point for users None), and the
+    slope by mp.diff: no macgain formula enters.
+    """
+    with mp.workdps(50):
+        def gain(pi):
+            return mp.log1p(pi * mp_lambda(users, pi)) / mp.log1p(pi)
+
+        return mp.diff(gain, mpf(10) ** (mpf(pi_db) / 10))
+
+
+@pytest.mark.parametrize("users", [None, 10], ids=("massive", "10"))
+def test_peak_is_certified(users):
+    # F rises 1e-9 dB below the located peak and falls 1e-9 dB above it.
+    pi_star_db = find_peak(users).pi_star_db
+    assert mp_gain_slope(users, pi_star_db - 1e-9) > 0 > mp_gain_slope(users, pi_star_db + 1e-9)

@@ -12,7 +12,7 @@ import numpy as np
 
 import macgain.solvers
 import macgain.verify
-from macgain.core import _balance, db_to_linear, dlambda_dpi_massive
+from macgain.core import _balance, db_to_linear, dlambda_dpi
 from macgain.solvers import (
     DEFAULT_USERS,
     ConvergenceError,
@@ -28,6 +28,7 @@ from macgain.verify import (
     _solve_massive_many,
     BoundReport,
     DERIVATIVE_GRID,
+    DERIVATIVE_USERS,
     IMPROVED_GAIN_CAP,
     MAX_SAMPLES,
     NUMERIC_SLOP,
@@ -180,19 +181,21 @@ class TestDerivativeCheck:
         report = check_derivative()
         assert report.check_name == "derivative_consistency"
         assert report.passed
-        assert report.samples == 2 * len(DERIVATIVE_GRID)
+        assert report.samples == 2 * len(DERIVATIVE_USERS) * len(DERIVATIVE_GRID)
         assert report.worst_slack > 0.0
 
     @pytest.mark.parametrize("error, flagged", [(2e-5, True), (5e-6, False)])
     def test_flags_slope_errors_near_the_bound(self, monkeypatch, error, flagged):
         # The step's error budget (test_oracle) leaves the 1e-5 bound sharp:
-        # a slope 2e-5 off fails at every power, one 5e-6 off still passes.
-        def skewed(pi, lam):
-            return (1.0 + error) * dlambda_dpi_massive(pi, lam)
+        # a slope 2e-5 off fails at every power on every curve, one 5e-6 off
+        # still passes.
+        def skewed(users, pi, lam):
+            return (1.0 + error) * dlambda_dpi(users, pi, lam)
 
-        monkeypatch.setattr(macgain.verify, "dlambda_dpi_massive", skewed)
+        monkeypatch.setattr(macgain.verify, "dlambda_dpi", skewed)
         report = check_derivative()
-        assert report.violations == (len(DERIVATIVE_GRID) if flagged else 0)
+        points = len(DERIVATIVE_USERS) * len(DERIVATIVE_GRID)
+        assert report.violations == (points if flagged else 0)
 
 
 class TestCurveShape:
@@ -243,7 +246,7 @@ class TestRunSuite:
         assert by_name["root_quality"].samples == 3 * 10
         assert by_name["sandwich_large_k"].samples == 8
         assert by_name["tail_bounds"].samples == 136
-        assert by_name["derivative_consistency"].samples == 14
+        assert by_name["derivative_consistency"].samples == 56
         assert by_name["curve_shape"].samples == 26
         assert by_name["global_gain_bounds"].samples == 3 * 10 + 2
 
@@ -291,8 +294,8 @@ GOLDEN_LINES = [
     "witness[fixed_point_ceiling at K=100000000 P=1]",
     "tail_bounds: pass samples=136 violations=0 worst_slack=7.238240e-08 "
     "witness[large_power_tight_cap at pi=1e+06]",
-    "derivative_consistency: pass samples=14 violations=0 worst_slack=9.656197e-06 "
-    "witness[derivative_fd_match at pi=100]",
+    "derivative_consistency: pass samples=56 violations=0 worst_slack=9.383528e-06 "
+    "witness[derivative_fd_match at K=2, pi=1000]",
     "curve_shape: pass samples=26 violations=0 worst_slack=0.000000e+00 "
     "witness[F_unimodal at K=2]",
     "global_gain_bounds: pass samples=30002 violations=0 worst_slack=1.061291e-04 "
@@ -308,8 +311,8 @@ GOLDEN_SABOTAGE_LINES = [
     "witness[fixed_point_ceiling at K=100000000 P=1]",
     "tail_bounds: pass samples=136 violations=0 worst_slack=7.238240e-08 "
     "witness[large_power_tight_cap at pi=1e+06]",
-    "derivative_consistency: pass samples=14 violations=0 worst_slack=9.656197e-06 "
-    "witness[derivative_fd_match at pi=100]",
+    "derivative_consistency: pass samples=56 violations=0 worst_slack=9.383528e-06 "
+    "witness[derivative_fd_match at K=2, pi=1000]",
     "curve_shape: pass samples=26 violations=0 worst_slack=0.000000e+00 "
     "witness[F_unimodal at K=2]",
     "global_gain_bounds: FAIL samples=32 violations=1 worst_slack=-9.060161e-03 "
@@ -553,11 +556,12 @@ class TestBatchedSolve:
             _solve_massive_many(np.array([1.0, bad]))
 
     def test_default_suite_settles_every_sample_in_the_batch(self, monkeypatch):
-        # Only the massive checks (21 derivative, 1 witness) call the
-        # public scalar solvers; the 34 tail solves go through sweep_curve,
-        # sandwich_large_k rides in the samples' batch and the two curve
-        # limits in the massive curve's.  A batch that handed samples or
-        # curve points to the scalar solvers would add calls.
+        # Only the witness calls the public scalar solvers; the 84
+        # derivative solves go through eval_point, the 34 tail solves
+        # through sweep_curve, sandwich_large_k rides in the samples' batch
+        # and the two curve limits in the massive curve's.  A batch that
+        # handed samples or curve points to the scalar solvers would add
+        # calls.
         calls = {"finite": 0, "massive": 0}
 
         def counted(name, solve):
@@ -571,4 +575,4 @@ class TestBatchedSolve:
         monkeypatch.setattr(macgain.verify, "solve_lambda_massive",
                             counted("massive", solve_lambda_massive))
         run_suite(SampleSpec(seed=42, n_samples=10_000))
-        assert calls == {"finite": 0, "massive": 22}
+        assert calls == {"finite": 0, "massive": 1}
