@@ -6,8 +6,9 @@ gain factor lambda solves a cooperation balance equation on [1, K].  This
 package computes lambda and the capacity gain factor F = ln(1+pi*lambda)
 / ln(1+pi) for finite user counts and in the massive-user limit, sweeps
 and maximizes the resulting curves, and verifies every bound the analysis
-promises (F < 2 always, F <= 1.5372 globally, F <= 1.321 on both power
-tails, peak near 1.537).
+promises (F < 2 always, F <= 1.5372 over the sampled finite-user box
+K in [2, 1e4], P in [1e-3, 1e3], F <= 1.321 on both power tails, and the
+massive-limit peak F* = 1.5373 near 7.3 dB).
 """
 
 from .core import ChannelConfig, GainSolution

@@ -9,11 +9,9 @@ invocations produce identical bytes.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import time
-from dataclasses import asdict
 from typing import TextIO
 
 from .core import ChannelConfig, _check_users, db_to_linear, linear_to_db
@@ -29,7 +27,6 @@ from .solvers import (
     find_peak,
     sweep_curve,
 )
-from .svgplot import line_chart
 
 __all__ = ["main", "build_parser", "CSV_HEADER"]
 
@@ -106,6 +103,13 @@ def _selected_users(args: argparse.Namespace) -> int | None:
     return None if args.massive else args.users
 
 
+def _json_text(payload: dict) -> str:
+    # Imported here so that text and CSV output never load json.
+    import json
+
+    return json.dumps(payload, indent=2) + "\n"
+
+
 def run_solve(args: argparse.Namespace, out: TextIO) -> int:
     if args.massive and args.power_db is not None:
         args.parser.error("the massive limit takes --total-power-db only")
@@ -133,7 +137,7 @@ def run_solve(args: argparse.Namespace, out: TextIO) -> int:
         if args.bits:
             payload["capacity_nofb_bits"] = sol.capacity_nofb / _LN2
             payload["capacity_fb_bits"] = sol.capacity_fb / _LN2
-        text = json.dumps(payload, indent=2) + "\n"
+        text = _json_text(payload)
     else:
         lines = [
             f"lambda_star = {_fmt(sol.lambda_star, p)}",
@@ -178,6 +182,9 @@ def _sweeps(
 
 
 def _chart(curves: list[tuple[int | None, list[CurvePoint]]], pfactor: bool) -> str:
+    # Imported here so that only SVG output loads the renderer.
+    from .svgplot import line_chart
+
     return line_chart(
         [
             (
@@ -213,8 +220,7 @@ def run_curve(args: argparse.Namespace, out: TextIO) -> int:
             )
         text = "\n".join(rows) + "\n"
     elif args.format == "json":
-        text = json.dumps({"points": [_point_dict(pt) for pt in points]}, indent=2)
-        text += "\n"
+        text = _json_text({"points": [_point_dict(pt) for pt in points]})
     else:
         text = _chart(curves, pfactor=False)
     out.write(text)
@@ -228,8 +234,7 @@ def run_peak(args: argparse.Namespace, out: TextIO) -> int:
     peak = find_peak(users, args.from_db, args.to_db)
     p = args.precision
     if args.format == "json":
-        payload = {**asdict(peak), "users": _users_json_value(users)}
-        text = json.dumps(payload, indent=2) + "\n"
+        text = _json_text({**peak._asdict(), "users": _users_json_value(users)})
     else:
         text = (
             f"pi_star = {_fmt(peak.pi_star, p)}\n"
@@ -254,12 +259,11 @@ def run_verify(args: argparse.Namespace, out: TextIO) -> int:
     elapsed = time.perf_counter() - start
     ok = suite_passed(reports)
     if args.format == "json":
-        payload = {
+        text = _json_text({
             "passed": ok,
             "elapsed_s": elapsed,
-            "reports": [asdict(r) for r in reports],
-        }
-        text = json.dumps(payload, indent=2) + "\n"
+            "reports": [r._asdict() for r in reports],
+        })
     else:
         lines = [r.line() for r in reports]
         total = sum(r.violations for r in reports)
@@ -293,7 +297,7 @@ def run_figure(args: argparse.Namespace, out: TextIO) -> int:
             {"K": _users_json_value(users), "points": [_point_dict(pt) for pt in curve]}
             for users, curve in curves
         ]
-        text = json.dumps({"which": args.which, "series": series}, indent=2) + "\n"
+        text = _json_text({"which": args.which, "series": series})
     else:
         text = _chart(curves, pfactor)
     out.write(text)

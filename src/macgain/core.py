@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "ChannelConfig",
@@ -71,8 +71,13 @@ def _check_power(value: float, name: str) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class ChannelConfig:
+class _ChannelConfigFields(NamedTuple):
+    users: int | None
+    per_user_power: float | None = None
+    total_power: float | None = None
+
+
+class ChannelConfig(_ChannelConfigFields):
     """One operating point: user count plus the power that drives it.
 
     ``users`` is an integer K >= 2, or ``None`` for the massive limit
@@ -80,34 +85,44 @@ class ChannelConfig:
     either per-user power P or total power pi = K*P, never both; the other
     is derived and both are stored.  Both must be positive finite floats,
     so a K*P that overflows or a pi/K that underflows is refused.  The
-    massive limit only admits a total power.
+    massive limit only admits a total power.  ``_make`` and ``_replace``
+    validate the same way; pickling and copying restore the stored fields.
     """
 
-    users: int | None
-    per_user_power: float | None = None
-    total_power: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.users is None:
-            if self.per_user_power is not None:
+    def __new__(
+        cls,
+        users: int | None,
+        per_user_power: float | None = None,
+        total_power: float | None = None,
+    ) -> "ChannelConfig":
+        if users is None:
+            if per_user_power is not None:
                 raise ValueError("the massive limit takes a total power only")
-            if self.total_power is None:
+            if total_power is None:
                 raise ValueError("the massive limit requires a total power")
-            object.__setattr__(
-                self, "total_power", _check_power(self.total_power, "total power")
+            return tuple.__new__(
+                cls, (None, None, _check_power(total_power, "total power"))
             )
-            return
-        _check_users(self.users)
-        if (self.per_user_power is None) == (self.total_power is None):
+        _check_users(users)
+        if (per_user_power is None) == (total_power is None):
             raise ValueError("finite config needs exactly one of per-user or total power")
-        if self.per_user_power is not None:
-            per_user = _check_power(self.per_user_power, "per-user power")
-            total = _check_power(self.users * per_user, "total power")
+        if per_user_power is not None:
+            per_user = _check_power(per_user_power, "per-user power")
+            total = _check_power(users * per_user, "total power")
         else:
-            total = _check_power(self.total_power, "total power")
-            per_user = _check_power(total / self.users, "per-user power")
-        object.__setattr__(self, "per_user_power", per_user)
-        object.__setattr__(self, "total_power", total)
+            total = _check_power(total_power, "total power")
+            per_user = _check_power(total / users, "per-user power")
+        return tuple.__new__(cls, (users, per_user, total))
+
+    @classmethod
+    def _make(cls, iterable) -> "ChannelConfig":
+        return cls(*iterable)
+
+    def __reduce__(self):
+        # A finite config stores both powers, which __new__ refuses.
+        return tuple.__new__, (type(self), tuple(self))
 
     @classmethod
     def finite(
@@ -128,8 +143,7 @@ class ChannelConfig:
         return self.users is None
 
 
-@dataclass(frozen=True)
-class GainSolution:
+class GainSolution(NamedTuple):
     """A solved operating point of the balance equation.
 
     ``residual`` is the solver's residual at the returned root: for finite K

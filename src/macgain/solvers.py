@@ -15,7 +15,7 @@ which core.dlambda_dpi gives in closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     ChannelConfig,
@@ -94,8 +94,7 @@ class NoPeakError(ValueError):
     """F's negated slope is not (-, +) at the ends of the range; widen the range."""
 
 
-@dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(NamedTuple):
     """One swept sample of a gain curve; field order matches the CSV columns."""
 
     pi_db: float
@@ -106,8 +105,7 @@ class CurvePoint:
     F: float
 
 
-@dataclass(frozen=True)
-class PeakResult:
+class PeakResult(NamedTuple):
     """Located maximum of F along one curve.
 
     bracket_evidence is the final bracket of the search, two (pi_db, g)
@@ -291,25 +289,33 @@ def check_db_grid(from_db: float, to_db: float, step_db: float) -> int:
     """Whole steps of the dB grid from_db..to_db, counted before it is built.
 
     Raises ValueError for a non-positive step, a reversed range, or a grid
-    that would exceed MAX_GRID_POINTS points.
+    that would exceed MAX_GRID_POINTS points, the appended end point of a
+    ragged range included.
     """
     if not step_db > 0.0:
         raise ValueError(f"step must be > 0 dB, got {step_db!r}")
     if from_db > to_db:
         raise ValueError(f"empty sweep range: from {from_db!r} to {to_db!r} dB")
     steps = (to_db - from_db) / step_db + 1e-9
-    if not steps < MAX_GRID_POINTS:
+    # A quotient past the cap, possibly inf, is refused without int().
+    count = int(steps) if steps < MAX_GRID_POINTS else MAX_GRID_POINTS
+    if count + 1 + _falls_short(from_db, to_db, step_db, count) > MAX_GRID_POINTS:
         raise ValueError(
             f"a {step_db!r} dB step from {from_db!r} to {to_db!r} dB needs more "
             f"than {MAX_GRID_POINTS} grid points"
         )
-    return int(steps)
+    return count
+
+
+def _falls_short(from_db: float, to_db: float, step_db: float, count: int) -> bool:
+    """Whether the grid's last whole step ends short of to_db, which is then appended."""
+    return from_db + count * step_db < to_db - 1e-9 * max(1.0, abs(to_db))
 
 
 def _db_grid(from_db: float, to_db: float, step_db: float) -> list[float]:
     count = check_db_grid(from_db, to_db, step_db)
     grid = [from_db + i * step_db for i in range(count + 1)]
-    if grid[-1] < to_db - 1e-9 * max(1.0, abs(to_db)):
+    if _falls_short(from_db, to_db, step_db, count):
         grid.append(to_db)
     else:
         grid[-1] = to_db

@@ -13,7 +13,7 @@ a solver error (BracketError, ConvergenceError) propagates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,8 +73,7 @@ ROOT_RESIDUAL_TOL = 1e-10
 MAX_SAMPLES = 100_000
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Outcome of one named check over some number of slack observations."""
 
     check_name: str
@@ -96,20 +95,31 @@ class BoundReport:
         )
 
 
-@dataclass(frozen=True)
-class SampleSpec:
-    """Random sampling plan: log-uniform user counts and per-user powers."""
-
+class _SampleSpecFields(NamedTuple):
     seed: int
     n_samples: int
 
-    def __post_init__(self) -> None:
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
-        if not 1 <= self.n_samples <= MAX_SAMPLES:
+
+class SampleSpec(_SampleSpecFields):
+    """Random sampling plan: log-uniform user counts and per-user powers.
+
+    ``_make`` and ``_replace`` validate the same way.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, seed: int, n_samples: int) -> "SampleSpec":
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed!r}")
+        if not 1 <= n_samples <= MAX_SAMPLES:
             raise ValueError(
-                f"n_samples must be in [1, {MAX_SAMPLES}], got {self.n_samples!r}"
+                f"n_samples must be in [1, {MAX_SAMPLES}], got {n_samples!r}"
             )
+        return tuple.__new__(cls, (seed, n_samples))
+
+    @classmethod
+    def _make(cls, iterable) -> "SampleSpec":
+        return cls(*iterable)
 
 
 def draw_samples(spec: SampleSpec) -> tuple[np.ndarray, np.ndarray]:

@@ -143,6 +143,9 @@ class TestUsageErrors:
             ["curve", "--users", "2", "--step-db", "1e-7"],
             ["figure", "--which", "cfactor", "--step-db", "1e-7"],
             ["curve", "--massive", "--from-db", "-1500", "--to-db", "1500"],
+            # 20000 whole-step points plus the clamped end point.
+            ["curve", "--users", "10", "--from-db", "0", "--to-db", "1999.95",
+             "--step-db", "0.1"],
         ],
     )
     def test_oversized_grid(self, argv):

@@ -3,7 +3,9 @@ fixed-point map, and the closed-form curve parametrization."""
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 import re
 
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import given, strategies as st
 from conftest import raw_residual
 from macgain.core import (
     ChannelConfig,
+    GainSolution,
     db_to_linear,
     db_residual,
     dlambda_dpi,
@@ -136,6 +139,32 @@ class TestChannelConfig:
             ChannelConfig.finite(10**299, per_user_power=1e10)
         with pytest.raises(ValueError, match=re.escape(message)):
             ChannelConfig.finite(2, per_user_power=1e308)
+
+
+class TestRecords:
+    def test_gain_solution_leads_with_config_and_lambda(self):
+        # perfbench/workloads.py::_lambda_of reads lambda as result[1] from
+        # any tuple, so point_stream's ok_ratio depends on this order.
+        assert GainSolution._fields[:2] == ("config", "lambda_star")
+
+    def test_config_survives_pickle_and_copy(self):
+        # A finite config stores both powers, a pair its constructor
+        # refuses; restoring one must not validate it again.
+        config = ChannelConfig.finite(3, total_power=0.1)
+        sol = solve_lambda_star(3, 10.0)
+        for record in (config, sol):
+            for clone in (pickle.loads(pickle.dumps(record)), copy.copy(record),
+                          copy.deepcopy(record)):
+                assert type(clone) is type(record)
+                assert clone == record
+
+    def test_make_and_replace_validate(self):
+        config = ChannelConfig.finite(4, per_user_power=0.5)
+        assert config._replace(per_user_power=None, total_power=4.0).per_user_power == 1.0
+        with pytest.raises(ValueError, match="exactly one"):
+            config._replace(per_user_power=1.0)
+        with pytest.raises(ValueError, match="at least 2 users"):
+            ChannelConfig._make((1, 1.0, None))
 
 
 class TestCapacities:

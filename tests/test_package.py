@@ -31,6 +31,24 @@ def test_cli_import_leaves_numpy_unloaded():
     assert result.returncode == 0
 
 
+def test_cli_import_leaves_record_and_output_machinery_unloaded():
+    # Records are named tuples, json loads only for --format json and the
+    # SVG renderer only for --format svg, so importing the CLI and running
+    # text and CSV commands load none of these.
+    code = "\n".join([
+        "import sys, macgain.cli",
+        "unwanted = {'dataclasses', 'inspect', 'json', 'macgain.svgplot'}",
+        "at_import = sorted(unwanted & set(sys.modules))",
+        "macgain.cli.main(['solve', '--users', '2', '--power-db', '0'])",
+        "macgain.cli.main(['peak', '--massive'])",
+        "macgain.cli.main(['curve', '--users', '3', '--step-db', '1'])",
+        "print(at_import, sorted(unwanted & set(sys.modules)), file=sys.stderr)",
+    ])
+    result = subprocess.run([sys.executable, "-c", code], timeout=60,
+                            capture_output=True, text=True)
+    assert (result.returncode, result.stderr) == (0, "[] []\n")
+
+
 def test_traced_names_resolve():
     # The benchmark's tracer looks these functions up by name; a dropped or
     # renamed one would only surface when the benchmark runs.
@@ -68,7 +86,7 @@ def _names_used_in_src() -> set[tuple[str, str]]:
     definition, unless it is read inside that definition.  `module.name`
     counts when `module` is bound by `from . import module`.  Imports and
     comments do not count, nor do attributes of other objects, such as the
-    fields of a returned dataclass.
+    fields of a returned record.
     """
     used = set()
     for path in (ROOT / "src" / "macgain").glob("*.py"):

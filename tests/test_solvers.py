@@ -3,7 +3,6 @@ cross-check, curve sweeps, and peak search."""
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import re
 import statistics
@@ -19,9 +18,12 @@ from macgain.solvers import (
     BracketError,
     ConvergenceError,
     LAMBDA_TOL,
+    MAX_GRID_POINTS,
     MAX_ITER,
     NoPeakError,
     _bisect,
+    _db_grid,
+    check_db_grid,
     eval_point,
     find_peak,
     invert_massive_parametric,
@@ -29,7 +31,7 @@ from macgain.solvers import (
     solve_lambda_star,
     sweep_curve,
 )
-from macgain.verify import SampleSpec, draw_samples
+from macgain.verify import BoundReport, SampleSpec, draw_samples
 
 # Root of the three-user balance equation at P = 10, solved before the build
 # by an independent scan-and-refine pass over the raw residual.
@@ -358,6 +360,17 @@ class TestSweepCurve:
         with pytest.raises(ValueError):
             sweep_curve(None, 0.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("to_db", [19999.0, 19998.5])
+    def test_grid_of_exactly_max_points_accepted(self, to_db):
+        # Even, and ragged with the clamped end point appended.
+        assert len(_db_grid(0.0, to_db, 1.0)) == MAX_GRID_POINTS
+
+    @pytest.mark.parametrize("to_db, step_db", [(19999.5, 1.0), (1999.95, 0.1)])
+    def test_ragged_grid_one_past_max_rejected(self, to_db, step_db):
+        # MAX_GRID_POINTS whole-step points plus the appended end point.
+        with pytest.raises(ValueError, match="grid points"):
+            check_db_grid(0.0, to_db, step_db)
+
     def test_massive_gain_strictly_increases(self):
         points = sweep_curve(None, -10.0, 30.0, 1.0)
         lams = [p.lam for p in points]
@@ -461,6 +474,19 @@ class TestFindPeak:
         assert wide.F_star == pytest.approx(default.F_star, rel=1e-14)
 
     def test_result_is_frozen(self):
-        peak = find_peak(2)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            peak.F_star = 2.0
+        # Every record is a named tuple: no field can be reassigned and no
+        # attribute added.
+        records = [
+            find_peak(2),
+            sweep_curve(None, 0.0, 0.0, 0.1)[0],
+            solve_lambda_star(2, 1.0),
+            ChannelConfig.massive(1.0),
+            SampleSpec(seed=0, n_samples=1),
+            BoundReport("demo", 1, 0, 0.0, ""),
+        ]
+        for record in records:
+            for name in record._fields:
+                with pytest.raises(AttributeError):
+                    setattr(record, name, 2.0)
+            with pytest.raises(AttributeError):
+                record.extra = 2.0

@@ -95,6 +95,12 @@ class TestSampleSpec:
         with pytest.raises(ValueError):
             SampleSpec(**plan)
 
+    def test_replace_validates(self):
+        spec = SampleSpec(seed=0, n_samples=4)
+        assert spec._replace(seed=3) == SampleSpec(seed=3, n_samples=4)
+        with pytest.raises(ValueError, match="n_samples"):
+            spec._replace(n_samples=0)
+
 
 class TestDrawSamples:
     def test_deterministic(self):
