@@ -42,10 +42,11 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
             break
     first = math.ceil(lo / step) * step
     ticks = []
-    value = first
-    while value <= hi + 1e-9 * step:
+    # A step below the float spacing at value stops moving it: end there.
+    value, last = first, None
+    while value <= hi + 1e-9 * step and value != last:
         ticks.append(0.0 if abs(value) < 1e-12 * step else value)
-        value += step
+        value, last = value + step, value
     return ticks
 
 

@@ -1,11 +1,11 @@
 """Executable verification of the inequality, limit, and shape claims.
 
-Each check solves operating points and measures the slack of every
-inequality it is responsible for (slack >= 0 means the claim holds).
-Slacks below -1e-9 count as violations; the slop absorbs floating-point
-noise on claims whose strict version only degenerates at analytic
-boundaries (vanishing power).  Root-quality checks use zero slop because
-their tolerances are already explicit.  All checks are pure and
+Each check scores the slack of every inequality it is responsible for at
+roots that run_suite solves in two batches (slack >= 0 means the claim
+holds).  Slacks below -1e-9 count as violations; the slop absorbs
+floating-point noise on claims whose strict version only degenerates at
+analytic boundaries (vanishing power).  Root-quality checks use zero slop
+because their tolerances are already explicit.  All checks are pure and
 deterministic under a fixed seed.  Check violations are reported as data;
 a solver error (BracketError, ConvergenceError) propagates.
 """
@@ -18,16 +18,14 @@ from typing import NamedTuple
 import numpy as np
 
 from . import solvers
-from .core import ChannelConfig, _balance, db_to_linear, dlambda_dpi
+from .core import _balance, db_to_linear, dlambda_dpi
 from .solvers import (
     DEFAULT_FROM_DB,
     DEFAULT_TO_DB,
     DEFAULT_USERS,
     _db_grid,
-    eval_point,
     solve_lambda_massive,
     solve_lambda_star,
-    sweep_curve,
 )
 
 __all__ = [
@@ -345,96 +343,75 @@ def _solve_massive_many(pi: np.ndarray) -> np.ndarray:
                       lambda i: solve_lambda_massive(float(pi[i])))
 
 
-def check_tail_bounds() -> BoundReport:
-    """Check the gain caps on both tails of the massive curve.
+def check_tail_bounds(pis: np.ndarray, lams: np.ndarray) -> BoundReport:
+    """Check the gain caps on both tails of the massive curve at roots lams.
 
-    Low tail (pi <= 0.1): F <= (1+pi)*lam <= (1+pi)/(1-pi) and F <= 11/9.
-    High tail (pi >= 1000): lam dominates ln(1+pi*lam), F stays below the
-    tight cap lam / (ln(e^a + lam - 1) - ln lam) with a = pi*lam^2/(1+pi*lam),
-    and that cap stays below its loose closed form wherever lam > e.
-    Both tails respect F <= 1.321.  Each tail is one massive sweep_curve
-    at 2.5 dB steps, 34 powers in all.
+    Low tail (pi < 1): F <= (1+pi)*lam <= (1+pi)/(1-pi) and F <= 11/9.
+    High tail: lam dominates ln(1+pi*lam), F stays below the tight cap
+    lam / (ln(e^a + lam - 1) - ln lam) with a = pi*lam^2/(1+pi*lam), and
+    that cap stays below its loose closed form wherever lam > e.  Both
+    tails respect F <= 1.321.  run_suite scores 34 powers at 2.5 dB steps,
+    -60 to -10 dB and 30 to 60 dB.
     """
     tracker = _Tracker("tail_bounds")
-    for pt in sweep_curve(None, -60.0, -10.0, 2.5):
-        pi, lam, F = pt.pi, pt.lam, pt.F
+    for pi, lam in zip(pis.tolist(), lams.tolist()):
+        F = math.log1p(pi * lam) / math.log1p(pi)
         w = f"pi={pi:.6g}"
-        tracker.add((1.0 + pi) * lam - F, f"small_power_linear_cap at {w}")
-        tracker.add(
-            (1.0 + pi) / (1.0 - pi) - (1.0 + pi) * lam,
-            f"small_power_ratio_cap at {w}",
-        )
-        tracker.add(11.0 / 9.0 - F, f"small_power_11_9 at {w}")
-        tracker.add(TAIL_GAIN_CAP - F, f"tail_cap at {w}")
-    for pt in sweep_curve(None, 30.0, 60.0, 2.5):
-        pi, lam, F = pt.pi, pt.lam, pt.F
-        w = f"pi={pi:.6g}"
-        t = pi * lam
-        tracker.add(lam - math.log1p(t), f"log_dominated at {w}")
-        a = lam * t / (1.0 + t)
-        # ln(e^a + lam - 1) evaluated as a + log1p((lam-1)*e^-a) so the huge
-        # exponential never materializes.
-        tight = lam / (a + math.log1p((lam - 1.0) * math.exp(-a)) - math.log(lam))
-        tracker.add(tight - F, f"large_power_tight_cap at {w}")
-        if lam > math.e:
-            loose = 1.0 / (t / (1.0 + t) - math.log(lam) / lam)
-            tracker.add(loose - tight, f"large_power_loose_vs_tight at {w}")
+        if pi < 1.0:
+            tracker.add((1.0 + pi) * lam - F, f"small_power_linear_cap at {w}")
+            tracker.add((1.0 + pi) / (1.0 - pi) - (1.0 + pi) * lam,
+                        f"small_power_ratio_cap at {w}")
+            tracker.add(11.0 / 9.0 - F, f"small_power_11_9 at {w}")
+        else:
+            t = pi * lam
+            tracker.add(lam - math.log1p(t), f"log_dominated at {w}")
+            a = lam * t / (1.0 + t)
+            # ln(e^a + lam - 1) evaluated as a + log1p((lam-1)*e^-a) so the
+            # huge exponential never materializes.
+            tight = lam / (a + math.log1p((lam - 1.0) * math.exp(-a)) - math.log(lam))
+            tracker.add(tight - F, f"large_power_tight_cap at {w}")
+            if lam > math.e:
+                loose = 1.0 / (t / (1.0 + t) - math.log(lam) / lam)
+                tracker.add(loose - tight, f"large_power_loose_vs_tight at {w}")
         tracker.add(TAIL_GAIN_CAP - F, f"tail_cap at {w}")
     return tracker.report()
 
 
-def check_derivative() -> BoundReport:
+def check_derivative(pis: np.ndarray, lams: np.ndarray) -> BoundReport:
     """Validate the analytic slope dlambda_dpi against central differences.
 
-    On every DERIVATIVE_USERS curve at every DERIVATIVE_GRID power, the
-    quotient takes roots at pi*(1 -+ DERIVATIVE_STEP), bracketed to
-    LAMBDA_TOL like every other root.  At that step its truncation error is
-    at most 6.17e-7 relative (K = 2, pi = 1000) and root errors move it by
-    at most LAMBDA_TOL/(pi*h*lam') = 4.58e-8 (same point): together under
-    7% of the 1e-5 bound.
+    pis[j] holds a power pi times 1, 1 + h and 1 - h, h = DERIVATIVE_STEP,
+    and lams[u, j] the roots of curve DERIVATIVE_USERS[u] there, bracketed
+    to LAMBDA_TOL like every other root.  At that step the quotient's
+    truncation error is at most 6.17e-7 relative (K = 2, pi = 1000) and
+    root errors move it by at most LAMBDA_TOL/(pi*h*lam') = 4.58e-8 (same
+    point): together under 7% of the 1e-5 bound.
     """
     tracker = _Tracker("derivative_consistency")
-    h = DERIVATIVE_STEP
-    for users in DERIVATIVE_USERS:
-        for pi in DERIVATIVE_GRID:
-            lam, lam_hi, lam_lo = (
-                eval_point(ChannelConfig(users, total_power=p)).lambda_star
-                for p in (pi, pi * (1.0 + h), pi * (1.0 - h))
-            )
+    for users, rows in zip(DERIVATIVE_USERS, lams.tolist()):
+        for pi, (lam, lam_hi, lam_lo) in zip(pis[:, 0].tolist(), rows):
             analytic = dlambda_dpi(users, pi, lam)
             w = f"pi={pi:.6g}" if users is None else f"K={users}, pi={pi:.6g}"
             tracker.add(analytic, f"derivative_positive at {w}")
-            fd = (lam_hi - lam_lo) / (2.0 * pi * h)
+            fd = (lam_hi - lam_lo) / (2.0 * pi * DERIVATIVE_STEP)
             rel_err = abs(fd - analytic) / abs(analytic)
             tracker.add(1e-5 - rel_err, f"derivative_fd_match at {w}")
     return tracker.report()
 
 
-def check_monotone_unimodal() -> BoundReport:
+def check_monotone_unimodal(pis: np.ndarray, lams: np.ndarray, limit_pis: np.ndarray,
+                            limit_lams: np.ndarray) -> BoundReport:
     """Check curve shapes: lam monotone, F unimodal, bigger K dominates.
 
-    Every DEFAULT_USERS curve is solved on the 0.1 dB grid from
-    DEFAULT_FROM_DB to DEFAULT_TO_DB.  Unimodality is scored by sign
-    changes of consecutive F differences (zero differences carry no sign
-    information): a clean curve rises, flips sign exactly once, and falls,
-    and scores a slack of 0; each defect costs -1.  The massive curve's
-    far-end limits are anchored too: F(0.001) <= 1.01 and F(1e6) <= 1.321;
-    they are solved in the massive curve's batch.
+    lams holds one row of roots at the powers pis per DEFAULT_USERS curve.
+    Unimodality is scored by sign changes of consecutive F differences
+    (zero differences carry no sign information): a clean curve rises,
+    flips sign exactly once, and falls, and scores a slack of 0; each
+    defect costs -1.  The massive curve's far-end limits are anchored too,
+    roots limit_lams at limit_pis = (0.001, 1e6): F <= 1.01 and F <= 1.321.
     """
     tracker = _Tracker("curve_shape")
-    grid = _db_grid(DEFAULT_FROM_DB, DEFAULT_TO_DB, 0.1)
-    pis = np.array([db_to_linear(pi_db) for pi_db in grid])
-    finite = DEFAULT_USERS[:-1]
-    # Every finite curve in one batch, one row per user count.
-    K = np.repeat(finite, len(grid))
-    pi = np.tile(pis, len(finite))
-    rows = _solve_finite_many(K, pi / K).reshape(len(finite), len(grid))
-    lams: dict[int | None, np.ndarray] = dict(zip(finite, rows))
-    limit_pis = np.array([1e-3, 1e6])
-    massive = _solve_massive_many(np.append(pis, limit_pis))
-    lams[None] = massive[:-2]
-    for users in DEFAULT_USERS:
-        lam = lams[users]
+    for users, lam in zip(DEFAULT_USERS, lams):
         F = np.log1p(pis * lam) / np.log1p(pis)
         label = "massive" if users is None else str(users)
         tracker.add(float(np.min(np.diff(lam))), f"lambda_nondecreasing at K={label}")
@@ -450,38 +427,59 @@ def check_monotone_unimodal() -> BoundReport:
         tracker.add(peak_F - float(F[0]), f"edge_below_peak_low at K={label}")
         tracker.add(peak_F - float(F[-1]), f"edge_below_peak_high at K={label}")
 
-    for smaller, bigger in zip(DEFAULT_USERS, DEFAULT_USERS[1:]):
+    for row, (smaller, bigger) in enumerate(zip(DEFAULT_USERS, DEFAULT_USERS[1:])):
         big_label = "massive" if bigger is None else str(bigger)
-        worst = float(np.min(lams[bigger] - lams[smaller]))
+        worst = float(np.min(lams[row + 1] - lams[row]))
         tracker.add(worst, f"cross_k_domination K={smaller} vs K={big_label}")
 
-    F_small, F_big = np.log1p(limit_pis * massive[-2:]) / np.log1p(limit_pis)
+    F_small, F_big = np.log1p(limit_pis * limit_lams) / np.log1p(limit_pis)
     tracker.add(1.01 - float(F_small), "small_power_limit at pi=0.001")
     tracker.add(TAIL_GAIN_CAP - float(F_big), "large_power_limit at pi=1e+06")
     return tracker.report()
 
 
 def run_suite(sample: SampleSpec, sabotage: bool = False) -> list[BoundReport]:
-    """Run every check once, sharing one solve per random sample.
+    """Run every check once on the roots of one finite and one massive batch.
 
-    The samples and sandwich_large_k's four points (K = 1e2..1e8 at P = 1)
-    are solved in one batched root solve, which hands any it cannot settle
-    to the scalar solver, and their slacks are evaluated as arrays.  With
-    sabotage=True every per-sample check is evaluated half a unit off the
-    root (clamped into [1, K]); the residual gate must then flag every
-    sample, so a passing sabotage run would expose a broken harness.  The
-    four large-K points are split off before that and keep their roots.
-    Violations are returned as data; solver errors propagate.
+    The finite batch holds the samples, sandwich_large_k's four points
+    (K = 1e2..1e8 at P = 1) and the finite curves of curve_shape and
+    derivative_consistency, the massive batch their massive curves, the
+    far-end limits, the tail powers and the witness; each hands what it
+    cannot settle to the scalar solver.  With sabotage=True every
+    per-sample check is evaluated half a unit off the root (clamped into
+    [1, K]); the residual gate must then flag every sample, so a passing
+    sabotage run would expose a broken harness.  Violations are returned
+    as data; solver errors propagate.
     """
+    K, P = draw_samples(sample)
+    large_K, large_P = np.array([10**2, 10**4, 10**6, 10**8]), np.ones(4)
+    curve_pis = np.array(
+        [db_to_linear(x) for x in _db_grid(DEFAULT_FROM_DB, DEFAULT_TO_DB, 0.1)])
+    h = DERIVATIVE_STEP
+    fd_pis = np.outer(DERIVATIVE_GRID, (1.0, 1.0 + h, 1.0 - h))
+    tail_pis = np.array([db_to_linear(x) for lo, hi in ((-60.0, -10.0), (30.0, 60.0))
+                         for x in _db_grid(lo, hi, 2.5)])
+    limit_pis = np.array([1e-3, 1e6])
+    curve_K = np.repeat(DEFAULT_USERS[:-1], curve_pis.size)
+    curve_P = np.tile(curve_pis, len(DEFAULT_USERS) - 1) / curve_K
+    fd_K = np.repeat(DERIVATIVE_USERS[:-1], fd_pis.size)
+    fd_P = np.tile(fd_pis.ravel(), len(DERIVATIVE_USERS) - 1) / fd_K
+    lam, large_lam, curve_lam, fd_lam = np.split(
+        _solve_finite_many(np.hstack([K, large_K, curve_K, fd_K]),
+                           np.hstack([P, large_P, curve_P, fd_P])),
+        np.cumsum([K.size, large_K.size, curve_K.size]))
+    massive_pis = np.hstack([curve_pis, limit_pis, fd_pis.ravel(), tail_pis, [5.38]])
+    massive_curve, limit_lams, massive_fd, tail_lams, (witness,) = np.split(
+        _solve_massive_many(massive_pis),
+        np.cumsum([curve_pis.size, limit_pis.size, fd_pis.size, tail_pis.size]))
+    fd_lams = np.append(fd_lam, massive_fd).reshape(-1, *fd_pis.shape)
+    curve_lams = np.append(curve_lam, massive_curve).reshape(-1, curve_pis.size)
+    if sabotage:
+        lam = np.minimum(lam + 0.5, K)
+
     point = _Tracker("point_bounds")
     quality = _Tracker("root_quality", slop=0.0)
     gains = _Tracker("global_gain_bounds")
-    K, P = draw_samples(sample)
-    large_K, large_P = np.array([10**2, 10**4, 10**6, 10**8]), np.ones(4)
-    lam = _solve_finite_many(np.append(K, large_K), np.append(P, large_P))
-    lam, large_lam = lam[:K.size], lam[K.size:]
-    if sabotage:
-        lam = np.minimum(lam + 0.5, K)
 
     def at(row: int) -> str:
         return f"K={int(K[row])} P={float(P[row]):.6g}"
@@ -505,7 +503,7 @@ def run_suite(sample: SampleSpec, sabotage: bool = False) -> list[BoundReport]:
         ("improved_cap", IMPROVED_GAIN_CAP - F),
     ], at)
     # Near-extremal witness: the massive curve close to its peak power.
-    F = solve_lambda_massive(5.38).gain_F
+    F = math.log1p(5.38 * float(witness)) / math.log1p(5.38)
     gains.add(F - 1.53, "near_extremal_witness_floor at pi=5.38")
     gains.add(1.54 - F, "near_extremal_witness_cap at pi=5.38")
 
@@ -520,9 +518,9 @@ def run_suite(sample: SampleSpec, sabotage: bool = False) -> list[BoundReport]:
         point.report(),
         quality.report(),
         large.report(),
-        check_tail_bounds(),
-        check_derivative(),
-        check_monotone_unimodal(),
+        check_tail_bounds(tail_pis, tail_lams),
+        check_derivative(fd_pis, fd_lams),
+        check_monotone_unimodal(curve_pis, curve_lams, limit_pis, limit_lams),
         gains.report(),
     ]
 

@@ -2,7 +2,8 @@
 
 The oracle helpers re-derive reference values by brute force (dense grids
 plus cell bisection) so solver tests never validate the solver against
-itself.
+itself.  scalar_derivative_roots solves check_derivative's points with the
+scalar solver, so the check can be tested apart from run_suite's batches.
 """
 
 from __future__ import annotations
@@ -14,6 +15,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 from mpmath import mp, mpf
+
+from macgain.core import ChannelConfig
+from macgain.solvers import eval_point
+from macgain.verify import DERIVATIVE_GRID, DERIVATIVE_STEP, DERIVATIVE_USERS
 
 
 def pytest_configure(config):
@@ -57,6 +62,20 @@ def raw_residual(lam: float, K: int, P: float) -> float:
 def raw_residual_array(lams: np.ndarray, K: int, P: float) -> np.ndarray:
     """Vectorized twin of raw_residual."""
     return np.log1p(K * P * lams) / K - np.log1p((K - lams) * P * lams) / (K - 1.0)
+
+
+def scalar_derivative_roots() -> tuple[np.ndarray, np.ndarray]:
+    """check_derivative's powers and their roots, solved point by point.
+
+    pis[j] is DERIVATIVE_GRID[j] times 1, 1 + DERIVATIVE_STEP and
+    1 - DERIVATIVE_STEP; lams[u, j] are the scalar solver's roots of curve
+    DERIVATIVE_USERS[u] there, independent of run_suite's batches.
+    """
+    h = DERIVATIVE_STEP
+    pis = np.outer(DERIVATIVE_GRID, (1.0, 1.0 + h, 1.0 - h))
+    lams = [[[eval_point(ChannelConfig(users, total_power=pi)).lambda_star
+              for pi in row] for row in pis.tolist()] for users in DERIVATIVE_USERS]
+    return pis, np.array(lams)
 
 
 def finite_certified(K: int, P: float, lam: float, tol: float) -> bool:

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import raw_residual, sign_scan_root
+from conftest import raw_residual, scalar_derivative_roots, sign_scan_root
 from macgain.core import linear_to_db
 from macgain.solvers import (
     find_peak,
@@ -169,7 +169,8 @@ def test_criterion_7_residual_and_sandwich(acceptance_log, sampled_solutions):
 
 
 def test_criterion_8_derivative_consistency(acceptance_log):
-    report, elapsed = timed(lambda: check_derivative())
+    pis, lams = scalar_derivative_roots()
+    report, elapsed = timed(lambda: check_derivative(pis, lams))
     ok = report.passed and report.samples == 56
     acceptance_log(
         f"criterion 8 (analytic slope vs central differences): "
@@ -198,7 +199,12 @@ def test_criterion_9_curve_shapes(acceptance_log):
         for p, m in zip(curves[users], massive)
     )
     F_small = solve_lambda_massive(1e-3).gain_F
-    cross_check = check_monotone_unimodal().passed
+    limit_pis = np.array([1e-3, 1e6])
+    cross_check = check_monotone_unimodal(
+        np.array([p.pi for p in massive]),
+        np.array([[p.lam for p in curves[users]] for users in users_list]),
+        limit_pis, np.array([solve_lambda_massive(pi).lambda_star for pi in limit_pis]),
+    ).passed
     ok = shapes_ok and dominated and F_small <= 1.01 and cross_check
     acceptance_log(
         f"criterion 9 (curve shapes on the 0.1 dB grid): "

@@ -315,6 +315,22 @@ class TestCurve:
         assert len(polylines) == 1
         assert len(polylines[0].attrib["points"].split()) == 41
 
+    @pytest.mark.parametrize("argv", [
+        ["curve", "--massive", "--from-db", "-150", "--to-db", "-149",
+         "--step-db", "0.5"],
+        ["figure", "--which", "cfactor", "--users", "massive", "--from-db", "-150",
+         "--to-db", "-149", "--step-db", "0.5"],
+        ["curve", "--massive", "--from-db", "30", "--to-db", "30.000000000000004",
+         "--step-db", "1e-15"],
+    ], ids=["flat_F", "flat_F_figure", "ulp_wide_x"])
+    def test_svg_axis_narrower_than_float_spacing(self, argv):
+        # F reads 1.0000000000000004..7 on the first two, and the third's x
+        # span is a few ulps: a tick step that no longer moves the tick
+        # value must end the tick loop, not grow it until memory runs out.
+        result = run_with_capped_memory([*argv, "--format", "svg"])
+        assert result.returncode == 0, result.stderr
+        assert ET.fromstring(result.stdout).tag.endswith("svg")
+
 
 class TestPeak:
     def test_massive_text(self, capsys):

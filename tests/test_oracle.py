@@ -149,7 +149,7 @@ def test_derivative_step_error_budget():
                 root = mp_lambda(users, pi_)
                 slope = (-mp.diff(lambda p: mp_balance(users, p, root), pi_)
                          / mp.diff(lambda x: mp_balance(users, pi_, x), root))
-                # The quotient's powers are the floats check_derivative solves at.
+                # The quotient's powers are the floats run_suite solves at.
                 fd = ((mp_lambda(users, mpf(pi * (1.0 + h)))
                        - mp_lambda(users, mpf(pi * (1.0 - h)))) / (2 * pi_ * mpf(h)))
                 truncation = abs(fd - slope) / slope

@@ -12,8 +12,11 @@ import numpy as np
 
 import macgain.solvers
 import macgain.verify
+from conftest import scalar_derivative_roots
 from macgain.core import _balance, db_to_linear, dlambda_dpi
 from macgain.solvers import (
+    DEFAULT_FROM_DB,
+    DEFAULT_TO_DB,
     DEFAULT_USERS,
     ConvergenceError,
     _bisect,
@@ -163,9 +166,25 @@ class TestPointBounds:
         assert slacks["fixed_point_ceiling"] < -1e-3
 
 
+def scalar_tail_roots():
+    """check_tail_bounds' 34 powers and their roots from two scalar sweeps."""
+    points = sweep_curve(None, -60.0, -10.0, 2.5) + sweep_curve(None, 30.0, 60.0, 2.5)
+    return np.array([pt.pi for pt in points]), np.array([pt.lam for pt in points])
+
+
+def scalar_shape_roots():
+    """check_monotone_unimodal's curves and far-end limits from scalar solves."""
+    curves = [sweep_curve(users, DEFAULT_FROM_DB, DEFAULT_TO_DB, 0.1)
+              for users in DEFAULT_USERS]
+    limit_pis = np.array([1e-3, 1e6])
+    return (np.array([pt.pi for pt in curves[0]]),
+            np.array([[pt.lam for pt in curve] for curve in curves]), limit_pis,
+            np.array([solve_lambda_massive(pi).lambda_star for pi in limit_pis]))
+
+
 class TestTailBounds:
     def test_clean(self):
-        report = check_tail_bounds()
+        report = check_tail_bounds(*scalar_tail_roots())
         assert report.check_name == "tail_bounds"
         assert report.passed
         assert report.samples == 136
@@ -184,7 +203,7 @@ class TestTailBounds:
 
 class TestDerivativeCheck:
     def test_clean(self):
-        report = check_derivative()
+        report = check_derivative(*scalar_derivative_roots())
         assert report.check_name == "derivative_consistency"
         assert report.passed
         assert report.samples == 2 * len(DERIVATIVE_USERS) * len(DERIVATIVE_GRID)
@@ -199,14 +218,14 @@ class TestDerivativeCheck:
             return (1.0 + error) * dlambda_dpi(users, pi, lam)
 
         monkeypatch.setattr(macgain.verify, "dlambda_dpi", skewed)
-        report = check_derivative()
+        report = check_derivative(*scalar_derivative_roots())
         points = len(DERIVATIVE_USERS) * len(DERIVATIVE_GRID)
         assert report.violations == (points if flagged else 0)
 
 
 class TestCurveShape:
     def test_clean_defaults(self):
-        report = check_monotone_unimodal()
+        report = check_monotone_unimodal(*scalar_shape_roots())
         assert report.check_name == "curve_shape"
         assert report.passed
         # 4 shape slacks per curve, one domination slack per adjacent pair,
@@ -561,14 +580,32 @@ class TestBatchedSolve:
         with pytest.raises(ValueError, match="total power " + re.escape(message)):
             _solve_massive_many(np.array([1.0, bad]))
 
+    def test_merged_batches_equal_their_parts(self):
+        # run_suite solves the points of every check in one finite and one
+        # massive batch, so no root may depend on what else rides in its
+        # batch.  Among the parts: a pole case (K = 2 at pi = 1000, the
+        # longest ITP run) and degenerate pins handed to the scalar solver.
+        K, P = draw_samples(SampleSpec(seed=42, n_samples=2000))
+        finite = [(K, P), (np.array([2, 10**8]), np.array([500.0, 1.0])),
+                  (np.array([100, 3]), np.array([1e-20, 10.0]))]
+        massive = [db_to_linear(np.arange(-100, 301) / 10.0),
+                   np.array([1e-20, 5.38]), np.array([1e-3, 1e6])]
+        for order in (slice(None), slice(None, None, -1)):
+            parts = [_solve_finite_many(k, p) for k, p in finite[order]]
+            whole = _solve_finite_many(*(np.hstack(c) for c in zip(*finite[order])))
+            assert whole.tobytes() == np.hstack(parts).tobytes()
+            parts = [_solve_massive_many(pis) for pis in massive[order]]
+            whole = _solve_massive_many(np.hstack(massive[order]))
+            assert whole.tobytes() == np.hstack(parts).tobytes()
+
     def test_default_suite_settles_every_sample_in_the_batch(self, monkeypatch):
-        # Only the witness calls the public scalar solvers; the 84
-        # derivative solves go through eval_point, the 34 tail solves
-        # through sweep_curve, sandwich_large_k rides in the samples' batch
-        # and the two curve limits in the massive curve's.  A batch that
+        # Every root of a suite, sabotaged or not, comes from one finite
+        # and one massive batch; no check solves on its own.  A batch that
         # handed samples or curve points to the scalar solvers would add
         # calls.
-        calls = {"finite": 0, "massive": 0}
+        calls = dict.fromkeys(["solve_lambda_star", "solve_lambda_massive",
+                               "eval_point", "sweep_curve", "_solve_finite_many",
+                               "_solve_massive_many"], 0)
 
         def counted(name, solve):
             def wrapper(*args, **kwargs):
@@ -576,9 +613,13 @@ class TestBatchedSolve:
                 return solve(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(macgain.verify, "solve_lambda_star",
-                            counted("finite", solve_lambda_star))
-        monkeypatch.setattr(macgain.verify, "solve_lambda_massive",
-                            counted("massive", solve_lambda_massive))
-        run_suite(SampleSpec(seed=42, n_samples=10_000))
-        assert calls == {"finite": 0, "massive": 1}
+        for module in (macgain.solvers, macgain.verify):
+            for name in calls:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        want = dict.fromkeys(calls, 0) | {"_solve_finite_many": 1, "_solve_massive_many": 1}
+        for spec, sabotage in ((SampleSpec(seed=42, n_samples=10_000), False),
+                               (SampleSpec(seed=7, n_samples=10), True)):
+            calls.update(dict.fromkeys(calls, 0))
+            run_suite(spec, sabotage)
+            assert calls == want
