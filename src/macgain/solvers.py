@@ -313,13 +313,15 @@ def _falls_short(from_db: float, to_db: float, step_db: float, count: int) -> bo
 
 
 def _db_grid(from_db: float, to_db: float, step_db: float) -> list[float]:
+    """The ascending dB grid from_db..to_db, to_db last and no value twice."""
     count = check_db_grid(from_db, to_db, step_db)
     grid = [from_db + i * step_db for i in range(count + 1)]
     if _falls_short(from_db, to_db, step_db, count):
         grid.append(to_db)
     else:
         grid[-1] = to_db
-    return grid
+    # A step below the float spacing at the ends repeats values.
+    return list(dict.fromkeys(grid))
 
 
 def sweep_curve(users: int | None, from_db: float, to_db: float,

@@ -19,6 +19,7 @@ _MARGIN_LEFT = 64
 _MARGIN_RIGHT = 24
 _MARGIN_TOP = 40
 _MARGIN_BOTTOM = 56
+_TICK_TARGET = 6
 
 
 def _escape(text: str) -> str:
@@ -30,11 +31,11 @@ def _escape(text: str) -> str:
     )
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
-    """Round tick positions covering [lo, hi] at a 1/2/5 step."""
+def _nice_ticks(lo: float, hi: float) -> list[float]:
+    """Round tick positions covering [lo, hi] at a 1/2/5 step, about _TICK_TARGET."""
     if hi <= lo:
         return [lo]
-    raw = (hi - lo) / max(target, 2)
+    raw = (hi - lo) / _TICK_TARGET
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         step = mult * mag

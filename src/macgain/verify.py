@@ -2,10 +2,13 @@
 
 Each check scores the slack of every inequality it is responsible for at
 roots that run_suite solves in two batches (slack >= 0 means the claim
-holds).  Slacks below -1e-9 count as violations; the slop absorbs
-floating-point noise on claims whose strict version only degenerates at
-analytic boundaries (vanishing power).  Root-quality checks use zero slop
-because their tolerances are already explicit.  All checks are pure and
+holds).  Every check is one call of one scorer, _report, over tables of
+slacks with one row per point and one column per inequality; the
+smallest slack is the check's witness.  Slacks below -1e-9 count as
+violations; the slop absorbs floating-point noise on claims whose strict
+version only degenerates at analytic boundaries (vanishing power).
+Root-quality checks use zero slop because their tolerances are already
+explicit.  All checks are pure and
 deterministic under a fixed seed.  Check violations are reported as data;
 a solver error (BracketError, ConvergenceError) propagates.
 """
@@ -107,6 +110,9 @@ class SampleSpec(_SampleSpecFields):
     __slots__ = ()
 
     def __new__(cls, seed: int, n_samples: int) -> "SampleSpec":
+        for name, value in (("seed", seed), ("n_samples", n_samples)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if seed < 0:
             raise ValueError(f"seed must be >= 0, got {seed!r}")
         if not 1 <= n_samples <= MAX_SAMPLES:
@@ -139,52 +145,34 @@ def draw_samples(spec: SampleSpec) -> tuple[np.ndarray, np.ndarray]:
     return ks, ps
 
 
-class _Tracker:
-    """Accumulates slack observations for one named check; min slack wins."""
+def _report(check_name: str, tables, slop: float = NUMERIC_SLOP) -> BoundReport:
+    """Score tables of slacks as one named check; the smallest slack is the witness.
 
-    def __init__(self, check_name: str, slop: float = NUMERIC_SLOP) -> None:
-        self.check_name = check_name
-        self.slop = slop
-        self.samples = 0
-        self.violations = 0
-        self.worst = math.inf
-        self.witness = ""
-
-    def add(self, slack: float, witness: str) -> None:
-        self.samples += 1
-        if slack < self.worst:
-            self.worst = slack
-            self.witness = witness
-        if not slack >= -self.slop:
-            self.violations += 1
-
-    def add_table(self, columns: list[tuple[str, np.ndarray]], label,
-                  valid: np.ndarray | None = None) -> None:
-        """add() a table of slacks: one row per sample, one column per link.
-
-        Equivalent to calling add(slack, f"{name} at {label(row)}") row by
-        row and column by column, skipping entries where valid is False,
-        but only the winning witness is ever formatted.
-        """
+    Each table is (columns, label, valid): columns a list of (link_name,
+    slacks) pairs, one slack per row, label(row) the witness text after the
+    link name, and valid a mask of the entries that exist, or None.
+    Entries count row by row, then link by link, then table by table; the
+    first smallest slack wins a tie.  A slack below -slop, or a NaN, is a
+    violation, but a NaN never wins.  Only the winning witness is formatted.
+    """
+    samples = violations = 0
+    worst, witness = math.inf, ""
+    for columns, label, valid in tables:
         table = np.column_stack([slack for _, slack in columns])
+        if not table.size:
+            continue
         if valid is None:
             valid = np.ones(table.shape, dtype=bool)
-        self.samples += int(np.count_nonzero(valid))
-        self.violations += int(np.count_nonzero(valid & ~(table >= -self.slop)))
-        # A NaN never wins add()'s strict comparison, so it is never the
-        # witness; argmin returns the first minimum in row-major order.
+        samples += int(np.count_nonzero(valid))
+        violations += int(np.count_nonzero(valid & ~(table >= -slop)))
         ranked = np.where(valid & ~np.isnan(table), table, math.inf)
         first = int(np.argmin(ranked))
-        if ranked.flat[first] < self.worst:
+        if ranked.flat[first] < worst:
             row, col = divmod(first, table.shape[1])
-            self.worst = float(ranked.flat[first])
-            self.witness = f"{columns[col][0]} at {label(row)}"
-
-    def report(self) -> BoundReport:
-        worst = self.worst if self.samples else math.nan
-        return BoundReport(
-            self.check_name, self.samples, self.violations, worst, self.witness
-        )
+            worst = float(ranked.flat[first])
+            witness = f"{columns[col][0]} {label(row)}"
+    return BoundReport(check_name, samples, violations,
+                       worst if samples else math.nan, witness)
 
 
 def point_bound_slacks(K: np.ndarray, P: np.ndarray,
@@ -350,31 +338,31 @@ def check_tail_bounds(pis: np.ndarray, lams: np.ndarray) -> BoundReport:
     High tail: lam dominates ln(1+pi*lam), F stays below the tight cap
     lam / (ln(e^a + lam - 1) - ln lam) with a = pi*lam^2/(1+pi*lam), and
     that cap stays below its loose closed form wherever lam > e.  Both
-    tails respect F <= 1.321.  run_suite scores 34 powers at 2.5 dB steps,
-    -60 to -10 dB and 30 to 60 dB.
+    tails respect F <= 1.321.  Each power is one row of seven links, those
+    of the other tail masked out.  run_suite scores 34 powers at 2.5 dB
+    steps, -60 to -10 dB and 30 to 60 dB.
     """
-    tracker = _Tracker("tail_bounds")
-    for pi, lam in zip(pis.tolist(), lams.tolist()):
-        F = math.log1p(pi * lam) / math.log1p(pi)
-        w = f"pi={pi:.6g}"
-        if pi < 1.0:
-            tracker.add((1.0 + pi) * lam - F, f"small_power_linear_cap at {w}")
-            tracker.add((1.0 + pi) / (1.0 - pi) - (1.0 + pi) * lam,
-                        f"small_power_ratio_cap at {w}")
-            tracker.add(11.0 / 9.0 - F, f"small_power_11_9 at {w}")
-        else:
-            t = pi * lam
-            tracker.add(lam - math.log1p(t), f"log_dominated at {w}")
-            a = lam * t / (1.0 + t)
-            # ln(e^a + lam - 1) evaluated as a + log1p((lam-1)*e^-a) so the
-            # huge exponential never materializes.
-            tight = lam / (a + math.log1p((lam - 1.0) * math.exp(-a)) - math.log(lam))
-            tracker.add(tight - F, f"large_power_tight_cap at {w}")
-            if lam > math.e:
-                loose = 1.0 / (t / (1.0 + t) - math.log(lam) / lam)
-                tracker.add(loose - tight, f"large_power_loose_vs_tight at {w}")
-        tracker.add(TAIL_GAIN_CAP - F, f"tail_cap at {w}")
-    return tracker.report()
+    t = pis * lams
+    with np.errstate(all="ignore"):
+        F = np.log1p(t) / np.log1p(pis)
+        a = lams * t / (1.0 + t)
+        # ln(e^a + lam - 1) evaluated as a + log1p((lam-1)*e^-a) so the
+        # huge exponential never materializes.
+        tight = lams / (a + np.log1p((lams - 1.0) * np.exp(-a)) - np.log(lams))
+        loose = 1.0 / (t / (1.0 + t) - np.log(lams) / lams)
+        links = [
+            ("small_power_linear_cap", (1.0 + pis) * lams - F),
+            ("small_power_ratio_cap", (1.0 + pis) / (1.0 - pis) - (1.0 + pis) * lams),
+            ("small_power_11_9", 11.0 / 9.0 - F),
+            ("log_dominated", lams - np.log1p(t)),
+            ("large_power_tight_cap", tight - F),
+            ("large_power_loose_vs_tight", loose - tight),
+            ("tail_cap", TAIL_GAIN_CAP - F),
+        ]
+    low = pis < 1.0
+    valid = np.column_stack([low, low, low, ~low, ~low, ~low & (lams > math.e),
+                             np.ones_like(low)])
+    return _report("tail_bounds", [(links, lambda row: f"at pi={pis[row]:.6g}", valid)])
 
 
 def check_derivative(pis: np.ndarray, lams: np.ndarray) -> BoundReport:
@@ -387,16 +375,20 @@ def check_derivative(pis: np.ndarray, lams: np.ndarray) -> BoundReport:
     root errors move it by at most LAMBDA_TOL/(pi*h*lam') = 4.58e-8 (same
     point): together under 7% of the 1e-5 bound.
     """
-    tracker = _Tracker("derivative_consistency")
-    for users, rows in zip(DERIVATIVE_USERS, lams.tolist()):
-        for pi, (lam, lam_hi, lam_lo) in zip(pis[:, 0].tolist(), rows):
-            analytic = dlambda_dpi(users, pi, lam)
-            w = f"pi={pi:.6g}" if users is None else f"K={users}, pi={pi:.6g}"
-            tracker.add(analytic, f"derivative_positive at {w}")
-            fd = (lam_hi - lam_lo) / (2.0 * pi * DERIVATIVE_STEP)
-            rel_err = abs(fd - analytic) / abs(analytic)
-            tracker.add(1e-5 - rel_err, f"derivative_fd_match at {w}")
-    return tracker.report()
+    points = [(users, pi) for users in DERIVATIVE_USERS for pi in pis[:, 0].tolist()]
+    lam, lam_hi, lam_lo = lams.reshape(-1, 3).T
+    analytic = np.array([dlambda_dpi(users, pi, root)
+                         for (users, pi), root in zip(points, lam.tolist())])
+    fd = (lam_hi - lam_lo) / (2.0 * np.array([pi for _, pi in points]) * DERIVATIVE_STEP)
+    rel_err = np.abs(fd - analytic) / np.abs(analytic)
+
+    def label(row: int) -> str:
+        users, pi = points[row]
+        return f"at pi={pi:.6g}" if users is None else f"at K={users}, pi={pi:.6g}"
+
+    return _report("derivative_consistency", [(
+        [("derivative_positive", analytic), ("derivative_fd_match", 1e-5 - rel_err)],
+        label, None)])
 
 
 def check_monotone_unimodal(pis: np.ndarray, lams: np.ndarray, limit_pis: np.ndarray,
@@ -410,32 +402,28 @@ def check_monotone_unimodal(pis: np.ndarray, lams: np.ndarray, limit_pis: np.nda
     defect costs -1.  The massive curve's far-end limits are anchored too,
     roots limit_lams at limit_pis = (0.001, 1e6): F <= 1.01 and F <= 1.321.
     """
-    tracker = _Tracker("curve_shape")
-    for users, lam in zip(DEFAULT_USERS, lams):
-        F = np.log1p(pis * lam) / np.log1p(pis)
-        label = "massive" if users is None else str(users)
-        tracker.add(float(np.min(np.diff(lam))), f"lambda_nondecreasing at K={label}")
-        diffs = np.diff(F)
+    F = np.log1p(pis * lams) / np.log1p(pis)
+    defects = []
+    for diffs in np.diff(F):
         signs = diffs[diffs != 0.0] > 0.0
         flips = int(np.count_nonzero(signs[1:] != signs[:-1]))
-        if flips == 1 and signs[0] and not signs[-1]:
-            defect = 0.0
-        else:
-            defect = float(max(flips - 1, 1))
-        tracker.add(0.0 if defect == 0.0 else -defect, f"F_unimodal at K={label}")
-        peak_F = float(np.max(F))
-        tracker.add(peak_F - float(F[0]), f"edge_below_peak_low at K={label}")
-        tracker.add(peak_F - float(F[-1]), f"edge_below_peak_high at K={label}")
-
-    for row, (smaller, bigger) in enumerate(zip(DEFAULT_USERS, DEFAULT_USERS[1:])):
-        big_label = "massive" if bigger is None else str(bigger)
-        worst = float(np.min(lams[row + 1] - lams[row]))
-        tracker.add(worst, f"cross_k_domination K={smaller} vs K={big_label}")
-
-    F_small, F_big = np.log1p(limit_pis * limit_lams) / np.log1p(limit_pis)
-    tracker.add(1.01 - float(F_small), "small_power_limit at pi=0.001")
-    tracker.add(TAIL_GAIN_CAP - float(F_big), "large_power_limit at pi=1e+06")
-    return tracker.report()
+        clean = flips == 1 and signs[0] and not signs[-1]
+        defects.append(0.0 if clean else -float(max(flips - 1, 1)))
+    peak_F = F.max(axis=1)
+    names = ["massive" if users is None else str(users) for users in DEFAULT_USERS]
+    limit_F = np.log1p(limit_pis * limit_lams) / np.log1p(limit_pis)
+    return _report("curve_shape", [
+        ([("lambda_nondecreasing", np.diff(lams).min(axis=1)),
+          ("F_unimodal", np.array(defects)),
+          ("edge_below_peak_low", peak_F - F[:, 0]),
+          ("edge_below_peak_high", peak_F - F[:, -1])],
+         lambda row: f"at K={names[row]}", None),
+        ([("cross_k_domination", (lams[1:] - lams[:-1]).min(axis=1))],
+         lambda row: f"K={names[row]} vs K={names[row + 1]}", None),
+        ([("small_power_limit", 1.01 - limit_F[:1])], lambda row: "at pi=0.001", None),
+        ([("large_power_limit", TAIL_GAIN_CAP - limit_F[1:])],
+         lambda row: "at pi=1e+06", None),
+    ])
 
 
 def run_suite(sample: SampleSpec, sabotage: bool = False) -> list[BoundReport]:
@@ -477,51 +465,40 @@ def run_suite(sample: SampleSpec, sabotage: bool = False) -> list[BoundReport]:
     if sabotage:
         lam = np.minimum(lam + 0.5, K)
 
-    point = _Tracker("point_bounds")
-    quality = _Tracker("root_quality", slop=0.0)
-    gains = _Tracker("global_gain_bounds")
-
     def at(row: int) -> str:
-        return f"K={int(K[row])} P={float(P[row]):.6g}"
+        return f"at K={int(K[row])} P={float(P[row]):.6g}"
 
     # The residual is recomputed at the (possibly sabotaged) lam.
     res = _raw_residual_many(K, P, lam)
-    quality.add_table([
-        ("residual_within_tol", ROOT_RESIDUAL_TOL - np.abs(res)),
-        ("lambda_at_least_1", lam - 1.0),
-        ("lambda_at_most_K", K - lam),
-    ], at)
     links = point_bound_slacks(K, P, lam)
     exists = np.ones((K.size, len(links)), dtype=bool)
     exists[:, -1] = lam < K  # bracket_cap, the last link
-    point.add_table(links, at, exists)
     pi = K * P
     F = np.log1p(pi * lam) / np.log1p(pi)
-    gains.add_table([
-        ("gain_at_least_1", F - 1.0),
-        ("doubling_cap", 2.0 - F),
-        ("improved_cap", IMPROVED_GAIN_CAP - F),
-    ], at)
     # Near-extremal witness: the massive curve close to its peak power.
-    F = math.log1p(5.38 * float(witness)) / math.log1p(5.38)
-    gains.add(F - 1.53, "near_extremal_witness_floor at pi=5.38")
-    gains.add(1.54 - F, "near_extremal_witness_cap at pi=5.38")
-
-    large = _Tracker("sandwich_large_k")
-    links = dict(point_bound_slacks(large_K, large_P, large_lam))
-    large.add_table(
-        [(name, links[name]) for name in ("gain_floor", "fixed_point_ceiling")],
-        lambda row: f"K={large_K[row]} P=1",
-    )
-
+    F_witness = math.log1p(5.38 * float(witness)) / math.log1p(5.38)
+    large = dict(point_bound_slacks(large_K, large_P, large_lam))
     return [
-        point.report(),
-        quality.report(),
-        large.report(),
+        _report("point_bounds", [(links, at, exists)]),
+        _report("root_quality", [([
+            ("residual_within_tol", ROOT_RESIDUAL_TOL - np.abs(res)),
+            ("lambda_at_least_1", lam - 1.0),
+            ("lambda_at_most_K", K - lam),
+        ], at, None)], slop=0.0),
+        _report("sandwich_large_k", [(
+            [(name, large[name]) for name in ("gain_floor", "fixed_point_ceiling")],
+            lambda row: f"at K={large_K[row]} P=1", None)]),
         check_tail_bounds(tail_pis, tail_lams),
         check_derivative(fd_pis, fd_lams),
         check_monotone_unimodal(curve_pis, curve_lams, limit_pis, limit_lams),
-        gains.report(),
+        _report("global_gain_bounds", [
+            ([("gain_at_least_1", F - 1.0),
+              ("doubling_cap", 2.0 - F),
+              ("improved_cap", IMPROVED_GAIN_CAP - F)], at, None),
+            ([("near_extremal_witness_floor", np.array([F_witness - 1.53])),
+              ("near_extremal_witness_cap", np.array([1.54 - F_witness]))],
+             lambda row: "at pi=5.38", None),
+        ]),
     ]
 
 

@@ -275,6 +275,17 @@ class TestCurve:
         assert code == 0 and err == ""
         assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["0", "10"]
 
+    def test_step_below_float_spacing_prints_each_row_once(self, capsys):
+        # 30 + i*1e-15 rounds to 30 or to the next float up: four whole
+        # steps, two distinct powers, one row each, to_db last.
+        code, out, _ = run_cli(
+            capsys, "curve", "--massive", "--from-db", "30",
+            "--to-db", "30.000000000000004", "--step-db", "1e-15", "--precision", "17",
+        )
+        assert code == 0
+        rows = out.splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["30", "30.000000000000004"]
+
     def test_single_point_range(self, capsys):
         code, out, _ = run_cli(
             capsys, "curve", "--massive", "--from-db", "30", "--to-db", "30"

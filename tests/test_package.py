@@ -172,6 +172,26 @@ def test_one_balance_residual():
     assert sites == ["core"]
 
 
+def test_one_slack_scorer():
+    # Every verify check scores its slacks through verify._report: no
+    # tracker with add paths is defined, and no other top-level function
+    # (or module code) builds a BoundReport, directly or through _make.
+    tree = ast.parse((ROOT / "src" / "macgain" / "verify.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert defined & {"_Tracker", "add", "add_table"} == set()
+    builders = {
+        getattr(top, "name", "<module>")
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and "BoundReport" in (
+            getattr(node.func, "id", None),
+            getattr(getattr(node.func, "value", None), "id", None),
+        )
+    }
+    assert builders == {"_report"}
+
+
 def test_no_restated_configs_or_defaults():
     # ChannelConfig(users, total_power=pi) serves both finite and massive
     # curves, and the default curve set lives in solvers alone.

@@ -25,8 +25,8 @@ from macgain.solvers import (
     sweep_curve,
 )
 from macgain.verify import (
-    _Tracker,
     _bisect_many,
+    _report,
     _solve_finite_many,
     _solve_massive_many,
     BoundReport,
@@ -91,6 +91,12 @@ class TestSampleSpec:
             {"seed": -1, "n_samples": 0},
             {"seed": -1},
             {"n_samples": MAX_SAMPLES + 1},
+            {"n_samples": 10.5},
+            {"n_samples": 10.0},
+            {"seed": 1.5},
+            {"seed": True},
+            {"n_samples": True},
+            {"seed": "1"},
         ],
     )
     def test_rejects_bad_plans(self, kwargs):
@@ -357,10 +363,32 @@ class TestGoldenReports:
         assert [r.line() for r in reports] == GOLDEN_SABOTAGE_LINES
 
 
-class TestTrackerTable:
-    def test_table_matches_add_loop(self):
-        # Ties, a NaN, a -inf, skipped entries and a violation, fed row by
-        # row through add() as the reference.
+def reference_report(check_name, tables, slop=NUMERIC_SLOP):
+    """_report's rules as a plain loop over the entries, one at a time."""
+    samples = violations = 0
+    worst, witness = math.inf, ""
+    for columns, label, valid in tables:
+        for row in range(len(columns[0][1])):
+            for col, (name, slacks) in enumerate(columns):
+                if valid is not None and not valid[row, col]:
+                    continue
+                slack = float(slacks[row])
+                samples += 1
+                if slack < worst:
+                    worst, witness = slack, f"{name} {label(row)}"
+                if not slack >= -slop:
+                    violations += 1
+    return BoundReport(check_name, samples, violations,
+                       worst if samples else math.nan, witness)
+
+
+def at_row(row):
+    return f"at row{row}"
+
+
+class TestReport:
+    def test_table_matches_entry_loop(self):
+        # Ties, a NaN, a -inf, skipped entries and a violation.
         columns = [
             ("a", np.array([0.5, 0.2, math.nan, 0.2, 1.0])),
             ("b", np.array([0.2, -1.0, 0.3, -math.inf, -1.0])),
@@ -368,23 +396,38 @@ class TestTrackerTable:
         ]
         valid = np.ones((5, 3), dtype=bool)
         valid[2, 2] = valid[3, 1] = False
-        reference = _Tracker("t")
-        for row in range(5):
-            for col, (name, slack) in enumerate(columns):
-                if valid[row, col]:
-                    reference.add(float(slack[row]), f"{name} at row{row}")
-        table = _Tracker("t")
-        table.add_table(columns, lambda row: f"row{row}", valid)
-        assert table.report() == reference.report()
-        assert table.report().witness == "b at row1"
+        tables = [(columns, at_row, valid)]
+        assert _report("t", tables) == reference_report("t", tables)
+        assert _report("t", tables).witness == "b at row1"
 
     def test_all_nan_table_has_no_witness(self):
-        reference = _Tracker("t")
-        reference.add(math.nan, "a at row0")
-        table = _Tracker("t")
-        table.add_table([("a", np.array([math.nan]))], lambda row: f"row{row}")
-        assert table.report() == reference.report()
-        assert table.report().violations == 1 and table.report().witness == ""
+        tables = [([("a", np.array([math.nan]))], at_row, None)]
+        report = _report("t", tables)
+        assert report == reference_report("t", tables)
+        assert report.violations == 1 and report.witness == ""
+
+    def test_empty_table_counts_nothing(self):
+        # A check handed no points, e.g. check_tail_bounds on empty arrays.
+        report = _report("t", [([("a", np.array([])), ("b", np.array([]))], at_row, None)])
+        assert report[:3] == ("t", 0, 0) and report.witness == ""
+        assert math.isnan(report.worst_slack)
+        assert check_tail_bounds(np.array([]), np.array([])).samples == 0
+
+    def test_first_table_wins_a_tie(self):
+        tables = [
+            ([("a", np.array([0.3, 0.1]))], at_row, None),
+            ([("b", np.array([0.1])), ("c", np.array([0.1]))], lambda row: "in b", None),
+        ]
+        report = _report("t", tables)
+        assert report == reference_report("t", tables)
+        assert report.samples == 4 and report.witness == "a at row1"
+
+    def test_zero_slop_counts_every_negative_slack(self):
+        tables = [([("a", np.array([0.0, -1e-12, -1e-10, 1.0]))], at_row, None)]
+        assert _report("t", tables).violations == 0
+        report = _report("t", tables, slop=0.0)
+        assert report == reference_report("t", tables, slop=0.0)
+        assert report.violations == 2 and report.witness == "a at row2"
 
 
 class TestBatchedSolve:
