@@ -22,7 +22,7 @@ from .solvers import (
     BracketError,
     ConvergenceError,
     CurvePoint,
-    check_db_grid,
+    db_grid,
     eval_point,
     find_peak,
     sweep_curve,
@@ -35,7 +35,7 @@ CSV_HEADER = "pi_db,pi,K,lambda,lambda_db,F"
 _LN2 = math.log(2.0)
 
 
-def _db_arg(text: str) -> float:
+def decibels(text: str) -> float:
     """A dB value whose linear power is a positive finite float."""
     value = float(text)
     try:
@@ -49,22 +49,22 @@ def _db_arg(text: str) -> float:
     return value
 
 
-def _step_arg(text: str) -> float:
-    """A finite dB width; check_db_grid refuses steps that are not > 0."""
+def step(text: str) -> float:
+    """A finite dB width; db_grid refuses steps that are not > 0."""
     value = float(text)
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"{text} dB is not a finite step")
     return value
 
 
-def _precision_arg(text: str) -> int:
+def digits(text: str) -> int:
     value = int(text)
     if not 1 <= value <= 17:
         raise argparse.ArgumentTypeError("precision must be in [1, 17]")
     return value
 
 
-def _users_arg(text: str) -> int:
+def user_count(text: str) -> int:
     value = int(text)
     try:
         return _check_users(value)
@@ -72,7 +72,7 @@ def _users_arg(text: str) -> int:
         raise argparse.ArgumentTypeError(str(err)) from None
 
 
-def _users_list_arg(text: str) -> tuple[int | None, ...]:
+def user_list(text: str) -> tuple[int | None, ...]:
     users: list[int | None] = []
     for token in text.split(","):
         token = token.strip()
@@ -81,7 +81,7 @@ def _users_list_arg(text: str) -> tuple[int | None, ...]:
         if token in ("massive", "inf"):
             users.append(None)
         else:
-            users.append(_users_arg(token))
+            users.append(user_count(token))
     if not users:
         raise argparse.ArgumentTypeError("need at least one user count")
     return tuple(users)
@@ -167,12 +167,21 @@ def _point_dict(pt: CurvePoint) -> dict:
     }
 
 
+def _csv_rows(users: int | None, curve: list[CurvePoint], fields: tuple[str, ...],
+              precision: int) -> list[str]:
+    """One CSV row per point: the named CurvePoint fields, users as its token."""
+    # One format string per curve renders each row in a single call.
+    row = ",".join(_users_csv_token(users) if name == "users"
+                   else f"{{0.{name}:.{precision}g}}" for name in fields).format
+    return [row(pt) for pt in curve]
+
+
 def _sweeps(
     args: argparse.Namespace, users_list: tuple[int | None, ...]
 ) -> list[tuple[int | None, list[CurvePoint]]]:
     # A range or grid size the solvers would refuse is a usage error.
     try:
-        check_db_grid(args.from_db, args.to_db, args.step_db)
+        db_grid(args.from_db, args.to_db, args.step_db)
     except ValueError as exc:
         args.parser.error(str(exc))
     return [
@@ -201,23 +210,9 @@ def _chart(curves: list[tuple[int | None, list[CurvePoint]]], pfactor: bool) -> 
 
 def run_curve(args: argparse.Namespace, out: TextIO) -> int:
     curves = _sweeps(args, (_selected_users(args),))
-    points = curves[0][1]
-    p = args.precision
+    users, points = curves[0]
     if args.format == "csv":
-        rows = [CSV_HEADER]
-        for pt in points:
-            rows.append(
-                ",".join(
-                    (
-                        _fmt(pt.pi_db, p),
-                        _fmt(pt.pi, p),
-                        _users_csv_token(pt.users),
-                        _fmt(pt.lam, p),
-                        _fmt(pt.lam_db, p),
-                        _fmt(pt.F, p),
-                    )
-                )
-            )
+        rows = [CSV_HEADER, *_csv_rows(users, points, CurvePoint._fields, args.precision)]
         text = "\n".join(rows) + "\n"
     elif args.format == "json":
         text = _json_text({"points": [_point_dict(pt) for pt in points]})
@@ -232,16 +227,11 @@ def run_peak(args: argparse.Namespace, out: TextIO) -> int:
         args.parser.error("--from-db must be below --to-db")
     users = _selected_users(args)
     peak = find_peak(users, args.from_db, args.to_db)
-    p = args.precision
     if args.format == "json":
         text = _json_text({**peak._asdict(), "users": _users_json_value(users)})
     else:
-        text = (
-            f"pi_star = {_fmt(peak.pi_star, p)}\n"
-            f"pi_star_db = {_fmt(peak.pi_star_db, p)}\n"
-            f"F_star = {_fmt(peak.F_star, p)}\n"
-            f"lambda_at_peak = {_fmt(peak.lambda_at_peak, p)}\n"
-        )
+        text = "".join(f"{name} = {_fmt(getattr(peak, name), args.precision)}\n"
+                       for name in ("pi_star", "pi_star_db", "F_star", "lambda_at_peak"))
     out.write(text)
     return 0
 
@@ -278,19 +268,13 @@ def run_verify(args: argparse.Namespace, out: TextIO) -> int:
 
 def run_figure(args: argparse.Namespace, out: TextIO) -> int:
     curves = _sweeps(args, args.users)
-    p = args.precision
     pfactor = args.which == "pfactor"
     if args.format == "csv":
         lines = ["# columns: pi_db,lambda,lambda_db" if pfactor else "# columns: pi_db,F"]
+        fields = ("pi_db", "lam", "lam_db") if pfactor else ("pi_db", "F")
         for users, curve in curves:
             lines.append(f"# K={_users_csv_token(users)}")
-            for pt in curve:
-                if pfactor:
-                    lines.append(
-                        f"{_fmt(pt.pi_db, p)},{_fmt(pt.lam, p)},{_fmt(pt.lam_db, p)}"
-                    )
-                else:
-                    lines.append(f"{_fmt(pt.pi_db, p)},{_fmt(pt.F, p)}")
+            lines += _csv_rows(users, curve, fields, args.precision)
         text = "\n".join(lines) + "\n"
     elif args.format == "json":
         series = [
@@ -306,7 +290,7 @@ def run_figure(args: argparse.Namespace, out: TextIO) -> int:
 
 def _add_users_choice(parser: argparse.ArgumentParser) -> None:
     group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--users", type=_users_arg, metavar="K",
+    group.add_argument("--users", type=user_count, metavar="K",
                        help="finite user count (K >= 2)")
     group.add_argument("--massive", action="store_true",
                        help="massive-user limit (K -> infinity)")
@@ -321,18 +305,18 @@ def _add_output_opts(parser: argparse.ArgumentParser, formats: tuple[str, ...]) 
 
 def _add_number_opts(parser: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
     _add_output_opts(parser, formats)
-    parser.add_argument("--precision", type=_precision_arg, default=9,
+    parser.add_argument("--precision", type=digits, default=9,
                         metavar="DIGITS",
                         help="significant digits for rendered numbers (1..17)")
 
 
 def _add_range_opts(parser: argparse.ArgumentParser, with_step: bool) -> None:
-    parser.add_argument("--from-db", type=_db_arg, default=DEFAULT_FROM_DB,
+    parser.add_argument("--from-db", type=decibels, default=DEFAULT_FROM_DB,
                         metavar="DB", help="sweep start in dB (default: -10)")
-    parser.add_argument("--to-db", type=_db_arg, default=DEFAULT_TO_DB,
+    parser.add_argument("--to-db", type=decibels, default=DEFAULT_TO_DB,
                         metavar="DB", help="sweep end in dB (default: 30)")
     if with_step:
-        parser.add_argument("--step-db", type=_step_arg, default=0.1, metavar="DB",
+        parser.add_argument("--step-db", type=step, default=0.1, metavar="DB",
                             help="grid step in dB (default: 0.1)")
 
 
@@ -348,9 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="solve one operating point")
     _add_users_choice(solve)
     power = solve.add_mutually_exclusive_group(required=True)
-    power.add_argument("--power-db", type=_db_arg, metavar="DB",
+    power.add_argument("--power-db", type=decibels, metavar="DB",
                        help="per-user power in dB (finite users only)")
-    power.add_argument("--total-power-db", type=_db_arg, metavar="DB",
+    power.add_argument("--total-power-db", type=decibels, metavar="DB",
                        help="total power in dB")
     solve.add_argument("--bits", action="store_true",
                        help="also render capacities in bits")
@@ -384,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="pfactor: power gain curves; cfactor: capacity "
                              "gain curves")
     default_users = ",".join("massive" if u is None else str(u) for u in DEFAULT_USERS)
-    figure.add_argument("--users", type=_users_list_arg, default=DEFAULT_USERS,
+    figure.add_argument("--users", type=user_list, default=DEFAULT_USERS,
                         metavar="LIST",
                         help="comma-separated user counts, 'massive' allowed "
                              f"(default: {default_users})")

@@ -41,7 +41,7 @@ __all__ = [
     "DEFAULT_TO_DB",
     "DEFAULT_USERS",
     "MAX_GRID_POINTS",
-    "check_db_grid",
+    "db_grid",
     "solve_lambda_star",
     "solve_lambda_massive",
     "invert_massive_parametric",
@@ -285,38 +285,30 @@ def eval_point(config: ChannelConfig) -> GainSolution:
     return _solve(config)
 
 
-def check_db_grid(from_db: float, to_db: float, step_db: float) -> int:
-    """Whole steps of the dB grid from_db..to_db, counted before it is built.
+def db_grid(from_db: float, to_db: float, step_db: float) -> list[float]:
+    """The ascending dB grid from_db..to_db, to_db last and no value twice.
 
-    Raises ValueError for a non-positive step, a reversed range, or a grid
-    that would exceed MAX_GRID_POINTS points, the appended end point of a
-    ragged range included.
+    Raises ValueError, before building the grid, for a non-positive step,
+    a reversed range or a NaN end, or a grid that would exceed
+    MAX_GRID_POINTS points, the appended end point of a ragged range
+    included.
     """
     if not step_db > 0.0:
         raise ValueError(f"step must be > 0 dB, got {step_db!r}")
-    if from_db > to_db:
+    if not from_db <= to_db:
         raise ValueError(f"empty sweep range: from {from_db!r} to {to_db!r} dB")
     steps = (to_db - from_db) / step_db + 1e-9
     # A quotient past the cap, possibly inf, is refused without int().
     count = int(steps) if steps < MAX_GRID_POINTS else MAX_GRID_POINTS
-    if count + 1 + _falls_short(from_db, to_db, step_db, count) > MAX_GRID_POINTS:
+    # The last whole step may end short of to_db, which is then appended.
+    short = from_db + count * step_db < to_db - 1e-9 * max(1.0, abs(to_db))
+    if count + 1 + short > MAX_GRID_POINTS:
         raise ValueError(
             f"a {step_db!r} dB step from {from_db!r} to {to_db!r} dB needs more "
             f"than {MAX_GRID_POINTS} grid points"
         )
-    return count
-
-
-def _falls_short(from_db: float, to_db: float, step_db: float, count: int) -> bool:
-    """Whether the grid's last whole step ends short of to_db, which is then appended."""
-    return from_db + count * step_db < to_db - 1e-9 * max(1.0, abs(to_db))
-
-
-def _db_grid(from_db: float, to_db: float, step_db: float) -> list[float]:
-    """The ascending dB grid from_db..to_db, to_db last and no value twice."""
-    count = check_db_grid(from_db, to_db, step_db)
     grid = [from_db + i * step_db for i in range(count + 1)]
-    if _falls_short(from_db, to_db, step_db, count):
+    if short:
         grid.append(to_db)
     else:
         grid[-1] = to_db
@@ -326,13 +318,13 @@ def _db_grid(from_db: float, to_db: float, step_db: float) -> list[float]:
 
 def sweep_curve(users: int | None, from_db: float, to_db: float,
                 step_db: float) -> list[CurvePoint]:
-    """Solve one curve on a uniform dB grid, ascending in pi_db.
+    """Solve one curve on db_grid(from_db, to_db, step_db), ascending in pi_db.
 
     The final point is clamped to to_db; a zero-width range yields the
     single point at from_db.
     """
     points: list[CurvePoint] = []
-    for pi_db in _db_grid(from_db, to_db, step_db):
+    for pi_db in db_grid(from_db, to_db, step_db):
         pi = db_to_linear(pi_db)
         sol = eval_point(ChannelConfig(users, total_power=pi))
         points.append(

@@ -26,7 +26,7 @@ from .solvers import (
     DEFAULT_FROM_DB,
     DEFAULT_TO_DB,
     DEFAULT_USERS,
-    _db_grid,
+    db_grid,
     solve_lambda_massive,
     solve_lambda_star,
 )
@@ -208,6 +208,11 @@ def _f_of_many(pi: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return (1.0 + t) * (np.log1p(t) / t)
 
 
+def _gain(pi: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """The capacity gain factor F = ln(1+pi*lam) / ln(1+pi), elementwise."""
+    return np.log1p(pi * lam) / np.log1p(pi)
+
+
 def _raw_residual_many(K: np.ndarray, P: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """The per-user residual, 1/(K*(K-1)) times core.db_residual, over arrays."""
     return np.log1p(K * P * lam) / K - np.log1p((K - lam) * P * lam) / (K - 1.0)
@@ -344,7 +349,7 @@ def check_tail_bounds(pis: np.ndarray, lams: np.ndarray) -> BoundReport:
     """
     t = pis * lams
     with np.errstate(all="ignore"):
-        F = np.log1p(t) / np.log1p(pis)
+        F = _gain(pis, lams)
         a = lams * t / (1.0 + t)
         # ln(e^a + lam - 1) evaluated as a + log1p((lam-1)*e^-a) so the
         # huge exponential never materializes.
@@ -402,7 +407,7 @@ def check_monotone_unimodal(pis: np.ndarray, lams: np.ndarray, limit_pis: np.nda
     defect costs -1.  The massive curve's far-end limits are anchored too,
     roots limit_lams at limit_pis = (0.001, 1e6): F <= 1.01 and F <= 1.321.
     """
-    F = np.log1p(pis * lams) / np.log1p(pis)
+    F = _gain(pis, lams)
     defects = []
     for diffs in np.diff(F):
         signs = diffs[diffs != 0.0] > 0.0
@@ -411,7 +416,7 @@ def check_monotone_unimodal(pis: np.ndarray, lams: np.ndarray, limit_pis: np.nda
         defects.append(0.0 if clean else -float(max(flips - 1, 1)))
     peak_F = F.max(axis=1)
     names = ["massive" if users is None else str(users) for users in DEFAULT_USERS]
-    limit_F = np.log1p(limit_pis * limit_lams) / np.log1p(limit_pis)
+    limit_F = _gain(limit_pis, limit_lams)
     return _report("curve_shape", [
         ([("lambda_nondecreasing", np.diff(lams).min(axis=1)),
           ("F_unimodal", np.array(defects)),
@@ -442,11 +447,11 @@ def run_suite(sample: SampleSpec, sabotage: bool = False) -> list[BoundReport]:
     K, P = draw_samples(sample)
     large_K, large_P = np.array([10**2, 10**4, 10**6, 10**8]), np.ones(4)
     curve_pis = np.array(
-        [db_to_linear(x) for x in _db_grid(DEFAULT_FROM_DB, DEFAULT_TO_DB, 0.1)])
+        [db_to_linear(x) for x in db_grid(DEFAULT_FROM_DB, DEFAULT_TO_DB, 0.1)])
     h = DERIVATIVE_STEP
     fd_pis = np.outer(DERIVATIVE_GRID, (1.0, 1.0 + h, 1.0 - h))
     tail_pis = np.array([db_to_linear(x) for lo, hi in ((-60.0, -10.0), (30.0, 60.0))
-                         for x in _db_grid(lo, hi, 2.5)])
+                         for x in db_grid(lo, hi, 2.5)])
     limit_pis = np.array([1e-3, 1e6])
     curve_K = np.repeat(DEFAULT_USERS[:-1], curve_pis.size)
     curve_P = np.tile(curve_pis, len(DEFAULT_USERS) - 1) / curve_K
@@ -474,7 +479,7 @@ def run_suite(sample: SampleSpec, sabotage: bool = False) -> list[BoundReport]:
     exists = np.ones((K.size, len(links)), dtype=bool)
     exists[:, -1] = lam < K  # bracket_cap, the last link
     pi = K * P
-    F = np.log1p(pi * lam) / np.log1p(pi)
+    F = _gain(pi, lam)
     # Near-extremal witness: the massive curve close to its peak power.
     F_witness = math.log1p(5.38 * float(witness)) / math.log1p(5.38)
     large = dict(point_bound_slacks(large_K, large_P, large_lam))

@@ -123,6 +123,25 @@ class TestUsageErrors:
         assert_usage_error(["figure", "--which", "cfactor", "--users", ","])
 
     @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["solve", "--power-db", "0", "--users", "1e3"], "--users"),
+            (["solve", "--users", "2", "--power-db", "abc"], "--power-db"),
+            (["curve", "--massive", "--step-db", "abc"], "--step-db"),
+            (["peak", "--massive", "--precision", "abc"], "--precision"),
+            (["figure", "--which", "cfactor", "--users", "2,abc"], "--users"),
+        ],
+        ids=["users", "power-db", "step-db", "precision", "users-list"],
+    )
+    def test_unparsable_value_names_its_flag(self, capsys, argv, flag):
+        # argparse names the type callable in this message, so it must read
+        # as the kind of value the flag takes.
+        assert_usage_error(argv)
+        err = capsys.readouterr().err
+        assert f"argument {flag}: invalid " in err
+        assert "_arg" not in err
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["solve", "--users", "2", "--power-db", "4000"],
@@ -711,6 +730,15 @@ GOLDEN_STDOUT = {
 GOLDEN_CURVE = "curve --massive --from-db -10 --to-db 30 --step-db 0.1 --format csv"
 GOLDEN_CURVE_SHA256 = "70f9504c3cc3e1224afcef28fb0e1b854df6aff4f71d8bccc78101b44e74183e"
 
+# The figure CSVs, frozen by digest with their line counts (a "# columns"
+# line, then per curve a "# K=" line and its rows).
+GOLDEN_FIGURE_SHA256 = {
+    "figure --which cfactor": (
+        2011, "c48e05f8e93df0be773228d5ded4777784906503a179f05f793472c3cacd191e"),
+    "figure --which pfactor --users 2,massive --step-db 1": (
+        85, "d2080959ed37a399ca20cbb5552ac234e607cbda3d1f13616f5f11bdd3b9feef"),
+}
+
 
 class TestGoldenStdout:
     @pytest.mark.parametrize("command", list(GOLDEN_STDOUT))
@@ -724,3 +752,11 @@ class TestGoldenStdout:
         assert (code, err) == (0, "")
         assert len(out.splitlines()) == 402
         assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_CURVE_SHA256
+
+    @pytest.mark.parametrize("command", list(GOLDEN_FIGURE_SHA256))
+    def test_figure_digest(self, capsys, command):
+        code, out, err = run_cli(capsys, *command.split())
+        assert (code, err) == (0, "")
+        lines, digest = GOLDEN_FIGURE_SHA256[command]
+        assert len(out.splitlines()) == lines
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -142,7 +142,7 @@ def test_only_the_root_kernels_take_a_tolerance():
 
 
 def test_verify_imports_no_private_solver_route():
-    # verify solves through the public solvers; _db_grid only builds grids.
+    # verify solves and builds its grids through the public solvers.
     source = (ROOT / "src" / "macgain" / "verify.py").read_text(encoding="utf-8")
     private = {
         alias.name
@@ -150,7 +150,7 @@ def test_verify_imports_no_private_solver_route():
         if isinstance(node, ast.ImportFrom) and node.module == "solvers"
         for alias in node.names if alias.name.startswith("_")
     }
-    assert private <= {"_db_grid"}
+    assert private == set()
 
 
 def _src_trees():

@@ -22,8 +22,7 @@ from macgain.solvers import (
     MAX_ITER,
     NoPeakError,
     _bisect,
-    _db_grid,
-    check_db_grid,
+    db_grid,
     eval_point,
     find_peak,
     invert_massive_parametric,
@@ -360,16 +359,22 @@ class TestSweepCurve:
         with pytest.raises(ValueError):
             sweep_curve(None, 0.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("from_db, to_db", [(math.nan, 30.0), (0.0, math.nan)])
+    def test_nan_end_is_an_empty_range(self, from_db, to_db):
+        # NaN compares false both ways, so it must not pass as an ordered range.
+        with pytest.raises(ValueError, match="empty sweep range"):
+            sweep_curve(None, from_db, to_db, 1.0)
+
     @pytest.mark.parametrize("to_db", [19999.0, 19998.5])
     def test_grid_of_exactly_max_points_accepted(self, to_db):
         # Even, and ragged with the clamped end point appended.
-        assert len(_db_grid(0.0, to_db, 1.0)) == MAX_GRID_POINTS
+        assert len(db_grid(0.0, to_db, 1.0)) == MAX_GRID_POINTS
 
     @pytest.mark.parametrize("to_db, step_db", [(19999.5, 1.0), (1999.95, 0.1)])
     def test_ragged_grid_one_past_max_rejected(self, to_db, step_db):
         # MAX_GRID_POINTS whole-step points plus the appended end point.
         with pytest.raises(ValueError, match="grid points"):
-            check_db_grid(0.0, to_db, step_db)
+            db_grid(0.0, to_db, step_db)
 
     def test_massive_gain_strictly_increases(self):
         points = sweep_curve(None, -10.0, 30.0, 1.0)
