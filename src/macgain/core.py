@@ -146,13 +146,13 @@ class ChannelConfig(_ChannelConfigFields):
 class GainSolution(NamedTuple):
     """A solved operating point of the balance equation.
 
-    ``residual`` is the solver's residual at the returned root: for finite K
-    the balanced form of :func:`db_residual`, K*(K-1) times the per-user
-    one, and for the massive limit lam - f_of(pi, lam).  ``degenerate``
-    marks a power too small for the residual to separate lam = 1 from the
-    root: it is >= 0 already at lam = 1, so the gain is pinned to 1.  The
-    capacities are ln(1+pi) without and ln(1+pi*lam) with feedback, in
-    nats, and ``gain_F`` is their ratio.
+    ``residual`` is the solver's residual at the returned root,
+    lam - G_K(pi*lam) for the fixed-point map of :func:`_fixed_point`,
+    with K = inf in the massive limit.  ``degenerate`` marks a power too
+    small for the residual to separate lam = 1 from the root: it is >= 0
+    already at lam = 1, so the gain is pinned to 1.  The capacities are
+    ln(1+pi) without and ln(1+pi*lam) with feedback, in nats, and
+    ``gain_F`` is their ratio.
     """
 
     config: ChannelConfig
@@ -165,18 +165,50 @@ class GainSolution(NamedTuple):
     degenerate: bool = False
 
 
-def _balance(K, P, log1p):
-    """db_residual's formula as a function of lam, unvalidated, with K*P hoisted.
+def _balance(lam, K, P, log1p):
+    """db_residual's formula, unvalidated; log1p is math.log1p or np.log1p for arrays."""
+    boosted = P * lam * lam / (1.0 + (K - lam) * P * lam)
+    return K * log1p(boosted) - log1p(K * P * lam)
 
-    log1p is math.log1p for float K and P, or np.log1p for arrays of them.
+
+def _fixed_point(K: float, pi: float):
+    """lam - G_K(pi*lam) as a function of lam, unvalidated; K = inf is the massive limit.
+
+    The K-th root of the balance equation at t = pi*lam solves it for lam:
+    lam = G_K(t) = (1 + 1/t) * L * phi(L/K), with L = ln(1+t) and
+    phi(z) = -expm1(-z)/z, which is 1 at z = 0 and so gives f_of at
+    K = inf.  G_K is evaluated as (1+t) * log1p_over_x(t) * phi(L/K);
+    where t overflows, 1 + 1/t rounds to 1 and L = ln(pi) + ln(lam).  The
+    residual is negative below the root and positive above it, with no
+    pole on [1, K].
     """
-    KP = K * P
 
     def residual(lam):
-        boosted = P * lam * lam / (1.0 + (K - lam) * P * lam)
-        return K * log1p(boosted) - log1p(KP * lam)
+        t = pi * lam
+        if t < math.inf:
+            L = math.log1p(t)
+            G = (1.0 + t) * (L / t if t >= _SERIES_CUTOFF else log1p_over_x(t))
+        else:
+            G = L = math.log(pi) + math.log(lam)
+        z = L / K
+        return lam - G * (-math.expm1(-z) / z) if z > 0.0 else lam - G
 
     return residual
+
+
+def _fixed_point_many(K, pi, lam):
+    """_fixed_point's residual over numpy arrays, by the same operations in the same order.
+
+    Except: below t = 1e-8 ln(1+t)/t is the plain quotient, not the series,
+    and an overflowing t gives NaN, which verify's batch hands to the
+    scalar solver.  Call it with numpy's floating-point warnings silenced.
+    """
+    import numpy as np
+
+    t = pi * lam
+    L = np.log1p(t)
+    z = L / K
+    return lam - (1.0 + t) * (L / t) * np.where(z > 0.0, -np.expm1(-z) / z, 1.0)
 
 
 def db_residual(lam: float, K: int, P: float) -> float:
@@ -186,14 +218,15 @@ def db_residual(lam: float, K: int, P: float) -> float:
     the balance root, zero at it, and positive above it on [1, K].  It is
     K*(K-1) times the per-user form
     ln(1+K*P*lam)/K - ln(1+(K-lam)*P*lam)/(K-1), whose two terms cancel at
-    large K; this single-log form keeps its sign there.  The solvers and
-    verify's batch evaluate this same function, without the validation.
+    large K; this single-log form keeps its sign there.  It is the paper's
+    form of the equation the solvers root through :func:`_fixed_point`, and
+    verify scores it at their roots as an independent check.
     """
     K = _check_users(K)
     P = _check_power(P, "per-user power")
     if not 1.0 <= lam <= K:
         raise ValueError(f"power gain must lie in [1, {K}], got {lam!r}")
-    return _balance(K, P, math.log1p)(lam)
+    return _balance(lam, K, P, math.log1p)
 
 
 def f_of(pi: float, lam: float) -> float:
@@ -215,16 +248,16 @@ def dlambda_dpi(users: int | None, pi: float, lam: float) -> float:
     """Slope dlam/dpi of the power gain along its curve, by implicit differentiation.
 
     With t = pi*lam, lam' = (b - lam) / (pi*(2 + t - b/lam)), where
-    b = 1 + (K - lam)*(pi/K)*lam for K users and b = 1 + t in the massive
-    limit (users None); dividing lam out keeps every term finite while t
-    is.  Only meaningful when (pi, lam) solves the balance equation at that
-    K; strictly positive there.  pi must be a positive finite power.  A
-    denominator that is not positive, NaN included, cannot occur on the
+    b = 1 + t - t*(lam/K) for K users, which is 1 + t in the massive limit
+    (users None, K = inf); dividing lam out keeps every term finite while
+    t is.  Only meaningful when (pi, lam) solves the balance equation at
+    that K; strictly positive there.  pi must be a positive finite power.
+    A denominator that is not positive, NaN included, cannot occur on the
     curve and signals an off-curve call.
     """
     pi = _check_power(pi, "total power")
     t = pi * lam
-    b = 1.0 + t if users is None else 1.0 + (users - lam) * (pi / users) * lam
+    b = 1.0 + t - t * (lam / (math.inf if users is None else users))
     denom = 2.0 + t - b / lam
     if not denom > 0.0:
         raise ValueError(

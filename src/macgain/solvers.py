@@ -1,14 +1,15 @@
 """Root finding and curve exploration for feedback power gains.
 
-The finite-user balance residual has a guaranteed sign change on [1, K]
-and the massive-limit slack lam - f(pi, lam) has one on [1, inf).  One
-routine brackets both by doubling from [1, 2] and narrows the bracket by
-ITP steps (interpolate, truncate, project), which never take more than
-one step beyond bisection; a root is accepted for its (-, +) bracket,
-never for a small residual, so nothing about convergence relies on
-numerical luck.  The finite residual is the balanced single-log form,
-which keeps its sign at large K.  Peak search runs the same routine on
-the dB axis: the maximum of F is the (-, +) root of its negated slope,
+Every power gain, for K users or in the massive limit (K = inf), is the
+fixed point of one map, lam = G_K(pi*lam), the K-th root of the balance
+equation solved for lam.  Its residual lam - G_K(pi*lam), core._fixed_point,
+changes sign once on [1, K], with no pole at lam = K, and stays finite
+where pi*lam overflows.  One routine brackets it by doubling from [1, 2]
+and narrows the bracket by ITP steps (interpolate, truncate, project),
+which never take more than one step beyond bisection; a root is accepted
+for its (-, +) bracket, never for a small residual, so nothing about
+convergence relies on numerical luck.  Peak search runs the same routine
+on the dB axis: the maximum of F is the (-, +) root of its negated slope,
 which core.dlambda_dpi gives in closed form.
 """
 
@@ -20,11 +21,10 @@ from typing import NamedTuple
 from .core import (
     ChannelConfig,
     GainSolution,
-    _balance,
     _check_power,
+    _fixed_point,
     db_to_linear,
     dlambda_dpi,
-    f_of,
     linear_to_db,
     massive_parametric,
 )
@@ -189,9 +189,11 @@ def _root(fn, cap: float, where) -> tuple[float, float, int, bool]:
     steps; the (-, +) bracket certifies the root.  Returns (lam, fn(lam),
     doublings plus ITP steps, degenerate).  If 0 <= fn(1) < fn(2), the power
     is too small for fn to separate lam = 1 from the root, which is pinned
-    to 1 as degenerate.  A NaN or MAX_ITER doublings raise ConvergenceError, any
-    other sign pattern BracketError; every message ends with where(),
-    formatted only on failure.
+    to 1 as degenerate.  If fn(1) < 0 and fn is still <= 0 at the cap, the
+    cap is the root: every caller's root lies strictly below its cap, so it
+    is closer to the cap than fn can resolve.  A NaN or MAX_ITER doublings
+    raise ConvergenceError, any other sign pattern BracketError; every
+    message ends with where(), formatted only on failure.
     """
     lo, f_lo = 1.0, fn(1.0)
     hi, f_hi = 2.0, fn(2.0)
@@ -205,6 +207,8 @@ def _root(fn, cap: float, where) -> tuple[float, float, int, bool]:
         hi = 2.0 * hi if 2.0 * hi < cap else cap
         f_hi = fn(hi)
         expansions += 1
+    if f_lo < 0.0 and f_hi <= 0.0 and hi == cap:
+        return cap, f_hi, expansions, False
     if not f_lo <= 0.0 < f_hi:
         if math.isnan(f_lo) or math.isnan(f_hi):  # an overflow inside fn
             nan_at = lo if math.isnan(f_lo) else hi
@@ -221,19 +225,16 @@ def _root(fn, cap: float, where) -> tuple[float, float, int, bool]:
 
 
 def _solve(config: ChannelConfig) -> GainSolution:
-    pi = config.total_power
-    if config.is_massive:
-        def residual(lam: float) -> float:
-            return lam - f_of(pi, lam)
-
+    K, pi = config.users, config.total_power
+    if K is None:
         cap, where = math.inf, lambda: f"pi={pi!r}"
     else:
-        K, P = config.users, config.per_user_power
-        residual = _balance(float(K), P, math.log1p)
-        cap, where = float(K), lambda: f"K={K}, P={P!r}"
-    lam, res, iters, degenerate = _root(residual, cap, where)
+        cap, where = float(K), lambda: f"K={K}, P={config.per_user_power!r}"
+    lam, res, iters, degenerate = _root(_fixed_point(cap, pi), cap, where)
     capacity_nofb = math.log1p(pi)
-    capacity_fb = math.log1p(pi * lam)
+    t = pi * lam
+    # Split like the residual where pi*lam overflows.
+    capacity_fb = math.log1p(t) if t < math.inf else math.log(pi) + math.log(lam)
     return GainSolution(
         config=config,
         lambda_star=lam,
@@ -249,14 +250,15 @@ def _solve(config: ChannelConfig) -> GainSolution:
 def solve_lambda_star(K: int, P: float) -> GainSolution:
     """Solve the balance equation for K users at per-user power P.
 
-    Returns the unique root in [1, K] of the balanced residual
-    core.db_residual, with the capacities and gain factor filled in.
+    Returns the unique root in [1, K] of the balance equation, the fixed
+    point of core._fixed_point's map at K, with the capacities and gain
+    factor filled in.
     """
     return _solve(ChannelConfig.finite(K, per_user_power=P))
 
 
 def solve_lambda_massive(pi: float) -> GainSolution:
-    """Solve lam = f_of(pi, lam) for the massive limit at total power pi."""
+    """Solve lam = f_of(pi, lam), the K = inf fixed point, at total power pi."""
     return _solve(ChannelConfig.massive(pi))
 
 

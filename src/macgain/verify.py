@@ -1,7 +1,7 @@
 """Executable verification of the inequality, limit, and shape claims.
 
 Each check scores the slack of every inequality it is responsible for at
-roots that run_suite solves in two batches (slack >= 0 means the claim
+roots that run_suite solves in one batch (slack >= 0 means the claim
 holds).  Every check is one call of one scorer, _report, over tables of
 slacks with one row per point and one column per inequality; the
 smallest slack is the check's witness.  Slacks below -1e-9 count as
@@ -21,15 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import solvers
-from .core import _balance, db_to_linear, dlambda_dpi
-from .solvers import (
-    DEFAULT_FROM_DB,
-    DEFAULT_TO_DB,
-    DEFAULT_USERS,
-    db_grid,
-    solve_lambda_massive,
-    solve_lambda_star,
-)
+from .core import ChannelConfig, _balance, _fixed_point_many, db_to_linear, dlambda_dpi
+from .solvers import DEFAULT_FROM_DB, DEFAULT_TO_DB, DEFAULT_USERS, db_grid, eval_point
 
 __all__ = [
     "NUMERIC_SLOP",
@@ -193,29 +186,14 @@ def point_bound_slacks(K: np.ndarray, P: np.ndarray,
             ("log_bracket_lower", log_term - t * lam / (1.0 + t)),
             ("log_bracket_upper", upper - log_term),
             ("gain_floor", lam - K * log_term / (K + log_term)),
-            ("fixed_point_ceiling", _f_of_many(pi, lam) - lam),
+            ("fixed_point_ceiling", -_fixed_point_many(math.inf, pi, lam)),
             ("bracket_cap", K * lam / (K - lam) - upper),
         ]
-
-
-def _f_of_many(pi: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """core.f_of over arrays.
-
-    Every caller has pi*lam >= 1e-3, far above the 1e-8 where core.f_of
-    switches to its series, so the quotient is all f_of would evaluate.
-    """
-    t = pi * lam
-    return (1.0 + t) * (np.log1p(t) / t)
 
 
 def _gain(pi: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """The capacity gain factor F = ln(1+pi*lam) / ln(1+pi), elementwise."""
     return np.log1p(pi * lam) / np.log1p(pi)
-
-
-def _raw_residual_many(K: np.ndarray, P: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """The per-user residual, 1/(K*(K-1)) times core.db_residual, over arrays."""
-    return np.log1p(K * P * lam) / K - np.log1p((K - lam) * P * lam) / (K - 1.0)
 
 
 def _bisect_many(fn, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray,
@@ -274,66 +252,47 @@ def _bisect_many(fn, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray,
     return best_x, best_f, iterations
 
 
-def _root_many(fn, cap: np.ndarray, solve_one):
-    """solvers._root over arrays: one doubling pass, then one _bisect_many.
+def _root_many(K: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """solvers._root of core._fixed_point_many at every (K, pi), K = inf massive.
 
-    The tolerances are read off the solvers module at call time, so the
-    batch and the scalar solver it hands off to always share them.
-
-    fn(lam, i) gives the residuals of elements i at the points lam, and
-    fn(lam) those of every element; each upper end doubles from 2, never
-    past its cap, and _bisect_many evaluates only the elements it is still
-    narrowing.  An element is settled here when fn(1) < 0, its doubled
-    bracket is (-, +), no ITP step met a NaN and it took fewer than
+    One doubling pass, each upper end capped at its K, then one
+    _bisect_many, with the tolerances read off the solvers module at call
+    time.  An element is settled here when its residual is < 0 at 1, its
+    doubled bracket is (-, +), no ITP step met a NaN and it took fewer than
     MAX_ITER steps.  Every other element goes, in input order, to the
-    scalar solve_one(i), which pins it to lam = 1, solves it or raises its
-    own error.  The ITP points depend on the residual values, so where
-    np.log1p and math.log1p disagree in the last ulp the batch and the
-    scalar solver may return roots a few ulps apart, both certified by
-    their brackets, and the scalar solver may settle an element the batch
-    could not.
+    scalar eval_point at the same K and total power, which pins it to
+    lam = 1, takes the cap as its root, solves it or raises its own error.
+    Where numpy's log1p or expm1 differ from math's in the last ulp, the
+    ITP points differ, and batch and scalar roots may be a few ulps apart,
+    both certified by their brackets.
     """
+    K = np.asarray(K, dtype=float)
+
+    def fn(lam, i=slice(None)):
+        return _fixed_point_many(K[i], pi[i], lam)
+
     with np.errstate(all="ignore"):
-        lo = np.ones_like(cap)
+        lo = np.ones_like(K)
         f_lo = fn(lo)
-        hi = np.minimum(2.0, cap)
+        hi = np.minimum(2.0, K)
         f_hi = fn(hi)
-        growing = np.flatnonzero((f_lo < 0.0) & (f_hi <= 0.0) & (hi < cap))
+        growing = np.flatnonzero((f_lo < 0.0) & (f_hi <= 0.0) & (hi < K))
         expansions = 1
         while growing.size and expansions < solvers.MAX_ITER:
             lo[growing], f_lo[growing] = hi[growing], f_hi[growing]
-            hi[growing] = np.minimum(2.0 * hi[growing], cap[growing])
+            hi[growing] = np.minimum(2.0 * hi[growing], K[growing])
             f_hi[growing] = fn(hi[growing], growing)
             expansions += 1
-            growing = growing[(f_hi[growing] <= 0.0) & (hi[growing] < cap[growing])]
+            growing = growing[(f_hi[growing] <= 0.0) & (hi[growing] < K[growing])]
         lam, res, iterations = _bisect_many(
             fn, lo, hi, f_lo, f_hi, solvers.LAMBDA_TOL, solvers.MAX_ITER
         )
     settled = ((f_lo < 0.0) & (f_hi > 0.0) & ~np.isnan(res)
                & (iterations < solvers.MAX_ITER))
     for i in np.flatnonzero(~settled):
-        lam[i] = solve_one(i).lambda_star
+        users = None if K[i] == math.inf else int(K[i])
+        lam[i] = eval_point(ChannelConfig(users, total_power=float(pi[i]))).lambda_star
     return lam
-
-
-def _solve_finite_many(K: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """solve_lambda_star's root for every (K, P) pair, in one batch of core._balance."""
-    K = np.asarray(K, dtype=float)
-
-    def residual(lam: np.ndarray, i=slice(None)) -> np.ndarray:
-        return _balance(K[i], P[i], np.log1p)(lam)
-
-    return _root_many(residual, K, lambda i: solve_lambda_star(int(K[i]), float(P[i])))
-
-
-def _solve_massive_many(pi: np.ndarray) -> np.ndarray:
-    """solve_lambda_massive's root for every total power pi, in one batch."""
-
-    def slack(lam: np.ndarray, i=slice(None)) -> np.ndarray:
-        return lam - _f_of_many(pi[i], lam)
-
-    return _root_many(slack, np.full_like(pi, math.inf),
-                      lambda i: solve_lambda_massive(float(pi[i])))
 
 
 def check_tail_bounds(pis: np.ndarray, lams: np.ndarray) -> BoundReport:
@@ -432,17 +391,15 @@ def check_monotone_unimodal(pis: np.ndarray, lams: np.ndarray, limit_pis: np.nda
 
 
 def run_suite(sample: SampleSpec, sabotage: bool = False) -> list[BoundReport]:
-    """Run every check once on the roots of one finite and one massive batch.
+    """Run every check once on the roots of one batch.
 
-    The finite batch holds the samples, sandwich_large_k's four points
-    (K = 1e2..1e8 at P = 1) and the finite curves of curve_shape and
-    derivative_consistency, the massive batch their massive curves, the
-    far-end limits, the tail powers and the witness; each hands what it
-    cannot settle to the scalar solver.  With sabotage=True every
-    per-sample check is evaluated half a unit off the root (clamped into
-    [1, K]); the residual gate must then flag every sample, so a passing
-    sabotage run would expose a broken harness.  Violations are returned
-    as data; solver errors propagate.
+    The batch holds the samples, sandwich_large_k's four points (K = 1e2..1e8
+    at P = 1), the curves of curve_shape and derivative_consistency, and
+    the massive far-end limits, tail powers and witness.  With
+    sabotage=True every per-sample check is evaluated half a unit off the
+    root (clamped into [1, K]); the residual gate must then flag every
+    sample, so a passing sabotage run would expose a broken harness.
+    Violations are returned as data; solver errors propagate.
     """
     K, P = draw_samples(sample)
     large_K, large_P = np.array([10**2, 10**4, 10**6, 10**8]), np.ones(4)
@@ -453,28 +410,26 @@ def run_suite(sample: SampleSpec, sabotage: bool = False) -> list[BoundReport]:
     tail_pis = np.array([db_to_linear(x) for lo, hi in ((-60.0, -10.0), (30.0, 60.0))
                          for x in db_grid(lo, hi, 2.5)])
     limit_pis = np.array([1e-3, 1e6])
-    curve_K = np.repeat(DEFAULT_USERS[:-1], curve_pis.size)
-    curve_P = np.tile(curve_pis, len(DEFAULT_USERS) - 1) / curve_K
-    fd_K = np.repeat(DERIVATIVE_USERS[:-1], fd_pis.size)
-    fd_P = np.tile(fd_pis.ravel(), len(DERIVATIVE_USERS) - 1) / fd_K
-    lam, large_lam, curve_lam, fd_lam = np.split(
-        _solve_finite_many(np.hstack([K, large_K, curve_K, fd_K]),
-                           np.hstack([P, large_P, curve_P, fd_P])),
-        np.cumsum([K.size, large_K.size, curve_K.size]))
-    massive_pis = np.hstack([curve_pis, limit_pis, fd_pis.ravel(), tail_pis, [5.38]])
-    massive_curve, limit_lams, massive_fd, tail_lams, (witness,) = np.split(
-        _solve_massive_many(massive_pis),
-        np.cumsum([curve_pis.size, limit_pis.size, fd_pis.size, tail_pis.size]))
-    fd_lams = np.append(fd_lam, massive_fd).reshape(-1, *fd_pis.shape)
-    curve_lams = np.append(curve_lam, massive_curve).reshape(-1, curve_pis.size)
+    massive_pis = np.hstack([limit_pis, tail_pis, [5.38]])
+    # (K, pi) blocks of one batch, the massive limit as K = inf.
+    blocks = [(K, K * P), (large_K, large_K * large_P)] + [
+        (np.full(pis.size, math.inf if users is None else users), pis.ravel())
+        for curves, pis in ((DEFAULT_USERS, curve_pis), (DERIVATIVE_USERS, fd_pis))
+        for users in curves] + [(np.full(massive_pis.size, math.inf), massive_pis)]
+    lam, large_lam, curve_lams, fd_lams, limit_lams, tail_lams, (witness,) = np.split(
+        _root_many(*(np.hstack(column) for column in zip(*blocks))),
+        np.cumsum([K.size, large_K.size, curve_pis.size * len(DEFAULT_USERS),
+                   fd_pis.size * len(DERIVATIVE_USERS), limit_pis.size, tail_pis.size]))
+    curve_lams = curve_lams.reshape(-1, curve_pis.size)
+    fd_lams = fd_lams.reshape(-1, *fd_pis.shape)
     if sabotage:
         lam = np.minimum(lam + 0.5, K)
 
     def at(row: int) -> str:
         return f"at K={int(K[row])} P={float(P[row]):.6g}"
 
-    # The residual is recomputed at the (possibly sabotaged) lam.
-    res = _raw_residual_many(K, P, lam)
+    # The paper's per-user balance residual, at the (possibly sabotaged) lam.
+    res = _balance(lam, K, P, np.log1p) / (K * (K - 1.0))
     links = point_bound_slacks(K, P, lam)
     exists = np.ones((K.size, len(links)), dtype=bool)
     exists[:, -1] = lam < K  # bracket_cap, the last link

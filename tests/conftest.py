@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf
 
+import macgain.solvers
 from macgain.core import ChannelConfig
 from macgain.solvers import eval_point
 from macgain.verify import DERIVATIVE_GRID, DERIVATIVE_STEP, DERIVATIVE_USERS
@@ -48,6 +49,24 @@ def acceptance_log(request):
         request.config._acceptance_lines.append(line)
 
     return log
+
+
+@pytest.fixture
+def unsplit_residual(monkeypatch):
+    """Make every solve's residual NaN where pi*lam overflows.
+
+    core._fixed_point takes ln(1+pi*lam) as ln(pi) + ln(lam) there; the
+    unsplit map overflows to NaN at the top of the float range.  This puts
+    that failure back, so tests can drive the solver's refusal of a NaN
+    residual through the public entry points.
+    """
+    split = macgain.solvers._fixed_point
+
+    def unsplit(K, pi):
+        residual = split(K, pi)
+        return lambda lam: math.nan if pi * lam == math.inf else residual(lam)
+
+    monkeypatch.setattr(macgain.solvers, "_fixed_point", unsplit)
 
 
 def raw_residual(lam: float, K: int, P: float) -> float:

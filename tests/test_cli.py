@@ -13,7 +13,8 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from conftest import finite_certified
+import macgain.solvers
+from conftest import finite_certified, massive_certified
 from macgain.cli import CSV_HEADER, main
 
 
@@ -406,12 +407,13 @@ class TestPeak:
 @pytest.mark.parametrize(
     "argv, message",
     [
-        # K*P*lam overflows in the balance residual at the top of the range.
+        # pi*lam overflows at the top of the range; without the log split
+        # (the unsplit_residual fixture) the residual is NaN there.
         (["solve", "--users", "2", "--power-db", "3077"], "NaN"),
         (["curve", "--users", "10", "--from-db", "3000", "--to-db", "3080",
           "--step-db", "40"], "NaN"),
         (["peak", "--massive", "--from-db", "-10", "--to-db", "0"], "widen the range"),
-        # pi*lam overflows in the fixed-point map; a NaN slack is no root.
+        # The same in the massive limit; a NaN slack is no root.
         (["solve", "--massive", "--total-power-db", "3070"], "NaN"),
         (["solve", "--massive", "--total-power-db", "3080"], "NaN"),
         # A derived power that leaves the float range is refused unsolved.
@@ -423,7 +425,7 @@ class TestPeak:
           "--step-db", "1"], "per-user power must be a positive finite power, got 0.0"),
     ],
 )
-def test_solver_failure_exits_1(capsys, argv, message):
+def test_solver_failure_exits_1(capsys, unsplit_residual, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert out == ""
@@ -465,11 +467,13 @@ def test_unwritable_out_fails_before_computing(tmp_path):
     assert "verify took" not in result.stderr
 
 
-def test_failing_command_leaves_out_empty(capsys, tmp_path):
+def test_failing_command_leaves_out_empty(capsys, tmp_path, monkeypatch):
     # Like a shell's > PATH, --out is truncated before the command runs.
+    # Five ITP steps cannot bracket the root to LAMBDA_TOL, so it fails.
+    monkeypatch.setattr(macgain.solvers, "MAX_ITER", 5)
     target = tmp_path / "out.txt"
     target.write_text("stale\n", encoding="utf-8")
-    code, out, err = run_cli(capsys, "solve", "--users", "2", "--power-db", "3077",
+    code, out, err = run_cli(capsys, "solve", "--users", "2", "--power-db", "0",
                              "--out", str(target))
     assert code == 1
     assert out == ""
@@ -497,6 +501,27 @@ class TestLargeKAndHighPower:
         assert len(points) == 11
         for point in points:
             assert finite_certified(2, point["pi"] / 2, point["lambda"], 1e-12)
+
+    @pytest.mark.parametrize("argv", [
+        ["--users", "2", "--power-db", "3077.5"],
+        ["--users", "10", "--power-db", "3065"],
+        ["--users", "1000", "--power-db", "3027.5"],
+        ["--massive", "--total-power-db", "3052.5"],
+    ], ids=["2", "10", "1000", "massive"])
+    def test_top_of_the_float_range(self, capsys, argv):
+        # pi*lam overflows at these roots or on the doubling past them; the
+        # residual and capacity_fb take ln(pi) + ln(lam) there, so every
+        # printed value is finite.
+        code, out, err = run_cli(capsys, "solve", *argv, "--format", "json")
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert all(math.isfinite(payload[key]) for key in
+                   ("lambda", "capacity_fb_nats", "gain_F", "residual"))
+        pi, lam = payload["pi"], payload["lambda"]
+        if payload["users"] == "massive":
+            assert massive_certified(pi, lam, 1e-12)
+        else:
+            assert finite_certified(payload["users"], pi / payload["users"], lam, 1e-12)
 
     def test_trillion_users(self, capsys):
         code, out, err = run_cli(capsys, "solve", "--users", "1000000000000",
@@ -689,13 +714,13 @@ GOLDEN_STDOUT = {
         '  "users": 100,\n'
         '  "pi": 100.0,\n'
         '  "pi_db": 20.0,\n'
-        '  "lambda": 6.245751003217071,\n'
-        '  "lambda_db": 7.955846664000469,\n'
+        '  "lambda": 6.245751003217069,\n'
+        '  "lambda_db": 7.955846664000468,\n'
         '  "capacity_nofb_nats": 4.61512051684126,\n'
-        '  "capacity_fb_nats": 6.438671387162966,\n'
-        '  "gain_F": 1.3951252981731026,\n'
-        '  "residual": 0.0,\n'
-        '  "iterations": 13,\n'
+        '  "capacity_fb_nats": 6.438671387162965,\n'
+        '  "gain_F": 1.3951252981731024,\n'
+        '  "residual": -8.881784197001252e-16,\n'
+        '  "iterations": 12,\n'
         '  "degenerate": false\n'
         '}\n'
     ),
@@ -708,18 +733,18 @@ GOLDEN_STDOUT = {
     "peak --users 10 --format json": (
         '{\n'
         '  "users": 10,\n'
-        '  "pi_star": 5.2935538364358425,\n'
-        '  "pi_star_db": 7.237473342944862,\n'
+        '  "pi_star": 5.293553836435856,\n'
+        '  "pi_star_db": 7.237473342944873,\n'
         '  "F_star": 1.4458875142360172,\n'
-        '  "lambda_at_peak": 2.5111070521201784,\n'
+        '  "lambda_at_peak": 2.51110705212018,\n'
         '  "bracket_evidence": [\n'
         '    [\n'
-        '      7.237473342940626,\n'
-        '      -1.2434497875801753e-13\n'
+        '      7.237473342944865,\n'
+        '      -2.220446049250313e-16\n'
         '    ],\n'
         '    [\n'
-        '      7.237473343517604,\n'
-        '      1.6809553748942108e-11\n'
+        '      7.237473342944873,\n'
+        '      2.220446049250313e-16\n'
         '    ]\n'
         '  ]\n'
         '}\n'

@@ -8,6 +8,7 @@ import math
 import pickle
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,6 +16,8 @@ from conftest import raw_residual
 from macgain.core import (
     ChannelConfig,
     GainSolution,
+    _fixed_point,
+    _fixed_point_many,
     db_to_linear,
     db_residual,
     dlambda_dpi,
@@ -312,6 +315,65 @@ class TestFixedPointMap:
         assert bound <= 1.0
 
 
+class TestFixedPointResidual:
+    """core._fixed_point, the residual of every solve, and its numpy twin."""
+
+    @pytest.mark.parametrize("pi", [1e-12, 1e-3, 5.38, 1e6, 1e300])
+    def test_massive_limit_is_the_f_of_slack(self, pi):
+        # phi = 1 exactly at K = inf, so the massive roots keep their bits.
+        for lam in (1.0, 1.5, 3.0, 9.0, 700.0):
+            assert _fixed_point(math.inf, pi)(lam) == lam - f_of(pi, lam)
+
+    @given(
+        st.integers(min_value=2, max_value=1000),
+        st.floats(min_value=1e-6, max_value=1e6),
+        st.floats(min_value=0.0, max_value=1.0),
+    )
+    def test_same_sign_as_the_balance_residual(self, K, P, frac):
+        # The fixed point lam = G_K(K*P*lam) is the balance equation's K-th
+        # root solved for lam: both residuals change sign at the same root.
+        lam = 1.0 + frac * (K - 1.0)
+        balanced = db_residual(lam, K, P)
+        if abs(balanced) > 1e-10 * K * (K - 1.0):
+            assert (_fixed_point(float(K), K * P)(lam) > 0.0) == (balanced > 0.0)
+
+    def test_no_pole_at_the_cap(self):
+        # G_K stays below K for every t > 0, so the residual is > 0 at
+        # lam = K, finite however large the power.  Where K - G_K is below
+        # the float spacing at K it rounds to 0 or a few ulps below, and
+        # the solver takes the cap as the root.
+        for K in (2.0, 3.0, 10.0, 1e4):
+            values = [_fixed_point(K, K * db_to_linear(db))(K) for db in range(-60, 3001, 60)]
+            assert all(-4.0 * math.ulp(K) <= v < K for v in values)
+            assert values[0] > 0.0
+
+    @pytest.mark.parametrize("K", [2.0, 3.0, 10.0, 1e4, 1e12, 1e300, math.inf])
+    def test_array_form_matches_scalar(self, K):
+        # The same operations in the same order: bit for bit wherever
+        # numpy's log1p and expm1 round like math's, a few ulps elsewhere.
+        pi, frac = np.meshgrid(np.logspace(-7, 300, 61), np.linspace(0.0, 1.0, 11))
+        lam = 1.0 + frac * (min(K, 1e3) - 1.0)
+        pi, lam = pi.ravel(), lam.ravel()
+        keep = np.isfinite(pi * lam)
+        pi, lam = pi[keep], lam[keep]
+        with np.errstate(all="ignore"):
+            batch = _fixed_point_many(K, pi, lam)
+        scalar = np.array([_fixed_point(K, p)(x) for p, x in zip(pi.tolist(), lam.tolist())])
+        t = pi * lam
+        z = (np.log1p(t) / K).tolist()
+        same = (np.log1p(t) == [math.log1p(x) for x in t.tolist()]) & (
+            np.expm1(np.negative(z)) == [math.expm1(-x) for x in z])
+        assert same.mean() > 0.9
+        assert np.array_equal(batch[same], scalar[same])
+        assert np.allclose(batch, scalar, rtol=0.0, atol=1e-15 * lam.max())
+
+    def test_array_form_leaves_overflow_to_the_scalar_solver(self):
+        with np.errstate(all="ignore"):
+            assert np.isnan(_fixed_point_many(np.array([2.0, math.inf]), 1e308, 2.0)).all()
+        assert math.isfinite(_fixed_point(2.0, 1e308)(2.0))
+        assert math.isfinite(_fixed_point(math.inf, 1e308)(2.0))
+
+
 class TestMassiveParametric:
     def test_one_nat_point(self):
         t = math.e - 1.0
@@ -382,6 +444,17 @@ class TestFiniteDerivative:
                   - solve_lambda_star(K, pi * (1 - h) / K).lambda_star) / (2 * pi * h)
             assert slope > 0.0
             assert fd == pytest.approx(slope, rel=1e-7)
+
+    @pytest.mark.parametrize("K", [2, 10, 10**12])
+    def test_one_formula_for_every_K(self, K):
+        # b = 1 + t - t*lam/K is the finite form 1 + (K - lam)*(pi/K)*lam
+        # rearranged, and 1 + t at K = inf.
+        for pi in (0.1, 5.38, 1000.0):
+            lam = solve_lambda_star(K, pi / K).lambda_star
+            t = pi * lam
+            b = 1.0 + (K - lam) * (pi / K) * lam
+            assert dlambda_dpi(K, pi, lam) == pytest.approx(
+                (b - lam) / (2.0 + t - b / lam) / pi, rel=1e-12)
 
     def test_large_K_approaches_the_massive_slope(self):
         pi = 5.38

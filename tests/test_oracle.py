@@ -28,7 +28,7 @@ from macgain.verify import (
     DERIVATIVE_GRID,
     DERIVATIVE_STEP,
     DERIVATIVE_USERS,
-    _solve_finite_many,
+    _root_many,
 )
 from test_cli import GOLDEN_STDOUT
 
@@ -74,10 +74,27 @@ def test_vanishing_power_pins_a_certified_root():
     assert finite_certified(2, db_to_linear(-200.0), 1.0, TOL)
 
 
+# Per-user powers where pi*lam overflows at the root or on the doubling
+# past it, and K = 2 at 500 dB, whose root lies about 1e-25 below K and is
+# taken at the cap.
+TOP_OF_RANGE = ((2, 3077.5), (10, 3065.0), (1000, 3027.5), (2, 500.0))
+
+
+def test_top_of_the_range_and_cap_roots():
+    points = []
+    for K, power_db in TOP_OF_RANGE:
+        P = db_to_linear(power_db)
+        points.append((K, P, solve_lambda_star(K, P).lambda_star))
+    assert points[-1][2] == 2.0
+    assert uncertified(points) == []
+    pi = db_to_linear(3052.5)
+    assert massive_certified(pi, solve_lambda_massive(pi).lambda_star, TOL)
+
+
 def test_finite_grid_in_one_batch():
     K = np.repeat(GRID_USERS, len(GRID_POWER_DB))
     P = np.tile([db_to_linear(power_db) for power_db in GRID_POWER_DB], len(GRID_USERS))
-    lam = _solve_finite_many(K, P)
+    lam = _root_many(K, K * P)
     assert uncertified(zip(K.tolist(), P.tolist(), lam.tolist())) == []
 
 

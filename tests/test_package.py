@@ -159,17 +159,28 @@ def _src_trees():
 
 
 def test_one_balance_residual():
-    # The finite balance residual is written once, in core._balance; the
-    # scalar solver, verify's batch and db_residual all evaluate it.
-    sites = [
+    # Every solve roots one residual, the fixed point lam = G_K(pi*lam) of
+    # the balance equation in core._fixed_point, with its numpy twin beside
+    # it: phi(L/K)'s expm1 is called in core alone, the scalar solver reads
+    # neither the paper-form _balance nor f_of, and verify keeps none of
+    # the separate finite and massive residuals and batches.
+    sites = {
         module
         for module, tree in _src_trees()
         for node in ast.walk(tree)
         if isinstance(node, ast.Call)
-        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "log1p"
-        and any(isinstance(arg, ast.Name) and arg.id == "boosted" for arg in node.args)
-    ]
-    assert sites == ["core"]
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "expm1"
+    }
+    assert sites == {"core"}
+    trees = dict(_src_trees())
+    from_core = {alias.name for node in ast.walk(trees["solvers"])
+                 if isinstance(node, ast.ImportFrom) and node.module == "core"
+                 for alias in node.names}
+    assert "_fixed_point" in from_core and not from_core & {"_balance", "f_of"}
+    defined = {node.name for node in ast.walk(trees["verify"])
+               if isinstance(node, ast.FunctionDef)}
+    assert not defined & {"_solve_finite_many", "_solve_massive_many", "_f_of_many",
+                          "_raw_residual_many"}
 
 
 def test_one_slack_scorer():

@@ -13,7 +13,7 @@ import pytest
 import macgain.solvers as solvers_module
 from conftest import brute_peak_k2, raw_residual, sign_scan_root
 from test_oracle import GRID_POWER_DB, GRID_USERS, MASSIVE_POWER_DB
-from macgain.core import ChannelConfig, db_residual, db_to_linear, f_of
+from macgain.core import ChannelConfig, _fixed_point, db_to_linear, f_of
 from macgain.solvers import (
     BracketError,
     ConvergenceError,
@@ -123,19 +123,18 @@ class TestITPSteps:
         assert over == []
 
     def test_mean_steps_on_the_sample_box(self):
-        # The verify sample box, where bisection took 44.5 steps per root.
+        # The verify sample box, where bisection takes 44.5 steps per root.
         K, P = draw_samples(SampleSpec(seed=42, n_samples=2000))
         steps = [solve_lambda_star(int(k), float(p)).iterations for k, p in zip(K, P)]
-        assert statistics.mean(steps) <= 15
+        assert statistics.mean(steps) <= 12
 
     def test_mean_steps_on_the_oracle_grid(self):
-        # Bisection took 47.0 steps per root here.  For K = 2, 3 and 10 at
-        # high power the residual climbs a logarithmic pole at lam = K,
-        # interpolation cannot follow it and ITP bisects (42 to 46 steps),
-        # which holds the grid's mean at 17.5.
+        # Bisection takes 47.0 steps per root here.  The fixed-point
+        # residual has no pole at lam = K, so interpolation pays off at
+        # high power too: 11.9 steps on average, at most 20.
         steps = [solve_lambda_star(K, db_to_linear(power_db)).iterations
                  for K in GRID_USERS for power_db in GRID_POWER_DB]
-        assert statistics.mean(steps) <= 18
+        assert statistics.mean(steps) <= 13
 
 
 class TestSolverSettings:
@@ -168,7 +167,7 @@ class TestFiniteSolver:
         pi = sol.config.total_power
         assert 1.0 <= sol.lambda_star <= K
         assert abs(raw_residual(sol.lambda_star, K, P)) <= 1e-10
-        assert sol.residual == db_residual(sol.lambda_star, K, P)
+        assert sol.residual == _fixed_point(float(K), pi)(sol.lambda_star)
         assert sol.capacity_nofb == math.log1p(pi)
         assert sol.capacity_fb == math.log1p(pi * sol.lambda_star)
         assert sol.gain_F == sol.capacity_fb / sol.capacity_nofb
@@ -201,11 +200,17 @@ class TestFiniteSolver:
 
     def test_negated_residual_aborts_loudly(self, monkeypatch):
         # A sign-flipped residual must break the bracket guarantee and be
-        # reported, never silently absorbed.
-        real = math.log1p
-        monkeypatch.setattr(solvers_module.math, "log1p", lambda x: -real(x))
+        # reported, never silently absorbed: it is > 0 at lam = 1 and falls,
+        # which neither the degenerate pin nor the cap root accepts.
+        def negated(K, pi):
+            residual = _fixed_point(K, pi)
+            return lambda lam: -residual(lam)
+
+        monkeypatch.setattr(solvers_module, "_fixed_point", negated)
         with pytest.raises(BracketError):
             solve_lambda_star(3, 10.0)
+        with pytest.raises(BracketError):
+            solve_lambda_massive(5.38)
 
     def test_unreachable_tolerance_raises(self, monkeypatch):
         monkeypatch.setattr(solvers_module, "MAX_ITER", 5)
@@ -258,11 +263,46 @@ class TestMassiveSolver:
         )
 
     @pytest.mark.parametrize("pi_db", [3070.0, 3079.0, 3080.0])
-    def test_overflowing_slack_raises(self, pi_db):
-        # pi*lam overflows inside f_of, so the slack turns NaN before it
-        # turns positive; that is no root.
+    def test_overflowing_slack_raises(self, unsplit_residual, pi_db):
+        # Without the log split, pi*lam overflows in the slack, which turns
+        # NaN before it turns positive; that is no root.
         with pytest.raises(ConvergenceError, match="NaN"):
             solve_lambda_massive(db_to_linear(pi_db))
+
+
+class TestTopOfTheFloatRange:
+    """Solves where pi*lam overflows, at the root or on the doubling past it.
+
+    The residual and capacity_fb take ln(pi) + ln(lam) there.
+    """
+
+    @pytest.mark.parametrize("users, power_db", [
+        (2, 3077.5), (10, 3065.0), (1000, 3027.5), (None, 3052.5),
+        (2, 3079.0), (None, 3082.0),
+    ])
+    def test_solves_with_finite_capacities(self, users, power_db):
+        power = db_to_linear(power_db)
+        config = (ChannelConfig.massive(power) if users is None
+                  else ChannelConfig.finite(users, per_user_power=power))
+        sol = eval_point(config)
+        assert 1.0 < sol.lambda_star <= (users or math.inf)
+        assert math.isfinite(sol.capacity_fb) and math.isfinite(sol.gain_F)
+        assert sol.capacity_fb == pytest.approx(
+            math.log(config.total_power) + math.log(sol.lambda_star), rel=1e-15)
+        assert 1.0 < sol.gain_F < 1.01
+
+    def test_peak_search_reaches_the_top(self):
+        # The slope takes t*(lam/K), which stays finite where t*lam overflows.
+        wide = find_peak(2, 0.0, 3079.0)
+        assert wide.pi_star_db == pytest.approx(find_peak(2).pi_star_db, abs=1e-9)
+
+    def test_cap_root(self):
+        # K - lam is about 1e-25 at the root, far below the float spacing at
+        # 2: the residual is 0 at the cap, which is taken as the root.
+        sol = solve_lambda_star(2, db_to_linear(500.0))
+        assert sol.lambda_star == 2.0
+        assert sol.residual <= 0.0 and not sol.degenerate
+        assert sol.gain_F == sol.capacity_fb / sol.capacity_nofb
 
 
 class TestParametricCrossCheck:
@@ -420,11 +460,12 @@ class TestFindPeak:
         peak = find_peak(3)
         assert peak.pi_star == db_to_linear(peak.pi_star_db)
         # The final bracket: F rises at its left end and falls at its right.
-        # Here the slope reads exactly 0 at a point inside it, which ends the
-        # search before the bracket is LAMBDA_TOL wide.
+        # The peak is the evaluated point with the smallest |g|; here |g| ties
+        # at the two ends, one ulp of 1 from 0, and the later one, the right
+        # end, wins.
         left, right = peak.bracket_evidence
-        assert left[0] < peak.pi_star_db < right[0]
-        assert right[0] - left[0] < 1e-7
+        assert left[0] <= peak.pi_star_db <= right[0]
+        assert right[0] - left[0] <= LAMBDA_TOL
         assert left[1] < 0.0 < right[1]
         assert 1.0 < peak.F_star < 2.0
 

@@ -13,13 +13,14 @@ import numpy as np
 import macgain.solvers
 import macgain.verify
 from conftest import scalar_derivative_roots
-from macgain.core import _balance, db_to_linear, dlambda_dpi
+from macgain.core import _fixed_point, db_to_linear, dlambda_dpi
 from macgain.solvers import (
     DEFAULT_FROM_DB,
     DEFAULT_TO_DB,
     DEFAULT_USERS,
     ConvergenceError,
     _bisect,
+    eval_point,
     solve_lambda_massive,
     solve_lambda_star,
     sweep_curve,
@@ -27,8 +28,7 @@ from macgain.solvers import (
 from macgain.verify import (
     _bisect_many,
     _report,
-    _solve_finite_many,
-    _solve_massive_many,
+    _root_many,
     BoundReport,
     DERIVATIVE_GRID,
     DERIVATIVE_USERS,
@@ -319,13 +319,13 @@ class TestRunSuite:
 GOLDEN_LINES = [
     "point_bounds: pass samples=50000 violations=0 worst_slack=1.087676e-07 "
     "witness[bracket_cap at K=9921 P=930.265]",
-    "root_quality: pass samples=30000 violations=0 worst_slack=8.802869e-11 "
-    "witness[residual_within_tol at K=2 P=749.488]",
+    "root_quality: pass samples=30000 violations=0 worst_slack=9.998579e-11 "
+    "witness[residual_within_tol at K=2 P=957.194]",
     "sandwich_large_k: pass samples=8 violations=0 worst_slack=2.308710e-06 "
     "witness[fixed_point_ceiling at K=100000000 P=1]",
     "tail_bounds: pass samples=136 violations=0 worst_slack=7.238240e-08 "
     "witness[large_power_tight_cap at pi=1e+06]",
-    "derivative_consistency: pass samples=56 violations=0 worst_slack=9.383528e-06 "
+    "derivative_consistency: pass samples=56 violations=0 worst_slack=9.384059e-06 "
     "witness[derivative_fd_match at K=2, pi=1000]",
     "curve_shape: pass samples=26 violations=0 worst_slack=0.000000e+00 "
     "witness[F_unimodal at K=2]",
@@ -342,7 +342,7 @@ GOLDEN_SABOTAGE_LINES = [
     "witness[fixed_point_ceiling at K=100000000 P=1]",
     "tail_bounds: pass samples=136 violations=0 worst_slack=7.238240e-08 "
     "witness[large_power_tight_cap at pi=1e+06]",
-    "derivative_consistency: pass samples=56 violations=0 worst_slack=9.383528e-06 "
+    "derivative_consistency: pass samples=56 violations=0 worst_slack=9.384059e-06 "
     "witness[derivative_fd_match at K=2, pi=1000]",
     "curve_shape: pass samples=26 violations=0 worst_slack=0.000000e+00 "
     "witness[F_unimodal at K=2]",
@@ -517,40 +517,40 @@ class TestBatchedSolve:
         above = min([hi] + [s for s in scalar_steps if fn(s) > 0.0])
         assert want[1] == 0.0 or (above - below <= tol and below <= want[0] <= above)
 
-    def test_nan_inside_the_bracket_goes_to_the_scalar_solver(self):
+    def test_nan_inside_the_bracket_goes_to_the_scalar_solver(self, monkeypatch):
         # The ends bracket the root, but the first ITP point is NaN: the
         # scalar solver raises there, so the batch must not keep the point.
-        def fn(lam, i=slice(None)):
+        def fn(K, pi, lam):
             return np.where(np.abs(lam - 1.5) < 0.1, math.nan, lam - 1.5)
 
         handed = []
 
-        def solve_one(i):
-            handed.append(int(i))
+        def solve_one(config):
+            handed.append(config)
             raise ConvergenceError("residual is NaN")
 
+        monkeypatch.setattr(macgain.verify, "_fixed_point_many", fn)
+        monkeypatch.setattr(macgain.verify, "eval_point", solve_one)
         with pytest.raises(ConvergenceError):
-            macgain.verify._root_many(fn, np.array([2.0, 2.0]), solve_one)
-        assert handed == [0]
+            _root_many(np.array([2.0, 2.0]), np.array([1.0, 1.0]))
+        assert handed == [(2, 0.5, 1.0)]
 
-    def test_batch_matches_scalar_bits_with_scalar_residuals(self):
+    def test_batch_matches_scalar_bits_with_scalar_residuals(self, monkeypatch):
         # The ITP points depend on residual values, so a batch fed exactly
         # the scalar residual's bits must return exactly the scalar roots.
-        log1p = np.frompyfunc(math.log1p, 1, 1)
+        def scalar_kernel(K, pi, lam):
+            return np.array([_fixed_point(k, p)(x) for k, p, x
+                             in zip(K.tolist(), pi.tolist(), lam.tolist())])
+
+        monkeypatch.setattr(macgain.verify, "_fixed_point_many", scalar_kernel)
         K, P = draw_samples(SampleSpec(seed=42, n_samples=500))
-        Kf = K.astype(float)
-
-        def residual(lam, i=slice(None)):
-            return _balance(Kf[i], P[i], log1p)(lam).astype(float)
-
-        lam = macgain.verify._root_many(
-            residual, Kf, lambda i: solve_lambda_star(int(K[i]), float(P[i])))
+        lam = _root_many(K, K * P)
         want = [solve_lambda_star(int(k), float(p)).lambda_star for k, p in zip(K, P)]
         assert lam.tolist() == want
 
     def test_samples_match_scalar_solver(self):
         K, P = draw_samples(SampleSpec(seed=42, n_samples=10_000))
-        lam = _solve_finite_many(K, P)
+        lam = _root_many(K, K * P)
         want = np.array([solve_lambda_star(int(k), float(p)).lambda_star
                          for k, p in zip(K, P)])
         assert np.max(np.abs(lam - want) / want) <= 1e-10
@@ -560,95 +560,98 @@ class TestBatchedSolve:
         curve = sweep_curve(users, -10.0, 30.0, 0.1)
         pis = np.array([pt.pi for pt in curve])
         want = np.array([pt.lam for pt in curve])
-        if users is None:
-            lam = _solve_massive_many(pis)
-        else:
-            K = np.full(pis.size, users)
-            lam = _solve_finite_many(K, pis / K)
+        lam = _root_many(np.full(pis.size, math.inf if users is None else users), pis)
         assert np.max(np.abs(lam - want) / want) <= 1e-10
 
     def test_vanishing_power_degenerates(self):
         # At P=1e-20 the residual is 0 at lam = 1; at 1e-9 it is negative.
         assert solve_lambda_star(100, 1e-20).degenerate
         assert not solve_lambda_star(100, 1e-9).degenerate
-        lam = _solve_finite_many(np.array([100, 100, 3]),
-                                 np.array([1e-20, 1e-9, 10.0]))
+        K = np.array([100, 100, 3])
+        lam = _root_many(K, K * np.array([1e-20, 1e-9, 10.0]))
         assert lam[0] == 1.0
         assert lam[1] == pytest.approx(solve_lambda_star(100, 1e-9).lambda_star,
                                        rel=1e-15)
         assert lam[2] == pytest.approx(solve_lambda_star(3, 10.0).lambda_star,
                                        rel=1e-10)
 
-    def test_unconverged_element_raises_like_scalar(self):
-        # K=2 at 3077 dB overflows the residual at lam = 2: a NaN.
-        with pytest.raises(ConvergenceError, match="NaN"):
-            solve_lambda_star(2, 5e307)
-        with pytest.raises(ConvergenceError, match="NaN at lam=2.0 for K=2, P="):
-            _solve_finite_many(np.array([100, 2, 10]), np.array([1.0, 5e307, 1.0]))
+    def test_unconverged_element_raises_like_scalar(self, monkeypatch):
+        # Nine ITP steps settle K=100 at pi=100 but not K=2 at pi=1000, in
+        # the batch as in the scalar solver, which raises for it.
+        monkeypatch.setattr(macgain.solvers, "MAX_ITER", 9)
+        solve_lambda_star(100, 1.0)
+        with pytest.raises(ConvergenceError, match="after 9 iterations"):
+            solve_lambda_star(2, 500.0)
+        with pytest.raises(ConvergenceError,
+                           match="after 9 iterations for K=2, P=500.0"):
+            _root_many(np.array([100, 2, 100]), np.array([100.0, 1000.0, 100.0]))
 
-    def test_first_failure_in_input_order_wins(self):
-        # Both overflow to a NaN residual, at lam = 2 and at lam = 8.
-        K, P = np.array([2, 10]), np.array([5e307, 1e307])
+    def test_first_failure_in_input_order_wins(self, monkeypatch):
+        # Five steps settle neither element; each raises in the scalar solver.
+        monkeypatch.setattr(macgain.solvers, "MAX_ITER", 5)
+        K, pi = np.array([2, 10]), np.array([1000.0, 1000.0])
         for order, first in (([0, 1], "K=2, P="), ([1, 0], "K=10, P=")):
             with pytest.raises(ConvergenceError, match=first):
-                _solve_finite_many(K[order], P[order])
+                _root_many(K[order], pi[order])
 
-    def test_overflowing_massive_slack_raises(self):
-        lam = _solve_massive_many(np.array([1e300]))
-        assert lam[0] == solve_lambda_massive(1e300).lambda_star
-        # At 2e305 the doubling overflows past a root that the bisection
-        # could still reach; the scalar solver refuses it, so must the batch.
-        for bad in (db_to_linear(3070.0), db_to_linear(3080.0), 2e305):
-            with pytest.raises(ConvergenceError):
-                solve_lambda_massive(bad)
-            pis = np.array([1e300, bad, 5.38])
-            with pytest.raises(ConvergenceError,
-                               match=re.escape(f"NaN at lam=") + ".*"
-                               + re.escape(f"pi={float(pis[1])!r}")):
-                _solve_massive_many(pis)
+    def test_overflowing_massive_slack_raises(self, monkeypatch):
+        # The batch's kernel has no log split: where pi*lam overflows, at a
+        # root or on the doubling past it (2e305), its slack is NaN and the
+        # element goes to the scalar solver.  That solves it, or raises its
+        # own error naming it.
+        top = np.array([1e300, db_to_linear(3070.0), db_to_linear(3080.0), 2e305])
+        handed = []
+
+        def scalar(config):
+            handed.append(config.total_power)
+            return eval_point(config)
+
+        monkeypatch.setattr(macgain.verify, "eval_point", scalar)
+        lam = _root_many(np.full(top.size, math.inf), top)
+        assert handed == top[1:].tolist()
+        assert lam.tolist() == [solve_lambda_massive(pi).lambda_star for pi in top]
+        monkeypatch.setattr(macgain.solvers, "MAX_ITER", 5)
+        with pytest.raises(ConvergenceError, match=re.escape(f"pi={float(top[1])!r}")):
+            _root_many(np.full(3, math.inf), np.array([top[1], 1e300, 5.38]))
 
     def test_massive_doubling_counts_against_max_iter(self, monkeypatch):
         # lam(1000) is above 8, so three doublings cannot bracket it.
         monkeypatch.setattr(macgain.solvers, "MAX_ITER", 3)
         with pytest.raises(ConvergenceError):
-            _solve_massive_many(np.array([0.1, 1000.0]))
+            _root_many(np.full(2, math.inf), np.array([0.1, 1000.0]))
 
     @pytest.mark.parametrize("bad", [0.0, -0.5, -2.0, math.nan, math.inf])
     def test_invalid_power_raises_scalar_message(self, bad):
         # The batch has no power check of its own: the element reaches the
         # scalar solver's config validation.
-        message = f"must be a positive finite power, got {bad!r}"
-        with pytest.raises(ValueError, match="per-user power " + re.escape(message)):
-            _solve_finite_many(np.array([10, 10, 2]), np.array([1.0, bad, bad]))
-        with pytest.raises(ValueError, match="total power " + re.escape(message)):
-            _solve_massive_many(np.array([1.0, bad]))
+        message = f"total power must be a positive finite power, got {bad!r}"
+        for K in ([10, 10, 2], [math.inf] * 3):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                _root_many(np.array(K), np.array([1.0, bad, bad]))
 
     def test_merged_batches_equal_their_parts(self):
-        # run_suite solves the points of every check in one finite and one
-        # massive batch, so no root may depend on what else rides in its
-        # batch.  Among the parts: a pole case (K = 2 at pi = 1000, the
-        # longest ITP run) and degenerate pins handed to the scalar solver.
+        # run_suite solves the points of every check in one batch, so no
+        # root may depend on what else rides in it.  Among the parts: a
+        # high-power finite case (K = 2 at pi = 1000), degenerate pins handed
+        # to the scalar solver, a cap root and massive curves.
         K, P = draw_samples(SampleSpec(seed=42, n_samples=2000))
-        finite = [(K, P), (np.array([2, 10**8]), np.array([500.0, 1.0])),
-                  (np.array([100, 3]), np.array([1e-20, 10.0]))]
-        massive = [db_to_linear(np.arange(-100, 301) / 10.0),
-                   np.array([1e-20, 5.38]), np.array([1e-3, 1e6])]
+        inf = math.inf
+        massive = db_to_linear(np.arange(-100, 301) / 10.0)
+        parts = [(K, K * P), (np.array([2, 10**8]), np.array([1000.0, 1e8])),
+                 (np.array([100, 3, 2]), np.array([1e-18, 30.0, 2e50])),
+                 (np.full(massive.size, inf), massive),
+                 (np.full(4, inf), np.array([1e-20, 5.38, 1e-3, 1e6]))]
         for order in (slice(None), slice(None, None, -1)):
-            parts = [_solve_finite_many(k, p) for k, p in finite[order]]
-            whole = _solve_finite_many(*(np.hstack(c) for c in zip(*finite[order])))
-            assert whole.tobytes() == np.hstack(parts).tobytes()
-            parts = [_solve_massive_many(pis) for pis in massive[order]]
-            whole = _solve_massive_many(np.hstack(massive[order]))
-            assert whole.tobytes() == np.hstack(parts).tobytes()
+            whole = _root_many(*(np.hstack(c) for c in zip(*parts[order])))
+            assert whole.tobytes() == np.hstack(
+                [_root_many(k, pi) for k, pi in parts[order]]).tobytes()
 
     def test_default_suite_settles_every_sample_in_the_batch(self, monkeypatch):
-        # Every root of a suite, sabotaged or not, comes from one finite
-        # and one massive batch; no check solves on its own.  A batch that
-        # handed samples or curve points to the scalar solvers would add
-        # calls.
+        # Every root of a suite, sabotaged or not, comes from one batch; no
+        # check solves on its own.  A batch that handed samples or curve
+        # points to the scalar solvers would add calls.
         calls = dict.fromkeys(["solve_lambda_star", "solve_lambda_massive",
-                               "eval_point", "sweep_curve", "_solve_finite_many",
-                               "_solve_massive_many"], 0)
+                               "eval_point", "sweep_curve", "_root_many"], 0)
 
         def counted(name, solve):
             def wrapper(*args, **kwargs):
@@ -660,7 +663,7 @@ class TestBatchedSolve:
             for name in calls:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-        want = dict.fromkeys(calls, 0) | {"_solve_finite_many": 1, "_solve_massive_many": 1}
+        want = dict.fromkeys(calls, 0) | {"_root_many": 1}
         for spec, sabotage in ((SampleSpec(seed=42, n_samples=10_000), False),
                                (SampleSpec(seed=7, n_samples=10), True)):
             calls.update(dict.fromkeys(calls, 0))
