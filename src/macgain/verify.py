@@ -402,6 +402,7 @@ def run_suite(sample: SampleSpec, sabotage: bool = False) -> list[BoundReport]:
     Violations are returned as data; solver errors propagate.
     """
     K, P = draw_samples(sample)
+    pi = K * P
     large_K, large_P = np.array([10**2, 10**4, 10**6, 10**8]), np.ones(4)
     curve_pis = np.array(
         [db_to_linear(x) for x in db_grid(DEFAULT_FROM_DB, DEFAULT_TO_DB, 0.1)])
@@ -412,7 +413,7 @@ def run_suite(sample: SampleSpec, sabotage: bool = False) -> list[BoundReport]:
     limit_pis = np.array([1e-3, 1e6])
     massive_pis = np.hstack([limit_pis, tail_pis, [5.38]])
     # (K, pi) blocks of one batch, the massive limit as K = inf.
-    blocks = [(K, K * P), (large_K, large_K * large_P)] + [
+    blocks = [(K, pi), (large_K, large_K * large_P)] + [
         (np.full(pis.size, math.inf if users is None else users), pis.ravel())
         for curves, pis in ((DEFAULT_USERS, curve_pis), (DERIVATIVE_USERS, fd_pis))
         for users in curves] + [(np.full(massive_pis.size, math.inf), massive_pis)]
@@ -433,7 +434,6 @@ def run_suite(sample: SampleSpec, sabotage: bool = False) -> list[BoundReport]:
     links = point_bound_slacks(K, P, lam)
     exists = np.ones((K.size, len(links)), dtype=bool)
     exists[:, -1] = lam < K  # bracket_cap, the last link
-    pi = K * P
     F = _gain(pi, lam)
     # Near-extremal witness: the massive curve close to its peak power.
     F_witness = math.log1p(5.38 * float(witness)) / math.log1p(5.38)
