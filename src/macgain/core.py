@@ -148,11 +148,12 @@ class GainSolution(NamedTuple):
 
     ``residual`` is the solver's residual at the returned root,
     lam - G_K(pi*lam) for the fixed-point map of :func:`_fixed_point`,
-    with K = inf in the massive limit.  ``degenerate`` marks a power too
+    with K = inf in the massive limit.  ``iterations`` counts the residual
+    evaluations after the one at lam = 1.  ``degenerate`` marks a power too
     small for the residual to separate lam = 1 from the root: it is >= 0
-    already at lam = 1, so the gain is pinned to 1.  The capacities are
-    ln(1+pi) without and ln(1+pi*lam) with feedback, in nats, and
-    ``gain_F`` is their ratio.
+    already at lam = 1, so the gain is pinned to 1 (0 iterations).  The
+    capacities are ln(1+pi) without and ln(1+pi*lam) with feedback, in
+    nats, and ``gain_F`` is their ratio.
     """
 
     config: ChannelConfig
@@ -211,6 +212,18 @@ def _fixed_point_many(K, pi, lam):
     return lam - (1.0 + t) * (L / t) * np.where(z > 0.0, -np.expm1(-z) / z, 1.0)
 
 
+def _lambda_bound(pi, frexp):
+    """A float above the power gain at total power pi, for every K; unvalidated.
+
+    With a = ln(1+pi), G_K(t) <= (1 + 1/t)*ln(1+t) < 1 + ln(1+t) and
+    ln(1 + pi*lam) <= a + ln(lam), so lam - G_K(pi*lam) > 1 - ln(2) at every
+    lam >= 2 + 2a.  Returns 2 + 2*ln(2)*e, e = frexp(1 + pi)[1], which is at
+    least 2 + 2a as 1 + pi < 2**e.  frexp is math.frexp, or np.frexp for
+    arrays: the two give the same bits, where log1p may not.
+    """
+    return 2.0 + math.log(4.0) * frexp(1.0 + pi)[1]
+
+
 def db_residual(lam: float, K: int, P: float) -> float:
     """Signed imbalance of the cooperation constraint at power gain lam.
 
@@ -250,20 +263,25 @@ def dlambda_dpi(users: int | None, pi: float, lam: float) -> float:
     With t = pi*lam, lam' = (b - lam) / (pi*(2 + t - b/lam)), where
     b = 1 + t - t*(lam/K) for K users, which is 1 + t in the massive limit
     (users None, K = inf); dividing lam out keeps every term finite while
-    t is.  Only meaningful when (pi, lam) solves the balance equation at
-    that K; strictly positive there.  pi must be a positive finite power.
-    A denominator that is not positive, NaN included, cannot occur on the
-    curve and signals an off-curve call.
+    t is, and where t overflows both are divided by t.  Only meaningful when
+    (pi, lam) solves the balance equation at that K; strictly positive
+    there.  pi must be a positive finite power.  A denominator that is not
+    positive, NaN included, cannot occur on the curve and signals an
+    off-curve call.
     """
     pi = _check_power(pi, "total power")
     t = pi * lam
-    b = 1.0 + t - t * (lam / (math.inf if users is None else users))
-    denom = 2.0 + t - b / lam
+    share = lam / (math.inf if users is None else users)
+    if t < math.inf:
+        b = 1.0 + t - t * share
+        rise, denom = b - lam, 2.0 + t - b / lam
+    else:  # their limits over t: b/t -> 1 - lam/K
+        rise, denom = 1.0 - share, 1.0 - (1.0 - share) / lam
     if not denom > 0.0:
         raise ValueError(
             f"denominator {denom!r} <= 0: (pi={pi!r}, lam={lam!r}) is off the curve"
         )
-    return (b - lam) / denom / pi
+    return rise / denom / pi
 
 
 def massive_parametric(t: float) -> tuple[float, float]:

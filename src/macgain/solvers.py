@@ -4,13 +4,14 @@ Every power gain, for K users or in the massive limit (K = inf), is the
 fixed point of one map, lam = G_K(pi*lam), the K-th root of the balance
 equation solved for lam.  Its residual lam - G_K(pi*lam), core._fixed_point,
 changes sign once on [1, K], with no pole at lam = K, and stays finite
-where pi*lam overflows.  One routine brackets it by doubling from [1, 2]
-and narrows the bracket by ITP steps (interpolate, truncate, project),
-which never take more than one step beyond bisection; a root is accepted
-for its (-, +) bracket, never for a small residual, so nothing about
-convergence relies on numerical luck.  Peak search runs the same routine
-on the dB axis: the maximum of F is the (-, +) root of its negated slope,
-which core.dlambda_dpi gives in closed form.
+where pi*lam overflows.  One routine brackets it on [1, min(K, bound)]
+with core._lambda_bound's closed-form bound and narrows the bracket by ITP
+steps (interpolate, truncate, project), never more than one step beyond
+bisection; a root is accepted for its (-, +) bracket, never for a small
+residual, so nothing about convergence relies on numerical luck.  Peak
+search runs the same routine on the dB axis: the maximum of F is the
+(-, +) root of its negated slope, which core.dlambda_dpi gives in closed
+form.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .core import (
     GainSolution,
     _check_power,
     _fixed_point,
+    _lambda_bound,
     db_to_linear,
     dlambda_dpi,
     linear_to_db,
@@ -50,8 +52,7 @@ __all__ = [
     "find_peak",
 ]
 
-# Every root, the peak's dB included, is bracketed to LAMBDA_TOL wide;
-# MAX_ITER caps the bracket doublings and, separately, the ITP steps.
+# Every root, the peak's dB included, is bracketed to LAMBDA_TOL in MAX_ITER ITP steps.
 LAMBDA_TOL = 1e-12
 MAX_ITER = 200
 
@@ -110,7 +111,9 @@ class PeakResult(NamedTuple):
 
     bracket_evidence is the final bracket of the search, two (pi_db, g)
     pairs where g, the normalised negated slope of F, is negative at the
-    first (F still rising) and positive at the second (F falling).
+    first (F still rising) and positive at the second (F falling); it is at
+    most LAMBDA_TOL wide, unless g reads exactly 0 at a point inside, which
+    ends the search there: pi_star_db is then that point.
     """
 
     users: int | None
@@ -181,38 +184,29 @@ def _bisect(fn, lo: float, hi: float, f_lo: float, f_hi: float,
     return best_x, best_f, iterations
 
 
-def _root(fn, cap: float, where) -> tuple[float, float, int, bool]:
+def _root(fn, cap: float, pi: float, where) -> tuple[float, float, int, bool]:
     """Root of fn on [1, cap], where fn is negative below it and positive above.
 
-    Doubles the upper end from 2, never past cap >= 2, until fn turns
-    positive, then narrows the bracket to LAMBDA_TOL by _bisect's ITP
-    steps; the (-, +) bracket certifies the root.  Returns (lam, fn(lam),
-    doublings plus ITP steps, degenerate).  If 0 <= fn(1) < fn(2), the power
-    is too small for fn to separate lam = 1 from the root, which is pinned
-    to 1 as degenerate.  If fn(1) < 0 and fn is still <= 0 at the cap, the
-    cap is the root: every caller's root lies strictly below its cap, so it
-    is closer to the cap than fn can resolve.  A NaN or MAX_ITER doublings
-    raise ConvergenceError, any other sign pattern BracketError; every
-    message ends with where(), formatted only on failure.
+    fn's root is the power gain at total power pi: the bracket is [1, hi],
+    hi = min(cap, core._lambda_bound(pi)) with cap >= 2, narrowed to
+    LAMBDA_TOL by _bisect's ITP steps; the (-, +) bracket certifies the
+    root.  Returns (lam, fn(lam), evaluations of fn after the one at 1,
+    degenerate).  If 0 <= fn(1) < fn(hi), the power is too small for fn to
+    separate lam = 1 from the root, which is pinned to 1 as degenerate, with
+    0 evaluations.  If fn(1) < 0 and fn(hi) <= 0 at hi = cap, the root lies
+    closer to the cap than fn can resolve, and the cap is taken.  A NaN or
+    MAX_ITER steps raise ConvergenceError, any other sign pattern, fn(hi) <= 0
+    below the cap included, BracketError; every message ends with where().
     """
-    lo, f_lo = 1.0, fn(1.0)
-    hi, f_hi = 2.0, fn(2.0)
+    hi = min(cap, _lambda_bound(pi, math.frexp))
+    lo, f_lo, f_hi = 1.0, fn(1.0), fn(hi)
     if 0.0 <= f_lo < f_hi:
         return 1.0, f_lo, 0, True
-    expansions = 1
-    while f_lo < 0.0 and f_hi <= 0.0 and hi < cap:
-        if expansions >= MAX_ITER:
-            raise ConvergenceError(f"no sign change up to lam={hi!r} for {where()}")
-        lo, f_lo = hi, f_hi
-        hi = 2.0 * hi if 2.0 * hi < cap else cap
-        f_hi = fn(hi)
-        expansions += 1
     if f_lo < 0.0 and f_hi <= 0.0 and hi == cap:
-        return cap, f_hi, expansions, False
+        return cap, f_hi, 1, False
     if not f_lo <= 0.0 < f_hi:
-        if math.isnan(f_lo) or math.isnan(f_hi):  # an overflow inside fn
-            nan_at = lo if math.isnan(f_lo) else hi
-            raise ConvergenceError(f"residual is NaN at lam={nan_at!r} for {where()}")
+        if math.isnan(f_hi):  # pi*hi overflows inside fn; pi*1 cannot
+            raise ConvergenceError(f"residual is NaN at lam={hi!r} for {where()}")
         raise BracketError(
             f"residual must change sign from - to + on [{lo!r}, {hi!r}]; "
             f"got ({f_lo!r}, {f_hi!r}) for {where()}"
@@ -221,7 +215,7 @@ def _root(fn, cap: float, where) -> tuple[float, float, int, bool]:
         lam, res, iters = _bisect(fn, lo, hi, f_lo, f_hi, LAMBDA_TOL, MAX_ITER)
     except ConvergenceError as err:
         raise ConvergenceError(f"{err} for {where()}") from None
-    return lam, res, expansions + iters, False
+    return lam, res, 1 + iters, False
 
 
 def _solve(config: ChannelConfig) -> GainSolution:
@@ -230,21 +224,13 @@ def _solve(config: ChannelConfig) -> GainSolution:
         cap, where = math.inf, lambda: f"pi={pi!r}"
     else:
         cap, where = float(K), lambda: f"K={K}, P={config.per_user_power!r}"
-    lam, res, iters, degenerate = _root(_fixed_point(cap, pi), cap, where)
+    lam, res, iters, degenerate = _root(_fixed_point(cap, pi), cap, pi, where)
     capacity_nofb = math.log1p(pi)
     t = pi * lam
     # Split like the residual where pi*lam overflows.
     capacity_fb = math.log1p(t) if t < math.inf else math.log(pi) + math.log(lam)
-    return GainSolution(
-        config=config,
-        lambda_star=lam,
-        residual=res,
-        iterations=iters,
-        capacity_nofb=capacity_nofb,
-        capacity_fb=capacity_fb,
-        gain_F=capacity_fb / capacity_nofb,
-        degenerate=degenerate,
-    )
+    return GainSolution(config, lam, res, iters, capacity_nofb, capacity_fb,
+                        capacity_fb / capacity_nofb, degenerate)
 
 
 def solve_lambda_star(K: int, P: float) -> GainSolution:
@@ -276,8 +262,8 @@ def invert_massive_parametric(pi: float) -> tuple[float, float]:
     def overshoot(s: float) -> float:
         return massive_parametric(pi * s)[0] - pi
 
-    # pi(t) <= t, so the root sits at or above t = pi, that is s = 1.
-    s, _, _, _ = _root(overshoot, math.inf, lambda: f"pi={pi!r}")
+    # pi(t) <= t puts the root, the power gain at pi, at or above s = 1.
+    s, _, _, _ = _root(overshoot, math.inf, pi, lambda: f"pi={pi!r}")
     t = pi * s
     return t, massive_parametric(t)[1]
 

@@ -21,7 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import solvers
-from .core import ChannelConfig, _balance, _fixed_point_many, db_to_linear, dlambda_dpi
+from .core import (ChannelConfig, _balance, _fixed_point_many, _lambda_bound, db_to_linear,
+                   dlambda_dpi)
 from .solvers import DEFAULT_FROM_DB, DEFAULT_TO_DB, DEFAULT_USERS, db_grid, eval_point
 
 __all__ = [
@@ -255,16 +256,16 @@ def _bisect_many(fn, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray,
 def _root_many(K: np.ndarray, pi: np.ndarray) -> np.ndarray:
     """solvers._root of core._fixed_point_many at every (K, pi), K = inf massive.
 
-    One doubling pass, each upper end capped at its K, then one
-    _bisect_many, with the tolerances read off the solvers module at call
-    time.  An element is settled here when its residual is < 0 at 1, its
-    doubled bracket is (-, +), no ITP step met a NaN and it took fewer than
-    MAX_ITER steps.  Every other element goes, in input order, to the
-    scalar eval_point at the same K and total power, which pins it to
-    lam = 1, takes the cap as its root, solves it or raises its own error.
-    Where numpy's log1p or expm1 differ from math's in the last ulp, the
-    ITP points differ, and batch and scalar roots may be a few ulps apart,
-    both certified by their brackets.
+    Brackets each element on [1, min(K, bound)] with the scalar solver's
+    core._lambda_bound, then runs one _bisect_many, with the tolerances
+    read off the solvers module at call time.  An element is settled here
+    when its residual is < 0 at 1 and > 0 at the upper end, no ITP step met
+    a NaN and it took fewer than MAX_ITER steps.  Every other element goes,
+    in input order, to the scalar eval_point at the same K and total power,
+    which pins it to lam = 1, takes the cap as its root, solves it or
+    raises its own error.  Where numpy's log1p or expm1 differ from math's
+    in the last ulp, the ITP points differ, and batch and scalar roots may
+    be a few ulps apart, both certified by their brackets.
     """
     K = np.asarray(K, dtype=float)
 
@@ -272,21 +273,10 @@ def _root_many(K: np.ndarray, pi: np.ndarray) -> np.ndarray:
         return _fixed_point_many(K[i], pi[i], lam)
 
     with np.errstate(all="ignore"):
-        lo = np.ones_like(K)
-        f_lo = fn(lo)
-        hi = np.minimum(2.0, K)
-        f_hi = fn(hi)
-        growing = np.flatnonzero((f_lo < 0.0) & (f_hi <= 0.0) & (hi < K))
-        expansions = 1
-        while growing.size and expansions < solvers.MAX_ITER:
-            lo[growing], f_lo[growing] = hi[growing], f_hi[growing]
-            hi[growing] = np.minimum(2.0 * hi[growing], K[growing])
-            f_hi[growing] = fn(hi[growing], growing)
-            expansions += 1
-            growing = growing[(f_hi[growing] <= 0.0) & (hi[growing] < K[growing])]
-        lam, res, iterations = _bisect_many(
-            fn, lo, hi, f_lo, f_hi, solvers.LAMBDA_TOL, solvers.MAX_ITER
-        )
+        lo, hi = np.ones_like(K), np.minimum(_lambda_bound(pi, np.frexp), K)
+        f_lo, f_hi = fn(lo), fn(hi)
+        lam, res, iterations = _bisect_many(fn, lo, hi, f_lo, f_hi, solvers.LAMBDA_TOL,
+                                            solvers.MAX_ITER)
     settled = ((f_lo < 0.0) & (f_hi > 0.0) & ~np.isnan(res)
                & (iterations < solvers.MAX_ITER))
     for i in np.flatnonzero(~settled):

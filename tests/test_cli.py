@@ -394,6 +394,19 @@ class TestPeak:
         assert (code, err) == (0, "")
         assert out == GOLDEN_STDOUT["peak --massive"]
 
+    @pytest.mark.parametrize("curve", ["--massive", "--users 2", "--users 10",
+                                       "--users 1000000"])
+    def test_range_to_the_top_of_the_float_range(self, capsys, curve):
+        # pi*lam overflows at 3082 dB on every curve, where the slope takes
+        # its t -> inf limit; the peak is the default range's.
+        code, top, err = run_cli(capsys, "peak", *curve.split(), "--from-db", "0",
+                                 "--to-db", "3082")
+        assert (code, err) == (0, "")
+        code, default, err = run_cli(capsys, "peak", *curve.split())
+        assert top == default
+        if curve == "--massive":
+            assert parse_kv(top)["F_star"] == "1.53733266"
+
     def test_no_interior_peak_fails(self, capsys):
         code, out, err = run_cli(
             capsys, "peak", "--massive", "--from-db", "-10", "--to-db", "0"
@@ -509,7 +522,7 @@ class TestLargeKAndHighPower:
         ["--massive", "--total-power-db", "3052.5"],
     ], ids=["2", "10", "1000", "massive"])
     def test_top_of_the_float_range(self, capsys, argv):
-        # pi*lam overflows at these roots or on the doubling past them; the
+        # pi*lam overflows at these roots or at the bracket's upper end; the
         # residual and capacity_fb take ln(pi) + ln(lam) there, so every
         # printed value is finite.
         code, out, err = run_cli(capsys, "solve", *argv, "--format", "json")
@@ -686,8 +699,8 @@ GOLDEN_STDOUT = {
         "degenerate = true\n"
     ),
     "solve --users 3 --power-db 10 --precision 17 --bits": (
-        "lambda_star = 2.3055011808597623\n"
-        "lambda_star_db = 3.6276534899773711\n"
+        "lambda_star = 2.3055011808597619\n"
+        "lambda_star_db = 3.6276534899773698\n"
         "capacity_nofb_nats = 3.4339872044851463\n"
         "capacity_fb_nats = 4.2508501160956227\n"
         "capacity_nofb_bits = 4.9541963103868758\n"
@@ -699,13 +712,13 @@ GOLDEN_STDOUT = {
         '  "users": "massive",\n'
         '  "pi": 1000.0,\n'
         '  "pi_db": 30.0,\n'
-        '  "lambda": 9.119252679077709,\n'
-        '  "lambda_db": 9.599592494412338,\n'
+        '  "lambda": 9.119252679077704,\n'
+        '  "lambda_db": 9.599592494412336,\n'
         '  "capacity_nofb_nats": 6.90875477931522,\n'
         '  "capacity_fb_nats": 9.118252788723794,\n'
         '  "gain_F": 1.3198113234564064,\n'
-        '  "residual": 0.0,\n'
-        '  "iterations": 12,\n'
+        '  "residual": -5.329070518200751e-15,\n'
+        '  "iterations": 9,\n'
         '  "degenerate": false\n'
         '}\n'
     ),
@@ -714,13 +727,13 @@ GOLDEN_STDOUT = {
         '  "users": 100,\n'
         '  "pi": 100.0,\n'
         '  "pi_db": 20.0,\n'
-        '  "lambda": 6.245751003217069,\n'
+        '  "lambda": 6.24575100321707,\n'
         '  "lambda_db": 7.955846664000468,\n'
         '  "capacity_nofb_nats": 4.61512051684126,\n'
-        '  "capacity_fb_nats": 6.438671387162965,\n'
-        '  "gain_F": 1.3951252981731024,\n'
-        '  "residual": -8.881784197001252e-16,\n'
-        '  "iterations": 12,\n'
+        '  "capacity_fb_nats": 6.438671387162966,\n'
+        '  "gain_F": 1.3951252981731026,\n'
+        '  "residual": 8.881784197001252e-16,\n'
+        '  "iterations": 9,\n'
         '  "degenerate": false\n'
         '}\n'
     ),
@@ -733,18 +746,18 @@ GOLDEN_STDOUT = {
     "peak --users 10 --format json": (
         '{\n'
         '  "users": 10,\n'
-        '  "pi_star": 5.293553836435856,\n'
-        '  "pi_star_db": 7.237473342944873,\n'
+        '  "pi_star": 5.293553836435834,\n'
+        '  "pi_star_db": 7.237473342944855,\n'
         '  "F_star": 1.4458875142360172,\n'
-        '  "lambda_at_peak": 2.51110705212018,\n'
+        '  "lambda_at_peak": 2.511107052120177,\n'
         '  "bracket_evidence": [\n'
         '    [\n'
-        '      7.237473342944865,\n'
-        '      -2.220446049250313e-16\n'
+        '      7.237473342940627,\n'
+        '      -1.241229341530925e-13\n'
         '    ],\n'
         '    [\n'
-        '      7.237473342944873,\n'
-        '      2.220446049250313e-16\n'
+        '      7.237473343517604,\n'
+        '      1.6809553748942108e-11\n'
         '    ]\n'
         '  ]\n'
         '}\n'

@@ -26,7 +26,7 @@ from macgain.core import (
     log1p_over_x,
     massive_parametric,
 )
-from macgain.solvers import solve_lambda_massive, solve_lambda_star
+from macgain.solvers import eval_point, solve_lambda_massive, solve_lambda_star
 
 
 class TestDbConvert:
@@ -455,6 +455,19 @@ class TestFiniteDerivative:
             b = 1.0 + (K - lam) * (pi / K) * lam
             assert dlambda_dpi(K, pi, lam) == pytest.approx(
                 (b - lam) / (2.0 + t - b / lam) / pi, rel=1e-12)
+
+    @pytest.mark.parametrize("users", [10**3, 10**6, None])
+    def test_matches_central_differences_where_t_overflows(self, users):
+        # At pi = 1e307, pi*lam overflows: the slope is taken in its
+        # t -> inf limit, and the solves split ln(1 + pi*lam) likewise.
+        pi, h = 1e307, 1e-4
+
+        def lam(power):
+            return eval_point(ChannelConfig(users, total_power=power)).lambda_star
+
+        assert pi * lam(pi) == math.inf
+        fd = (lam(pi * (1 + h)) - lam(pi * (1 - h))) / (2 * pi * h)
+        assert dlambda_dpi(users, pi, lam(pi)) == pytest.approx(fd, rel=1e-7)
 
     def test_large_K_approaches_the_massive_slope(self):
         pi = 5.38

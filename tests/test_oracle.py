@@ -74,8 +74,8 @@ def test_vanishing_power_pins_a_certified_root():
     assert finite_certified(2, db_to_linear(-200.0), 1.0, TOL)
 
 
-# Per-user powers where pi*lam overflows at the root or on the doubling
-# past it, and K = 2 at 500 dB, whose root lies about 1e-25 below K and is
+# Per-user powers where pi*lam overflows at the root or at the bracket's
+# upper end, and K = 2 at 500 dB, whose root lies about 1e-25 below K and is
 # taken at the cap.
 TOP_OF_RANGE = ((2, 3077.5), (10, 3065.0), (1000, 3027.5), (2, 500.0))
 

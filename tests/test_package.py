@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import functools
 import importlib
 import importlib.util
 import re
@@ -62,6 +63,28 @@ def test_traced_names_resolve():
         module_name, _, attr = name.partition(".")
         module = importlib.import_module(f"macgain.{module_name}")
         assert callable(getattr(module, attr, None)), name
+
+
+def test_traced_record_fields_exist():
+    # Tracer._observe reads these fields of every solve's GainSolution; a
+    # dropped or renamed one would only surface when the traced benchmark runs.
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
+    observe = next(node for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef) and node.name == "_observe")
+    solves = observe.body[0]  # its first branch, taken for solve results
+    assert "solvers.eval_point" in ast.unparse(solves.test)
+    fields = set()
+    for node in (node for stmt in solves.body for node in ast.walk(stmt)):
+        path = []
+        while isinstance(node, ast.Attribute):
+            path.insert(0, node.attr)
+            node = node.value
+        if path and isinstance(node, ast.Name) and node.id == "result":
+            fields.add(".".join(path))
+    assert {"config.is_massive", "iterations", "degenerate"} <= fields
+    for sol in (macgain.solve_lambda_star(2, 1.0), macgain.solve_lambda_massive(1.0)):
+        for field in fields:
+            functools.reduce(getattr, field.split("."), sol)  # AttributeError if gone
 
 
 def _global_reads(table: symtable.SymbolTable, top: str | None = None):

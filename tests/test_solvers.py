@@ -13,7 +13,7 @@ import pytest
 import macgain.solvers as solvers_module
 from conftest import brute_peak_k2, raw_residual, sign_scan_root
 from test_oracle import GRID_POWER_DB, GRID_USERS, MASSIVE_POWER_DB
-from macgain.core import ChannelConfig, _fixed_point, db_to_linear, f_of
+from macgain.core import ChannelConfig, _fixed_point, _lambda_bound, db_to_linear, f_of
 from macgain.solvers import (
     BracketError,
     ConvergenceError,
@@ -123,18 +123,26 @@ class TestITPSteps:
         assert over == []
 
     def test_mean_steps_on_the_sample_box(self):
-        # The verify sample box, where bisection takes 44.5 steps per root.
+        # The verify sample box: 9.6 evaluations per root, where bisection
+        # of the same brackets takes 44.4 (the upper end included).
         K, P = draw_samples(SampleSpec(seed=42, n_samples=2000))
         steps = [solve_lambda_star(int(k), float(p)).iterations for k, p in zip(K, P)]
-        assert statistics.mean(steps) <= 12
+        assert statistics.mean(steps) <= 10
 
     def test_mean_steps_on_the_oracle_grid(self):
-        # Bisection takes 47.0 steps per root here.  The fixed-point
-        # residual has no pole at lam = K, so interpolation pays off at
-        # high power too: 11.9 steps on average, at most 20.
+        # Bisection of the same brackets takes 45.5 evaluations per root
+        # here.  The fixed-point residual has no pole at lam = K and the
+        # bracket's upper end is closed-form: 8.7 evaluations, at most 11.
         steps = [solve_lambda_star(K, db_to_linear(power_db)).iterations
                  for K in GRID_USERS for power_db in GRID_POWER_DB]
-        assert statistics.mean(steps) <= 13
+        assert statistics.mean(steps) <= 9
+
+    def test_mean_steps_on_the_massive_grid(self):
+        # -300 to 3050 dB: 8.7 evaluations per root, at most 12, where
+        # bisection of the same brackets takes 50.
+        steps = [solve_lambda_massive(db_to_linear(pi_db)).iterations
+                 for pi_db in MASSIVE_POWER_DB]
+        assert statistics.mean(steps) <= 10
 
 
 class TestSolverSettings:
@@ -248,11 +256,19 @@ class TestMassiveSolver:
         assert sol.iterations > 0
         assert not sol.degenerate
 
-    def test_expansion_cap_raises(self, monkeypatch):
-        # lam(1000) is above 8, so three doublings cannot bracket it.
-        monkeypatch.setattr(solvers_module, "MAX_ITER", 3)
-        with pytest.raises(ConvergenceError):
+    def test_bound_below_the_root_raises(self, monkeypatch):
+        # Halved, the upper end at pi = 1000 is 7.93, below lam = 9.12: the
+        # residual is still negative there, which is no root.
+        def halved(pi, frexp):
+            return 0.5 * _lambda_bound(pi, frexp)
+
+        monkeypatch.setattr(solvers_module, "_lambda_bound", halved)
+        with pytest.raises(BracketError, match=r"got \(-[^,]*, -"):
             solve_lambda_massive(1000.0)
+        with pytest.raises(BracketError):
+            invert_massive_parametric(1000.0)
+        with pytest.raises(BracketError):
+            solve_lambda_star(100, 10.0)
 
     def test_determinism(self):
         assert solve_lambda_massive(5.38) == solve_lambda_massive(5.38)
@@ -271,7 +287,7 @@ class TestMassiveSolver:
 
 
 class TestTopOfTheFloatRange:
-    """Solves where pi*lam overflows, at the root or on the doubling past it.
+    """Solves where pi*lam overflows, at the root or at the bracket's upper end.
 
     The residual and capacity_fb take ln(pi) + ln(lam) there.
     """
@@ -456,18 +472,42 @@ class TestFindPeak:
         assert peak.pi_star_db == pytest.approx(7.2375, abs=2e-3)
         assert peak.F_star == pytest.approx(1.4458875, abs=1e-6)
 
-    def test_result_invariants(self):
-        peak = find_peak(3)
+    @staticmethod
+    def _search(monkeypatch, users):
+        """Checks find_peak(users); returns the g its _bisect ended on and the bracket width."""
+        returned = []
+        kernel = solvers_module._bisect
+
+        def logged(*args):
+            returned.append(kernel(*args))
+            return returned[-1]
+
+        monkeypatch.setattr(solvers_module, "_bisect", logged)
+        peak = find_peak(users)
+        pi_db, g, _ = returned[-1]  # the search's; each solve's came before
+        assert pi_db == peak.pi_star_db
         assert peak.pi_star == db_to_linear(peak.pi_star_db)
-        # The final bracket: F rises at its left end and falls at its right.
-        # The peak is the evaluated point with the smallest |g|; here |g| ties
-        # at the two ends, one ulp of 1 from 0, and the later one, the right
-        # end, wins.
-        left, right = peak.bracket_evidence
-        assert left[0] <= peak.pi_star_db <= right[0]
-        assert right[0] - left[0] <= LAMBDA_TOL
-        assert left[1] < 0.0 < right[1]
         assert 1.0 < peak.F_star < 2.0
+        # The final bracket: F rises at its left end and falls at its right.
+        left, right = peak.bracket_evidence
+        assert left[1] < 0.0 < right[1]
+        assert left[0] <= peak.pi_star_db <= right[0]
+        return g, right[0] - left[0]
+
+    def test_result_invariants(self, monkeypatch):
+        # g reads exactly 0 inside the bracket, which ends the search there:
+        # the evidence is the bracket at that moment, 1.7e-9 dB wide, far
+        # wider than LAMBDA_TOL.
+        g, width = self._search(monkeypatch, 3)
+        assert g == 0.0
+        assert width > LAMBDA_TOL
+
+    def test_result_invariants_on_a_bracket(self, monkeypatch):
+        # No g reads 0: the search ends on a bracket at most LAMBDA_TOL wide,
+        # and the peak is the end with the smaller |g|.
+        g, width = self._search(monkeypatch, 2)
+        assert g != 0.0
+        assert width <= LAMBDA_TOL
 
     def test_peak_on_edge_raises(self):
         with pytest.raises(NoPeakError):

@@ -13,11 +13,12 @@ import numpy as np
 import macgain.solvers
 import macgain.verify
 from conftest import scalar_derivative_roots
-from macgain.core import _fixed_point, db_to_linear, dlambda_dpi
+from macgain.core import _fixed_point, _lambda_bound, db_to_linear, dlambda_dpi
 from macgain.solvers import (
     DEFAULT_FROM_DB,
     DEFAULT_TO_DB,
     DEFAULT_USERS,
+    BracketError,
     ConvergenceError,
     _bisect,
     eval_point,
@@ -596,7 +597,7 @@ class TestBatchedSolve:
 
     def test_overflowing_massive_slack_raises(self, monkeypatch):
         # The batch's kernel has no log split: where pi*lam overflows, at a
-        # root or on the doubling past it (2e305), its slack is NaN and the
+        # root or at the bracket's upper end (2e305), its slack is NaN and the
         # element goes to the scalar solver.  That solves it, or raises its
         # own error naming it.
         top = np.array([1e300, db_to_linear(3070.0), db_to_linear(3080.0), 2e305])
@@ -614,11 +615,30 @@ class TestBatchedSolve:
         with pytest.raises(ConvergenceError, match=re.escape(f"pi={float(top[1])!r}")):
             _root_many(np.full(3, math.inf), np.array([top[1], 1e300, 5.38]))
 
-    def test_massive_doubling_counts_against_max_iter(self, monkeypatch):
-        # lam(1000) is above 8, so three doublings cannot bracket it.
-        monkeypatch.setattr(macgain.solvers, "MAX_ITER", 3)
-        with pytest.raises(ConvergenceError):
-            _root_many(np.full(2, math.inf), np.array([0.1, 1000.0]))
+    def test_bound_below_the_root_goes_to_the_scalar_solver(self, monkeypatch):
+        # Halved, the upper end at pi = 1000 is 7.93, below lam = 9.12, so
+        # that element's bracket is (-, -); at pi = 0.1 it is 1.69, still
+        # above lam = 1.05.  Only the scalar solver may decide the first: it
+        # solves it with its own bound, or raises once that is halved too.
+        def halved(pi, frexp):
+            return 0.5 * _lambda_bound(pi, frexp)
+
+        handed = []
+
+        def scalar(config):
+            handed.append(config.total_power)
+            return eval_point(config)
+
+        monkeypatch.setattr(macgain.verify, "_lambda_bound", halved)
+        monkeypatch.setattr(macgain.verify, "eval_point", scalar)
+        pis = np.array([0.1, 1000.0])
+        lam = _root_many(np.full(2, math.inf), pis)
+        assert handed == [1000.0]
+        assert lam[0] == pytest.approx(solve_lambda_massive(0.1).lambda_star, rel=1e-14)
+        assert lam[1] == solve_lambda_massive(1000.0).lambda_star
+        monkeypatch.setattr(macgain.solvers, "_lambda_bound", halved)
+        with pytest.raises(BracketError, match="pi=1000.0"):
+            _root_many(np.full(2, math.inf), pis)
 
     @pytest.mark.parametrize("bad", [0.0, -0.5, -2.0, math.nan, math.inf])
     def test_invalid_power_raises_scalar_message(self, bad):
