@@ -184,15 +184,19 @@ def _fixed_point(K: float, pi: float):
     pole on [1, K].
     """
 
+    # Bound here: residual, run on every ITP step, reads no global or attribute.
+    log1p, expm1, log, inf = math.log1p, math.expm1, math.log, math.inf
+    cutoff, series = _SERIES_CUTOFF, log1p_over_x
+
     def residual(lam):
         t = pi * lam
-        if t < math.inf:
-            L = math.log1p(t)
-            G = (1.0 + t) * (L / t if t >= _SERIES_CUTOFF else log1p_over_x(t))
+        if t < inf:
+            L = log1p(t)
+            G = (1.0 + t) * (L / t if t >= cutoff else series(t))
         else:
-            G = L = math.log(pi) + math.log(lam)
+            G = L = log(pi) + log(lam)
         z = L / K
-        return lam - G * (-math.expm1(-z) / z) if z > 0.0 else lam - G
+        return lam - G * (-expm1(-z) / z) if z > 0.0 else lam - G
 
     return residual
 
@@ -264,8 +268,9 @@ def dlambda_dpi(users: int | None, pi: float, lam: float) -> float:
     b = 1 + t - t*(lam/K) for K users, which is 1 + t in the massive limit
     (users None, K = inf); dividing lam out keeps every term finite while
     t is, and where t overflows both are divided by t.  Only meaningful when
-    (pi, lam) solves the balance equation at that K; strictly positive
-    there.  pi must be a positive finite power.  A denominator that is not
+    (pi, lam) solves the balance equation at that K; nonnegative there: at
+    a root that rounds to the cap K, b - lam cancels and the slope is 0.0.
+    pi must be a positive finite power.  A denominator that is not
     positive, NaN included, cannot occur on the curve and signals an
     off-curve call.
     """
@@ -281,7 +286,7 @@ def dlambda_dpi(users: int | None, pi: float, lam: float) -> float:
         raise ValueError(
             f"denominator {denom!r} <= 0: (pi={pi!r}, lam={lam!r}) is off the curve"
         )
-    return rise / denom / pi
+    return rise / denom / pi if rise > 0.0 else 0.0
 
 
 def massive_parametric(t: float) -> tuple[float, float]:

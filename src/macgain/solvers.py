@@ -140,13 +140,14 @@ def _bisect(fn, lo: float, hi: float, f_lo: float, f_hi: float,
     bracket certify nothing; both raise ConvergenceError.
     """
     if abs(f_lo) <= abs(f_hi):
-        best_x, best_f = lo, f_lo
+        best_x, best_f, abs_best = lo, f_lo, abs(f_lo)
     else:
-        best_x, best_f = hi, f_hi
-    k1 = _ITP_K1 / (hi - lo)
-    budget = math.ldexp(hi - lo, _ITP_N0 - 1)
+        best_x, best_f, abs_best = hi, f_hi, abs(f_hi)
+    width = hi - lo
+    k1 = _ITP_K1 / width
+    budget = math.ldexp(width, _ITP_N0 - 1)
     iterations = 0
-    while hi - lo > tol:
+    while width > tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
@@ -155,13 +156,14 @@ def _bisect(fn, lo: float, hi: float, f_lo: float, f_hi: float,
                 f"bracket [{lo!r}, {hi!r}] is wider than {tol!r} after "
                 f"{max_iter} iterations"
             )
-        # verify._bisect_many repeats these operations in this order.
-        width = hi - lo
+        # verify._bisect_many gives the same float results, pinned by
+        # test_batch_matches_scalar_bits_with_scalar_residuals.
         x_f = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
         d = mid - x_f
         delta = k1 * width * width
-        x = x_f + math.copysign(delta, d) if delta <= abs(d) else mid
-        r = max(budget - 0.5 * width, 0.0)
+        x = x_f + delta if delta <= d else x_f - delta if delta <= -d else mid
+        r = budget - 0.5 * width
+        r = 0.0 if r < 0.0 else r
         if x < mid - r:
             x = mid - r
         elif x > mid + r:
@@ -171,16 +173,19 @@ def _bisect(fn, lo: float, hi: float, f_lo: float, f_hi: float,
         budget *= 0.5
         f_x = fn(x)
         iterations += 1
-        if abs(f_x) < abs(best_f):
-            best_x, best_f = x, f_x
         if f_x < 0.0:
+            if -f_x < abs_best:
+                best_x, best_f, abs_best = x, f_x, -f_x
             lo, f_lo = x, f_x
         elif f_x > 0.0:
+            if f_x < abs_best:
+                best_x, best_f, abs_best = x, f_x, f_x
             hi, f_hi = x, f_x
         elif f_x == 0.0:
             return x, 0.0, iterations
         else:
             raise ConvergenceError(f"residual is NaN at lam={x!r}")
+        width = hi - lo
     return best_x, best_f, iterations
 
 

@@ -202,14 +202,14 @@ def _bisect_many(fn, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray,
     """solvers._bisect applied element by element to arrays of brackets.
 
     fn(x, i) gives the residuals of elements i at the points x.  Each
-    element computes its ITP points with the scalar loop's operations in
-    the scalar loop's order, stops by the same rules and keeps the same
-    smallest-|fn| point, so it matches the scalar loop bit for bit wherever
-    fn does.  Only the elements still running are evaluated.  An exact
-    zero or a NaN residual stops an element at that point; the caller
-    hands a NaN element to the scalar solver, which raises.  An element
-    still running after max_iter steps reports max_iter iterations.
-    Returns (x, fn(x), iterations).
+    element's ITP points are the same float results as the scalar loop's,
+    pinned by test_batch_matches_scalar_bits_with_scalar_residuals; it stops
+    by the same rules and keeps the same smallest-|fn| point, so it matches
+    the scalar loop bit for bit wherever fn does.  Only the elements still
+    running are evaluated.  An exact zero or a NaN residual stops an
+    element at that point; the caller hands a NaN element to the scalar
+    solver, which raises.  An element still running after max_iter steps
+    reports max_iter iterations.  Returns (x, fn(x), iterations).
     """
     take_lo = np.abs(f_lo) <= np.abs(f_hi)
     best_x = np.where(take_lo, lo, hi)

@@ -4,6 +4,9 @@ The oracle helpers re-derive reference values by brute force (dense grids
 plus cell bisection) so solver tests never validate the solver against
 itself.  scalar_derivative_roots solves check_derivative's points with the
 scalar solver, so the check can be tested apart from run_suite's batches.
+frozen_bisect and frozen_fixed_point are reference copies of the scalar
+root kernel and residual as they were written with builtin calls on every
+step; the solver's leaner loops must reproduce them bit for bit.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ import pytest
 from mpmath import mp, mpf
 
 import macgain.solvers
-from macgain.core import ChannelConfig
-from macgain.solvers import eval_point
+from macgain.core import _SERIES_CUTOFF, ChannelConfig, log1p_over_x
+from macgain.solvers import _ITP_K1, _ITP_N0, ConvergenceError, eval_point
 from macgain.verify import DERIVATIVE_GRID, DERIVATIVE_STEP, DERIVATIVE_USERS
 
 
@@ -67,6 +70,68 @@ def unsplit_residual(monkeypatch):
         return lambda lam: math.nan if pi * lam == math.inf else residual(lam)
 
     monkeypatch.setattr(macgain.solvers, "_fixed_point", unsplit)
+
+
+def frozen_bisect(fn, lo, hi, f_lo, f_hi, tol, max_iter):
+    """solvers._bisect as written with abs, max and math.copysign on every step."""
+    if abs(f_lo) <= abs(f_hi):
+        best_x, best_f = lo, f_lo
+    else:
+        best_x, best_f = hi, f_hi
+    k1 = _ITP_K1 / (hi - lo)
+    budget = math.ldexp(hi - lo, _ITP_N0 - 1)
+    iterations = 0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if iterations == max_iter:
+            raise ConvergenceError(
+                f"bracket [{lo!r}, {hi!r}] is wider than {tol!r} after "
+                f"{max_iter} iterations"
+            )
+        width = hi - lo
+        x_f = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        d = mid - x_f
+        delta = k1 * width * width
+        x = x_f + math.copysign(delta, d) if delta <= abs(d) else mid
+        r = max(budget - 0.5 * width, 0.0)
+        if x < mid - r:
+            x = mid - r
+        elif x > mid + r:
+            x = mid + r
+        if not lo < x < hi:
+            x = mid
+        budget *= 0.5
+        f_x = fn(x)
+        iterations += 1
+        if abs(f_x) < abs(best_f):
+            best_x, best_f = x, f_x
+        if f_x < 0.0:
+            lo, f_lo = x, f_x
+        elif f_x > 0.0:
+            hi, f_hi = x, f_x
+        elif f_x == 0.0:
+            return x, 0.0, iterations
+        else:
+            raise ConvergenceError(f"residual is NaN at lam={x!r}")
+    return best_x, best_f, iterations
+
+
+def frozen_fixed_point(K, pi):
+    """core._fixed_point as written with module-global math lookups."""
+
+    def residual(lam):
+        t = pi * lam
+        if t < math.inf:
+            L = math.log1p(t)
+            G = (1.0 + t) * (L / t if t >= _SERIES_CUTOFF else log1p_over_x(t))
+        else:
+            G = L = math.log(pi) + math.log(lam)
+        z = L / K
+        return lam - G * (-math.expm1(-z) / z) if z > 0.0 else lam - G
+
+    return residual
 
 
 def raw_residual(lam: float, K: int, P: float) -> float:

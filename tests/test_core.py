@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import raw_residual
+from test_oracle import GRID_POWER_DB, GRID_USERS
 from macgain.core import (
     ChannelConfig,
     GainSolution,
@@ -468,6 +469,25 @@ class TestFiniteDerivative:
         assert pi * lam(pi) == math.inf
         fd = (lam(pi * (1 + h)) - lam(pi * (1 - h))) / (2 * pi * h)
         assert dlambda_dpi(users, pi, lam(pi)) == pytest.approx(fd, rel=1e-7)
+
+    @pytest.mark.parametrize("K, pi", [(2, 2e50), (10, 1e307)])
+    def test_zero_at_a_cap_root(self, K, pi):
+        # The root rounds to K, so b = 1 + t - t*(lam/K) cancels t and b - lam
+        # reads below 0 (-2.5e-101 and -0.0 here); the slope is +0.0 instead.
+        lam = eval_point(ChannelConfig(K, total_power=pi)).lambda_star
+        assert lam == K
+        slope = dlambda_dpi(K, pi, lam)
+        assert slope == 0.0 and math.copysign(1.0, slope) == 1.0
+
+    def test_nonnegative_on_the_oracle_grid(self):
+        negative = []
+        for K in GRID_USERS:
+            for power_db in GRID_POWER_DB:
+                sol = solve_lambda_star(K, db_to_linear(power_db))
+                slope = dlambda_dpi(K, sol.config.total_power, sol.lambda_star)
+                if math.copysign(1.0, slope) < 0.0:
+                    negative.append((K, power_db, slope))
+        assert negative == []
 
     def test_large_K_approaches_the_massive_slope(self):
         pi = 5.38

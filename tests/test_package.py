@@ -239,3 +239,54 @@ def test_no_restated_configs_or_defaults():
     assert "_config_for" not in definers
     assert "_DEFAULT_FIGURE_USERS" not in definers
     assert definers["DEFAULT_USERS"] == {"solvers"}
+
+
+def _function(tree: ast.AST, name: str) -> ast.FunctionDef:
+    return next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def _bisect_step_calls(source: str) -> set[str]:
+    """What solvers._bisect's while loop calls, outside its raise statements."""
+    loop = next(node for node in ast.walk(_function(ast.parse(source), "_bisect"))
+                if isinstance(node, ast.While))
+    raised = {id(node) for stmt in ast.walk(loop) if isinstance(stmt, ast.Raise)
+              for node in ast.walk(stmt)}
+    return {ast.unparse(node.func) for node in ast.walk(loop)
+            if isinstance(node, ast.Call) and id(node) not in raised}
+
+
+def _residual_lookups(source: str) -> set[str]:
+    """Module globals and attributes that core._fixed_point's residual reads."""
+    table = symtable.symtable(source, "core.py", "exec")
+    factory = next(child for child in table.get_children()
+                   if child.get_name() == "_fixed_point")
+    residual = next(child for child in factory.get_children()
+                    if child.get_name() == "residual")
+    names = {sym.get_name() for sym in residual.get_symbols()
+             if sym.is_referenced() and sym.is_global()}
+    tree = _function(_function(ast.parse(source), "_fixed_point"), "residual")
+    return names | {ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+def test_bisect_step_calls_only_fn():
+    # Each ITP step of a solve runs this loop; abs, max and math.copysign
+    # cost more there than the arithmetic they stand for.  Restoring the
+    # old ITP point trips the check.
+    source = (ROOT / "src" / "macgain" / "solvers.py").read_text(encoding="utf-8")
+    assert _bisect_step_calls(source) == {"fn"}
+    step = "x = x_f + delta if delta <= d else x_f - delta if delta <= -d else mid"
+    assert step in source
+    old = source.replace(step, "x = x_f + math.copysign(delta, d) if delta <= abs(d) else mid")
+    assert _bisect_step_calls(old) == {"fn", "math.copysign", "abs"}
+
+
+def test_residual_reads_only_its_closure():
+    # The residual runs once per ITP step: it reads math's functions from
+    # its factory's locals, never a module global or an attribute.
+    # Restoring the old log1p call trips the check.
+    source = (ROOT / "src" / "macgain" / "core.py").read_text(encoding="utf-8")
+    assert _residual_lookups(source) == set()
+    line = "L = log1p(t)"
+    assert line in source
+    assert _residual_lookups(source.replace(line, "L = math.log1p(t)")) == {"math", "math.log1p"}

@@ -11,10 +11,17 @@ from fractions import Fraction
 import pytest
 
 import macgain.solvers as solvers_module
-from conftest import brute_peak_k2, raw_residual, sign_scan_root
+from conftest import (
+    brute_peak_k2,
+    frozen_bisect,
+    frozen_fixed_point,
+    raw_residual,
+    sign_scan_root,
+)
 from test_oracle import GRID_POWER_DB, GRID_USERS, MASSIVE_POWER_DB
 from macgain.core import ChannelConfig, _fixed_point, _lambda_bound, db_to_linear, f_of
 from macgain.solvers import (
+    DEFAULT_USERS,
     BracketError,
     ConvergenceError,
     LAMBDA_TOL,
@@ -143,6 +150,105 @@ class TestITPSteps:
         steps = [solve_lambda_massive(db_to_linear(pi_db)).iterations
                  for pi_db in MASSIVE_POWER_DB]
         assert statistics.mean(steps) <= 10
+
+
+def _bits(result):
+    """A kernel result with every float as its hex string: -0.0 and NaN compare exactly."""
+    return tuple(v.hex() if isinstance(v, float) else v for v in result)
+
+
+def _kernel_results(monkeypatch, frozen, run):
+    """_bits of every _bisect result while run() solves, in call order.
+
+    frozen swaps in conftest's reference kernel and residual.
+    """
+    kernel = frozen_bisect if frozen else solvers_module._bisect
+    results = []
+
+    def logged(*args):
+        result = kernel(*args)
+        results.append(_bits(result))
+        return result
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers_module, "_bisect", logged)
+        if frozen:
+            patch.setattr(solvers_module, "_fixed_point", frozen_fixed_point)
+        run()
+    return results
+
+
+def _sample_box():
+    K, P = draw_samples(SampleSpec(seed=42, n_samples=2000))
+    for k, p in zip(K.tolist(), P.tolist()):
+        solve_lambda_star(int(k), p)
+
+
+class TestBitIdentity:
+    """The leaner scalar loops repeat the reference kernel's floats exactly."""
+
+    @pytest.mark.parametrize("run", [
+        pytest.param(lambda: [solve_lambda_star(K, db_to_linear(power_db))
+                              for K in GRID_USERS for power_db in GRID_POWER_DB],
+                     id="oracle-grid"),
+        pytest.param(lambda: [solve_lambda_massive(db_to_linear(pi_db))
+                              for pi_db in MASSIVE_POWER_DB], id="massive-grid"),
+        pytest.param(lambda: [invert_massive_parametric(db_to_linear(pi_db))
+                              for pi_db in MASSIVE_POWER_DB], id="inversion"),
+        pytest.param(_sample_box, id="sample-box"),
+        pytest.param(lambda: [find_peak(users) for users in DEFAULT_USERS],
+                     id="peak-descent"),
+    ])
+    def test_solves_match_the_reference(self, monkeypatch, run):
+        # Every (x, fn(x), iterations) of every kernel call, the peak
+        # searches' descent and the solves inside it included.
+        new = _kernel_results(monkeypatch, False, run)
+        assert len(new) > 50
+        assert new == _kernel_results(monkeypatch, True, run)
+
+    @pytest.mark.parametrize("fn, lo, hi, f_lo, f_hi, tol, max_iter", [
+        # x_f == mid at +0.0, d = +0.0: the midpoint is an exact zero.
+        pytest.param(lambda x: x, -1.0, 1.0, -1.0, 1.0, 0.0, MAX_ITER, id="d=+0"),
+        # mid = -0.0 and x_f = +0.0 give d = -0.0, then float exhaustion.
+        pytest.param(lambda x: 1.0 if x >= 0.0 else -1.0, -1e-323, 5e-324, -2.0, 1.0,
+                     0.0, MAX_ITER, id="d=-0"),
+        # inf/inf makes x_f NaN until the -inf end moves: the midpoint is taken.
+        pytest.param(lambda x: x - 1.3, 1.0, 2.0, -math.inf, math.inf, 1e-12, MAX_ITER,
+                     id="nan-x_f"),
+        # A convex and a concave residual push x_f past the budget's
+        # interval below and above the midpoint.
+        pytest.param(lambda x: math.expm1(20.0 * x) - 1.0, 0.0, 1.0, -1.0,
+                     math.expm1(20.0) - 1.0, 1e-12, MAX_ITER, id="clamp-low"),
+        pytest.param(lambda x: 1.0 - math.expm1(20.0 * (1.0 - x)), 0.0, 1.0,
+                     1.0 - math.expm1(20.0), 1.0, 1e-12, MAX_ITER, id="clamp-high"),
+        pytest.param(lambda x: x - 0.5, 0.0, 1.0, -0.5, 0.5, 1e-12, MAX_ITER,
+                     id="exact-zero"),
+        pytest.param(lambda x: math.nan, 0.0, 1.0, -1.0, 1.0, 1e-12, MAX_ITER, id="nan"),
+        pytest.param(lambda x: x - 0.3, 0.0, 1.0, -0.3, 0.7, 1e-30, 7, id="max_iter"),
+    ])
+    def test_kernel_edge_cases(self, fn, lo, hi, f_lo, f_hi, tol, max_iter):
+        # The result or the error message, and every evaluated point.
+        outcomes = []
+        for kernel in (frozen_bisect, _bisect):
+            points = []
+
+            def logged(x):
+                points.append(x.hex())
+                return fn(x)
+
+            try:
+                outcome = _bits(kernel(logged, lo, hi, f_lo, f_hi, tol, max_iter))
+            except ConvergenceError as err:
+                outcome = str(err)
+            outcomes.append((outcome, points))
+        assert outcomes[0] == outcomes[1]
+
+    def test_residual_matches_the_reference(self):
+        lams = [1.0, 1.5, 2.0, 7.25, 1e3, 1e300]
+        for K in (2.0, 10.0, 1e15, math.inf):
+            for pi in (1e-30, 1e-9, 0.5, 5.38, 1e9, 1e307):
+                new, old = _fixed_point(K, pi), frozen_fixed_point(K, pi)
+                assert [new(lam).hex() for lam in lams] == [old(lam).hex() for lam in lams]
 
 
 class TestSolverSettings:
