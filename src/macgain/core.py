@@ -149,7 +149,8 @@ class GainSolution(NamedTuple):
     ``residual`` is the solver's residual at the returned root,
     lam - G_K(pi*lam) for the fixed-point map of :func:`_fixed_point`,
     with K = inf in the massive limit.  ``iterations`` counts the residual
-    evaluations after the one at lam = 1.  ``degenerate`` marks a power too
+    evaluations after the one at lam = 1: the one at the bracket's upper end
+    and the Newton steps after it.  ``degenerate`` marks a power too
     small for the residual to separate lam = 1 from the root: it is >= 0
     already at lam = 1, so the gain is pinned to 1 (0 iterations).  The
     capacities are ln(1+pi) without and ln(1+pi*lam) with feedback, in
@@ -173,36 +174,44 @@ def _balance(lam, K, P, log1p):
 
 
 def _fixed_point(K: float, pi: float):
-    """lam - G_K(pi*lam) as a function of lam, unvalidated; K = inf is the massive limit.
+    """lam -> (r, r') for r = lam - G_K(pi*lam), unvalidated; K = inf is the massive limit.
 
     The K-th root of the balance equation at t = pi*lam solves it for lam:
     lam = G_K(t) = (1 + 1/t) * L * phi(L/K), with L = ln(1+t) and
     phi(z) = -expm1(-z)/z, which is 1 at z = 0 and so gives f_of at
     K = inf.  G_K is evaluated as (1+t) * log1p_over_x(t) * phi(L/K);
     where t overflows, 1 + 1/t rounds to 1 and L = ln(pi) + ln(lam).  The
-    residual is negative below the root and positive above it, with no
-    pole on [1, K].
+    residual r is negative below the root and positive above it, with no
+    pole on [1, K].  Its slope r' = 1 - (exp(-z) - G_K/(1+t))/lam needs no
+    further transcendental: exp(-z) = 1 + expm1(-z), which is 1 at z = 0,
+    and G_K/(1+t) is 0 where t overflows.  r' lies in (0, 1] on [1, inf);
+    at lam = 1 and a large pi it is about ln(t)/t, which rounds to 0.
     """
 
-    # Bound here: residual, run on every ITP step, reads no global or attribute.
+    # Bound here: residual, run on every root step, reads no global or attribute.
     log1p, expm1, log, inf = math.log1p, math.expm1, math.log, math.inf
     cutoff, series = _SERIES_CUTOFF, log1p_over_x
 
     def residual(lam):
         t = pi * lam
+        u = 1.0 + t
         if t < inf:
             L = log1p(t)
-            G = (1.0 + t) * (L / t if t >= cutoff else series(t))
+            G = u * (L / t if t >= cutoff else series(t))
         else:
             G = L = log(pi) + log(lam)
         z = L / K
-        return lam - G * (-expm1(-z) / z) if z > 0.0 else lam - G
+        if z > 0.0:
+            e = expm1(-z)
+            G *= -e / z
+            return lam - G, 1.0 - (1.0 + e - G / u) / lam
+        return lam - G, 1.0 - (1.0 - G / u) / lam
 
     return residual
 
 
 def _fixed_point_many(K, pi, lam):
-    """_fixed_point's residual over numpy arrays, by the same operations in the same order.
+    """_fixed_point's (r, r') over numpy arrays, by the same operations in the same order.
 
     Except: below t = 1e-8 ln(1+t)/t is the plain quotient, not the series,
     and an overflowing t gives NaN, which verify's batch hands to the
@@ -211,9 +220,12 @@ def _fixed_point_many(K, pi, lam):
     import numpy as np
 
     t = pi * lam
+    u = 1.0 + t
     L = np.log1p(t)
     z = L / K
-    return lam - (1.0 + t) * (L / t) * np.where(z > 0.0, -np.expm1(-z) / z, 1.0)
+    e = np.expm1(-z)  # -0.0 at z = 0, so 1 + e is exactly 1 there
+    G = u * (L / t) * np.where(z > 0.0, -e / z, 1.0)
+    return lam - G, 1.0 - (1.0 + e - G / u) / lam
 
 
 def _lambda_bound(pi, frexp):

@@ -4,19 +4,23 @@ Every power gain, for K users or in the massive limit (K = inf), is the
 fixed point of one map, lam = G_K(pi*lam), the K-th root of the balance
 equation solved for lam.  Its residual lam - G_K(pi*lam), core._fixed_point,
 changes sign once on [1, K], with no pole at lam = K, and stays finite
-where pi*lam overflows.  One routine brackets it on [1, min(K, bound)]
-with core._lambda_bound's closed-form bound and narrows the bracket by ITP
-steps (interpolate, truncate, project), never more than one step beyond
-bisection; a root is accepted for its (-, +) bracket, never for a small
-residual, so nothing about convergence relies on numerical luck.  Peak
-search runs the same routine on the dB axis: the maximum of F is the
-(-, +) root of its negated slope, which core.dlambda_dpi gives in closed
-form.
+where pi*lam overflows; its slope comes with it in closed form.  One
+routine brackets it on [1, min(K, bound)] with core._lambda_bound's
+closed-form bound and narrows the bracket by safeguarded Newton steps,
+never more than _NEWTON_N0 steps beyond bisection; a root is accepted for
+its (-, +) bracket, never for a small residual, so nothing about
+convergence relies on numerical luck.  Peak search and the parametric
+inversion, whose residuals have no closed-form slope at hand, narrow
+their brackets by ITP steps (interpolate, truncate, project), never more
+than one step beyond bisection.  Peak search runs on the dB axis: the
+maximum of F is the (-, +) root of its negated slope, which
+core.dlambda_dpi gives in closed form.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 from .core import (
@@ -52,7 +56,7 @@ __all__ = [
     "find_peak",
 ]
 
-# Every root, the peak's dB included, is bracketed to LAMBDA_TOL in MAX_ITER ITP steps.
+# Every root, the peak's dB included, is bracketed to LAMBDA_TOL in MAX_ITER steps.
 LAMBDA_TOL = 1e-12
 MAX_ITER = 200
 
@@ -72,6 +76,12 @@ MAX_GRID_POINTS = 20_000
 # as bisection's, so no tol takes more than _ITP_N0 extra steps.
 _ITP_K1 = 0.2
 _ITP_N0 = 1
+
+# Newton steps on a residual with a closed-form slope fall back to the
+# midpoint whenever the bracket is wider than 2**(_NEWTON_N0 - j) times
+# its initial width before step j, so no tol takes more than _NEWTON_N0
+# steps beyond bisection.
+_NEWTON_N0 = 6
 
 
 class BracketError(RuntimeError):
@@ -156,8 +166,6 @@ def _bisect(fn, lo: float, hi: float, f_lo: float, f_hi: float,
                 f"bracket [{lo!r}, {hi!r}] is wider than {tol!r} after "
                 f"{max_iter} iterations"
             )
-        # verify._bisect_many gives the same float results, pinned by
-        # test_batch_matches_scalar_bits_with_scalar_residuals.
         x_f = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
         d = mid - x_f
         delta = k1 * width * width
@@ -189,22 +197,93 @@ def _bisect(fn, lo: float, hi: float, f_lo: float, f_hi: float,
     return best_x, best_f, iterations
 
 
-def _root(fn, cap: float, pi: float, where) -> tuple[float, float, int, bool]:
-    """Root of fn on [1, cap], where fn is negative below it and positive above.
+def _newton(fn, lo: float, hi: float, f_lo: float, f_hi: float, d_hi: float,
+            tol: float, max_iter: int) -> tuple[float, float, int]:
+    """Narrow [lo, hi] given f(lo) < 0 < f(hi) by safeguarded Newton steps.
 
-    fn's root is the power gain at total power pi: the bracket is [1, hi],
+    fn(x) returns (f(x), f'(x)), and d_hi is f'(hi).  Starting from hi, each
+    step takes the Newton point of the last evaluated point.  Once a Newton
+    step is shorter than tol/4, the next step probes tol/4 beyond the point
+    it reached, toward the root, which closes a (-, +) bracket around a
+    converged point; a step too short to move x probes at once.  The
+    midpoint is taken instead when that point is not strictly inside the
+    bracket (f' = 0 or NaN included), or when the bracket is wider than
+    2**(_NEWTON_N0 - j) times its initial width before step j: after step j
+    it is at most that wide, so no root takes more than
+    ceil(log2(width/tol)) + _NEWTON_N0 steps.  Stops like _bisect and
+    raises like it, on a NaN residual or after max_iter steps.  Returns
+    (x, fn(x)[0], iterations) at the end of the final bracket with the
+    smaller |f|, or at an exact zero.
+    """
+    width = hi - lo
+    budget = math.ldexp(width, _NEWTON_N0 - 1)
+    quarter = 0.25 * tol
+    x, f_x, d_x = hi, f_hi, d_hi
+    probe = False
+    iterations = 0
+    while width > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if iterations == max_iter:
+            raise ConvergenceError(
+                f"bracket [{lo!r}, {hi!r}] is wider than {tol!r} after "
+                f"{max_iter} iterations"
+            )
+        # verify._newton_many takes the same points, pinned by
+        # test_batch_matches_scalar_bits_with_scalar_residuals.  With
+        # f' = 0, x stays on a bracket end and the midpoint is taken.
+        if probe:
+            x = x - quarter if f_x > 0.0 else x + quarter
+            probe = False
+        elif d_x:
+            step = f_x / d_x
+            if -quarter < step < quarter:
+                # The Newton point, then a probe past it; if the step rounds
+                # away, x is the Newton point and the probe comes now.
+                probe = x - step != x
+                x = x - step if probe else x - quarter if f_x > 0.0 else x + quarter
+            else:
+                x -= step
+        if width > budget or not lo < x < hi:
+            x = mid
+            probe = False
+        budget *= 0.5
+        f_x, d_x = fn(x)
+        iterations += 1
+        if f_x < 0.0:
+            lo, f_lo = x, f_x
+        elif f_x > 0.0:
+            hi, f_hi = x, f_x
+        elif f_x == 0.0:
+            return x, 0.0, iterations
+        else:
+            raise ConvergenceError(f"residual is NaN at lam={x!r}")
+        width = hi - lo
+    return (lo, f_lo, iterations) if -f_lo <= f_hi else (hi, f_hi, iterations)
+
+
+def _root(fn, cap: float, pi: float, where,
+          newton: bool = True) -> tuple[float, float, int, bool]:
+    """Root of a residual f on [1, cap], negative below the root and positive above.
+
+    f's root is the power gain at total power pi: the bracket is [1, hi],
     hi = min(cap, core._lambda_bound(pi)) with cap >= 2, narrowed to
-    LAMBDA_TOL by _bisect's ITP steps; the (-, +) bracket certifies the
-    root.  Returns (lam, fn(lam), evaluations of fn after the one at 1,
-    degenerate).  If 0 <= fn(1) < fn(hi), the power is too small for fn to
-    separate lam = 1 from the root, which is pinned to 1 as degenerate, with
-    0 evaluations.  If fn(1) < 0 and fn(hi) <= 0 at hi = cap, the root lies
-    closer to the cap than fn can resolve, and the cap is taken.  A NaN or
-    MAX_ITER steps raise ConvergenceError, any other sign pattern, fn(hi) <= 0
-    below the cap included, BracketError; every message ends with where().
+    LAMBDA_TOL by _newton's steps, fn returning (f, f'), or with newton
+    False by _bisect's ITP steps, fn returning f; the (-, +) bracket
+    certifies the root.  Returns (lam, f(lam), evaluations of fn after the
+    one at 1, degenerate).  If 0 <= f(1) < f(hi), the power is too small for
+    f to separate lam = 1 from the root, which is pinned to 1 as degenerate,
+    with 0 evaluations.  If f(1) < 0 and f(hi) <= 0 at hi = cap, the root
+    lies closer to the cap than f can resolve, and the cap is taken.  A NaN
+    or MAX_ITER steps raise ConvergenceError, any other sign pattern,
+    f(hi) <= 0 below the cap included, BracketError; every message ends
+    with where().
     """
     hi = min(cap, _lambda_bound(pi, math.frexp))
     lo, f_lo, f_hi = 1.0, fn(1.0), fn(hi)
+    if newton:
+        (f_lo, _), (f_hi, d_hi) = f_lo, f_hi
     if 0.0 <= f_lo < f_hi:
         return 1.0, f_lo, 0, True
     if f_lo < 0.0 and f_hi <= 0.0 and hi == cap:
@@ -217,7 +296,10 @@ def _root(fn, cap: float, pi: float, where) -> tuple[float, float, int, bool]:
             f"got ({f_lo!r}, {f_hi!r}) for {where()}"
         )
     try:
-        lam, res, iters = _bisect(fn, lo, hi, f_lo, f_hi, LAMBDA_TOL, MAX_ITER)
+        if newton:
+            lam, res, iters = _newton(fn, lo, hi, f_lo, f_hi, d_hi, LAMBDA_TOL, MAX_ITER)
+        else:
+            lam, res, iters = _bisect(fn, lo, hi, f_lo, f_hi, LAMBDA_TOL, MAX_ITER)
     except ConvergenceError as err:
         raise ConvergenceError(f"{err} for {where()}") from None
     return lam, res, 1 + iters, False
@@ -257,10 +339,13 @@ def invert_massive_parametric(pi: float) -> tuple[float, float]:
     """Invert the closed-form curve parametrization at total power pi.
 
     Finds t with massive_parametric(t) = (pi, lam) as the bracketed root
-    of the strictly increasing map s -> pi(pi*s) - pi for s = t/pi >= 1;
-    returns (t, lam).  This is an independent route to the same curve as
-    solve_lambda_massive and is kept separate so the two can cross-check
-    each other.
+    of the strictly increasing map s -> pi(pi*s) - pi for s = t/pi >= 1,
+    by ITP steps; returns (t, lam).  This is an independent route to the
+    same curve as solve_lambda_massive, by a different kernel, and is kept
+    separate so the two can cross-check each other.  Where pi*s overflows
+    at the bracket's upper end, that end is clipped to the largest s with a
+    finite pi*s; a power whose root lies beyond it, where t itself
+    overflows (above about 3054 dB), raises ValueError.
     """
     pi = _check_power(pi, "total power")  # as ChannelConfig.massive does
 
@@ -268,7 +353,18 @@ def invert_massive_parametric(pi: float) -> tuple[float, float]:
         return massive_parametric(pi * s)[0] - pi
 
     # pi(t) <= t puts the root, the power gain at pi, at or above s = 1.
-    s, _, _, _ = _root(overshoot, math.inf, pi, lambda: f"pi={pi!r}")
+    cap = math.inf
+    if pi * _lambda_bound(pi, math.frexp) == math.inf:
+        # max/pi rounds to the largest s with a finite pi*s or to one above.
+        cap = sys.float_info.max / pi
+        while pi * cap == math.inf:
+            cap = math.nextafter(cap, 0.0)
+        if not overshoot(cap) > 0.0:
+            raise ValueError(
+                f"total power {pi!r} is beyond the parametric inversion: "
+                f"t = pi*lam overflows at its root"
+            )
+    s, _, _, _ = _root(overshoot, cap, pi, lambda: f"pi={pi!r}", newton=False)
     t = pi * s
     return t, massive_parametric(t)[1]
 

@@ -187,7 +187,7 @@ def point_bound_slacks(K: np.ndarray, P: np.ndarray,
             ("log_bracket_lower", log_term - t * lam / (1.0 + t)),
             ("log_bracket_upper", upper - log_term),
             ("gain_floor", lam - K * log_term / (K + log_term)),
-            ("fixed_point_ceiling", -_fixed_point_many(math.inf, pi, lam)),
+            ("fixed_point_ceiling", -_fixed_point_many(math.inf, pi, lam)[0]),
             ("bracket_cap", K * lam / (K - lam) - upper),
         ]
 
@@ -197,75 +197,85 @@ def _gain(pi: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return np.log1p(pi * lam) / np.log1p(pi)
 
 
-def _bisect_many(fn, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray,
-                 f_hi: np.ndarray, tol: float, max_iter: int):
-    """solvers._bisect applied element by element to arrays of brackets.
+def _newton_many(fn, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray, f_hi: np.ndarray,
+                 d_hi: np.ndarray, tol: float, max_iter: int):
+    """solvers._newton applied element by element to arrays of brackets.
 
-    fn(x, i) gives the residuals of elements i at the points x.  Each
-    element's ITP points are the same float results as the scalar loop's,
-    pinned by test_batch_matches_scalar_bits_with_scalar_residuals; it stops
-    by the same rules and keeps the same smallest-|fn| point, so it matches
-    the scalar loop bit for bit wherever fn does.  Only the elements still
-    running are evaluated.  An exact zero or a NaN residual stops an
-    element at that point; the caller hands a NaN element to the scalar
-    solver, which raises.  An element still running after max_iter steps
-    reports max_iter iterations.  Returns (x, fn(x), iterations).
+    fn(x, i) gives the residuals and slopes of elements i at the points x.
+    Each element takes the points of the scalar loop, by the same float
+    operations, and stops by the same rules, so it matches the scalar loop
+    bit for bit wherever fn does, as
+    test_batch_matches_scalar_bits_with_scalar_residuals pins.  Only the
+    elements still running are evaluated.  An element whose ends are not
+    (-, +) takes no step, and an exact zero or a NaN residual stops an
+    element at that point; the caller hands such elements to the scalar
+    solver.  An element still running after max_iter steps reports
+    max_iter iterations.  Returns (x, fn(x)[0], iterations).
     """
-    take_lo = np.abs(f_lo) <= np.abs(f_hi)
-    best_x = np.where(take_lo, lo, hi)
-    best_f = np.where(take_lo, f_lo, f_hi)
+    x_out, f_out = np.empty_like(lo), np.empty_like(lo)
     iterations = np.zeros(lo.size, dtype=int)
-    # The running elements: their indices, brackets and ITP state.
+    # The running elements: their indices, brackets and Newton state.
     run = np.arange(lo.size)
-    k1 = solvers._ITP_K1 / (hi - lo)
-    budget = np.ldexp(hi - lo, solvers._ITP_N0 - 1)
-    signed = np.ones(lo.size, dtype=bool)
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        going = signed & (hi - lo > tol) & (lo < mid) & (mid < hi)
-        if not going.all():
-            run, lo, hi, f_lo, f_hi, k1, budget, mid = (
-                a[going] for a in (run, lo, hi, f_lo, f_hi, k1, budget, mid)
-            )
-            if not run.size:
-                break
+    x, f_x, d_x = hi, f_hi, d_hi
+    budget = np.ldexp(hi - lo, solvers._NEWTON_N0 - 1)
+    quarter = 0.25 * tol
+    probe = np.zeros(lo.size, dtype=bool)
+    live = (f_lo < 0.0) & (f_hi > 0.0)
+    steps = 0
+    while True:
         width = hi - lo
-        x_f = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
-        d = mid - x_f
-        delta = k1 * width * width
-        x = np.where(delta <= np.abs(d), x_f + np.copysign(delta, d), mid)
-        r = np.maximum(budget - 0.5 * width, 0.0)
-        x = np.minimum(np.maximum(x, mid - r), mid + r)
-        x = np.where((lo < x) & (x < hi), x, mid)
+        mid = 0.5 * (lo + hi)
+        going = live & (width > tol) & (lo < mid) & (mid < hi)
+        if steps == max_iter or not going.all():
+            # Every running element's result as it stands, which later
+            # steps overwrite for those that go on: a live element's bracket
+            # end with the smaller |f|, any other's last point; + 0.0 reads
+            # -0.0 as 0.0.
+            lower = -f_lo <= f_hi
+            x_out[run] = np.where(live, np.where(lower, lo, hi), x)
+            f_out[run] = np.where(live, np.where(lower, f_lo, f_hi), f_x + 0.0)
+            iterations[run] = steps
+            keep = np.flatnonzero(going) if steps < max_iter else run[:0]
+            if not keep.size:
+                break
+            run, lo, hi, f_lo, f_hi, x, f_x, d_x, budget, probe, width, mid = (
+                a[keep] for a in (run, lo, hi, f_lo, f_hi, x, f_x, d_x, budget, probe,
+                                  width, mid)
+            )
+        step = f_x / d_x
+        newton = x - step
+        short = ~probe & (-quarter < step) & (step < quarter)
+        now = probe | (short & (newton == x))
+        x = np.where(now, np.where(f_x > 0.0, x - quarter, x + quarter), newton)
+        kept = ~(width > budget) & (lo < x) & (x < hi)
+        x = np.where(kept, x, mid)
+        probe = short & ~now & kept
         budget = budget * 0.5
-        f_x = fn(x, run)
-        iterations[run] += 1
+        f_x, d_x = fn(x, run)
+        steps += 1
         below = f_x < 0.0
         above = f_x > 0.0
-        signed = below | above
-        keep = ~signed | (np.abs(f_x) < np.abs(best_f[run]))
-        best_x[run[keep]] = x[keep]
-        best_f[run[keep]] = f_x[keep]
+        live = below | above
         lo = np.where(below, x, lo)
         f_lo = np.where(below, f_x, f_lo)
         hi = np.where(above, x, hi)
         f_hi = np.where(above, f_x, f_hi)
-    return best_x, best_f, iterations
+    return x_out, f_out, iterations
 
 
 def _root_many(K: np.ndarray, pi: np.ndarray) -> np.ndarray:
     """solvers._root of core._fixed_point_many at every (K, pi), K = inf massive.
 
     Brackets each element on [1, min(K, bound)] with the scalar solver's
-    core._lambda_bound, then runs one _bisect_many, with the tolerances
+    core._lambda_bound, then runs one _newton_many, with the tolerances
     read off the solvers module at call time.  An element is settled here
-    when its residual is < 0 at 1 and > 0 at the upper end, no ITP step met
-    a NaN and it took fewer than MAX_ITER steps.  Every other element goes,
-    in input order, to the scalar eval_point at the same K and total power,
-    which pins it to lam = 1, takes the cap as its root, solves it or
-    raises its own error.  Where numpy's log1p or expm1 differ from math's
-    in the last ulp, the ITP points differ, and batch and scalar roots may
-    be a few ulps apart, both certified by their brackets.
+    when its residual is < 0 at 1 and > 0 at the upper end, no Newton step
+    met a NaN and it took fewer than MAX_ITER steps.  Every other element
+    goes, in input order, to the scalar eval_point at the same K and total
+    power, which pins it to lam = 1, takes the cap as its root, solves it
+    or raises its own error.  Where numpy's log1p or expm1 differ from
+    math's in the last ulp, the Newton points differ, and batch and scalar
+    roots may be a few ulps apart, both certified by their brackets.
     """
     K = np.asarray(K, dtype=float)
 
@@ -274,9 +284,9 @@ def _root_many(K: np.ndarray, pi: np.ndarray) -> np.ndarray:
 
     with np.errstate(all="ignore"):
         lo, hi = np.ones_like(K), np.minimum(_lambda_bound(pi, np.frexp), K)
-        f_lo, f_hi = fn(lo), fn(hi)
-        lam, res, iterations = _bisect_many(fn, lo, hi, f_lo, f_hi, solvers.LAMBDA_TOL,
-                                            solvers.MAX_ITER)
+        (f_lo, _), (f_hi, d_hi) = fn(lo), fn(hi)
+        lam, res, iterations = _newton_many(fn, lo, hi, f_lo, f_hi, d_hi,
+                                            solvers.LAMBDA_TOL, solvers.MAX_ITER)
     settled = ((f_lo < 0.0) & (f_hi > 0.0) & ~np.isnan(res)
                & (iterations < solvers.MAX_ITER))
     for i in np.flatnonzero(~settled):

@@ -4,9 +4,10 @@ The oracle helpers re-derive reference values by brute force (dense grids
 plus cell bisection) so solver tests never validate the solver against
 itself.  scalar_derivative_roots solves check_derivative's points with the
 scalar solver, so the check can be tested apart from run_suite's batches.
-frozen_bisect and frozen_fixed_point are reference copies of the scalar
-root kernel and residual as they were written with builtin calls on every
-step; the solver's leaner loops must reproduce them bit for bit.
+frozen_bisect and frozen_fixed_point are reference copies of the ITP
+kernel and of the residual's value as they were written with builtin calls
+on every step; the ITP loop and the residual must reproduce them bit for
+bit.
 """
 
 from __future__ import annotations
@@ -67,7 +68,8 @@ def unsplit_residual(monkeypatch):
 
     def unsplit(K, pi):
         residual = split(K, pi)
-        return lambda lam: math.nan if pi * lam == math.inf else residual(lam)
+        nan = (math.nan, math.nan)
+        return lambda lam: nan if pi * lam == math.inf else residual(lam)
 
     monkeypatch.setattr(macgain.solvers, "_fixed_point", unsplit)
 

@@ -3,6 +3,7 @@ exit codes, and byte-level output stability."""
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import math
@@ -15,7 +16,9 @@ import pytest
 
 import macgain.solvers
 from conftest import finite_certified, massive_certified
-from macgain.cli import CSV_HEADER, main
+from macgain.cli import CSV_HEADER, decibels, main, user_count
+from macgain.core import ChannelConfig, db_to_linear
+from macgain.solvers import eval_point, invert_massive_parametric, solve_lambda_massive
 
 
 def run_cli(capsys, *argv):
@@ -482,8 +485,9 @@ def test_unwritable_out_fails_before_computing(tmp_path):
 
 def test_failing_command_leaves_out_empty(capsys, tmp_path, monkeypatch):
     # Like a shell's > PATH, --out is truncated before the command runs.
-    # Five ITP steps cannot bracket the root to LAMBDA_TOL, so it fails.
-    monkeypatch.setattr(macgain.solvers, "MAX_ITER", 5)
+    # Three Newton steps cannot bracket the root to LAMBDA_TOL (it takes
+    # four), so it fails.
+    monkeypatch.setattr(macgain.solvers, "MAX_ITER", 3)
     target = tmp_path / "out.txt"
     target.write_text("stale\n", encoding="utf-8")
     code, out, err = run_cli(capsys, "solve", "--users", "2", "--power-db", "0",
@@ -712,13 +716,13 @@ GOLDEN_STDOUT = {
         '  "users": "massive",\n'
         '  "pi": 1000.0,\n'
         '  "pi_db": 30.0,\n'
-        '  "lambda": 9.119252679077704,\n'
-        '  "lambda_db": 9.599592494412336,\n'
+        '  "lambda": 9.119252679077709,\n'
+        '  "lambda_db": 9.599592494412338,\n'
         '  "capacity_nofb_nats": 6.90875477931522,\n'
         '  "capacity_fb_nats": 9.118252788723794,\n'
         '  "gain_F": 1.3198113234564064,\n'
-        '  "residual": -5.329070518200751e-15,\n'
-        '  "iterations": 9,\n'
+        '  "residual": 0.0,\n'
+        '  "iterations": 6,\n'
         '  "degenerate": false\n'
         '}\n'
     ),
@@ -727,13 +731,13 @@ GOLDEN_STDOUT = {
         '  "users": 100,\n'
         '  "pi": 100.0,\n'
         '  "pi_db": 20.0,\n'
-        '  "lambda": 6.24575100321707,\n'
+        '  "lambda": 6.2457510032170696,\n'
         '  "lambda_db": 7.955846664000468,\n'
         '  "capacity_nofb_nats": 4.61512051684126,\n'
         '  "capacity_fb_nats": 6.438671387162966,\n'
         '  "gain_F": 1.3951252981731026,\n'
-        '  "residual": 8.881784197001252e-16,\n'
-        '  "iterations": 9,\n'
+        '  "residual": 0.0,\n'
+        '  "iterations": 5,\n'
         '  "degenerate": false\n'
         '}\n'
     ),
@@ -746,18 +750,18 @@ GOLDEN_STDOUT = {
     "peak --users 10 --format json": (
         '{\n'
         '  "users": 10,\n'
-        '  "pi_star": 5.293553836435834,\n'
-        '  "pi_star_db": 7.237473342944855,\n'
+        '  "pi_star": 5.2935538364358425,\n'
+        '  "pi_star_db": 7.237473342944862,\n'
         '  "F_star": 1.4458875142360172,\n'
-        '  "lambda_at_peak": 2.511107052120177,\n'
+        '  "lambda_at_peak": 2.5111070521201775,\n'
         '  "bracket_evidence": [\n'
         '    [\n'
-        '      7.237473342940627,\n'
+        '      7.237473342940633,\n'
         '      -1.241229341530925e-13\n'
         '    ],\n'
         '    [\n'
-        '      7.237473343517604,\n'
-        '      1.6809553748942108e-11\n'
+        '      7.237473343517607,\n'
+        '      1.6809442726639645e-11\n'
         '    ]\n'
         '  ]\n'
         '}\n'
@@ -798,3 +802,82 @@ class TestGoldenStdout:
         lines, digest = GOLDEN_FIGURE_SHA256[command]
         assert len(out.splitlines()) == lines
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _accepted_db_ends() -> tuple[float, float]:
+    """The lowest and the highest dB value that cli.decibels accepts, to the float."""
+
+    def accepted(value: float) -> bool:
+        try:
+            decibels(repr(value))
+        except argparse.ArgumentTypeError:
+            return False
+        return True
+
+    ends = []
+    for inside, outside in ((0.0, -4000.0), (0.0, 4000.0)):
+        while True:
+            mid = 0.5 * (inside + outside)
+            if mid in (inside, outside):
+                break
+            inside, outside = (mid, outside) if accepted(mid) else (inside, mid)
+        ends.append(inside)
+    return ends[0], ends[1]
+
+
+class TestEveryAcceptedInput:
+    """A coarse walk over every (K, dB) the command line accepts.
+
+    Each solve returns a finite lambda, capacity_fb and gain_F, or refuses
+    its input with ValueError; no solve raises BracketError or
+    ConvergenceError.  The walk runs from the lowest accepted dB to the top
+    of the float range, for per-user and total power.
+    """
+
+    USERS = ("2", "10", "1000", "1000000", "1" + "0" * 12, "1" + "0" * 100,
+             "1" + "0" * 300)
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        low, top = _accepted_db_ends()
+        assert decibels(repr(low)) == low and decibels(repr(top)) == top
+        # About 25 dB apart, both ends, and the inversion's frontier near
+        # 3054 dB, where t = pi*lam at the root overflows.
+        steps = 256
+        walk = [low + (top - low) * i / steps for i in range(steps)] + [top]
+        return sorted(walk + [3051.5, 3054.0, 3054.1])
+
+    def test_finite_users(self, grid):
+        refused = 0
+        for users in map(user_count, self.USERS):
+            for power_db in grid:
+                power = db_to_linear(power_db)
+                for key in ("per_user_power", "total_power"):
+                    try:
+                        sol = eval_point(ChannelConfig(users, **{key: power}))
+                    except ValueError as err:
+                        # Only a K*P that overflows or a pi/K that underflows.
+                        assert "must be a positive finite power" in str(err)
+                        refused += 1
+                        continue
+                    assert 1.0 <= sol.lambda_star <= users
+                    assert math.isfinite(sol.capacity_fb) and math.isfinite(sol.gain_F)
+        assert refused > 0
+
+    def test_massive_and_inversion(self, grid):
+        refused = []
+        for power_db in grid:
+            pi = db_to_linear(power_db)
+            sol = solve_lambda_massive(pi)
+            assert sol.lambda_star >= 1.0
+            assert math.isfinite(sol.capacity_fb) and math.isfinite(sol.gain_F)
+            try:
+                t, lam = invert_massive_parametric(pi)
+            except ValueError as err:
+                assert re.match(rf"total power {re.escape(repr(pi))} is beyond", str(err))
+                refused.append(power_db)
+                continue
+            assert math.isfinite(t) and math.isfinite(math.log1p(t))
+            assert lam == pytest.approx(sol.lambda_star, rel=1e-9)
+        # t overflows at the root from about 3054.04 dB on.
+        assert refused and min(refused) == 3054.1

@@ -11,6 +11,7 @@ import re
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from mpmath import mp
 
 from conftest import raw_residual
 from test_oracle import GRID_POWER_DB, GRID_USERS
@@ -323,7 +324,7 @@ class TestFixedPointResidual:
     def test_massive_limit_is_the_f_of_slack(self, pi):
         # phi = 1 exactly at K = inf, so the massive roots keep their bits.
         for lam in (1.0, 1.5, 3.0, 9.0, 700.0):
-            assert _fixed_point(math.inf, pi)(lam) == lam - f_of(pi, lam)
+            assert _fixed_point(math.inf, pi)(lam)[0] == lam - f_of(pi, lam)
 
     @given(
         st.integers(min_value=2, max_value=1000),
@@ -336,7 +337,7 @@ class TestFixedPointResidual:
         lam = 1.0 + frac * (K - 1.0)
         balanced = db_residual(lam, K, P)
         if abs(balanced) > 1e-10 * K * (K - 1.0):
-            assert (_fixed_point(float(K), K * P)(lam) > 0.0) == (balanced > 0.0)
+            assert (_fixed_point(float(K), K * P)(lam)[0] > 0.0) == (balanced > 0.0)
 
     def test_no_pole_at_the_cap(self):
         # G_K stays below K for every t > 0, so the residual is > 0 at
@@ -344,35 +345,55 @@ class TestFixedPointResidual:
         # the float spacing at K it rounds to 0 or a few ulps below, and
         # the solver takes the cap as the root.
         for K in (2.0, 3.0, 10.0, 1e4):
-            values = [_fixed_point(K, K * db_to_linear(db))(K) for db in range(-60, 3001, 60)]
+            values = [_fixed_point(K, K * db_to_linear(db))(K)[0] for db in range(-60, 3001, 60)]
             assert all(-4.0 * math.ulp(K) <= v < K for v in values)
             assert values[0] > 0.0
 
     @pytest.mark.parametrize("K", [2.0, 3.0, 10.0, 1e4, 1e12, 1e300, math.inf])
     def test_array_form_matches_scalar(self, K):
-        # The same operations in the same order: bit for bit wherever
-        # numpy's log1p and expm1 round like math's, a few ulps elsewhere.
+        # The same operations in the same order: residual and slope bit for
+        # bit wherever numpy's log1p and expm1 round like math's, a few ulps
+        # elsewhere.
         pi, frac = np.meshgrid(np.logspace(-7, 300, 61), np.linspace(0.0, 1.0, 11))
         lam = 1.0 + frac * (min(K, 1e3) - 1.0)
         pi, lam = pi.ravel(), lam.ravel()
         keep = np.isfinite(pi * lam)
         pi, lam = pi[keep], lam[keep]
         with np.errstate(all="ignore"):
-            batch = _fixed_point_many(K, pi, lam)
-        scalar = np.array([_fixed_point(K, p)(x) for p, x in zip(pi.tolist(), lam.tolist())])
+            batch = np.array(_fixed_point_many(K, pi, lam))
+        scalar = np.array([_fixed_point(K, p)(x) for p, x in zip(pi.tolist(), lam.tolist())]).T
         t = pi * lam
         z = (np.log1p(t) / K).tolist()
         same = (np.log1p(t) == [math.log1p(x) for x in t.tolist()]) & (
             np.expm1(np.negative(z)) == [math.expm1(-x) for x in z])
         assert same.mean() > 0.9
-        assert np.array_equal(batch[same], scalar[same])
+        assert np.array_equal(batch[:, same], scalar[:, same])
         assert np.allclose(batch, scalar, rtol=0.0, atol=1e-15 * lam.max())
 
     def test_array_form_leaves_overflow_to_the_scalar_solver(self):
         with np.errstate(all="ignore"):
-            assert np.isnan(_fixed_point_many(np.array([2.0, math.inf]), 1e308, 2.0)).all()
-        assert math.isfinite(_fixed_point(2.0, 1e308)(2.0))
-        assert math.isfinite(_fixed_point(math.inf, 1e308)(2.0))
+            assert np.isnan(_fixed_point_many(np.array([2.0, math.inf]), 1e308, 2.0)[0]).all()
+        for K in (2.0, math.inf):
+            assert all(math.isfinite(v) for v in _fixed_point(K, 1e308)(2.0))
+
+    @pytest.mark.parametrize("K", [2.0, 10.0, 1e4, math.inf])
+    def test_slope_matches_mpmath(self, K):
+        # r' = 1 - (exp(-z) - G_K/(1+t))/lam against 50-digit differentiation
+        # of lam - G_K(pi*lam), from the series path below t = 1e-8 to an
+        # overflowing t, where G_K/(1+t) is 0.  It lies in (0, 1], and at
+        # lam = 1 with a large pi, where it is about ln(t)/t, it rounds to 0.
+        with mp.workdps(50):
+            for pi in (1e-12, 1e-3, 0.5, 5.38, 1e3, 1e300, 1e307):
+                def exact(x, pi=mp.mpf(pi)):
+                    L = mp.log1p(pi * x)
+                    G = (1 + 1 / (pi * x)) * L
+                    return x - (G if K == math.inf else G * K * -mp.expm1(-L / K) / L)
+
+                for lam in (1.0, 1.5, 2.0, 9.0, 700.0):
+                    slope = _fixed_point(K, pi)(lam)[1]
+                    assert 0.0 <= slope <= 1.0
+                    assert slope == pytest.approx(float(mp.diff(exact, mp.mpf(lam))),
+                                                  rel=1e-13, abs=1e-15)
 
 
 class TestMassiveParametric:

@@ -1,5 +1,5 @@
-"""Solver tests: bisection kernel, finite and massive roots, the parametric
-cross-check, curve sweeps, and peak search."""
+"""Solver tests: the ITP and Newton kernels, finite and massive roots, the
+parametric cross-check, curve sweeps, and peak search."""
 
 from __future__ import annotations
 
@@ -10,11 +10,14 @@ from fractions import Fraction
 
 import pytest
 
+import numpy as np
+
 import macgain.solvers as solvers_module
 from conftest import (
     brute_peak_k2,
     frozen_bisect,
     frozen_fixed_point,
+    massive_certified,
     raw_residual,
     sign_scan_root,
 )
@@ -28,7 +31,9 @@ from macgain.solvers import (
     MAX_GRID_POINTS,
     MAX_ITER,
     NoPeakError,
+    _NEWTON_N0,
     _bisect,
+    _newton,
     db_grid,
     eval_point,
     find_peak,
@@ -37,7 +42,7 @@ from macgain.solvers import (
     solve_lambda_star,
     sweep_curve,
 )
-from macgain.verify import BoundReport, SampleSpec, draw_samples
+from macgain.verify import BoundReport, SampleSpec, _newton_many, draw_samples
 
 # Root of the three-user balance equation at P = 10, solved before the build
 # by an independent scan-and-refine pass over the raw residual.
@@ -94,23 +99,137 @@ def _bisection_steps(lo: float, hi: float, tol: float) -> int:
     return (math.ceil(Fraction(hi - lo) / Fraction(tol)) - 1).bit_length()
 
 
+def _newton_both(fn, lo, hi, tol=LAMBDA_TOL, max_iter=MAX_ITER, d_hi=None):
+    """_newton's result, or its error message, and the points it evaluated.
+
+    fn(x) returns (f, f'); d_hi, if given, replaces f'(hi).  A one-element
+    verify._newton_many run must evaluate the same points and return the
+    same bits, or report the NaN or the step cap where _newton raises.
+    """
+    (f_lo, _), (f_hi, slope) = fn(lo), fn(hi)
+    d_hi = slope if d_hi is None else d_hi
+    points, batch_points = [], []
+
+    def logged(x):
+        points.append(x)
+        return fn(x)
+
+    def batch_fn(x, i):
+        batch_points.append(float(x[0]))
+        return tuple(np.array([v]) for v in fn(float(x[0])))
+
+    try:
+        outcome = _newton(logged, lo, hi, f_lo, f_hi, d_hi, tol, max_iter)
+    except ConvergenceError as err:
+        outcome = str(err)
+    with np.errstate(all="ignore"):
+        x, f, iterations = _newton_many(
+            batch_fn, *(np.array([v]) for v in (lo, hi, f_lo, f_hi, d_hi)), tol, max_iter)
+    assert [p.hex() for p in batch_points] == [p.hex() for p in points]
+    if isinstance(outcome, tuple):
+        assert _bits((float(x[0]), float(f[0]), int(iterations[0]))) == _bits(outcome)
+    elif "NaN" in outcome:
+        assert math.isnan(f[0]) and iterations[0] == len(points)
+    else:
+        assert iterations[0] == max_iter
+    return outcome, points
+
+
+def _cubic(root):
+    """(x - root) + (x - root)**3 and its slope: increasing, with a root Newton converges to."""
+    return lambda x: ((x - root) + (x - root) ** 3, 1.0 + 3.0 * (x - root) ** 2)
+
+
+class TestNewtonKernel:
+    """_newton, and verify._newton_many beside it bit for bit, on residuals with known paths."""
+
+    def test_simple_root(self):
+        (x, fx, iters), points = _newton_both(_cubic(0.3), 0.0, 1.0)
+        assert x == pytest.approx(0.3, abs=1e-12)
+        assert abs(fx) < 1e-12
+        assert 0 < iters == len(points) <= 8
+
+    def test_exact_zero_short_circuit(self):
+        # Newton from hi = 1 lands on 0.5 exactly.
+        (x, fx, iters), _ = _newton_both(lambda x: (x - 0.5, 1.0), 0.0, 1.0)
+        assert (x, fx, iters) == (0.5, 0.0, 1)
+
+    def test_iteration_cap(self):
+        outcome, points = _newton_both(lambda x: (x * x - 5.0, 2.0 * x), 0.0, 4.0,
+                                       tol=1e-30, max_iter=5)
+        assert outcome.endswith("wider than 1e-30 after 5 iterations") and len(points) == 5
+
+    def test_float_exhaustion_stops(self):
+        lo, hi = 1.0, math.nextafter(1.0, 2.0)
+        (x, fx, iters), points = _newton_both(lambda x: (x - 2.0, 1.0), lo, hi, tol=0.0)
+        assert (x, iters, points) == (hi, 0, [])
+
+    def test_nan_raises(self):
+        outcome, points = _newton_both(
+            lambda x: (math.nan, math.nan) if 0.2 < x < 0.9 else (x - 0.3, 1.0), 0.0, 1.0)
+        assert outcome == "residual is NaN at lam=0.30000000000000004"
+        assert points == [1.0 - 0.7]
+
+    def test_probe_closes_the_bracket(self):
+        # Newton from 4 reaches sqrt(5) from above and stays above it; once
+        # a step is below tol/4, the next point is tol/4 below the last,
+        # which brackets the root in about a quarter of tol.
+        (x, fx, iters), points = _newton_both(lambda x: (x * x - 5.0, 2.0 * x), 0.0, 4.0)
+        assert points[-1] == points[-2] - 0.25 * LAMBDA_TOL
+        assert points[-1] * points[-1] < 5.0 < points[-2] * points[-2]
+        assert x == points[-2] and iters == len(points) <= 7
+
+    def test_step_too_short_to_move_probes_at_once(self):
+        # At hi the Newton step is 1e-20, which rounds away: hi is its own
+        # Newton point, so the first point is the probe below it.
+        (x, fx, iters), points = _newton_both(
+            lambda x: (1e-20 if x == 1.0 else x - 0.5, 1.0), 0.0, 1.0)
+        assert points == [1.0 - 0.25 * LAMBDA_TOL, 0.5]
+        assert (x, fx, iters) == (0.5, 0.0, 2)
+
+    @pytest.mark.parametrize("stall", [1e3, 1e9, 1e15])
+    def test_never_beyond_n0_steps_past_bisection(self, stall):
+        # A slope far above the residual's makes every Newton step short
+        # but above tol/4, so Newton from hi crawls.  The budget takes the
+        # midpoint once the bracket is wider than 2**(N0 - j) times its
+        # start, which at 1e9 happens from step N0 + 1 on, every step after.
+        bound = _bisection_steps(0.0, 1.0, LAMBDA_TOL) + _NEWTON_N0
+        (x, _, iters), _ = _newton_both(lambda x: (x - 0.3, stall), 0.0, 1.0)
+        assert x == pytest.approx(0.3, abs=LAMBDA_TOL)
+        assert iters <= bound
+        if stall == 1e9:
+            assert iters == bound
+
+    def test_bounded_when_newton_overshoots(self):
+        # atan's Newton steps from far out leave the bracket.
+        (x, _, iters), _ = _newton_both(
+            lambda x: (math.atan(x - 0.3), 1.0 / (1.0 + (x - 0.3) ** 2)), -40.0, 50.0)
+        assert x == pytest.approx(0.3, abs=LAMBDA_TOL)
+        assert iters <= _bisection_steps(-40.0, 50.0, LAMBDA_TOL) + _NEWTON_N0
+
+
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """(lo, hi, tol, steps) of every _bisect call that a solve makes."""
+    """(lo, hi, tol, steps) of every _bisect or _newton call that a solve makes."""
     calls = []
-    kernel = solvers_module._bisect
 
-    def logged(fn, lo, hi, f_lo, f_hi, tol, max_iter):
-        result = kernel(fn, lo, hi, f_lo, f_hi, tol, max_iter)
-        calls.append((lo, hi, tol, result[2]))
-        return result
+    def logging(kernel):
+        def logged(fn, lo, hi, *rest):
+            result = kernel(fn, lo, hi, *rest)
+            calls.append((lo, hi, rest[-2], result[2]))
+            return result
+        return logged
 
-    monkeypatch.setattr(solvers_module, "_bisect", logged)
+    for name in ("_bisect", "_newton"):
+        monkeypatch.setattr(solvers_module, name, logging(getattr(solvers_module, name)))
     return calls
 
 
 class TestITPSteps:
-    """ITP keeps bisection's worst case, and beats it on average."""
+    """The root kernels keep within a step of bisection on every grid, and beat it on average.
+
+    Newton steps roots lam, ITP steps the parametric inversion.
+    """
 
     @pytest.mark.parametrize(
         "solve_grid",
@@ -130,26 +249,26 @@ class TestITPSteps:
         assert over == []
 
     def test_mean_steps_on_the_sample_box(self):
-        # The verify sample box: 9.6 evaluations per root, where bisection
-        # of the same brackets takes 44.4 (the upper end included).
+        # The verify sample box: 5.6 evaluations per root, at most 7, where
+        # bisection of the same brackets takes 44.4 (the upper end included)
+        # and ITP steps took 9.6.
         K, P = draw_samples(SampleSpec(seed=42, n_samples=2000))
         steps = [solve_lambda_star(int(k), float(p)).iterations for k, p in zip(K, P)]
-        assert statistics.mean(steps) <= 10
+        assert statistics.mean(steps) <= 7
 
     def test_mean_steps_on_the_oracle_grid(self):
         # Bisection of the same brackets takes 45.5 evaluations per root
-        # here.  The fixed-point residual has no pole at lam = K and the
-        # bracket's upper end is closed-form: 8.7 evaluations, at most 11.
+        # here and ITP steps took 8.7: Newton steps take 4.5, at most 7.
         steps = [solve_lambda_star(K, db_to_linear(power_db)).iterations
                  for K in GRID_USERS for power_db in GRID_POWER_DB]
-        assert statistics.mean(steps) <= 9
+        assert statistics.mean(steps) <= 6
 
     def test_mean_steps_on_the_massive_grid(self):
-        # -300 to 3050 dB: 8.7 evaluations per root, at most 12, where
-        # bisection of the same brackets takes 50.
+        # -300 to 3050 dB: 4.1 evaluations per root, at most 6, where
+        # bisection of the same brackets takes 50 and ITP steps took 8.7.
         steps = [solve_lambda_massive(db_to_linear(pi_db)).iterations
                  for pi_db in MASSIVE_POWER_DB]
-        assert statistics.mean(steps) <= 10
+        assert statistics.mean(steps) <= 5
 
 
 def _bits(result):
@@ -157,23 +276,44 @@ def _bits(result):
     return tuple(v.hex() if isinstance(v, float) else v for v in result)
 
 
-def _kernel_results(monkeypatch, frozen, run):
-    """_bits of every _bisect result while run() solves, in call order.
+def _batch_of_one(fn, lo, hi, f_lo, f_hi, d_hi, tol, max_iter):
+    """_newton's call as a one-element verify._newton_many call, fed fn's scalar bits."""
+    def batch_fn(x, i):
+        return tuple(np.array([v]) for v in fn(float(x[0])))
 
-    frozen swaps in conftest's reference kernel and residual.
+    arrays = (np.array([v]) for v in (lo, hi, f_lo, f_hi, d_hi))
+    x, f, iterations = _newton_many(batch_fn, *arrays, tol, max_iter)
+    return float(x[0]), float(f[0]), int(iterations[0])
+
+
+def _frozen_pair(K, pi):
+    """conftest's frozen residual, with the slope of core._fixed_point."""
+    old, new = frozen_fixed_point(K, pi), _fixed_point(K, pi)
+    return lambda lam: (old(lam), new(lam)[1])
+
+
+def _kernel_results(monkeypatch, frozen, run):
+    """_bits of every _bisect and _newton result while run() solves, in call order.
+
+    frozen swaps in conftest's reference ITP kernel and residual, and runs
+    each Newton root as a one-element batch of verify's kernel.
     """
-    kernel = frozen_bisect if frozen else solvers_module._bisect
+    kernels = {"_bisect": frozen_bisect if frozen else solvers_module._bisect,
+               "_newton": _batch_of_one if frozen else solvers_module._newton}
     results = []
 
-    def logged(*args):
-        result = kernel(*args)
-        results.append(_bits(result))
-        return result
+    def logging(kernel):
+        def logged(*args):
+            result = kernel(*args)
+            results.append(_bits(result))
+            return result
+        return logged
 
     with monkeypatch.context() as patch:
-        patch.setattr(solvers_module, "_bisect", logged)
+        for name, kernel in kernels.items():
+            patch.setattr(solvers_module, name, logging(kernel))
         if frozen:
-            patch.setattr(solvers_module, "_fixed_point", frozen_fixed_point)
+            patch.setattr(solvers_module, "_fixed_point", _frozen_pair)
         run()
     return results
 
@@ -185,7 +325,11 @@ def _sample_box():
 
 
 class TestBitIdentity:
-    """The leaner scalar loops repeat the reference kernel's floats exactly."""
+    """The kernels repeat their references' floats exactly.
+
+    The ITP loop repeats conftest's frozen kernel, and every Newton root of
+    a solve is repeated bit for bit by verify's batched kernel.
+    """
 
     @pytest.mark.parametrize("run", [
         pytest.param(lambda: [solve_lambda_star(K, db_to_linear(power_db))
@@ -248,7 +392,7 @@ class TestBitIdentity:
         for K in (2.0, 10.0, 1e15, math.inf):
             for pi in (1e-30, 1e-9, 0.5, 5.38, 1e9, 1e307):
                 new, old = _fixed_point(K, pi), frozen_fixed_point(K, pi)
-                assert [new(lam).hex() for lam in lams] == [old(lam).hex() for lam in lams]
+                assert [new(lam)[0].hex() for lam in lams] == [old(lam).hex() for lam in lams]
 
 
 class TestSolverSettings:
@@ -281,7 +425,7 @@ class TestFiniteSolver:
         pi = sol.config.total_power
         assert 1.0 <= sol.lambda_star <= K
         assert abs(raw_residual(sol.lambda_star, K, P)) <= 1e-10
-        assert sol.residual == _fixed_point(float(K), pi)(sol.lambda_star)
+        assert sol.residual == _fixed_point(float(K), pi)(sol.lambda_star)[0]
         assert sol.capacity_nofb == math.log1p(pi)
         assert sol.capacity_fb == math.log1p(pi * sol.lambda_star)
         assert sol.gain_F == sol.capacity_fb / sol.capacity_nofb
@@ -318,7 +462,11 @@ class TestFiniteSolver:
         # which neither the degenerate pin nor the cap root accepts.
         def negated(K, pi):
             residual = _fixed_point(K, pi)
-            return lambda lam: -residual(lam)
+
+            def flipped(lam):
+                r, slope = residual(lam)
+                return -r, -slope
+            return flipped
 
         monkeypatch.setattr(solvers_module, "_fixed_point", negated)
         with pytest.raises(BracketError):
@@ -327,8 +475,9 @@ class TestFiniteSolver:
             solve_lambda_massive(5.38)
 
     def test_unreachable_tolerance_raises(self, monkeypatch):
-        monkeypatch.setattr(solvers_module, "MAX_ITER", 5)
-        with pytest.raises(ConvergenceError, match="after 5 iterations for K=3, P=10.0"):
+        # Newton steps take 4 here.
+        monkeypatch.setattr(solvers_module, "MAX_ITER", 3)
+        with pytest.raises(ConvergenceError, match="after 3 iterations for K=3, P=10.0"):
             solve_lambda_star(3, 10.0)
 
 
@@ -461,12 +610,39 @@ class TestParametricCrossCheck:
         assert lam == pytest.approx(697.322776, abs=5e-7)
         assert lam == pytest.approx(solve_lambda_massive(1e300).lambda_star, rel=1e-9)
 
+    @pytest.mark.parametrize("pi_db", [3051.5, 3053.0, 3054.0])
+    def test_clipped_upper_end_at_the_top(self, pi_db):
+        # pi*s overflows at the bound, but not at the root, where t is
+        # about 1e308: the clipped bracket still holds it.
+        pi = db_to_linear(pi_db)
+        t, lam = invert_massive_parametric(pi)
+        assert math.isfinite(t)
+        assert massive_certified(pi, lam, 1e-12)
+        assert lam == pytest.approx(solve_lambda_massive(pi).lambda_star, rel=1e-12)
+
+    def test_clip_is_the_largest_finite_s(self, monkeypatch):
+        caps = []
+        root = solvers_module._root
+
+        def logged(fn, cap, pi, *rest, **kwargs):
+            caps.append((pi, cap))
+            return root(fn, cap, pi, *rest, **kwargs)
+
+        monkeypatch.setattr(solvers_module, "_root", logged)
+        for pi_db in np.linspace(3050.0, 3054.0, 161).tolist():
+            invert_massive_parametric(db_to_linear(pi_db))
+        clipped = [(pi, cap) for pi, cap in caps if cap < math.inf]
+        assert len(clipped) > 100
+        for pi, cap in clipped:
+            assert pi * cap < math.inf and pi * math.nextafter(cap, math.inf) == math.inf
+
     @pytest.mark.parametrize("pi_db", [3055.0, 3080.0])
     def test_overflowing_overshoot_raises(self, pi_db):
-        # t = pi*s overflows before the overshoot turns positive, so the
-        # parametrization returns NaN; that is no root.
-        with pytest.raises(ConvergenceError, match="NaN"):
-            invert_massive_parametric(db_to_linear(pi_db))
+        # t = pi*s overflows before the overshoot turns positive: the root's
+        # t is beyond the float range, and the power is refused by name.
+        pi = db_to_linear(pi_db)
+        with pytest.raises(ValueError, match=re.escape(f"total power {pi!r} is beyond")):
+            invert_massive_parametric(pi)
 
 
 class TestEvalPoint:
@@ -590,7 +766,7 @@ class TestFindPeak:
 
         monkeypatch.setattr(solvers_module, "_bisect", logged)
         peak = find_peak(users)
-        pi_db, g, _ = returned[-1]  # the search's; each solve's came before
+        pi_db, g, _ = returned[-1]  # the search's
         assert pi_db == peak.pi_star_db
         assert peak.pi_star == db_to_linear(peak.pi_star_db)
         assert 1.0 < peak.F_star < 2.0

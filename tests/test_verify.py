@@ -20,14 +20,14 @@ from macgain.solvers import (
     DEFAULT_USERS,
     BracketError,
     ConvergenceError,
-    _bisect,
+    _newton,
     eval_point,
     solve_lambda_massive,
     solve_lambda_star,
     sweep_curve,
 )
 from macgain.verify import (
-    _bisect_many,
+    _newton_many,
     _report,
     _root_many,
     BoundReport,
@@ -286,11 +286,11 @@ class TestRunSuite:
         assert run_suite(SampleSpec(seed=7, n_samples=10)) == reports
 
     def test_solver_errors_propagate(self, monkeypatch):
-        # Five bisection steps cannot narrow any sample's bracket to
+        # Two Newton steps cannot narrow any sample's bracket to
         # LAMBDA_TOL; the suite raises the scalar solver's error instead of
         # reporting it.
-        monkeypatch.setattr(macgain.solvers, "MAX_ITER", 5)
-        with pytest.raises(ConvergenceError, match="after 5 iterations"):
+        monkeypatch.setattr(macgain.solvers, "MAX_ITER", 2)
+        with pytest.raises(ConvergenceError, match="after 2 iterations"):
             run_suite(SampleSpec(seed=1, n_samples=10))
 
     def test_sabotage_is_flagged(self):
@@ -320,8 +320,8 @@ class TestRunSuite:
 GOLDEN_LINES = [
     "point_bounds: pass samples=50000 violations=0 worst_slack=1.087676e-07 "
     "witness[bracket_cap at K=9921 P=930.265]",
-    "root_quality: pass samples=30000 violations=0 worst_slack=9.998579e-11 "
-    "witness[residual_within_tol at K=2 P=957.194]",
+    "root_quality: pass samples=30000 violations=0 worst_slack=9.998490e-11 "
+    "witness[residual_within_tol at K=2 P=758.698]",
     "sandwich_large_k: pass samples=8 violations=0 worst_slack=2.308710e-06 "
     "witness[fixed_point_ceiling at K=100000000 P=1]",
     "tail_bounds: pass samples=136 violations=0 worst_slack=7.238240e-08 "
@@ -431,67 +431,98 @@ class TestReport:
         assert report.violations == 2 and report.witness == "a at row2"
 
 
+def _cube(root):
+    """x**3 - root**3 with its slope, as fn(x, i) and its scalar twin.
+
+    Its slope vanishes at 0, so Newton from the upper end of [0, 1] is slow
+    and the budget's midpoints take over: both phases of the kernel run.
+    """
+    def scalar(x):
+        return x * x * x - root * root * root, 3.0 * x * x
+
+    def batch(x, i):
+        return x * x * x - root * root * root, 3.0 * x * x
+
+    return scalar, batch
+
+
 class TestBatchedSolve:
-    """The batched bisection against the scalar solvers it stands in for."""
+    """The batched Newton kernel against the scalar solvers it stands in for."""
 
     @pytest.mark.parametrize(
         "lo, hi, root, tol, max_iter",
         [
-            (0.0, 1.0, 0.3, 1e-12, 200),  # ordinary root
-            (0.0, 1.0, 0.5, 1e-12, 200),  # exact zero at the first midpoint
+            (0.0, 1.0, 0.3, 1e-12, 200),  # Newton steps, then midpoints
+            (0.0, 1.0, 0.5, 1e-12, 200),  # an exact zero at 0.5
             (0.0, 1.0, 0.3, 1e-30, 7),  # iteration cap
             (1.0, math.nextafter(1.0, 2.0), 2.0, 0.0, 200),  # no float between ends
             (-3.0, 5.0, 1.0 / 3.0, 1e-15, 200),
-            (0.0, 1.0, 0.5, 2.0, 200),  # no step; |f| ties, lo wins
+            (0.0, 1.0, 0.5, 2.0, 200),  # no step; lo has the smaller |f|
         ],
     )
     def test_kernel_matches_scalar_bisect(self, lo, hi, root, tol, max_iter):
-        # Four copies of the bracket, so every lane must take the same path.
-        x, fx, iters = _bisect_many(
-            lambda x, i: x - root, np.full(4, lo), np.full(4, hi),
-            np.full(4, lo - root), np.full(4, hi - root), tol, max_iter,
+        # Four copies of the bracket, so every lane must take the same path
+        # as the scalar _newton.
+        scalar, batch = _cube(root)
+        (f_lo, _), (f_hi, d_hi) = scalar(lo), scalar(hi)
+        x, fx, iters = _newton_many(
+            batch, np.full(4, lo), np.full(4, hi), np.full(4, f_lo), np.full(4, f_hi),
+            np.full(4, d_hi), tol, max_iter,
         )
-        args = (lambda x: x - root, lo, hi, lo - root, hi - root, tol, max_iter)
+        args = (scalar, lo, hi, f_lo, f_hi, d_hi, tol, max_iter)
         if max_iter == 7:
             # The scalar kernel raises at the cap; the batch reports the
             # steps, and its callers hand such lanes to the scalar solver.
             with pytest.raises(ConvergenceError, match="after 7 iterations"):
-                _bisect(*args)
+                _newton(*args)
             assert list(iters) == [7] * 4
             return
-        want = _bisect(*args)
+        want = _newton(*args)
         for lane in range(4):
             assert (float(x[lane]), float(fx[lane]), int(iters[lane])) == want
 
     def test_kernel_stops_a_nan_lane_alone(self):
-        x, fx, iters = _bisect_many(
-            lambda x, i: np.where(x > 0.0, x - 0.3, math.nan),
+        # Lane 1's slope at hi is 0.5, so its first Newton point is
+        # 1 - 0.7/0.5 = -0.4, where the residual is NaN.
+        x, fx, iters = _newton_many(
+            lambda x, i: (np.where(x > 0.0, x - 0.3, math.nan), np.ones_like(x)),
             np.array([0.0, -1.0]), np.array([1.0, 1.0]),
-            np.array([-0.3, -1.3]), np.array([0.7, 0.7]), 1e-12, 200,
+            np.array([-0.3, -1.3]), np.array([0.7, 0.7]), np.array([1.0, 0.5]),
+            1e-12, 200,
         )
         # Lane 0 runs on after lane 1 stops, exactly as the scalar loop.
-        want = _bisect(lambda x: x - 0.3, 0.0, 1.0, -0.3, 0.7, 1e-12, 200)
+        want = _newton(lambda x: (x - 0.3, 1.0), 0.0, 1.0, -0.3, 0.7, 1.0, 1e-12, 200)
         assert (float(x[0]), float(fx[0]), int(iters[0])) == want
         assert want[2] > 1
-        assert math.isnan(fx[1]) and x[1] == 0.0 and iters[1] == 1
+        assert math.isnan(fx[1]) and x[1] == 1.0 - 0.7 / 0.5 and iters[1] == 1
 
     @pytest.mark.parametrize(
-        "fn, lo, hi, f_lo, f_hi, tol",
+        "fn, lo, hi, f_lo, f_hi, d_hi, tol",
         [
-            # An infinite end residual makes the regula-falsi point NaN.
-            (lambda x: x * x - 0.2, 0.0, 1.0, -math.inf, 0.8, 1e-12),
-            (lambda x: x * x - 0.2, 0.1, 1.0, -0.19, math.inf, 1e-12),
-            # lo * f_hi overflows: the regula-falsi point is +inf, and the
-            # projection puts it on the upper end.
-            (lambda x: x - 1.3e200, 1e200, 2e200, -0.3e200, 0.7e200, 1e-12),
+            # An infinite residual at hi over an infinite slope: the Newton
+            # step inf/-inf or inf/inf is NaN.
+            (lambda x: (x * x - 0.2, 2.0 * x), 0.0, 1.0, -0.2, math.inf, -math.inf,
+             1e-12),
+            (lambda x: (x * x - 0.2, 2.0 * x), 0.0, 1.0, -0.2, math.inf, math.inf, 1e-12),
+            # 1 - 0.7/0.7 = 0 lands on the bracket's lower end.
+            (lambda x: (x - 0.3, 0.7 + 0.0 * x), 0.0, 1.0, -0.3, 0.7, 0.7, 1e-12),
+            # A zero or NaN slope has no Newton point: every step bisects.
+            (lambda x: (x - 0.3, 0.0 * x), 0.0, 1.0, -0.3, 0.7, 0.0, 1e-12),
+            (lambda x: (x - 0.3, math.nan + 0.0 * x), 0.0, 1.0, -0.3, 0.7, math.nan,
+             1e-12),
+            # 1 - 0.7/0.1 = -6 lies below the bracket.
+            (lambda x: (x - 0.3, 0.1 + 0.0 * x), 0.0, 1.0, -0.3, 0.7, 0.1, 1e-12),
+            # A negative slope's step is below tol/4 but points out of the
+            # bracket: the midpoint, not a probe, comes next.
+            (lambda x: (x - 0.3, -1e15 + 0.0 * x), 0.0, 1.0, -0.3, 0.7, -1e15, 1e-12),
             # No float between the ends: no step at all.
-            (lambda x: x - 1.0 - 2.0**-53, 1.0, math.nextafter(1.0, 2.0),
-             -(2.0**-53), 2.0**-53, 0.0),
+            (lambda x: (x - 1.0 - 2.0**-53, 1.0 + 0.0 * x), 1.0, math.nextafter(1.0, 2.0),
+             -(2.0**-53), 2.0**-53, 1.0, 0.0),
         ],
         ids=["nan_from_lower_inf", "nan_from_upper_inf", "projected_onto_end",
-             "adjacent_floats"],
+             "zero_slope", "nan_slope", "outside", "negative_slope", "adjacent_floats"],
     )
-    def test_fallback_takes_the_midpoint(self, fn, lo, hi, f_lo, f_hi, tol):
+    def test_fallback_takes_the_midpoint(self, fn, lo, hi, f_lo, f_hi, d_hi, tol):
         scalar_steps, batch_steps = [], []
 
         def scalar_fn(x):
@@ -502,10 +533,11 @@ class TestBatchedSolve:
             batch_steps.append(float(x[0]))
             return fn(x)
 
-        want = _bisect(scalar_fn, lo, hi, f_lo, f_hi, tol, 200)
+        want = _newton(scalar_fn, lo, hi, f_lo, f_hi, d_hi, tol, 200)
         with np.errstate(all="ignore"):
-            x, fx, iters = _bisect_many(batch_fn, np.array([lo]), np.array([hi]),
-                                        np.array([f_lo]), np.array([f_hi]), tol, 200)
+            x, fx, iters = _newton_many(batch_fn, np.array([lo]), np.array([hi]),
+                                        np.array([f_lo]), np.array([f_hi]),
+                                        np.array([d_hi]), tol, 200)
         assert (float(x[0]), float(fx[0]), int(iters[0])) == want
         assert batch_steps == scalar_steps
         if tol == 0.0:
@@ -514,15 +546,15 @@ class TestBatchedSolve:
         # The first step is the midpoint.  The kernel stops on an exact
         # zero or inside a (-, +) bracket at most tol wide.
         assert scalar_steps[0] == 0.5 * (lo + hi)
-        below = max([lo] + [s for s in scalar_steps if fn(s) < 0.0])
-        above = min([hi] + [s for s in scalar_steps if fn(s) > 0.0])
+        below = max([lo] + [s for s in scalar_steps if fn(s)[0] < 0.0])
+        above = min([hi] + [s for s in scalar_steps if fn(s)[0] > 0.0])
         assert want[1] == 0.0 or (above - below <= tol and below <= want[0] <= above)
 
     def test_nan_inside_the_bracket_goes_to_the_scalar_solver(self, monkeypatch):
-        # The ends bracket the root, but the first ITP point is NaN: the
+        # The ends bracket the root, but the first Newton point is NaN: the
         # scalar solver raises there, so the batch must not keep the point.
         def fn(K, pi, lam):
-            return np.where(np.abs(lam - 1.5) < 0.1, math.nan, lam - 1.5)
+            return np.where(np.abs(lam - 1.5) < 0.1, math.nan, lam - 1.5), np.ones_like(lam)
 
         handed = []
 
@@ -537,11 +569,12 @@ class TestBatchedSolve:
         assert handed == [(2, 0.5, 1.0)]
 
     def test_batch_matches_scalar_bits_with_scalar_residuals(self, monkeypatch):
-        # The ITP points depend on residual values, so a batch fed exactly
-        # the scalar residual's bits must return exactly the scalar roots.
+        # The Newton points depend on residual and slope values, so a batch
+        # fed exactly the scalar pair's bits must return exactly the scalar
+        # roots.
         def scalar_kernel(K, pi, lam):
-            return np.array([_fixed_point(k, p)(x) for k, p, x
-                             in zip(K.tolist(), pi.tolist(), lam.tolist())])
+            return tuple(np.array([_fixed_point(k, p)(x) for k, p, x
+                                   in zip(K.tolist(), pi.tolist(), lam.tolist())]).T)
 
         monkeypatch.setattr(macgain.verify, "_fixed_point_many", scalar_kernel)
         K, P = draw_samples(SampleSpec(seed=42, n_samples=500))
@@ -577,19 +610,20 @@ class TestBatchedSolve:
                                        rel=1e-10)
 
     def test_unconverged_element_raises_like_scalar(self, monkeypatch):
-        # Nine ITP steps settle K=100 at pi=100 but not K=2 at pi=1000, in
-        # the batch as in the scalar solver, which raises for it.
-        monkeypatch.setattr(macgain.solvers, "MAX_ITER", 9)
+        # Five Newton steps settle K=100 at pi=100 (it takes 4) but not K=10
+        # at pi=1 (it takes 6), in the batch as in the scalar solver, which
+        # raises for it.
+        monkeypatch.setattr(macgain.solvers, "MAX_ITER", 5)
         solve_lambda_star(100, 1.0)
-        with pytest.raises(ConvergenceError, match="after 9 iterations"):
-            solve_lambda_star(2, 500.0)
+        with pytest.raises(ConvergenceError, match="after 5 iterations"):
+            solve_lambda_star(10, 0.1)
         with pytest.raises(ConvergenceError,
-                           match="after 9 iterations for K=2, P=500.0"):
-            _root_many(np.array([100, 2, 100]), np.array([100.0, 1000.0, 100.0]))
+                           match="after 5 iterations for K=10, P=0.1"):
+            _root_many(np.array([100, 10, 100]), np.array([100.0, 1.0, 100.0]))
 
     def test_first_failure_in_input_order_wins(self, monkeypatch):
-        # Five steps settle neither element; each raises in the scalar solver.
-        monkeypatch.setattr(macgain.solvers, "MAX_ITER", 5)
+        # Two steps settle neither element; each raises in the scalar solver.
+        monkeypatch.setattr(macgain.solvers, "MAX_ITER", 2)
         K, pi = np.array([2, 10]), np.array([1000.0, 1000.0])
         for order, first in (([0, 1], "K=2, P="), ([1, 0], "K=10, P=")):
             with pytest.raises(ConvergenceError, match=first):
@@ -611,7 +645,7 @@ class TestBatchedSolve:
         lam = _root_many(np.full(top.size, math.inf), top)
         assert handed == top[1:].tolist()
         assert lam.tolist() == [solve_lambda_massive(pi).lambda_star for pi in top]
-        monkeypatch.setattr(macgain.solvers, "MAX_ITER", 5)
+        monkeypatch.setattr(macgain.solvers, "MAX_ITER", 2)
         with pytest.raises(ConvergenceError, match=re.escape(f"pi={float(top[1])!r}")):
             _root_many(np.full(3, math.inf), np.array([top[1], 1e300, 5.38]))
 
