@@ -149,10 +149,11 @@ class GainSolution(NamedTuple):
     ``residual`` is the solver's residual at the returned root,
     lam - G_K(pi*lam) for the fixed-point map of :func:`_fixed_point`,
     with K = inf in the massive limit.  ``iterations`` counts the residual
-    evaluations after the one at lam = 1: the one at the bracket's upper end
-    and the Newton steps after it.  ``degenerate`` marks a power too
-    small for the residual to separate lam = 1 from the root: it is >= 0
-    already at lam = 1, so the gain is pinned to 1 (0 iterations).  The
+    evaluations after the one at lam = 1: the one at the bracket's upper
+    end, :func:`_lambda_bound`, and the Newton steps after it.
+    ``degenerate`` marks a power too small for the residual to separate
+    lam = 1 from the root: it is >= 0 already at lam = 1, so the gain is
+    pinned to 1 (0 iterations).  The
     capacities are ln(1+pi) without and ln(1+pi*lam) with feedback, in
     nats, and ``gain_F`` is their ratio.
     """
@@ -228,16 +229,31 @@ def _fixed_point_many(K, pi, lam):
     return lam - G, 1.0 - (1.0 + e - G / u) / lam
 
 
-def _lambda_bound(pi, frexp):
+def _lambda_bound(pi, log1p):
     """A float above the power gain at total power pi, for every K; unvalidated.
 
     With a = ln(1+pi), G_K(t) <= (1 + 1/t)*ln(1+t) < 1 + ln(1+t) and
     ln(1 + pi*lam) <= a + ln(lam), so lam - G_K(pi*lam) > 1 - ln(2) at every
-    lam >= 2 + 2a.  Returns 2 + 2*ln(2)*e, e = frexp(1 + pi)[1], which is at
-    least 2 + 2a as 1 + pi < 2**e.  frexp is math.frexp, or np.frexp for
-    arrays: the two give the same bits, where log1p may not.
+    lam >= 2 + 2a.  Two steps of the massive map m(x) = (1 + 1/t)*ln(1+t),
+    t = pi*x, refine 2 + 2a: m increases and m(x) < x above its fixed point
+    lam_inf >= lam_K, so each step stays above lam_inf and closes on it, by
+    a factor of about 1/lam at large pi.  ln(1+t) is taken as
+    a + ln(1 + pi/(1+pi)*(x-1)) and (1 + 1/t)*L as L + L/t, so no step
+    overflows or divides by zero anywhere on the float range.  Where the
+    map contracts hard, at small pi, two steps may round onto the root; the
+    last step adds 1/(1+t), which is about 1 there, and below the float
+    spacing of the root where t is large, so the end is above the root in
+    floats, and about 2 where lam is about 1.  log1p is math.log1p, or
+    np.log1p for arrays, which may differ from math's in the last ulp.
     """
-    return 2.0 + math.log(4.0) * frexp(1.0 + pi)[1]
+    a = log1p(pi)
+    s = pi / (1.0 + pi)
+    x = 2.0 + 2.0 * a
+    L = a + log1p(s * (x - 1.0))
+    x = L + L / (pi * x)
+    L = a + log1p(s * (x - 1.0))
+    t = pi * x
+    return L + L / t + 1.0 / (1.0 + t)
 
 
 def db_residual(lam: float, K: int, P: float) -> float:

@@ -5,16 +5,17 @@ fixed point of one map, lam = G_K(pi*lam), the K-th root of the balance
 equation solved for lam.  Its residual lam - G_K(pi*lam), core._fixed_point,
 changes sign once on [1, K], with no pole at lam = K, and stays finite
 where pi*lam overflows; its slope comes with it in closed form.  One
-routine brackets it on [1, min(K, bound)] with core._lambda_bound's
-closed-form bound and narrows the bracket by safeguarded Newton steps,
-never more than _NEWTON_N0 steps beyond bisection; a root is accepted for
-its (-, +) bracket, never for a small residual, so nothing about
-convergence relies on numerical luck.  Peak search and the parametric
-inversion, whose residuals have no closed-form slope at hand, narrow
-their brackets by ITP steps (interpolate, truncate, project), never more
-than one step beyond bisection.  Peak search runs on the dB axis: the
-maximum of F is the (-, +) root of its negated slope, which
-core.dlambda_dpi gives in closed form.
+routine brackets it on [1, min(K, bound)], with core._lambda_bound's end
+two steps of the massive map above the root, and narrows the bracket by
+safeguarded Newton steps, never more than _NEWTON_N0 steps beyond
+bisection; a root is accepted for its (-, +) bracket, never for a small
+residual, so nothing about convergence relies on numerical luck.  The
+parametric inversion roots its own residual, whose root is the same power
+gain, by the same routine.  Peak search, whose residual has no
+closed-form slope at hand, narrows its bracket by ITP steps (interpolate,
+truncate, project), never more than one step beyond bisection.  It runs on
+the dB axis: the maximum of F is the (-, +) root of its negated slope,
+which core.dlambda_dpi gives in closed form.
 """
 
 from __future__ import annotations
@@ -205,13 +206,16 @@ def _newton(fn, lo: float, hi: float, f_lo: float, f_hi: float, d_hi: float,
     step takes the Newton point of the last evaluated point.  Once a Newton
     step is shorter than tol/4, the next step probes tol/4 beyond the point
     it reached, toward the root, which closes a (-, +) bracket around a
-    converged point; a step too short to move x probes at once.  The
-    midpoint is taken instead when that point is not strictly inside the
-    bracket (f' = 0 or NaN included), or when the bracket is wider than
-    2**(_NEWTON_N0 - j) times its initial width before step j: after step j
-    it is at most that wide, so no root takes more than
-    ceil(log2(width/tol)) + _NEWTON_N0 steps.  Stops like _bisect and
-    raises like it, on a NaN residual or after max_iter steps.  Returns
+    converged point; a step too short to move x probes at once.  Before
+    step j the bracket may be at most 2**(_NEWTON_N0 - j) times its initial
+    width; where it is wider, the point is projected into the interval
+    around the midpoint that keeps it so after the step, as ITP does, and
+    the point itself waits for the next step.  So no root takes more than
+    ceil(log2(width/tol)) + _NEWTON_N0 steps, and a projection on the
+    root's side of the midpoint shrinks the bracket past its half.  The
+    midpoint is taken instead when the point is not strictly inside the
+    bracket (f' = 0 or NaN included).  Stops like _bisect and raises like
+    it, on a NaN residual or after max_iter steps.  Returns
     (x, fn(x)[0], iterations) at the end of the final bracket with the
     smaller |f|, or at an exact zero.
     """
@@ -220,6 +224,7 @@ def _newton(fn, lo: float, hi: float, f_lo: float, f_hi: float, d_hi: float,
     quarter = 0.25 * tol
     x, f_x, d_x = hi, f_hi, d_hi
     probe = False
+    held = None  # a point the budget put off
     iterations = 0
     while width > tol:
         mid = 0.5 * (lo + hi)
@@ -232,8 +237,11 @@ def _newton(fn, lo: float, hi: float, f_lo: float, f_hi: float, d_hi: float,
             )
         # verify._newton_many takes the same points, pinned by
         # test_batch_matches_scalar_bits_with_scalar_residuals.  With
-        # f' = 0, x stays on a bracket end and the midpoint is taken.
-        if probe:
+        # f' = 0, x stays on a bracket end, and the midpoint or, over
+        # budget, its projection is taken.
+        if held is not None:
+            x, held = held, None
+        elif probe:
             x = x - quarter if f_x > 0.0 else x + quarter
             probe = False
         elif d_x:
@@ -245,8 +253,14 @@ def _newton(fn, lo: float, hi: float, f_lo: float, f_hi: float, d_hi: float,
                 x = x - step if probe else x - quarter if f_x > 0.0 else x + quarter
             else:
                 x -= step
-        if width > budget or not lo < x < hi:
-            x = mid
+        if width > budget:
+            r = budget - 0.5 * width
+            if x < mid - r:
+                x, held = mid - r, x
+            elif x > mid + r:
+                x, held = mid + r, x
+        if not lo < x < hi:
+            x, held = mid, None
             probe = False
         budget *= 0.5
         f_x, d_x = fn(x)
@@ -263,27 +277,23 @@ def _newton(fn, lo: float, hi: float, f_lo: float, f_hi: float, d_hi: float,
     return (lo, f_lo, iterations) if -f_lo <= f_hi else (hi, f_hi, iterations)
 
 
-def _root(fn, cap: float, pi: float, where,
-          newton: bool = True) -> tuple[float, float, int, bool]:
+def _root(fn, cap: float, bound: float, where) -> tuple[float, float, int, bool]:
     """Root of a residual f on [1, cap], negative below the root and positive above.
 
-    f's root is the power gain at total power pi: the bracket is [1, hi],
-    hi = min(cap, core._lambda_bound(pi)) with cap >= 2, narrowed to
-    LAMBDA_TOL by _newton's steps, fn returning (f, f'), or with newton
-    False by _bisect's ITP steps, fn returning f; the (-, +) bracket
-    certifies the root.  Returns (lam, f(lam), evaluations of fn after the
-    one at 1, degenerate).  If 0 <= f(1) < f(hi), the power is too small for
-    f to separate lam = 1 from the root, which is pinned to 1 as degenerate,
-    with 0 evaluations.  If f(1) < 0 and f(hi) <= 0 at hi = cap, the root
-    lies closer to the cap than f can resolve, and the cap is taken.  A NaN
-    or MAX_ITER steps raise ConvergenceError, any other sign pattern,
-    f(hi) <= 0 below the cap included, BracketError; every message ends
-    with where().
+    fn returns (f, f'), and bound is core._lambda_bound at the total power
+    whose power gain is f's root: the bracket is [1, hi], hi = min(cap,
+    bound) with cap >= 2, narrowed to LAMBDA_TOL by _newton's steps; the
+    (-, +) bracket certifies the root.  Returns (lam, f(lam), evaluations
+    of fn after the one at 1, degenerate).  If 0 <= f(1) < f(hi), the power
+    is too small for f to separate lam = 1 from the root, which is pinned
+    to 1 as degenerate, with 0 evaluations.  If f(1) < 0 and f(hi) <= 0 at
+    hi = cap, the root lies closer to the cap than f can resolve, and the
+    cap is taken.  A NaN or MAX_ITER steps raise ConvergenceError, any
+    other sign pattern, f(hi) <= 0 below the cap included, BracketError;
+    every message ends with where().
     """
-    hi = min(cap, _lambda_bound(pi, math.frexp))
-    lo, f_lo, f_hi = 1.0, fn(1.0), fn(hi)
-    if newton:
-        (f_lo, _), (f_hi, d_hi) = f_lo, f_hi
+    hi = cap if cap < bound else bound
+    (f_lo, _), (f_hi, d_hi) = fn(1.0), fn(hi)
     if 0.0 <= f_lo < f_hi:
         return 1.0, f_lo, 0, True
     if f_lo < 0.0 and f_hi <= 0.0 and hi == cap:
@@ -292,14 +302,11 @@ def _root(fn, cap: float, pi: float, where,
         if math.isnan(f_hi):  # pi*hi overflows inside fn; pi*1 cannot
             raise ConvergenceError(f"residual is NaN at lam={hi!r} for {where()}")
         raise BracketError(
-            f"residual must change sign from - to + on [{lo!r}, {hi!r}]; "
+            f"residual must change sign from - to + on [1.0, {hi!r}]; "
             f"got ({f_lo!r}, {f_hi!r}) for {where()}"
         )
     try:
-        if newton:
-            lam, res, iters = _newton(fn, lo, hi, f_lo, f_hi, d_hi, LAMBDA_TOL, MAX_ITER)
-        else:
-            lam, res, iters = _bisect(fn, lo, hi, f_lo, f_hi, LAMBDA_TOL, MAX_ITER)
+        lam, res, iters = _newton(fn, 1.0, hi, f_lo, f_hi, d_hi, LAMBDA_TOL, MAX_ITER)
     except ConvergenceError as err:
         raise ConvergenceError(f"{err} for {where()}") from None
     return lam, res, 1 + iters, False
@@ -311,7 +318,8 @@ def _solve(config: ChannelConfig) -> GainSolution:
         cap, where = math.inf, lambda: f"pi={pi!r}"
     else:
         cap, where = float(K), lambda: f"K={K}, P={config.per_user_power!r}"
-    lam, res, iters, degenerate = _root(_fixed_point(cap, pi), cap, pi, where)
+    lam, res, iters, degenerate = _root(_fixed_point(cap, pi), cap,
+                                        _lambda_bound(pi, math.log1p), where)
     capacity_nofb = math.log1p(pi)
     t = pi * lam
     # Split like the residual where pi*lam overflows.
@@ -335,36 +343,53 @@ def solve_lambda_massive(pi: float) -> GainSolution:
     return _solve(ChannelConfig.massive(pi))
 
 
+def _overshoot(pi: float):
+    """s -> (r, r') for r = pi(pi*s) - pi, the inversion's residual; unvalidated.
+
+    pi(t) = t/lam(t) is massive_parametric's power at t = pi*s, strictly
+    increasing in s, and r is its excess over pi.  With lam' = (1 - L/t)/t
+    and L/t = lam/(1+t), L = ln(1+t), its slope r' = pi*(1 - 1/lam +
+    1/(1+t))/lam needs no further transcendental.  t = inf gives NaN.
+    """
+
+    def overshoot(s):
+        t = pi * s
+        p, lam = massive_parametric(t)
+        return p - pi, pi * (1.0 - 1.0 / lam + 1.0 / (1.0 + t)) / lam
+
+    return overshoot
+
+
 def invert_massive_parametric(pi: float) -> tuple[float, float]:
     """Invert the closed-form curve parametrization at total power pi.
 
     Finds t with massive_parametric(t) = (pi, lam) as the bracketed root
     of the strictly increasing map s -> pi(pi*s) - pi for s = t/pi >= 1,
-    by ITP steps; returns (t, lam).  This is an independent route to the
-    same curve as solve_lambda_massive, by a different kernel, and is kept
-    separate so the two can cross-check each other.  Where pi*s overflows
-    at the bracket's upper end, that end is clipped to the largest s with a
+    _overshoot, by _root's Newton steps; returns (t, lam).  Its root s is
+    the power gain at pi, so the bracket is the massive solve's,
+    [1, core._lambda_bound], computed once.  This is an independent route
+    to the same curve as solve_lambda_massive, through the closed-form
+    parametrization rather than the fixed-point map, and is kept separate
+    so the two can cross-check each other.  Where pi*s overflows at the
+    bracket's upper end, that end is clipped to the largest s with a
     finite pi*s; a power whose root lies beyond it, where t itself
-    overflows (above about 3054 dB), raises ValueError.
+    overflows (above about 3054.04 dB), raises ValueError.
     """
     pi = _check_power(pi, "total power")  # as ChannelConfig.massive does
-
-    def overshoot(s: float) -> float:
-        return massive_parametric(pi * s)[0] - pi
-
+    overshoot = _overshoot(pi)
     # pi(t) <= t puts the root, the power gain at pi, at or above s = 1.
-    cap = math.inf
-    if pi * _lambda_bound(pi, math.frexp) == math.inf:
+    bound, cap = _lambda_bound(pi, math.log1p), math.inf
+    if pi * bound == math.inf:
         # max/pi rounds to the largest s with a finite pi*s or to one above.
         cap = sys.float_info.max / pi
         while pi * cap == math.inf:
             cap = math.nextafter(cap, 0.0)
-        if not overshoot(cap) > 0.0:
+        if not overshoot(cap)[0] > 0.0:
             raise ValueError(
                 f"total power {pi!r} is beyond the parametric inversion: "
                 f"t = pi*lam overflows at its root"
             )
-    s, _, _, _ = _root(overshoot, cap, pi, lambda: f"pi={pi!r}", newton=False)
+    s, _, _, _ = _root(overshoot, cap, bound, lambda: f"pi={pi!r}")
     t = pi * s
     return t, massive_parametric(t)[1]
 

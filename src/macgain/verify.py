@@ -205,21 +205,24 @@ def _newton_many(fn, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray, f_hi: np.
     Each element takes the points of the scalar loop, by the same float
     operations, and stops by the same rules, so it matches the scalar loop
     bit for bit wherever fn does, as
-    test_batch_matches_scalar_bits_with_scalar_residuals pins.  Only the
-    elements still running are evaluated.  An element whose ends are not
-    (-, +) takes no step, and an exact zero or a NaN residual stops an
-    element at that point; the caller hands such elements to the scalar
-    solver.  An element still running after max_iter steps reports
+    test_batch_matches_scalar_bits_with_scalar_residuals pins.  The budget's
+    projections and the points they put off are worked out only in a pass
+    where some element's bracket is over budget.  Only the elements still
+    running are evaluated.  An element whose ends are not (-, +) takes no
+    step, and an exact zero or a NaN residual stops an element at that
+    point; the caller hands such elements to the scalar solver.  An element still running after max_iter steps reports
     max_iter iterations.  Returns (x, fn(x)[0], iterations).
     """
     x_out, f_out = np.empty_like(lo), np.empty_like(lo)
     iterations = np.zeros(lo.size, dtype=int)
-    # The running elements: their indices, brackets and Newton state.
+    # The running elements: their indices, brackets and Newton state, the
+    # points the budget put off included.
     run = np.arange(lo.size)
     x, f_x, d_x = hi, f_hi, d_hi
     budget = np.ldexp(hi - lo, solvers._NEWTON_N0 - 1)
     quarter = 0.25 * tol
     probe = np.zeros(lo.size, dtype=bool)
+    wait, held = np.zeros_like(probe), None
     live = (f_lo < 0.0) & (f_hi > 0.0)
     steps = 0
     while True:
@@ -238,18 +241,39 @@ def _newton_many(fn, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray, f_hi: np.
             keep = np.flatnonzero(going) if steps < max_iter else run[:0]
             if not keep.size:
                 break
-            run, lo, hi, f_lo, f_hi, x, f_x, d_x, budget, probe, width, mid = (
+            held = held[keep] if wait.any() else None
+            run, lo, hi, f_lo, f_hi, x, f_x, d_x, budget, probe, wait, width, mid = (
                 a[keep] for a in (run, lo, hi, f_lo, f_hi, x, f_x, d_x, budget, probe,
-                                  width, mid)
+                                  wait, width, mid)
             )
         step = f_x / d_x
         newton = x - step
         short = ~probe & (-quarter < step) & (step < quarter)
         now = probe | (short & (newton == x))
+        probe_was = probe
         x = np.where(now, np.where(f_x > 0.0, x - quarter, x + quarter), newton)
-        kept = ~(width > budget) & (lo < x) & (x < hi)
+        probe = short & ~now
+        if wait.any():
+            # A point the budget put off comes next, with its probe flag.
+            x = np.where(wait, held, x)
+            probe = np.where(wait, probe_was, probe)
+        forced = width > budget
+        if forced.any():
+            # Projected, x must be where the scalar loop has it: with f' = 0
+            # it stays on the last point, the bracket end on f's side.
+            x = np.where((d_x == 0.0) & ~probe_was & ~wait,
+                         np.where(f_x > 0.0, hi, lo), x)
+            r = budget - 0.5 * width
+            below, above = x < mid - r, x > mid + r
+            held = x
+            wait = forced & (below | above)
+            x = np.where(wait, np.where(below, mid - r, mid + r), x)
+        else:
+            wait = forced
+        kept = (lo < x) & (x < hi)
         x = np.where(kept, x, mid)
-        probe = short & ~now & kept
+        wait &= kept
+        probe &= kept
         budget = budget * 0.5
         f_x, d_x = fn(x, run)
         steps += 1
@@ -267,15 +291,16 @@ def _root_many(K: np.ndarray, pi: np.ndarray) -> np.ndarray:
     """solvers._root of core._fixed_point_many at every (K, pi), K = inf massive.
 
     Brackets each element on [1, min(K, bound)] with the scalar solver's
-    core._lambda_bound, then runs one _newton_many, with the tolerances
-    read off the solvers module at call time.  An element is settled here
-    when its residual is < 0 at 1 and > 0 at the upper end, no Newton step
-    met a NaN and it took fewer than MAX_ITER steps.  Every other element
+    core._lambda_bound, by numpy's log1p, then runs one _newton_many, with
+    the tolerances read off the solvers module at call time.  An element is
+    settled here when its residual is < 0 at 1 and > 0 at the upper end, no
+    Newton step met a NaN and it took fewer than MAX_ITER steps.  Every other element
     goes, in input order, to the scalar eval_point at the same K and total
     power, which pins it to lam = 1, takes the cap as its root, solves it
     or raises its own error.  Where numpy's log1p or expm1 differ from
-    math's in the last ulp, the Newton points differ, and batch and scalar
-    roots may be a few ulps apart, both certified by their brackets.
+    math's in the last ulp, the upper ends or the Newton points differ, and
+    batch and scalar roots may be a few ulps apart, both certified by their
+    brackets.
     """
     K = np.asarray(K, dtype=float)
 
@@ -283,7 +308,7 @@ def _root_many(K: np.ndarray, pi: np.ndarray) -> np.ndarray:
         return _fixed_point_many(K[i], pi[i], lam)
 
     with np.errstate(all="ignore"):
-        lo, hi = np.ones_like(K), np.minimum(_lambda_bound(pi, np.frexp), K)
+        lo, hi = np.ones_like(K), np.minimum(_lambda_bound(pi, np.log1p), K)
         (f_lo, _), (f_hi, d_hi) = fn(lo), fn(hi)
         lam, res, iterations = _newton_many(fn, lo, hi, f_lo, f_hi, d_hi,
                                             solvers.LAMBDA_TOL, solvers.MAX_ITER)

@@ -722,7 +722,7 @@ GOLDEN_STDOUT = {
         '  "capacity_fb_nats": 9.118252788723794,\n'
         '  "gain_F": 1.3198113234564064,\n'
         '  "residual": 0.0,\n'
-        '  "iterations": 6,\n'
+        '  "iterations": 4,\n'
         '  "degenerate": false\n'
         '}\n'
     ),
@@ -750,18 +750,18 @@ GOLDEN_STDOUT = {
     "peak --users 10 --format json": (
         '{\n'
         '  "users": 10,\n'
-        '  "pi_star": 5.2935538364358425,\n'
-        '  "pi_star_db": 7.237473342944862,\n'
-        '  "F_star": 1.4458875142360172,\n'
-        '  "lambda_at_peak": 2.5111070521201775,\n'
+        '  "pi_star": 5.293553836435835,\n'
+        '  "pi_star_db": 7.237473342944857,\n'
+        '  "F_star": 1.4458875142360175,\n'
+        '  "lambda_at_peak": 2.511107052120177,\n'
         '  "bracket_evidence": [\n'
         '    [\n'
-        '      7.237473342940633,\n'
-        '      -1.241229341530925e-13\n'
+        '      7.237473342940624,\n'
+        '      -1.2456702336294256e-13\n'
         '    ],\n'
         '    [\n'
-        '      7.237473343517607,\n'
-        '      1.6809442726639645e-11\n'
+        '      7.237473342944865,\n'
+        '      2.220446049250313e-16\n'
         '    ]\n'
         '  ]\n'
         '}\n'

@@ -7,6 +7,7 @@ import copy
 import math
 import pickle
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from macgain.core import (
     GainSolution,
     _fixed_point,
     _fixed_point_many,
+    _lambda_bound,
     db_to_linear,
     db_residual,
     dlambda_dpi,
@@ -394,6 +396,54 @@ class TestFixedPointResidual:
                     assert 0.0 <= slope <= 1.0
                     assert slope == pytest.approx(float(mp.diff(exact, mp.mpf(lam))),
                                                   rel=1e-13, abs=1e-15)
+
+
+# Two subnormal total powers, every decade from 1e-300 to 1e308 and the largest float.
+BOUND_POWERS = [5e-324, 1e-310] + [10.0**e for e in range(-300, 309)] + [sys.float_info.max]
+
+
+def _bounds(pis):
+    """core._lambda_bound at each power, as the scalar solver and as verify's batch take it."""
+    scalar = [_lambda_bound(pi, math.log1p) for pi in pis]
+    with np.errstate(all="ignore"):
+        batch = _lambda_bound(np.array(pis), np.log1p)
+    return scalar, batch.tolist()
+
+
+class TestLambdaBound:
+    """core._lambda_bound, the first upper end of every root."""
+
+    def test_above_the_massive_root_on_the_float_range(self):
+        # lam - f(pi, lam) is > 0 exactly above the massive root, which is
+        # above every finite-K root: 50 digits must see it > 0 at both forms.
+        with mp.workdps(50):
+            for pi, ends in zip(BOUND_POWERS, zip(*_bounds(BOUND_POWERS))):
+                for end in ends:
+                    x, pi_ = mp.mpf(end), mp.mpf(pi)
+                    assert x - (1 + 1 / (pi_ * x)) * mp.log1p(pi_ * x) > 0, (pi, end)
+
+    def test_two_map_steps_close_on_the_root(self):
+        # Up to pi = 1 the end is about 2, at least 0.4 above the root; from
+        # pi = 10 on it is within 4% of the massive root (1.4% from pi = 100
+        # on), where the closed form 2 + 2 ln(1+pi) it starts from is about
+        # twice the root.
+        ratios = []
+        for pi in BOUND_POWERS:
+            end = _lambda_bound(pi, math.log1p)
+            lam = solve_lambda_massive(pi).lambda_star
+            assert end <= 2.0 + 2.0 * math.log1p(pi)
+            if pi <= 1.0:
+                assert 1.9 < end <= 2.0 and end - lam > 0.4
+            else:
+                ratios.append(end / lam)
+        assert 1.0 < min(ratios) and max(ratios) < 1.04
+
+    def test_array_form_matches_scalar(self):
+        # log1p from math and from numpy may differ in the last ulp, so the
+        # two ends agree to a few ulps, and bit for bit at most powers.
+        scalar, batch = _bounds(BOUND_POWERS)
+        assert sum(a == b for a, b in zip(scalar, batch)) > 0.9 * len(scalar)
+        assert all(abs(a - b) <= 4.0 * math.ulp(a) for a, b in zip(scalar, batch))
 
 
 class TestMassiveParametric:

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 import numpy as np
+from mpmath import mp
 
 import macgain.solvers as solvers_module
 from conftest import (
@@ -21,8 +22,9 @@ from conftest import (
     raw_residual,
     sign_scan_root,
 )
-from test_oracle import GRID_POWER_DB, GRID_USERS, MASSIVE_POWER_DB
-from macgain.core import ChannelConfig, _fixed_point, _lambda_bound, db_to_linear, f_of
+from test_oracle import GRID_POWER_DB, GRID_USERS, MASSIVE_POWER_DB, TOL as TOL_CERTIFIED
+from macgain.core import (ChannelConfig, _fixed_point, _lambda_bound, db_to_linear, f_of,
+                          massive_parametric)
 from macgain.solvers import (
     DEFAULT_USERS,
     BracketError,
@@ -34,6 +36,7 @@ from macgain.solvers import (
     _NEWTON_N0,
     _bisect,
     _newton,
+    _overshoot,
     db_grid,
     eval_point,
     find_peak,
@@ -200,6 +203,52 @@ class TestNewtonKernel:
         if stall == 1e9:
             assert iters == bound
 
+    @pytest.mark.parametrize("fn, lo, hi, root, steps", [
+        # Newton from hi stays above the root and leaves lo where it is.
+        pytest.param(lambda x: (x * x * x - 0.027, 3.0 * x * x), 0.0, 1.0, 0.3, 9,
+                     id="cube"),
+        pytest.param(lambda x: (x * x * x - 1.0 / 27.0, 3.0 * x * x), -3.0, 5.0,
+                     1.0 / 3.0, 18, id="cube-wide"),
+        # Newton overshoots below the root, then climbs to it from below
+        # and leaves hi where it is.  The root is the power gain at pi.
+        pytest.param(_overshoot(1.7415941137674351), 1.0, 4.772588722239782,
+                     solve_lambda_massive(1.7415941137674351).lambda_star, 9,
+                     id="inversion"),
+    ])
+    def test_one_sided_approach_outlasts_the_budget(self, fn, lo, hi, root, steps):
+        # Plain Newton takes 8, 12 and 6 steps here, but the bracket keeps
+        # its far end until the budget binds.  A midpoint there halves the
+        # bracket exactly as fast as the budget halves, so every later step
+        # was a midpoint too: 46, 49 and 48 steps.  Projected toward the
+        # Newton point, a step on the root's side of the midpoint shrinks
+        # the bracket past its half, and the Newton point waits a step.
+        (x, _, iters), _ = _newton_both(fn, lo, hi)
+        assert x == pytest.approx(root, abs=LAMBDA_TOL)
+        assert iters == steps
+
+    def test_zero_slope_under_the_budget(self):
+        # The cube's slope vanishes at its seventh point, 6e-14 above the
+        # root, where the budget binds: with f' = 0, x stays on that point,
+        # whose projection, in the scalar loop as in the batch, is the top
+        # of the budget's interval, 0.25, not its bottom.
+        (x, _, iters), points = _newton_both(
+            lambda x: (x * x * x - 0.027, 0.0 if abs(x - 0.3) < 1e-9 else 3.0 * x * x),
+            0.0, 1.0)
+        assert points[6] - 0.3 < 1e-13 and points[7] == 0.25
+        assert x == pytest.approx(0.3, abs=LAMBDA_TOL)
+        assert iters <= _bisection_steps(0.0, 1.0, LAMBDA_TOL) + _NEWTON_N0
+
+    def test_a_probe_waits_with_its_point(self):
+        # A slope 10% too steep makes Newton creep down on the root, its
+        # error shrinking elevenfold a step, while the budget projects every
+        # other point.  The Newton point whose step fell below tol/4 waits a
+        # projection, and the probe after it waits one more, in the scalar
+        # loop as in the batch: the last point is tol/4 below the one two
+        # points before it.
+        (x, _, iters), points = _newton_both(lambda x: (x - 1.0 / 3.0, 1.1), -3.0, 5.0)
+        assert points[-1] == points[-3] - 0.25 * LAMBDA_TOL
+        assert points[-1] < 1.0 / 3.0 < points[-3] and iters == len(points) == 24
+
     def test_bounded_when_newton_overshoots(self):
         # atan's Newton steps from far out leave the bracket.
         (x, _, iters), _ = _newton_both(
@@ -249,26 +298,43 @@ class TestITPSteps:
         assert over == []
 
     def test_mean_steps_on_the_sample_box(self):
-        # The verify sample box: 5.6 evaluations per root, at most 7, where
-        # bisection of the same brackets takes 44.4 (the upper end included)
-        # and ITP steps took 9.6.
+        # The verify sample box: 4.9 evaluations per root, at most 7, where
+        # bisection of the same brackets takes 44.4 (the upper end included),
+        # ITP steps took 9.6 and Newton from the closed-form end 5.6.
         K, P = draw_samples(SampleSpec(seed=42, n_samples=2000))
         steps = [solve_lambda_star(int(k), float(p)).iterations for k, p in zip(K, P)]
-        assert statistics.mean(steps) <= 7
+        assert statistics.mean(steps) <= 6
 
     def test_mean_steps_on_the_oracle_grid(self):
         # Bisection of the same brackets takes 45.5 evaluations per root
-        # here and ITP steps took 8.7: Newton steps take 4.5, at most 7.
+        # here, ITP steps took 8.7 and Newton from the closed-form end 4.5:
+        # from the refined end Newton takes 3.6, at most 6.
         steps = [solve_lambda_star(K, db_to_linear(power_db)).iterations
                  for K in GRID_USERS for power_db in GRID_POWER_DB]
-        assert statistics.mean(steps) <= 6
+        assert statistics.mean(steps) <= 4.5
 
     def test_mean_steps_on_the_massive_grid(self):
-        # -300 to 3050 dB: 4.1 evaluations per root, at most 6, where
-        # bisection of the same brackets takes 50 and ITP steps took 8.7.
+        # -300 to 3050 dB: 3.2 evaluations per root, at most 6, where
+        # bisection of the same brackets takes 50, ITP steps took 8.7 and
+        # Newton from the closed-form end 4.1.
         steps = [solve_lambda_massive(db_to_linear(pi_db)).iterations
                  for pi_db in MASSIVE_POWER_DB]
-        assert statistics.mean(steps) <= 5
+        assert statistics.mean(steps) <= 4
+
+    def test_inversion_calls_on_the_massive_grid(self, monkeypatch):
+        # massive_parametric calls per inversion, the one at the root
+        # included: 5.4, at most 8, where ITP steps took 11.0, at most 13.
+        calls = []
+
+        def counted(t):
+            calls[-1] += 1
+            return massive_parametric(t)
+
+        monkeypatch.setattr(solvers_module, "massive_parametric", counted)
+        for pi_db in MASSIVE_POWER_DB:
+            calls.append(0)
+            invert_massive_parametric(db_to_linear(pi_db))
+        assert statistics.mean(calls) <= 6.5 and max(calls) <= 8
 
 
 def _bits(result):
@@ -386,6 +452,28 @@ class TestBitIdentity:
                 outcome = str(err)
             outcomes.append((outcome, points))
         assert outcomes[0] == outcomes[1]
+
+    def test_inversion_near_the_itp_route(self):
+        # The inversion as ITP steps took it: conftest's frozen kernel on the
+        # overshoot's value, from the closed-form end.  The Newton route
+        # lands within 2 ulps of it, and 50 digits certify both.
+        for pi_db in MASSIVE_POWER_DB:
+            pi = db_to_linear(pi_db)
+            overshoot = _overshoot(pi)
+
+            def value(s):
+                return overshoot(s)[0]
+
+            hi = 2.0 + math.log(4.0) * math.frexp(1.0 + pi)[1]
+            f_lo, f_hi = value(1.0), value(hi)
+            s = (1.0 if 0.0 <= f_lo < f_hi else
+                 frozen_bisect(value, 1.0, hi, f_lo, f_hi, LAMBDA_TOL, MAX_ITER)[0])
+            itp = massive_parametric(pi * s)[1]
+            t, lam = invert_massive_parametric(pi)
+            assert abs(lam - itp) <= 2.0 * math.ulp(itp)
+            assert abs(t - pi * s) <= 2.0 * math.ulp(pi * s)
+            assert massive_certified(pi, lam, TOL_CERTIFIED)
+            assert massive_certified(pi, itp, TOL_CERTIFIED)
 
     def test_residual_matches_the_reference(self):
         lams = [1.0, 1.5, 2.0, 7.25, 1e3, 1e300]
@@ -512,10 +600,10 @@ class TestMassiveSolver:
         assert not sol.degenerate
 
     def test_bound_below_the_root_raises(self, monkeypatch):
-        # Halved, the upper end at pi = 1000 is 7.93, below lam = 9.12: the
+        # Halved, the upper end at pi = 1000 is 4.59, below lam = 9.12: the
         # residual is still negative there, which is no root.
-        def halved(pi, frexp):
-            return 0.5 * _lambda_bound(pi, frexp)
+        def halved(pi, log1p):
+            return 0.5 * _lambda_bound(pi, log1p)
 
         monkeypatch.setattr(solvers_module, "_lambda_bound", halved)
         with pytest.raises(BracketError, match=r"got \(-[^,]*, -"):
@@ -597,6 +685,24 @@ class TestParametricCrossCheck:
             assert pi_back == pytest.approx(pi, rel=1e-9, abs=1e-12)
             assert lam_back == lam
 
+    def test_overshoot_slope_matches_mpmath(self):
+        # r' = pi*(1 - 1/lam + 1/(1+t))/lam against 50-digit differentiation
+        # of pi(pi*s) - pi, from t below 1e-8 to t near the top of the range.
+        with mp.workdps(50):
+            for pi in (1e-12, 1e-3, 0.5, 5.38, 1e3, 1e300, 2.5e305):
+                def exact(s, pi=mp.mpf(pi)):
+                    t = pi * s
+                    return t / ((1 + 1 / t) * mp.log1p(t)) - pi
+
+                for s in (1.0, 1.05, 1.5, 3.0, 9.0, 700.0):
+                    if pi * s == math.inf:
+                        continue
+                    # r cancels to a few ulps of the power at t; r' does not.
+                    r, slope = _overshoot(pi)(s)
+                    x = mp.mpf(s)
+                    assert r == pytest.approx(float(exact(x)), abs=4.0 * math.ulp(pi * s))
+                    assert slope == pytest.approx(float(mp.diff(exact, x)), rel=1e-14)
+
     def test_rejects_nonpositive_power(self):
         # Both massive routes validate the power the way ChannelConfig does.
         for solve in (solve_lambda_massive, invert_massive_parametric):
@@ -610,10 +716,10 @@ class TestParametricCrossCheck:
         assert lam == pytest.approx(697.322776, abs=5e-7)
         assert lam == pytest.approx(solve_lambda_massive(1e300).lambda_star, rel=1e-9)
 
-    @pytest.mark.parametrize("pi_db", [3051.5, 3053.0, 3054.0])
+    @pytest.mark.parametrize("pi_db", [3051.5, 3053.0, 3054.0, 3054.035898])
     def test_clipped_upper_end_at_the_top(self, pi_db):
-        # pi*s overflows at the bound, but not at the root, where t is
-        # about 1e308: the clipped bracket still holds it.
+        # t is about 1e308 at the root.  At the last power pi*s overflows at
+        # the bound, but not at the root: the clipped bracket still holds it.
         pi = db_to_linear(pi_db)
         t, lam = invert_massive_parametric(pi)
         assert math.isfinite(t)
@@ -621,18 +727,21 @@ class TestParametricCrossCheck:
         assert lam == pytest.approx(solve_lambda_massive(pi).lambda_star, rel=1e-12)
 
     def test_clip_is_the_largest_finite_s(self, monkeypatch):
+        # The bound is within 1.4e-6 of the root up here, so only powers
+        # within that of the top one, 3054.0359 dB, are clipped.
         caps = []
         root = solvers_module._root
 
-        def logged(fn, cap, pi, *rest, **kwargs):
-            caps.append((pi, cap))
-            return root(fn, cap, pi, *rest, **kwargs)
+        def logged(fn, cap, *rest):
+            caps.append(cap)
+            return root(fn, cap, *rest)
 
         monkeypatch.setattr(solvers_module, "_root", logged)
-        for pi_db in np.linspace(3050.0, 3054.0, 161).tolist():
-            invert_massive_parametric(db_to_linear(pi_db))
-        clipped = [(pi, cap) for pi, cap in caps if cap < math.inf]
-        assert len(clipped) > 100
+        pis = np.linspace(2.5327334e305, 2.5327372e305, 161).tolist()
+        for pi in pis:
+            invert_massive_parametric(pi)
+        clipped = [(pi, cap) for pi, cap in zip(pis, caps) if cap < math.inf]
+        assert 100 < len(clipped) < len(pis)
         for pi, cap in clipped:
             assert pi * cap < math.inf and pi * math.nextafter(cap, math.inf) == math.inf
 

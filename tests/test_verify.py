@@ -569,14 +569,19 @@ class TestBatchedSolve:
         assert handed == [(2, 0.5, 1.0)]
 
     def test_batch_matches_scalar_bits_with_scalar_residuals(self, monkeypatch):
-        # The Newton points depend on residual and slope values, so a batch
-        # fed exactly the scalar pair's bits must return exactly the scalar
-        # roots.
+        # The Newton points depend on the first upper end and on residual
+        # and slope values, so a batch fed exactly the scalar solver's bits
+        # of all three, math's log1p where numpy's may differ, must return
+        # exactly the scalar roots.
         def scalar_kernel(K, pi, lam):
             return tuple(np.array([_fixed_point(k, p)(x) for k, p, x
                                    in zip(K.tolist(), pi.tolist(), lam.tolist())]).T)
 
+        def scalar_bound(pi, log1p):
+            return np.array([_lambda_bound(p, math.log1p) for p in pi.tolist()])
+
         monkeypatch.setattr(macgain.verify, "_fixed_point_many", scalar_kernel)
+        monkeypatch.setattr(macgain.verify, "_lambda_bound", scalar_bound)
         K, P = draw_samples(SampleSpec(seed=42, n_samples=500))
         lam = _root_many(K, K * P)
         want = [solve_lambda_star(int(k), float(p)).lambda_star for k, p in zip(K, P)]
@@ -610,15 +615,15 @@ class TestBatchedSolve:
                                        rel=1e-10)
 
     def test_unconverged_element_raises_like_scalar(self, monkeypatch):
-        # Five Newton steps settle K=100 at pi=100 (it takes 4) but not K=10
-        # at pi=1 (it takes 6), in the batch as in the scalar solver, which
+        # Four Newton steps settle K=100 at pi=100 (it takes 4) but not K=10
+        # at pi=1 (it takes 5), in the batch as in the scalar solver, which
         # raises for it.
-        monkeypatch.setattr(macgain.solvers, "MAX_ITER", 5)
+        monkeypatch.setattr(macgain.solvers, "MAX_ITER", 4)
         solve_lambda_star(100, 1.0)
-        with pytest.raises(ConvergenceError, match="after 5 iterations"):
+        with pytest.raises(ConvergenceError, match="after 4 iterations"):
             solve_lambda_star(10, 0.1)
         with pytest.raises(ConvergenceError,
-                           match="after 5 iterations for K=10, P=0.1"):
+                           match="after 4 iterations for K=10, P=0.1"):
             _root_many(np.array([100, 10, 100]), np.array([100.0, 1.0, 100.0]))
 
     def test_first_failure_in_input_order_wins(self, monkeypatch):
@@ -631,10 +636,12 @@ class TestBatchedSolve:
 
     def test_overflowing_massive_slack_raises(self, monkeypatch):
         # The batch's kernel has no log split: where pi*lam overflows, at a
-        # root or at the bracket's upper end (2e305), its slack is NaN and the
+        # root or at the bracket's upper end (at 2.5327e305, 1e-3 above the
+        # root, where the root's t is 1.79769e308), its slack is NaN and the
         # element goes to the scalar solver.  That solves it, or raises its
         # own error naming it.
-        top = np.array([1e300, db_to_linear(3070.0), db_to_linear(3080.0), 2e305])
+        top = np.array([1e300, db_to_linear(3070.0), db_to_linear(3080.0),
+                        2.5327355556134235e305])
         handed = []
 
         def scalar(config):
@@ -645,17 +652,20 @@ class TestBatchedSolve:
         lam = _root_many(np.full(top.size, math.inf), top)
         assert handed == top[1:].tolist()
         assert lam.tolist() == [solve_lambda_massive(pi).lambda_star for pi in top]
-        monkeypatch.setattr(macgain.solvers, "MAX_ITER", 2)
+        # One step settles none of them (they take 2, 2 and 3): the first
+        # in input order, the one handed over, raises.
+        monkeypatch.setattr(macgain.solvers, "MAX_ITER", 1)
         with pytest.raises(ConvergenceError, match=re.escape(f"pi={float(top[1])!r}")):
             _root_many(np.full(3, math.inf), np.array([top[1], 1e300, 5.38]))
 
     def test_bound_below_the_root_goes_to_the_scalar_solver(self, monkeypatch):
-        # Halved, the upper end at pi = 1000 is 7.93, below lam = 9.12, so
-        # that element's bracket is (-, -); at pi = 0.1 it is 1.69, still
-        # above lam = 1.05.  Only the scalar solver may decide the first: it
-        # solves it with its own bound, or raises once that is halved too.
-        def halved(pi, frexp):
-            return 0.5 * _lambda_bound(pi, frexp)
+        # Scaled by 0.6, the upper end at pi = 1000 is 5.51, below
+        # lam = 9.12, so that element's bracket is (-, -); at pi = 0.1 it is
+        # 1.2, still above lam = 1.05.  Only the scalar solver may decide
+        # the first: it solves it with its own bound, or raises once that is
+        # scaled too.
+        def shrunk(pi, log1p):
+            return 0.6 * _lambda_bound(pi, log1p)
 
         handed = []
 
@@ -663,14 +673,14 @@ class TestBatchedSolve:
             handed.append(config.total_power)
             return eval_point(config)
 
-        monkeypatch.setattr(macgain.verify, "_lambda_bound", halved)
+        monkeypatch.setattr(macgain.verify, "_lambda_bound", shrunk)
         monkeypatch.setattr(macgain.verify, "eval_point", scalar)
         pis = np.array([0.1, 1000.0])
         lam = _root_many(np.full(2, math.inf), pis)
         assert handed == [1000.0]
         assert lam[0] == pytest.approx(solve_lambda_massive(0.1).lambda_star, rel=1e-14)
         assert lam[1] == solve_lambda_massive(1000.0).lambda_star
-        monkeypatch.setattr(macgain.solvers, "_lambda_bound", halved)
+        monkeypatch.setattr(macgain.solvers, "_lambda_bound", shrunk)
         with pytest.raises(BracketError, match="pi=1000.0"):
             _root_many(np.full(2, math.inf), pis)
 
