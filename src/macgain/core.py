@@ -211,12 +211,15 @@ def _fixed_point(K: float, pi: float):
     return residual
 
 
-def _fixed_point_many(K, pi, lam):
-    """_fixed_point's (r, r') over numpy arrays, by the same operations in the same order.
+def _fixed_point_value_many(K, pi, lam):
+    """_fixed_point's r over numpy arrays, by the same operations in the same order.
 
-    Except: below t = 1e-8 ln(1+t)/t is the plain quotient, not the series,
-    and an overflowing t gives NaN, which verify's batch hands to the
-    scalar solver.  Call it with numpy's floating-point warnings silenced.
+    Returns (r, G, 1 + t, expm1(-z)): the value and the terms of G_K that
+    _fixed_point_many's slope reuses, so a caller that needs only r pays
+    for no slope.  Below t = 1e-8 ln(1+t)/t is the plain quotient, not the
+    series, and an overflowing t gives NaN, which verify's batch hands to
+    the scalar solver.  Call it with numpy's floating-point warnings
+    silenced.
     """
     import numpy as np
 
@@ -226,7 +229,13 @@ def _fixed_point_many(K, pi, lam):
     z = L / K
     e = np.expm1(-z)  # -0.0 at z = 0, so 1 + e is exactly 1 there
     G = u * (L / t) * np.where(z > 0.0, -e / z, 1.0)
-    return lam - G, 1.0 - (1.0 + e - G / u) / lam
+    return lam - G, G, u, e
+
+
+def _fixed_point_many(K, pi, lam):
+    """_fixed_point's (r, r') over numpy arrays: _fixed_point_value_many with the slope."""
+    r, G, u, e = _fixed_point_value_many(K, pi, lam)
+    return r, 1.0 - (1.0 + e - G / u) / lam
 
 
 def _lambda_bound(pi, log1p):

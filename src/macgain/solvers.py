@@ -235,9 +235,7 @@ def _newton(fn, lo: float, hi: float, f_lo: float, f_hi: float, d_hi: float,
                 f"bracket [{lo!r}, {hi!r}] is wider than {tol!r} after "
                 f"{max_iter} iterations"
             )
-        # verify._newton_many takes the same points, pinned by
-        # test_batch_matches_scalar_bits_with_scalar_residuals.  With
-        # f' = 0, x stays on a bracket end, and the midpoint or, over
+        # With f' = 0, x stays on a bracket end, and the midpoint or, over
         # budget, its projection is taken.
         if held is not None:
             x, held = held, None

@@ -21,8 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import solvers
-from .core import (ChannelConfig, _balance, _fixed_point_many, _lambda_bound, db_to_linear,
-                   dlambda_dpi)
+from .core import (ChannelConfig, _balance, _fixed_point_many, _fixed_point_value_many,
+                   _lambda_bound, db_to_linear, dlambda_dpi)
 from .solvers import DEFAULT_FROM_DB, DEFAULT_TO_DB, DEFAULT_USERS, db_grid, eval_point
 
 __all__ = [
@@ -187,7 +187,7 @@ def point_bound_slacks(K: np.ndarray, P: np.ndarray,
             ("log_bracket_lower", log_term - t * lam / (1.0 + t)),
             ("log_bracket_upper", upper - log_term),
             ("gain_floor", lam - K * log_term / (K + log_term)),
-            ("fixed_point_ceiling", -_fixed_point_many(math.inf, pi, lam)[0]),
+            ("fixed_point_ceiling", -_fixed_point_value_many(math.inf, pi, lam)[0]),
             ("bracket_cap", K * lam / (K - lam) - upper),
         ]
 
@@ -197,123 +197,44 @@ def _gain(pi: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return np.log1p(pi * lam) / np.log1p(pi)
 
 
-def _newton_many(fn, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray, f_hi: np.ndarray,
-                 d_hi: np.ndarray, tol: float, max_iter: int):
-    """solvers._newton applied element by element to arrays of brackets.
-
-    fn(x, i) gives the residuals and slopes of elements i at the points x.
-    Each element takes the points of the scalar loop, by the same float
-    operations, and stops by the same rules, so it matches the scalar loop
-    bit for bit wherever fn does, as
-    test_batch_matches_scalar_bits_with_scalar_residuals pins.  The budget's
-    projections and the points they put off are worked out only in a pass
-    where some element's bracket is over budget.  Only the elements still
-    running are evaluated.  An element whose ends are not (-, +) takes no
-    step, and an exact zero or a NaN residual stops an element at that
-    point; the caller hands such elements to the scalar solver.  An element still running after max_iter steps reports
-    max_iter iterations.  Returns (x, fn(x)[0], iterations).
-    """
-    x_out, f_out = np.empty_like(lo), np.empty_like(lo)
-    iterations = np.zeros(lo.size, dtype=int)
-    # The running elements: their indices, brackets and Newton state, the
-    # points the budget put off included.
-    run = np.arange(lo.size)
-    x, f_x, d_x = hi, f_hi, d_hi
-    budget = np.ldexp(hi - lo, solvers._NEWTON_N0 - 1)
-    quarter = 0.25 * tol
-    probe = np.zeros(lo.size, dtype=bool)
-    wait, held = np.zeros_like(probe), None
-    live = (f_lo < 0.0) & (f_hi > 0.0)
-    steps = 0
-    while True:
-        width = hi - lo
-        mid = 0.5 * (lo + hi)
-        going = live & (width > tol) & (lo < mid) & (mid < hi)
-        if steps == max_iter or not going.all():
-            # Every running element's result as it stands, which later
-            # steps overwrite for those that go on: a live element's bracket
-            # end with the smaller |f|, any other's last point; + 0.0 reads
-            # -0.0 as 0.0.
-            lower = -f_lo <= f_hi
-            x_out[run] = np.where(live, np.where(lower, lo, hi), x)
-            f_out[run] = np.where(live, np.where(lower, f_lo, f_hi), f_x + 0.0)
-            iterations[run] = steps
-            keep = np.flatnonzero(going) if steps < max_iter else run[:0]
-            if not keep.size:
-                break
-            held = held[keep] if wait.any() else None
-            run, lo, hi, f_lo, f_hi, x, f_x, d_x, budget, probe, wait, width, mid = (
-                a[keep] for a in (run, lo, hi, f_lo, f_hi, x, f_x, d_x, budget, probe,
-                                  wait, width, mid)
-            )
-        step = f_x / d_x
-        newton = x - step
-        short = ~probe & (-quarter < step) & (step < quarter)
-        now = probe | (short & (newton == x))
-        probe_was = probe
-        x = np.where(now, np.where(f_x > 0.0, x - quarter, x + quarter), newton)
-        probe = short & ~now
-        if wait.any():
-            # A point the budget put off comes next, with its probe flag.
-            x = np.where(wait, held, x)
-            probe = np.where(wait, probe_was, probe)
-        forced = width > budget
-        if forced.any():
-            # Projected, x must be where the scalar loop has it: with f' = 0
-            # it stays on the last point, the bracket end on f's side.
-            x = np.where((d_x == 0.0) & ~probe_was & ~wait,
-                         np.where(f_x > 0.0, hi, lo), x)
-            r = budget - 0.5 * width
-            below, above = x < mid - r, x > mid + r
-            held = x
-            wait = forced & (below | above)
-            x = np.where(wait, np.where(below, mid - r, mid + r), x)
-        else:
-            wait = forced
-        kept = (lo < x) & (x < hi)
-        x = np.where(kept, x, mid)
-        wait &= kept
-        probe &= kept
-        budget = budget * 0.5
-        f_x, d_x = fn(x, run)
-        steps += 1
-        below = f_x < 0.0
-        above = f_x > 0.0
-        live = below | above
-        lo = np.where(below, x, lo)
-        f_lo = np.where(below, f_x, f_lo)
-        hi = np.where(above, x, hi)
-        f_hi = np.where(above, f_x, f_hi)
-    return x_out, f_out, iterations
-
-
 def _root_many(K: np.ndarray, pi: np.ndarray) -> np.ndarray:
-    """solvers._root of core._fixed_point_many at every (K, pi), K = inf massive.
+    """The power gain at every (K, pi), K = inf massive, by certified Newton steps.
 
-    Brackets each element on [1, min(K, bound)] with the scalar solver's
-    core._lambda_bound, by numpy's log1p, then runs one _newton_many, with
-    the tolerances read off the solvers module at call time.  An element is
-    settled here when its residual is < 0 at 1 and > 0 at the upper end, no
-    Newton step met a NaN and it took fewer than MAX_ITER steps.  Every other element
-    goes, in input order, to the scalar eval_point at the same K and total
-    power, which pins it to lam = 1, takes the cap as its root, solves it
-    or raises its own error.  Where numpy's log1p or expm1 differ from
-    math's in the last ulp, the upper ends or the Newton points differ, and
-    batch and scalar roots may be a few ulps apart, both certified by their
-    brackets.
+    Each element starts at the scalar solver's upper end, hi = min(K,
+    core._lambda_bound) by numpy's log1p, and takes plain Newton steps on
+    core._fixed_point_many until a step is shorter than LAMBDA_TOL/4; only
+    the elements still running are evaluated, for at most MAX_ITER passes,
+    both read off the solvers module at call time.  An element whose Newton
+    point is NaN or leaves [1, hi] stops at once.  A converged point x is
+    kept only if the residual is < 0 at x - LAMBDA_TOL/4 >= 1 and > 0 at
+    x + LAMBDA_TOL/4 <= K: a (-, +) bracket inside [1, K], narrower than
+    the LAMBDA_TOL the scalar solver accepts.  Every other element goes, in
+    input order, to the scalar eval_point at the same K and total power,
+    which pins it to lam = 1, takes the cap as its root, solves it or
+    raises its own error.  Batch and scalar roots take different Newton
+    points and may be a few ulps apart, each certified by its own bracket.
     """
     K = np.asarray(K, dtype=float)
-
-    def fn(lam, i=slice(None)):
-        return _fixed_point_many(K[i], pi[i], lam)
-
+    quarter = 0.25 * solvers.LAMBDA_TOL
+    lam = np.full(K.size, math.nan)  # NaN until converged, which fails the certificate
     with np.errstate(all="ignore"):
-        lo, hi = np.ones_like(K), np.minimum(_lambda_bound(pi, np.log1p), K)
-        (f_lo, _), (f_hi, d_hi) = fn(lo), fn(hi)
-        lam, res, iterations = _newton_many(fn, lo, hi, f_lo, f_hi, d_hi,
-                                            solvers.LAMBDA_TOL, solvers.MAX_ITER)
-    settled = ((f_lo < 0.0) & (f_hi > 0.0) & ~np.isnan(res)
-               & (iterations < solvers.MAX_ITER))
+        run = np.arange(K.size)
+        x = top = np.minimum(_lambda_bound(pi, np.log1p), K)
+        for _ in range(solvers.MAX_ITER):
+            if not run.size:
+                break
+            r, d = _fixed_point_many(K[run], pi[run], x)
+            step = r / d
+            x = x - step
+            inside = (1.0 <= x) & (x <= top)
+            done = inside & (np.abs(step) < quarter)
+            lam[run[done]] = x[done]
+            going = np.flatnonzero(inside & ~done)
+            run, x, top = run[going], x[going], top[going]
+        below, above = lam - quarter, lam + quarter
+        settled = ((_fixed_point_value_many(K, pi, below)[0] < 0.0)
+                   & (_fixed_point_value_many(K, pi, above)[0] > 0.0)
+                   & (below >= 1.0) & (above <= K))
     for i in np.flatnonzero(~settled):
         users = None if K[i] == math.inf else int(K[i])
         lam[i] = eval_point(ChannelConfig(users, total_power=float(pi[i]))).lambda_star

@@ -7,7 +7,8 @@ scalar solver, so the check can be tested apart from run_suite's batches.
 frozen_bisect and frozen_fixed_point are reference copies of the ITP
 kernel and of the residual's value as they were written with builtin calls
 on every step; the ITP loop and the residual must reproduce them bit for
-bit.
+bit.  bracketed_newton certifies each Newton root by the bracket its own
+points close.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from mpmath import mp, mpf
 
 import macgain.solvers
 from macgain.core import _SERIES_CUTOFF, ChannelConfig, log1p_over_x
-from macgain.solvers import _ITP_K1, _ITP_N0, ConvergenceError, eval_point
+from macgain.solvers import _ITP_K1, _ITP_N0, ConvergenceError, _newton, eval_point
 from macgain.verify import DERIVATIVE_GRID, DERIVATIVE_STEP, DERIVATIVE_USERS
 
 
@@ -118,6 +119,31 @@ def frozen_bisect(fn, lo, hi, f_lo, f_hi, tol, max_iter):
         else:
             raise ConvergenceError(f"residual is NaN at lam={x!r}")
     return best_x, best_f, iterations
+
+
+def bracketed_newton(fn, lo, hi, f_lo, f_hi, d_hi, tol, max_iter):
+    """solvers._newton's result, certified by the points it evaluated, and those points.
+
+    Where lo and hi are a (-, +) bracket, as _newton requires, the result
+    must be an exact zero, or an end of the (-, +) bracket that they and the
+    evaluated points close: at most tol wide, or with no float strictly
+    between its ends.  A ConvergenceError propagates.
+    """
+    points, values = [], [(lo, f_lo), (hi, f_hi)]
+
+    def logged(x):
+        points.append(x)
+        result = fn(x)
+        values.append((x, result[0]))
+        return result
+
+    x, f_x, iterations = _newton(logged, lo, hi, f_lo, f_hi, d_hi, tol, max_iter)
+    if f_lo < 0.0 < f_hi and f_x != 0.0:
+        below = max(p for p, f in values if f < 0.0)
+        above = min(p for p, f in values if f > 0.0)
+        assert x in (below, above)
+        assert above - below <= tol or not below < 0.5 * (below + above) < above
+    return (x, f_x, iterations), points
 
 
 def frozen_fixed_point(K, pi):

@@ -21,6 +21,7 @@ from macgain.core import (
     GainSolution,
     _fixed_point,
     _fixed_point_many,
+    _fixed_point_value_many,
     _lambda_bound,
     db_to_linear,
     db_residual,
@@ -355,7 +356,8 @@ class TestFixedPointResidual:
     def test_array_form_matches_scalar(self, K):
         # The same operations in the same order: residual and slope bit for
         # bit wherever numpy's log1p and expm1 round like math's, a few ulps
-        # elsewhere.
+        # elsewhere.  The value form's residual is the slope form's, bit for
+        # bit everywhere.
         pi, frac = np.meshgrid(np.logspace(-7, 300, 61), np.linspace(0.0, 1.0, 11))
         lam = 1.0 + frac * (min(K, 1e3) - 1.0)
         pi, lam = pi.ravel(), lam.ravel()
@@ -363,6 +365,8 @@ class TestFixedPointResidual:
         pi, lam = pi[keep], lam[keep]
         with np.errstate(all="ignore"):
             batch = np.array(_fixed_point_many(K, pi, lam))
+            value = _fixed_point_value_many(K, pi, lam)[0]
+        assert value.tobytes() == batch[0].tobytes()
         scalar = np.array([_fixed_point(K, p)(x) for p, x in zip(pi.tolist(), lam.tolist())]).T
         t = pi * lam
         z = (np.log1p(t) / K).tolist()
@@ -375,6 +379,8 @@ class TestFixedPointResidual:
     def test_array_form_leaves_overflow_to_the_scalar_solver(self):
         with np.errstate(all="ignore"):
             assert np.isnan(_fixed_point_many(np.array([2.0, math.inf]), 1e308, 2.0)[0]).all()
+            assert np.isnan(
+                _fixed_point_value_many(np.array([2.0, math.inf]), 1e308, 2.0)[0]).all()
         for K in (2.0, math.inf):
             assert all(math.isfinite(v) for v in _fixed_point(K, 1e308)(2.0))
 

@@ -151,7 +151,7 @@ def test_exported_names_are_used_or_documented():
 
 def test_only_the_root_kernels_take_a_tolerance():
     # Every root is bracketed to solvers.LAMBDA_TOL within MAX_ITER steps.
-    # Only the three kernels take both as parameters, so that their tests
+    # Only the two kernels take both as parameters, so that their tests
     # can drive float exhaustion (tol = 0) and a small step cap.
     takers = set()
     for path in (ROOT / "src" / "macgain").glob("*.py"):
@@ -161,7 +161,7 @@ def test_only_the_root_kernels_take_a_tolerance():
                 params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
                 if {p.arg for p in params if p} & {"tol", "max_iter"}:
                     takers.add(f"{path.stem}.{getattr(node, 'name', '<lambda>')}")
-    assert takers == {"solvers._bisect", "solvers._newton", "verify._newton_many"}
+    assert takers == {"solvers._bisect", "solvers._newton"}
 
 
 def test_verify_imports_no_private_solver_route():

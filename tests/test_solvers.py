@@ -15,6 +15,7 @@ from mpmath import mp
 
 import macgain.solvers as solvers_module
 from conftest import (
+    bracketed_newton,
     brute_peak_k2,
     frozen_bisect,
     frozen_fixed_point,
@@ -35,7 +36,6 @@ from macgain.solvers import (
     NoPeakError,
     _NEWTON_N0,
     _bisect,
-    _newton,
     _overshoot,
     db_grid,
     eval_point,
@@ -45,7 +45,7 @@ from macgain.solvers import (
     solve_lambda_star,
     sweep_curve,
 )
-from macgain.verify import BoundReport, SampleSpec, _newton_many, draw_samples
+from macgain.verify import BoundReport, SampleSpec, draw_samples
 
 # Root of the three-user balance equation at P = 10, solved before the build
 # by an independent scan-and-refine pass over the raw residual.
@@ -102,39 +102,24 @@ def _bisection_steps(lo: float, hi: float, tol: float) -> int:
     return (math.ceil(Fraction(hi - lo) / Fraction(tol)) - 1).bit_length()
 
 
-def _newton_both(fn, lo, hi, tol=LAMBDA_TOL, max_iter=MAX_ITER, d_hi=None):
+def _newton_run(fn, lo, hi, tol=LAMBDA_TOL, max_iter=MAX_ITER, d_hi=None):
     """_newton's result, or its error message, and the points it evaluated.
 
-    fn(x) returns (f, f'); d_hi, if given, replaces f'(hi).  A one-element
-    verify._newton_many run must evaluate the same points and return the
-    same bits, or report the NaN or the step cap where _newton raises.
+    fn(x) returns (f, f'); d_hi, if given, replaces f'(hi).  A result is
+    certified by its bracket (conftest.bracketed_newton).
     """
     (f_lo, _), (f_hi, slope) = fn(lo), fn(hi)
     d_hi = slope if d_hi is None else d_hi
-    points, batch_points = [], []
+    points = []
 
     def logged(x):
         points.append(x)
         return fn(x)
 
-    def batch_fn(x, i):
-        batch_points.append(float(x[0]))
-        return tuple(np.array([v]) for v in fn(float(x[0])))
-
     try:
-        outcome = _newton(logged, lo, hi, f_lo, f_hi, d_hi, tol, max_iter)
+        outcome, _ = bracketed_newton(logged, lo, hi, f_lo, f_hi, d_hi, tol, max_iter)
     except ConvergenceError as err:
         outcome = str(err)
-    with np.errstate(all="ignore"):
-        x, f, iterations = _newton_many(
-            batch_fn, *(np.array([v]) for v in (lo, hi, f_lo, f_hi, d_hi)), tol, max_iter)
-    assert [p.hex() for p in batch_points] == [p.hex() for p in points]
-    if isinstance(outcome, tuple):
-        assert _bits((float(x[0]), float(f[0]), int(iterations[0]))) == _bits(outcome)
-    elif "NaN" in outcome:
-        assert math.isnan(f[0]) and iterations[0] == len(points)
-    else:
-        assert iterations[0] == max_iter
     return outcome, points
 
 
@@ -144,31 +129,31 @@ def _cubic(root):
 
 
 class TestNewtonKernel:
-    """_newton, and verify._newton_many beside it bit for bit, on residuals with known paths."""
+    """_newton on residuals with known paths, each root certified by its bracket."""
 
     def test_simple_root(self):
-        (x, fx, iters), points = _newton_both(_cubic(0.3), 0.0, 1.0)
+        (x, fx, iters), points = _newton_run(_cubic(0.3), 0.0, 1.0)
         assert x == pytest.approx(0.3, abs=1e-12)
         assert abs(fx) < 1e-12
         assert 0 < iters == len(points) <= 8
 
     def test_exact_zero_short_circuit(self):
         # Newton from hi = 1 lands on 0.5 exactly.
-        (x, fx, iters), _ = _newton_both(lambda x: (x - 0.5, 1.0), 0.0, 1.0)
+        (x, fx, iters), _ = _newton_run(lambda x: (x - 0.5, 1.0), 0.0, 1.0)
         assert (x, fx, iters) == (0.5, 0.0, 1)
 
     def test_iteration_cap(self):
-        outcome, points = _newton_both(lambda x: (x * x - 5.0, 2.0 * x), 0.0, 4.0,
-                                       tol=1e-30, max_iter=5)
+        outcome, points = _newton_run(lambda x: (x * x - 5.0, 2.0 * x), 0.0, 4.0,
+                                      tol=1e-30, max_iter=5)
         assert outcome.endswith("wider than 1e-30 after 5 iterations") and len(points) == 5
 
     def test_float_exhaustion_stops(self):
         lo, hi = 1.0, math.nextafter(1.0, 2.0)
-        (x, fx, iters), points = _newton_both(lambda x: (x - 2.0, 1.0), lo, hi, tol=0.0)
+        (x, fx, iters), points = _newton_run(lambda x: (x - 2.0, 1.0), lo, hi, tol=0.0)
         assert (x, iters, points) == (hi, 0, [])
 
     def test_nan_raises(self):
-        outcome, points = _newton_both(
+        outcome, points = _newton_run(
             lambda x: (math.nan, math.nan) if 0.2 < x < 0.9 else (x - 0.3, 1.0), 0.0, 1.0)
         assert outcome == "residual is NaN at lam=0.30000000000000004"
         assert points == [1.0 - 0.7]
@@ -177,7 +162,7 @@ class TestNewtonKernel:
         # Newton from 4 reaches sqrt(5) from above and stays above it; once
         # a step is below tol/4, the next point is tol/4 below the last,
         # which brackets the root in about a quarter of tol.
-        (x, fx, iters), points = _newton_both(lambda x: (x * x - 5.0, 2.0 * x), 0.0, 4.0)
+        (x, fx, iters), points = _newton_run(lambda x: (x * x - 5.0, 2.0 * x), 0.0, 4.0)
         assert points[-1] == points[-2] - 0.25 * LAMBDA_TOL
         assert points[-1] * points[-1] < 5.0 < points[-2] * points[-2]
         assert x == points[-2] and iters == len(points) <= 7
@@ -185,7 +170,7 @@ class TestNewtonKernel:
     def test_step_too_short_to_move_probes_at_once(self):
         # At hi the Newton step is 1e-20, which rounds away: hi is its own
         # Newton point, so the first point is the probe below it.
-        (x, fx, iters), points = _newton_both(
+        (x, fx, iters), points = _newton_run(
             lambda x: (1e-20 if x == 1.0 else x - 0.5, 1.0), 0.0, 1.0)
         assert points == [1.0 - 0.25 * LAMBDA_TOL, 0.5]
         assert (x, fx, iters) == (0.5, 0.0, 2)
@@ -197,7 +182,7 @@ class TestNewtonKernel:
         # midpoint once the bracket is wider than 2**(N0 - j) times its
         # start, which at 1e9 happens from step N0 + 1 on, every step after.
         bound = _bisection_steps(0.0, 1.0, LAMBDA_TOL) + _NEWTON_N0
-        (x, _, iters), _ = _newton_both(lambda x: (x - 0.3, stall), 0.0, 1.0)
+        (x, _, iters), _ = _newton_run(lambda x: (x - 0.3, stall), 0.0, 1.0)
         assert x == pytest.approx(0.3, abs=LAMBDA_TOL)
         assert iters <= bound
         if stall == 1e9:
@@ -222,16 +207,16 @@ class TestNewtonKernel:
         # was a midpoint too: 46, 49 and 48 steps.  Projected toward the
         # Newton point, a step on the root's side of the midpoint shrinks
         # the bracket past its half, and the Newton point waits a step.
-        (x, _, iters), _ = _newton_both(fn, lo, hi)
+        (x, _, iters), _ = _newton_run(fn, lo, hi)
         assert x == pytest.approx(root, abs=LAMBDA_TOL)
         assert iters == steps
 
     def test_zero_slope_under_the_budget(self):
         # The cube's slope vanishes at its seventh point, 6e-14 above the
         # root, where the budget binds: with f' = 0, x stays on that point,
-        # whose projection, in the scalar loop as in the batch, is the top
-        # of the budget's interval, 0.25, not its bottom.
-        (x, _, iters), points = _newton_both(
+        # whose projection is the top of the budget's interval, 0.25, not
+        # its bottom.
+        (x, _, iters), points = _newton_run(
             lambda x: (x * x * x - 0.027, 0.0 if abs(x - 0.3) < 1e-9 else 3.0 * x * x),
             0.0, 1.0)
         assert points[6] - 0.3 < 1e-13 and points[7] == 0.25
@@ -242,16 +227,15 @@ class TestNewtonKernel:
         # A slope 10% too steep makes Newton creep down on the root, its
         # error shrinking elevenfold a step, while the budget projects every
         # other point.  The Newton point whose step fell below tol/4 waits a
-        # projection, and the probe after it waits one more, in the scalar
-        # loop as in the batch: the last point is tol/4 below the one two
-        # points before it.
-        (x, _, iters), points = _newton_both(lambda x: (x - 1.0 / 3.0, 1.1), -3.0, 5.0)
+        # projection, and the probe after it waits one more: the last point
+        # is tol/4 below the one two points before it.
+        (x, _, iters), points = _newton_run(lambda x: (x - 1.0 / 3.0, 1.1), -3.0, 5.0)
         assert points[-1] == points[-3] - 0.25 * LAMBDA_TOL
         assert points[-1] < 1.0 / 3.0 < points[-3] and iters == len(points) == 24
 
     def test_bounded_when_newton_overshoots(self):
         # atan's Newton steps from far out leave the bracket.
-        (x, _, iters), _ = _newton_both(
+        (x, _, iters), _ = _newton_run(
             lambda x: (math.atan(x - 0.3), 1.0 / (1.0 + (x - 0.3) ** 2)), -40.0, 50.0)
         assert x == pytest.approx(0.3, abs=LAMBDA_TOL)
         assert iters <= _bisection_steps(-40.0, 50.0, LAMBDA_TOL) + _NEWTON_N0
@@ -342,16 +326,6 @@ def _bits(result):
     return tuple(v.hex() if isinstance(v, float) else v for v in result)
 
 
-def _batch_of_one(fn, lo, hi, f_lo, f_hi, d_hi, tol, max_iter):
-    """_newton's call as a one-element verify._newton_many call, fed fn's scalar bits."""
-    def batch_fn(x, i):
-        return tuple(np.array([v]) for v in fn(float(x[0])))
-
-    arrays = (np.array([v]) for v in (lo, hi, f_lo, f_hi, d_hi))
-    x, f, iterations = _newton_many(batch_fn, *arrays, tol, max_iter)
-    return float(x[0]), float(f[0]), int(iterations[0])
-
-
 def _frozen_pair(K, pi):
     """conftest's frozen residual, with the slope of core._fixed_point."""
     old, new = frozen_fixed_point(K, pi), _fixed_point(K, pi)
@@ -361,11 +335,12 @@ def _frozen_pair(K, pi):
 def _kernel_results(monkeypatch, frozen, run):
     """_bits of every _bisect and _newton result while run() solves, in call order.
 
-    frozen swaps in conftest's reference ITP kernel and residual, and runs
-    each Newton root as a one-element batch of verify's kernel.
+    frozen swaps in conftest's reference ITP kernel and residual, and
+    certifies each Newton root by the bracket of its points.
     """
     kernels = {"_bisect": frozen_bisect if frozen else solvers_module._bisect,
-               "_newton": _batch_of_one if frozen else solvers_module._newton}
+               "_newton": (lambda *args: bracketed_newton(*args)[0]) if frozen
+               else solvers_module._newton}
     results = []
 
     def logging(kernel):
@@ -394,7 +369,8 @@ class TestBitIdentity:
     """The kernels repeat their references' floats exactly.
 
     The ITP loop repeats conftest's frozen kernel, and every Newton root of
-    a solve is repeated bit for bit by verify's batched kernel.
+    a solve is repeated bit for bit on conftest's frozen residual, each
+    certified by its bracket.
     """
 
     @pytest.mark.parametrize("run", [

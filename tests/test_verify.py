@@ -12,22 +12,23 @@ import numpy as np
 
 import macgain.solvers
 import macgain.verify
-from conftest import scalar_derivative_roots
-from macgain.core import _fixed_point, _lambda_bound, db_to_linear, dlambda_dpi
+from conftest import bracketed_newton, scalar_derivative_roots
+from macgain.core import (_fixed_point, _fixed_point_many, _fixed_point_value_many,
+                          _lambda_bound, db_to_linear, dlambda_dpi)
 from macgain.solvers import (
     DEFAULT_FROM_DB,
     DEFAULT_TO_DB,
     DEFAULT_USERS,
     BracketError,
     ConvergenceError,
-    _newton,
+    LAMBDA_TOL,
+    _bisect,
     eval_point,
     solve_lambda_massive,
     solve_lambda_star,
     sweep_curve,
 )
 from macgain.verify import (
-    _newton_many,
     _report,
     _root_many,
     BoundReport,
@@ -432,22 +433,20 @@ class TestReport:
 
 
 def _cube(root):
-    """x**3 - root**3 with its slope, as fn(x, i) and its scalar twin.
+    """x**3 - root**3 with its slope.
 
     Its slope vanishes at 0, so Newton from the upper end of [0, 1] is slow
     and the budget's midpoints take over: both phases of the kernel run.
     """
-    def scalar(x):
-        return x * x * x - root * root * root, 3.0 * x * x
-
-    def batch(x, i):
-        return x * x * x - root * root * root, 3.0 * x * x
-
-    return scalar, batch
+    return lambda x: (x * x * x - root * root * root, 3.0 * x * x)
 
 
 class TestBatchedSolve:
-    """The batched Newton kernel against the scalar solvers it stands in for."""
+    """The certified batch against the scalar solvers it stands in for.
+
+    The first three tests drive solvers._newton, the scalar kernel the
+    batch hands its elements to, on the edge cases of its brackets.
+    """
 
     @pytest.mark.parametrize(
         "lo, hi, root, tol, max_iter",
@@ -461,40 +460,33 @@ class TestBatchedSolve:
         ],
     )
     def test_kernel_matches_scalar_bisect(self, lo, hi, root, tol, max_iter):
-        # Four copies of the bracket, so every lane must take the same path
-        # as the scalar _newton.
-        scalar, batch = _cube(root)
-        (f_lo, _), (f_hi, d_hi) = scalar(lo), scalar(hi)
-        x, fx, iters = _newton_many(
-            batch, np.full(4, lo), np.full(4, hi), np.full(4, f_lo), np.full(4, f_hi),
-            np.full(4, d_hi), tol, max_iter,
-        )
-        args = (scalar, lo, hi, f_lo, f_hi, d_hi, tol, max_iter)
+        # Newton steps and ITP steps each close a certified bracket on the
+        # same residual, so their roots are within 2 tol of each other, or
+        # both raise at the cap.  Where the ends are no (-, +) bracket (the
+        # root 2 lies outside [1, 1 + ulp]), both take the same end.
+        fn = _cube(root)
+        (f_lo, _), (f_hi, d_hi) = fn(lo), fn(hi)
+        newton = lambda: bracketed_newton(fn, lo, hi, f_lo, f_hi, d_hi, tol, max_iter)[0]
+        itp = lambda: _bisect(lambda x: fn(x)[0], lo, hi, f_lo, f_hi, tol, max_iter)
         if max_iter == 7:
-            # The scalar kernel raises at the cap; the batch reports the
-            # steps, and its callers hand such lanes to the scalar solver.
-            with pytest.raises(ConvergenceError, match="after 7 iterations"):
-                _newton(*args)
-            assert list(iters) == [7] * 4
+            for run in (newton, itp):
+                with pytest.raises(ConvergenceError, match="after 7 iterations"):
+                    run()
             return
-        want = _newton(*args)
-        for lane in range(4):
-            assert (float(x[lane]), float(fx[lane]), int(iters[lane])) == want
+        (x, _, _), (x_itp, _, _) = newton(), itp()
+        assert abs(x - x_itp) <= 2.0 * tol
 
     def test_kernel_stops_a_nan_lane_alone(self):
-        # Lane 1's slope at hi is 0.5, so its first Newton point is
-        # 1 - 0.7/0.5 = -0.4, where the residual is NaN.
-        x, fx, iters = _newton_many(
-            lambda x, i: (np.where(x > 0.0, x - 0.3, math.nan), np.ones_like(x)),
-            np.array([0.0, -1.0]), np.array([1.0, 1.0]),
-            np.array([-0.3, -1.3]), np.array([0.7, 0.7]), np.array([1.0, 0.5]),
-            1e-12, 200,
-        )
-        # Lane 0 runs on after lane 1 stops, exactly as the scalar loop.
-        want = _newton(lambda x: (x - 0.3, 1.0), 0.0, 1.0, -0.3, 0.7, 1.0, 1e-12, 200)
-        assert (float(x[0]), float(fx[0]), int(iters[0])) == want
-        assert want[2] > 1
-        assert math.isnan(fx[1]) and x[1] == 1.0 - 0.7 / 0.5 and iters[1] == 1
+        # The second bracket's slope at hi is 0.5, so its first Newton point
+        # is 1 - 0.7/0.5 = -0.4, where the residual is NaN: the kernel
+        # raises there, and the first bracket, with slope 1, settles.
+        (x, fx, iters), _ = bracketed_newton(lambda x: (x - 0.3, 1.0), 0.0, 1.0,
+                                             -0.3, 0.7, 1.0, 1e-12, 200)
+        assert x == pytest.approx(0.3, abs=1e-12) and iters > 1
+        with pytest.raises(ConvergenceError,
+                           match=re.escape(f"residual is NaN at lam={1.0 - 0.7 / 0.5!r}")):
+            bracketed_newton(lambda x: (x - 0.3 if x > 0.0 else math.nan, 1.0), -1.0, 1.0,
+                             -1.3, 0.7, 0.5, 1e-12, 200)
 
     @pytest.mark.parametrize(
         "fn, lo, hi, f_lo, f_hi, d_hi, tol",
@@ -505,50 +497,31 @@ class TestBatchedSolve:
              1e-12),
             (lambda x: (x * x - 0.2, 2.0 * x), 0.0, 1.0, -0.2, math.inf, math.inf, 1e-12),
             # 1 - 0.7/0.7 = 0 lands on the bracket's lower end.
-            (lambda x: (x - 0.3, 0.7 + 0.0 * x), 0.0, 1.0, -0.3, 0.7, 0.7, 1e-12),
+            (lambda x: (x - 0.3, 0.7), 0.0, 1.0, -0.3, 0.7, 0.7, 1e-12),
             # A zero or NaN slope has no Newton point: every step bisects.
-            (lambda x: (x - 0.3, 0.0 * x), 0.0, 1.0, -0.3, 0.7, 0.0, 1e-12),
-            (lambda x: (x - 0.3, math.nan + 0.0 * x), 0.0, 1.0, -0.3, 0.7, math.nan,
-             1e-12),
+            (lambda x: (x - 0.3, 0.0), 0.0, 1.0, -0.3, 0.7, 0.0, 1e-12),
+            (lambda x: (x - 0.3, math.nan), 0.0, 1.0, -0.3, 0.7, math.nan, 1e-12),
             # 1 - 0.7/0.1 = -6 lies below the bracket.
-            (lambda x: (x - 0.3, 0.1 + 0.0 * x), 0.0, 1.0, -0.3, 0.7, 0.1, 1e-12),
+            (lambda x: (x - 0.3, 0.1), 0.0, 1.0, -0.3, 0.7, 0.1, 1e-12),
             # A negative slope's step is below tol/4 but points out of the
             # bracket: the midpoint, not a probe, comes next.
-            (lambda x: (x - 0.3, -1e15 + 0.0 * x), 0.0, 1.0, -0.3, 0.7, -1e15, 1e-12),
+            (lambda x: (x - 0.3, -1e15), 0.0, 1.0, -0.3, 0.7, -1e15, 1e-12),
             # No float between the ends: no step at all.
-            (lambda x: (x - 1.0 - 2.0**-53, 1.0 + 0.0 * x), 1.0, math.nextafter(1.0, 2.0),
+            (lambda x: (x - 1.0 - 2.0**-53, 1.0), 1.0, math.nextafter(1.0, 2.0),
              -(2.0**-53), 2.0**-53, 1.0, 0.0),
         ],
         ids=["nan_from_lower_inf", "nan_from_upper_inf", "projected_onto_end",
              "zero_slope", "nan_slope", "outside", "negative_slope", "adjacent_floats"],
     )
     def test_fallback_takes_the_midpoint(self, fn, lo, hi, f_lo, f_hi, d_hi, tol):
-        scalar_steps, batch_steps = [], []
-
-        def scalar_fn(x):
-            scalar_steps.append(x)
-            return fn(x)
-
-        def batch_fn(x, i):
-            batch_steps.append(float(x[0]))
-            return fn(x)
-
-        want = _newton(scalar_fn, lo, hi, f_lo, f_hi, d_hi, tol, 200)
-        with np.errstate(all="ignore"):
-            x, fx, iters = _newton_many(batch_fn, np.array([lo]), np.array([hi]),
-                                        np.array([f_lo]), np.array([f_hi]),
-                                        np.array([d_hi]), tol, 200)
-        assert (float(x[0]), float(fx[0]), int(iters[0])) == want
-        assert batch_steps == scalar_steps
+        # bracketed_newton certifies the result: an exact zero, or an end
+        # of a (-, +) bracket at most tol wide.
+        want, steps = bracketed_newton(fn, lo, hi, f_lo, f_hi, d_hi, tol, 200)
         if tol == 0.0:
             assert want[2] == 0 and want[0] in (lo, hi)
             return
-        # The first step is the midpoint.  The kernel stops on an exact
-        # zero or inside a (-, +) bracket at most tol wide.
-        assert scalar_steps[0] == 0.5 * (lo + hi)
-        below = max([lo] + [s for s in scalar_steps if fn(s)[0] < 0.0])
-        above = min([hi] + [s for s in scalar_steps if fn(s)[0] > 0.0])
-        assert want[1] == 0.0 or (above - below <= tol and below <= want[0] <= above)
+        # The first step is the midpoint.
+        assert steps[0] == 0.5 * (lo + hi)
 
     def test_nan_inside_the_bracket_goes_to_the_scalar_solver(self, monkeypatch):
         # The ends bracket the root, but the first Newton point is NaN: the
@@ -568,24 +541,21 @@ class TestBatchedSolve:
             _root_many(np.array([2.0, 2.0]), np.array([1.0, 1.0]))
         assert handed == [(2, 0.5, 1.0)]
 
-    def test_batch_matches_scalar_bits_with_scalar_residuals(self, monkeypatch):
-        # The Newton points depend on the first upper end and on residual
-        # and slope values, so a batch fed exactly the scalar solver's bits
-        # of all three, math's log1p where numpy's may differ, must return
-        # exactly the scalar roots.
-        def scalar_kernel(K, pi, lam):
-            return tuple(np.array([_fixed_point(k, p)(x) for k, p, x
-                                   in zip(K.tolist(), pi.tolist(), lam.tolist())]).T)
-
-        def scalar_bound(pi, log1p):
-            return np.array([_lambda_bound(p, math.log1p) for p in pi.tolist()])
-
-        monkeypatch.setattr(macgain.verify, "_fixed_point_many", scalar_kernel)
-        monkeypatch.setattr(macgain.verify, "_lambda_bound", scalar_bound)
+    def test_batch_roots_carry_their_own_brackets(self):
+        # Each batch root x has the scalar residual < 0 at x - tol/4 and
+        # > 0 at x + tol/4, inside [1, K]: a (-, +) bracket at most tol
+        # wide, which is what the scalar solver accepts.  Its Newton points
+        # differ from the scalar loop's, so the two roots may differ by a
+        # few ulps; on this seed they are at most 4 apart.
         K, P = draw_samples(SampleSpec(seed=42, n_samples=500))
         lam = _root_many(K, K * P)
-        want = [solve_lambda_star(int(k), float(p)).lambda_star for k, p in zip(K, P)]
-        assert lam.tolist() == want
+        quarter = 0.25 * LAMBDA_TOL
+        for k, p, x in zip(K.tolist(), P.tolist(), lam.tolist()):
+            residual = _fixed_point(float(k), k * p)
+            below, above = x - quarter, x + quarter
+            assert 1.0 <= below and above <= k and above - below <= LAMBDA_TOL
+            assert residual(below)[0] < 0.0 < residual(above)[0]
+            assert abs(x - solve_lambda_star(k, p).lambda_star) <= 8.0 * math.ulp(x)
 
     def test_samples_match_scalar_solver(self):
         K, P = draw_samples(SampleSpec(seed=42, n_samples=10_000))
@@ -604,6 +574,9 @@ class TestBatchedSolve:
 
     def test_vanishing_power_degenerates(self):
         # At P=1e-20 the residual is 0 at lam = 1; at 1e-9 it is negative.
+        # The batch's Newton steps reach 1 for the first, where the
+        # certificate's lower probe would lie below 1, so the scalar solver
+        # pins it.
         assert solve_lambda_star(100, 1e-20).degenerate
         assert not solve_lambda_star(100, 1e-9).degenerate
         K = np.array([100, 100, 3])
@@ -615,7 +588,7 @@ class TestBatchedSolve:
                                        rel=1e-10)
 
     def test_unconverged_element_raises_like_scalar(self, monkeypatch):
-        # Four Newton steps settle K=100 at pi=100 (it takes 4) but not K=10
+        # Four Newton passes settle K=100 at pi=100 (it takes 4) but not K=10
         # at pi=1 (it takes 5), in the batch as in the scalar solver, which
         # raises for it.
         monkeypatch.setattr(macgain.solvers, "MAX_ITER", 4)
@@ -627,7 +600,7 @@ class TestBatchedSolve:
             _root_many(np.array([100, 10, 100]), np.array([100.0, 1.0, 100.0]))
 
     def test_first_failure_in_input_order_wins(self, monkeypatch):
-        # Two steps settle neither element; each raises in the scalar solver.
+        # Two passes settle neither element; each raises in the scalar solver.
         monkeypatch.setattr(macgain.solvers, "MAX_ITER", 2)
         K, pi = np.array([2, 10]), np.array([1000.0, 1000.0])
         for order, first in (([0, 1], "K=2, P="), ([1, 0], "K=10, P=")):
@@ -635,11 +608,11 @@ class TestBatchedSolve:
                 _root_many(K[order], pi[order])
 
     def test_overflowing_massive_slack_raises(self, monkeypatch):
-        # The batch's kernel has no log split: where pi*lam overflows, at a
-        # root or at the bracket's upper end (at 2.5327e305, 1e-3 above the
-        # root, where the root's t is 1.79769e308), its slack is NaN and the
-        # element goes to the scalar solver.  That solves it, or raises its
-        # own error naming it.
+        # The batch's residual has no log split: where pi*lam overflows, at
+        # a root or at the first upper end (at 2.5327e305, 1e-3 above the
+        # root, where the root's t is 1.79769e308), its Newton point is NaN
+        # and the element goes to the scalar solver.  That solves it, or
+        # raises its own error naming it.
         top = np.array([1e300, db_to_linear(3070.0), db_to_linear(3080.0),
                         2.5327355556134235e305])
         handed = []
@@ -652,18 +625,19 @@ class TestBatchedSolve:
         lam = _root_many(np.full(top.size, math.inf), top)
         assert handed == top[1:].tolist()
         assert lam.tolist() == [solve_lambda_massive(pi).lambda_star for pi in top]
-        # One step settles none of them (they take 2, 2 and 3): the first
-        # in input order, the one handed over, raises.
+        # One step settles none of them (the scalar solver takes 2, 2 and 3,
+        # the batch 3 passes for 1e300 and 4 for 5.38): the first in input
+        # order, the one handed over, raises.
         monkeypatch.setattr(macgain.solvers, "MAX_ITER", 1)
         with pytest.raises(ConvergenceError, match=re.escape(f"pi={float(top[1])!r}")):
             _root_many(np.full(3, math.inf), np.array([top[1], 1e300, 5.38]))
 
     def test_bound_below_the_root_goes_to_the_scalar_solver(self, monkeypatch):
         # Scaled by 0.6, the upper end at pi = 1000 is 5.51, below
-        # lam = 9.12, so that element's bracket is (-, -); at pi = 0.1 it is
-        # 1.2, still above lam = 1.05.  Only the scalar solver may decide
-        # the first: it solves it with its own bound, or raises once that is
-        # scaled too.
+        # lam = 9.12, so that element's bracket is (-, -) and its first
+        # Newton point lies above the end; at pi = 0.1 the end is 1.2, still
+        # above lam = 1.05.  Only the scalar solver may decide the first: it
+        # solves it with its own bound, or raises once that is scaled too.
         def shrunk(pi, log1p):
             return 0.6 * _lambda_bound(pi, log1p)
 
@@ -683,6 +657,74 @@ class TestBatchedSolve:
         monkeypatch.setattr(macgain.solvers, "_lambda_bound", shrunk)
         with pytest.raises(BracketError, match="pi=1000.0"):
             _root_many(np.full(2, math.inf), pis)
+
+    def test_a_root_without_its_sign_pair_goes_to_the_scalar_solver(self, monkeypatch):
+        # The certificate reads the residual at x - tol/4 and x + tol/4.
+        # Element 1's residual is made positive at both, element 2's
+        # negative, so neither has a (-, +) pair: both go to the scalar
+        # solver, whose roots they take, and elements 0 and 3 stay.
+        def lifted(K, pi, lam):
+            r, *terms = _fixed_point_value_many(K, pi, lam)
+            r = r.copy()
+            r[1], r[2] = abs(r[1]), -abs(r[2])
+            return r, *terms
+
+        handed = []
+
+        def scalar(config):
+            handed.append(config.total_power)
+            return eval_point(config)
+
+        monkeypatch.setattr(macgain.verify, "_fixed_point_value_many", lifted)
+        monkeypatch.setattr(macgain.verify, "eval_point", scalar)
+        K, pi = np.array([3, 10, 100, 2]), np.array([1.0, 5.0, 30.0, 1000.0])
+        lam = _root_many(K, pi)
+        assert handed == [5.0, 30.0]
+        assert lam[1:3].tolist() == [solve_lambda_star(10, 0.5).lambda_star,
+                                     solve_lambda_star(100, 0.3).lambda_star]
+
+    def test_a_bracket_past_the_cap_goes_to_the_scalar_solver(self, monkeypatch):
+        # At K = 2 and pi = 1e26 the root is 8e-14 below the cap, so the
+        # certificate's upper probe, tol/4 above it, lies beyond K, outside
+        # the residual's domain: the scalar solver takes the element.
+        handed = []
+
+        def scalar(config):
+            handed.append(config.total_power)
+            return eval_point(config)
+
+        monkeypatch.setattr(macgain.verify, "eval_point", scalar)
+        lam = _root_many(np.array([2, 2]), np.array([1e26, 1000.0]))
+        assert handed == [1e26]
+        assert 2.0 - 0.25 * LAMBDA_TOL < lam[0] < 2.0
+        assert lam[0] == solve_lambda_star(2, 5e25).lambda_star
+
+    def test_elements_handed_over_stop_at_once(self, monkeypatch):
+        # An overflowing power reads NaN from its first Newton pass and one
+        # with a shrunk upper end steps out of [1, hi]: both stop there, so
+        # the batch ends after its first pass, well inside the bar of 7,
+        # instead of running to MAX_ITER.
+        passes = []
+
+        def counted(K, pi, lam):
+            passes.append(lam.size)
+            return _fixed_point_many(K, pi, lam)
+
+        handed = []
+
+        def scalar(config):
+            handed.append(config.total_power)
+            return eval_point(config)
+
+        monkeypatch.setattr(macgain.verify, "_fixed_point_many", counted)
+        monkeypatch.setattr(macgain.verify, "_lambda_bound",
+                            lambda pi, log1p: 0.6 * _lambda_bound(pi, log1p))
+        monkeypatch.setattr(macgain.verify, "eval_point", scalar)
+        pis = np.array([db_to_linear(3070.0), 1000.0])
+        lam = _root_many(np.full(2, math.inf), pis)
+        assert handed == pis.tolist()
+        assert lam.tolist() == [solve_lambda_massive(pi).lambda_star for pi in pis]
+        assert len(passes) <= 7
 
     @pytest.mark.parametrize("bad", [0.0, -0.5, -2.0, math.nan, math.inf])
     def test_invalid_power_raises_scalar_message(self, bad):
