@@ -12,10 +12,9 @@ bisection; a root is accepted for its (-, +) bracket, never for a small
 residual, so nothing about convergence relies on numerical luck.  The
 parametric inversion roots its own residual, whose root is the same power
 gain, by the same routine.  Peak search, whose residual has no
-closed-form slope at hand, narrows its bracket by ITP steps (interpolate,
-truncate, project), never more than one step beyond bisection.  It runs on
-the dB axis: the maximum of F is the (-, +) root of its negated slope,
-which core.dlambda_dpi gives in closed form.
+closed-form slope at hand, takes the same steps on a secant slope, under
+the same bound.  It runs on the dB axis: the maximum of F is the (-, +)
+root of its negated slope, which core.dlambda_dpi gives in closed form.
 """
 
 from __future__ import annotations
@@ -70,14 +69,6 @@ DEFAULT_USERS = (2, 3, 10, 100, None)
 # use holds 2001 points; a billion-point grid would exhaust memory.
 MAX_GRID_POINTS = 20_000
 
-# ITP root steps (Oliveira & Takahashi, "An Enhancement of the Bisection
-# Method Average Performance Preserving Minmax Optimality", ACM TOMS 47(1),
-# 2020) with kappa1 = _ITP_K1 / initial width, kappa2 = 2 and n0 = _ITP_N0:
-# after any number of steps the bracket is at most 2**_ITP_N0 times as wide
-# as bisection's, so no tol takes more than _ITP_N0 extra steps.
-_ITP_K1 = 0.2
-_ITP_N0 = 1
-
 # Newton steps on a residual with a closed-form slope fall back to the
 # midpoint whenever the bracket is wider than 2**(_NEWTON_N0 - j) times
 # its initial width before step j, so no tol takes more than _NEWTON_N0
@@ -124,7 +115,8 @@ class PeakResult(NamedTuple):
     pairs where g, the normalised negated slope of F, is negative at the
     first (F still rising) and positive at the second (F falling); it is at
     most LAMBDA_TOL wide, unless g reads exactly 0 at a point inside, which
-    ends the search there: pi_star_db is then that point.
+    ends the search there: pi_star_db is then that point, and the bracket
+    may be far wider (about 3e-3 dB for the massive curve by default).
     """
 
     users: int | None
@@ -135,87 +127,28 @@ class PeakResult(NamedTuple):
     bracket_evidence: tuple[tuple[float, float], tuple[float, float]]
 
 
-def _bisect(fn, lo: float, hi: float, f_lo: float, f_hi: float,
-            tol: float, max_iter: int) -> tuple[float, float, int]:
-    """Narrow [lo, hi] given f(lo) < 0 < f(hi) by ITP steps.
-
-    Each step takes the regula-falsi point of the bracket ends, moves it
-    toward the midpoint by kappa1 * width**2 and projects it into the
-    interval around the midpoint that keeps the bracket within budget:
-    after step j at most 2**(_ITP_N0 - j) times the initial width.  It
-    evaluates the midpoint instead if that point is not finite or not
-    strictly inside the bracket.  Returns (x, fn(x), iterations) at the
-    evaluated point with smallest |fn|.  Stops when the interval is
-    narrower than tol or when no float fits strictly between the ends.  A
-    NaN residual carries no sign, and max_iter steps that leave a wider
-    bracket certify nothing; both raise ConvergenceError.
-    """
-    if abs(f_lo) <= abs(f_hi):
-        best_x, best_f, abs_best = lo, f_lo, abs(f_lo)
-    else:
-        best_x, best_f, abs_best = hi, f_hi, abs(f_hi)
-    width = hi - lo
-    k1 = _ITP_K1 / width
-    budget = math.ldexp(width, _ITP_N0 - 1)
-    iterations = 0
-    while width > tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if iterations == max_iter:
-            raise ConvergenceError(
-                f"bracket [{lo!r}, {hi!r}] is wider than {tol!r} after "
-                f"{max_iter} iterations"
-            )
-        x_f = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
-        d = mid - x_f
-        delta = k1 * width * width
-        x = x_f + delta if delta <= d else x_f - delta if delta <= -d else mid
-        r = budget - 0.5 * width
-        r = 0.0 if r < 0.0 else r
-        if x < mid - r:
-            x = mid - r
-        elif x > mid + r:
-            x = mid + r
-        if not lo < x < hi:
-            x = mid
-        budget *= 0.5
-        f_x = fn(x)
-        iterations += 1
-        if f_x < 0.0:
-            if -f_x < abs_best:
-                best_x, best_f, abs_best = x, f_x, -f_x
-            lo, f_lo = x, f_x
-        elif f_x > 0.0:
-            if f_x < abs_best:
-                best_x, best_f, abs_best = x, f_x, f_x
-            hi, f_hi = x, f_x
-        elif f_x == 0.0:
-            return x, 0.0, iterations
-        else:
-            raise ConvergenceError(f"residual is NaN at lam={x!r}")
-        width = hi - lo
-    return best_x, best_f, iterations
-
-
 def _newton(fn, lo: float, hi: float, f_lo: float, f_hi: float, d_hi: float,
             tol: float, max_iter: int) -> tuple[float, float, int]:
     """Narrow [lo, hi] given f(lo) < 0 < f(hi) by safeguarded Newton steps.
 
-    fn(x) returns (f(x), f'(x)), and d_hi is f'(hi).  Starting from hi, each
-    step takes the Newton point of the last evaluated point.  Once a Newton
-    step is shorter than tol/4, the next step probes tol/4 beyond the point
-    it reached, toward the root, which closes a (-, +) bracket around a
-    converged point; a step too short to move x probes at once.  Before
-    step j the bracket may be at most 2**(_NEWTON_N0 - j) times its initial
-    width; where it is wider, the point is projected into the interval
-    around the midpoint that keeps it so after the step, as ITP does, and
-    the point itself waits for the next step.  So no root takes more than
-    ceil(log2(width/tol)) + _NEWTON_N0 steps, and a projection on the
-    root's side of the midpoint shrinks the bracket past its half.  The
-    midpoint is taken instead when the point is not strictly inside the
-    bracket (f' = 0 or NaN included).  Stops like _bisect and raises like
-    it, on a NaN residual or after max_iter steps.  Returns
+    fn(x) returns (f(x), f'(x)), and d_hi is f'(hi); the slope may be an
+    estimate, a secant say, for it only steers the steps and the bound below
+    does not depend on it.  Starting from hi, each step takes the Newton
+    point of the last evaluated point.  Once a Newton step is shorter than
+    tol/4, the next step probes tol/4 beyond the point it reached, toward
+    the root, which closes a (-, +) bracket around a converged point; a
+    step too short to move x probes at once.  Before step j the bracket may
+    be at most 2**(_NEWTON_N0 - j) times its initial width; where it is
+    wider, the point is projected into the interval around the midpoint
+    that keeps it so after the step, as ITP does (Oliveira & Takahashi, ACM
+    TOMS 47(1), 2020), and the point itself waits for the next step.  So no
+    root takes more than ceil(log2(width/tol)) + _NEWTON_N0 steps, and a
+    projection on the root's side of the midpoint shrinks the bracket past
+    its half.  The midpoint is taken instead when the point is not strictly
+    inside the bracket (f' = 0 or NaN included).  Stops when the bracket is
+    narrower than tol or when no float fits strictly between its ends.  A
+    NaN residual carries no sign, and max_iter steps that leave a wider
+    bracket certify nothing; both raise ConvergenceError.  Returns
     (x, fn(x)[0], iterations) at the end of the final bracket with the
     smaller |f|, or at an exact zero.
     """
@@ -459,7 +392,8 @@ def find_peak(users: int | None, from_db: float = DEFAULT_FROM_DB,
     F rises while g = 1 - (lam + pi*lam') * (ln(1+pi)/ln(1+pi*lam)) *
     ((1+pi)/(1+pi*lam)) is negative and falls while it is positive: g is
     -dF/dpi scaled to O(1).  The peak is g's (-, +) root on the dB axis,
-    bracketed to LAMBDA_TOL by _bisect; the solve at the returned point
+    bracketed to LAMBDA_TOL by _newton's steps on the secant slope of g
+    from the point evaluated just before; the solve at the returned point
     gives F* and lam.  Where lam - 1 <= LAMBDA_TOL the solve cannot tell
     lam from 1 and F is flat at 1, so g counts as negative there.  Raises
     NoPeakError unless g is negative at from_db and positive at to_db.
@@ -468,8 +402,9 @@ def find_peak(users: int | None, from_db: float = DEFAULT_FROM_DB,
         raise ValueError(f"peak search needs from_db < to_db, got {from_db!r}..{to_db!r}")
     solved: dict[float, GainSolution] = {}
     ends: dict[bool, tuple[float, float]] = {}  # the last (pi_db, g) of each sign
+    last = [math.nan, math.nan]  # the (pi_db, g) evaluated just before
 
-    def descent(pi_db: float) -> float:
+    def descent(pi_db: float) -> tuple[float, float]:
         sol = eval_point(ChannelConfig(users, total_power=db_to_linear(pi_db)))
         solved[pi_db] = sol
         pi, lam = sol.config.total_power, sol.lambda_star
@@ -481,15 +416,20 @@ def find_peak(users: int | None, from_db: float = DEFAULT_FROM_DB,
                        * ((1.0 + pi) / (1.0 + pi * lam)))
         if g != 0.0:
             ends[g > 0.0] = (pi_db, g)
-        return g
+        # The secant from the point before, NaN for the first: that point
+        # is an end of _newton's bracket, and each new one lies inside it.
+        x, g_x = last
+        last[:] = pi_db, g
+        return g, (g - g_x) / (pi_db - x)
 
-    g_lo, g_hi = descent(from_db), descent(to_db)
+    (g_lo, _), (g_hi, d_hi) = descent(from_db), descent(to_db)
     if not g_lo < 0.0 < g_hi:
         raise NoPeakError(
             f"F has no interior maximum in [{from_db!r}, {to_db!r}] dB; "
             f"widen the range"
         )
-    pi_star_db, _, _ = _bisect(descent, from_db, to_db, g_lo, g_hi, LAMBDA_TOL, MAX_ITER)
+    pi_star_db, _, _ = _newton(descent, from_db, to_db, g_lo, g_hi, d_hi,
+                               LAMBDA_TOL, MAX_ITER)
     sol = solved[pi_star_db]
     return PeakResult(users, sol.config.total_power, pi_star_db, sol.gain_F,
                       sol.lambda_star, (ends[False], ends[True]))

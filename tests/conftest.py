@@ -4,11 +4,12 @@ The oracle helpers re-derive reference values by brute force (dense grids
 plus cell bisection) so solver tests never validate the solver against
 itself.  scalar_derivative_roots solves check_derivative's points with the
 scalar solver, so the check can be tested apart from run_suite's batches.
-frozen_bisect and frozen_fixed_point are reference copies of the ITP
-kernel and of the residual's value as they were written with builtin calls
-on every step; the ITP loop and the residual must reproduce them bit for
-bit.  bracketed_newton certifies each Newton root by the bracket its own
-points close.
+frozen_bisect is a test-only ITP kernel (Oliveira & Takahashi, ACM TOMS
+47(1), 2020), an independent route to the roots that the Newton steps
+find.  frozen_fixed_point is a reference copy of the residual's value as it
+was written with module-global math lookups; the residual must reproduce it
+bit for bit.  bracketed_newton certifies each Newton root by the bracket
+its own points close.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from mpmath import mp, mpf
 
 import macgain.solvers
 from macgain.core import _SERIES_CUTOFF, ChannelConfig, log1p_over_x
-from macgain.solvers import _ITP_K1, _ITP_N0, ConvergenceError, _newton, eval_point
+from macgain.solvers import ConvergenceError, _newton, eval_point
 from macgain.verify import DERIVATIVE_GRID, DERIVATIVE_STEP, DERIVATIVE_USERS
 
 
@@ -76,13 +77,21 @@ def unsplit_residual(monkeypatch):
 
 
 def frozen_bisect(fn, lo, hi, f_lo, f_hi, tol, max_iter):
-    """solvers._bisect as written with abs, max and math.copysign on every step."""
+    """Narrow [lo, hi] given fn(lo) < 0 < fn(hi) by ITP steps, kappa1 = 0.2/width and n0 = 1.
+
+    Each step moves the regula-falsi point toward the midpoint by
+    kappa1 * width**2 and projects it into the interval around the midpoint
+    that keeps the bracket at most 2**(1 - j) times its initial width after
+    step j.  Returns (x, fn(x), iterations) at the evaluated point with the
+    smallest |fn|, or at an exact zero; a NaN residual or max_iter steps
+    raise ConvergenceError.
+    """
     if abs(f_lo) <= abs(f_hi):
         best_x, best_f = lo, f_lo
     else:
         best_x, best_f = hi, f_hi
-    k1 = _ITP_K1 / (hi - lo)
-    budget = math.ldexp(hi - lo, _ITP_N0 - 1)
+    k1 = 0.2 / (hi - lo)
+    budget = hi - lo
     iterations = 0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)

@@ -750,17 +750,17 @@ GOLDEN_STDOUT = {
     "peak --users 10 --format json": (
         '{\n'
         '  "users": 10,\n'
-        '  "pi_star": 5.293553836435835,\n'
-        '  "pi_star_db": 7.237473342944857,\n'
-        '  "F_star": 1.4458875142360175,\n'
-        '  "lambda_at_peak": 2.511107052120177,\n'
+        '  "pi_star": 5.293553836435845,\n'
+        '  "pi_star_db": 7.237473342944864,\n'
+        '  "F_star": 1.4458875142360172,\n'
+        '  "lambda_at_peak": 2.5111070521201784,\n'
         '  "bracket_evidence": [\n'
         '    [\n'
-        '      7.237473342940624,\n'
-        '      -1.2456702336294256e-13\n'
+        '      7.2374733429446145,\n'
+        '      -7.549516567451064e-15\n'
         '    ],\n'
         '    [\n'
-        '      7.237473342944865,\n'
+        '      7.237473342944864,\n'
         '      2.220446049250313e-16\n'
         '    ]\n'
         '  ]\n'

@@ -151,8 +151,8 @@ def test_exported_names_are_used_or_documented():
 
 def test_only_the_root_kernels_take_a_tolerance():
     # Every root is bracketed to solvers.LAMBDA_TOL within MAX_ITER steps.
-    # Only the two kernels take both as parameters, so that their tests
-    # can drive float exhaustion (tol = 0) and a small step cap.
+    # Only the one kernel takes both as parameters, so that its tests can
+    # drive float exhaustion (tol = 0) and a small step cap.
     takers = set()
     for path in (ROOT / "src" / "macgain").glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -161,7 +161,7 @@ def test_only_the_root_kernels_take_a_tolerance():
                 params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
                 if {p.arg for p in params if p} & {"tol", "max_iter"}:
                     takers.add(f"{path.stem}.{getattr(node, 'name', '<lambda>')}")
-    assert takers == {"solvers._bisect", "solvers._newton"}
+    assert takers == {"solvers._newton"}
 
 
 def test_verify_imports_no_private_solver_route():
@@ -246,9 +246,9 @@ def _function(tree: ast.AST, name: str) -> ast.FunctionDef:
                 if isinstance(node, ast.FunctionDef) and node.name == name)
 
 
-def _bisect_step_calls(source: str, kernel: str = "_bisect") -> set[str]:
-    """What the while loop of solvers' kernel calls, outside its raise statements."""
-    loop = next(node for node in ast.walk(_function(ast.parse(source), kernel))
+def _step_calls(source: str) -> set[str]:
+    """What the while loop of solvers._newton calls, outside its raise statements."""
+    loop = next(node for node in ast.walk(_function(ast.parse(source), "_newton"))
                 if isinstance(node, ast.While))
     raised = {id(node) for stmt in ast.walk(loop) if isinstance(stmt, ast.Raise)
               for node in ast.walk(stmt)}
@@ -270,25 +270,19 @@ def _residual_lookups(source: str) -> set[str]:
 
 
 def test_bisect_step_calls_only_fn():
-    # Each ITP or Newton step runs one of these loops; abs, max and
-    # math.copysign cost more there than the arithmetic they stand for.
-    # Restoring the old ITP point, or an abs in the Newton step's
-    # convergence test, trips the check.
+    # Each root step runs this loop; abs, max and math.copysign cost more
+    # there than the arithmetic they stand for.  An abs in the Newton
+    # step's convergence test trips the check.
     source = (ROOT / "src" / "macgain" / "solvers.py").read_text(encoding="utf-8")
-    assert _bisect_step_calls(source) == {"fn"}
-    assert _bisect_step_calls(source, "_newton") == {"fn"}
-    step = "x = x_f + delta if delta <= d else x_f - delta if delta <= -d else mid"
-    assert step in source
-    old = source.replace(step, "x = x_f + math.copysign(delta, d) if delta <= abs(d) else mid")
-    assert _bisect_step_calls(old) == {"fn", "math.copysign", "abs"}
+    assert _step_calls(source) == {"fn"}
     short = "if -quarter < step < quarter:"
     assert short in source
     with_abs = source.replace(short, "if abs(step) < quarter:")
-    assert _bisect_step_calls(with_abs, "_newton") == {"fn", "abs"}
+    assert _step_calls(with_abs) == {"fn", "abs"}
 
 
 def test_residual_reads_only_its_closure():
-    # The residual runs once per ITP step: it reads math's functions from
+    # The residual runs once per Newton step: it reads math's functions from
     # its factory's locals, never a module global or an attribute.
     # Restoring the old log1p call trips the check.
     source = (ROOT / "src" / "macgain" / "core.py").read_text(encoding="utf-8")

@@ -12,7 +12,7 @@ import numpy as np
 
 import macgain.solvers
 import macgain.verify
-from conftest import bracketed_newton, scalar_derivative_roots
+from conftest import bracketed_newton, frozen_bisect, scalar_derivative_roots
 from macgain.core import (_fixed_point, _fixed_point_many, _fixed_point_value_many,
                           _lambda_bound, db_to_linear, dlambda_dpi)
 from macgain.solvers import (
@@ -22,7 +22,6 @@ from macgain.solvers import (
     BracketError,
     ConvergenceError,
     LAMBDA_TOL,
-    _bisect,
     eval_point,
     solve_lambda_massive,
     solve_lambda_star,
@@ -460,14 +459,15 @@ class TestBatchedSolve:
         ],
     )
     def test_kernel_matches_scalar_bisect(self, lo, hi, root, tol, max_iter):
-        # Newton steps and ITP steps each close a certified bracket on the
-        # same residual, so their roots are within 2 tol of each other, or
-        # both raise at the cap.  Where the ends are no (-, +) bracket (the
-        # root 2 lies outside [1, 1 + ulp]), both take the same end.
+        # Newton steps and conftest's ITP reference each close a certified
+        # bracket on the same residual, so their roots are within 2 tol of
+        # each other, or both raise at the cap.  Where the ends are no
+        # (-, +) bracket (the root 2 lies outside [1, 1 + ulp]), both take
+        # the same end.
         fn = _cube(root)
         (f_lo, _), (f_hi, d_hi) = fn(lo), fn(hi)
         newton = lambda: bracketed_newton(fn, lo, hi, f_lo, f_hi, d_hi, tol, max_iter)[0]
-        itp = lambda: _bisect(lambda x: fn(x)[0], lo, hi, f_lo, f_hi, tol, max_iter)
+        itp = lambda: frozen_bisect(lambda x: fn(x)[0], lo, hi, f_lo, f_hi, tol, max_iter)
         if max_iter == 7:
             for run in (newton, itp):
                 with pytest.raises(ConvergenceError, match="after 7 iterations"):
