@@ -301,29 +301,19 @@ def f_of(pi: float, lam: float) -> float:
 def dlambda_dpi(users: int | None, pi: float, lam: float) -> float:
     """Slope dlam/dpi of the power gain along its curve, by implicit differentiation.
 
-    With t = pi*lam, lam' = (b - lam) / (pi*(2 + t - b/lam)), where
-    b = 1 + t - t*(lam/K) for K users, which is 1 + t in the massive limit
-    (users None, K = inf); dividing lam out keeps every term finite while
-    t is, and where t overflows both are divided by t.  Only meaningful when
-    (pi, lam) solves the balance equation at that K; nonnegative there: at
-    a root that rounds to the cap K, b - lam cancels and the slope is 0.0.
-    pi must be a positive finite power.  A denominator that is not
-    positive, NaN included, cannot occur on the curve and signals an
-    off-curve call.
+    _fixed_point's residual r = lam - G_K(t), t = pi*lam and K = inf when
+    users is None, has dr/dpi = -lam*G_K'(t) and pi*G_K'(t) = 1 - r', so
+    lam' = lam*(1 - r')/(pi*r').  Only meaningful at a root, where it is
+    nonnegative: r' >= 1, at a root that rounds to the cap K, gives +0.0.
+    A power that is not positive and finite, a lam below 1 or NaN, and an
+    r' that is not positive, which no point of the curve has, raise ValueError.
     """
     pi = _check_power(pi, "total power")
-    t = pi * lam
-    share = lam / (math.inf if users is None else users)
-    if t < math.inf:
-        b = 1.0 + t - t * share
-        rise, denom = b - lam, 2.0 + t - b / lam
-    else:  # their limits over t: b/t -> 1 - lam/K
-        rise, denom = 1.0 - share, 1.0 - (1.0 - share) / lam
-    if not denom > 0.0:
-        raise ValueError(
-            f"denominator {denom!r} <= 0: (pi={pi!r}, lam={lam!r}) is off the curve"
-        )
-    return rise / denom / pi if rise > 0.0 else 0.0
+    K = math.inf if users is None else users
+    slope = _fixed_point(K, pi)(lam)[1] if lam >= 1.0 else math.nan
+    if not slope > 0.0:
+        raise ValueError(f"(pi={pi!r}, lam={lam!r}) is off the curve: r' = {slope!r}")
+    return lam * (1.0 - slope) / (pi * slope) if slope < 1.0 else 0.0
 
 
 def massive_parametric(t: float) -> tuple[float, float]:

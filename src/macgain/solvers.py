@@ -14,7 +14,7 @@ parametric inversion roots its own residual, whose root is the same power
 gain, by the same routine.  Peak search, whose residual has no
 closed-form slope at hand, takes the same steps on a secant slope, under
 the same bound.  It runs on the dB axis: the maximum of F is the (-, +)
-root of its negated slope, which core.dlambda_dpi gives in closed form.
+root of its negated slope, whose lam' core.dlambda_dpi reads off r'.
 """
 
 from __future__ import annotations
@@ -114,9 +114,8 @@ class PeakResult(NamedTuple):
     bracket_evidence is the final bracket of the search, two (pi_db, g)
     pairs where g, the normalised negated slope of F, is negative at the
     first (F still rising) and positive at the second (F falling); it is at
-    most LAMBDA_TOL wide, unless g reads exactly 0 at a point inside, which
-    ends the search there: pi_star_db is then that point, and the bracket
-    may be far wider (about 3e-3 dB for the massive curve by default).
+    most LAMBDA_TOL wide.  Where g reads exactly 0, which ends the search
+    at that point, the pairs are g's probes LAMBDA_TOL/4 either side of it.
     """
 
     users: int | None
@@ -394,9 +393,11 @@ def find_peak(users: int | None, from_db: float = DEFAULT_FROM_DB,
     -dF/dpi scaled to O(1).  The peak is g's (-, +) root on the dB axis,
     bracketed to LAMBDA_TOL by _newton's steps on the secant slope of g
     from the point evaluated just before; the solve at the returned point
-    gives F* and lam.  Where lam - 1 <= LAMBDA_TOL the solve cannot tell
-    lam from 1 and F is flat at 1, so g counts as negative there.  Raises
-    NoPeakError unless g is negative at from_db and positive at to_db.
+    gives F* and lam.  An exact zero of g ends the search, and g is then
+    probed LAMBDA_TOL/4 either side of it for the bracket evidence.  Where
+    lam - 1 <= LAMBDA_TOL the solve cannot tell lam from 1 and F is flat
+    at 1, so g counts as negative there.  Raises NoPeakError unless g is
+    negative at from_db and positive at to_db.
     """
     if not to_db > from_db:
         raise ValueError(f"peak search needs from_db < to_db, got {from_db!r}..{to_db!r}")
@@ -428,8 +429,11 @@ def find_peak(users: int | None, from_db: float = DEFAULT_FROM_DB,
             f"F has no interior maximum in [{from_db!r}, {to_db!r}] dB; "
             f"widen the range"
         )
-    pi_star_db, _, _ = _newton(descent, from_db, to_db, g_lo, g_hi, d_hi,
-                               LAMBDA_TOL, MAX_ITER)
+    pi_star_db, g_star, _ = _newton(descent, from_db, to_db, g_lo, g_hi, d_hi,
+                                    LAMBDA_TOL, MAX_ITER)
+    if g_star == 0.0:  # the bracket that ended there may be far wider
+        descent(pi_star_db - 0.25 * LAMBDA_TOL)
+        descent(pi_star_db + 0.25 * LAMBDA_TOL)
     sol = solved[pi_star_db]
     return PeakResult(users, sol.config.total_power, pi_star_db, sol.gain_F,
                       sol.lambda_star, (ends[False], ends[True]))

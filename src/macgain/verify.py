@@ -276,7 +276,7 @@ def check_tail_bounds(pis: np.ndarray, lams: np.ndarray) -> BoundReport:
 
 
 def check_derivative(pis: np.ndarray, lams: np.ndarray) -> BoundReport:
-    """Validate the analytic slope dlambda_dpi against central differences.
+    """Validate dlambda_dpi, read off the Newton slope r', against central differences.
 
     pis[j] holds a power pi times 1, 1 + h and 1 - h, h = DERIVATIVE_STEP,
     and lams[u, j] the roots of curve DERIVATIVE_USERS[u] there, bracketed

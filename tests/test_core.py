@@ -499,6 +499,8 @@ class TestMassiveDerivative:
             assert dlambda_dpi(None, pi, lam) > 0.0
 
     def test_off_curve_denominator_guard(self):
+        # lam = 0.2 < 1 is off every curve; r' there reads 0.89 > 0, so the
+        # lam check, not the slope's sign, refuses it.
         for users in (None, 2):
             with pytest.raises(ValueError):
                 dlambda_dpi(users, 0.5, 0.2)
@@ -512,7 +514,7 @@ class TestMassiveDerivative:
 class TestFiniteDerivative:
     @pytest.mark.parametrize("K", [2, 10, 10**4, 10**12])
     def test_matches_central_differences(self, K):
-        # Implicit differentiation of the balance equation at K users,
+        # lam*(1 - r')/(pi*r') from the residual's slope r' at K users,
         # against a quotient of roots at pi*(1 -+ 1e-4).
         for pi in (0.1, 1.0, 5.38, 100.0):
             lam = solve_lambda_star(K, pi / K).lambda_star
@@ -525,8 +527,11 @@ class TestFiniteDerivative:
 
     @pytest.mark.parametrize("K", [2, 10, 10**12])
     def test_one_formula_for_every_K(self, K):
-        # b = 1 + t - t*lam/K is the finite form 1 + (K - lam)*(pi/K)*lam
-        # rearranged, and 1 + t at K = inf.
+        # The paper-form reference: implicit differentiation of the balance
+        # equation gives lam' = (b - lam)/(pi*(2 + t - b/lam)), with
+        # b = 1 + (K - lam)*(pi/K)*lam, 1 + t at K = inf.  dlambda_dpi reads
+        # lam' off the residual's slope r' instead, so the b-form lives only
+        # here.
         for pi in (0.1, 5.38, 1000.0):
             lam = solve_lambda_star(K, pi / K).lambda_star
             t = pi * lam
@@ -536,8 +541,8 @@ class TestFiniteDerivative:
 
     @pytest.mark.parametrize("users", [10**3, 10**6, None])
     def test_matches_central_differences_where_t_overflows(self, users):
-        # At pi = 1e307, pi*lam overflows: the slope is taken in its
-        # t -> inf limit, and the solves split ln(1 + pi*lam) likewise.
+        # At pi = 1e307, pi*lam overflows: the residual, whose slope r'
+        # gives lam', splits ln(1 + pi*lam) there, and the solves likewise.
         pi, h = 1e307, 1e-4
 
         def lam(power):
@@ -549,8 +554,8 @@ class TestFiniteDerivative:
 
     @pytest.mark.parametrize("K, pi", [(2, 2e50), (10, 1e307)])
     def test_zero_at_a_cap_root(self, K, pi):
-        # The root rounds to K, so b = 1 + t - t*(lam/K) cancels t and b - lam
-        # reads below 0 (-2.5e-101 and -0.0 here); the slope is +0.0 instead.
+        # The root rounds to K, where the residual's slope r' rounds to 1,
+        # so 1 - r' reads 0; the slope is +0.0.
         lam = eval_point(ChannelConfig(K, total_power=pi)).lambda_star
         assert lam == K
         slope = dlambda_dpi(K, pi, lam)

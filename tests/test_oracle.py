@@ -16,10 +16,11 @@ import pytest
 from mpmath import mp, mpf
 
 from conftest import finite_certified, massive_certified
-from macgain.core import ChannelConfig, db_to_linear
+from macgain.core import ChannelConfig, db_to_linear, dlambda_dpi
 from macgain.solvers import (
     DEFAULT_USERS,
     LAMBDA_TOL,
+    eval_point,
     find_peak,
     invert_massive_parametric,
     solve_lambda_massive,
@@ -153,6 +154,26 @@ def mp_lambda(users, pi):
                        solver="anderson")
 
 
+@pytest.mark.parametrize("users", GRID_USERS + (None,),
+                         ids=lambda users: "massive" if users is None else str(users))
+def test_slope_matches_implicit_derivative(users):
+    # dlambda_dpi, read off the fixed-point residual's slope, against the
+    # implicit derivative -(dB/dpi)/(dB/dlam) of the paper-form balance
+    # residual B in 50 digits, both at the float root, from -60 to 100 dB
+    # total.  The worst is 2.8e-10 (K = 2, -60 dB), where 1 - r' cancels.
+    worst = []
+    with mp.workdps(50):
+        for power_db in range(-60, 101, 5):
+            pi = db_to_linear(power_db)
+            lam = eval_point(ChannelConfig(users, total_power=pi)).lambda_star
+            pi_, lam_ = mpf(pi), mpf(lam)
+            exact = (-mp.diff(lambda p: mp_balance(users, p, lam_), pi_)
+                     / mp.diff(lambda x: mp_balance(users, pi_, x), lam_))
+            worst.append((abs(dlambda_dpi(users, pi, lam) - exact) / exact, power_db))
+    rel, power_db = max(worst)
+    assert rel <= 1e-8, (rel, power_db)
+
+
 def test_derivative_step_error_budget():
     # check_derivative compares the analytic slope with a central difference
     # of roots bracketed to LAMBDA_TOL.  At its step, the quotient's exact
@@ -193,7 +214,7 @@ def mp_gain_slope(users, pi_db):
                          ids=lambda users: "massive" if users is None else str(users))
 def test_peak_is_certified(users):
     # F rises 1e-11 dB below the located peak and falls 1e-11 dB above it.
-    # The search may end on an exact zero of its slope, with bracket
-    # evidence about 3e-3 dB wide; this pins the peak itself.
+    # The bracket evidence, at most LAMBDA_TOL wide, certifies the sign
+    # change of the float slope, not of the exact one; this pins the peak.
     pi_star_db = find_peak(users).pi_star_db
     assert mp_gain_slope(users, pi_star_db - 1e-11) > 0 > mp_gain_slope(users, pi_star_db + 1e-11)

@@ -185,8 +185,9 @@ def test_one_balance_residual():
     # Every solve roots one residual, the fixed point lam = G_K(pi*lam) of
     # the balance equation in core._fixed_point, with its numpy twin beside
     # it: phi(L/K)'s expm1 is called in core alone, the scalar solver reads
-    # neither the paper-form _balance nor f_of, and verify keeps none of
-    # the separate finite and massive residuals and batches.
+    # neither the paper-form _balance nor f_of, verify keeps none of the
+    # separate finite and massive residuals and batches, and dlambda_dpi
+    # reads lam' off _fixed_point's slope with no logarithm of its own.
     sites = {
         module
         for module, tree in _src_trees()
@@ -204,6 +205,11 @@ def test_one_balance_residual():
                if isinstance(node, ast.FunctionDef)}
     assert not defined & {"_solve_finite_many", "_solve_massive_many", "_f_of_many",
                           "_raw_residual_many"}
+    [slope] = [node for node in trees["core"].body
+               if isinstance(node, ast.FunctionDef) and node.name == "dlambda_dpi"]
+    called = {getattr(node.func, "attr", getattr(node.func, "id", None))
+              for node in ast.walk(slope) if isinstance(node, ast.Call)}
+    assert "_fixed_point" in called and not called & {"log1p", "log", "expm1", "exp"}
 
 
 def test_one_slack_scorer():

@@ -769,18 +769,20 @@ class TestFindPeak:
         assert peak.F_star == pytest.approx(1.4458875, abs=1e-6)
 
     @staticmethod
-    def _search(monkeypatch, users):
-        """Checks find_peak(users); returns the g its _newton ended on and the bracket width."""
-        returned = []
+    def _search(monkeypatch, users, *range_db):
+        """Checks find_peak(users, *range_db); returns its _newton's final g and evidence width."""
+        searched = []
         kernel = solvers_module._newton
 
-        def logged(*args):
-            returned.append(kernel(*args))
-            return returned[-1]
+        def logged(fn, *args):
+            result = kernel(fn, *args)
+            if fn.__name__ == "descent":  # the search's, not its solves'
+                searched.append(result)
+            return result
 
         monkeypatch.setattr(solvers_module, "_newton", logged)
-        peak = find_peak(users)
-        pi_db, g, _ = returned[-1]  # the search's; its solves' calls return first
+        peak = find_peak(users, *range_db)
+        [(pi_db, g, _)] = searched
         assert pi_db == peak.pi_star_db
         assert peak.pi_star == db_to_linear(peak.pi_star_db)
         assert 1.0 < peak.F_star < 2.0
@@ -791,18 +793,19 @@ class TestFindPeak:
         return g, right[0] - left[0]
 
     def test_result_invariants(self, monkeypatch):
-        # g reads exactly 0 inside the bracket, which ends the search there:
-        # the evidence is the bracket at that moment, 2.6e-9 dB wide, far
-        # wider than LAMBDA_TOL.  (For K = 100, 1e6 and the massive limit it
-        # is about 3e-3 dB; test_oracle certifies the peak itself.)
+        # g reads exactly 0 inside the bracket, which ends the search there;
+        # g is then probed LAMBDA_TOL/4 either side, so the evidence is a
+        # (-, +) pair around the peak, 5e-13 dB wide, where the bracket at
+        # that moment was 2.6e-9 dB wide.
         g, width = self._search(monkeypatch, 3)
         assert g == 0.0
-        assert width > LAMBDA_TOL
+        assert width <= LAMBDA_TOL
 
     def test_result_invariants_on_a_bracket(self, monkeypatch):
         # No g reads 0: the search ends on a bracket at most LAMBDA_TOL wide,
-        # 2.5e-13 dB, and the peak is the end with the smaller |g|.
-        g, width = self._search(monkeypatch, 10)
+        # 1.06e-13 dB, and the peak is the end with the smaller |g|.  Every
+        # default curve ends on an exact zero, so this takes a wide range.
+        g, width = self._search(monkeypatch, 10, -300.0, 3000.0)
         assert g != 0.0
         assert width <= LAMBDA_TOL
 
