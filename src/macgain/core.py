@@ -321,7 +321,8 @@ def massive_parametric(t: float) -> tuple[float, float]:
 
     Returns (pi, lam) with lam = (1+t)*ln(1+t)/t and pi = t/lam; the map
     t -> pi is strictly increasing, so this parametrizes the whole curve.
-    t = inf gives (nan, nan), invert_massive_parametric's overflow signal.
+    t = inf gives (nan, nan); invert_massive_parametric refuses a power whose
+    t overflows before it calls this.
     """
     if not t > 0.0:
         raise ValueError(f"parameter must be > 0, got {t!r}")

@@ -10,23 +10,22 @@ two steps of the massive map above the root, and narrows the bracket by
 safeguarded Newton steps, never more than _NEWTON_N0 steps beyond
 bisection; a root is accepted for its (-, +) bracket, never for a small
 residual, so nothing about convergence relies on numerical luck.  The
-parametric inversion roots its own residual, whose root is the same power
-gain, by the same routine.  Peak search, whose residual has no
-closed-form slope at hand, takes the same steps on a secant slope, under
-the same bound.  It runs on the dB axis: the maximum of F is the (-, +)
-root of its negated slope, whose lam' core.dlambda_dpi reads off r'.
+parametric inversion is the massive solve read through
+core.massive_parametric, with no root of its own.  Peak search, whose
+residual has no closed-form slope at hand, takes the same steps on a
+secant slope, under the same bound.  It runs on the dB axis: the maximum
+of F is the (-, +) root of its negated slope, whose lam' core.dlambda_dpi
+reads off r'.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from typing import NamedTuple
 
 from .core import (
     ChannelConfig,
     GainSolution,
-    _check_power,
     _fixed_point,
     _lambda_bound,
     db_to_linear,
@@ -207,49 +206,43 @@ def _newton(fn, lo: float, hi: float, f_lo: float, f_hi: float, d_hi: float,
     return (lo, f_lo, iterations) if -f_lo <= f_hi else (hi, f_hi, iterations)
 
 
-def _root(fn, cap: float, bound: float, where) -> tuple[float, float, int, bool]:
-    """Root of a residual f on [1, cap], negative below the root and positive above.
+def _solve(config: ChannelConfig) -> GainSolution:
+    """Root of core._fixed_point's residual for config, bracketed on [1, hi].
 
-    fn returns (f, f'), and bound is core._lambda_bound at the total power
-    whose power gain is f's root: the bracket is [1, hi], hi = min(cap,
-    bound) with cap >= 2, narrowed to LAMBDA_TOL by _newton's steps; the
-    (-, +) bracket certifies the root.  Returns (lam, f(lam), evaluations
-    of fn after the one at 1, degenerate).  If 0 <= f(1) < f(hi), the power
-    is too small for f to separate lam = 1 from the root, which is pinned
-    to 1 as degenerate, with 0 evaluations.  If f(1) < 0 and f(hi) <= 0 at
-    hi = cap, the root lies closer to the cap than f can resolve, and the
-    cap is taken.  A NaN or MAX_ITER steps raise ConvergenceError, any
-    other sign pattern, f(hi) <= 0 below the cap included, BracketError;
-    every message ends with where().
+    hi = min(K, core._lambda_bound) with K = inf in the massive limit, and
+    _newton narrows the bracket to LAMBDA_TOL; the (-, +) bracket certifies
+    the root.  If 0 <= r(1) < r(hi), the power is too small for r to
+    separate lam = 1 from the root, which is pinned to 1 as degenerate, with
+    0 iterations.  If r(1) < 0 and r(hi) <= 0 at hi = K, the root lies
+    closer to the cap than r can resolve, and the cap is taken.  A NaN or
+    MAX_ITER steps raise ConvergenceError, any other sign pattern, r(hi) <= 0
+    below the cap included, BracketError; every message ends with the point.
     """
+    K, pi = config.users, config.total_power
+    cap = math.inf if K is None else float(K)
+    fn = _fixed_point(cap, pi)
+    bound = _lambda_bound(pi, math.log1p)
     hi = cap if cap < bound else bound
     (f_lo, _), (f_hi, d_hi) = fn(1.0), fn(hi)
-    if 0.0 <= f_lo < f_hi:
-        return 1.0, f_lo, 0, True
-    if f_lo < 0.0 and f_hi <= 0.0 and hi == cap:
-        return cap, f_hi, 1, False
-    if not f_lo <= 0.0 < f_hi:
-        if math.isnan(f_hi):  # pi*hi overflows inside fn; pi*1 cannot
-            raise ConvergenceError(f"residual is NaN at lam={hi!r} for {where()}")
-        raise BracketError(
-            f"residual must change sign from - to + on [1.0, {hi!r}]; "
-            f"got ({f_lo!r}, {f_hi!r}) for {where()}"
-        )
-    try:
-        lam, res, iters = _newton(fn, 1.0, hi, f_lo, f_hi, d_hi, LAMBDA_TOL, MAX_ITER)
-    except ConvergenceError as err:
-        raise ConvergenceError(f"{err} for {where()}") from None
-    return lam, res, 1 + iters, False
-
-
-def _solve(config: ChannelConfig) -> GainSolution:
-    K, pi = config.users, config.total_power
-    if K is None:
-        cap, where = math.inf, lambda: f"pi={pi!r}"
+    degenerate = 0.0 <= f_lo < f_hi
+    if degenerate:
+        lam, res, iters = 1.0, f_lo, 0
+    elif f_lo < 0.0 and f_hi <= 0.0 and hi == cap:
+        lam, res, iters = cap, f_hi, 1
     else:
-        cap, where = float(K), lambda: f"K={K}, P={config.per_user_power!r}"
-    lam, res, iters, degenerate = _root(_fixed_point(cap, pi), cap,
-                                        _lambda_bound(pi, math.log1p), where)
+        try:
+            if not f_lo <= 0.0 < f_hi:
+                if math.isnan(f_hi):  # pi*hi overflows inside fn; pi*1 cannot
+                    raise ConvergenceError(f"residual is NaN at lam={hi!r}")
+                raise BracketError(
+                    f"residual must change sign from - to + on [1.0, {hi!r}]; "
+                    f"got ({f_lo!r}, {f_hi!r})"
+                )
+            lam, res, iters = _newton(fn, 1.0, hi, f_lo, f_hi, d_hi, LAMBDA_TOL, MAX_ITER)
+        except (BracketError, ConvergenceError) as err:
+            where = f"pi={pi!r}" if K is None else f"K={K}, P={config.per_user_power!r}"
+            raise type(err)(f"{err} for {where}") from None
+        iters += 1
     capacity_nofb = math.log1p(pi)
     t = pi * lam
     # Split like the residual where pi*lam overflows.
@@ -273,54 +266,24 @@ def solve_lambda_massive(pi: float) -> GainSolution:
     return _solve(ChannelConfig.massive(pi))
 
 
-def _overshoot(pi: float):
-    """s -> (r, r') for r = pi(pi*s) - pi, the inversion's residual; unvalidated.
-
-    pi(t) = t/lam(t) is massive_parametric's power at t = pi*s, strictly
-    increasing in s, and r is its excess over pi.  With lam' = (1 - L/t)/t
-    and L/t = lam/(1+t), L = ln(1+t), its slope r' = pi*(1 - 1/lam +
-    1/(1+t))/lam needs no further transcendental.  t = inf gives NaN.
-    """
-
-    def overshoot(s):
-        t = pi * s
-        p, lam = massive_parametric(t)
-        return p - pi, pi * (1.0 - 1.0 / lam + 1.0 / (1.0 + t)) / lam
-
-    return overshoot
-
-
 def invert_massive_parametric(pi: float) -> tuple[float, float]:
-    """Invert the closed-form curve parametrization at total power pi.
+    """Point of the closed-form curve parametrization at total power pi.
 
-    Finds t with massive_parametric(t) = (pi, lam) as the bracketed root
-    of the strictly increasing map s -> pi(pi*s) - pi for s = t/pi >= 1,
-    _overshoot, by _root's Newton steps; returns (t, lam).  Its root s is
-    the power gain at pi, so the bracket is the massive solve's,
-    [1, core._lambda_bound], computed once.  This is an independent route
-    to the same curve as solve_lambda_massive, through the closed-form
-    parametrization rather than the fixed-point map, and is kept separate
-    so the two can cross-check each other.  Where pi*s overflows at the
-    bracket's upper end, that end is clipped to the largest s with a
-    finite pi*s; a power whose root lies beyond it, where t itself
-    overflows (above about 3054.04 dB), raises ValueError.
+    Returns (t, lam) with massive_parametric(t) = (pi, lam): t = pi*lam for
+    the power gain lam of solve_lambda_massive, and lam as
+    massive_parametric gives it at t.  The parametric curve is the massive
+    fixed point parametrized by t, so its inversion at pi is that solve,
+    whose ValueError it raises for a power that is not positive and finite.
+    A power whose t overflows (above about 3054.04 dB) raises ValueError.
     """
-    pi = _check_power(pi, "total power")  # as ChannelConfig.massive does
-    overshoot = _overshoot(pi)
-    # pi(t) <= t puts the root, the power gain at pi, at or above s = 1.
-    bound, cap = _lambda_bound(pi, math.log1p), math.inf
-    if pi * bound == math.inf:
-        # max/pi rounds to the largest s with a finite pi*s or to one above.
-        cap = sys.float_info.max / pi
-        while pi * cap == math.inf:
-            cap = math.nextafter(cap, 0.0)
-        if not overshoot(cap)[0] > 0.0:
-            raise ValueError(
-                f"total power {pi!r} is beyond the parametric inversion: "
-                f"t = pi*lam overflows at its root"
-            )
-    s, _, _, _ = _root(overshoot, cap, bound, lambda: f"pi={pi!r}")
-    t = pi * s
+    sol = solve_lambda_massive(pi)
+    pi = sol.config.total_power
+    t = pi * sol.lambda_star
+    if t == math.inf:
+        raise ValueError(
+            f"total power {pi!r} is beyond the parametric inversion: "
+            f"t = pi*lam overflows at its root"
+        )
     return t, massive_parametric(t)[1]
 
 

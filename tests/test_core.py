@@ -487,8 +487,8 @@ class TestMassiveParametric:
         for t in (0.0, -1.0, math.nan):
             with pytest.raises(ValueError):
                 massive_parametric(t)
-        # t = inf is no error: (nan, nan) is the overflow signal that
-        # invert_massive_parametric turns into a ConvergenceError.
+        # t = inf is no error: it gives (nan, nan).  invert_massive_parametric
+        # refuses a power whose t overflows before it gets here.
         assert all(math.isnan(v) for v in massive_parametric(math.inf))
 
 

@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 import macgain
+from macgain.core import massive_parametric
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -210,6 +211,32 @@ def test_one_balance_residual():
     called = {getattr(node.func, "attr", getattr(node.func, "id", None))
               for node in ast.walk(slope) if isinstance(node, ast.Call)}
     assert "_fixed_point" in called and not called & {"log1p", "log", "expm1", "exp"}
+
+
+def test_one_root_per_operating_point():
+    # Each operating point is one root of core._fixed_point's residual.
+    # _solve roots it and find_peak roots F's slope along a curve, each on
+    # _newton's steps; the parametric inversion roots nothing of its own,
+    # it reads lam off the massive solve.
+    trees = dict(_src_trees())
+    callers = {
+        f"{module}.{top.name}"
+        for module, tree in trees.items()
+        for top in tree.body
+        if isinstance(top, ast.FunctionDef)
+        and any(isinstance(node, ast.Name) and node.id == "_newton"
+                for node in ast.walk(top))
+    }
+    assert callers == {"solvers._solve", "solvers.find_peak"}
+    invert = _function(trees["solvers"], "invert_massive_parametric")
+    called = {ast.unparse(node.func) for node in ast.walk(invert) if isinstance(node, ast.Call)}
+    assert "solve_lambda_massive" in called
+    assert not any(isinstance(node, (ast.FunctionDef, ast.Lambda))
+                   for node in ast.walk(invert) if node is not invert)
+    for pi in (1e-3, 5.38, 1e300):
+        t, lam = macgain.invert_massive_parametric(pi)
+        assert t == pi * macgain.solve_lambda_massive(pi).lambda_star
+        assert lam == massive_parametric(t)[1]
 
 
 def test_one_slack_scorer():
