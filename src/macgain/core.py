@@ -211,31 +211,38 @@ def _fixed_point(K: float, pi: float):
     return residual
 
 
-def _fixed_point_value_many(K, pi, lam):
-    """_fixed_point's r over numpy arrays, by the same operations in the same order.
+def _fixed_point_many(K, pi, lam, work, slope=True):
+    """_fixed_point's (r, r') over numpy arrays, by the same operations in the same order.
 
-    Returns (r, G, 1 + t, expm1(-z)): the value and the terms of G_K that
-    _fixed_point_many's slope reuses, so a caller that needs only r pays
-    for no slope.  Below t = 1e-8 ln(1+t)/t is the plain quotient, not the
-    series, and an overflowing t gives NaN, which verify's batch hands to
-    the scalar solver.  Call it with numpy's floating-point warnings
-    silenced.
+    Every operation writes into work, a float array of shape (5, n) that
+    the caller owns, for n elements, so a call allocates no array; r and r'
+    are returned as views of its rows, and r' is None without slope, so a
+    caller that needs only r pays for none.  Below t = 1e-8 ln(1+t)/t is
+    the plain quotient, not the series, and an overflowing t gives NaN,
+    which verify's batch hands to the scalar solver.  Call it with numpy's
+    floating-point warnings silenced.
     """
     import numpy as np
 
-    t = pi * lam
-    u = 1.0 + t
-    L = np.log1p(t)
-    z = L / K
-    e = np.expm1(-z)  # -0.0 at z = 0, so 1 + e is exactly 1 there
-    G = u * (L / t) * np.where(z > 0.0, -e / z, 1.0)
-    return lam - G, G, u, e
-
-
-def _fixed_point_many(K, pi, lam):
-    """_fixed_point's (r, r') over numpy arrays: _fixed_point_value_many with the slope."""
-    r, G, u, e = _fixed_point_value_many(K, pi, lam)
-    return r, 1.0 - (1.0 + e - G / u) / lam
+    # Rows: a holds t, L/t, then G; b 1 + t, then G/(1 + t); c L, e, then r';
+    # d -z, -e/z, then r; row 4 the mask z > 0, as bools.
+    a, b, c, d = work[:4]
+    positive = work[4].view(bool)[:a.size]
+    t = np.multiply(pi, lam, out=a)
+    u = np.add(1.0, t, out=b)
+    L = np.log1p(t, out=c)
+    np.divide(L, t, out=a)
+    minus_z = np.negative(np.divide(L, K, out=d), out=d)
+    e = np.expm1(minus_z, out=c)  # -0.0 at z = 0, so 1 + e is exactly 1 there
+    np.less(minus_z, 0.0, out=positive)
+    G = np.multiply(u, a, out=a)
+    np.multiply(G, np.divide(e, minus_z, out=d), out=G, where=positive)  # e/(-z) is -e/z
+    r = np.subtract(lam, G, out=d)
+    if not slope:
+        return r, None
+    np.divide(G, u, out=b)
+    np.subtract(np.add(1.0, e, out=c), b, out=c)
+    return r, np.subtract(1.0, np.divide(c, lam, out=c), out=c)
 
 
 def _lambda_bound(pi, log1p):

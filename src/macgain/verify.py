@@ -21,8 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import solvers
-from .core import (ChannelConfig, _balance, _fixed_point_many, _fixed_point_value_many,
-                   _lambda_bound, db_to_linear, dlambda_dpi)
+from .core import (ChannelConfig, _balance, _fixed_point_many, _lambda_bound, db_to_linear,
+                   dlambda_dpi)
 from .solvers import DEFAULT_FROM_DB, DEFAULT_TO_DB, DEFAULT_USERS, db_grid, eval_point
 
 __all__ = [
@@ -159,11 +159,11 @@ def _report(check_name: str, tables, slop: float = NUMERIC_SLOP) -> BoundReport:
             valid = np.ones(table.shape, dtype=bool)
         samples += int(np.count_nonzero(valid))
         violations += int(np.count_nonzero(valid & ~(table >= -slop)))
-        ranked = np.where(valid & ~np.isnan(table), table, math.inf)
-        first = int(np.argmin(ranked))
-        if ranked.flat[first] < worst:
+        np.copyto(table, math.inf, where=~valid | np.isnan(table))
+        first = int(np.argmin(table))
+        if table.flat[first] < worst:
             row, col = divmod(first, table.shape[1])
-            worst = float(ranked.flat[first])
+            worst = float(table.flat[first])
             witness = f"{columns[col][0]} {label(row)}"
     return BoundReport(check_name, samples, violations,
                        worst if samples else math.nan, witness)
@@ -180,6 +180,9 @@ def point_bound_slacks(K: np.ndarray, P: np.ndarray,
     """
     with np.errstate(all="ignore"):
         pi = K * P
+        # First, so that its workspace is freed before the other links exist.
+        ceiling = -_fixed_point_many(math.inf, pi, lam, np.empty((5, np.size(lam))),
+                                     False)[0].reshape(np.shape(lam))
         t = pi * lam
         log_term = np.log1p(t)
         upper = pi * lam * lam / (1.0 + (K - lam) * P * lam)
@@ -187,7 +190,7 @@ def point_bound_slacks(K: np.ndarray, P: np.ndarray,
             ("log_bracket_lower", log_term - t * lam / (1.0 + t)),
             ("log_bracket_upper", upper - log_term),
             ("gain_floor", lam - K * log_term / (K + log_term)),
-            ("fixed_point_ceiling", -_fixed_point_value_many(math.inf, pi, lam)[0]),
+            ("fixed_point_ceiling", ceiling),
             ("bracket_cap", K * lam / (K - lam) - upper),
         ]
 
@@ -202,10 +205,12 @@ def _root_many(K: np.ndarray, pi: np.ndarray) -> np.ndarray:
 
     Each element starts at the scalar solver's upper end, hi = min(K,
     core._lambda_bound) by numpy's log1p, and takes plain Newton steps on
-    core._fixed_point_many until a step is shorter than LAMBDA_TOL/4; only
-    the elements still running are evaluated, for at most MAX_ITER passes,
-    both read off the solvers module at call time.  An element whose Newton
-    point is NaN or leaves [1, hi] stops at once.  A converged point x is
+    core._fixed_point_many until a step is shorter than LAMBDA_TOL/4, for
+    at most MAX_ITER passes, both read off the solvers module at call time.
+    An element whose Newton point is NaN or leaves [1, hi] stops at once.
+    Each pass evaluates every element and a mask keeps the ones still
+    running; the passes and the certificate write into one workspace that
+    lives for the call, so no pass allocates.  A converged point x is
     kept only if the residual is < 0 at x - LAMBDA_TOL/4 >= 1 and > 0 at
     x + LAMBDA_TOL/4 <= K: a (-, +) bracket inside [1, K], narrower than
     the LAMBDA_TOL the scalar solver accepts.  Every other element goes, in
@@ -218,23 +223,28 @@ def _root_many(K: np.ndarray, pi: np.ndarray) -> np.ndarray:
     quarter = 0.25 * solvers.LAMBDA_TOL
     lam = np.full(K.size, math.nan)  # NaN until converged, which fails the certificate
     with np.errstate(all="ignore"):
-        run = np.arange(K.size)
-        x = top = np.minimum(_lambda_bound(pi, np.log1p), K)
+        # The bound's temporaries are freed before the workspace is taken.
+        top = np.minimum(_lambda_bound(pi, np.log1p), K)
+        work = np.empty((6, K.size))  # _fixed_point_many's five rows, then x
+        x = work[5]
+        x[:] = top
+        going, done = np.ones(K.size, dtype=bool), np.empty(K.size, dtype=bool)
         for _ in range(solvers.MAX_ITER):
-            if not run.size:
+            if not going.any():
                 break
-            r, d = _fixed_point_many(K[run], pi[run], x)
-            step = r / d
-            x = x - step
-            inside = (1.0 <= x) & (x <= top)
-            done = inside & (np.abs(step) < quarter)
-            lam[run[done]] = x[done]
-            going = np.flatnonzero(inside & ~done)
-            run, x, top = run[going], x[going], top[going]
-        below, above = lam - quarter, lam + quarter
-        settled = ((_fixed_point_value_many(K, pi, below)[0] < 0.0)
-                   & (_fixed_point_value_many(K, pi, above)[0] > 0.0)
-                   & (below >= 1.0) & (above <= K))
+            r, d = _fixed_point_many(K, pi, x, work)
+            step = np.divide(r, d, out=r)
+            np.subtract(x, step, out=x)
+            going &= np.greater_equal(x, 1.0, out=done)
+            going &= np.less_equal(x, top, out=done)
+            np.logical_and(going, np.less(np.abs(step, out=step), quarter, out=done), out=done)
+            np.copyto(lam, x, where=done)
+            going ^= done
+        below, above = np.subtract(lam, quarter, out=x), np.add(lam, quarter, out=top)
+        settled = np.less(_fixed_point_many(K, pi, below, work, False)[0], 0.0, out=going)
+        settled &= np.greater(_fixed_point_many(K, pi, above, work, False)[0], 0.0, out=done)
+        settled &= np.greater_equal(below, 1.0, out=done)
+        settled &= np.less_equal(above, K, out=done)
     for i in np.flatnonzero(~settled):
         users = None if K[i] == math.inf else int(K[i])
         lam[i] = eval_point(ChannelConfig(users, total_power=float(pi[i]))).lambda_star

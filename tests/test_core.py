@@ -21,7 +21,6 @@ from macgain.core import (
     GainSolution,
     _fixed_point,
     _fixed_point_many,
-    _fixed_point_value_many,
     _lambda_bound,
     db_to_linear,
     db_residual,
@@ -320,6 +319,17 @@ class TestFixedPointMap:
         assert bound <= 1.0
 
 
+def _array_reference(K, pi, lam):
+    """The numpy twin's operations as plain allocating expressions, for bit comparison."""
+    t = pi * lam
+    u = 1.0 + t
+    L = np.log1p(t)
+    z = L / K
+    e = np.expm1(-z)
+    G = u * (L / t) * np.where(z > 0.0, -e / z, 1.0)
+    return lam - G, 1.0 - (1.0 + e - G / u) / lam
+
+
 class TestFixedPointResidual:
     """core._fixed_point, the residual of every solve, and its numpy twin."""
 
@@ -356,16 +366,17 @@ class TestFixedPointResidual:
     def test_array_form_matches_scalar(self, K):
         # The same operations in the same order: residual and slope bit for
         # bit wherever numpy's log1p and expm1 round like math's, a few ulps
-        # elsewhere.  The value form's residual is the slope form's, bit for
-        # bit everywhere.
+        # elsewhere.  The value-only call's residual is the slope call's,
+        # bit for bit everywhere, and its slope is None.
         pi, frac = np.meshgrid(np.logspace(-7, 300, 61), np.linspace(0.0, 1.0, 11))
         lam = 1.0 + frac * (min(K, 1e3) - 1.0)
         pi, lam = pi.ravel(), lam.ravel()
         keep = np.isfinite(pi * lam)
         pi, lam = pi[keep], lam[keep]
         with np.errstate(all="ignore"):
-            batch = np.array(_fixed_point_many(K, pi, lam))
-            value = _fixed_point_value_many(K, pi, lam)[0]
+            batch = np.array(_fixed_point_many(K, pi, lam, np.empty((5, lam.size))))
+            value, none = _fixed_point_many(K, pi, lam, np.empty((5, lam.size)), slope=False)
+        assert none is None
         assert value.tobytes() == batch[0].tobytes()
         scalar = np.array([_fixed_point(K, p)(x) for p, x in zip(pi.tolist(), lam.tolist())]).T
         t = pi * lam
@@ -376,11 +387,37 @@ class TestFixedPointResidual:
         assert np.array_equal(batch[:, same], scalar[:, same])
         assert np.allclose(batch, scalar, rtol=0.0, atol=1e-15 * lam.max())
 
+    @pytest.mark.parametrize("K", [2.0, 3.0, 10.0, 1e4, 1e12, 1e300, math.inf])
+    def test_in_place_form_matches_the_allocating_one(self, K):
+        # Written into a workspace that starts as NaN, r and r' are the
+        # allocating expressions' bit for bit, NaN where those read NaN:
+        # below t = 1e-8 (the plain quotient), where t overflows, and at
+        # K = inf, where z = 0 takes the where branch.  The inputs are not
+        # written.
+        pi, frac = np.meshgrid(np.logspace(-320, 308, 315), np.linspace(0.0, 1.0, 7))
+        lam = 1.0 + frac * (min(K, 1e3) - 1.0)
+        pi, lam = pi.ravel(), lam.ravel()
+        args = np.stack([np.full(lam.size, K), pi, lam])
+        before = args.tobytes()
+        work = np.full((5, lam.size), math.nan)
+        with np.errstate(all="ignore"):
+            t = pi * lam
+            got = _fixed_point_many(*args, work)
+            want = _array_reference(*args)
+        assert (t < 1e-8).sum() > 100 and np.isinf(t).any()
+        assert args.tobytes() == before
+        for g, w in zip(got, want):
+            nan = np.isnan(w)
+            assert np.array_equal(np.isnan(g), nan)
+            assert g[~nan].tobytes() == w[~nan].tobytes()
+        assert np.isnan(got[0][np.isinf(t)]).all()
+
     def test_array_form_leaves_overflow_to_the_scalar_solver(self):
         with np.errstate(all="ignore"):
-            assert np.isnan(_fixed_point_many(np.array([2.0, math.inf]), 1e308, 2.0)[0]).all()
-            assert np.isnan(
-                _fixed_point_value_many(np.array([2.0, math.inf]), 1e308, 2.0)[0]).all()
+            for slope in (True, False):
+                r, _ = _fixed_point_many(np.array([2.0, math.inf]), 1e308, 2.0,
+                                         np.empty((5, 2)), slope)
+                assert np.isnan(r).all()
         for K in (2.0, math.inf):
             assert all(math.isfinite(v) for v in _fixed_point(K, 1e308)(2.0))
 

@@ -13,7 +13,7 @@ import numpy as np
 import macgain.solvers
 import macgain.verify
 from conftest import bracketed_newton, frozen_bisect, scalar_derivative_roots
-from macgain.core import (_fixed_point, _fixed_point_many, _fixed_point_value_many,
+from macgain.core import (_fixed_point, _fixed_point_many,
                           _lambda_bound, db_to_linear, dlambda_dpi)
 from macgain.solvers import (
     DEFAULT_FROM_DB,
@@ -526,7 +526,7 @@ class TestBatchedSolve:
     def test_nan_inside_the_bracket_goes_to_the_scalar_solver(self, monkeypatch):
         # The ends bracket the root, but the first Newton point is NaN: the
         # scalar solver raises there, so the batch must not keep the point.
-        def fn(K, pi, lam):
+        def fn(K, pi, lam, work, slope=True):
             return np.where(np.abs(lam - 1.5) < 0.1, math.nan, lam - 1.5), np.ones_like(lam)
 
         handed = []
@@ -659,15 +659,15 @@ class TestBatchedSolve:
             _root_many(np.full(2, math.inf), pis)
 
     def test_a_root_without_its_sign_pair_goes_to_the_scalar_solver(self, monkeypatch):
-        # The certificate reads the residual at x - tol/4 and x + tol/4.
-        # Element 1's residual is made positive at both, element 2's
-        # negative, so neither has a (-, +) pair: both go to the scalar
+        # The certificate reads the residual, value only, at x - tol/4 and
+        # x + tol/4.  Element 1's residual is made positive at both, element
+        # 2's negative, so neither has a (-, +) pair: both go to the scalar
         # solver, whose roots they take, and elements 0 and 3 stay.
-        def lifted(K, pi, lam):
-            r, *terms = _fixed_point_value_many(K, pi, lam)
-            r = r.copy()
-            r[1], r[2] = abs(r[1]), -abs(r[2])
-            return r, *terms
+        def lifted(K, pi, lam, work, slope=True):
+            r, d = _fixed_point_many(K, pi, lam, work, slope)
+            if not slope:
+                r[1], r[2] = abs(r[1]), -abs(r[2])
+            return r, d
 
         handed = []
 
@@ -675,7 +675,7 @@ class TestBatchedSolve:
             handed.append(config.total_power)
             return eval_point(config)
 
-        monkeypatch.setattr(macgain.verify, "_fixed_point_value_many", lifted)
+        monkeypatch.setattr(macgain.verify, "_fixed_point_many", lifted)
         monkeypatch.setattr(macgain.verify, "eval_point", scalar)
         K, pi = np.array([3, 10, 100, 2]), np.array([1.0, 5.0, 30.0, 1000.0])
         lam = _root_many(K, pi)
@@ -703,12 +703,14 @@ class TestBatchedSolve:
         # An overflowing power reads NaN from its first Newton pass and one
         # with a shrunk upper end steps out of [1, hi]: both stop there, so
         # the batch ends after its first pass, well inside the bar of 7,
-        # instead of running to MAX_ITER.
+        # instead of running to MAX_ITER.  Only the Newton passes, which
+        # take the slope, are counted; the certificate's two are not.
         passes = []
 
-        def counted(K, pi, lam):
-            passes.append(lam.size)
-            return _fixed_point_many(K, pi, lam)
+        def counted(K, pi, lam, work, slope=True):
+            if slope:
+                passes.append(lam.size)
+            return _fixed_point_many(K, pi, lam, work, slope)
 
         handed = []
 
@@ -725,6 +727,7 @@ class TestBatchedSolve:
         assert handed == pis.tolist()
         assert lam.tolist() == [solve_lambda_massive(pi).lambda_star for pi in pis]
         assert len(passes) <= 7
+        assert passes == [2]
 
     @pytest.mark.parametrize("bad", [0.0, -0.5, -2.0, math.nan, math.inf])
     def test_invalid_power_raises_scalar_message(self, bad):
@@ -751,6 +754,52 @@ class TestBatchedSolve:
             whole = _root_many(*(np.hstack(c) for c in zip(*parts[order])))
             assert whole.tobytes() == np.hstack(
                 [_root_many(k, pi) for k, pi in parts[order]]).tobytes()
+
+    @pytest.mark.parametrize("dtype", [int, float])
+    def test_leaves_its_arguments_as_they_were(self, dtype):
+        # np.asarray(K, dtype=float) hands back a float K itself, so a write
+        # into the batch's workspace that reached K or pi would show here,
+        # and a second call on the same arrays would differ from the first.
+        K, P = draw_samples(SampleSpec(seed=3, n_samples=500))
+        K = np.hstack([K, [2, 10**8], np.full(3, 2)]).astype(dtype)
+        pi = np.hstack([K[:-3] * np.hstack([P, [1000.0, 1.0]]), [1e26, 1e-20, 1e308]])
+        if dtype is float:
+            K[-3:] = [math.inf, 2.0, math.inf]
+        before = K.tobytes(), pi.tobytes()
+        first = _root_many(K, pi)
+        assert (K.tobytes(), pi.tobytes()) == before
+        assert _root_many(K, pi).tobytes() == first.tobytes()
+        assert (K.tobytes(), pi.tobytes()) == before
+
+    def test_default_suite_batch_figures(self, monkeypatch):
+        # README's figures for the default seed-1 suite, counted through the
+        # residual seam inside _root_many: 5 Newton passes and the
+        # certificate's two value-only passes, each over all 12130 elements,
+        # and no element handed to the scalar solver.
+        calls, handed, inside = [], [], [False]
+
+        def counted(K, pi, lam, work, slope=True):
+            if inside[0]:
+                calls.append(("newton" if slope else "certificate", lam.size))
+            return _fixed_point_many(K, pi, lam, work, slope)
+
+        def batch(K, pi):
+            inside[0] = True
+            try:
+                return _root_many(K, pi)
+            finally:
+                inside[0] = False
+
+        def scalar(config):
+            handed.append(config)
+            return eval_point(config)
+
+        monkeypatch.setattr(macgain.verify, "_fixed_point_many", counted)
+        monkeypatch.setattr(macgain.verify, "_root_many", batch)
+        monkeypatch.setattr(macgain.verify, "eval_point", scalar)
+        assert suite_passed(run_suite(SampleSpec(seed=1, n_samples=10_000)))
+        assert calls == [("newton", 12130)] * 5 + [("certificate", 12130)] * 2
+        assert handed == []
 
     def test_default_suite_settles_every_sample_in_the_batch(self, monkeypatch):
         # Every root of a suite, sabotaged or not, comes from one batch; no
