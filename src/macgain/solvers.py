@@ -6,10 +6,10 @@ equation solved for lam.  Its residual lam - G_K(pi*lam), core._fixed_point,
 changes sign once on [1, K], with no pole at lam = K, and stays finite
 where pi*lam overflows; its slope comes with it in closed form.  One
 routine brackets it on [1, min(K, bound)], with core._lambda_bound's end
-two steps of the massive map above the root, and narrows the bracket by
-safeguarded Newton steps, never more than _NEWTON_N0 steps beyond
-bisection; a root is accepted for its (-, +) bracket, never for a small
-residual, so nothing about convergence relies on numerical luck.  The
+two Newton steps of the massive residual above the root, and narrows the
+bracket by safeguarded Newton steps, never more than _NEWTON_N0 steps
+beyond bisection; a root is accepted for its (-, +) bracket, never for a
+small residual, so nothing about convergence relies on numerical luck.  The
 parametric inversion is the massive solve read through
 core.massive_parametric, with no root of its own.  Peak search, whose
 residual has no closed-form slope at hand, takes the same steps on a
@@ -209,19 +209,28 @@ def _newton(fn, lo: float, hi: float, f_lo: float, f_hi: float, d_hi: float,
 def _solve(config: ChannelConfig) -> GainSolution:
     """Root of core._fixed_point's residual for config, bracketed on [1, hi].
 
-    hi = min(K, core._lambda_bound) with K = inf in the massive limit, and
-    _newton narrows the bracket to LAMBDA_TOL; the (-, +) bracket certifies
-    the root.  If 0 <= r(1) < r(hi), the power is too small for r to
-    separate lam = 1 from the root, which is pinned to 1 as degenerate, with
-    0 iterations.  If r(1) < 0 and r(hi) <= 0 at hi = K, the root lies
-    closer to the cap than r can resolve, and the cap is taken.  A NaN or
-    MAX_ITER steps raise ConvergenceError, any other sign pattern, r(hi) <= 0
-    below the cap included, BracketError; every message ends with the point.
+    hi = min(K, core._lambda_bound) with K = inf in the massive limit, an
+    end within 6e-4 relative above the massive root but never below 1 +
+    2*LAMBDA_TOL, and _newton narrows the bracket to LAMBDA_TOL; the (-, +)
+    bracket certifies the root.  ln(1+pi) is taken once, for the end and
+    the capacity without feedback, and the result is built by
+    tuple.__new__, as ChannelConfig is.  If 0 <= r(1) < r(hi), the power is
+    too small for r to separate lam = 1 from the root, which is pinned to 1
+    as degenerate, with 0 iterations.  If r(1) < 0 and r(hi) <= 0 at hi =
+    K, the root lies closer to the cap than r can resolve, and the cap is
+    taken.  A NaN or MAX_ITER steps raise ConvergenceError, any other sign
+    pattern, r(hi) <= 0 below the cap included, BracketError; every message
+    ends with the point.
     """
     K, pi = config.users, config.total_power
     cap = math.inf if K is None else float(K)
     fn = _fixed_point(cap, pi)
-    bound = _lambda_bound(pi, math.log1p)
+    capacity_nofb = math.log1p(pi)
+    bound = _lambda_bound(pi, capacity_nofb, math.log1p)
+    if bound < 1.0 + 2.0 * LAMBDA_TOL:
+        # [1, bound] would pass for converged before a step, and _newton
+        # would return an end of it, 1 or bound, not a point near the root.
+        bound = 1.0 + 2.0 * LAMBDA_TOL
     hi = cap if cap < bound else bound
     (f_lo, _), (f_hi, d_hi) = fn(1.0), fn(hi)
     degenerate = 0.0 <= f_lo < f_hi
@@ -243,12 +252,11 @@ def _solve(config: ChannelConfig) -> GainSolution:
             where = f"pi={pi!r}" if K is None else f"K={K}, P={config.per_user_power!r}"
             raise type(err)(f"{err} for {where}") from None
         iters += 1
-    capacity_nofb = math.log1p(pi)
     t = pi * lam
     # Split like the residual where pi*lam overflows.
     capacity_fb = math.log1p(t) if t < math.inf else math.log(pi) + math.log(lam)
-    return GainSolution(config, lam, res, iters, capacity_nofb, capacity_fb,
-                        capacity_fb / capacity_nofb, degenerate)
+    return tuple.__new__(GainSolution, (config, lam, res, iters, capacity_nofb, capacity_fb,
+                                        capacity_fb / capacity_nofb, degenerate))
 
 
 def solve_lambda_star(K: int, P: float) -> GainSolution:
@@ -258,12 +266,12 @@ def solve_lambda_star(K: int, P: float) -> GainSolution:
     point of core._fixed_point's map at K, with the capacities and gain
     factor filled in.
     """
-    return _solve(ChannelConfig.finite(K, per_user_power=P))
+    return _solve(ChannelConfig(K, P))
 
 
 def solve_lambda_massive(pi: float) -> GainSolution:
     """Solve lam = f_of(pi, lam), the K = inf fixed point, at total power pi."""
-    return _solve(ChannelConfig.massive(pi))
+    return _solve(ChannelConfig(None, None, pi))
 
 
 def invert_massive_parametric(pi: float) -> tuple[float, float]:

@@ -203,10 +203,11 @@ def _gain(pi: np.ndarray, lam: np.ndarray) -> np.ndarray:
 def _root_many(K: np.ndarray, pi: np.ndarray) -> np.ndarray:
     """The power gain at every (K, pi), K = inf massive, by certified Newton steps.
 
-    Each element starts at the scalar solver's upper end, hi = min(K,
-    core._lambda_bound) by numpy's log1p, and takes plain Newton steps on
-    core._fixed_point_many until a step is shorter than LAMBDA_TOL/4, for
-    at most MAX_ITER passes, both read off the solvers module at call time.
+    Each element starts at hi = min(K, core._lambda_bound) by numpy's
+    log1p and one Newton step, where the scalar solver takes two, and
+    takes plain Newton steps on core._fixed_point_many until a step is
+    shorter than LAMBDA_TOL/4, for at most MAX_ITER passes, both read off
+    the solvers module at call time.
     An element whose Newton point is NaN or leaves [1, hi] stops at once.
     Each pass evaluates every element and a mask keeps the ones still
     running; the passes and the certificate write into one workspace that
@@ -224,7 +225,7 @@ def _root_many(K: np.ndarray, pi: np.ndarray) -> np.ndarray:
     lam = np.full(K.size, math.nan)  # NaN until converged, which fails the certificate
     with np.errstate(all="ignore"):
         # The bound's temporaries are freed before the workspace is taken.
-        top = np.minimum(_lambda_bound(pi, np.log1p), K)
+        top = np.minimum(_lambda_bound(pi, np.log1p(pi), np.log1p, (0,)), K)
         work = np.empty((6, K.size))  # _fixed_point_many's five rows, then x
         x = work[5]
         x[:] = top

@@ -750,18 +750,18 @@ GOLDEN_STDOUT = {
     "peak --users 10 --format json": (
         '{\n'
         '  "users": 10,\n'
-        '  "pi_star": 5.293553836435853,\n'
-        '  "pi_star_db": 7.237473342944871,\n'
+        '  "pi_star": 5.293553836435843,\n'
+        '  "pi_star_db": 7.237473342944863,\n'
         '  "F_star": 1.445887514236017,\n'
-        '  "lambda_at_peak": 2.511107052120179,\n'
+        '  "lambda_at_peak": 2.511107052120178,\n'
         '  "bracket_evidence": [\n'
         '    [\n'
-        '      7.237473342944622,\n'
-        '      -6.8833827526759706e-15\n'
+        '      7.237473342944863,\n'
+        '      -2.220446049250313e-16\n'
         '    ],\n'
         '    [\n'
-        '      7.237473342945121,\n'
-        '      7.66053886991358e-15\n'
+        '      7.237473342944871,\n'
+        '      2.220446049250313e-16\n'
         '    ]\n'
         '  ]\n'
         '}\n'

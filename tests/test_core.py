@@ -447,9 +447,9 @@ BOUND_POWERS = [5e-324, 1e-310] + [10.0**e for e in range(-300, 309)] + [sys.flo
 
 def _bounds(pis):
     """core._lambda_bound at each power, as the scalar solver and as verify's batch take it."""
-    scalar = [_lambda_bound(pi, math.log1p) for pi in pis]
+    scalar = [_lambda_bound(pi, math.log1p(pi), math.log1p) for pi in pis]
     with np.errstate(all="ignore"):
-        batch = _lambda_bound(np.array(pis), np.log1p)
+        batch = _lambda_bound(np.array(pis), np.log1p(pis), np.log1p)
     return scalar, batch.tolist()
 
 
@@ -465,21 +465,26 @@ class TestLambdaBound:
                     x, pi_ = mp.mpf(end), mp.mpf(pi)
                     assert x - (1 + 1 / (pi_ * x)) * mp.log1p(pi_ * x) > 0, (pi, end)
 
-    def test_two_map_steps_close_on_the_root(self):
-        # Up to pi = 1 the end is about 2, at least 0.4 above the root; from
-        # pi = 10 on it is within 4% of the massive root (1.4% from pi = 100
-        # on), where the closed form 2 + 2 ln(1+pi) it starts from is about
-        # twice the root.
-        ratios = []
-        for pi in BOUND_POWERS:
-            end = _lambda_bound(pi, math.log1p)
-            lam = solve_lambda_massive(pi).lambda_star
-            assert end <= 2.0 + 2.0 * math.log1p(pi)
-            if pi <= 1.0:
-                assert 1.9 < end <= 2.0 and end - lam > 0.4
-            else:
-                ratios.append(end / lam)
-        assert 1.0 < min(ratios) and max(ratios) < 1.04
+    def test_two_newton_steps_close_on_the_root(self):
+        # Newton steps on the convex massive residual descend from 2 + 2a
+        # and close on the root quadratically.  Against its 50-digit root,
+        # whose G is formed as (1+t)*L/t, the end is within 6e-4 relative
+        # at every power (5.7e-4 near 3.7 dB, 4e-5 from pi = 100 on, 5e-11
+        # at the top) and within 1.1e-14 up to pi = 1e-3, -30 dB, where
+        # the margin 1 + 1e-14 is nearly all of it.  The two map steps it
+        # replaces ended about 2 up to pi = 1, and within 4% from pi = 10.
+        excess = []
+        with mp.workdps(50):
+            for pi in BOUND_POWERS:
+                end = _lambda_bound(pi, math.log1p(pi), math.log1p)
+                assert end < 2.0 + 2.0 * math.log1p(pi)
+                pi_ = mp.mpf(pi)
+                root = mp.findroot(lambda x: x - (1 + pi_ * x) * mp.log1p(pi_ * x) / (pi_ * x),
+                                   mp.mpf(end))
+                excess.append((pi, float(mp.mpf(end) / root - 1)))
+        assert 0.0 < min(e for _, e in excess)
+        assert max(e for pi, e in excess if pi <= 1e-3) <= 1.1e-14
+        assert max(e for _, e in excess) <= 6e-4
 
     def test_array_form_matches_scalar(self):
         # log1p from math and from numpy may differ in the last ulp, so the

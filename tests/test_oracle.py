@@ -10,13 +10,14 @@ the top of the float range.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
 from mpmath import mp, mpf
 
 from conftest import finite_certified, massive_certified
-from macgain.core import ChannelConfig, db_to_linear, dlambda_dpi
+from macgain.core import ChannelConfig, _fixed_point, _lambda_bound, db_to_linear, dlambda_dpi
 from macgain.solvers import (
     DEFAULT_USERS,
     LAMBDA_TOL,
@@ -110,6 +111,79 @@ def test_massive_and_inversion():
                 and massive_certified(pi, lam_param, TOL)):
             failed.append(pi_db)
     assert failed == []
+
+
+# Every kind of input the CLI accepts: K from 2 to 1e300 and the massive
+# limit, at 257 powers 24.68 dB apart from -3236 to 3082.5 dB, each taken as
+# a per-user and as a total power.  Powers ChannelConfig refuses are skipped.
+WALK_USERS = (2, 10, 10**3, 10**6, 10**12, 10**100, 10**300, None)
+WALK_POWER_DB = tuple(-3236.0 + i * 24.681640625 for i in range(257))
+
+
+def walk_configs():
+    configs = []
+    for users in WALK_USERS:
+        for power_db in WALK_POWER_DB:
+            power = db_to_linear(power_db)
+            for per_user in (False,) if users is None else (True, False):
+                try:
+                    configs.append(ChannelConfig(users, power) if per_user
+                                   else ChannelConfig(users, total_power=power))
+                except ValueError:
+                    pass
+    return configs
+
+
+def mp_fixed_point(users, pi, x):
+    """x - G_K(pi*x) at the float inputs, users None the massive limit, exactly enough to sign.
+
+    G_K(t) = (1+t)*(L/t)*phi(L/K), with L = ln(1+t) and phi(z) =
+    -expm1(-z)/z, in 60 digits plus as many as t has leading zeros, so
+    that 1 + t keeps t.
+    """
+    t = mpf(pi) * mpf(x)
+    with mp.workdps(60 + max(0, -int(mp.floor(mp.log10(t))))):
+        t = mpf(pi) * mpf(x)
+        L = mp.log1p(t)
+        G = (1 + t) * L / t
+        if users is not None:
+            z = L / users
+            G *= -mp.expm1(-z) / z
+        return mpf(x) - G
+
+
+def test_upper_end_lies_above_every_root():
+    # core._lambda_bound's end, from math's log1p and from numpy's, on the
+    # walk: where it lies below K, the exact residual there is > 0, so it
+    # lies above the root, and so is the float residual, at the end and at
+    # the solver's upper end hi = min(K, max(end, 1 + 2*LAMBDA_TOL)).
+    # Where r(1) >= 0 in floats, the solver pins the root to 1 only if r
+    # still rises to the upper end: r(1) < r(end) and r(1) < r(hi).  Without
+    # its 1 + 1e-14 margin the end falls below the exact root.
+    configs = walk_configs()
+    pis = np.array([config.total_power for config in configs])
+    with np.errstate(all="ignore"):
+        batch = _lambda_bound(pis, np.log1p(pis), np.log1p).tolist()
+    checked, pinned, failed = 0, 0, []
+    for config, batch_end in zip(configs, batch):
+        pi = config.total_power
+        cap = math.inf if config.users is None else float(config.users)
+        fn = _fixed_point(cap, pi)
+        r_1 = fn(1.0)[0]
+        for end in {_lambda_bound(pi, math.log1p(pi), math.log1p), batch_end}:
+            r_end = fn(min(end, cap))[0]
+            r_hi = fn(min(max(end, 1.0 + 2.0 * LAMBDA_TOL), cap))[0]
+            ok = r_1 < 0.0 or r_1 < min(r_end, r_hi)
+            pinned += r_1 >= 0.0
+            if end < cap:
+                checked += 1
+                ok = (ok and r_end > 0.0 and r_hi > 0.0
+                      and mp_fixed_point(config.users, pi, end) > 0)
+            if not ok:
+                failed.append((config.users, pi, end))
+    # 3505 inputs; 3024 of their ends lie below K and 1531 read r(1) >= 0.
+    assert failed == []
+    assert len(configs) == 3505 and checked > 3000 and pinned > 1500
 
 
 @pytest.mark.parametrize("pi", [0.1, 5.38, 1000.0])

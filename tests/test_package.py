@@ -316,10 +316,14 @@ def test_bisect_step_calls_only_fn():
 
 def test_residual_reads_only_its_closure():
     # The residual runs once per Newton step: it reads math's functions from
-    # its factory's locals, never a module global or an attribute.
+    # defaults bound to its factory's locals, never a module global or an
+    # attribute, and the factory, run once per solve, makes no closure cell.
     # Restoring the old log1p call trips the check.
+    from macgain.core import _fixed_point
+
     source = (ROOT / "src" / "macgain" / "core.py").read_text(encoding="utf-8")
     assert _residual_lookups(source) == set()
+    assert _fixed_point(10.0, 1.0).__closure__ is None
     line = "L = log1p(t)"
     assert line in source
     assert _residual_lookups(source.replace(line, "L = math.log1p(t)")) == {"math", "math.log1p"}

@@ -589,15 +589,15 @@ class TestBatchedSolve:
 
     def test_unconverged_element_raises_like_scalar(self, monkeypatch):
         # Four Newton passes settle K=100 at pi=100 (it takes 4) but not K=10
-        # at pi=1 (it takes 5), in the batch as in the scalar solver, which
+        # at pi=100 (it takes 5), in the batch as in the scalar solver, which
         # raises for it.
         monkeypatch.setattr(macgain.solvers, "MAX_ITER", 4)
         solve_lambda_star(100, 1.0)
         with pytest.raises(ConvergenceError, match="after 4 iterations"):
-            solve_lambda_star(10, 0.1)
+            solve_lambda_star(10, 10.0)
         with pytest.raises(ConvergenceError,
-                           match="after 4 iterations for K=10, P=0.1"):
-            _root_many(np.array([100, 10, 100]), np.array([100.0, 1.0, 100.0]))
+                           match="after 4 iterations for K=10, P=10.0"):
+            _root_many(np.array([100, 10, 100]), np.array([100.0, 100.0, 100.0]))
 
     def test_first_failure_in_input_order_wins(self, monkeypatch):
         # Two passes settle neither element; each raises in the scalar solver.
@@ -609,7 +609,7 @@ class TestBatchedSolve:
 
     def test_overflowing_massive_slack_raises(self, monkeypatch):
         # The batch's residual has no log split: where pi*lam overflows, at
-        # a root or at the first upper end (at 2.5327e305, 1e-3 above the
+        # a root or at the first upper end (at 2.5327e305, 2.7e-4 above the
         # root, where the root's t is 1.79769e308), its Newton point is NaN
         # and the element goes to the scalar solver.  That solves it, or
         # raises its own error naming it.
@@ -626,37 +626,38 @@ class TestBatchedSolve:
         assert handed == top[1:].tolist()
         assert lam.tolist() == [solve_lambda_massive(pi).lambda_star for pi in top]
         # One step settles none of them (the scalar solver takes 2, 2 and 3,
-        # the batch 3 passes for 1e300 and 4 for 5.38): the first in input
+        # the batch 2 passes for 1e300 and 3 for 5.38): the first in input
         # order, the one handed over, raises.
         monkeypatch.setattr(macgain.solvers, "MAX_ITER", 1)
-        with pytest.raises(ConvergenceError, match=re.escape(f"pi={float(top[1])!r}")):
-            _root_many(np.full(3, math.inf), np.array([top[1], 1e300, 5.38]))
+        with pytest.raises(ConvergenceError, match=re.escape(f"pi={float(top[2])!r}")):
+            _root_many(np.full(3, math.inf), np.array([top[2], 1e300, 5.38]))
 
     def test_bound_below_the_root_goes_to_the_scalar_solver(self, monkeypatch):
-        # Scaled by 0.6, the upper end at pi = 1000 is 5.51, below
-        # lam = 9.12, so that element's bracket is (-, -) and its first
-        # Newton point lies above the end; at pi = 0.1 the end is 1.2, still
-        # above lam = 1.05.  Only the scalar solver may decide the first: it
-        # solves it with its own bound, or raises once that is scaled too.
-        def shrunk(pi, log1p):
-            return 0.6 * _lambda_bound(pi, log1p)
+        # Scaled by 0.7, the batch's upper end at pi = 1000 is 6.48 (the
+        # scalar solver's 6.38), below the massive lam = 9.12, so that
+        # element's bracket is (-, -) and its first Newton point lies above
+        # the end; K = 10's lam = 5.80 at the same power is still below it.
+        # Only the scalar solver may decide the first: it solves it with its
+        # own bound, or raises once that is scaled too.
+        def shrunk(pi, a, log1p, *steps):
+            return 0.7 * _lambda_bound(pi, a, log1p, *steps)
 
         handed = []
 
         def scalar(config):
-            handed.append(config.total_power)
+            handed.append(config.users)
             return eval_point(config)
 
         monkeypatch.setattr(macgain.verify, "_lambda_bound", shrunk)
         monkeypatch.setattr(macgain.verify, "eval_point", scalar)
-        pis = np.array([0.1, 1000.0])
-        lam = _root_many(np.full(2, math.inf), pis)
-        assert handed == [1000.0]
-        assert lam[0] == pytest.approx(solve_lambda_massive(0.1).lambda_star, rel=1e-14)
+        K, pis = np.array([10, math.inf]), np.array([1000.0, 1000.0])
+        lam = _root_many(K, pis)
+        assert handed == [None]
+        assert lam[0] == pytest.approx(solve_lambda_star(10, 100.0).lambda_star, rel=1e-14)
         assert lam[1] == solve_lambda_massive(1000.0).lambda_star
         monkeypatch.setattr(macgain.solvers, "_lambda_bound", shrunk)
         with pytest.raises(BracketError, match="pi=1000.0"):
-            _root_many(np.full(2, math.inf), pis)
+            _root_many(K, pis)
 
     def test_a_root_without_its_sign_pair_goes_to_the_scalar_solver(self, monkeypatch):
         # The certificate reads the residual, value only, at x - tol/4 and
@@ -720,7 +721,7 @@ class TestBatchedSolve:
 
         monkeypatch.setattr(macgain.verify, "_fixed_point_many", counted)
         monkeypatch.setattr(macgain.verify, "_lambda_bound",
-                            lambda pi, log1p: 0.6 * _lambda_bound(pi, log1p))
+                            lambda pi, a, log1p, *steps: 0.6 * _lambda_bound(pi, a, log1p, *steps))
         monkeypatch.setattr(macgain.verify, "eval_point", scalar)
         pis = np.array([db_to_linear(3070.0), 1000.0])
         lam = _root_many(np.full(2, math.inf), pis)
