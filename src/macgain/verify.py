@@ -144,29 +144,29 @@ def _report(check_name: str, tables, slop: float = NUMERIC_SLOP) -> BoundReport:
 
     Each table is (columns, label, valid): columns a list of (link_name,
     slacks) pairs, one slack per row, label(row) the witness text after the
-    link name, and valid a mask of the entries that exist, or None.
-    Entries count row by row, then link by link, then table by table; the
-    first smallest slack wins a tie.  A slack below -slop, or a NaN, is a
-    violation, but a NaN never wins.  Only the winning witness is formatted.
+    link name, and valid None, or one mask per column of the entries that
+    exist (None where all do).  Entries count row by row, then link by
+    link, then table by table; the first smallest slack wins a tie.  A
+    slack below -slop, or a NaN, is a violation, but a NaN never wins.
+    Each column is scored on its own, a missing entry as +inf, by
+    reductions that skip NaNs, so no table or table-sized mask is built;
+    only the winning witness is formatted.
     """
     samples = violations = 0
-    worst, witness = math.inf, ""
-    for columns, label, valid in tables:
-        table = np.column_stack([slack for _, slack in columns])
-        if not table.size:
-            continue
-        if valid is None:
-            valid = np.ones(table.shape, dtype=bool)
-        samples += int(np.count_nonzero(valid))
-        violations += int(np.count_nonzero(valid & ~(table >= -slop)))
-        np.copyto(table, math.inf, where=~valid | np.isnan(table))
-        first = int(np.argmin(table))
-        if table.flat[first] < worst:
-            row, col = divmod(first, table.shape[1])
-            worst = float(table.flat[first])
-            witness = f"{columns[col][0]} {label(row)}"
-    return BoundReport(check_name, samples, violations,
-                       worst if samples else math.nan, witness)
+    best = (math.inf, 0, 0, 0, "", None)  # (slack, table, row, link, name, label)
+    for table, (columns, label, valid) in enumerate(tables):
+        for link, (name, slacks) in enumerate(columns):
+            exists = None if valid is None else valid[link]
+            kept = slacks if exists is None else np.where(exists, slacks, math.inf)
+            samples += kept.size if exists is None else int(np.count_nonzero(exists))
+            violations += kept.size - int(np.count_nonzero(kept >= -slop))
+            low = np.fmin.reduce(kept, initial=math.inf)
+            if low < math.inf and low <= best[0]:
+                row = int((kept == low).argmax())
+                best = min(best, (float(kept[row]), table, row, link, name, label))
+    worst, _, row, _, name, label = best
+    return BoundReport(check_name, samples, violations, worst if samples else math.nan,
+                       f"{name} {label(row)}" if label else "")
 
 
 def point_bound_slacks(K: np.ndarray, P: np.ndarray,
@@ -281,8 +281,7 @@ def check_tail_bounds(pis: np.ndarray, lams: np.ndarray) -> BoundReport:
             ("tail_cap", TAIL_GAIN_CAP - F),
         ]
     low = pis < 1.0
-    valid = np.column_stack([low, low, low, ~low, ~low, ~low & (lams > math.e),
-                             np.ones_like(low)])
+    valid = [low, low, low, ~low, ~low, ~low & (lams > math.e), None]
     return _report("tail_bounds", [(links, lambda row: f"at pi={pis[row]:.6g}", valid)])
 
 
@@ -356,9 +355,14 @@ def run_suite(sample: SampleSpec, sabotage: bool = False) -> list[BoundReport]:
     sabotage=True every per-sample check is evaluated half a unit off the
     root (clamped into [1, K]); the residual gate must then flag every
     sample, so a passing sabotage run would expose a broken harness.
+    The drawn user counts are made floats once, here: every slack mixes
+    them with float arrays, which numpy runs about twice as slow on int64
+    operands, and every count below 2**53 is exact as a float, so no slack
+    moves.  draw_samples keeps drawing integers, the counts it promises.
     Violations are returned as data; solver errors propagate.
     """
     K, P = draw_samples(sample)
+    K = K.astype(float)
     pi = K * P
     large_K, large_P = np.array([10**2, 10**4, 10**6, 10**8]), np.ones(4)
     curve_pis = np.array(
@@ -389,8 +393,7 @@ def run_suite(sample: SampleSpec, sabotage: bool = False) -> list[BoundReport]:
     # The paper's per-user balance residual, at the (possibly sabotaged) lam.
     res = _balance(lam, K, P, np.log1p) / (K * (K - 1.0))
     links = point_bound_slacks(K, P, lam)
-    exists = np.ones((K.size, len(links)), dtype=bool)
-    exists[:, -1] = lam < K  # bracket_cap, the last link
+    exists = [None] * (len(links) - 1) + [lam < K]  # bracket_cap, the last link
     F = _gain(pi, lam)
     # Near-extremal witness: the massive curve close to its peak power.
     F_witness = math.log1p(5.38 * float(witness)) / math.log1p(5.38)

@@ -3,17 +3,20 @@ the individual checks, and the sabotage negative control."""
 
 from __future__ import annotations
 
+import hashlib
 import math
 import re
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import numpy as np
 
 import macgain.solvers
 import macgain.verify
 from conftest import bracketed_newton, frozen_bisect, scalar_derivative_roots
-from macgain.core import (_fixed_point, _fixed_point_many,
+from macgain.core import (_balance, _fixed_point, _fixed_point_many,
                           _lambda_bound, db_to_linear, dlambda_dpi)
 from macgain.solvers import (
     DEFAULT_FROM_DB,
@@ -28,6 +31,7 @@ from macgain.solvers import (
     sweep_curve,
 )
 from macgain.verify import (
+    _gain,
     _report,
     _root_many,
     BoundReport,
@@ -371,7 +375,7 @@ def reference_report(check_name, tables, slop=NUMERIC_SLOP):
     for columns, label, valid in tables:
         for row in range(len(columns[0][1])):
             for col, (name, slacks) in enumerate(columns):
-                if valid is not None and not valid[row, col]:
+                if valid is not None and valid[col] is not None and not valid[col][row]:
                     continue
                 slack = float(slacks[row])
                 samples += 1
@@ -383,8 +387,38 @@ def reference_report(check_name, tables, slop=NUMERIC_SLOP):
                        worst if samples else math.nan, witness)
 
 
+def assert_same_report(report, expected):
+    # line() rounds the worst slack to seven digits, which -1e-9 and its
+    # neighbours share; repr tells them apart.
+    assert report.line() == expected.line()
+    assert repr(report.worst_slack) == repr(expected.worst_slack)
+
+
 def at_row(row):
     return f"at row{row}"
+
+
+# Entries of the generated tables: few values, so that ties are common, with
+# NaN, both infinities, both zeros, and -1e-9 with its float neighbours.
+SLACK_POOL = [math.nan, math.inf, -math.inf, 0.0, -0.0, 0.5, -1.0, -1e-9,
+              math.nextafter(-1e-9, -math.inf), math.nextafter(-1e-9, math.inf)]
+
+
+@st.composite
+def slack_tables(draw):
+    tables = []
+    for table in range(draw(st.integers(0, 3))):
+        rows, links = draw(st.integers(0, 40)), draw(st.integers(1, 6))
+        entries = st.lists(st.sampled_from(SLACK_POOL), min_size=rows, max_size=rows)
+        columns = [(f"link{link}", np.array(draw(entries), dtype=float))
+                   for link in range(links)]
+        mask = st.one_of(
+            st.none(), st.just(np.zeros(rows, dtype=bool)),
+            st.lists(st.booleans(), min_size=rows, max_size=rows).map(
+                lambda bits: np.array(bits, dtype=bool)))
+        valid = draw(st.none() | st.lists(mask, min_size=links, max_size=links))
+        tables.append((columns, lambda row, table=table: f"in table{table} row{row}", valid))
+    return tables
 
 
 class TestReport:
@@ -395,11 +429,17 @@ class TestReport:
             ("b", np.array([0.2, -1.0, 0.3, -math.inf, -1.0])),
             ("c", np.array([math.nan, 0.4, -2.0, 0.1, 0.0])),
         ]
-        valid = np.ones((5, 3), dtype=bool)
-        valid[2, 2] = valid[3, 1] = False
+        valid = [None, np.array([True, True, True, False, True]),
+                 np.array([True, True, False, True, True])]
         tables = [(columns, at_row, valid)]
         assert _report("t", tables) == reference_report("t", tables)
         assert _report("t", tables).witness == "b at row1"
+
+    @settings(max_examples=150, deadline=None)
+    @given(slack_tables(), st.sampled_from([NUMERIC_SLOP, 0.0]))
+    def test_matches_entry_loop_on_ties_nans_and_masks(self, tables, slop):
+        assert_same_report(_report("t", tables, slop=slop),
+                           reference_report("t", tables, slop=slop))
 
     def test_all_nan_table_has_no_witness(self):
         tables = [([("a", np.array([math.nan]))], at_row, None)]
@@ -429,6 +469,73 @@ class TestReport:
         report = _report("t", tables, slop=0.0)
         assert report == reference_report("t", tables, slop=0.0)
         assert report.violations == 2 and report.witness == "a at row2"
+
+
+# SHA-256 over the report lines, in order, of the default suites of nine
+# seeds and then of four 200-sample sabotage suites, recorded before the
+# scorer went column by column and the user counts became floats.  A root
+# or scoring change that moves any line fails here.
+REPORT_SEEDS, SABOTAGE_SEEDS = (1, 2, 3, 5, 7, 11, 42, 101, 202), (1, 3, 7, 9)
+REPORT_DIGEST = "c214be18f25052945a2d5dce3361ef0624631e7e471ab63b601aff233c4e16c7"
+
+
+def test_report_lines_match_their_digest():
+    digest = hashlib.sha256()
+    suites = [run_suite(SampleSpec(seed, 10_000)) for seed in REPORT_SEEDS] + [
+        run_suite(SampleSpec(seed, 200), sabotage=True) for seed in SABOTAGE_SEEDS]
+    for reports in suites:
+        for report in reports:
+            digest.update(report.line().encode())
+    assert digest.hexdigest() == REPORT_DIGEST
+
+
+def seed_1_roots():
+    K, P = draw_samples(SampleSpec(seed=1, n_samples=10_000))
+    return K, P, _root_many(K.astype(float), K * P)
+
+
+def test_float_user_counts_are_exact():
+    # run_suite makes the drawn counts floats; every slack it takes from
+    # them, at the roots and half a unit off them, is the same to the bit.
+    K, P, lam = seed_1_roots()
+    Kf = K.astype(float)
+    assert np.array_equal(Kf, K) and (Kf * P).tobytes() == (K * P).tobytes()
+    off = np.minimum(lam + 0.5, K)
+    assert off.tobytes() == np.minimum(lam + 0.5, Kf).tobytes()
+    for at in (lam, off):
+        assert _balance(at, K, P, np.log1p).tobytes() == _balance(at, Kf, P, np.log1p).tobytes()
+        assert _gain(K * P, at).tobytes() == _gain(Kf * P, at).tobytes()
+        for (name, ints), (_, floats) in zip(point_bound_slacks(K, P, at),
+                                             point_bound_slacks(Kf, P, at)):
+            assert ints.tobytes() == floats.tobytes(), name
+
+
+def traced_peak(fn, *args) -> int:
+    """Bytes fn(*args) holds at most beyond what was live when it started."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestScoringMemory:
+    # tracemalloc sees numpy's data buffers, and its peaks repeat exactly.
+    def test_scoring_builds_no_table(self):
+        # The seed-1 point_bounds table, 10000 x 5 with its bracket-cap
+        # mask: a scorer that stacks the columns needs five at once.
+        K, P, lam = seed_1_roots()
+        K = K.astype(float)
+        table = (point_bound_slacks(K, P, lam), str, [None] * 4 + [lam < K])
+        assert traced_peak(_report, "point_bounds", [table]) < 2 * lam.nbytes
+
+    def test_suite_peak(self):
+        # 1305 KiB, set by the batch's workspace; scoring on stacked tables
+        # peaked at 1542 KiB.
+        spec = SampleSpec(seed=1, n_samples=10_000)
+        run_suite(spec)
+        assert traced_peak(run_suite, spec) <= 1400 * 1024
 
 
 def _cube(root):
