@@ -19,7 +19,6 @@ __all__ = [
     "log1p_over_x",
     "db_residual",
     "f_of",
-    "dlambda_dpi",
     "massive_parametric",
 ]
 
@@ -324,24 +323,6 @@ def f_of(pi: float, lam: float) -> float:
         raise ValueError(f"power gain must be >= 1 and finite, got {lam!r}")
     t = pi * lam
     return (1.0 + t) * log1p_over_x(t)
-
-
-def dlambda_dpi(users: int | None, pi: float, lam: float) -> float:
-    """Slope dlam/dpi of the power gain along its curve, by implicit differentiation.
-
-    _fixed_point's residual r = lam - G_K(t), t = pi*lam and K = inf when
-    users is None, has dr/dpi = -lam*G_K'(t) and pi*G_K'(t) = 1 - r', so
-    lam' = lam*(1 - r')/(pi*r').  Only meaningful at a root, where it is
-    nonnegative: r' >= 1, at a root that rounds to the cap K, gives +0.0.
-    A power that is not positive and finite, a lam below 1 or NaN, and an
-    r' that is not positive, which no point of the curve has, raise ValueError.
-    """
-    pi = _check_power(pi, "total power")
-    K = math.inf if users is None else users
-    slope = _fixed_point(K, pi)(lam)[1] if lam >= 1.0 else math.nan
-    if not slope > 0.0:
-        raise ValueError(f"(pi={pi!r}, lam={lam!r}) is off the curve: r' = {slope!r}")
-    return lam * (1.0 - slope) / (pi * slope) if slope < 1.0 else 0.0
 
 
 def massive_parametric(t: float) -> tuple[float, float]:

@@ -13,14 +13,15 @@ small residual, so nothing about convergence relies on numerical luck.  The
 parametric inversion is the massive solve read through
 core.massive_parametric, with no root of its own.  Peak search, whose
 residual has no closed-form slope at hand, takes the same steps on a
-secant slope, under the same bound.  It runs on the dB axis: the maximum
-of F is the (-, +) root of its negated slope, whose lam' core.dlambda_dpi
-reads off r'.
+secant slope, under the same bound.  It walks each curve in closed form
+on the dB of t = pi*lam, where lam = G_K(t), and roots F's negated slope
+there with three solves a search, none of them per step.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 from .core import (
@@ -29,7 +30,6 @@ from .core import (
     _fixed_point,
     _lambda_bound,
     db_to_linear,
-    dlambda_dpi,
     linear_to_db,
     massive_parametric,
 )
@@ -74,6 +74,10 @@ MAX_GRID_POINTS = 20_000
 # steps beyond bisection.
 _NEWTON_N0 = 6
 
+# Peak search clips t = pi*lam this far below the dB of the largest float,
+# which itself rounds to a power that overflows.
+_T_DB_MAX = linear_to_db(sys.float_info.max) - 1e-9
+
 
 class BracketError(RuntimeError):
     """Residual signs at the bracket ends are not (-, +).
@@ -112,9 +116,10 @@ class PeakResult(NamedTuple):
 
     bracket_evidence is the final bracket of the search, two (pi_db, g)
     pairs where g, the normalised negated slope of F, is negative at the
-    first (F still rising) and positive at the second (F falling); it is at
-    most LAMBDA_TOL wide.  Where g reads exactly 0, which ends the search
-    at that point, the pairs are g's probes LAMBDA_TOL/4 either side of it.
+    first (F still rising) and positive at the second (F falling).  The
+    search runs on the dB of t = pi*lam, and d(pi_db)/d(t_db) = r' <= 1, so
+    it is at most LAMBDA_TOL wide.  Where g reads exactly 0, which ends the
+    search there, the pairs are g's probes LAMBDA_TOL/4 either side of it.
     """
 
     users: int | None
@@ -361,50 +366,60 @@ def find_peak(users: int | None, from_db: float = DEFAULT_FROM_DB,
 
     F rises while g = 1 - (lam + pi*lam') * (ln(1+pi)/ln(1+pi*lam)) *
     ((1+pi)/(1+pi*lam)) is negative and falls while it is positive: g is
-    -dF/dpi scaled to O(1).  The peak is g's (-, +) root on the dB axis,
-    bracketed to LAMBDA_TOL by _newton's steps on the secant slope of g
-    from the point evaluated just before; the solve at the returned point
-    gives F* and lam.  An exact zero of g ends the search, and g is then
-    probed LAMBDA_TOL/4 either side of it for the bracket evidence.  Where
-    lam - 1 <= LAMBDA_TOL the solve cannot tell lam from 1 and F is flat
-    at 1, so g counts as negative there.  Raises NoPeakError unless g is
-    negative at from_db and positive at to_db.
+    -dF/dpi scaled to O(1).  The search walks the curve on the dB axis of
+    t = pi*lam, where it is explicit: _fixed_point(K, t) reads (r, d) =
+    (1 - G_K(t), 1 - t*G_K'(t)) at 1, so lam = 1 - r, pi = t/lam, the
+    residual's slope there is r' = (d - r)/lam, and lam + pi*lam' = lam/r'.
+    Solves at from_db and to_db give the ends in t, clipped below the
+    largest float, and _newton brackets g's (-, +) root to LAMBDA_TOL with
+    no further solve, on the secant slope of g from the point evaluated
+    just before; the solve at the returned point's pi gives F* and lam.  An
+    exact zero of g ends the search, and g is then probed LAMBDA_TOL/4
+    either side of it for the bracket evidence.  Where lam - 1 <=
+    LAMBDA_TOL F is flat at 1 to the solve, so g counts as negative there.
+    Raises NoPeakError unless g is negative at from_db and positive at to_db.
     """
     if not to_db > from_db:
         raise ValueError(f"peak search needs from_db < to_db, got {from_db!r}..{to_db!r}")
-    solved: dict[float, GainSolution] = {}
+    t_lo, t_hi = [min(linear_to_db(sol.config.total_power * sol.lambda_star), _T_DB_MAX)
+                  for sol in (eval_point(ChannelConfig(users, total_power=db_to_linear(pi_db)))
+                              for pi_db in (from_db, to_db))]
+    cap = math.inf if users is None else float(users)
+    probed: dict[float, float] = {}  # t_db -> pi_db
     ends: dict[bool, tuple[float, float]] = {}  # the last (pi_db, g) of each sign
-    last = [math.nan, math.nan]  # the (pi_db, g) evaluated just before
+    last = [math.nan, math.nan]  # the (t_db, g) evaluated just before
 
-    def descent(pi_db: float) -> tuple[float, float]:
-        sol = eval_point(ChannelConfig(users, total_power=db_to_linear(pi_db)))
-        solved[pi_db] = sol
-        pi, lam = sol.config.total_power, sol.lambda_star
+    def descent(t_db: float) -> tuple[float, float]:
+        t = db_to_linear(t_db)
+        r, d = _fixed_point(cap, t)(1.0)
+        lam = 1.0 - r
+        pi = t / lam
         if lam - 1.0 <= LAMBDA_TOL:
             g = -1.0
         else:
-            g = 1.0 - ((lam + pi * dlambda_dpi(users, pi, lam))
-                       * (sol.capacity_nofb / sol.capacity_fb)
-                       * ((1.0 + pi) / (1.0 + pi * lam)))
+            g = 1.0 - ((lam * lam / (d - r)) * (math.log1p(pi) / math.log1p(t))
+                       * ((1.0 + pi) / (1.0 + t)))
+        probed[t_db] = pi_db = linear_to_db(pi)
         if g != 0.0:
             ends[g > 0.0] = (pi_db, g)
         # The secant from the point before, NaN for the first: that point
         # is an end of _newton's bracket, and each new one lies inside it.
         x, g_x = last
-        last[:] = pi_db, g
-        return g, (g - g_x) / (pi_db - x)
+        last[:] = t_db, g
+        return g, (g - g_x) / (t_db - x)
 
-    (g_lo, _), (g_hi, d_hi) = descent(from_db), descent(to_db)
+    (g_lo, _), (g_hi, d_hi) = descent(t_lo), descent(t_hi)
     if not g_lo < 0.0 < g_hi:
         raise NoPeakError(
             f"F has no interior maximum in [{from_db!r}, {to_db!r}] dB; "
             f"widen the range"
         )
-    pi_star_db, g_star, _ = _newton(descent, from_db, to_db, g_lo, g_hi, d_hi,
-                                    LAMBDA_TOL, MAX_ITER)
+    t_star_db, g_star, _ = _newton(descent, t_lo, t_hi, g_lo, g_hi, d_hi,
+                                   LAMBDA_TOL, MAX_ITER)
     if g_star == 0.0:  # the bracket that ended there may be far wider
-        descent(pi_star_db - 0.25 * LAMBDA_TOL)
-        descent(pi_star_db + 0.25 * LAMBDA_TOL)
-    sol = solved[pi_star_db]
+        descent(t_star_db - 0.25 * LAMBDA_TOL)
+        descent(t_star_db + 0.25 * LAMBDA_TOL)
+    pi_star_db = probed[t_star_db]
+    sol = eval_point(ChannelConfig(users, total_power=db_to_linear(pi_star_db)))
     return PeakResult(users, sol.config.total_power, pi_star_db, sol.gain_F,
                       sol.lambda_star, (ends[False], ends[True]))

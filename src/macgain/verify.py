@@ -21,8 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import solvers
-from .core import (ChannelConfig, _balance, _fixed_point_many, _lambda_bound, db_to_linear,
-                   dlambda_dpi)
+from .core import ChannelConfig, _balance, _fixed_point_many, _lambda_bound, db_to_linear
 from .solvers import DEFAULT_FROM_DB, DEFAULT_TO_DB, DEFAULT_USERS, db_grid, eval_point
 
 __all__ = [
@@ -286,25 +285,30 @@ def check_tail_bounds(pis: np.ndarray, lams: np.ndarray) -> BoundReport:
 
 
 def check_derivative(pis: np.ndarray, lams: np.ndarray) -> BoundReport:
-    """Validate dlambda_dpi, read off the Newton slope r', against central differences.
+    """Validate the analytic slope lam' against central differences.
 
     pis[j] holds a power pi times 1, 1 + h and 1 - h, h = DERIVATIVE_STEP,
     and lams[u, j] the roots of curve DERIVATIVE_USERS[u] there, bracketed
-    to LAMBDA_TOL like every other root.  At that step the quotient's
-    truncation error is at most 6.17e-7 relative (K = 2, pi = 1000) and
-    root errors move it by at most LAMBDA_TOL/(pi*h*lam') = 4.58e-8 (same
-    point): together under 7% of the 1e-5 bound.
+    to LAMBDA_TOL like every other root.  Implicit differentiation of the
+    residual r = lam - G_K(pi*lam) gives lam' = lam*(1 - r')/(pi*r'), and
+    0 where r' >= 1, at a root that rounds to the cap K; r' is read off
+    core._fixed_point_many at the roots in one call.  At that step the
+    quotient's truncation error is at most 6.17e-7 relative (K = 2, pi =
+    1000) and root errors move it by at most LAMBDA_TOL/(pi*h*lam') =
+    4.58e-8 (same point): together under 7% of the 1e-5 bound.
     """
-    points = [(users, pi) for users in DERIVATIVE_USERS for pi in pis[:, 0].tolist()]
+    K = np.repeat([math.inf if u is None else u for u in DERIVATIVE_USERS], len(pis))
+    pi = np.tile(pis[:, 0], len(DERIVATIVE_USERS))
     lam, lam_hi, lam_lo = lams.reshape(-1, 3).T
-    analytic = np.array([dlambda_dpi(users, pi, root)
-                         for (users, pi), root in zip(points, lam.tolist())])
-    fd = (lam_hi - lam_lo) / (2.0 * np.array([pi for _, pi in points]) * DERIVATIVE_STEP)
+    with np.errstate(all="ignore"):
+        slope = _fixed_point_many(K, pi, lam, np.empty((5, lam.size)))[1]
+        analytic = np.where(slope < 1.0, lam * (1.0 - slope) / (pi * slope), 0.0)
+    fd = (lam_hi - lam_lo) / (2.0 * pi * DERIVATIVE_STEP)
     rel_err = np.abs(fd - analytic) / np.abs(analytic)
 
     def label(row: int) -> str:
-        users, pi = points[row]
-        return f"at pi={pi:.6g}" if users is None else f"at K={users}, pi={pi:.6g}"
+        at = f"pi={pi[row]:.6g}"
+        return f"at {at}" if K[row] == math.inf else f"at K={int(K[row])}, {at}"
 
     return _report("derivative_consistency", [(
         [("derivative_positive", analytic), ("derivative_fd_match", 1e-5 - rel_err)],

@@ -3,10 +3,11 @@
 The oracle helpers re-derive reference values by brute force (dense grids
 plus cell bisection) so solver tests never validate the solver against
 itself.  scalar_derivative_roots solves check_derivative's points with the
-scalar solver, so the check can be tested apart from run_suite's batches.
-frozen_bisect is a test-only ITP kernel (Oliveira & Takahashi, ACM TOMS
-47(1), 2020), an independent route to the roots that the Newton steps
-find.  frozen_fixed_point is a reference copy of the residual's value as it
+scalar solver, so the check can be tested apart from run_suite's batches,
+and curve_slope is the slope dlam/dpi that the check reads off the
+residual's slope r'.  frozen_bisect is a test-only ITP kernel (Oliveira &
+Takahashi, ACM TOMS 47(1), 2020), an independent route to the roots that
+the Newton steps find.  frozen_fixed_point is a reference copy of the residual's value as it
 was written with module-global math lookups; the residual must reproduce it
 bit for bit.  bracketed_newton certifies each Newton root by the bracket
 its own points close.
@@ -23,7 +24,7 @@ import pytest
 from mpmath import mp, mpf
 
 import macgain.solvers
-from macgain.core import _SERIES_CUTOFF, ChannelConfig, log1p_over_x
+from macgain.core import _SERIES_CUTOFF, ChannelConfig, _fixed_point, log1p_over_x
 from macgain.solvers import ConvergenceError, _newton, eval_point
 from macgain.verify import DERIVATIVE_GRID, DERIVATIVE_STEP, DERIVATIVE_USERS
 
@@ -169,6 +170,18 @@ def frozen_fixed_point(K, pi):
         return lam - G * (-math.expm1(-z) / z) if z > 0.0 else lam - G
 
     return residual
+
+
+def curve_slope(users, pi, lam):
+    """dlam/dpi along a curve at its root lam, from core._fixed_point's slope r'.
+
+    Implicit differentiation of r = lam - G_K(pi*lam), K = inf when users
+    is None, gives lam' = lam*(1 - r')/(pi*r'), as verify's
+    check_derivative reads it over arrays; r' >= 1, at a root that rounds
+    to the cap K, gives +0.0.
+    """
+    slope = _fixed_point(math.inf if users is None else float(users), pi)(lam)[1]
+    return lam * (1.0 - slope) / (pi * slope) if slope < 1.0 else 0.0
 
 
 def raw_residual(lam: float, K: int, P: float) -> float:

@@ -400,8 +400,8 @@ class TestPeak:
     @pytest.mark.parametrize("curve", ["--massive", "--users 2", "--users 10",
                                        "--users 1000000"])
     def test_range_to_the_top_of_the_float_range(self, capsys, curve):
-        # pi*lam overflows at 3082 dB on every curve, where the slope takes
-        # its t -> inf limit; the peak is the default range's.
+        # pi*lam overflows at 3082 dB on every curve, where the search clips
+        # t below the largest float; the peak is the default range's.
         code, top, err = run_cli(capsys, "peak", *curve.split(), "--from-db", "0",
                                  "--to-db", "3082")
         assert (code, err) == (0, "")
@@ -750,18 +750,18 @@ GOLDEN_STDOUT = {
     "peak --users 10 --format json": (
         '{\n'
         '  "users": 10,\n'
-        '  "pi_star": 5.293553836435843,\n'
-        '  "pi_star_db": 7.237473342944863,\n'
-        '  "F_star": 1.445887514236017,\n'
-        '  "lambda_at_peak": 2.511107052120178,\n'
+        '  "pi_star": 5.293553836435857,\n'
+        '  "pi_star_db": 7.237473342944875,\n'
+        '  "F_star": 1.4458875142360175,\n'
+        '  "lambda_at_peak": 2.51110705212018,\n'
         '  "bracket_evidence": [\n'
         '    [\n'
-        '      7.237473342944863,\n'
-        '      -2.220446049250313e-16\n'
+        '      7.23747334294486,\n'
+        '      -4.440892098500626e-16\n'
         '    ],\n'
         '    [\n'
-        '      7.237473342944871,\n'
-        '      2.220446049250313e-16\n'
+        '      7.237473342944875,\n'
+        '      3.3306690738754696e-16\n'
         '    ]\n'
         '  ]\n'
         '}\n'

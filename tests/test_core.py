@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, strategies as st
 from mpmath import mp
 
-from conftest import raw_residual
+from conftest import curve_slope, raw_residual
 from test_oracle import GRID_POWER_DB, GRID_USERS
 from macgain.core import (
     ChannelConfig,
@@ -24,7 +24,6 @@ from macgain.core import (
     _lambda_bound,
     db_to_linear,
     db_residual,
-    dlambda_dpi,
     f_of,
     linear_to_db,
     log1p_over_x,
@@ -538,19 +537,7 @@ class TestMassiveDerivative:
     def test_positive_along_curve(self):
         for k in range(-12, 13):
             pi, lam = massive_parametric(10.0 ** (k / 2.0))
-            assert dlambda_dpi(None, pi, lam) > 0.0
-
-    def test_off_curve_denominator_guard(self):
-        # lam = 0.2 < 1 is off every curve; r' there reads 0.89 > 0, so the
-        # lam check, not the slope's sign, refuses it.
-        for users in (None, 2):
-            with pytest.raises(ValueError):
-                dlambda_dpi(users, 0.5, 0.2)
-
-    def test_rejects_nonpositive_power(self):
-        for pi, lam in ((0.0, 2.0), (math.nan, 2.0), (math.inf, 2.0), (1.0, math.nan)):
-            with pytest.raises(ValueError):
-                dlambda_dpi(None, pi, lam)
+            assert curve_slope(None, pi, lam) > 0.0
 
 
 class TestFiniteDerivative:
@@ -560,7 +547,7 @@ class TestFiniteDerivative:
         # against a quotient of roots at pi*(1 -+ 1e-4).
         for pi in (0.1, 1.0, 5.38, 100.0):
             lam = solve_lambda_star(K, pi / K).lambda_star
-            slope = dlambda_dpi(K, pi, lam)
+            slope = curve_slope(K, pi, lam)
             h = 1e-4
             fd = (solve_lambda_star(K, pi * (1 + h) / K).lambda_star
                   - solve_lambda_star(K, pi * (1 - h) / K).lambda_star) / (2 * pi * h)
@@ -571,14 +558,14 @@ class TestFiniteDerivative:
     def test_one_formula_for_every_K(self, K):
         # The paper-form reference: implicit differentiation of the balance
         # equation gives lam' = (b - lam)/(pi*(2 + t - b/lam)), with
-        # b = 1 + (K - lam)*(pi/K)*lam, 1 + t at K = inf.  dlambda_dpi reads
+        # b = 1 + (K - lam)*(pi/K)*lam, 1 + t at K = inf.  The package reads
         # lam' off the residual's slope r' instead, so the b-form lives only
         # here.
         for pi in (0.1, 5.38, 1000.0):
             lam = solve_lambda_star(K, pi / K).lambda_star
             t = pi * lam
             b = 1.0 + (K - lam) * (pi / K) * lam
-            assert dlambda_dpi(K, pi, lam) == pytest.approx(
+            assert curve_slope(K, pi, lam) == pytest.approx(
                 (b - lam) / (2.0 + t - b / lam) / pi, rel=1e-12)
 
     @pytest.mark.parametrize("users", [10**3, 10**6, None])
@@ -592,7 +579,7 @@ class TestFiniteDerivative:
 
         assert pi * lam(pi) == math.inf
         fd = (lam(pi * (1 + h)) - lam(pi * (1 - h))) / (2 * pi * h)
-        assert dlambda_dpi(users, pi, lam(pi)) == pytest.approx(fd, rel=1e-7)
+        assert curve_slope(users, pi, lam(pi)) == pytest.approx(fd, rel=1e-7)
 
     @pytest.mark.parametrize("K, pi", [(2, 2e50), (10, 1e307)])
     def test_zero_at_a_cap_root(self, K, pi):
@@ -600,7 +587,7 @@ class TestFiniteDerivative:
         # so 1 - r' reads 0; the slope is +0.0.
         lam = eval_point(ChannelConfig(K, total_power=pi)).lambda_star
         assert lam == K
-        slope = dlambda_dpi(K, pi, lam)
+        slope = curve_slope(K, pi, lam)
         assert slope == 0.0 and math.copysign(1.0, slope) == 1.0
 
     def test_nonnegative_on_the_oracle_grid(self):
@@ -608,13 +595,13 @@ class TestFiniteDerivative:
         for K in GRID_USERS:
             for power_db in GRID_POWER_DB:
                 sol = solve_lambda_star(K, db_to_linear(power_db))
-                slope = dlambda_dpi(K, sol.config.total_power, sol.lambda_star)
+                slope = curve_slope(K, sol.config.total_power, sol.lambda_star)
                 if math.copysign(1.0, slope) < 0.0:
                     negative.append((K, power_db, slope))
         assert negative == []
 
     def test_large_K_approaches_the_massive_slope(self):
         pi = 5.38
-        massive = dlambda_dpi(None, pi, solve_lambda_massive(pi).lambda_star)
-        finite = dlambda_dpi(10**12, pi, solve_lambda_star(10**12, pi / 10**12).lambda_star)
+        massive = curve_slope(None, pi, solve_lambda_massive(pi).lambda_star)
+        finite = curve_slope(10**12, pi, solve_lambda_star(10**12, pi / 10**12).lambda_star)
         assert finite == pytest.approx(massive, rel=1e-9)

@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf
 
-from conftest import finite_certified, massive_certified
-from macgain.core import ChannelConfig, _fixed_point, _lambda_bound, db_to_linear, dlambda_dpi
+from conftest import curve_slope, finite_certified, massive_certified
+from macgain.core import ChannelConfig, _fixed_point, _lambda_bound, db_to_linear
 from macgain.solvers import (
     DEFAULT_USERS,
     LAMBDA_TOL,
@@ -231,7 +231,7 @@ def mp_lambda(users, pi):
 @pytest.mark.parametrize("users", GRID_USERS + (None,),
                          ids=lambda users: "massive" if users is None else str(users))
 def test_slope_matches_implicit_derivative(users):
-    # dlambda_dpi, read off the fixed-point residual's slope, against the
+    # lam*(1 - r')/(pi*r'), with the fixed-point residual's slope r', against the
     # implicit derivative -(dB/dpi)/(dB/dlam) of the paper-form balance
     # residual B in 50 digits, both at the float root, from -60 to 100 dB
     # total.  The worst is 2.8e-10 (K = 2, -60 dB), where 1 - r' cancels.
@@ -243,7 +243,7 @@ def test_slope_matches_implicit_derivative(users):
             pi_, lam_ = mpf(pi), mpf(lam)
             exact = (-mp.diff(lambda p: mp_balance(users, p, lam_), pi_)
                      / mp.diff(lambda x: mp_balance(users, pi_, x), lam_))
-            worst.append((abs(dlambda_dpi(users, pi, lam) - exact) / exact, power_db))
+            worst.append((abs(curve_slope(users, pi, lam) - exact) / exact, power_db))
     rel, power_db = max(worst)
     assert rel <= 1e-8, (rel, power_db)
 

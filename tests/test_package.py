@@ -187,8 +187,9 @@ def test_one_balance_residual():
     # the balance equation in core._fixed_point, with its numpy twin beside
     # it: phi(L/K)'s expm1 is called in core alone, the scalar solver reads
     # neither the paper-form _balance nor f_of, verify keeps none of the
-    # separate finite and massive residuals and batches, and dlambda_dpi
-    # reads lam' off _fixed_point's slope with no logarithm of its own.
+    # separate finite and massive residuals and batches, and
+    # check_derivative reads lam' off _fixed_point_many's slope with no
+    # logarithm of its own.  No function dlambda_dpi computes lam' apart.
     sites = {
         module
         for module, tree in _src_trees()
@@ -206,11 +207,20 @@ def test_one_balance_residual():
                if isinstance(node, ast.FunctionDef)}
     assert not defined & {"_solve_finite_many", "_solve_massive_many", "_f_of_many",
                           "_raw_residual_many"}
-    [slope] = [node for node in trees["core"].body
-               if isinstance(node, ast.FunctionDef) and node.name == "dlambda_dpi"]
+    assert not [node for tree in trees.values() for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == "dlambda_dpi"]
+    [check] = [node for node in trees["verify"].body
+               if isinstance(node, ast.FunctionDef) and node.name == "check_derivative"]
+    # The one call takes the slope: no slope=False, and its item 1 is read.
+    [call] = [node for node in ast.walk(check) if isinstance(node, ast.Call)
+              and getattr(node.func, "id", None) == "_fixed_point_many"]
+    assert len(call.args) == 4 and not call.keywords
+    assert any(isinstance(node, ast.Subscript) and node.value is call
+               and isinstance(node.slice, ast.Constant) and node.slice.value == 1
+               for node in ast.walk(check))
     called = {getattr(node.func, "attr", getattr(node.func, "id", None))
-              for node in ast.walk(slope) if isinstance(node, ast.Call)}
-    assert "_fixed_point" in called and not called & {"log1p", "log", "expm1", "exp"}
+              for node in ast.walk(check) if isinstance(node, ast.Call)}
+    assert not called & {"log1p", "log", "expm1", "exp"}
 
 
 def test_one_root_per_operating_point():

@@ -21,7 +21,7 @@ from conftest import (
 )
 from test_oracle import GRID_POWER_DB, GRID_USERS, MASSIVE_POWER_DB
 from macgain.core import (ChannelConfig, _fixed_point, _lambda_bound, db_to_linear, f_of,
-                          massive_parametric)
+                          linear_to_db, massive_parametric)
 from macgain.solvers import (
     DEFAULT_FROM_DB,
     DEFAULT_TO_DB,
@@ -369,23 +369,25 @@ class TestBitIdentity:
     on conftest's frozen residual, each certified by its bracket.
     """
 
-    @pytest.mark.parametrize("run", [
+    @pytest.mark.parametrize("run, floor", [
         pytest.param(lambda: [solve_lambda_star(K, db_to_linear(power_db))
-                              for K in GRID_USERS for power_db in GRID_POWER_DB],
+                              for K in GRID_USERS for power_db in GRID_POWER_DB], 51,
                      id="oracle-grid"),
         pytest.param(lambda: [solve_lambda_massive(db_to_linear(pi_db))
-                              for pi_db in MASSIVE_POWER_DB], id="massive-grid"),
+                              for pi_db in MASSIVE_POWER_DB], 51, id="massive-grid"),
         pytest.param(lambda: [invert_massive_parametric(db_to_linear(pi_db))
-                              for pi_db in MASSIVE_POWER_DB], id="inversion"),
-        pytest.param(_sample_box, id="sample-box"),
-        pytest.param(lambda: [find_peak(users) for users in DEFAULT_USERS],
+                              for pi_db in MASSIVE_POWER_DB], 51, id="inversion"),
+        pytest.param(_sample_box, 51, id="sample-box"),
+        # Four calls a search: its three solves and the descent, whose
+        # probes read the frozen residual at lam = 1.
+        pytest.param(lambda: [find_peak(users) for users in DEFAULT_USERS], 20,
                      id="peak-descent"),
     ])
-    def test_solves_match_the_reference(self, monkeypatch, run):
+    def test_solves_match_the_reference(self, monkeypatch, run, floor):
         # Every (x, fn(x), iterations) of every kernel call, the peak
         # searches' descent and the solves inside it included.
         new = _kernel_results(monkeypatch, False, run)
-        assert len(new) > 50
+        assert len(new) >= floor
         assert new == _kernel_results(monkeypatch, True, run)
 
     def test_residual_matches_the_reference(self):
@@ -564,7 +566,7 @@ class TestTopOfTheFloatRange:
         assert 1.0 < sol.gain_F < 1.01
 
     def test_peak_search_reaches_the_top(self):
-        # The slope takes t*(lam/K), which stays finite where t*lam overflows.
+        # At 3079 dB, t = pi*lam lies within 1 dB of the largest float.
         wide = find_peak(2, 0.0, 3079.0)
         assert wide.pi_star_db == pytest.approx(find_peak(2).pi_star_db, abs=1e-9)
 
@@ -716,6 +718,29 @@ class TestSweepCurve:
         assert sweep_curve(2, -5.0, 5.0, 0.5) == sweep_curve(2, -5.0, 5.0, 0.5)
 
 
+class TestCurveParameter:
+    def test_reading_at_t_gives_the_solved_point(self):
+        # find_peak walks each curve on t = pi*lam, where the residual of
+        # _fixed_point(K, t) at 1 is 1 - G_K(t): 1 - r is then the power
+        # gain and t/(1 - r) the power.  At every root of the oracle and
+        # massive grids (all with a finite t) the reading lies within
+        # 1.2e-13 of lam and 3.2e-16 relative of pi.
+        configs = ([ChannelConfig(K, per_user_power=db_to_linear(power_db))
+                    for K in GRID_USERS for power_db in GRID_POWER_DB]
+                   + [ChannelConfig(None, total_power=db_to_linear(pi_db))
+                      for pi_db in MASSIVE_POWER_DB])
+        off = []
+        for config in configs:
+            pi, lam = config.total_power, eval_point(config).lambda_star
+            t = pi * lam
+            assert t < math.inf
+            r, _ = _fixed_point(math.inf if config.users is None else float(config.users), t)(1.0)
+            if not (abs(1.0 - r - lam) <= 2.0 * LAMBDA_TOL
+                    and abs(t / (1.0 - r) - pi) <= 1e-11 * pi):
+                off.append((config, lam, r))
+        assert off == []
+
+
 class TestFindPeak:
     def test_massive_peak(self):
         peak = find_peak(None)
@@ -751,32 +776,37 @@ class TestFindPeak:
                 searched.append(result)
             return result
 
-        monkeypatch.setattr(solvers_module, "_newton", logged)
-        peak = find_peak(users, *range_db)
-        [(pi_db, g, _)] = searched
-        assert pi_db == peak.pi_star_db
+        with monkeypatch.context() as patch:
+            patch.setattr(solvers_module, "_newton", logged)
+            peak = find_peak(users, *range_db)
+        [(t_db, g, _)] = searched
+        # The search ends at a t on the dB axis; the curve read there in
+        # closed form gives the peak's power.
+        r, _ = _fixed_point(math.inf if users is None else float(users), db_to_linear(t_db))(1.0)
+        assert peak.pi_star_db == linear_to_db(db_to_linear(t_db) / (1.0 - r))
         assert peak.pi_star == db_to_linear(peak.pi_star_db)
         assert 1.0 < peak.F_star < 2.0
-        # The final bracket: F rises at its left end and falls at its right.
+        # The final bracket: F rises at its left end and falls at its right,
+        # which in pi_db is no wider than LAMBDA_TOL, as in t_db.
         left, right = peak.bracket_evidence
         assert left[1] < 0.0 < right[1]
         assert left[0] <= peak.pi_star_db <= right[0]
+        assert right[0] - left[0] <= LAMBDA_TOL
         return g, right[0] - left[0]
 
     def test_result_invariants(self, monkeypatch):
         # g reads exactly 0 inside the bracket, which ends the search there;
-        # g is then probed LAMBDA_TOL/4 either side, so the evidence is a
-        # (-, +) pair around the peak, 5e-13 dB wide, where the bracket at
-        # that moment was 2.6e-9 dB wide.
-        g, width = self._search(monkeypatch, 3)
+        # g is then probed LAMBDA_TOL/4 in t_db either side, so the evidence
+        # is a (-, +) pair around the peak, 4.4e-13 dB wide in pi_db.
+        g, width = self._search(monkeypatch, 2)
         assert g == 0.0
         assert width <= LAMBDA_TOL
 
     def test_result_invariants_on_a_bracket(self, monkeypatch):
-        # No g reads 0: the search ends on a bracket at most LAMBDA_TOL wide,
-        # 8.0e-15 dB, and the peak is the end with the smaller |g|.  K = 10
-        # on the default range is one such search, as its CLI golden shows;
-        # on -300..3000 dB it ends on an exact zero.
+        # No g reads 0: the search ends on a bracket at most LAMBDA_TOL wide
+        # in t_db, 1.5e-14 dB in pi_db, and the peak is the end with the
+        # smaller |g|.  K = 10 on the default range is one such search, as
+        # its CLI golden shows.
         g, width = self._search(monkeypatch, 10)
         assert g != 0.0
         assert width <= LAMBDA_TOL
@@ -795,8 +825,11 @@ class TestFindPeak:
         assert find_peak(2) == find_peak(2)
 
     def test_solves_its_peak_once(self, monkeypatch):
-        # One solve per slope evaluation, the peak's reused: the 0.1 dB
-        # scan and golden section this replaced took 420.
+        # Three solves a search: from_db and to_db, to map the range to t,
+        # and the peak's power; the probes in between solve nothing.  The
+        # root of roots this replaced solved at every probe, up to 15 times
+        # on the default range, and the 0.1 dB scan and golden section
+        # before it 420 times.
         solved = []
 
         def counted(config):
@@ -804,30 +837,36 @@ class TestFindPeak:
             return eval_point(config)
 
         monkeypatch.setattr(solvers_module, "eval_point", counted)
-        for users in (None, 10):
+        for users in DEFAULT_USERS:
             solved.clear()
             peak = find_peak(users)
-            assert solved.count(peak.pi_star) == 1
-            assert len(solved) <= 15
+            assert solved == [db_to_linear(DEFAULT_FROM_DB), db_to_linear(DEFAULT_TO_DB),
+                              peak.pi_star]
 
     @pytest.mark.parametrize("from_db, to_db", [(-300.0, 3000.0), (0.0, 3082.0),
-                                                (-200.0, 30.0)])
+                                                (-200.0, 30.0), (DEFAULT_FROM_DB, DEFAULT_TO_DB)])
     def test_wide_ranges_cost_few_solves(self, monkeypatch, from_db, to_db):
-        # Secant-slope Newton steps take 13 to 29 solves here, the two ends
-        # included; bisecting the dB bracket to LAMBDA_TOL took 51 to 55.
-        solved = []
+        # Residual evaluations a search, its three solves' included: 24 to
+        # 35 on these ranges and curves, one a probe of the curve at t.
+        # Probing by a solve and re-reading r' at each root took 71 to 171.
+        calls = []
+        factory = solvers_module._fixed_point
 
-        def counted(config):
-            solved.append(config.total_power)
-            return eval_point(config)
+        def counted(K, pi):
+            residual = factory(K, pi)
 
-        monkeypatch.setattr(solvers_module, "eval_point", counted)
+            def evaluated(lam):
+                calls.append(lam)
+                return residual(lam)
+            return evaluated
+
+        monkeypatch.setattr(solvers_module, "_fixed_point", counted)
         counts = {}
-        for users in (2, 10, 10**6, None):
-            solved.clear()
+        for users in (2, 3, 10, 100, 10**6, None):
+            calls.clear()
             find_peak(users, from_db, to_db)
-            counts[users] = len(solved)
-        assert max(counts.values()) <= 30, counts
+            counts[users] = len(calls)
+        assert max(counts.values()) <= 40, counts
 
     @pytest.mark.parametrize("users, F_floor", [
         (2, 1.190399433042081),
@@ -842,13 +881,19 @@ class TestFindPeak:
         assert find_peak(users).F_star >= F_floor
 
     @pytest.mark.parametrize("users", [2, 10, 10**6, None])
-    def test_wide_range_finds_the_same_peak(self, users):
+    def test_wide_range_finds_the_same_peak(self, monkeypatch, users):
         # Below about -115 dB the solve cannot tell lam from 1 and F is flat
         # at 1; that region must count as below the peak, or the search
-        # settles there.
-        wide, default = find_peak(users, -300.0, 3000.0), find_peak(users)
-        assert wide.pi_star_db == pytest.approx(default.pi_star_db, abs=1e-9)
-        assert wide.F_star == pytest.approx(default.F_star, rel=1e-14)
+        # settles there.  At the top, pi*lam overflows and t is clipped just
+        # below the largest float.  Every range ends on evidence at most
+        # LAMBDA_TOL wide around the peak (_search).
+        default = find_peak(users)
+        for range_db in ((-300.0, 3000.0), (0.0, 3082.0), (-200.0, 30.0),
+                         (DEFAULT_FROM_DB, 3082.54)):
+            self._search(monkeypatch, users, *range_db)
+            wide = find_peak(users, *range_db)
+            assert wide.pi_star_db == pytest.approx(default.pi_star_db, abs=1e-12)
+            assert wide.F_star == pytest.approx(default.F_star, rel=1e-14)
 
     def test_result_is_frozen(self):
         # Every record is a named tuple: no field can be reassigned and no

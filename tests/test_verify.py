@@ -16,8 +16,7 @@ import numpy as np
 import macgain.solvers
 import macgain.verify
 from conftest import bracketed_newton, frozen_bisect, scalar_derivative_roots
-from macgain.core import (_balance, _fixed_point, _fixed_point_many,
-                          _lambda_bound, db_to_linear, dlambda_dpi)
+from macgain.core import _balance, _fixed_point, _fixed_point_many, _lambda_bound, db_to_linear
 from macgain.solvers import (
     DEFAULT_FROM_DB,
     DEFAULT_TO_DB,
@@ -224,11 +223,13 @@ class TestDerivativeCheck:
     def test_flags_slope_errors_near_the_bound(self, monkeypatch, error, flagged):
         # The step's error budget (test_oracle) leaves the 1e-5 bound sharp:
         # a slope 2e-5 off fails at every power on every curve, one 5e-6 off
-        # still passes.
-        def skewed(users, pi, lam):
-            return (1.0 + error) * dlambda_dpi(users, pi, lam)
+        # still passes.  The slope r' the check reads is skewed so that
+        # lam*(1 - r')/(pi*r') grows by the factor 1 + error.
+        def skewed(K, pi, lam, work, slope=True):
+            r, d = _fixed_point_many(K, pi, lam, work, slope)
+            return r, d / (d + (1.0 + error) * (1.0 - d))
 
-        monkeypatch.setattr(macgain.verify, "dlambda_dpi", skewed)
+        monkeypatch.setattr(macgain.verify, "_fixed_point_many", skewed)
         report = check_derivative(*scalar_derivative_roots())
         points = len(DERIVATIVE_USERS) * len(DERIVATIVE_GRID)
         assert report.violations == (points if flagged else 0)
