@@ -33,6 +33,27 @@ def test_cli_import_leaves_numpy_unloaded():
     assert result.returncode == 0
 
 
+def test_verify_import_solves_nothing():
+    # verify builds its fixed suite inputs at import: grids and columns
+    # only, no root.  A profiler counts every Python call made by name.
+    code = "\n".join([
+        "import sys",
+        "watched = {'_root_many', '_fixed_point_many', 'eval_point'}",
+        "calls = []",
+        "def profile(frame, event, arg):",
+        "    if event == 'call' and frame.f_code.co_name in watched:",
+        "        calls.append(frame.f_code.co_name)",
+        "sys.setprofile(profile)",
+        "import macgain.verify",
+        "sys.setprofile(None)",
+        "assert macgain.verify._FIXED[6].size == 2130",
+        "print(calls, file=sys.stderr)",
+    ])
+    result = subprocess.run([sys.executable, "-c", code], timeout=60,
+                            capture_output=True, text=True)
+    assert (result.returncode, result.stderr) == (0, "[]\n")
+
+
 def test_cli_import_leaves_record_and_output_machinery_unloaded():
     # Records are named tuples, json loads only for --format json and the
     # SVG renderer only for --format svg, so importing the CLI and running

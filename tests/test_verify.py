@@ -6,6 +6,8 @@ from __future__ import annotations
 import hashlib
 import math
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -24,6 +26,7 @@ from macgain.solvers import (
     BracketError,
     ConvergenceError,
     LAMBDA_TOL,
+    db_grid,
     eval_point,
     solve_lambda_massive,
     solve_lambda_star,
@@ -35,6 +38,7 @@ from macgain.verify import (
     _root_many,
     BoundReport,
     DERIVATIVE_GRID,
+    DERIVATIVE_STEP,
     DERIVATIVE_USERS,
     IMPROVED_GAIN_CAP,
     MAX_SAMPLES,
@@ -471,6 +475,37 @@ class TestReport:
         assert report == reference_report("t", tables, slop=0.0)
         assert report.violations == 2 and report.witness == "a at row2"
 
+    def test_a_nan_alone_is_a_violation_and_never_the_witness(self):
+        # The column's plain minimum is NaN, so it is counted and reduced
+        # again: one violation, and the smallest real slack is the witness.
+        tables = [([("a", np.array([0.5, 0.1, 0.4])), ("b", np.array([0.3, math.nan, 0.2]))],
+                   at_row, None)]
+        report = _report("t", tables)
+        assert report == reference_report("t", tables)
+        assert report.violations == 1 and report.worst_slack == 0.1
+        assert report.witness == "a at row1"
+
+    @pytest.mark.parametrize("slop", [NUMERIC_SLOP, 0.0])
+    def test_exactly_minus_slop_passes_and_one_ulp_below_fails(self, slop):
+        edge = -slop
+        below = math.nextafter(edge, -math.inf)
+        for slacks, violations in (([0.5, edge, 1.0], 0), ([0.5, below, 1.0], 1)):
+            tables = [([("a", np.array(slacks))], at_row, None)]
+            report = _report("t", tables, slop=slop)
+            assert report == reference_report("t", tables, slop=slop)
+            assert report.violations == violations and report.witness == "a at row1"
+            assert repr(report.worst_slack) == repr(slacks[1])
+
+    def test_masked_out_nan_and_minus_inf_count_nothing(self):
+        columns = [("a", np.array([math.nan, 0.4, -math.inf, 0.2])),
+                   ("b", np.array([-math.inf, 0.3, math.nan, 0.7]))]
+        valid = [np.array([False, True, False, True]), np.array([False, True, False, True])]
+        tables = [(columns, at_row, valid)]
+        report = _report("t", tables)
+        assert report == reference_report("t", tables)
+        assert report.samples == 4 and report.violations == 0
+        assert report.worst_slack == 0.2 and report.witness == "a at row3"
+
 
 # SHA-256 over the report lines, in order, of the default suites of nine
 # seeds and then of four 200-sample sabotage suites, recorded before the
@@ -532,11 +567,97 @@ class TestScoringMemory:
         assert traced_peak(_report, "point_bounds", [table]) < 2 * lam.nbytes
 
     def test_suite_peak(self):
-        # 1305 KiB, set by the batch's workspace; scoring on stacked tables
-        # peaked at 1542 KiB.
+        # 1279 KiB, set by the batch's workspace; building the fixed grids
+        # and batch columns in every suite peaked at 1305 KiB, and scoring
+        # on stacked tables at 1542 KiB.
         spec = SampleSpec(seed=1, n_samples=10_000)
         run_suite(spec)
-        assert traced_peak(run_suite, spec) <= 1400 * 1024
+        assert traced_peak(run_suite, spec) <= 1290 * 1024
+
+
+def _lines(reports):
+    return [report.line() for report in reports]
+
+
+def _fresh_suite_lines(seed, n_samples, sabotage):
+    """The report lines of one suite run alone, in a new interpreter."""
+    code = ("import sys; from macgain.verify import SampleSpec, run_suite\n"
+            f"for r in run_suite(SampleSpec({seed}, {n_samples}), {sabotage}): print(r.line())")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, timeout=120, check=True)
+    return result.stdout.splitlines()
+
+
+class TestFixedInputs:
+    """The seed-independent suite inputs, built once when verify is imported."""
+
+    def test_match_what_the_public_constants_build(self):
+        (large_K, large_P, curve_pis, fd_pis, tail_pis, limit_pis,
+         fixed_K, fixed_pi, cuts) = macgain.verify._FIXED
+
+        def grid(lo, hi, step):
+            return np.array([db_to_linear(x) for x in db_grid(lo, hi, step)])
+
+        h = DERIVATIVE_STEP
+        tails = np.hstack([grid(-60.0, -10.0, 2.5), grid(30.0, 60.0, 2.5)])
+        fd = np.outer(DERIVATIVE_GRID, (1.0, 1.0 + h, 1.0 - h))
+        curves = grid(DEFAULT_FROM_DB, DEFAULT_TO_DB, 0.1)
+        expected = [
+            (large_K, np.array([10**2, 10**4, 10**6, 10**8])), (large_P, np.ones(4)),
+            (curve_pis, curves), (fd_pis, fd), (tail_pis, tails),
+            (limit_pis, np.array([1e-3, 1e6]))]
+        for got, want in expected:
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape,
+                                                           want.tobytes())
+        # The batch's fixed columns block by block, in the order the split reads.
+        massive = np.hstack([[1e-3, 1e6], tails, [5.38]])
+        blocks = [(np.array([1e2, 1e4, 1e6, 1e8]), np.array([1e2, 1e4, 1e6, 1e8]))] + [
+            (np.full(pis.size, math.inf if users is None else float(users)), pis.ravel())
+            for users_set, pis in ((DEFAULT_USERS, curves), (DERIVATIVE_USERS, fd))
+            for users in users_set] + [(np.full(massive.size, math.inf), massive)]
+        assert fixed_K.tobytes() == np.hstack([k for k, _ in blocks]).tobytes()
+        assert fixed_pi.tobytes() == np.hstack([pi for _, pi in blocks]).tobytes()
+        assert fixed_K.dtype == fixed_pi.dtype == np.float64
+        sizes = [4, curves.size * len(DEFAULT_USERS), fd.size * len(DERIVATIVE_USERS),
+                 2, tails.size]
+        assert cuts.tolist() == np.cumsum([0] + sizes).tolist()
+        assert fixed_K.size == cuts[-1] + 1 == 2130
+
+    def test_are_read_only(self):
+        for array in macgain.verify._FIXED:
+            before = array.tobytes()
+            with pytest.raises(ValueError):
+                array[...] = 0
+            with pytest.raises(ValueError):
+                np.add(array, 1, out=array)
+            assert array.tobytes() == before
+
+    def test_a_suite_builds_no_grid(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("run_suite built a grid")
+
+        expected = _lines(run_suite(SampleSpec(seed=1, n_samples=10_000)))
+        monkeypatch.setattr(macgain.verify, "db_grid", refuse)
+        monkeypatch.setattr(macgain.verify, "db_to_linear", refuse)
+        assert _lines(run_suite(SampleSpec(seed=1, n_samples=10_000))) == expected
+
+    def test_back_to_back_suites_match_suites_run_alone(self, monkeypatch):
+        # No root, slack or report outlives its suite: each suite in a row
+        # gives the lines it gives in a new interpreter, and each solves its
+        # fixed points again in its own one batch.
+        sizes = []
+
+        def batch(K, pi):
+            sizes.append(K.size)
+            return _root_many(K, pi)
+
+        monkeypatch.setattr(macgain.verify, "_root_many", batch)
+        plans = [(1, 10_000, False), (2, 10_000, False), (7, 10_000, True)]
+        in_a_row = [_lines(run_suite(SampleSpec(seed, n), sabotage))
+                    for seed, n, sabotage in plans]
+        assert sizes == [12130] * 3
+        assert in_a_row == [_fresh_suite_lines(*plan) for plan in plans]
+        assert "FAIL" in in_a_row[2][0]
 
 
 def _cube(root):
