@@ -150,12 +150,13 @@ class GainSolution(NamedTuple):
     ``residual`` is the solver's residual at the returned root,
     lam - G_K(pi*lam) for the fixed-point map of :func:`_fixed_point`,
     with K = inf in the massive limit.  ``iterations`` counts the residual
-    evaluations after the one at lam = 1: the one at the bracket's upper
-    end, :func:`_lambda_bound`, two Newton steps of the massive residual
-    above the root, and the Newton steps after it.  ``degenerate`` marks a
-    power too small for the residual to separate lam = 1 from the root: it
-    is >= 0 already at lam = 1, so the gain is pinned to 1 (0 iterations).
-    The capacities are ln(1+pi) without and ln(1+pi*lam) with feedback, in
+    evaluations at the bracket's upper end, :func:`_lambda_bound`, two
+    Newton steps of the massive residual above the root, and the Newton
+    steps after it: all of them from 1e-10 total power up, where r(1) < 0
+    is proven, unless r is not positive at that end.  ``degenerate`` marks
+    a power too small for the residual to separate lam = 1 from the root:
+    it is >= 0 already at lam = 1, so the gain is pinned to 1 (0
+    iterations).  The capacities are ln(1+pi) without and ln(1+pi*lam) with feedback, in
     nats, and ``gain_F`` is their ratio.
     """
 
@@ -248,17 +249,13 @@ def _fixed_point_many(K, pi, lam, work, slope=True):
     return r, np.subtract(1.0, np.divide(c, lam, out=c), out=c)
 
 
-def _lambda_bound(pi, a, log1p, steps=(0, 1)):
+def _lambda_bound(pi: float, a: float) -> float:
     """A float above the power gain at total power pi, for every K; unvalidated.
 
-    a is ln(1+pi), and log1p is math.log1p, or np.log1p for arrays, which
-    may differ from math's in the last ulp.  steps holds one item per
-    Newton step: two for the scalar solve, one for verify's batch, whose
-    small-K elements take as many passes from either end, so that the
-    second step's array work would be lost.  G_K(t) <= (1 + 1/t)*ln(1+t)
-    < 1 + ln(1+t) and ln(1 + pi*lam) <= a + ln(lam), so lam - G_K(pi*lam) >
-    1 - ln(2) at every lam >= 2 + 2a.  Newton steps on the massive
-    residual g(x) = x - m(x), m(x) = (1 + 1/t)*L, t = pi*x and L =
+    a is ln(1+pi).  G_K(t) <= (1 + 1/t)*ln(1+t) < 1 + ln(1+t) and ln(1 +
+    pi*lam) <= a + ln(lam), so lam - G_K(pi*lam) > 1 - ln(2) at every lam
+    >= 2 + 2a, where verify's batch starts.  Two Newton steps on the
+    massive residual g(x) = x - m(x), m(x) = (1 + 1/t)*L, t = pi*x and L =
     ln(1+t), refine 2 + 2a: m'(x) = (1 - L/t)/x needs no further
     transcendental, and the Newton point of x is N = x*(L - 1 + 2L/t)/(x -
     1 + L/t).  m is concave: h(t) = (1 + 1/t)*ln(1+t) has t**3*h''(t) = 2L
@@ -273,23 +270,17 @@ def _lambda_bound(pi, a, log1p, steps=(0, 1)):
     one sign.  So the end, N times 1 + 1e-14 (90u), lies above lam_inf;
     below pi = 2**-54 the steps give 1 exactly and the end is 1 + 1e-14,
     above the root 1 + pi/2.  After two steps it is within 6e-4 relative
-    of lam_inf at every power, and 1.1e-14 below -30 dB.  Every operation
-    that can update a value made here does so in place, so pi and a are
-    never written, and an array call makes 3 temporaries and 8 a step.
+    of lam_inf at every power, and 1.1e-14 below -30 dB.
     """
     s = pi / (1.0 + pi)
     x = a + 1.0
     x += x
-    for _ in steps:
+    for _ in range(2):
         d = x - 1.0
-        L = log1p(s * d)
-        L += a
+        L = math.log1p(s * d) + a
         w = L / (pi * x)
-        d += w
-        L += w + w - 1.0
-        x *= L / d
-    x *= 1.0 + 1e-14
-    return x
+        x *= (L + (w + w - 1.0)) / (d + w)
+    return x * (1.0 + 1e-14)
 
 
 def db_residual(lam: float, K: int, P: float) -> float:

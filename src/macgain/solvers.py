@@ -74,6 +74,9 @@ MAX_GRID_POINTS = 20_000
 # steps beyond bisection.
 _NEWTON_N0 = 6
 
+# The total power from which _solve takes r(1) < 0 as proven, unevaluated.
+_POWER_FLOOR = 1e-10
+
 # Peak search clips t = pi*lam this far below the dB of the largest float,
 # which itself rounds to a power that overflows.
 _T_DB_MAX = linear_to_db(sys.float_info.max) - 1e-9
@@ -217,27 +220,33 @@ def _solve(config: ChannelConfig) -> GainSolution:
     hi = min(K, core._lambda_bound) with K = inf in the massive limit, an
     end within 6e-4 relative above the massive root but never below 1 +
     2*LAMBDA_TOL, and _newton narrows the bracket to LAMBDA_TOL; the (-, +)
-    bracket certifies the root.  ln(1+pi) is taken once, for the end and
-    the capacity without feedback, and the result is built by
-    tuple.__new__, as ChannelConfig is.  If 0 <= r(1) < r(hi), the power is
-    too small for r to separate lam = 1 from the root, which is pinned to 1
-    as degenerate, with 0 iterations.  If r(1) < 0 and r(hi) <= 0 at hi =
-    K, the root lies closer to the cap than r can resolve, and the cap is
-    taken.  A NaN or MAX_ITER steps raise ConvergenceError, any other sign
-    pattern, r(hi) <= 0 below the cap included, BracketError; every message
-    ends with the point.
+    bracket certifies the root.  G_K rises in t and in K, so lam >= G_K(pi)
+    >= G_2(pi) = 2u/(1+u), u = sqrt(1+pi), and r(1) < -2*LAMBDA_TOL from
+    _POWER_FLOOR up (G_2(1e-10) - 1 is about 2.5e-11): there a positive
+    r(hi) closes the bracket, and r(1) is read only below the floor or
+    where r(hi) is not positive, which every outcome below needs.  ln(1+pi)
+    is taken once, for the end and the capacity without feedback, and the
+    result is built by tuple.__new__, as ChannelConfig is.  If 0 <= r(1) <
+    r(hi), the power is too small for r to separate lam = 1 from the root,
+    which is pinned to 1 as degenerate, with 0 iterations.  If r(1) < 0 and
+    r(hi) <= 0 at hi = K, the root lies closer to the cap than r can
+    resolve, and the cap is taken.  A NaN or MAX_ITER steps raise
+    ConvergenceError, any other sign pattern, r(hi) <= 0 below the cap
+    included, BracketError; every message ends with the point.
     """
     K, pi = config.users, config.total_power
     cap = math.inf if K is None else float(K)
     fn = _fixed_point(cap, pi)
     capacity_nofb = math.log1p(pi)
-    bound = _lambda_bound(pi, capacity_nofb, math.log1p)
+    bound = _lambda_bound(pi, capacity_nofb)
     if bound < 1.0 + 2.0 * LAMBDA_TOL:
         # [1, bound] would pass for converged before a step, and _newton
         # would return an end of it, 1 or bound, not a point near the root.
         bound = 1.0 + 2.0 * LAMBDA_TOL
     hi = cap if cap < bound else bound
-    (f_lo, _), (f_hi, d_hi) = fn(1.0), fn(hi)
+    f_hi, d_hi = fn(hi)
+    # -inf stands in for a proven r(1) < 0; _newton never returns it.
+    f_lo = -math.inf if pi >= _POWER_FLOOR and f_hi > 0.0 else fn(1.0)[0]
     degenerate = 0.0 <= f_lo < f_hi
     if degenerate:
         lam, res, iters = 1.0, f_lo, 0

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import solvers
-from .core import ChannelConfig, _balance, _fixed_point_many, _lambda_bound, db_to_linear
+from .core import ChannelConfig, _balance, _fixed_point_many, db_to_linear
 from .solvers import DEFAULT_FROM_DB, DEFAULT_TO_DB, DEFAULT_USERS, db_grid, eval_point
 
 __all__ = [
@@ -205,18 +205,19 @@ def _gain(pi: np.ndarray, lam: np.ndarray) -> np.ndarray:
 def _root_many(K: np.ndarray, pi: np.ndarray) -> np.ndarray:
     """The power gain at every (K, pi), K = inf massive, by certified Newton steps.
 
-    Each element starts at hi = min(K, core._lambda_bound) by numpy's
-    log1p and one Newton step, where the scalar solver takes two, and
+    Each element starts at hi = min(K, 2 + 2*ln(1+pi)), where the residual
+    exceeds 1 - ln(2) > 0 for every K (core._lambda_bound's proof), and
     takes plain Newton steps on core._fixed_point_many until a step is
     shorter than LAMBDA_TOL/4, for at most MAX_ITER passes, both read off
-    the solvers module at call time.
-    An element whose Newton point is NaN or leaves [1, hi] stops at once.
-    Each pass evaluates every element and a mask keeps the ones still
-    running; the passes and the certificate write into one workspace that
-    lives for the call, so no pass allocates.  A converged point x is
-    kept only if the residual is < 0 at x - LAMBDA_TOL/4 >= 1 and > 0 at
-    x + LAMBDA_TOL/4 <= K: a (-, +) bracket inside [1, K], narrower than
-    the LAMBDA_TOL the scalar solver accepts.  Every other element goes, in
+    the solvers module at call time.  G_K is concave in t, so the residual
+    is convex in lam and the steps stay in [root, hi].  An element whose
+    Newton point is NaN or leaves [1, hi] stops at once.  Each pass
+    evaluates every element and a mask keeps the ones still running; the
+    passes and the certificate write into one workspace that lives for
+    the call, so no pass allocates.  A converged point x is kept only if
+    the residual is < 0 at x - LAMBDA_TOL/4 >= 1 and > 0 at x +
+    LAMBDA_TOL/4 <= K: a (-, +) bracket inside [1, K], narrower than the
+    LAMBDA_TOL the scalar solver accepts.  Every other element goes, in
     input order, to the scalar eval_point at the same K and total power,
     which pins it to lam = 1, takes the cap as its root, solves it or
     raises its own error.  Batch and scalar roots take different Newton
@@ -226,8 +227,10 @@ def _root_many(K: np.ndarray, pi: np.ndarray) -> np.ndarray:
     quarter = 0.25 * solvers.LAMBDA_TOL
     lam = np.full(K.size, math.nan)  # NaN until converged, which fails the certificate
     with np.errstate(all="ignore"):
-        # The bound's temporaries are freed before the workspace is taken.
-        top = np.minimum(_lambda_bound(pi, np.log1p(pi), np.log1p, (0,)), K)
+        top = np.log1p(pi)  # then min(K, 2 + 2a), in place
+        top *= 2.0
+        top += 2.0
+        np.minimum(top, K, out=top)
         work = np.empty((6, K.size))  # _fixed_point_many's five rows, then x
         x = work[5]
         x[:] = top

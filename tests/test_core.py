@@ -445,19 +445,28 @@ BOUND_POWERS = [5e-324, 1e-310] + [10.0**e for e in range(-300, 309)] + [sys.flo
 
 
 def _bounds(pis):
-    """core._lambda_bound at each power, as the scalar solver and as verify's batch take it."""
-    scalar = [_lambda_bound(pi, math.log1p(pi), math.log1p) for pi in pis]
-    with np.errstate(all="ignore"):
-        batch = _lambda_bound(np.array(pis), np.log1p(pis), np.log1p)
+    """The scalar solver's first upper end, core._lambda_bound, and verify's batch start 2 + 2a."""
+    scalar = [_lambda_bound(pi, math.log1p(pi)) for pi in pis]
+    batch = 2.0 + 2.0 * np.log1p(pis)
     return scalar, batch.tolist()
 
 
+def _mp_map(users, t):
+    """G_K(t) = (1+t)*(L/t)*phi(L/K) at the working precision, K = None massive."""
+    L = mp.log1p(t)
+    G = (1 + t) * L / t
+    if users is not None:
+        z = L / users
+        G *= -mp.expm1(-z) / z
+    return G
+
+
 class TestLambdaBound:
-    """core._lambda_bound, the first upper end of every root."""
+    """core._lambda_bound, the scalar solver's first upper end, and the batch's start 2 + 2a."""
 
     def test_above_the_massive_root_on_the_float_range(self):
         # lam - f(pi, lam) is > 0 exactly above the massive root, which is
-        # above every finite-K root: 50 digits must see it > 0 at both forms.
+        # above every finite-K root: 50 digits must see it > 0 at both.
         with mp.workdps(50):
             for pi, ends in zip(BOUND_POWERS, zip(*_bounds(BOUND_POWERS))):
                 for end in ends:
@@ -475,7 +484,7 @@ class TestLambdaBound:
         excess = []
         with mp.workdps(50):
             for pi in BOUND_POWERS:
-                end = _lambda_bound(pi, math.log1p(pi), math.log1p)
+                end = _lambda_bound(pi, math.log1p(pi))
                 assert end < 2.0 + 2.0 * math.log1p(pi)
                 pi_ = mp.mpf(pi)
                 root = mp.findroot(lambda x: x - (1 + pi_ * x) * mp.log1p(pi_ * x) / (pi_ * x),
@@ -485,12 +494,32 @@ class TestLambdaBound:
         assert max(e for pi, e in excess if pi <= 1e-3) <= 1.1e-14
         assert max(e for _, e in excess) <= 6e-4
 
-    def test_array_form_matches_scalar(self):
-        # log1p from math and from numpy may differ in the last ulp, so the
-        # two ends agree to a few ulps, and bit for bit at most powers.
+    def test_batch_start_clears_the_residual_by_its_proven_margin(self):
+        # The docstring's bound: lam - G_K(pi*lam) > 1 - ln(2) at lam >= 2 +
+        # 2a for every K, so at the batch's start in numpy's log1p, and the
+        # scalar end lies below the start at every power.  G_K <= G_inf, so
+        # the massive residual, at 50 digits, bounds every K's.
         scalar, batch = _bounds(BOUND_POWERS)
-        assert sum(a == b for a, b in zip(scalar, batch)) > 0.9 * len(scalar)
-        assert all(abs(a - b) <= 4.0 * math.ulp(a) for a, b in zip(scalar, batch))
+        margin = 1 - mp.log(2)
+        with mp.workdps(50):
+            for pi, end, start in zip(BOUND_POWERS, scalar, batch):
+                assert end < start, pi
+                x = mp.mpf(start)
+                assert x - _mp_map(None, mp.mpf(pi) * x) > margin, pi
+
+    @pytest.mark.parametrize("users", [2, 3, 10, 10**4, 10**8, None])
+    def test_the_map_is_concave_in_t(self, users):
+        # G_K''(t) < 0, so r_K(lam) = lam - G_K(pi*lam) is convex and the
+        # batch's plain Newton steps from above stay above the root.  Central
+        # differences at a relative step of 1e-12 and 80 digits, from t =
+        # 1e-12 to 1e12, a decade apart.
+        with mp.workdps(80):
+            for e in range(-12, 13):
+                t = mp.mpf(10) ** e
+                h = t * mp.mpf("1e-12")
+                second = (_mp_map(users, t + h) - 2 * _mp_map(users, t)
+                          + _mp_map(users, t - h)) / (h * h)
+                assert second < 0, (users, e)
 
 
 class TestMassiveParametric:

@@ -17,10 +17,11 @@ import pytest
 from mpmath import mp, mpf
 
 from conftest import curve_slope, finite_certified, massive_certified
-from macgain.core import ChannelConfig, _fixed_point, _lambda_bound, db_to_linear
+from macgain.core import ChannelConfig, _fixed_point, _fixed_point_many, _lambda_bound, db_to_linear
 from macgain.solvers import (
     DEFAULT_USERS,
     LAMBDA_TOL,
+    _POWER_FLOOR,
     eval_point,
     find_peak,
     invert_massive_parametric,
@@ -153,37 +154,99 @@ def mp_fixed_point(users, pi, x):
 
 
 def test_upper_end_lies_above_every_root():
-    # core._lambda_bound's end, from math's log1p and from numpy's, on the
-    # walk: where it lies below K, the exact residual there is > 0, so it
-    # lies above the root, and so is the float residual, at the end and at
-    # the solver's upper end hi = min(K, max(end, 1 + 2*LAMBDA_TOL)).
-    # Where r(1) >= 0 in floats, the solver pins the root to 1 only if r
-    # still rises to the upper end: r(1) < r(end) and r(1) < r(hi).  Without
-    # its 1 + 1e-14 margin the end falls below the exact root.
+    # core._lambda_bound's end on the walk: where it lies below K, the exact
+    # residual there is > 0, so it lies above the root, and so is the float
+    # residual, at the end and at the solver's upper end hi = min(K,
+    # max(end, 1 + 2*LAMBDA_TOL)).  Where r(1) >= 0 in floats, the solver
+    # pins the root to 1 only if r still rises to the upper end: r(1) <
+    # r(end) and r(1) < r(hi).  Without its 1 + 1e-14 margin the end falls
+    # below the exact root.
     configs = walk_configs()
-    pis = np.array([config.total_power for config in configs])
-    with np.errstate(all="ignore"):
-        batch = _lambda_bound(pis, np.log1p(pis), np.log1p).tolist()
     checked, pinned, failed = 0, 0, []
-    for config, batch_end in zip(configs, batch):
+    for config in configs:
         pi = config.total_power
         cap = math.inf if config.users is None else float(config.users)
         fn = _fixed_point(cap, pi)
         r_1 = fn(1.0)[0]
-        for end in {_lambda_bound(pi, math.log1p(pi), math.log1p), batch_end}:
-            r_end = fn(min(end, cap))[0]
-            r_hi = fn(min(max(end, 1.0 + 2.0 * LAMBDA_TOL), cap))[0]
-            ok = r_1 < 0.0 or r_1 < min(r_end, r_hi)
-            pinned += r_1 >= 0.0
-            if end < cap:
-                checked += 1
-                ok = (ok and r_end > 0.0 and r_hi > 0.0
-                      and mp_fixed_point(config.users, pi, end) > 0)
-            if not ok:
-                failed.append((config.users, pi, end))
-    # 3505 inputs; 3024 of their ends lie below K and 1531 read r(1) >= 0.
+        end = _lambda_bound(pi, math.log1p(pi))
+        r_end = fn(min(end, cap))[0]
+        r_hi = fn(min(max(end, 1.0 + 2.0 * LAMBDA_TOL), cap))[0]
+        ok = r_1 < 0.0 or r_1 < min(r_end, r_hi)
+        pinned += r_1 >= 0.0
+        if end < cap:
+            checked += 1
+            ok = ok and r_end > 0.0 and r_hi > 0.0 and mp_fixed_point(config.users, pi, end) > 0
+        if not ok:
+            failed.append((config.users, pi, end))
+    # 3505 inputs; 3009 of their ends lie below K and 1531 read r(1) >= 0.
     assert failed == []
     assert len(configs) == 3505 and checked > 3000 and pinned > 1500
+
+
+def test_batch_start_lies_above_every_root():
+    # verify's batch starts every element at min(K, 2 + 2a), a = ln(1+pi)
+    # in numpy's log1p, and steps down from there.  On the walk, where the
+    # start lies below K, the exact residual there is > 0, and so is the
+    # float one, unless pi*start overflows: the float residual is then NaN,
+    # and the batch hands the element to the scalar solver.
+    configs = walk_configs()
+    pis = np.array([config.total_power for config in configs])
+    caps = np.array([math.inf if config.users is None else config.users for config in configs],
+                    dtype=float)
+    starts = np.minimum(2.0 + 2.0 * np.log1p(pis), caps)
+    with np.errstate(all="ignore"):
+        r = _fixed_point_many(caps, pis, starts, np.empty((5, pis.size)), False)[0]
+        overflows = pis * starts == math.inf
+    below = np.flatnonzero(starts < caps)
+    failed = [(configs[i].users, pis[i], starts[i]) for i in below
+              if not ((r[i] > 0.0 or overflows[i] and math.isnan(r[i]))
+                      and mp_fixed_point(configs[i].users, pis[i], starts[i]) > 0)]
+    # 2669 of the 3505 starts lie below K, 15 of them where pi*start overflows.
+    assert failed == []
+    assert below.size == 2669 and int(overflows[below].sum()) == 15
+
+
+# Total powers from solvers._POWER_FLOOR up, where _solve takes r(1) < 0 as
+# proven: the floor, the next float, and every 7.3 dB step above -100 dB up
+# to 3075.5 dB, near the top of the float range.
+FLOOR_POWERS = [_POWER_FLOOR, math.nextafter(_POWER_FLOOR, math.inf)] + [
+    db_to_linear(-100.0 + 7.3 * i) for i in range(1, 436)]
+
+
+def test_r_at_1_is_negative_from_the_floor_up():
+    # The float residual, not only the exact one: the solver reads neither.
+    assert FLOOR_POWERS[-1] > 1e307
+    for users in GRID_USERS + (None,):
+        cap = math.inf if users is None else float(users)
+        positive = [pi for pi in FLOOR_POWERS if not _fixed_point(cap, pi)(1.0)[0] < 0.0]
+        assert positive == [], users
+
+
+def test_the_floor_clears_twice_the_tolerance():
+    # lam >= G_K(pi) >= G_2(pi) = 2u/(1+u), u = sqrt(1+pi), so r(1) <=
+    # 1 - G_2(pi) < -2*LAMBDA_TOL from the floor up: 2.5e-11 at 1e-10.
+    with mp.workdps(50):
+        pi = mpf(_POWER_FLOOR)
+        u = mp.sqrt(1 + pi)
+        g_2 = 2 * u / (1 + u)
+        assert g_2 - 1 > 2 * LAMBDA_TOL
+        assert abs(1 - mp_fixed_point(2, _POWER_FLOOR, 1.0) - g_2) < mpf(10) ** -45
+        for users in GRID_USERS[1:] + (None,):
+            assert 1 - mp_fixed_point(users, _POWER_FLOOR, 1.0) > g_2, users
+
+
+def test_no_solve_from_the_floor_up_returns_the_placeholder():
+    # A solve from the floor up with r(hi) > 0 never reads r(1); -inf
+    # stands in for it at the bracket's lower end.  No such solve is pinned
+    # to 1 or returns that -inf, or any residual that is not finite.
+    failed = []
+    for users in GRID_USERS + (None,):
+        for pi in FLOOR_POWERS:
+            sol = eval_point(ChannelConfig(users, total_power=pi))
+            if not (sol.lambda_star > 1.0 and math.isfinite(sol.residual)
+                    and not sol.degenerate):
+                failed.append((users, pi, sol))
+    assert failed == []
 
 
 @pytest.mark.parametrize("pi", [0.1, 5.38, 1000.0])

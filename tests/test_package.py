@@ -6,6 +6,7 @@ import ast
 import functools
 import importlib
 import importlib.util
+import inspect
 import re
 import subprocess
 import symtable
@@ -358,3 +359,40 @@ def test_residual_reads_only_its_closure():
     line = "L = log1p(t)"
     assert line in source
     assert _residual_lookups(source.replace(line, "L = math.log1p(t)")) == {"math", "math.log1p"}
+
+
+def _unit_reads(source: str) -> list[str | None]:
+    """For each fn(1.0) in solvers._solve, the test of the conditional whose else holds it."""
+    solve = _function(ast.parse(source), "_solve")
+    parent = {child: node for node in ast.walk(solve) for child in ast.iter_child_nodes(node)}
+    guards = []
+    for call in ast.walk(solve):
+        if isinstance(call, ast.Call) and ast.unparse(call) == "fn(1.0)":
+            node, guard = call, None
+            while guard is None and node in parent:
+                branch, node = node, parent[node]
+                if (isinstance(node, ast.IfExp) and branch is node.orelse
+                        or isinstance(node, ast.If) and branch in node.orelse):
+                    guard = ast.unparse(node.test)
+            guards.append(guard)
+    return guards
+
+
+def test_solve_reads_r_at_1_only_where_no_proof_holds():
+    # From solvers._POWER_FLOOR up, r(1) < 0 is proven, so _solve evaluates
+    # it only below the floor or where r(hi) is not positive.  Reading it
+    # before the upper end, as the solve once did, trips the check.
+    from macgain.core import _lambda_bound
+
+    source = (ROOT / "src" / "macgain" / "solvers.py").read_text(encoding="utf-8")
+    assert _unit_reads(source) == ["pi >= _POWER_FLOOR and f_hi > 0.0"]
+    line = "f_lo = -math.inf if pi >= _POWER_FLOOR and f_hi > 0.0 else fn(1.0)[0]"
+    assert line in source
+    assert _unit_reads(source.replace(line, "f_lo = fn(1.0)[0]")) == [None]
+    # verify's batch starts from 2 + 2a and takes nothing from the bound,
+    # which has lost its array path.
+    verify = ast.parse((ROOT / "src" / "macgain" / "verify.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(verify) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert "_lambda_bound" not in imported and "_fixed_point_many" in imported
+    assert list(inspect.signature(_lambda_bound).parameters) == ["pi", "a"]

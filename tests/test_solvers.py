@@ -235,6 +235,23 @@ def kernel_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def evaluations(monkeypatch):
+    """A one-item list that counts every residual evaluation the solves make."""
+    count = [0]
+
+    def counted(K, pi):
+        residual = _fixed_point(K, pi)
+
+        def fn(lam):
+            count[0] += 1
+            return residual(lam)
+        return fn
+
+    monkeypatch.setattr(solvers_module, "_fixed_point", counted)
+    return count
+
+
 class TestITPSteps:
     """The root kernel keeps within a step of bisection on every grid, and beats it on average.
 
@@ -263,46 +280,64 @@ class TestITPSteps:
                 if steps > _bisection_steps(lo, hi, tol) + 1]
         assert over == []
 
-    # The mean evaluations per root below are machine-independent figures,
+    # The mean iterations per root below are machine-independent figures,
     # pinned between the Newton end's and the two map steps' it replaced,
     # so a start that costs evaluations fails them without a timing run.
+    # From solvers._POWER_FLOOR up, r(1) < 0 is proven and not read, so
+    # .iterations counts every residual evaluation of a solve; below the
+    # floor, and at a root taken at the cap, r(1) is read as well.  The
+    # evaluations fixture counts them all; reading r(1) at every root cost
+    # one more per root on each grid.
 
-    def test_mean_steps_on_the_sample_box(self):
+    def test_mean_steps_on_the_sample_box(self, evaluations):
         # The verify sample box: 4.54 evaluations per root, at most 7, where
         # bisection of the same brackets takes 42.7 (the upper end included),
         # ITP steps took 9.6, Newton from the closed-form end 5.6 and from
-        # two map steps 4.85.
+        # two map steps 4.85, each after r(1), which made 5.54 of today's.
         K, P = draw_samples(SampleSpec(seed=42, n_samples=2000))
         steps = [solve_lambda_star(int(k), float(p)).iterations for k, p in zip(K, P)]
         assert statistics.mean(steps) <= 4.6
+        assert evaluations[0] == sum(steps)
+        assert round(evaluations[0] / len(steps), 2) == 4.54
 
-    def test_mean_steps_on_the_oracle_grid(self):
-        # Bisection of the same brackets takes 41.0 evaluations per root
+    def test_mean_steps_on_the_oracle_grid(self, evaluations):
+        # Bisection of the same brackets takes 41.0 iterations per root
         # here, ITP steps took 8.7, Newton from the closed-form end 4.5 and
         # from two map steps 3.64: from the Newton end it takes 3.23, at
-        # most 6.
+        # most 6.  Three solves lie below the floor and three roots at the
+        # cap, so 3.28 evaluations per root, where r(1) everywhere made 4.23.
         steps = [solve_lambda_star(K, db_to_linear(power_db)).iterations
                  for K in GRID_USERS for power_db in GRID_POWER_DB]
         assert statistics.mean(steps) <= 3.3
+        assert evaluations[0] == sum(steps) + 6
+        assert round(evaluations[0] / len(steps), 2) == 3.28
 
-    def test_mean_steps_on_the_massive_grid(self):
-        # -300 to 3050 dB: 2.24 evaluations per root, at most 3, where
+    def test_mean_steps_on_the_massive_grid(self, evaluations):
+        # -300 to 3050 dB: 2.24 iterations per root, at most 3, where
         # bisection of the same brackets takes 47.6, ITP steps took 8.7,
         # Newton from the closed-form end 4.1 and from two map steps 3.19.
+        # Four powers lie below the floor, three of them pinned to 1 with 0
+        # iterations and 2 evaluations: 2.34 evaluations per root, where
+        # r(1) everywhere made 3.28.
         steps = [solve_lambda_massive(db_to_linear(pi_db)).iterations
                  for pi_db in MASSIVE_POWER_DB]
         assert statistics.mean(steps) <= 2.4
         assert max(steps) <= 3
+        assert evaluations[0] == sum(steps) + 7
+        assert round(evaluations[0] / len(steps), 2) == 2.34
 
-    def test_mean_steps_on_the_default_sweeps(self):
+    def test_mean_steps_on_the_default_sweeps(self, evaluations):
         # Every curve of DEFAULT_USERS on the default range at 0.02 dB, the
         # figure and curve commands' finest grid: 4.64 evaluations per
-        # root, at most 7; from two map steps it took 5.07.
+        # root, at most 7, where r(1) everywhere made 5.64; from two map
+        # steps it took 5.07 iterations.
         steps = [eval_point(ChannelConfig(users, total_power=db_to_linear(pi_db))).iterations
                  for users in DEFAULT_USERS
                  for pi_db in db_grid(DEFAULT_FROM_DB, DEFAULT_TO_DB, 0.02)]
         assert len(steps) == 5 * 2001
         assert statistics.mean(steps) <= 4.7
+        assert evaluations[0] == sum(steps)
+        assert round(evaluations[0] / len(steps), 2) == 4.64
 
     def test_inversion_calls_on_the_massive_grid(self, monkeypatch):
         # The inversion reads lam off the massive solve and calls
@@ -517,8 +552,8 @@ class TestMassiveSolver:
     def test_bound_below_the_root_raises(self, monkeypatch):
         # Halved, the upper end at pi = 1000 is 4.56, below lam = 9.12: the
         # residual is still negative there, which is no root.
-        def halved(pi, a, log1p):
-            return 0.5 * _lambda_bound(pi, a, log1p)
+        def halved(pi, a):
+            return 0.5 * _lambda_bound(pi, a)
 
         monkeypatch.setattr(solvers_module, "_lambda_bound", halved)
         with pytest.raises(BracketError, match=r"got \(-[^,]*, -"):

@@ -669,6 +669,29 @@ def _cube(root):
     return lambda x: (x * x * x - root * root * root, 3.0 * x * x)
 
 
+def _shrink_start(monkeypatch, factor):
+    """Scale _root_many's start to min(K, factor*(2 + 2a)); returns the starts it takes.
+
+    The batch caps its start at K with np.minimum and uses it nowhere
+    else, so verify's numpy is swapped for one whose minimum scales its
+    first argument and logs the result.
+    """
+    starts = []
+
+    class Numpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def minimum(start, K, **kwargs):
+            top = np.minimum(factor * start, K, **kwargs)
+            starts.append(top.tolist())
+            return top
+
+    monkeypatch.setattr(macgain.verify, "np", Numpy())
+    return starts
+
+
 class TestBatchedSolve:
     """The certified batch against the scalar solvers it stands in for.
 
@@ -862,29 +885,28 @@ class TestBatchedSolve:
             _root_many(np.full(3, math.inf), np.array([top[2], 1e300, 5.38]))
 
     def test_bound_below_the_root_goes_to_the_scalar_solver(self, monkeypatch):
-        # Scaled by 0.7, the batch's upper end at pi = 1000 is 6.48 (the
-        # scalar solver's 6.38), below the massive lam = 9.12, so that
-        # element's bracket is (-, -) and its first Newton point lies above
-        # the end; K = 10's lam = 5.80 at the same power is still below it.
-        # Only the scalar solver may decide the first: it solves it with its
-        # own bound, or raises once that is scaled too.
-        def shrunk(pi, a, log1p, *steps):
-            return 0.7 * _lambda_bound(pi, a, log1p, *steps)
-
+        # Halved, the batch's start at pi = 1000 is 7.91, below the massive
+        # lam = 9.12, so that element's bracket is (-, -) and its first
+        # Newton point lies above the start; K = 10's lam = 5.80 at the same
+        # power is still below it.  Only the scalar solver may decide the
+        # first: it solves it with its own bound, or raises once that is
+        # scaled by 0.7 (6.38).
         handed = []
 
         def scalar(config):
             handed.append(config.users)
             return eval_point(config)
 
-        monkeypatch.setattr(macgain.verify, "_lambda_bound", shrunk)
+        starts = _shrink_start(monkeypatch, 0.5)
         monkeypatch.setattr(macgain.verify, "eval_point", scalar)
         K, pis = np.array([10, math.inf]), np.array([1000.0, 1000.0])
         lam = _root_many(K, pis)
+        assert starts == [pytest.approx([7.908, 7.908], abs=1e-3)]
         assert handed == [None]
         assert lam[0] == pytest.approx(solve_lambda_star(10, 100.0).lambda_star, rel=1e-14)
         assert lam[1] == solve_lambda_massive(1000.0).lambda_star
-        monkeypatch.setattr(macgain.solvers, "_lambda_bound", shrunk)
+        monkeypatch.setattr(macgain.solvers, "_lambda_bound",
+                            lambda pi, a: 0.7 * _lambda_bound(pi, a))
         with pytest.raises(BracketError, match="pi=1000.0"):
             _root_many(K, pis)
 
@@ -931,10 +953,11 @@ class TestBatchedSolve:
 
     def test_elements_handed_over_stop_at_once(self, monkeypatch):
         # An overflowing power reads NaN from its first Newton pass and one
-        # with a shrunk upper end steps out of [1, hi]: both stop there, so
-        # the batch ends after its first pass, well inside the bar of 7,
-        # instead of running to MAX_ITER.  Only the Newton passes, which
-        # take the slope, are counted; the certificate's two are not.
+        # with a halved start, below its root, steps out of [1, hi]: both
+        # stop there, so the batch ends after its first pass, well inside
+        # the bar of 7, instead of running to MAX_ITER.  Only the Newton
+        # passes, which take the slope, are counted; the certificate's two
+        # are not.
         passes = []
 
         def counted(K, pi, lam, work, slope=True):
@@ -949,13 +972,13 @@ class TestBatchedSolve:
             return eval_point(config)
 
         monkeypatch.setattr(macgain.verify, "_fixed_point_many", counted)
-        monkeypatch.setattr(macgain.verify, "_lambda_bound",
-                            lambda pi, a, log1p, *steps: 0.6 * _lambda_bound(pi, a, log1p, *steps))
+        starts = _shrink_start(monkeypatch, 0.5)
         monkeypatch.setattr(macgain.verify, "eval_point", scalar)
         pis = np.array([db_to_linear(3070.0), 1000.0])
         lam = _root_many(np.full(2, math.inf), pis)
         assert handed == pis.tolist()
         assert lam.tolist() == [solve_lambda_massive(pi).lambda_star for pi in pis]
+        assert len(starts) == 1
         assert len(passes) <= 7
         assert passes == [2]
 
@@ -1029,6 +1052,22 @@ class TestBatchedSolve:
         monkeypatch.setattr(macgain.verify, "eval_point", scalar)
         assert suite_passed(run_suite(SampleSpec(seed=1, n_samples=10_000)))
         assert calls == [("newton", 12130)] * 5 + [("certificate", 12130)] * 2
+        assert handed == []
+
+    @pytest.mark.parametrize("sabotage", [False, True])
+    @pytest.mark.parametrize("seed", [1, 2, 3, 13, 42])
+    def test_default_suites_hand_nothing_to_the_scalar_solver(self, monkeypatch, seed,
+                                                              sabotage):
+        # From the start min(K, 2 + 2a) every element of a default suite is
+        # settled and certified by the batch's own passes.
+        handed = []
+
+        def scalar(config):
+            handed.append(config)
+            return eval_point(config)
+
+        monkeypatch.setattr(macgain.verify, "eval_point", scalar)
+        run_suite(SampleSpec(seed=seed, n_samples=10_000), sabotage)
         assert handed == []
 
     def test_default_suite_settles_every_sample_in_the_batch(self, monkeypatch):
