@@ -215,13 +215,12 @@ def _fixed_point(K: float, pi: float):
     return residual
 
 
-def _fixed_point_many(K, pi, lam, work, slope=True):
+def _fixed_point_many(K, pi, lam, work):
     """_fixed_point's (r, r') over numpy arrays, by the same operations in the same order.
 
     Every operation writes into work, a float array of shape (5, n) that
     the caller owns, for n elements, so a call allocates no array; r and r'
-    are returned as views of its rows, and r' is None without slope, so a
-    caller that needs only r pays for none.  Below t = 1e-8 ln(1+t)/t is
+    are returned as views of its rows.  Below t = 1e-8 ln(1+t)/t is
     the plain quotient, not the series, and an overflowing t gives NaN,
     which verify's batch hands to the scalar solver.  Call it with numpy's
     floating-point warnings silenced.
@@ -242,8 +241,6 @@ def _fixed_point_many(K, pi, lam, work, slope=True):
     G = np.multiply(u, a, out=a)
     np.multiply(G, np.divide(e, minus_z, out=d), out=G, where=positive)  # e/(-z) is -e/z
     r = np.subtract(lam, G, out=d)
-    if not slope:
-        return r, None
     np.divide(G, u, out=b)
     np.subtract(np.add(1.0, e, out=c), b, out=c)
     return r, np.subtract(1.0, np.divide(c, lam, out=c), out=c)

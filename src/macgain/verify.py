@@ -178,13 +178,11 @@ def point_bound_slacks(K: np.ndarray, P: np.ndarray,
     The five links, one array each: a two-sided logarithm bracket around
     ln(1+pi*lam), a two-sided sandwich around the root itself, and the cap
     that keeps the bracket's upper end below K*lam/(K-lam).  The cap is
-    defined only for lam < K; callers drop its other entries.
+    defined only for lam < K; callers drop its other entries.  The ceiling
+    is core._fixed_point_many's K = inf residual negated, bit for bit.
     """
     with np.errstate(all="ignore"):
         pi = K * P
-        # First, so that its workspace is freed before the other links exist.
-        ceiling = -_fixed_point_many(math.inf, pi, lam, np.empty((5, np.size(lam))),
-                                     False)[0].reshape(np.shape(lam))
         t = pi * lam
         log_term = np.log1p(t)
         upper = pi * lam * lam / (1.0 + (K - lam) * P * lam)
@@ -192,7 +190,7 @@ def point_bound_slacks(K: np.ndarray, P: np.ndarray,
             ("log_bracket_lower", log_term - t * lam / (1.0 + t)),
             ("log_bracket_upper", upper - log_term),
             ("gain_floor", lam - K * log_term / (K + log_term)),
-            ("fixed_point_ceiling", ceiling),
+            ("fixed_point_ceiling", (1.0 + t) * (log_term / t) - lam),
             ("bracket_cap", K * lam / (K - lam) - upper),
         ]
 
@@ -212,20 +210,22 @@ def _root_many(K: np.ndarray, pi: np.ndarray) -> np.ndarray:
     the solvers module at call time.  G_K is concave in t, so the residual
     is convex in lam and the steps stay in [root, hi].  An element whose
     Newton point is NaN or leaves [1, hi] stops at once.  Each pass
-    evaluates every element and a mask keeps the ones still running; the
-    passes and the certificate write into one workspace that lives for
-    the call, so no pass allocates.  A converged point x is kept only if
-    the residual is < 0 at x - LAMBDA_TOL/4 >= 1 and > 0 at x +
-    LAMBDA_TOL/4 <= K: a (-, +) bracket inside [1, K], narrower than the
-    LAMBDA_TOL the scalar solver accepts.  Every other element goes, in
-    input order, to the scalar eval_point at the same K and total power,
-    which pins it to lam = 1, takes the cap as its root, solves it or
-    raises its own error.  Batch and scalar roots take different Newton
-    points and may be a few ulps apart, each certified by its own bracket.
+    evaluates every element into one workspace, so none allocates.  The
+    pass that accepts x = w - step evaluated r at w, and r' > 0, so the
+    step has r(w)'s sign; it is kept in hi's array, which a settled element
+    no longer reads.  One probe pass reads r at x - copysign(LAMBDA_TOL/4,
+    step), across x from w.  As in _newton, x is kept on a (-, +) bracket,
+    here a probe in [1, K] whose sign is the step's opposite, or on an
+    exact zero, a step of 0 (tested as lam*step, NaN where none settled).
+    Every other element goes, in input order, to the scalar eval_point at
+    the same K and total power, which pins it to lam = 1, takes the cap as
+    its root, solves it or raises its own error.  Batch and scalar roots
+    take different Newton points and may be a few ulps apart, each
+    certified by its own bracket.
     """
     K = np.asarray(K, dtype=float)
     quarter = 0.25 * solvers.LAMBDA_TOL
-    lam = np.full(K.size, math.nan)  # NaN until converged, which fails the certificate
+    lam = np.full(K.size, math.nan)  # NaN until converged, which fails the probe
     with np.errstate(all="ignore"):
         top = np.log1p(pi)  # then min(K, 2 + 2a), in place
         top *= 2.0
@@ -243,14 +243,16 @@ def _root_many(K: np.ndarray, pi: np.ndarray) -> np.ndarray:
             np.subtract(x, step, out=x)
             going &= np.greater_equal(x, 1.0, out=done)
             going &= np.less_equal(x, top, out=done)
-            np.logical_and(going, np.less(np.abs(step, out=step), quarter, out=done), out=done)
-            np.copyto(lam, x, where=done)
+            np.logical_and(going, np.less(np.abs(step, out=d), quarter, out=done), out=done)
+            np.putmask(lam, done, x)
+            np.putmask(top, done, step)  # a settled element's signed step
             going ^= done
-        below, above = np.subtract(lam, quarter, out=x), np.add(lam, quarter, out=top)
-        settled = np.less(_fixed_point_many(K, pi, below, work, False)[0], 0.0, out=going)
-        settled &= np.greater(_fixed_point_many(K, pi, above, work, False)[0], 0.0, out=done)
-        settled &= np.greater_equal(below, 1.0, out=done)
-        settled &= np.less_equal(above, K, out=done)
+        probe = np.subtract(lam, np.copysign(quarter, top, out=x), out=x)
+        r = _fixed_point_many(K, pi, probe, work)[0]
+        settled = np.less(np.multiply(r, top, out=r), 0.0, out=going)
+        settled &= np.greater_equal(probe, 1.0, out=done)
+        settled &= np.less_equal(probe, K, out=done)
+        settled |= np.equal(np.multiply(lam, top, out=x), 0.0, out=done)
     for i in np.flatnonzero(~settled):
         users = None if K[i] == math.inf else int(K[i])
         lam[i] = eval_point(ChannelConfig(users, total_power=float(pi[i]))).lambda_star
@@ -290,21 +292,22 @@ def check_tail_bounds(pis: np.ndarray, lams: np.ndarray) -> BoundReport:
     return _report("tail_bounds", [(links, lambda row: f"at pi={pis[row]:.6g}", valid)])
 
 
-def check_derivative(pis: np.ndarray, lams: np.ndarray) -> BoundReport:
+def check_derivative(lams: np.ndarray) -> BoundReport:
     """Validate the analytic slope lam' against central differences.
 
-    pis[j] holds a power pi times 1, 1 + h and 1 - h, h = DERIVATIVE_STEP,
-    and lams[u, j] the roots of curve DERIVATIVE_USERS[u] there, bracketed
-    to LAMBDA_TOL like every other root.  Implicit differentiation of the
-    residual r = lam - G_K(pi*lam) gives lam' = lam*(1 - r')/(pi*r'), and
-    0 where r' >= 1, at a root that rounds to the cap K; r' is read off
-    core._fixed_point_many at the roots in one call.  At that step the
-    quotient's truncation error is at most 6.17e-7 relative (K = 2, pi =
-    1000) and root errors move it by at most LAMBDA_TOL/(pi*h*lam') =
-    4.58e-8 (same point): together under 7% of the 1e-5 bound.
+    lams holds the roots of _FIXED's derivative section in its order, K
+    and pi every third element: curve DERIVATIVE_USERS[u] at DERIVATIVE_GRID
+    times 1, 1 + h and 1 - h, h = DERIVATIVE_STEP, bracketed to LAMBDA_TOL.
+    Implicit differentiation of the residual r = lam - G_K(pi*lam) gives
+    lam' = lam*(1 - r')/(pi*r'), and 0 where r' >= 1, at a root that
+    rounds to the cap K; r' is read off core._fixed_point_many at the
+    roots in one call.  At that step the quotient's truncation error is at
+    most 6.17e-7 relative (K = 2, pi = 1000) and root errors move it by at
+    most LAMBDA_TOL/(pi*h*lam') = 4.58e-8 (same point): together under 7%
+    of the 1e-5 bound.
     """
-    K = np.repeat([math.inf if u is None else u for u in DERIVATIVE_USERS], len(pis))
-    pi = np.tile(pis[:, 0], len(DERIVATIVE_USERS))
+    *_, fixed_K, fixed_pi, cuts = _FIXED
+    K, pi = fixed_K[cuts[2]:cuts[3]:3], fixed_pi[cuts[2]:cuts[3]:3]
     lam, lam_hi, lam_lo = lams.reshape(-1, 3).T
     with np.errstate(all="ignore"):
         slope = _fixed_point_many(K, pi, lam, np.empty((5, lam.size)))[1]
@@ -397,7 +400,7 @@ def run_suite(sample: SampleSpec, sabotage: bool = False) -> list[BoundReport]:
     moves.  draw_samples keeps drawing integers, the counts it promises.
     Violations are returned as data; solver errors propagate.
     """
-    large_K, large_P, curve_pis, fd_pis, tail_pis, limit_pis, fixed_K, fixed_pi, cuts = _FIXED
+    large_K, large_P, curve_pis, _, tail_pis, limit_pis, fixed_K, fixed_pi, cuts = _FIXED
     K, P = draw_samples(sample)
     K = K.astype(float)
     pi = K * P
@@ -405,7 +408,6 @@ def run_suite(sample: SampleSpec, sabotage: bool = False) -> list[BoundReport]:
         _root_many(np.concatenate((K, fixed_K)), np.concatenate((pi, fixed_pi))),
         K.size + cuts)
     curve_lams = curve_lams.reshape(-1, curve_pis.size)
-    fd_lams = fd_lams.reshape(-1, *fd_pis.shape)
     if sabotage:
         lam = np.minimum(lam + 0.5, K)
 
@@ -431,7 +433,7 @@ def run_suite(sample: SampleSpec, sabotage: bool = False) -> list[BoundReport]:
             [(name, large[name]) for name in ("gain_floor", "fixed_point_ceiling")],
             lambda row: f"at K={large_K[row]} P=1", None)]),
         check_tail_bounds(tail_pis, tail_lams),
-        check_derivative(fd_pis, fd_lams),
+        check_derivative(fd_lams),
         check_monotone_unimodal(curve_pis, curve_lams, limit_pis, limit_lams),
         _report("global_gain_bounds", [
             ([("gain_at_least_1", F - 1.0),

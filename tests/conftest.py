@@ -198,18 +198,18 @@ def raw_residual_array(lams: np.ndarray, K: int, P: float) -> np.ndarray:
     return np.log1p(K * P * lams) / K - np.log1p((K - lams) * P * lams) / (K - 1.0)
 
 
-def scalar_derivative_roots() -> tuple[np.ndarray, np.ndarray]:
-    """check_derivative's powers and their roots, solved point by point.
+def scalar_derivative_roots() -> np.ndarray:
+    """check_derivative's roots, solved point by point.
 
-    pis[j] is DERIVATIVE_GRID[j] times 1, 1 + DERIVATIVE_STEP and
-    1 - DERIVATIVE_STEP; lams[u, j] are the scalar solver's roots of curve
-    DERIVATIVE_USERS[u] there, independent of run_suite's batches.
+    lams[u, j] are the scalar solver's roots of curve DERIVATIVE_USERS[u]
+    at DERIVATIVE_GRID[j] times 1, 1 + DERIVATIVE_STEP and
+    1 - DERIVATIVE_STEP, independent of run_suite's batches.
     """
     h = DERIVATIVE_STEP
     pis = np.outer(DERIVATIVE_GRID, (1.0, 1.0 + h, 1.0 - h))
     lams = [[[eval_point(ChannelConfig(users, total_power=pi)).lambda_star
               for pi in row] for row in pis.tolist()] for users in DERIVATIVE_USERS]
-    return pis, np.array(lams)
+    return np.array(lams)
 
 
 def finite_certified(K: int, P: float, lam: float, tol: float) -> bool:

@@ -169,8 +169,8 @@ def test_criterion_7_residual_and_sandwich(acceptance_log, sampled_solutions):
 
 
 def test_criterion_8_derivative_consistency(acceptance_log):
-    pis, lams = scalar_derivative_roots()
-    report, elapsed = timed(lambda: check_derivative(pis, lams))
+    lams = scalar_derivative_roots()
+    report, elapsed = timed(lambda: check_derivative(lams))
     ok = report.passed and report.samples == 56
     acceptance_log(
         f"criterion 8 (analytic slope vs central differences): "

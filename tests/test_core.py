@@ -365,8 +365,7 @@ class TestFixedPointResidual:
     def test_array_form_matches_scalar(self, K):
         # The same operations in the same order: residual and slope bit for
         # bit wherever numpy's log1p and expm1 round like math's, a few ulps
-        # elsewhere.  The value-only call's residual is the slope call's,
-        # bit for bit everywhere, and its slope is None.
+        # elsewhere.
         pi, frac = np.meshgrid(np.logspace(-7, 300, 61), np.linspace(0.0, 1.0, 11))
         lam = 1.0 + frac * (min(K, 1e3) - 1.0)
         pi, lam = pi.ravel(), lam.ravel()
@@ -374,9 +373,6 @@ class TestFixedPointResidual:
         pi, lam = pi[keep], lam[keep]
         with np.errstate(all="ignore"):
             batch = np.array(_fixed_point_many(K, pi, lam, np.empty((5, lam.size))))
-            value, none = _fixed_point_many(K, pi, lam, np.empty((5, lam.size)), slope=False)
-        assert none is None
-        assert value.tobytes() == batch[0].tobytes()
         scalar = np.array([_fixed_point(K, p)(x) for p, x in zip(pi.tolist(), lam.tolist())]).T
         t = pi * lam
         z = (np.log1p(t) / K).tolist()
@@ -413,10 +409,8 @@ class TestFixedPointResidual:
 
     def test_array_form_leaves_overflow_to_the_scalar_solver(self):
         with np.errstate(all="ignore"):
-            for slope in (True, False):
-                r, _ = _fixed_point_many(np.array([2.0, math.inf]), 1e308, 2.0,
-                                         np.empty((5, 2)), slope)
-                assert np.isnan(r).all()
+            r, _ = _fixed_point_many(np.array([2.0, math.inf]), 1e308, 2.0, np.empty((5, 2)))
+            assert np.isnan(r).all()
         for K in (2.0, math.inf):
             assert all(math.isfinite(v) for v in _fixed_point(K, 1e308)(2.0))
 

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf
 
+import macgain.verify
 from conftest import curve_slope, finite_certified, massive_certified
 from macgain.core import ChannelConfig, _fixed_point, _fixed_point_many, _lambda_bound, db_to_linear
 from macgain.solvers import (
@@ -95,11 +96,27 @@ def test_top_of_the_range_and_cap_roots():
     assert massive_certified(pi, solve_lambda_massive(pi).lambda_star, TOL)
 
 
-def test_finite_grid_in_one_batch():
+def handed_over(monkeypatch):
+    """The configs verify's batch hands to the scalar solver, in order, from now on."""
+    handed = []
+
+    def scalar(config):
+        handed.append(config)
+        return eval_point(config)
+
+    monkeypatch.setattr(macgain.verify, "eval_point", scalar)
+    return handed
+
+
+def test_finite_grid_in_one_batch(monkeypatch):
+    # The batch settles every grid root itself; 4 went to the scalar solver
+    # under the earlier certificate, which probed both sides of each root.
+    handed = handed_over(monkeypatch)
     K = np.repeat(GRID_USERS, len(GRID_POWER_DB))
     P = np.tile([db_to_linear(power_db) for power_db in GRID_POWER_DB], len(GRID_USERS))
     lam = _root_many(K, K * P)
     assert uncertified(zip(K.tolist(), P.tolist(), lam.tolist())) == []
+    assert handed == []
 
 
 def test_massive_and_inversion():
@@ -195,7 +212,7 @@ def test_batch_start_lies_above_every_root():
                     dtype=float)
     starts = np.minimum(2.0 + 2.0 * np.log1p(pis), caps)
     with np.errstate(all="ignore"):
-        r = _fixed_point_many(caps, pis, starts, np.empty((5, pis.size)), False)[0]
+        r = _fixed_point_many(caps, pis, starts, np.empty((5, pis.size)))[0]
         overflows = pis * starts == math.inf
     below = np.flatnonzero(starts < caps)
     failed = [(configs[i].users, pis[i], starts[i]) for i in below
@@ -204,6 +221,27 @@ def test_batch_start_lies_above_every_root():
     # 2669 of the 3505 starts lie below K, 15 of them where pi*start overflows.
     assert failed == []
     assert below.size == 2669 and int(overflows[below].sum()) == 15
+
+
+def test_the_walk_in_one_batch(monkeypatch):
+    # verify's batch over the walk hands 38 of the 3505 inputs to the
+    # scalar solver (1945 under the earlier certificate, which probed both
+    # sides of each root, so it handed on every root within LAMBDA_TOL/4 of
+    # 1 or K, exact zeros among them).  Every root it settles itself shows
+    # an exact sign change across +-LAMBDA_TOL.
+    handed = handed_over(monkeypatch)
+    configs = walk_configs()
+    pis = np.array([config.total_power for config in configs])
+    caps = np.array([math.inf if config.users is None else config.users for config in configs],
+                    dtype=float)
+    lam = _root_many(caps, pis).tolist()
+    assert len(handed) == 38
+    handed = set(handed)
+    failed = [(config.users, config.total_power, x) for config, x in zip(configs, lam)
+              if config not in handed and not mp_fixed_point(
+                  config.users, config.total_power, x - LAMBDA_TOL) < 0
+              < mp_fixed_point(config.users, config.total_power, x + LAMBDA_TOL)]
+    assert failed == []
 
 
 # Total powers from solvers._POWER_FLOOR up, where _solve takes r(1) < 0 as

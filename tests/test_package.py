@@ -233,16 +233,24 @@ def test_one_balance_residual():
                 if isinstance(node, ast.FunctionDef) and node.name == "dlambda_dpi"]
     [check] = [node for node in trees["verify"].body
                if isinstance(node, ast.FunctionDef) and node.name == "check_derivative"]
-    # The one call takes the slope: no slope=False, and its item 1 is read.
+    # The one call's item 1, the slope, is read.
     [call] = [node for node in ast.walk(check) if isinstance(node, ast.Call)
               and getattr(node.func, "id", None) == "_fixed_point_many"]
-    assert len(call.args) == 4 and not call.keywords
     assert any(isinstance(node, ast.Subscript) and node.value is call
                and isinstance(node.slice, ast.Constant) and node.slice.value == 1
                for node in ast.walk(check))
     called = {getattr(node.func, "attr", getattr(node.func, "id", None))
               for node in ast.walk(check) if isinstance(node, ast.Call)}
     assert not called & {"log1p", "log", "expm1", "exp"}
+    # _fixed_point_many has no value-only form: four parameters, and every
+    # call passes exactly those.
+    [many] = [node for node in trees["core"].body
+              if isinstance(node, ast.FunctionDef) and node.name == "_fixed_point_many"]
+    assert [arg.arg for arg in many.args.args] == ["K", "pi", "lam", "work"]
+    calls = [node for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "_fixed_point_many"]
+    assert calls and all(len(node.args) == 4 and not node.keywords for node in calls)
 
 
 def test_one_root_per_operating_point():

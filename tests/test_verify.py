@@ -217,7 +217,7 @@ class TestTailBounds:
 
 class TestDerivativeCheck:
     def test_clean(self):
-        report = check_derivative(*scalar_derivative_roots())
+        report = check_derivative(scalar_derivative_roots())
         assert report.check_name == "derivative_consistency"
         assert report.passed
         assert report.samples == 2 * len(DERIVATIVE_USERS) * len(DERIVATIVE_GRID)
@@ -229,12 +229,12 @@ class TestDerivativeCheck:
         # a slope 2e-5 off fails at every power on every curve, one 5e-6 off
         # still passes.  The slope r' the check reads is skewed so that
         # lam*(1 - r')/(pi*r') grows by the factor 1 + error.
-        def skewed(K, pi, lam, work, slope=True):
-            r, d = _fixed_point_many(K, pi, lam, work, slope)
+        def skewed(K, pi, lam, work):
+            r, d = _fixed_point_many(K, pi, lam, work)
             return r, d / (d + (1.0 + error) * (1.0 - d))
 
         monkeypatch.setattr(macgain.verify, "_fixed_point_many", skewed)
-        report = check_derivative(*scalar_derivative_roots())
+        report = check_derivative(scalar_derivative_roots())
         points = len(DERIVATIVE_USERS) * len(DERIVATIVE_GRID)
         assert report.violations == (points if flagged else 0)
 
@@ -778,7 +778,7 @@ class TestBatchedSolve:
     def test_nan_inside_the_bracket_goes_to_the_scalar_solver(self, monkeypatch):
         # The ends bracket the root, but the first Newton point is NaN: the
         # scalar solver raises there, so the batch must not keep the point.
-        def fn(K, pi, lam, work, slope=True):
+        def fn(K, pi, lam, work):
             return np.where(np.abs(lam - 1.5) < 0.1, math.nan, lam - 1.5), np.ones_like(lam)
 
         handed = []
@@ -826,9 +826,8 @@ class TestBatchedSolve:
 
     def test_vanishing_power_degenerates(self):
         # At P=1e-20 the residual is 0 at lam = 1; at 1e-9 it is negative.
-        # The batch's Newton steps reach 1 for the first, where the
-        # certificate's lower probe would lie below 1, so the scalar solver
-        # pins it.
+        # The batch's Newton steps reach 1 for the first, an exact zero,
+        # which it keeps as the scalar solver pins it.
         assert solve_lambda_star(100, 1e-20).degenerate
         assert not solve_lambda_star(100, 1e-9).degenerate
         K = np.array([100, 100, 3])
@@ -910,15 +909,22 @@ class TestBatchedSolve:
         with pytest.raises(BracketError, match="pi=1000.0"):
             _root_many(K, pis)
 
-    def test_a_root_without_its_sign_pair_goes_to_the_scalar_solver(self, monkeypatch):
-        # The certificate reads the residual, value only, at x - tol/4 and
-        # x + tol/4.  Element 1's residual is made positive at both, element
-        # 2's negative, so neither has a (-, +) pair: both go to the scalar
-        # solver, whose roots they take, and elements 0 and 3 stay.
-        def lifted(K, pi, lam, work, slope=True):
-            r, d = _fixed_point_many(K, pi, lam, work, slope)
-            if not slope:
-                r[1], r[2] = abs(r[1]), -abs(r[2])
+    def test_a_probe_with_its_witness_sign_goes_to_the_scalar_solver(self, monkeypatch):
+        # Five Newton passes settle these four elements, and the sixth call,
+        # the probe pass, reads each settled x at tol/4 on the other side
+        # of its witness, the point the converging pass stepped from.  The
+        # probe's residual is negated here, so it reads the witness's sign
+        # and closes no bracket: elements 2 and 3 go to the scalar solver,
+        # whose roots they take.  Elements 0 and 1 stay, with their roots:
+        # their last steps are exactly 0, exact zeros, which read no probe.
+        calls, steps = [], []
+
+        def lifted(K, pi, lam, work):
+            r, d = _fixed_point_many(K, pi, lam, work)
+            calls.append(lam.size)
+            steps.append(r / d)
+            if len(calls) == 6:
+                np.negative(r, out=r)
             return r, d
 
         handed = []
@@ -927,18 +933,55 @@ class TestBatchedSolve:
             handed.append(config.total_power)
             return eval_point(config)
 
+        K, pi = np.array([3, 10, 100, 2]), np.array([1.0, 5.0, 30.0, 1000.0])
+        batch = _root_many(K, pi)
         monkeypatch.setattr(macgain.verify, "_fixed_point_many", lifted)
         monkeypatch.setattr(macgain.verify, "eval_point", scalar)
-        K, pi = np.array([3, 10, 100, 2]), np.array([1.0, 5.0, 30.0, 1000.0])
         lam = _root_many(K, pi)
-        assert handed == [5.0, 30.0]
-        assert lam[1:3].tolist() == [solve_lambda_star(10, 0.5).lambda_star,
-                                     solve_lambda_star(100, 0.3).lambda_star]
+        assert calls == [4] * 6
+        assert steps[4][:2].tolist() == [0.0, 0.0] and steps[4][2] > 0.0 and steps[3][3] > 0.0
+        assert handed == [30.0, 1000.0]
+        assert lam[:2].tobytes() == batch[:2].tobytes()
+        assert lam[2:].tolist() == [solve_lambda_star(100, 0.3).lambda_star,
+                                    solve_lambda_star(2, 500.0).lambda_star]
 
-    def test_a_bracket_past_the_cap_goes_to_the_scalar_solver(self, monkeypatch):
-        # At K = 2 and pi = 1e26 the root is 8e-14 below the cap, so the
-        # certificate's upper probe, tol/4 above it, lies beyond K, outside
-        # the residual's domain: the scalar solver takes the element.
+    @pytest.mark.parametrize("K, pi, root", [
+        (10.0, 1e-12, 1.0 + 1e-13),  # the witness above the root, the probe below 1
+        (2.0, 1e26, 2.0 - 1e-13),  # the witness below the root, the probe above K
+    ], ids=["probe_below_1", "probe_above_K"])
+    def test_a_probe_outside_the_domain_goes_to_the_scalar_solver(self, monkeypatch, K,
+                                                                   pi, root):
+        # The residual x - root, read with a slope of 1.001, approaches the
+        # root from above: from 2, the start at pi = 1e-12, the sixth pass
+        # steps ~1e-15 down to it.  From the start K, a slope of 1/3 over-
+        # shoots it by 2e-13, and the next pass steps back up.  Each root
+        # lies within tol/4 of an end of [1, K], so the probe, tol/4 past
+        # it, lies outside, where its residual has the sign that would
+        # close the bracket: only the domain check sends the element on.
+        witness = []
+
+        def linear(K, pi, lam, work):
+            witness.append(lam[0] - root)
+            return lam - root, np.where(lam == K, 1.0 / 3.0, 1.001)
+
+        handed = []
+
+        def scalar(config):
+            handed.append(eval_point(config))
+            return handed[-1]
+
+        monkeypatch.setattr(macgain.verify, "_fixed_point_many", linear)
+        monkeypatch.setattr(macgain.verify, "eval_point", scalar)
+        lam = _root_many(np.array([K]), np.array([pi]))
+        assert witness[-2] > 0.0 if root < 1.5 else witness[-2] < 0.0
+        assert [sol.config.total_power for sol in handed] == [pi]
+        assert lam[0] == handed[0].lambda_star
+
+    def test_a_root_by_the_cap_settles_with_the_cap_as_witness(self, monkeypatch):
+        # At K = 2 and pi = 1e26 the root is 1.4e-13 below the cap, where
+        # the batch starts: the first pass steps down to it from K, whose
+        # residual is > 0, and the probe, tol/4 below the root, reads < 0.
+        # The batch settles it, at the scalar solver's root.
         handed = []
 
         def scalar(config):
@@ -947,7 +990,7 @@ class TestBatchedSolve:
 
         monkeypatch.setattr(macgain.verify, "eval_point", scalar)
         lam = _root_many(np.array([2, 2]), np.array([1e26, 1000.0]))
-        assert handed == [1e26]
+        assert handed == []
         assert 2.0 - 0.25 * LAMBDA_TOL < lam[0] < 2.0
         assert lam[0] == solve_lambda_star(2, 5e25).lambda_star
 
@@ -955,15 +998,13 @@ class TestBatchedSolve:
         # An overflowing power reads NaN from its first Newton pass and one
         # with a halved start, below its root, steps out of [1, hi]: both
         # stop there, so the batch ends after its first pass, well inside
-        # the bar of 7, instead of running to MAX_ITER.  Only the Newton
-        # passes, which take the slope, are counted; the certificate's two
-        # are not.
+        # the bar of 7, instead of running to MAX_ITER.  The one Newton pass
+        # and the probe pass are counted.
         passes = []
 
-        def counted(K, pi, lam, work, slope=True):
-            if slope:
-                passes.append(lam.size)
-            return _fixed_point_many(K, pi, lam, work, slope)
+        def counted(K, pi, lam, work):
+            passes.append(lam.size)
+            return _fixed_point_many(K, pi, lam, work)
 
         handed = []
 
@@ -980,12 +1021,15 @@ class TestBatchedSolve:
         assert lam.tolist() == [solve_lambda_massive(pi).lambda_star for pi in pis]
         assert len(starts) == 1
         assert len(passes) <= 7
-        assert passes == [2]
+        assert passes == [2, 2]
 
-    @pytest.mark.parametrize("bad", [0.0, -0.5, -2.0, math.nan, math.inf])
+    @pytest.mark.parametrize("bad", [0.0, -0.5, -2.0, math.nan, math.inf,
+                                     math.expm1(-1.0)])
     def test_invalid_power_raises_scalar_message(self, bad):
         # The batch has no power check of its own: the element reaches the
-        # scalar solver's config validation.
+        # scalar solver's config validation.  At expm1(-1) the start 2 + 2a
+        # is exactly 0, the step it leaves behind for an element no pass
+        # settled: that is no exact zero.
         message = f"total power must be a positive finite power, got {bad!r}"
         for K in ([10, 10, 2], [math.inf] * 3):
             with pytest.raises(ValueError, match=re.escape(message)):
@@ -1026,15 +1070,19 @@ class TestBatchedSolve:
 
     def test_default_suite_batch_figures(self, monkeypatch):
         # README's figures for the default seed-1 suite, counted through the
-        # residual seam inside _root_many: 5 Newton passes and the
-        # certificate's two value-only passes, each over all 12130 elements,
-        # and no element handed to the scalar solver.
-        calls, handed, inside = [], [], [False]
+        # residual seam inside _root_many: 5 Newton passes and then the
+        # probe pass, each over all 12130 elements, and no element handed to
+        # the scalar solver.  The witness, where the converging pass stepped
+        # from, reads > 0 for 39% of the elements, < 0 for 26% and exactly
+        # 0, an exact zero, for 35%.
+        calls, handed, inside, steps = [], [], [False], []
 
-        def counted(K, pi, lam, work, slope=True):
+        def counted(K, pi, lam, work):
+            r, d = _fixed_point_many(K, pi, lam, work)
             if inside[0]:
-                calls.append(("newton" if slope else "certificate", lam.size))
-            return _fixed_point_many(K, pi, lam, work, slope)
+                calls.append(lam.size)
+                steps.append(r / d)
+            return r, d
 
         def batch(K, pi):
             inside[0] = True
@@ -1051,8 +1099,14 @@ class TestBatchedSolve:
         monkeypatch.setattr(macgain.verify, "_root_many", batch)
         monkeypatch.setattr(macgain.verify, "eval_point", scalar)
         assert suite_passed(run_suite(SampleSpec(seed=1, n_samples=10_000)))
-        assert calls == [("newton", 12130)] * 5 + [("certificate", 12130)] * 2
+        assert calls == [12130] * 6
         assert handed == []
+        newton = np.array(steps[:5])
+        settling = newton[(np.abs(newton) < 0.25 * LAMBDA_TOL).argmax(axis=0),
+                          np.arange(12130)]
+        shares = [round(float(np.mean(share)), 2)
+                  for share in (settling > 0.0, settling < 0.0, settling == 0.0)]
+        assert shares == [0.39, 0.26, 0.35]
 
     @pytest.mark.parametrize("sabotage", [False, True])
     @pytest.mark.parametrize("seed", [1, 2, 3, 13, 42])
