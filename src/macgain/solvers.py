@@ -5,17 +5,19 @@ fixed point of one map, lam = G_K(pi*lam), the K-th root of the balance
 equation solved for lam.  Its residual lam - G_K(pi*lam), core._fixed_point,
 changes sign once on [1, K], with no pole at lam = K, and stays finite
 where pi*lam overflows; its slope comes with it in closed form.  One
-routine brackets it on [1, min(K, bound)], with core._lambda_bound's end
-two Newton steps of the massive residual above the root, and narrows the
-bracket by safeguarded Newton steps, never more than _NEWTON_N0 steps
-beyond bisection; a root is accepted for its (-, +) bracket, never for a
-small residual, so nothing about convergence relies on numerical luck.  The
-parametric inversion is the massive solve read through
-core.massive_parametric, with no root of its own.  Peak search, whose
-residual has no closed-form slope at hand, takes the same steps on a
-secant slope, under the same bound.  It walks each curve in closed form
-on the dB of t = pi*lam, where lam = G_K(t), and roots F's negated slope
-there with three solves a search, none of them per step.
+routine roots it on [1, min(K, bound)], with core._lambda_bound's end two
+Newton steps of the massive residual above the root, by plain Newton
+steps from that end, which stay above the root, the residual being
+convex.  A root is accepted for a residual small against a proven slope
+floor (core._slope_floor), else for a (-, +) pair that one probe closes;
+else _newton brackets it by safeguarded Newton steps, never more than
+_NEWTON_N0 steps beyond bisection.  So nothing about convergence relies on
+numerical luck.  The parametric inversion is the massive solve read
+through core.massive_parametric, with no root of its own.  Peak search,
+whose residual has no closed-form slope at hand, takes _newton's steps on
+a secant slope.  It walks each curve in closed form on the dB of t =
+pi*lam, where lam = G_K(t), and roots F's negated slope there with three
+solves a search, none of them per step.
 """
 
 from __future__ import annotations
@@ -27,8 +29,10 @@ from typing import NamedTuple
 from .core import (
     ChannelConfig,
     GainSolution,
+    _RESIDUAL_ULPS,
     _fixed_point,
     _lambda_bound,
+    _slope_floor,
     db_to_linear,
     linear_to_db,
     massive_parametric,
@@ -215,22 +219,33 @@ def _newton(fn, lo: float, hi: float, f_lo: float, f_hi: float, d_hi: float,
 
 
 def _solve(config: ChannelConfig) -> GainSolution:
-    """Root of core._fixed_point's residual for config, bracketed on [1, hi].
+    """Root of core._fixed_point's residual r for config on [1, hi].
 
     hi = min(K, core._lambda_bound) with K = inf in the massive limit, an
     end within 6e-4 relative above the massive root but never below 1 +
-    2*LAMBDA_TOL, and _newton narrows the bracket to LAMBDA_TOL; the (-, +)
-    bracket certifies the root.  G_K rises in t and in K, so lam >= G_K(pi)
-    >= G_2(pi) = 2u/(1+u), u = sqrt(1+pi), and r(1) < -2*LAMBDA_TOL from
-    _POWER_FLOOR up (G_2(1e-10) - 1 is about 2.5e-11): there a positive
-    r(hi) closes the bracket, and r(1) is read only below the floor or
-    where r(hi) is not positive, which every outcome below needs.  ln(1+pi)
-    is taken once, for the end and the capacity without feedback, and the
+    2*LAMBDA_TOL.  G_K rises in t and in K, so lam >= G_K(pi) >= G_2(pi) =
+    2u/(1+u), u = sqrt(1+pi), and r(1) < -2*LAMBDA_TOL from _POWER_FLOOR up
+    (G_2(1e-10) - 1 is about 2.5e-11): there a positive r(hi) brackets the
+    root, and r(1) is read only below the floor or where r(hi) is not
+    positive, which every outcome below needs.  From hi, plain Newton steps
+    x = w - r(w)/r'(w) follow while r'(w) > 0 and x stays in (1, hi), at
+    most MAX_ITER evaluations in all; r is convex, so they stay above the
+    root but for rounding.  Once a step is shorter than LAMBDA_TOL/4, x is
+    returned unevaluated if (|r(w)| + E)/m + |step| <= LAMBDA_TOL, with E =
+    core._RESIDUAL_ULPS ulps of w, a bound on r's float error, and m =
+    core._slope_floor(pi, hi): |w - root| <= (|r(w)| + E)/m.  Where E/m
+    alone comes near LAMBDA_TOL, from lam = 512 (about 2200 dB) up, one
+    probe LAMBDA_TOL/4 past x, across the root from w, keeps x if it reads
+    r(w)'s opposite sign inside [1, K].  Only where that pair fails, a step
+    leaves (1, hi) or a slope is not positive does _newton bracket the
+    root on [1, hi], from scratch.  The residual returned is r where the
+    root was certified: at w, the probe or _newton's root.  ln(1+pi) is
+    taken once, for the end and the capacity without feedback, and the
     result is built by tuple.__new__, as ChannelConfig is.  If 0 <= r(1) <
     r(hi), the power is too small for r to separate lam = 1 from the root,
     which is pinned to 1 as degenerate, with 0 iterations.  If r(1) < 0 and
     r(hi) <= 0 at hi = K, the root lies closer to the cap than r can
-    resolve, and the cap is taken.  A NaN or MAX_ITER steps raise
+    resolve, and the cap is taken.  A NaN or MAX_ITER evaluations raise
     ConvergenceError, any other sign pattern, r(hi) <= 0 below the cap
     included, BracketError; every message ends with the point.
     """
@@ -261,11 +276,41 @@ def _solve(config: ChannelConfig) -> GainSolution:
                     f"residual must change sign from - to + on [1.0, {hi!r}]; "
                     f"got ({f_lo!r}, {f_hi!r})"
                 )
-            lam, res, iters = _newton(fn, 1.0, hi, f_lo, f_hi, d_hi, LAMBDA_TOL, MAX_ITER)
+            # Plain Newton steps from hi, which stay above the root, r being
+            # convex; lam stays None where _newton must bracket it instead.
+            quarter, lam = 0.25 * LAMBDA_TOL, None
+            w, res, d, iters = hi, f_hi, d_hi, 1
+            while d > 0.0:
+                step = res / d
+                x = w - step
+                if not 1.0 < x < hi:
+                    break
+                if -quarter < step < quarter:
+                    error = abs(res) + _RESIDUAL_ULPS * math.ulp(w)
+                    if error / _slope_floor(pi, hi) + abs(step) <= LAMBDA_TOL:
+                        lam = x
+                    else:  # a probe past x, across the root from w
+                        probe = x - quarter if step > 0.0 else x + quarter
+                        f_probe = fn(probe)[0]
+                        iters += 1
+                        if (f_probe < 0.0 < step or step < 0.0 < f_probe) and 1.0 <= probe <= cap:
+                            lam, res = x, f_probe
+                    break
+                if iters == MAX_ITER:
+                    lo, up = (1.0, w) if res > 0.0 else (w, hi)
+                    raise ConvergenceError(
+                        f"bracket [{lo!r}, {up!r}] is wider than {LAMBDA_TOL!r} after "
+                        f"{MAX_ITER} iterations"
+                    )
+                w = x
+                res, d = fn(w)
+                iters += 1
+            if lam is None:
+                lam, res, steps = _newton(fn, 1.0, hi, f_lo, f_hi, d_hi, LAMBDA_TOL, MAX_ITER)
+                iters += steps
         except (BracketError, ConvergenceError) as err:
             where = f"pi={pi!r}" if K is None else f"K={K}, P={config.per_user_power!r}"
             raise type(err)(f"{err} for {where}") from None
-        iters += 1
     t = pi * lam
     # Split like the residual where pi*lam overflows.
     capacity_fb = math.log1p(t) if t < math.inf else math.log(pi) + math.log(lam)

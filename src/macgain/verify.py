@@ -21,7 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import solvers
-from .core import ChannelConfig, _balance, _fixed_point_many, db_to_linear
+from .core import (_RESIDUAL_ULPS, ChannelConfig, _balance, _fixed_point_many,
+                   _slope_floor_many, db_to_linear)
 from .solvers import DEFAULT_FROM_DB, DEFAULT_TO_DB, DEFAULT_USERS, db_grid, eval_point
 
 __all__ = [
@@ -208,51 +209,60 @@ def _root_many(K: np.ndarray, pi: np.ndarray) -> np.ndarray:
     takes plain Newton steps on core._fixed_point_many until a step is
     shorter than LAMBDA_TOL/4, for at most MAX_ITER passes, both read off
     the solvers module at call time.  G_K is concave in t, so the residual
-    is convex in lam and the steps stay in [root, hi].  An element whose
-    Newton point is NaN or leaves [1, hi] stops at once.  Each pass
-    evaluates every element into one workspace, so none allocates.  The
-    pass that accepts x = w - step evaluated r at w, and r' > 0, so the
-    step has r(w)'s sign; it is kept in hi's array, which a settled element
-    no longer reads.  One probe pass reads r at x - copysign(LAMBDA_TOL/4,
-    step), across x from w.  As in _newton, x is kept on a (-, +) bracket,
-    here a probe in [1, K] whose sign is the step's opposite, or on an
-    exact zero, a step of 0 (tested as lam*step, NaN where none settled).
-    Every other element goes, in input order, to the scalar eval_point at
-    the same K and total power, which pins it to lam = 1, takes the cap as
-    its root, solves it or raises its own error.  Batch and scalar roots
-    take different Newton points and may be a few ulps apart, each
-    certified by its own bracket.
+    is convex in lam and the steps stay in [root, hi].  An element stops at
+    once where its Newton point is NaN or leaves [1, hi], and at its Newton
+    point x = w - step where the step is short.  Each pass evaluates every
+    element into one workspace, so none allocates, and keeps r(w), which
+    has the step's sign, where an element settles.  The scalar solver's
+    slope floor then certifies each x, with |step| at its bound tol/4:
+    |r(w)| + E <= (3/4)*LAMBDA_TOL*m, m = core._slope_floor_many at hi, and
+    E = core._RESIDUAL_ULPS*2**-52*x, at least that many ulps of w but for
+    under 1e-27, w being within tol/4 and an ulp of x; so |x - root| <=
+    |w - root| + |step| < LAMBDA_TOL.  Only over the elements the floor
+    leaves, if any, one probe pass reads r at x - copysign(LAMBDA_TOL/4,
+    r(w)), across x from w: as in the scalar solver, x is kept on a (-, +)
+    pair, a probe in [1, K] of r(w)'s opposite sign, or on an exact zero,
+    r(w) = 0.  Every other element goes, in input order, to the scalar
+    eval_point at the same K and total power, which pins it to lam = 1,
+    takes the cap as its root, solves it or raises its own error.  Batch
+    and scalar roots take different Newton points and may be a few ulps
+    apart, each certified by its own rule.
     """
     K = np.asarray(K, dtype=float)
-    quarter = 0.25 * solvers.LAMBDA_TOL
-    lam = np.full(K.size, math.nan)  # NaN until converged, which fails the probe
+    tol = solvers.LAMBDA_TOL
+    quarter = 0.25 * tol
     with np.errstate(all="ignore"):
         top = np.log1p(pi)  # then min(K, 2 + 2a), in place
         top *= 2.0
         top += 2.0
         np.minimum(top, K, out=top)
-        work = np.empty((6, K.size))  # _fixed_point_many's five rows, then x
-        x = work[5]
-        x[:] = top
+        lam = top.copy()  # x, which stops where its element does
+        work = np.empty((6, K.size))  # _fixed_point_many's five rows, then r at w
+        kept = work[5]
+        kept.fill(math.nan)  # until settled, which fails every test below
         going, done = np.ones(K.size, dtype=bool), np.empty(K.size, dtype=bool)
         for _ in range(solvers.MAX_ITER):
             if not going.any():
                 break
-            r, d = _fixed_point_many(K, pi, x, work)
-            step = np.divide(r, d, out=r)
-            np.subtract(x, step, out=x)
-            going &= np.greater_equal(x, 1.0, out=done)
-            going &= np.less_equal(x, top, out=done)
+            r, d = _fixed_point_many(K, pi, lam, work)
+            step = np.divide(r, d, out=work[0])
+            np.subtract(lam, step, out=lam, where=going)
+            going &= np.greater_equal(lam, 1.0, out=done)
+            going &= np.less_equal(lam, top, out=done)
             np.logical_and(going, np.less(np.abs(step, out=d), quarter, out=done), out=done)
-            np.putmask(lam, done, x)
-            np.putmask(top, done, step)  # a settled element's signed step
+            np.putmask(kept, done, r)  # r at w, which has the step's sign
             going ^= done
-        probe = np.subtract(lam, np.copysign(quarter, top, out=x), out=x)
-        r = _fixed_point_many(K, pi, probe, work)[0]
-        settled = np.less(np.multiply(r, top, out=r), 0.0, out=going)
-        settled &= np.greater_equal(probe, 1.0, out=done)
-        settled &= np.less_equal(probe, K, out=done)
-        settled |= np.equal(np.multiply(lam, top, out=x), 0.0, out=done)
+        bound = np.multiply(_slope_floor_many(pi, top, work), 0.75 * tol, out=work[0])
+        error = np.multiply(lam, _RESIDUAL_ULPS * 2.0**-52, out=work[1])
+        error += np.abs(kept, out=work[2])
+        settled = np.less_equal(error, bound, out=going)
+        if not settled.all():
+            unsettled = np.flatnonzero(~settled)
+            at, r_w, k = lam[unsettled], kept[unsettled], K[unsettled]
+            probe = at - np.copysign(quarter, r_w)
+            r = _fixed_point_many(k, pi[unsettled], probe, work[:, :unsettled.size])[0]
+            settled[unsettled] = ((r * r_w < 0.0) & (probe >= 1.0) & (probe <= k)
+                                  | (at * r_w == 0.0))
     for i in np.flatnonzero(~settled):
         users = None if K[i] == math.inf else int(K[i])
         lam[i] = eval_point(ChannelConfig(users, total_power=float(pi[i]))).lambda_star
@@ -374,7 +384,7 @@ def _suite_inputs() -> tuple[np.ndarray, ...]:
          np.tile(pis.ravel(), len(curves)))
         for curves, pis in ((DEFAULT_USERS, curve_pis), (DERIVATIVE_USERS, fd_pis))] + [
         (np.full(pis.size, math.inf), pis) for pis in (limit_pis, tail_pis, np.array([5.38]))]
-    fixed = (large_K, large_P, curve_pis, fd_pis, tail_pis, limit_pis,
+    fixed = (large_K, large_P, curve_pis, tail_pis, limit_pis,
              *(np.concatenate(column) for column in zip(*sections)),
              np.cumsum([0] + [pis.size for _, pis in sections[:-1]]))
     for array in fixed:
@@ -400,7 +410,7 @@ def run_suite(sample: SampleSpec, sabotage: bool = False) -> list[BoundReport]:
     moves.  draw_samples keeps drawing integers, the counts it promises.
     Violations are returned as data; solver errors propagate.
     """
-    large_K, large_P, curve_pis, _, tail_pis, limit_pis, fixed_K, fixed_pi, cuts = _FIXED
+    large_K, large_P, curve_pis, tail_pis, limit_pis, fixed_K, fixed_pi, cuts = _FIXED
     K, P = draw_samples(sample)
     K = K.astype(float)
     pi = K * P

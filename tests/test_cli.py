@@ -721,8 +721,8 @@ GOLDEN_STDOUT = {
         '  "capacity_nofb_nats": 6.90875477931522,\n'
         '  "capacity_fb_nats": 9.118252788723794,\n'
         '  "gain_F": 1.3198113234564064,\n'
-        '  "residual": 0.0,\n'
-        '  "iterations": 4,\n'
+        '  "residual": 1.7763568394002505e-15,\n'
+        '  "iterations": 3,\n'
         '  "degenerate": false\n'
         '}\n'
     ),
@@ -736,8 +736,8 @@ GOLDEN_STDOUT = {
         '  "capacity_nofb_nats": 4.61512051684126,\n'
         '  "capacity_fb_nats": 6.438671387162966,\n'
         '  "gain_F": 1.3951252981731026,\n'
-        '  "residual": 0.0,\n'
-        '  "iterations": 5,\n'
+        '  "residual": -8.881784197001252e-16,\n'
+        '  "iterations": 4,\n'
         '  "degenerate": false\n'
         '}\n'
     ),

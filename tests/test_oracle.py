@@ -18,7 +18,8 @@ from mpmath import mp, mpf
 
 import macgain.verify
 from conftest import curve_slope, finite_certified, massive_certified
-from macgain.core import ChannelConfig, _fixed_point, _fixed_point_many, _lambda_bound, db_to_linear
+from macgain.core import (_RESIDUAL_ULPS, ChannelConfig, _fixed_point, _fixed_point_many,
+                          _lambda_bound, _slope_floor, _slope_floor_many, db_to_linear)
 from macgain.solvers import (
     DEFAULT_USERS,
     LAMBDA_TOL,
@@ -224,24 +225,96 @@ def test_batch_start_lies_above_every_root():
 
 
 def test_the_walk_in_one_batch(monkeypatch):
-    # verify's batch over the walk hands 38 of the 3505 inputs to the
-    # scalar solver (1945 under the earlier certificate, which probed both
-    # sides of each root, so it handed on every root within LAMBDA_TOL/4 of
-    # 1 or K, exact zeros among them).  Every root it settles itself shows
-    # an exact sign change across +-LAMBDA_TOL.
+    # verify's batch over the walk hands 33 of the 3505 inputs to the
+    # scalar solver: 38 when every root took the probe, which hands on a
+    # root whose probe leaves [1, K], and 1945 under the certificate before
+    # it, which probed both sides of each root.  Every root it settles
+    # itself shows an exact sign change across +-LAMBDA_TOL.
     handed = handed_over(monkeypatch)
     configs = walk_configs()
     pis = np.array([config.total_power for config in configs])
     caps = np.array([math.inf if config.users is None else config.users for config in configs],
                     dtype=float)
     lam = _root_many(caps, pis).tolist()
-    assert len(handed) == 38
+    assert len(handed) == 33
     handed = set(handed)
     failed = [(config.users, config.total_power, x) for config, x in zip(configs, lam)
               if config not in handed and not mp_fixed_point(
                   config.users, config.total_power, x - LAMBDA_TOL) < 0
               < mp_fixed_point(config.users, config.total_power, x + LAMBDA_TOL)]
     assert failed == []
+
+
+def mp_slope(users, pi, y):
+    """r'(y) = 1 - (exp(-z) - G_K(t)/(1+t))/y at t = pi*y, z = ln(1+t)/K, as mp_fixed_point."""
+    t = mpf(pi) * mpf(y)
+    with mp.workdps(60 + max(0, -int(mp.floor(mp.log10(t))))):
+        t = mpf(pi) * mpf(y)
+        L = mp.log1p(t)
+        G, decay = (1 + t) * L / t, 1
+        if users is not None:
+            z = L / users
+            G *= -mp.expm1(-z) / z
+            decay = mp.exp(-z)
+        return 1 - (decay - G / (1 + t)) / y
+
+
+def test_the_slope_floor_holds_on_the_walk():
+    # core._slope_floor(pi, hi) bounds r' on [G_2(pi), hi] from below, hi
+    # above the root: r is convex, so r' is least at G_2(pi), and the floor
+    # lies below that slope in 60 digits, at both solvers' upper ends, up to
+    # the float floor's own rounding: it exceeds the slope by at most
+    # 4.5e-17 relative, where pi*hi is large and both are a little above
+    # 1/2.  The batch's floor repeats the scalar one bit for bit.
+    configs = walk_configs()
+    pis = np.array([config.total_power for config in configs])
+    caps = np.array([math.inf if config.users is None else config.users for config in configs],
+                    dtype=float)
+    bounds = [_lambda_bound(pi, math.log1p(pi)) for pi in pis.tolist()]
+    ends = [np.minimum(caps, np.maximum(bounds, 1.0 + 2.0 * LAMBDA_TOL)),
+            np.minimum(caps, 2.0 + 2.0 * np.log1p(pis))]
+    failed = []
+    for config, pi, solve_hi, batch_hi in zip(configs, pis.tolist(), *(e.tolist() for e in ends)):
+        with mp.workdps(60):
+            u = mp.sqrt(1 + mpf(pi))
+            least = mp_slope(config.users, pi, 2 * u / (1 + u))
+            for hi in (solve_hi, batch_hi):
+                if not _slope_floor(pi, hi) <= least * (1 + mpf(2) ** -51):
+                    failed.append((config.users, pi, hi))
+    assert failed == []
+    for hi in ends:
+        with np.errstate(over="ignore"):  # pi*hi overflows to inf, and its reciprocal is 0
+            many = _slope_floor_many(pis, hi, np.empty((2, pis.size)))
+        assert many.tolist() == [_slope_floor(pi, end)
+                                 for pi, end in zip(pis.tolist(), hi.tolist())]
+
+
+def test_the_residual_error_bound_holds_on_the_walk():
+    # Both float residuals, core._fixed_point's and _fixed_point_many's,
+    # lie within _RESIDUAL_ULPS ulps of y of the exact residual at every
+    # float y within 16 ulps of a walk root, at or above 1, by a margin of
+    # at least 1.3: the worst is 2.92 ulps (K = 1000 at 3008 dB, lam =
+    # 502.9).  The batch's NaN where pi*y overflows is its hand-off.
+    ys, points = [], []
+    for config in walk_configs():
+        lam = eval_point(config).lambda_star
+        cap = math.inf if config.users is None else float(config.users)
+        for k in range(-16, 17):
+            y = lam + k * math.ulp(lam)
+            if y >= 1.0:
+                ys.append(y)
+                points.append((config.users, cap, config.total_power))
+    caps, pis = (np.array(column) for column in list(zip(*points))[1:])
+    with np.errstate(all="ignore"):
+        batch = _fixed_point_many(caps, pis, np.array(ys), np.empty((5, len(ys))))[0].tolist()
+    worst = 0.0
+    for (users, cap, pi), y, r_many in zip(points, ys, batch):
+        exact = mp_fixed_point(users, pi, y)
+        for r in (_fixed_point(cap, pi)(y)[0], r_many):
+            if not math.isnan(r):
+                worst = max(worst, float(abs(mpf(r) - exact)) / math.ulp(y))
+    assert len(ys) > 90_000
+    assert 1.3 * worst <= _RESIDUAL_ULPS, worst
 
 
 # Total powers from solvers._POWER_FLOOR up, where _solve takes r(1) < 0 as

@@ -20,8 +20,8 @@ from conftest import (
     sign_scan_root,
 )
 from test_oracle import GRID_POWER_DB, GRID_USERS, MASSIVE_POWER_DB
-from macgain.core import (ChannelConfig, _fixed_point, _lambda_bound, db_to_linear, f_of,
-                          linear_to_db, massive_parametric)
+from macgain.core import (_RESIDUAL_ULPS, ChannelConfig, _fixed_point, _lambda_bound,
+                          _slope_floor, db_to_linear, f_of, linear_to_db, massive_parametric)
 from macgain.solvers import (
     DEFAULT_FROM_DB,
     DEFAULT_TO_DB,
@@ -219,20 +219,55 @@ class TestNewtonKernel:
         assert iters <= _bisection_steps(-40.0, 50.0, LAMBDA_TOL) + _NEWTON_N0
 
 
+def _upper_end(config):
+    """The upper end hi of _solve's bracket [1, hi] for config."""
+    pi = config.total_power
+    cap = math.inf if config.users is None else float(config.users)
+    return min(cap, max(_lambda_bound(pi, math.log1p(pi)), 1.0 + 2.0 * LAMBDA_TOL))
+
+
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """(lo, hi, tol, steps) of every _newton call that a solve or a peak search makes."""
+    """(lo, hi, tol, steps) of every root that a solve or a peak search takes.
+
+    A solve's Newton steps on [1, hi] are its evaluations after the one at
+    hi; a _newton call, a peak search's or a solve's fallback, is logged
+    with its own bracket and steps.
+    """
     calls = []
+    kernel, solve = solvers_module._newton, solvers_module._solve
 
-    def logging(kernel):
-        def logged(fn, lo, hi, *rest):
-            result = kernel(fn, lo, hi, *rest)
-            calls.append((lo, hi, rest[-2], result[2]))
-            return result
-        return logged
+    def logged_kernel(fn, lo, hi, *rest):
+        result = kernel(fn, lo, hi, *rest)
+        calls.append((lo, hi, rest[-2], result[2]))
+        return result
 
-    monkeypatch.setattr(solvers_module, "_newton", logging(solvers_module._newton))
+    def logged_solve(config):
+        sol = solve(config)
+        if not sol.degenerate:
+            calls.append((1.0, _upper_end(config), LAMBDA_TOL, sol.iterations - 1))
+        return sol
+
+    monkeypatch.setattr(solvers_module, "_newton", logged_kernel)
+    monkeypatch.setattr(solvers_module, "_solve", logged_solve)
     return calls
+
+
+@pytest.fixture
+def evaluated(monkeypatch):
+    """Every point, in order, at which the solves evaluate the residual."""
+    points = []
+
+    def logged(K, pi):
+        residual = _fixed_point(K, pi)
+
+        def fn(lam):
+            points.append(lam)
+            return residual(lam)
+        return fn
+
+    monkeypatch.setattr(solvers_module, "_fixed_point", logged)
+    return points
 
 
 @pytest.fixture
@@ -253,11 +288,12 @@ def evaluations(monkeypatch):
 
 
 class TestITPSteps:
-    """The root kernel keeps within a step of bisection on every grid, and beats it on average.
+    """The root kernels keep within a step of bisection on every grid, and beat it on average.
 
-    Its Newton steps root lam, the parametric inversion's through the
-    massive solve, and, on a secant slope, the peak search; the class keeps
-    the name of the ITP kernel that once took the last two.
+    A solve's plain Newton steps root lam, the parametric inversion's
+    through the massive solve, and _newton's safeguarded ones, on a secant
+    slope, the peak search; the class keeps the name of the ITP kernel that
+    once took the last two.
     """
 
     @pytest.mark.parametrize(
@@ -281,63 +317,69 @@ class TestITPSteps:
         assert over == []
 
     # The mean iterations per root below are machine-independent figures,
-    # pinned between the Newton end's and the two map steps' it replaced,
-    # so a start that costs evaluations fails them without a timing run.
-    # From solvers._POWER_FLOOR up, r(1) < 0 is proven and not read, so
-    # .iterations counts every residual evaluation of a solve; below the
-    # floor, and at a root taken at the cap, r(1) is read as well.  The
-    # evaluations fixture counts them all; reading r(1) at every root cost
-    # one more per root on each grid.
+    # pinned between the slope floor's and the probe's it replaced, so a
+    # start or an acceptance that costs evaluations fails them without a
+    # timing run.  From solvers._POWER_FLOOR up, r(1) < 0 is proven and not
+    # read, so .iterations counts every residual evaluation of a solve;
+    # below the floor, and at a root taken at the cap, r(1) is read as
+    # well.  The evaluations fixture counts them all.  Each root's last
+    # Newton step is accepted unevaluated wherever the floor certifies it;
+    # _newton's probe past it cost one more per root on each grid.
 
     def test_mean_steps_on_the_sample_box(self, evaluations):
-        # The verify sample box: 4.54 evaluations per root, at most 7, where
+        # The verify sample box: 3.71 evaluations per root, at most 5, where
         # bisection of the same brackets takes 42.7 (the upper end included),
-        # ITP steps took 9.6, Newton from the closed-form end 5.6 and from
-        # two map steps 4.85, each after r(1), which made 5.54 of today's.
+        # ITP steps took 9.6, Newton from the closed-form end 5.6, from two
+        # map steps 4.85 and from the Newton end with its probe 4.54.
         K, P = draw_samples(SampleSpec(seed=42, n_samples=2000))
         steps = [solve_lambda_star(int(k), float(p)).iterations for k, p in zip(K, P)]
-        assert statistics.mean(steps) <= 4.6
+        assert statistics.mean(steps) <= 3.75
+        assert max(steps) <= 5
         assert evaluations[0] == sum(steps)
-        assert round(evaluations[0] / len(steps), 2) == 4.54
+        assert round(evaluations[0] / len(steps), 2) == 3.71
 
     def test_mean_steps_on_the_oracle_grid(self, evaluations):
         # Bisection of the same brackets takes 41.0 iterations per root
-        # here, ITP steps took 8.7, Newton from the closed-form end 4.5 and
-        # from two map steps 3.64: from the Newton end it takes 3.23, at
-        # most 6.  Three solves lie below the floor and three roots at the
-        # cap, so 3.28 evaluations per root, where r(1) everywhere made 4.23.
+        # here, ITP steps took 8.7, Newton from the closed-form end 4.5,
+        # from two map steps 3.64 and from the Newton end with its probe
+        # 3.23: with the floor it takes 2.65, at most 5.  Three solves lie
+        # below the floor and three roots at the cap, so 2.70 evaluations
+        # per root, where the probe made 3.28.
         steps = [solve_lambda_star(K, db_to_linear(power_db)).iterations
                  for K in GRID_USERS for power_db in GRID_POWER_DB]
-        assert statistics.mean(steps) <= 3.3
+        assert statistics.mean(steps) <= 2.7
         assert evaluations[0] == sum(steps) + 6
-        assert round(evaluations[0] / len(steps), 2) == 3.28
+        assert round(evaluations[0] / len(steps), 2) == 2.70
 
     def test_mean_steps_on_the_massive_grid(self, evaluations):
-        # -300 to 3050 dB: 2.24 iterations per root, at most 3, where
+        # -300 to 3050 dB: 2.01 iterations per root, at most 3, where
         # bisection of the same brackets takes 47.6, ITP steps took 8.7,
-        # Newton from the closed-form end 4.1 and from two map steps 3.19.
-        # Four powers lie below the floor, three of them pinned to 1 with 0
-        # iterations and 2 evaluations: 2.34 evaluations per root, where
-        # r(1) everywhere made 3.28.
+        # Newton from the closed-form end 4.1, from two map steps 3.19 and
+        # with the probe 2.24.  Above lam = 512, from 2200 dB up, the floor
+        # certifies 12 of the 18 roots and the probe settles 6.  Four
+        # powers lie below the floor, three of them pinned to 1 with 0
+        # iterations and 2 evaluations: 2.12 evaluations per root, where the
+        # probe everywhere made 2.34.
         steps = [solve_lambda_massive(db_to_linear(pi_db)).iterations
                  for pi_db in MASSIVE_POWER_DB]
-        assert statistics.mean(steps) <= 2.4
+        assert statistics.mean(steps) <= 2.05
         assert max(steps) <= 3
         assert evaluations[0] == sum(steps) + 7
-        assert round(evaluations[0] / len(steps), 2) == 2.34
+        assert round(evaluations[0] / len(steps), 2) == 2.12
 
     def test_mean_steps_on_the_default_sweeps(self, evaluations):
         # Every curve of DEFAULT_USERS on the default range at 0.02 dB, the
-        # figure and curve commands' finest grid: 4.64 evaluations per
-        # root, at most 7, where r(1) everywhere made 5.64; from two map
-        # steps it took 5.07 iterations.
+        # figure and curve commands' finest grid: 3.89 evaluations per
+        # root, at most 5, where the probe made 4.64, r(1) everywhere 5.64
+        # and two map steps 5.07 iterations.
         steps = [eval_point(ChannelConfig(users, total_power=db_to_linear(pi_db))).iterations
                  for users in DEFAULT_USERS
                  for pi_db in db_grid(DEFAULT_FROM_DB, DEFAULT_TO_DB, 0.02)]
         assert len(steps) == 5 * 2001
-        assert statistics.mean(steps) <= 4.7
+        assert statistics.mean(steps) <= 3.9
+        assert max(steps) <= 5
         assert evaluations[0] == sum(steps)
-        assert round(evaluations[0] / len(steps), 2) == 4.64
+        assert round(evaluations[0] / len(steps), 2) == 3.89
 
     def test_inversion_calls_on_the_massive_grid(self, monkeypatch):
         # The inversion reads lam off the massive solve and calls
@@ -368,23 +410,36 @@ def _frozen_pair(K, pi):
 
 
 def _kernel_results(monkeypatch, frozen, run):
-    """_bits of every _newton result while run() solves, in call order.
+    """_bits of every solve's (lam, residual, iterations) and _newton result while run() solves.
 
-    frozen swaps in conftest's reference residual, and certifies each
-    Newton root by the bracket of its points.
+    In call order.  frozen swaps in conftest's reference residual,
+    certifies each _newton root by the bracket of its points, and each
+    solve's root by the reference residual's signs LAMBDA_TOL either side
+    of it, inside [1, K], with no sign needed above a root taken at the cap.
     """
     kernel = (lambda *args: bracketed_newton(*args)[0]) if frozen else solvers_module._newton
+    solve = solvers_module._solve
     results = []
 
-    def logging(kernel):
-        def logged(*args):
-            result = kernel(*args)
-            results.append(_bits(result))
-            return result
-        return logged
+    def logged_kernel(*args):
+        result = kernel(*args)
+        results.append(_bits(result))
+        return result
+
+    def logged_solve(config):
+        sol = solve(config)
+        results.append(_bits(sol[1:4]))
+        if frozen and not sol.degenerate:
+            cap = math.inf if config.users is None else float(config.users)
+            residual = frozen_fixed_point(cap, config.total_power)
+            lam = sol.lambda_star
+            below, above = max(1.0, lam - LAMBDA_TOL), min(cap, lam + LAMBDA_TOL)
+            assert residual(below) <= 0.0 and (above == cap or residual(above) >= 0.0)
+        return sol
 
     with monkeypatch.context() as patch:
-        patch.setattr(solvers_module, "_newton", logging(kernel))
+        patch.setattr(solvers_module, "_newton", logged_kernel)
+        patch.setattr(solvers_module, "_solve", logged_solve)
         if frozen:
             patch.setattr(solvers_module, "_fixed_point", _frozen_pair)
         run()
@@ -398,10 +453,10 @@ def _sample_box():
 
 
 class TestBitIdentity:
-    """The kernel repeats its reference's floats exactly.
+    """The root kernels repeat their reference's floats exactly.
 
-    Every Newton root of a solve or a peak search is repeated bit for bit
-    on conftest's frozen residual, each certified by its bracket.
+    Every solve and every _newton root of a peak search is repeated bit for
+    bit on conftest's frozen residual, each certified by its signs.
     """
 
     @pytest.mark.parametrize("run, floor", [
@@ -413,14 +468,14 @@ class TestBitIdentity:
         pytest.param(lambda: [invert_massive_parametric(db_to_linear(pi_db))
                               for pi_db in MASSIVE_POWER_DB], 51, id="inversion"),
         pytest.param(_sample_box, 51, id="sample-box"),
-        # Four calls a search: its three solves and the descent, whose
+        # Four roots a search: its three solves and the descent, whose
         # probes read the frozen residual at lam = 1.
         pytest.param(lambda: [find_peak(users) for users in DEFAULT_USERS], 20,
                      id="peak-descent"),
     ])
     def test_solves_match_the_reference(self, monkeypatch, run, floor):
-        # Every (x, fn(x), iterations) of every kernel call, the peak
-        # searches' descent and the solves inside it included.
+        # Every solve's (lam, residual, iterations) and every (x, fn(x),
+        # iterations) of the peak searches' descent.
         new = _kernel_results(monkeypatch, False, run)
         assert len(new) >= floor
         assert new == _kernel_results(monkeypatch, True, run)
@@ -458,12 +513,17 @@ class TestFiniteSolver:
         assert 1.0 < sol.lambda_star < 2.0
 
     @pytest.mark.parametrize("K, P", [(2, 1.0), (3, 10.0), (7, 0.04), (100, 1.0)])
-    def test_solution_fields_consistent(self, K, P):
+    def test_solution_fields_consistent(self, evaluated, K, P):
         sol = solve_lambda_star(K, P)
         pi = sol.config.total_power
         assert 1.0 <= sol.lambda_star <= K
         assert abs(raw_residual(sol.lambda_star, K, P)) <= 1e-10
-        assert sol.residual == _fixed_point(float(K), pi)(sol.lambda_star)[0]
+        # The residual at the last evaluated point, whose Newton point, less
+        # than LAMBDA_TOL/4 away, is the root: evaluating the root itself
+        # would cost the evaluation the slope floor saves.
+        assert len(evaluated) == sol.iterations
+        assert sol.residual == _fixed_point(float(K), pi)(evaluated[-1])[0]
+        assert abs(sol.lambda_star - evaluated[-1]) < 0.25 * LAMBDA_TOL
         assert sol.capacity_nofb == math.log1p(pi)
         assert sol.capacity_fb == math.log1p(pi * sol.lambda_star)
         assert sol.gain_F == sol.capacity_fb / sol.capacity_nofb
@@ -513,10 +573,68 @@ class TestFiniteSolver:
             solve_lambda_massive(5.38)
 
     def test_unreachable_tolerance_raises(self, monkeypatch):
-        # Newton steps take 4 here.
+        # The root takes 4 evaluations here, the one at the upper end included.
         monkeypatch.setattr(solvers_module, "MAX_ITER", 3)
         with pytest.raises(ConvergenceError, match="after 3 iterations for K=3, P=10.0"):
             solve_lambda_star(3, 10.0)
+
+
+class TestAcceptance:
+    """A solve accepts its root by the slope floor, else by a probe, else by _newton."""
+
+    def test_the_floor_accepts_an_unevaluated_newton_point(self, evaluated):
+        sol = solve_lambda_massive(1000.0)
+        assert sol.iterations == len(evaluated) == 3
+        assert sol.lambda_star not in evaluated
+
+    @pytest.mark.parametrize("pi_db", [2250.0, 2700.0, 3000.0])
+    def test_a_probe_closes_a_pair_where_the_floor_cannot(self, evaluated, pi_db):
+        # Above lam = 512 four ulps of lam, over the floor m ~ 1/2, come
+        # close to LAMBDA_TOL, and at these powers the floor does not
+        # certify the last Newton point x.  One probe LAMBDA_TOL/4 past x
+        # reads the opposite sign to the point w the step left, so x lies in
+        # a (-, +) pair at most LAMBDA_TOL/2 wide: the third evaluation.
+        pi = db_to_linear(pi_db)
+        sol = solve_lambda_massive(pi)
+        residual = _fixed_point(math.inf, pi)
+        w, probe = evaluated[-2:]
+        (r_w, d_w), r_probe = residual(w), residual(probe)[0]
+        m = _slope_floor(pi, evaluated[0])
+        assert (abs(r_w) + _RESIDUAL_ULPS * math.ulp(w)) / m + abs(r_w / d_w) > LAMBDA_TOL
+        assert sol.iterations == len(evaluated) == 3
+        assert r_w * r_probe < 0.0 and sol.residual == r_probe
+        assert min(w, probe) < sol.lambda_star < max(w, probe)
+        assert abs(w - probe) <= 0.5 * LAMBDA_TOL
+
+    @pytest.mark.parametrize("scale", [8.0, 0.1], ids=["steep", "shallow"])
+    def test_newton_brackets_what_the_steps_cannot_settle(self, monkeypatch, scale):
+        # A slope 8 times too steep shortens every step, so the one below
+        # LAMBDA_TOL/4 stops up to 2e-12 above the root: the floor does not
+        # certify it, and the probe past it reads the same sign as the
+        # point it left.  One 10 times too shallow overshoots below the root
+        # and then above hi.  Either way _newton brackets the root once, on
+        # [1, hi] from scratch.
+        want = solve_lambda_massive(10.0).lambda_star
+        calls = []
+
+        def scaled(K, pi):
+            residual = _fixed_point(K, pi)
+
+            def fn(lam):
+                r, d = residual(lam)
+                return r, scale * d
+            return fn
+
+        def kernel(fn, lo, hi, *rest):
+            calls.append((lo, hi))
+            return newton(fn, lo, hi, *rest)
+
+        newton = solvers_module._newton
+        monkeypatch.setattr(solvers_module, "_fixed_point", scaled)
+        monkeypatch.setattr(solvers_module, "_newton", kernel)
+        sol = solve_lambda_massive(10.0)
+        assert calls == [(1.0, _upper_end(ChannelConfig.massive(10.0)))]
+        assert abs(sol.lambda_star - want) <= LAMBDA_TOL
 
 
 class TestMassiveSolver:
@@ -537,11 +655,14 @@ class TestMassiveSolver:
         assert sol.lambda_star == pytest.approx(LAMBDA_MASSIVE_538, abs=5e-12)
         assert sol.gain_F == pytest.approx(F_MASSIVE_538, abs=1e-12)
 
-    def test_solution_fields_consistent(self):
+    def test_solution_fields_consistent(self, evaluated):
         sol = solve_lambda_massive(7.0)
         assert sol.config.is_massive
         assert sol.lambda_star > 1.0
-        assert sol.residual == sol.lambda_star - f_of(7.0, sol.lambda_star)
+        # r at the last evaluated point, as for a finite K.
+        assert len(evaluated) == sol.iterations
+        assert sol.residual == evaluated[-1] - f_of(7.0, evaluated[-1])
+        assert abs(sol.lambda_star - evaluated[-1]) < 0.25 * LAMBDA_TOL
         assert abs(sol.residual) <= 1e-10
         assert sol.capacity_nofb == math.log1p(7.0)
         assert sol.capacity_fb == math.log1p(7.0 * sol.lambda_star)

@@ -592,7 +592,7 @@ class TestFixedInputs:
     """The seed-independent suite inputs, built once when verify is imported."""
 
     def test_match_what_the_public_constants_build(self):
-        (large_K, large_P, curve_pis, fd_pis, tail_pis, limit_pis,
+        (large_K, large_P, curve_pis, tail_pis, limit_pis,
          fixed_K, fixed_pi, cuts) = macgain.verify._FIXED
 
         def grid(lo, hi, step):
@@ -604,7 +604,7 @@ class TestFixedInputs:
         curves = grid(DEFAULT_FROM_DB, DEFAULT_TO_DB, 0.1)
         expected = [
             (large_K, np.array([10**2, 10**4, 10**6, 10**8])), (large_P, np.ones(4)),
-            (curve_pis, curves), (fd_pis, fd), (tail_pis, tails),
+            (curve_pis, curves), (tail_pis, tails),
             (limit_pis, np.array([1e-3, 1e6]))]
         for got, want in expected:
             assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape,
@@ -690,6 +690,11 @@ def _shrink_start(monkeypatch, factor):
 
     monkeypatch.setattr(macgain.verify, "np", Numpy())
     return starts
+
+
+def _no_floor(pi, hi, work):
+    """A slope floor of 0 for verify's batch, which then settles nothing before the probe."""
+    return 0.0
 
 
 class TestBatchedSolve:
@@ -909,14 +914,60 @@ class TestBatchedSolve:
         with pytest.raises(BracketError, match="pi=1000.0"):
             _root_many(K, pis)
 
+    def test_the_probe_runs_only_where_the_floor_cannot_settle(self, monkeypatch):
+        # At 2700 and 3000 dB, lam = 628 and 697: E = 4*2**-52*lam over the
+        # floor m ~ 1/2 alone exceeds 3/4 LAMBDA_TOL, so the floor settles
+        # neither, and one probe pass over just those two settles both.
+        # 5.38 settles by the floor alone.
+        calls = []
+
+        def counted(K, pi, lam, work):
+            calls.append(lam.size)
+            return _fixed_point_many(K, pi, lam, work)
+
+        pis = np.array([db_to_linear(2700.0), 5.38, db_to_linear(3000.0)])
+        batch = _root_many(np.full(3, math.inf), pis)
+        monkeypatch.setattr(macgain.verify, "_fixed_point_many", counted)
+        assert _root_many(np.full(3, math.inf), pis).tobytes() == batch.tobytes()
+        assert calls[-1] == 2 and set(calls[:-1]) == {3}
+        monkeypatch.setattr(macgain.verify, "_slope_floor_many", _no_floor)
+        calls.clear()
+        assert _root_many(np.full(3, math.inf), pis).tobytes() == batch.tobytes()
+        assert calls[-1] == 3
+        assert batch.tolist() == [solve_lambda_massive(pi).lambda_star for pi in pis]
+
+    def test_a_short_step_settles_nothing_by_itself(self, monkeypatch):
+        # A slope read 1e15 times too steep makes the first step shorter
+        # than tol/4 at the start, far above the root: the floor sees the
+        # large residual there, the probe tol/4 below reads the same sign,
+        # and every element goes to the scalar solver.
+        def steep(K, pi, lam, work):
+            r, d = _fixed_point_many(K, pi, lam, work)
+            return r, np.multiply(d, 1e15, out=d)
+
+        handed = []
+
+        def scalar(config):
+            handed.append(config.total_power)
+            return eval_point(config)
+
+        monkeypatch.setattr(macgain.verify, "_fixed_point_many", steep)
+        monkeypatch.setattr(macgain.verify, "eval_point", scalar)
+        pis = np.array([0.1, 5.38, 1000.0])
+        lam = _root_many(np.full(3, math.inf), pis)
+        assert handed == pis.tolist()
+        assert lam.tolist() == [solve_lambda_massive(pi).lambda_star for pi in pis]
+
     def test_a_probe_with_its_witness_sign_goes_to_the_scalar_solver(self, monkeypatch):
-        # Five Newton passes settle these four elements, and the sixth call,
-        # the probe pass, reads each settled x at tol/4 on the other side
-        # of its witness, the point the converging pass stepped from.  The
-        # probe's residual is negated here, so it reads the witness's sign
-        # and closes no bracket: elements 2 and 3 go to the scalar solver,
-        # whose roots they take.  Elements 0 and 1 stay, with their roots:
-        # their last steps are exactly 0, exact zeros, which read no probe.
+        # With no floor, nothing settles before the probe pass.  Five Newton
+        # passes settle these four elements, and the sixth call, the probe
+        # pass, reads each settled x at tol/4 on the other side of its
+        # witness, the point the converging pass stepped from.  The probe's
+        # residual is negated here, so it reads the witness's sign and
+        # closes no bracket: elements 2 and 3 go to the scalar solver, whose
+        # roots they take.  Elements 0 and 1 stay, with their roots: their
+        # last steps are exactly 0, exact zeros, which read no probe.
+        monkeypatch.setattr(macgain.verify, "_slope_floor_many", _no_floor)
         calls, steps = [], []
 
         def lifted(K, pi, lam, work):
@@ -957,7 +1008,9 @@ class TestBatchedSolve:
         # shoots it by 2e-13, and the next pass steps back up.  Each root
         # lies within tol/4 of an end of [1, K], so the probe, tol/4 past
         # it, lies outside, where its residual has the sign that would
-        # close the bracket: only the domain check sends the element on.
+        # close the bracket: only the domain check sends the element on,
+        # with no floor to settle it before the probe pass.
+        monkeypatch.setattr(macgain.verify, "_slope_floor_many", _no_floor)
         witness = []
 
         def linear(K, pi, lam, work):
@@ -1070,11 +1123,12 @@ class TestBatchedSolve:
 
     def test_default_suite_batch_figures(self, monkeypatch):
         # README's figures for the default seed-1 suite, counted through the
-        # residual seam inside _root_many: 5 Newton passes and then the
-        # probe pass, each over all 12130 elements, and no element handed to
-        # the scalar solver.  The witness, where the converging pass stepped
-        # from, reads > 0 for 39% of the elements, < 0 for 26% and exactly
-        # 0, an exact zero, for 35%.
+        # residual seam inside _root_many: 5 Newton passes, each over all
+        # 12130 elements, after which the slope floor settles every element,
+        # so no probe pass runs and no element goes to the scalar solver.
+        # The witness, where the converging pass stepped from, reads > 0 for
+        # 39% of the elements, < 0 for 26% and exactly 0, an exact zero, for
+        # 35%.
         calls, handed, inside, steps = [], [], [False], []
 
         def counted(K, pi, lam, work):
@@ -1099,7 +1153,7 @@ class TestBatchedSolve:
         monkeypatch.setattr(macgain.verify, "_root_many", batch)
         monkeypatch.setattr(macgain.verify, "eval_point", scalar)
         assert suite_passed(run_suite(SampleSpec(seed=1, n_samples=10_000)))
-        assert calls == [12130] * 6
+        assert calls == [12130] * 5
         assert handed == []
         newton = np.array(steps[:5])
         settling = newton[(np.abs(newton) < 0.25 * LAMBDA_TOL).argmax(axis=0),
