@@ -212,21 +212,19 @@ def _root_many(K: np.ndarray, pi: np.ndarray) -> np.ndarray:
     is convex in lam and the steps stay in [root, hi].  An element stops at
     once where its Newton point is NaN or leaves [1, hi], and at its Newton
     point x = w - step where the step is short.  Each pass evaluates every
-    element into one workspace, so none allocates, and keeps r(w), which
-    has the step's sign, where an element settles.  The scalar solver's
-    slope floor then certifies each x, with |step| at its bound tol/4:
+    element into one workspace, so none allocates, and keeps r(w) where an
+    element settles.  One rule, the scalar solver's slope floor with |step|
+    at its bound tol/4, then certifies each x:
     |r(w)| + E <= (3/4)*LAMBDA_TOL*m, m = core._slope_floor_many at hi, and
     E = core._RESIDUAL_ULPS*2**-52*x, at least that many ulps of w but for
     under 1e-27, w being within tol/4 and an ulp of x; so |x - root| <=
-    |w - root| + |step| < LAMBDA_TOL.  Only over the elements the floor
-    leaves, if any, one probe pass reads r at x - copysign(LAMBDA_TOL/4,
-    r(w)), across x from w: as in the scalar solver, x is kept on a (-, +)
-    pair, a probe in [1, K] of r(w)'s opposite sign, or on an exact zero,
-    r(w) = 0.  Every other element goes, in input order, to the scalar
-    eval_point at the same K and total power, which pins it to lam = 1,
-    takes the cap as its root, solves it or raises its own error.  Batch
-    and scalar roots take different Newton points and may be a few ulps
-    apart, each certified by its own rule.
+    |w - root| + |step| < LAMBDA_TOL.  No other rule settles: every
+    element the floor leaves, one that stopped early or whose x exceeds
+    about 420 (where E alone exceeds the bound), goes in input order to
+    the scalar eval_point at the same K and total power.  That pins it to
+    lam = 1, takes the cap as its root, solves it by its own rule, or
+    raises its own error.  Batch and scalar roots take different Newton
+    points and may be a few ulps apart, each certified by its own rule.
     """
     K = np.asarray(K, dtype=float)
     tol = solvers.LAMBDA_TOL
@@ -239,7 +237,7 @@ def _root_many(K: np.ndarray, pi: np.ndarray) -> np.ndarray:
         lam = top.copy()  # x, which stops where its element does
         work = np.empty((6, K.size))  # _fixed_point_many's five rows, then r at w
         kept = work[5]
-        kept.fill(math.nan)  # until settled, which fails every test below
+        kept.fill(math.nan)  # until settled, which fails the floor below
         going, done = np.ones(K.size, dtype=bool), np.empty(K.size, dtype=bool)
         for _ in range(solvers.MAX_ITER):
             if not going.any():
@@ -250,19 +248,12 @@ def _root_many(K: np.ndarray, pi: np.ndarray) -> np.ndarray:
             going &= np.greater_equal(lam, 1.0, out=done)
             going &= np.less_equal(lam, top, out=done)
             np.logical_and(going, np.less(np.abs(step, out=d), quarter, out=done), out=done)
-            np.putmask(kept, done, r)  # r at w, which has the step's sign
+            np.putmask(kept, done, r)  # r at w
             going ^= done
         bound = np.multiply(_slope_floor_many(pi, top, work), 0.75 * tol, out=work[0])
         error = np.multiply(lam, _RESIDUAL_ULPS * 2.0**-52, out=work[1])
         error += np.abs(kept, out=work[2])
         settled = np.less_equal(error, bound, out=going)
-        if not settled.all():
-            unsettled = np.flatnonzero(~settled)
-            at, r_w, k = lam[unsettled], kept[unsettled], K[unsettled]
-            probe = at - np.copysign(quarter, r_w)
-            r = _fixed_point_many(k, pi[unsettled], probe, work[:, :unsettled.size])[0]
-            settled[unsettled] = ((r * r_w < 0.0) & (probe >= 1.0) & (probe <= k)
-                                  | (at * r_w == 0.0))
     for i in np.flatnonzero(~settled):
         users = None if K[i] == math.inf else int(K[i])
         lam[i] = eval_point(ChannelConfig(users, total_power=float(pi[i]))).lambda_star

@@ -225,21 +225,30 @@ def test_batch_start_lies_above_every_root():
 
 
 def test_the_walk_in_one_batch(monkeypatch):
-    # verify's batch over the walk hands 33 of the 3505 inputs to the
-    # scalar solver: 38 when every root took the probe, which hands on a
-    # root whose probe leaves [1, K], and 1945 under the certificate before
-    # it, which probed both sides of each root.  Every root it settles
-    # itself shows an exact sign change across +-LAMBDA_TOL.
+    # verify's batch over the walk hands 598 of the 3505 inputs to the
+    # scalar solver, 33 when it had a probe pass: every root above 421.05,
+    # where E alone exceeds the slope floor's bound, and the elements below
+    # that stopped early or whose |r(w)| + E still exceeds it.  Every root
+    # it settles itself shows an exact sign change across +-LAMBDA_TOL, and
+    # every root it hands on is eval_point's.  The batch builds each config
+    # from a float K, so a K above 2**53 is matched as int(float(K)).
     handed = handed_over(monkeypatch)
     configs = walk_configs()
     pis = np.array([config.total_power for config in configs])
     caps = np.array([math.inf if config.users is None else config.users for config in configs],
                     dtype=float)
     lam = _root_many(caps, pis).tolist()
-    assert len(handed) == 33
-    handed = set(handed)
-    failed = [(config.users, config.total_power, x) for config, x in zip(configs, lam)
-              if config not in handed and not mp_fixed_point(
+    assert len(handed) == 598
+    handed_set = set(handed)
+    batch_configs = [ChannelConfig(None if cap == math.inf else int(cap), total_power=pi)
+                     for cap, pi in zip(caps.tolist(), pis.tolist())]
+    is_handed = [config in handed_set for config in batch_configs]
+    assert [x for x, out in zip(lam, is_handed) if out] == [
+        eval_point(config).lambda_star for config in handed]
+    assert max(x for x, out in zip(lam, is_handed) if not out) < 421.06
+    failed = [(config.users, config.total_power, x)
+              for config, x, out in zip(configs, lam, is_handed)
+              if not out and not mp_fixed_point(
                   config.users, config.total_power, x - LAMBDA_TOL) < 0
               < mp_fixed_point(config.users, config.total_power, x + LAMBDA_TOL)]
     assert failed == []
@@ -289,31 +298,67 @@ def test_the_slope_floor_holds_on_the_walk():
                                  for pi, end in zip(pis.tolist(), hi.tolist())]
 
 
+def mp_fixed_points_near(users, pi, lam, ys):
+    """mp_fixed_point at each float y of ys, rounded to a float; ys ascending, near lam.
+
+    Every y lies within 16 ulps of lam.  One log1p and one expm1 serve
+    them all, at mp_fixed_point's working precision for the first y, whose
+    t has the most leading zeros.  With t0 = pi*lam, L0 = ln(1+t0) and
+    eps = pi*(y - lam)/(1+t0), exactly ln(1 + pi*y) = L0 + log1p(eps);
+    with z = L/K and dz = log1p(eps)/K, exactly expm1(-z) = E0 +
+    (1+E0)*expm1(-dz), E0 = expm1(-L0/K).  Each increment is its quadratic
+    Taylor polynomial.  |eps| <= 16*2**-52*t0/(1+t0), under 3.6e-15 and
+    3.6e-15*L0, and |dz| <= 1.01*|eps|/K, so the truncations, at most
+    |eps|**3/(3(1 - |eps|)) and |dz|**3/6*e**|dz|, move L and expm1(-z) by
+    under 2e-44 relative and r by under 1e-27 ulps of y.
+    """
+    with mp.workdps(60 + max(0, -int(mp.floor(mp.log10(mpf(pi) * mpf(ys[0])))))):
+        pi_mp = mpf(pi)
+        t0 = pi_mp * lam
+        L0 = mp.log1p(t0)
+        per_eps = pi_mp / (1 + t0)
+        half = mpf(1) / 2
+        if users is not None:
+            K = mpf(users)
+            E0 = mp.expm1(-L0 / K)
+            decay0 = 1 + E0
+        out = []
+        for y in ys:
+            eps = per_eps * (y - lam)  # y - lam is exact
+            s = eps - eps * eps * half
+            L = L0 + s
+            G = L + L / (pi_mp * y)
+            if users is not None:
+                dz = s / K
+                G *= (decay0 * (dz - dz * dz * half) - E0) / (L / K)
+            out.append(float(y - G))
+        return out
+
+
 def test_the_residual_error_bound_holds_on_the_walk():
     # Both float residuals, core._fixed_point's and _fixed_point_many's,
     # lie within _RESIDUAL_ULPS ulps of y of the exact residual at every
     # float y within 16 ulps of a walk root, at or above 1, by a margin of
     # at least 1.3: the worst is 2.92 ulps (K = 1000 at 3008 dB, lam =
-    # 502.9).  The batch's NaN where pi*y overflows is its hand-off.
-    ys, points = [], []
+    # 502.9).  The batch's NaN where pi*y overflows is its hand-off.  The
+    # exact residual is a few ulps of y, so rounding it to a float moves
+    # each difference by under 1e-14 ulps.
+    ys, exact, scalar, caps, pis = [], [], [], [], []
     for config in walk_configs():
-        lam = eval_point(config).lambda_star
+        lam, pi = eval_point(config).lambda_star, config.total_power
         cap = math.inf if config.users is None else float(config.users)
-        for k in range(-16, 17):
-            y = lam + k * math.ulp(lam)
-            if y >= 1.0:
-                ys.append(y)
-                points.append((config.users, cap, config.total_power))
-    caps, pis = (np.array(column) for column in list(zip(*points))[1:])
+        near = [y for y in (lam + k * math.ulp(lam) for k in range(-16, 17)) if y >= 1.0]
+        residual = _fixed_point(cap, pi)
+        ys += near
+        exact += mp_fixed_points_near(config.users, pi, lam, near)
+        scalar += [residual(y)[0] for y in near]
+        caps += [cap] * len(near)
+        pis += [pi] * len(near)
+    ys, exact = np.array(ys), np.array(exact)
     with np.errstate(all="ignore"):
-        batch = _fixed_point_many(caps, pis, np.array(ys), np.empty((5, len(ys))))[0].tolist()
-    worst = 0.0
-    for (users, cap, pi), y, r_many in zip(points, ys, batch):
-        exact = mp_fixed_point(users, pi, y)
-        for r in (_fixed_point(cap, pi)(y)[0], r_many):
-            if not math.isnan(r):
-                worst = max(worst, float(abs(mpf(r) - exact)) / math.ulp(y))
-    assert len(ys) > 90_000
+        batch = _fixed_point_many(np.array(caps), np.array(pis), ys, np.empty((5, ys.size)))[0]
+    worst = max(np.nanmax(np.abs(r - exact) / np.spacing(ys)) for r in (np.array(scalar), batch))
+    assert ys.size > 90_000
     assert 1.3 * worst <= _RESIDUAL_ULPS, worst
 
 

@@ -369,14 +369,13 @@ def test_solve_steps_call_only_fn():
 
 
 def test_the_probes_run_only_where_the_floor_cannot_certify():
-    # solvers._solve calls _newton only where its steps certified no root,
-    # and verify._root_many's probe pass, its second residual call, runs
-    # only over the elements the slope floor left unsettled.
+    # solvers._solve calls _newton only where its steps certified no root.
+    # verify._root_many has no probe pass: its one residual call, unguarded,
+    # is its Newton pass, and what the slope floor leaves goes to eval_point.
     trees = {name: ast.parse((ROOT / "src" / "macgain" / f"{name}.py").read_text(
         encoding="utf-8")) for name in ("solvers", "verify")}
     assert _guards(trees["solvers"], "_solve", "_newton") == [["lam is None"]]
-    assert _guards(trees["verify"], "_root_many", "_fixed_point_many") == [
-        [], ["not settled.all()"]]
+    assert _guards(trees["verify"], "_root_many", "_fixed_point_many") == [[]]
 
 
 def _residual_lookups(source: str) -> set[str]:

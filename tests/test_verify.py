@@ -18,7 +18,8 @@ import numpy as np
 import macgain.solvers
 import macgain.verify
 from conftest import bracketed_newton, frozen_bisect, scalar_derivative_roots
-from macgain.core import _balance, _fixed_point, _fixed_point_many, _lambda_bound, db_to_linear
+from macgain.core import (ChannelConfig, _balance, _fixed_point, _fixed_point_many, _lambda_bound,
+                          db_to_linear)
 from macgain.solvers import (
     DEFAULT_FROM_DB,
     DEFAULT_TO_DB,
@@ -693,7 +694,7 @@ def _shrink_start(monkeypatch, factor):
 
 
 def _no_floor(pi, hi, work):
-    """A slope floor of 0 for verify's batch, which then settles nothing before the probe."""
+    """A slope floor of 0 for verify's batch, which then settles nothing."""
     return 0.0
 
 
@@ -832,7 +833,7 @@ class TestBatchedSolve:
     def test_vanishing_power_degenerates(self):
         # At P=1e-20 the residual is 0 at lam = 1; at 1e-9 it is negative.
         # The batch's Newton steps reach 1 for the first, an exact zero,
-        # which it keeps as the scalar solver pins it.
+        # which the floor settles, as the scalar solver pins it.
         assert solve_lambda_star(100, 1e-20).degenerate
         assert not solve_lambda_star(100, 1e-9).degenerate
         K = np.array([100, 100, 3])
@@ -867,8 +868,9 @@ class TestBatchedSolve:
         # The batch's residual has no log split: where pi*lam overflows, at
         # a root or at the first upper end (at 2.5327e305, 2.7e-4 above the
         # root, where the root's t is 1.79769e308), its Newton point is NaN
-        # and the element goes to the scalar solver.  That solves it, or
-        # raises its own error naming it.
+        # and the element goes to the scalar solver.  So does 1e300, whose
+        # root, 697, is beyond what the slope floor settles.  The scalar
+        # solver solves each, or raises its own error naming it.
         top = np.array([1e300, db_to_linear(3070.0), db_to_linear(3080.0),
                         2.5327355556134235e305])
         handed = []
@@ -879,11 +881,11 @@ class TestBatchedSolve:
 
         monkeypatch.setattr(macgain.verify, "eval_point", scalar)
         lam = _root_many(np.full(top.size, math.inf), top)
-        assert handed == top[1:].tolist()
+        assert handed == top.tolist()
         assert lam.tolist() == [solve_lambda_massive(pi).lambda_star for pi in top]
         # One step settles none of them (the scalar solver takes 2, 2 and 3,
-        # the batch 2 passes for 1e300 and 3 for 5.38): the first in input
-        # order, the one handed over, raises.
+        # the batch 2 passes for 1e300 and 3 for 5.38): all three go to the
+        # scalar solver, and the first in input order raises.
         monkeypatch.setattr(macgain.solvers, "MAX_ITER", 1)
         with pytest.raises(ConvergenceError, match=re.escape(f"pi={float(top[2])!r}")):
             _root_many(np.full(3, math.inf), np.array([top[2], 1e300, 5.38]))
@@ -914,33 +916,10 @@ class TestBatchedSolve:
         with pytest.raises(BracketError, match="pi=1000.0"):
             _root_many(K, pis)
 
-    def test_the_probe_runs_only_where_the_floor_cannot_settle(self, monkeypatch):
-        # At 2700 and 3000 dB, lam = 628 and 697: E = 4*2**-52*lam over the
-        # floor m ~ 1/2 alone exceeds 3/4 LAMBDA_TOL, so the floor settles
-        # neither, and one probe pass over just those two settles both.
-        # 5.38 settles by the floor alone.
-        calls = []
-
-        def counted(K, pi, lam, work):
-            calls.append(lam.size)
-            return _fixed_point_many(K, pi, lam, work)
-
-        pis = np.array([db_to_linear(2700.0), 5.38, db_to_linear(3000.0)])
-        batch = _root_many(np.full(3, math.inf), pis)
-        monkeypatch.setattr(macgain.verify, "_fixed_point_many", counted)
-        assert _root_many(np.full(3, math.inf), pis).tobytes() == batch.tobytes()
-        assert calls[-1] == 2 and set(calls[:-1]) == {3}
-        monkeypatch.setattr(macgain.verify, "_slope_floor_many", _no_floor)
-        calls.clear()
-        assert _root_many(np.full(3, math.inf), pis).tobytes() == batch.tobytes()
-        assert calls[-1] == 3
-        assert batch.tolist() == [solve_lambda_massive(pi).lambda_star for pi in pis]
-
     def test_a_short_step_settles_nothing_by_itself(self, monkeypatch):
         # A slope read 1e15 times too steep makes the first step shorter
         # than tol/4 at the start, far above the root: the floor sees the
-        # large residual there, the probe tol/4 below reads the same sign,
-        # and every element goes to the scalar solver.
+        # large residual there, and every element goes to the scalar solver.
         def steep(K, pi, lam, work):
             r, d = _fixed_point_many(K, pi, lam, work)
             return r, np.multiply(d, 1e15, out=d)
@@ -958,83 +937,32 @@ class TestBatchedSolve:
         assert handed == pis.tolist()
         assert lam.tolist() == [solve_lambda_massive(pi).lambda_star for pi in pis]
 
-    def test_a_probe_with_its_witness_sign_goes_to_the_scalar_solver(self, monkeypatch):
-        # With no floor, nothing settles before the probe pass.  Five Newton
-        # passes settle these four elements, and the sixth call, the probe
-        # pass, reads each settled x at tol/4 on the other side of its
-        # witness, the point the converging pass stepped from.  The probe's
-        # residual is negated here, so it reads the witness's sign and
-        # closes no bracket: elements 2 and 3 go to the scalar solver, whose
-        # roots they take.  Elements 0 and 1 stay, with their roots: their
-        # last steps are exactly 0, exact zeros, which read no probe.
+    def test_with_no_floor_every_element_goes_to_the_scalar_solver(self, monkeypatch):
+        # The slope floor is the batch's one acceptance rule.  At 0 it
+        # settles nothing, so every element, finite, massive or at the cap,
+        # goes to eval_point in input order and takes its root bit for bit.
         monkeypatch.setattr(macgain.verify, "_slope_floor_many", _no_floor)
-        calls, steps = [], []
-
-        def lifted(K, pi, lam, work):
-            r, d = _fixed_point_many(K, pi, lam, work)
-            calls.append(lam.size)
-            steps.append(r / d)
-            if len(calls) == 6:
-                np.negative(r, out=r)
-            return r, d
-
         handed = []
 
         def scalar(config):
-            handed.append(config.total_power)
+            handed.append(config)
             return eval_point(config)
 
-        K, pi = np.array([3, 10, 100, 2]), np.array([1.0, 5.0, 30.0, 1000.0])
-        batch = _root_many(K, pi)
-        monkeypatch.setattr(macgain.verify, "_fixed_point_many", lifted)
         monkeypatch.setattr(macgain.verify, "eval_point", scalar)
+        K = np.array([3, 10, 100, 2, 2, math.inf, math.inf])
+        pi = np.array([1.0, 5.0, 30.0, 1000.0, 1e26, 5.38, 1e-3])
         lam = _root_many(K, pi)
-        assert calls == [4] * 6
-        assert steps[4][:2].tolist() == [0.0, 0.0] and steps[4][2] > 0.0 and steps[3][3] > 0.0
-        assert handed == [30.0, 1000.0]
-        assert lam[:2].tobytes() == batch[:2].tobytes()
-        assert lam[2:].tolist() == [solve_lambda_star(100, 0.3).lambda_star,
-                                    solve_lambda_star(2, 500.0).lambda_star]
-
-    @pytest.mark.parametrize("K, pi, root", [
-        (10.0, 1e-12, 1.0 + 1e-13),  # the witness above the root, the probe below 1
-        (2.0, 1e26, 2.0 - 1e-13),  # the witness below the root, the probe above K
-    ], ids=["probe_below_1", "probe_above_K"])
-    def test_a_probe_outside_the_domain_goes_to_the_scalar_solver(self, monkeypatch, K,
-                                                                   pi, root):
-        # The residual x - root, read with a slope of 1.001, approaches the
-        # root from above: from 2, the start at pi = 1e-12, the sixth pass
-        # steps ~1e-15 down to it.  From the start K, a slope of 1/3 over-
-        # shoots it by 2e-13, and the next pass steps back up.  Each root
-        # lies within tol/4 of an end of [1, K], so the probe, tol/4 past
-        # it, lies outside, where its residual has the sign that would
-        # close the bracket: only the domain check sends the element on,
-        # with no floor to settle it before the probe pass.
-        monkeypatch.setattr(macgain.verify, "_slope_floor_many", _no_floor)
-        witness = []
-
-        def linear(K, pi, lam, work):
-            witness.append(lam[0] - root)
-            return lam - root, np.where(lam == K, 1.0 / 3.0, 1.001)
-
-        handed = []
-
-        def scalar(config):
-            handed.append(eval_point(config))
-            return handed[-1]
-
-        monkeypatch.setattr(macgain.verify, "_fixed_point_many", linear)
-        monkeypatch.setattr(macgain.verify, "eval_point", scalar)
-        lam = _root_many(np.array([K]), np.array([pi]))
-        assert witness[-2] > 0.0 if root < 1.5 else witness[-2] < 0.0
-        assert [sol.config.total_power for sol in handed] == [pi]
-        assert lam[0] == handed[0].lambda_star
+        configs = [ChannelConfig(None if k == math.inf else int(k), total_power=p)
+                   for k, p in zip(K.tolist(), pi.tolist())]
+        assert handed == configs
+        scalar_roots = [eval_point(config).lambda_star for config in configs]
+        assert lam.tobytes() == np.array(scalar_roots).tobytes()
 
     def test_a_root_by_the_cap_settles_with_the_cap_as_witness(self, monkeypatch):
         # At K = 2 and pi = 1e26 the root is 1.4e-13 below the cap, where
         # the batch starts: the first pass steps down to it from K, whose
-        # residual is > 0, and the probe, tol/4 below the root, reads < 0.
-        # The batch settles it, at the scalar solver's root.
+        # residual is > 0, and the second reads r = 0 there.  The floor
+        # settles it in the batch, at the scalar solver's root.
         handed = []
 
         def scalar(config):
@@ -1052,7 +980,7 @@ class TestBatchedSolve:
         # with a halved start, below its root, steps out of [1, hi]: both
         # stop there, so the batch ends after its first pass, well inside
         # the bar of 7, instead of running to MAX_ITER.  The one Newton pass
-        # and the probe pass are counted.
+        # is the batch's only residual call.
         passes = []
 
         def counted(K, pi, lam, work):
@@ -1074,15 +1002,14 @@ class TestBatchedSolve:
         assert lam.tolist() == [solve_lambda_massive(pi).lambda_star for pi in pis]
         assert len(starts) == 1
         assert len(passes) <= 7
-        assert passes == [2, 2]
+        assert passes == [2]
 
     @pytest.mark.parametrize("bad", [0.0, -0.5, -2.0, math.nan, math.inf,
                                      math.expm1(-1.0)])
     def test_invalid_power_raises_scalar_message(self, bad):
         # The batch has no power check of its own: the element reaches the
         # scalar solver's config validation.  At expm1(-1) the start 2 + 2a
-        # is exactly 0, the step it leaves behind for an element no pass
-        # settled: that is no exact zero.
+        # is exactly 0, below 1, so no pass settles the element.
         message = f"total power must be a positive finite power, got {bad!r}"
         for K in ([10, 10, 2], [math.inf] * 3):
             with pytest.raises(ValueError, match=re.escape(message)):
@@ -1124,11 +1051,11 @@ class TestBatchedSolve:
     def test_default_suite_batch_figures(self, monkeypatch):
         # README's figures for the default seed-1 suite, counted through the
         # residual seam inside _root_many: 5 Newton passes, each over all
-        # 12130 elements, after which the slope floor settles every element,
-        # so no probe pass runs and no element goes to the scalar solver.
+        # 12130 elements, after which the slope floor, the batch's one
+        # acceptance rule, settles every element: none goes to the scalar
+        # solver.
         # The witness, where the converging pass stepped from, reads > 0 for
-        # 39% of the elements, < 0 for 26% and exactly 0, an exact zero, for
-        # 35%.
+        # 39% of the elements, < 0 for 26% and exactly 0 for 35%.
         calls, handed, inside, steps = [], [], [False], []
 
         def counted(K, pi, lam, work):
@@ -1163,11 +1090,15 @@ class TestBatchedSolve:
         assert shares == [0.39, 0.26, 0.35]
 
     @pytest.mark.parametrize("sabotage", [False, True])
-    @pytest.mark.parametrize("seed", [1, 2, 3, 13, 42])
+    @pytest.mark.parametrize("seed, n_samples",
+                             [(1, 10_000), (2, 10_000), (3, 10_000), (13, 10_000),
+                              (42, 10_000), (42, MAX_SAMPLES)],
+                             ids=["1", "2", "3", "13", "42", f"42-{MAX_SAMPLES}"])
     def test_default_suites_hand_nothing_to_the_scalar_solver(self, monkeypatch, seed,
-                                                              sabotage):
-        # From the start min(K, 2 + 2a) every element of a default suite is
-        # settled and certified by the batch's own passes.
+                                                              n_samples, sabotage):
+        # From the start min(K, 2 + 2a) every element of a default suite,
+        # and of the CLI's largest plan, is settled and certified by the
+        # batch's own passes: the slope floor covers the whole sample box.
         handed = []
 
         def scalar(config):
@@ -1175,7 +1106,7 @@ class TestBatchedSolve:
             return eval_point(config)
 
         monkeypatch.setattr(macgain.verify, "eval_point", scalar)
-        run_suite(SampleSpec(seed=seed, n_samples=10_000), sabotage)
+        run_suite(SampleSpec(seed=seed, n_samples=n_samples), sabotage)
         assert handed == []
 
     def test_default_suite_settles_every_sample_in_the_batch(self, monkeypatch):
