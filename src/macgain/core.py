@@ -98,14 +98,25 @@ class ChannelConfig(_ChannelConfigFields):
         per_user_power: float | None = None,
         total_power: float | None = None,
     ) -> "ChannelConfig":
+        # The common case, plain int K and float powers that pass, is
+        # accepted by one test; the checks after it word every refusal.
         if users is None:
+            if (per_user_power is None and total_power.__class__ is float
+                    and 0.0 < total_power <= _FLOAT_MAX):
+                return tuple.__new__(cls, (None, None, total_power))
             if per_user_power is not None:
                 raise ValueError("the massive limit takes a total power only")
             if total_power is None:
                 raise ValueError("the massive limit requires a total power")
-            return tuple.__new__(
-                cls, (None, None, _check_power(total_power, "total power"))
-            )
+            return tuple.__new__(cls, (None, None, _check_power(total_power, "total power")))
+        if users.__class__ is int and 2 <= users <= _FLOAT_MAX:
+            if total_power is None:
+                if (per_user_power.__class__ is float and 0.0 < per_user_power
+                        and (total := users * per_user_power) <= _FLOAT_MAX):
+                    return tuple.__new__(cls, (users, per_user_power, total))
+            elif (per_user_power is None and total_power.__class__ is float
+                    and total_power <= _FLOAT_MAX and (per_user := total_power / users) > 0.0):
+                return tuple.__new__(cls, (users, per_user, total_power))
         _check_users(users)
         if (per_user_power is None) == (total_power is None):
             raise ValueError("finite config needs exactly one of per-user or total power")
@@ -180,8 +191,9 @@ def _balance(lam, K, P, log1p):
     return K * log1p(boosted) - log1p(K * P * lam)
 
 
-def _fixed_point(K: float, pi: float):
-    """lam -> (r, r') for r = lam - G_K(pi*lam), unvalidated; K = inf is the massive limit.
+def _fixed_point(K, pi, lam, log1p=math.log1p, expm1=math.expm1, log=math.log, inf=math.inf,
+                 cutoff=_SERIES_CUTOFF, series=log1p_over_x):
+    """(r, r') at lam for r = lam - G_K(pi*lam), unvalidated; K = inf is the massive limit.
 
     The K-th root of the balance equation at t = pi*lam solves it for lam:
     lam = G_K(t) = (1 + 1/t) * L * phi(L/K), with L = ln(1+t) and
@@ -193,30 +205,21 @@ def _fixed_point(K: float, pi: float):
     further transcendental: exp(-z) = 1 + expm1(-z), which is 1 at z = 0,
     and G_K/(1+t) is 0 where t overflows.  r' lies in (0, 1] on [1, inf);
     at lam = 1 and a large pi it is about ln(t)/t, which rounds to 0.
+    Every root step runs it, so it reads no global, only its defaults.
     """
-
-    # Bound as defaults: residual, run on every root step, reads no global or
-    # attribute, and the factory makes no closure cell.
-    log1p, expm1, log, inf = math.log1p, math.expm1, math.log, math.inf
-    cutoff, series = _SERIES_CUTOFF, log1p_over_x
-
-    def residual(lam, K=K, pi=pi, log1p=log1p, expm1=expm1, log=log, inf=inf,
-                 cutoff=cutoff, series=series):
-        t = pi * lam
-        u = 1.0 + t
-        if t < inf:
-            L = log1p(t)
-            G = u * (L / t if t >= cutoff else series(t))
-        else:
-            G = L = log(pi) + log(lam)
-        z = L / K
-        if z > 0.0:
-            e = expm1(-z)
-            G *= -e / z
-            return lam - G, 1.0 - (1.0 + e - G / u) / lam
-        return lam - G, 1.0 - (1.0 - G / u) / lam
-
-    return residual
+    t = pi * lam
+    u = 1.0 + t
+    if t < inf:
+        L = log1p(t)
+        G = u * (L / t if t >= cutoff else series(t))
+    else:
+        G = L = log(pi) + log(lam)
+    z = L / K
+    if z > 0.0:
+        e = expm1(-z)
+        G *= -e / z
+        return lam - G, 1.0 - (1.0 + e - G / u) / lam
+    return lam - G, 1.0 - (1.0 - G / u) / lam
 
 
 def _fixed_point_many(K, pi, lam, work):
@@ -250,7 +253,7 @@ def _fixed_point_many(K, pi, lam, work):
     return r, np.subtract(1.0, np.divide(c, lam, out=c), out=c)
 
 
-def _lambda_bound(pi: float, a: float) -> float:
+def _lambda_bound(pi: float, a: float, log1p=math.log1p) -> float:
     """A float above the power gain at total power pi, for every K; unvalidated.
 
     a is ln(1+pi).  G_K(t) <= (1 + 1/t)*ln(1+t) < 1 + ln(1+t) and ln(1 +
@@ -271,16 +274,20 @@ def _lambda_bound(pi: float, a: float) -> float:
     one sign.  So the end, N times 1 + 1e-14 (90u), lies above lam_inf;
     below pi = 2**-54 the steps give 1 exactly and the end is 1 + 1e-14,
     above the root 1 + pi/2.  After two steps it is within 6e-4 relative
-    of lam_inf at every power, and 1.1e-14 below -30 dB.
+    of lam_inf at every power, and 1.1e-14 below -30 dB.  Every solve takes
+    the two steps, so they are written out, with log1p bound as a default.
     """
     s = pi / (1.0 + pi)
     x = a + 1.0
     x += x
-    for _ in range(2):
-        d = x - 1.0
-        L = math.log1p(s * d) + a
-        w = L / (pi * x)
-        x *= (L + (w + w - 1.0)) / (d + w)
+    d = x - 1.0
+    L = log1p(s * d) + a
+    w = L / (pi * x)
+    x *= (L + (w + w - 1.0)) / (d + w)
+    d = x - 1.0
+    L = log1p(s * d) + a
+    w = L / (pi * x)
+    x *= (L + (w + w - 1.0)) / (d + w)
     return x * (1.0 + 1e-14)
 
 

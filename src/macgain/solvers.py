@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import sys
+from functools import partial
 from typing import NamedTuple
 
 from .core import (
@@ -239,8 +240,9 @@ def _solve(config: ChannelConfig) -> GainSolution:
     r(w)'s opposite sign inside [1, K].  Only where that pair fails, a step
     leaves (1, hi) or a slope is not positive does _newton bracket the
     root on [1, hi], from scratch.  The residual returned is r where the
-    root was certified: at w, the probe or _newton's root.  ln(1+pi) is
-    taken once, for the end and the capacity without feedback, and the
+    root was certified: at w, the probe or _newton's root.  No closure is
+    built but the partial of r that the fallback hands _newton.  ln(1+pi)
+    is taken once, for the end and the capacity without feedback, and the
     result is built by tuple.__new__, as ChannelConfig is.  If 0 <= r(1) <
     r(hi), the power is too small for r to separate lam = 1 from the root,
     which is pinned to 1 as degenerate, with 0 iterations.  If r(1) < 0 and
@@ -249,9 +251,8 @@ def _solve(config: ChannelConfig) -> GainSolution:
     ConvergenceError, any other sign pattern, r(hi) <= 0 below the cap
     included, BracketError; every message ends with the point.
     """
-    K, pi = config.users, config.total_power
+    K, P, pi = config
     cap = math.inf if K is None else float(K)
-    fn = _fixed_point(cap, pi)
     capacity_nofb = math.log1p(pi)
     bound = _lambda_bound(pi, capacity_nofb)
     if bound < 1.0 + 2.0 * LAMBDA_TOL:
@@ -259,9 +260,9 @@ def _solve(config: ChannelConfig) -> GainSolution:
         # would return an end of it, 1 or bound, not a point near the root.
         bound = 1.0 + 2.0 * LAMBDA_TOL
     hi = cap if cap < bound else bound
-    f_hi, d_hi = fn(hi)
+    f_hi, d_hi = _fixed_point(cap, pi, hi)
     # -inf stands in for a proven r(1) < 0; _newton never returns it.
-    f_lo = -math.inf if pi >= _POWER_FLOOR and f_hi > 0.0 else fn(1.0)[0]
+    f_lo = -math.inf if pi >= _POWER_FLOOR and f_hi > 0.0 else _fixed_point(cap, pi, 1.0)[0]
     degenerate = 0.0 <= f_lo < f_hi
     if degenerate:
         lam, res, iters = 1.0, f_lo, 0
@@ -270,7 +271,7 @@ def _solve(config: ChannelConfig) -> GainSolution:
     else:
         try:
             if not f_lo <= 0.0 < f_hi:
-                if math.isnan(f_hi):  # pi*hi overflows inside fn; pi*1 cannot
+                if math.isnan(f_hi):  # pi*hi overflows inside r; pi*1 cannot
                     raise ConvergenceError(f"residual is NaN at lam={hi!r}")
                 raise BracketError(
                     f"residual must change sign from - to + on [1.0, {hi!r}]; "
@@ -291,7 +292,7 @@ def _solve(config: ChannelConfig) -> GainSolution:
                         lam = x
                     else:  # a probe past x, across the root from w
                         probe = x - quarter if step > 0.0 else x + quarter
-                        f_probe = fn(probe)[0]
+                        f_probe = _fixed_point(cap, pi, probe)[0]
                         iters += 1
                         if (f_probe < 0.0 < step or step < 0.0 < f_probe) and 1.0 <= probe <= cap:
                             lam, res = x, f_probe
@@ -303,13 +304,14 @@ def _solve(config: ChannelConfig) -> GainSolution:
                         f"{MAX_ITER} iterations"
                     )
                 w = x
-                res, d = fn(w)
+                res, d = _fixed_point(cap, pi, w)
                 iters += 1
             if lam is None:
-                lam, res, steps = _newton(fn, 1.0, hi, f_lo, f_hi, d_hi, LAMBDA_TOL, MAX_ITER)
+                lam, res, steps = _newton(partial(_fixed_point, cap, pi), 1.0, hi, f_lo, f_hi,
+                                          d_hi, LAMBDA_TOL, MAX_ITER)
                 iters += steps
         except (BracketError, ConvergenceError) as err:
-            where = f"pi={pi!r}" if K is None else f"K={K}, P={config.per_user_power!r}"
+            where = f"pi={pi!r}" if K is None else f"K={K}, P={P!r}"
             raise type(err)(f"{err} for {where}") from None
     t = pi * lam
     # Split like the residual where pi*lam overflows.
@@ -421,8 +423,8 @@ def find_peak(users: int | None, from_db: float = DEFAULT_FROM_DB,
     F rises while g = 1 - (lam + pi*lam') * (ln(1+pi)/ln(1+pi*lam)) *
     ((1+pi)/(1+pi*lam)) is negative and falls while it is positive: g is
     -dF/dpi scaled to O(1).  The search walks the curve on the dB axis of
-    t = pi*lam, where it is explicit: _fixed_point(K, t) reads (r, d) =
-    (1 - G_K(t), 1 - t*G_K'(t)) at 1, so lam = 1 - r, pi = t/lam, the
+    t = pi*lam, where it is explicit: _fixed_point(K, t, 1.0) reads (r, d) =
+    (1 - G_K(t), 1 - t*G_K'(t)), so lam = 1 - r, pi = t/lam, the
     residual's slope there is r' = (d - r)/lam, and lam + pi*lam' = lam/r'.
     Solves at from_db and to_db give the ends in t, clipped below the
     largest float, and _newton brackets g's (-, +) root to LAMBDA_TOL with
@@ -445,7 +447,7 @@ def find_peak(users: int | None, from_db: float = DEFAULT_FROM_DB,
 
     def descent(t_db: float) -> tuple[float, float]:
         t = db_to_linear(t_db)
-        r, d = _fixed_point(cap, t)(1.0)
+        r, d = _fixed_point(cap, t, 1.0)
         lam = 1.0 - r
         pi = t / lam
         if lam - 1.0 <= LAMBDA_TOL:

@@ -267,10 +267,12 @@ def check_tail_bounds(pis: np.ndarray, lams: np.ndarray) -> BoundReport:
     High tail: lam dominates ln(1+pi*lam), F stays below the tight cap
     lam / (ln(e^a + lam - 1) - ln lam) with a = pi*lam^2/(1+pi*lam), and
     that cap stays below its loose closed form wherever lam > e.  Both
-    tails respect F <= 1.321.  Each power is one row of seven links, those
-    of the other tail masked out.  run_suite scores 34 powers at 2.5 dB
-    steps, -60 to -10 dB and 30 to 60 dB.
+    tails respect F <= 1.321.  pis ascend, and lams with them, so each
+    link is scored on a slice: its tail, where lam > e for loose-vs-tight.
+    run_suite scores 34 powers at 2.5 dB steps, -60 to -10 dB and 30 to 60 dB.
     """
+    high = int(np.searchsorted(pis, 1.0))
+    e = max(high, int(np.searchsorted(lams, math.e, side="right")))
     t = pis * lams
     with np.errstate(all="ignore"):
         F = _gain(pis, lams)
@@ -279,18 +281,17 @@ def check_tail_bounds(pis: np.ndarray, lams: np.ndarray) -> BoundReport:
         # huge exponential never materializes.
         tight = lams / (a + np.log1p((lams - 1.0) * np.exp(-a)) - np.log(lams))
         loose = 1.0 / (t / (1.0 + t) - np.log(lams) / lams)
-        links = [
-            ("small_power_linear_cap", (1.0 + pis) * lams - F),
-            ("small_power_ratio_cap", (1.0 + pis) / (1.0 - pis) - (1.0 + pis) * lams),
-            ("small_power_11_9", 11.0 / 9.0 - F),
-            ("log_dominated", lams - np.log1p(t)),
-            ("large_power_tight_cap", tight - F),
-            ("large_power_loose_vs_tight", loose - tight),
-            ("tail_cap", TAIL_GAIN_CAP - F),
+        tables = [
+            [("small_power_linear_cap", ((1.0 + pis) * lams - F)[:high]),
+             ("small_power_ratio_cap", ((1.0 + pis) / (1.0 - pis) - (1.0 + pis) * lams)[:high]),
+             ("small_power_11_9", (11.0 / 9.0 - F)[:high])],
+            [("log_dominated", (lams - np.log1p(t))[high:]),
+             ("large_power_tight_cap", (tight - F)[high:])],
+            [("large_power_loose_vs_tight", (loose - tight)[e:])],
+            [("tail_cap", TAIL_GAIN_CAP - F)],
         ]
-    low = pis < 1.0
-    valid = [low, low, low, ~low, ~low, ~low & (lams > math.e), None]
-    return _report("tail_bounds", [(links, lambda row: f"at pi={pis[row]:.6g}", valid)])
+    return _report("tail_bounds", [(links, lambda row, at=at: f"at pi={pis[at + row]:.6g}", None)
+                                   for links, at in zip(tables, (0, high, e, 0))])
 
 
 def check_derivative(lams: np.ndarray) -> BoundReport:

@@ -65,16 +65,19 @@ def unsplit_residual(monkeypatch):
     core._fixed_point takes ln(1+pi*lam) as ln(pi) + ln(lam) there; the
     unsplit map overflows to NaN at the top of the float range.  This puts
     that failure back, so tests can drive the solver's refusal of a NaN
-    residual through the public entry points.
+    residual through the public entry points.  The solves must read the
+    patched residual: a test that made no call through it fails.
     """
     split = macgain.solvers._fixed_point
+    calls = [0]
 
-    def unsplit(K, pi):
-        residual = split(K, pi)
-        nan = (math.nan, math.nan)
-        return lambda lam: nan if pi * lam == math.inf else residual(lam)
+    def unsplit(K, pi, lam):
+        calls[0] += 1
+        return (math.nan, math.nan) if pi * lam == math.inf else split(K, pi, lam)
 
     monkeypatch.setattr(macgain.solvers, "_fixed_point", unsplit)
+    yield
+    assert calls[0] > 0, "no solve read the patched residual"
 
 
 def frozen_bisect(fn, lo, hi, f_lo, f_hi, tol, max_iter):
@@ -156,20 +159,16 @@ def bracketed_newton(fn, lo, hi, f_lo, f_hi, d_hi, tol, max_iter):
     return (x, f_x, iterations), points
 
 
-def frozen_fixed_point(K, pi):
-    """core._fixed_point as written with module-global math lookups."""
-
-    def residual(lam):
-        t = pi * lam
-        if t < math.inf:
-            L = math.log1p(t)
-            G = (1.0 + t) * (L / t if t >= _SERIES_CUTOFF else log1p_over_x(t))
-        else:
-            G = L = math.log(pi) + math.log(lam)
-        z = L / K
-        return lam - G * (-math.expm1(-z) / z) if z > 0.0 else lam - G
-
-    return residual
+def frozen_fixed_point(K, pi, lam):
+    """core._fixed_point's value r as written with module-global math lookups."""
+    t = pi * lam
+    if t < math.inf:
+        L = math.log1p(t)
+        G = (1.0 + t) * (L / t if t >= _SERIES_CUTOFF else log1p_over_x(t))
+    else:
+        G = L = math.log(pi) + math.log(lam)
+    z = L / K
+    return lam - G * (-math.expm1(-z) / z) if z > 0.0 else lam - G
 
 
 def curve_slope(users, pi, lam):
@@ -180,7 +179,7 @@ def curve_slope(users, pi, lam):
     check_derivative reads it over arrays; r' >= 1, at a root that rounds
     to the cap K, gives +0.0.
     """
-    slope = _fixed_point(math.inf if users is None else float(users), pi)(lam)[1]
+    slope = _fixed_point(math.inf if users is None else float(users), pi, lam)[1]
     return lam * (1.0 - slope) / (pi * slope) if slope < 1.0 else 0.0
 
 

@@ -441,7 +441,9 @@ class TestPeak:
           "--step-db", "1"], "per-user power must be a positive finite power, got 0.0"),
     ],
 )
-def test_solver_failure_exits_1(capsys, unsplit_residual, argv, message):
+def test_solver_failure_exits_1(capsys, request, argv, message):
+    if message == "NaN":  # the fixture fails a test whose solves never read it
+        request.getfixturevalue("unsplit_residual")
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert out == ""

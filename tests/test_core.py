@@ -4,6 +4,7 @@ fixed-point map, and the closed-form curve parametrization."""
 from __future__ import annotations
 
 import copy
+import enum
 import math
 import pickle
 import re
@@ -87,6 +88,51 @@ class TestLog1pOverX:
             assert log_term > x / (1.0 + x)
 
 
+# Every refusal of ChannelConfig: (users, per-user power, total power) and
+# its exact message.
+_BAD = "must be a positive finite power, got"
+REFUSALS = [pytest.param(*case[1:], id=case[0]) for case in [
+    ("users-bool", True, 1.0, None, "user count must be an integer, got True"),
+    ("users-float", 2.0, 1.0, None, "user count must be an integer, got 2.0"),
+    ("users-1", 1, 1.0, None, "need at least 2 users, got 1"),
+    ("users-beyond-float", 10**400, 1.0, None,
+     "user count is beyond float range (above 1.8e308)"),
+    ("per-user-0", 2, 0.0, None, f"per-user power {_BAD} 0.0"),
+    ("per-user-int-0", 2, 0, None, f"per-user power {_BAD} 0.0"),
+    ("per-user-neg", 2, -1.0, None, f"per-user power {_BAD} -1.0"),
+    ("per-user-int-neg", 2, -1, None, f"per-user power {_BAD} -1.0"),
+    ("per-user-nan", 2, math.nan, None, f"per-user power {_BAD} nan"),
+    ("per-user-inf", 2, math.inf, None, f"per-user power {_BAD} inf"),
+    ("total-0", 2, None, 0.0, f"total power {_BAD} 0.0"),
+    ("total-neg", 2, None, -1.0, f"total power {_BAD} -1.0"),
+    ("total-nan", 2, None, math.nan, f"total power {_BAD} nan"),
+    ("total-inf", 2, None, math.inf, f"total power {_BAD} inf"),
+    ("massive-0", None, None, 0.0, f"total power {_BAD} 0.0"),
+    ("massive-int-0", None, None, 0, f"total power {_BAD} 0.0"),
+    ("massive-neg", None, None, -1.0, f"total power {_BAD} -1.0"),
+    ("massive-nan", None, None, math.nan, f"total power {_BAD} nan"),
+    ("massive-inf", None, None, math.inf, f"total power {_BAD} inf"),
+    ("KP-overflows", 10**299, 1e10, None, f"total power {_BAD} inf"),
+    ("KP-overflows-at-top", int(sys.float_info.max), 2.0, None, f"total power {_BAD} inf"),
+    ("pi-over-K-underflows", 3, None, 5e-324, f"per-user power {_BAD} 0.0"),
+    ("both-powers", 2, 1.0, 2.0, "finite config needs exactly one of per-user or total power"),
+    ("no-power", 2, None, None, "finite config needs exactly one of per-user or total power"),
+    ("massive-per-user", None, 1.0, None, "the massive limit takes a total power only"),
+    ("massive-both", None, 1.0, 2.0, "the massive limit takes a total power only"),
+    ("massive-no-power", None, None, None, "the massive limit requires a total power"),
+]]
+# Every way a config is built from (users, per-user power, total power).
+_ROUTES = {
+    "positional": lambda u, p, t: ChannelConfig(u, p, t),
+    "keyword": lambda u, p, t: ChannelConfig(users=u, per_user_power=p, total_power=t),
+    "finite": lambda u, p, t: ChannelConfig.finite(u, per_user_power=p, total_power=t),
+    "massive": lambda u, p, t: ChannelConfig.massive(t),
+    "make": lambda u, p, t: ChannelConfig._make((u, p, t)),
+    "replace": lambda u, p, t: ChannelConfig(4, 0.5)._replace(
+        users=u, per_user_power=p, total_power=t),
+}
+
+
 class TestChannelConfig:
     def test_finite_fills_total(self):
         config = ChannelConfig.finite(4, per_user_power=0.5)
@@ -145,6 +191,48 @@ class TestChannelConfig:
             ChannelConfig.finite(10**299, per_user_power=1e10)
         with pytest.raises(ValueError, match=re.escape(message)):
             ChannelConfig.finite(2, per_user_power=1e308)
+
+    @pytest.mark.parametrize("users, per_user, total, message", REFUSALS)
+    def test_every_refusal_and_its_message(self, users, per_user, total, message):
+        # The one accept test in ChannelConfig.__new__ passes none of these
+        # on: each is refused by the checks behind it, with its message, by
+        # every way a config is built (massive() takes a total power only).
+        for route, build in _ROUTES.items():
+            if route == "massive" and (users, per_user) != (None, None):
+                continue
+            with pytest.raises(ValueError) as refused:
+                build(users, per_user, total)
+            assert str(refused.value) == message, route
+
+    def test_the_accept_test_admits_what_the_checks_admit(self):
+        # Values the accept test passes on (an IntEnum K, int, bool and
+        # numpy powers) are accepted as the checks always accepted them:
+        # K as given, both powers as plain floats.
+        class Users(enum.IntEnum):
+            THREE = 3
+
+        top = int(sys.float_info.max)
+        cases = [
+            ((3, 2.0, None), (3, 2.0, 6.0)),
+            ((Users.THREE, 2.0, None), (3, 2.0, 6.0)),
+            ((3, 2, None), (3, 2.0, 6.0)),
+            ((3, True, None), (3, 1.0, 3.0)),
+            ((3, np.float64(2.0), None), (3, 2.0, 6.0)),
+            ((4, None, 2.0), (4, 0.5, 2.0)),
+            ((4, None, np.float64(2.0)), (4, 0.5, 2.0)),
+            ((top, 0.5, None), (top, 0.5, top * 0.5)),
+            ((2, 5e-324, None), (2, 5e-324, 1e-323)),
+            ((None, None, 5.38), (None, None, 5.38)),
+            ((None, None, 5), (None, None, 5.0)),
+        ]
+        for args, want in cases:
+            for route, build in _ROUTES.items():
+                if route == "massive" and args[:2] != (None, None):
+                    continue
+                config = build(*args)
+                assert type(config) is ChannelConfig and config == want, route
+                assert config.users is args[0]
+                assert [type(v) for v in config[1:]] == [type(v) for v in want[1:]]
 
 
 class TestRecords:
@@ -336,7 +424,7 @@ class TestFixedPointResidual:
     def test_massive_limit_is_the_f_of_slack(self, pi):
         # phi = 1 exactly at K = inf, so the massive roots keep their bits.
         for lam in (1.0, 1.5, 3.0, 9.0, 700.0):
-            assert _fixed_point(math.inf, pi)(lam)[0] == lam - f_of(pi, lam)
+            assert _fixed_point(math.inf, pi, lam)[0] == lam - f_of(pi, lam)
 
     @given(
         st.integers(min_value=2, max_value=1000),
@@ -349,7 +437,7 @@ class TestFixedPointResidual:
         lam = 1.0 + frac * (K - 1.0)
         balanced = db_residual(lam, K, P)
         if abs(balanced) > 1e-10 * K * (K - 1.0):
-            assert (_fixed_point(float(K), K * P)(lam)[0] > 0.0) == (balanced > 0.0)
+            assert (_fixed_point(float(K), K * P, lam)[0] > 0.0) == (balanced > 0.0)
 
     def test_no_pole_at_the_cap(self):
         # G_K stays below K for every t > 0, so the residual is > 0 at
@@ -357,7 +445,7 @@ class TestFixedPointResidual:
         # the float spacing at K it rounds to 0 or a few ulps below, and
         # the solver takes the cap as the root.
         for K in (2.0, 3.0, 10.0, 1e4):
-            values = [_fixed_point(K, K * db_to_linear(db))(K)[0] for db in range(-60, 3001, 60)]
+            values = [_fixed_point(K, K * db_to_linear(db), K)[0] for db in range(-60, 3001, 60)]
             assert all(-4.0 * math.ulp(K) <= v < K for v in values)
             assert values[0] > 0.0
 
@@ -373,7 +461,7 @@ class TestFixedPointResidual:
         pi, lam = pi[keep], lam[keep]
         with np.errstate(all="ignore"):
             batch = np.array(_fixed_point_many(K, pi, lam, np.empty((5, lam.size))))
-        scalar = np.array([_fixed_point(K, p)(x) for p, x in zip(pi.tolist(), lam.tolist())]).T
+        scalar = np.array([_fixed_point(K, p, x) for p, x in zip(pi.tolist(), lam.tolist())]).T
         t = pi * lam
         z = (np.log1p(t) / K).tolist()
         same = (np.log1p(t) == [math.log1p(x) for x in t.tolist()]) & (
@@ -412,7 +500,7 @@ class TestFixedPointResidual:
             r, _ = _fixed_point_many(np.array([2.0, math.inf]), 1e308, 2.0, np.empty((5, 2)))
             assert np.isnan(r).all()
         for K in (2.0, math.inf):
-            assert all(math.isfinite(v) for v in _fixed_point(K, 1e308)(2.0))
+            assert all(math.isfinite(v) for v in _fixed_point(K, 1e308, 2.0))
 
     @pytest.mark.parametrize("K", [2.0, 10.0, 1e4, math.inf])
     def test_slope_matches_mpmath(self, K):
@@ -428,7 +516,7 @@ class TestFixedPointResidual:
                     return x - (G if K == math.inf else G * K * -mp.expm1(-L / K) / L)
 
                 for lam in (1.0, 1.5, 2.0, 9.0, 700.0):
-                    slope = _fixed_point(K, pi)(lam)[1]
+                    slope = _fixed_point(K, pi, lam)[1]
                     assert 0.0 <= slope <= 1.0
                     assert slope == pytest.approx(float(mp.diff(exact, mp.mpf(lam))),
                                                   rel=1e-13, abs=1e-15)

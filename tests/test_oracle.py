@@ -184,11 +184,10 @@ def test_upper_end_lies_above_every_root():
     for config in configs:
         pi = config.total_power
         cap = math.inf if config.users is None else float(config.users)
-        fn = _fixed_point(cap, pi)
-        r_1 = fn(1.0)[0]
+        r_1 = _fixed_point(cap, pi, 1.0)[0]
         end = _lambda_bound(pi, math.log1p(pi))
-        r_end = fn(min(end, cap))[0]
-        r_hi = fn(min(max(end, 1.0 + 2.0 * LAMBDA_TOL), cap))[0]
+        r_end = _fixed_point(cap, pi, min(end, cap))[0]
+        r_hi = _fixed_point(cap, pi, min(max(end, 1.0 + 2.0 * LAMBDA_TOL), cap))[0]
         ok = r_1 < 0.0 or r_1 < min(r_end, r_hi)
         pinned += r_1 >= 0.0
         if end < cap:
@@ -348,10 +347,9 @@ def test_the_residual_error_bound_holds_on_the_walk():
         lam, pi = eval_point(config).lambda_star, config.total_power
         cap = math.inf if config.users is None else float(config.users)
         near = [y for y in (lam + k * math.ulp(lam) for k in range(-16, 17)) if y >= 1.0]
-        residual = _fixed_point(cap, pi)
         ys += near
         exact += mp_fixed_points_near(config.users, pi, lam, near)
-        scalar += [residual(y)[0] for y in near]
+        scalar += [_fixed_point(cap, pi, y)[0] for y in near]
         caps += [cap] * len(near)
         pis += [pi] * len(near)
     ys, exact = np.array(ys), np.array(exact)
@@ -374,7 +372,7 @@ def test_r_at_1_is_negative_from_the_floor_up():
     assert FLOOR_POWERS[-1] > 1e307
     for users in GRID_USERS + (None,):
         cap = math.inf if users is None else float(users)
-        positive = [pi for pi in FLOOR_POWERS if not _fixed_point(cap, pi)(1.0)[0] < 0.0]
+        positive = [pi for pi in FLOOR_POWERS if not _fixed_point(cap, pi, 1.0)[0] < 0.0]
         assert positive == [], users
 
 

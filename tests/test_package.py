@@ -7,6 +7,7 @@ import functools
 import importlib
 import importlib.util
 import inspect
+import math
 import re
 import subprocess
 import symtable
@@ -358,14 +359,50 @@ def _guards(tree: ast.AST, function: str, callee: str) -> list[list[str]]:
 
 
 def test_solve_steps_call_only_fn():
-    # Each of _solve's Newton steps evaluates the residual and nothing else:
-    # the floor, abs and ulp run once, on the step it accepts.  An abs in
-    # the step trips the check.
+    # Each of _solve's Newton steps evaluates the residual, core._fixed_point,
+    # and nothing else: the floor, abs and ulp run once, on the step it
+    # accepts.  An abs in the step trips the check.
     source = (ROOT / "src" / "macgain" / "solvers.py").read_text(encoding="utf-8")
-    assert _solve_step_calls(source) == {"fn"}
+    assert _solve_step_calls(source) == {"_fixed_point"}
     line = "step = res / d\n"
     assert line in source
-    assert _solve_step_calls(source.replace(line, "step = res / abs(d)\n")) == {"fn", "abs"}
+    assert _solve_step_calls(source.replace(line, "step = res / abs(d)\n")) == {
+        "_fixed_point", "abs"}
+
+
+def test_solve_reads_its_seams_as_module_globals():
+    # _solve builds nothing per call, and it reads the residual, the upper
+    # end, the fallback kernel and the step cap from the module each time
+    # it runs, so a test that patches solvers._fixed_point, _lambda_bound,
+    # _newton or MAX_ITER reaches every solve.  Binding one as a default or
+    # in a closure cell trips the check.
+    from macgain import solvers
+
+    seams = {"_fixed_point", "_lambda_bound", "_newton", "MAX_ITER"}
+    source = (ROOT / "src" / "macgain" / "solvers.py").read_text(encoding="utf-8")
+    assert _global_reads_of_solve(source, seams) == seams
+    line = "def _solve(config: ChannelConfig) -> GainSolution:"
+    assert line in source
+    bound = source.replace(line, line.replace("config: ChannelConfig",
+                                              "config: ChannelConfig, _fixed_point=_fixed_point"))
+    assert _global_reads_of_solve(bound, seams) == seams - {"_fixed_point"}
+    assert solvers._solve.__defaults__ is None and solvers._solve.__closure__ is None
+    assert seams <= set(inspect.getclosurevars(solvers._solve).globals)
+    # The fallback's partial is the one object a solve may build, and it
+    # is built only where _newton is called.
+    built = [ast.unparse(node) for node in ast.walk(_function(ast.parse(source), "_solve"))
+             if isinstance(node, ast.Lambda)
+             or isinstance(node, ast.FunctionDef) and node.name != "_solve"
+             or isinstance(node, ast.Call) and ast.unparse(node.func) == "partial"]
+    assert built == ["partial(_fixed_point, cap, pi)"]
+    assert _guards(ast.parse(source), "_solve", "partial") == [["lam is None"]]
+
+
+def _global_reads_of_solve(source: str, names: set[str]) -> set[str]:
+    """Those of names that solvers._solve reads as module globals, not parameters or cells."""
+    table = symtable.symtable(source, "solvers.py", "exec")
+    solve = next(child for child in table.get_children() if child.get_name() == "_solve")
+    return {name for name in names if solve.lookup(name).is_global()}
 
 
 def test_the_probes_run_only_where_the_floor_cannot_certify():
@@ -379,16 +416,16 @@ def test_the_probes_run_only_where_the_floor_cannot_certify():
 
 
 def _residual_lookups(source: str) -> set[str]:
-    """Module globals and attributes that core._fixed_point's residual reads."""
+    """Module globals and attributes that core._fixed_point's body reads."""
     table = symtable.symtable(source, "core.py", "exec")
-    factory = next(child for child in table.get_children()
-                   if child.get_name() == "_fixed_point")
-    residual = next(child for child in factory.get_children()
-                    if child.get_name() == "residual")
+    residual = next(child for child in table.get_children()
+                    if child.get_name() == "_fixed_point")
     names = {sym.get_name() for sym in residual.get_symbols()
              if sym.is_referenced() and sym.is_global()}
-    tree = _function(_function(ast.parse(source), "_fixed_point"), "residual")
-    return names | {ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    # The defaults are evaluated once, at definition; only the body runs per call.
+    body = _function(ast.parse(source), "_fixed_point").body
+    return names | {ast.unparse(node) for stmt in body for node in ast.walk(stmt)
+                    if isinstance(node, ast.Attribute)}
 
 
 def test_bisect_step_calls_only_fn():
@@ -404,27 +441,32 @@ def test_bisect_step_calls_only_fn():
 
 
 def test_residual_reads_only_its_closure():
-    # The residual runs once per Newton step: it reads math's functions from
-    # defaults bound to its factory's locals, never a module global or an
-    # attribute, and the factory, run once per solve, makes no closure cell.
+    # The residual runs once per Newton step: it is one module function,
+    # (K, pi, lam) -> (r, r'), with no factory, and it reads math's
+    # functions from its defaults, never a module global or an attribute.
     # Restoring the old log1p call trips the check.
     from macgain.core import _fixed_point
 
     source = (ROOT / "src" / "macgain" / "core.py").read_text(encoding="utf-8")
     assert _residual_lookups(source) == set()
-    assert _fixed_point(10.0, 1.0).__closure__ is None
+    assert _fixed_point.__closure__ is None
+    params = list(inspect.signature(_fixed_point).parameters.values())
+    assert [p.name for p in params[:3]] == ["K", "pi", "lam"]
+    assert all(p.default is inspect.Parameter.empty for p in params[:3])
+    assert all(p.default is not inspect.Parameter.empty for p in params[3:])
+    assert [type(v) for v in _fixed_point(10.0, 1.0, 2.0)] == [float, float]
     line = "L = log1p(t)"
     assert line in source
     assert _residual_lookups(source.replace(line, "L = math.log1p(t)")) == {"math", "math.log1p"}
 
 
 def _unit_reads(source: str) -> list[str | None]:
-    """For each fn(1.0) in solvers._solve, the test of the conditional whose else holds it."""
+    """For each r(1) in solvers._solve, the test of the conditional whose else holds it."""
     solve = _function(ast.parse(source), "_solve")
     parent = {child: node for node in ast.walk(solve) for child in ast.iter_child_nodes(node)}
     guards = []
     for call in ast.walk(solve):
-        if isinstance(call, ast.Call) and ast.unparse(call) == "fn(1.0)":
+        if isinstance(call, ast.Call) and ast.unparse(call) == "_fixed_point(cap, pi, 1.0)":
             node, guard = call, None
             while guard is None and node in parent:
                 branch, node = node, parent[node]
@@ -443,13 +485,15 @@ def test_solve_reads_r_at_1_only_where_no_proof_holds():
 
     source = (ROOT / "src" / "macgain" / "solvers.py").read_text(encoding="utf-8")
     assert _unit_reads(source) == ["pi >= _POWER_FLOOR and f_hi > 0.0"]
-    line = "f_lo = -math.inf if pi >= _POWER_FLOOR and f_hi > 0.0 else fn(1.0)[0]"
+    line = ("f_lo = -math.inf if pi >= _POWER_FLOOR and f_hi > 0.0 "
+            "else _fixed_point(cap, pi, 1.0)[0]")
     assert line in source
-    assert _unit_reads(source.replace(line, "f_lo = fn(1.0)[0]")) == [None]
+    assert _unit_reads(source.replace(line, "f_lo = _fixed_point(cap, pi, 1.0)[0]")) == [None]
     # verify's batch starts from 2 + 2a and takes nothing from the bound,
-    # which has lost its array path.
+    # which has lost its array path: its one default is math.log1p.
     verify = ast.parse((ROOT / "src" / "macgain" / "verify.py").read_text(encoding="utf-8"))
     imported = {alias.name for node in ast.walk(verify) if isinstance(node, ast.ImportFrom)
                 for alias in node.names}
     assert "_lambda_bound" not in imported and "_fixed_point_many" in imported
-    assert list(inspect.signature(_lambda_bound).parameters) == ["pi", "a"]
+    assert list(inspect.signature(_lambda_bound).parameters) == ["pi", "a", "log1p"]
+    assert _lambda_bound.__defaults__ == (math.log1p,)

@@ -232,7 +232,7 @@ def kernel_calls(monkeypatch):
 
     A solve's Newton steps on [1, hi] are its evaluations after the one at
     hi; a _newton call, a peak search's or a solve's fallback, is logged
-    with its own bracket and steps.
+    with its own bracket and steps.  A test that logged nothing fails.
     """
     calls = []
     kernel, solve = solvers_module._newton, solvers_module._solve
@@ -250,41 +250,36 @@ def kernel_calls(monkeypatch):
 
     monkeypatch.setattr(solvers_module, "_newton", logged_kernel)
     monkeypatch.setattr(solvers_module, "_solve", logged_solve)
-    return calls
+    yield calls
+    assert calls, "no solve or search ran through the patched kernels"
 
 
 @pytest.fixture
 def evaluated(monkeypatch):
-    """Every point, in order, at which the solves evaluate the residual."""
+    """Every point, in order, at which the solves evaluate the residual; none fails the test."""
     points = []
 
-    def logged(K, pi):
-        residual = _fixed_point(K, pi)
-
-        def fn(lam):
-            points.append(lam)
-            return residual(lam)
-        return fn
+    def logged(K, pi, lam):
+        points.append(lam)
+        return _fixed_point(K, pi, lam)
 
     monkeypatch.setattr(solvers_module, "_fixed_point", logged)
-    return points
+    yield points
+    assert points, "no solve read the patched residual"
 
 
 @pytest.fixture
 def evaluations(monkeypatch):
-    """A one-item list that counts every residual evaluation the solves make."""
+    """A one-item list that counts every residual evaluation the solves make; 0 fails the test."""
     count = [0]
 
-    def counted(K, pi):
-        residual = _fixed_point(K, pi)
-
-        def fn(lam):
-            count[0] += 1
-            return residual(lam)
-        return fn
+    def counted(K, pi, lam):
+        count[0] += 1
+        return _fixed_point(K, pi, lam)
 
     monkeypatch.setattr(solvers_module, "_fixed_point", counted)
-    return count
+    yield count
+    assert count[0] > 0, "no solve read the patched residual"
 
 
 class TestITPSteps:
@@ -403,10 +398,9 @@ def _bits(result):
     return tuple(v.hex() if isinstance(v, float) else v for v in result)
 
 
-def _frozen_pair(K, pi):
+def _frozen_pair(K, pi, lam):
     """conftest's frozen residual, with the slope of core._fixed_point."""
-    old, new = frozen_fixed_point(K, pi), _fixed_point(K, pi)
-    return lambda lam: (old(lam), new(lam)[1])
+    return frozen_fixed_point(K, pi, lam), _fixed_point(K, pi, lam)[1]
 
 
 def _kernel_results(monkeypatch, frozen, run):
@@ -431,10 +425,10 @@ def _kernel_results(monkeypatch, frozen, run):
         results.append(_bits(sol[1:4]))
         if frozen and not sol.degenerate:
             cap = math.inf if config.users is None else float(config.users)
-            residual = frozen_fixed_point(cap, config.total_power)
-            lam = sol.lambda_star
+            pi, lam = config.total_power, sol.lambda_star
             below, above = max(1.0, lam - LAMBDA_TOL), min(cap, lam + LAMBDA_TOL)
-            assert residual(below) <= 0.0 and (above == cap or residual(above) >= 0.0)
+            assert frozen_fixed_point(cap, pi, below) <= 0.0 and (
+                above == cap or frozen_fixed_point(cap, pi, above) >= 0.0)
         return sol
 
     with monkeypatch.context() as patch:
@@ -484,8 +478,8 @@ class TestBitIdentity:
         lams = [1.0, 1.5, 2.0, 7.25, 1e3, 1e300]
         for K in (2.0, 10.0, 1e15, math.inf):
             for pi in (1e-30, 1e-9, 0.5, 5.38, 1e9, 1e307):
-                new, old = _fixed_point(K, pi), frozen_fixed_point(K, pi)
-                assert [new(lam)[0].hex() for lam in lams] == [old(lam).hex() for lam in lams]
+                assert ([_fixed_point(K, pi, lam)[0].hex() for lam in lams]
+                        == [frozen_fixed_point(K, pi, lam).hex() for lam in lams])
 
 
 class TestSolverSettings:
@@ -522,7 +516,7 @@ class TestFiniteSolver:
         # than LAMBDA_TOL/4 away, is the root: evaluating the root itself
         # would cost the evaluation the slope floor saves.
         assert len(evaluated) == sol.iterations
-        assert sol.residual == _fixed_point(float(K), pi)(evaluated[-1])[0]
+        assert sol.residual == _fixed_point(float(K), pi, evaluated[-1])[0]
         assert abs(sol.lambda_star - evaluated[-1]) < 0.25 * LAMBDA_TOL
         assert sol.capacity_nofb == math.log1p(pi)
         assert sol.capacity_fb == math.log1p(pi * sol.lambda_star)
@@ -558,13 +552,9 @@ class TestFiniteSolver:
         # A sign-flipped residual must break the bracket guarantee and be
         # reported, never silently absorbed: it is > 0 at lam = 1 and falls,
         # which neither the degenerate pin nor the cap root accepts.
-        def negated(K, pi):
-            residual = _fixed_point(K, pi)
-
-            def flipped(lam):
-                r, slope = residual(lam)
-                return -r, -slope
-            return flipped
+        def negated(K, pi, lam):
+            r, slope = _fixed_point(K, pi, lam)
+            return -r, -slope
 
         monkeypatch.setattr(solvers_module, "_fixed_point", negated)
         with pytest.raises(BracketError):
@@ -596,9 +586,8 @@ class TestAcceptance:
         # a (-, +) pair at most LAMBDA_TOL/2 wide: the third evaluation.
         pi = db_to_linear(pi_db)
         sol = solve_lambda_massive(pi)
-        residual = _fixed_point(math.inf, pi)
         w, probe = evaluated[-2:]
-        (r_w, d_w), r_probe = residual(w), residual(probe)[0]
+        (r_w, d_w), r_probe = _fixed_point(math.inf, pi, w), _fixed_point(math.inf, pi, probe)[0]
         m = _slope_floor(pi, evaluated[0])
         assert (abs(r_w) + _RESIDUAL_ULPS * math.ulp(w)) / m + abs(r_w / d_w) > LAMBDA_TOL
         assert sol.iterations == len(evaluated) == 3
@@ -617,13 +606,9 @@ class TestAcceptance:
         want = solve_lambda_massive(10.0).lambda_star
         calls = []
 
-        def scaled(K, pi):
-            residual = _fixed_point(K, pi)
-
-            def fn(lam):
-                r, d = residual(lam)
-                return r, scale * d
-            return fn
+        def scaled(K, pi, lam):
+            r, d = _fixed_point(K, pi, lam)
+            return r, scale * d
 
         def kernel(fn, lo, hi, *rest):
             calls.append((lo, hi))
@@ -877,7 +862,7 @@ class TestSweepCurve:
 class TestCurveParameter:
     def test_reading_at_t_gives_the_solved_point(self):
         # find_peak walks each curve on t = pi*lam, where the residual of
-        # _fixed_point(K, t) at 1 is 1 - G_K(t): 1 - r is then the power
+        # _fixed_point(K, t, 1.0) is 1 - G_K(t): 1 - r is then the power
         # gain and t/(1 - r) the power.  At every root of the oracle and
         # massive grids (all with a finite t) the reading lies within
         # 1.2e-13 of lam and 3.2e-16 relative of pi.
@@ -890,7 +875,7 @@ class TestCurveParameter:
             pi, lam = config.total_power, eval_point(config).lambda_star
             t = pi * lam
             assert t < math.inf
-            r, _ = _fixed_point(math.inf if config.users is None else float(config.users), t)(1.0)
+            r, _ = _fixed_point(math.inf if config.users is None else float(config.users), t, 1.0)
             if not (abs(1.0 - r - lam) <= 2.0 * LAMBDA_TOL
                     and abs(t / (1.0 - r) - pi) <= 1e-11 * pi):
                 off.append((config, lam, r))
@@ -928,7 +913,7 @@ class TestFindPeak:
 
         def logged(fn, *args):
             result = kernel(fn, *args)
-            if fn.__name__ == "descent":  # the search's, not its solves'
+            if getattr(fn, "__name__", None) == "descent":  # not a solve's partial
                 searched.append(result)
             return result
 
@@ -938,7 +923,7 @@ class TestFindPeak:
         [(t_db, g, _)] = searched
         # The search ends at a t on the dB axis; the curve read there in
         # closed form gives the peak's power.
-        r, _ = _fixed_point(math.inf if users is None else float(users), db_to_linear(t_db))(1.0)
+        r, _ = _fixed_point(math.inf if users is None else float(users), db_to_linear(t_db), 1.0)
         assert peak.pi_star_db == linear_to_db(db_to_linear(t_db) / (1.0 - r))
         assert peak.pi_star == db_to_linear(peak.pi_star_db)
         assert 1.0 < peak.F_star < 2.0
@@ -1006,15 +991,11 @@ class TestFindPeak:
         # 35 on these ranges and curves, one a probe of the curve at t.
         # Probing by a solve and re-reading r' at each root took 71 to 171.
         calls = []
-        factory = solvers_module._fixed_point
+        residual = solvers_module._fixed_point
 
-        def counted(K, pi):
-            residual = factory(K, pi)
-
-            def evaluated(lam):
-                calls.append(lam)
-                return residual(lam)
-            return evaluated
+        def counted(K, pi, lam):
+            calls.append(lam)
+            return residual(K, pi, lam)
 
         monkeypatch.setattr(solvers_module, "_fixed_point", counted)
         counts = {}

@@ -205,6 +205,19 @@ class TestTailBounds:
         assert report.samples == 136
         assert report.worst_slack > 0.0
 
+    def test_each_link_scores_its_slice(self):
+        # pis ascend, so each link is scored on a slice: the low tail's three
+        # below pi = 1, the high tail's two from 1 up, loose-vs-tight only
+        # where lam > e as well, and the common cap at every power.  On
+        # -10..30 dB every boundary falls inside the grid.
+        points = sweep_curve(None, -10.0, 30.0, 1.0)
+        pis, lams = np.array([pt.pi for pt in points]), np.array([pt.lam for pt in points])
+        low = int(np.count_nonzero(pis < 1.0))
+        above_e = int(np.count_nonzero((pis >= 1.0) & (lams > math.e)))
+        assert 0 < low and 0 < above_e < pis.size - low
+        report = check_tail_bounds(pis, lams)
+        assert report.samples == 3 * low + 2 * (pis.size - low) + above_e + pis.size
+
     def test_low_tail_anchor(self):
         F = solve_lambda_massive(0.1).gain_F
         assert F == pytest.approx(1.0483334, abs=1e-6)
@@ -809,10 +822,10 @@ class TestBatchedSolve:
         lam = _root_many(K, K * P)
         quarter = 0.25 * LAMBDA_TOL
         for k, p, x in zip(K.tolist(), P.tolist(), lam.tolist()):
-            residual = _fixed_point(float(k), k * p)
             below, above = x - quarter, x + quarter
             assert 1.0 <= below and above <= k and above - below <= LAMBDA_TOL
-            assert residual(below)[0] < 0.0 < residual(above)[0]
+            r_below, r_above = (_fixed_point(float(k), k * p, y)[0] for y in (below, above))
+            assert r_below < 0.0 < r_above
             assert abs(x - solve_lambda_star(k, p).lambda_star) <= 8.0 * math.ulp(x)
 
     def test_samples_match_scalar_solver(self):
