@@ -225,11 +225,14 @@ def _fixed_point(K, pi, lam, log1p=math.log1p, expm1=math.expm1, log=math.log, i
 def _fixed_point_many(K, pi, lam, work):
     """_fixed_point's (r, r') over numpy arrays, by the same operations in the same order.
 
-    Every operation writes into work, a float array of shape (5, n) that
-    the caller owns, for n elements, so a call allocates no array; r and r'
-    are returned as views of its rows.  Below t = 1e-8 ln(1+t)/t is
-    the plain quotient, not the series, and an overflowing t gives NaN,
-    which verify's batch hands to the scalar solver.  Call it with numpy's
+    Every operation writes into work, an array of at least five rows of n
+    elements that the caller owns, so a call allocates no array; r and r'
+    are returned as views of its rows.  The operations run in the dtype of
+    K, pi, lam and work, float64 or float32 alike: the Python floats among
+    the operands keep float32 float32, under numpy 1.x's value-based
+    casting and under NEP 50.  Below t = 1e-8 ln(1+t)/t is the plain
+    quotient, not the series, and an overflowing t gives NaN, which
+    verify's batch hands to the scalar solver.  Call it with numpy's
     floating-point warnings silenced.
     """
     import numpy as np

@@ -63,6 +63,9 @@ IMPROVED_GAIN_CAP = 1.5372
 # Bound on the per-user residual at every sampled root (root_quality).
 ROOT_RESIDUAL_TOL = 1e-10
 
+# Newton passes _root_many runs in float32 before its float64 passes.
+_SINGLE_PASSES = 3
+
 # Larger sample plans are refused before drawing.  The largest plan in use
 # holds 10000 samples; a billion-sample plan would exhaust memory.
 MAX_SAMPLES = 100_000
@@ -205,16 +208,25 @@ def _root_many(K: np.ndarray, pi: np.ndarray) -> np.ndarray:
     """The power gain at every (K, pi), K = inf massive, by certified Newton steps.
 
     Each element starts at hi = min(K, 2 + 2*ln(1+pi)), where the residual
-    exceeds 1 - ln(2) > 0 for every K (core._lambda_bound's proof), and
-    takes plain Newton steps on core._fixed_point_many until a step is
-    shorter than LAMBDA_TOL/4, for at most MAX_ITER passes, both read off
-    the solvers module at call time.  G_K is concave in t, so the residual
-    is convex in lam and the steps stay in [root, hi].  An element stops at
-    once where its Newton point is NaN or leaves [1, hi], and at its Newton
-    point x = w - step where the step is short.  Each pass evaluates every
-    element into one workspace, so none allocates, and keeps r(w) where an
-    element settles.  One rule, the scalar solver's slope floor with |step|
-    at its bound tol/4, then certifies each x:
+    exceeds 1 - ln(2) > 0 for every K (core._lambda_bound's proof).  The
+    first _SINGLE_PASSES Newton passes run core._fixed_point_many on
+    float32 copies of K, pi and hi, in float32 views of the workspace, over
+    every element with no mask; they bring each suite element within 4e-7
+    of its root, relative.  Their point, NaN where a float32 form
+    overflowed, is clipped into [1, hi], NaN to hi, and plain float64
+    Newton steps go on from it until a step is shorter than LAMBDA_TOL/4,
+    for at most MAX_ITER passes in all, both read off the solvers module at
+    call time.  G_K is concave in t, so the residual r is convex in lam
+    with r' > 0 on [1, inf): the first float64 pass steps to a point at or
+    above the root from either side, and only steps, since its own point
+    may lie below G_2(pi); after it the steps stay in [root, hi].
+    An element stops at once where its Newton point is NaN or leaves [1,
+    hi], and, from the second float64 pass, at its Newton point x = w -
+    step where the step is short.  Each pass evaluates every element into
+    one workspace, so none allocates, and keeps r(w) where an element
+    settles.  One rule, the scalar solver's slope floor with |step| at its
+    bound tol/4, then certifies each x, w lying in [G_2(pi), hi] as the
+    floor's proof requires:
     |r(w)| + E <= (3/4)*LAMBDA_TOL*m, m = core._slope_floor_many at hi, and
     E = core._RESIDUAL_ULPS*2**-52*x, at least that many ulps of w but for
     under 1e-27, w being within tol/4 and an ulp of x; so |x - root| <=
@@ -227,19 +239,29 @@ def _root_many(K: np.ndarray, pi: np.ndarray) -> np.ndarray:
     points and may be a few ulps apart, each certified by its own rule.
     """
     K = np.asarray(K, dtype=float)
-    tol = solvers.LAMBDA_TOL
+    n, tol = K.size, solvers.LAMBDA_TOL
     quarter = 0.25 * tol
+    single = min(_SINGLE_PASSES, solvers.MAX_ITER)
     with np.errstate(all="ignore"):
         top = np.log1p(pi)  # then min(K, 2 + 2a), in place
         top *= 2.0
         top += 2.0
         np.minimum(top, K, out=top)
-        lam = top.copy()  # x, which stops where its element does
-        work = np.empty((6, K.size))  # _fixed_point_many's five rows, then r at w
+        work = np.empty((6, n))  # _fixed_point_many's five rows, then r at w
+        # Twelve float32 rows in its bytes: the float32 passes' five, then
+        # K, pi and their point, all before row 5's r at w.
+        work32 = work.view(np.float32).reshape(12, n)
+        K32, pi32, x32 = work32[5:8]
+        K32[...], pi32[...], x32[...] = K, pi, top
+        for _ in range(single):
+            r, d = _fixed_point_many(K32, pi32, x32, work32)
+            x32 -= np.divide(r, d, out=r)
+        lam = np.maximum(x32, 1.0, dtype=float)  # x, which stops where its element does
+        np.fmin(lam, top, out=lam)  # a NaN point takes hi
         kept = work[5]
         kept.fill(math.nan)  # until settled, which fails the floor below
-        going, done = np.ones(K.size, dtype=bool), np.empty(K.size, dtype=bool)
-        for _ in range(solvers.MAX_ITER):
+        going, done = np.ones(n, dtype=bool), np.empty(n, dtype=bool)
+        for i in range(single, solvers.MAX_ITER):
             if not going.any():
                 break
             r, d = _fixed_point_many(K, pi, lam, work)
@@ -247,9 +269,11 @@ def _root_many(K: np.ndarray, pi: np.ndarray) -> np.ndarray:
             np.subtract(lam, step, out=lam, where=going)
             going &= np.greater_equal(lam, 1.0, out=done)
             going &= np.less_equal(lam, top, out=done)
-            np.logical_and(going, np.less(np.abs(step, out=d), quarter, out=done), out=done)
-            np.putmask(kept, done, r)  # r at w
-            going ^= done
+            if i > single:  # the first float64 pass only steps
+                np.logical_and(going, np.less(np.abs(step, out=d), quarter, out=done),
+                               out=done)
+                np.putmask(kept, done, r)  # r at w
+                going ^= done
         bound = np.multiply(_slope_floor_many(pi, top, work), 0.75 * tol, out=work[0])
         error = np.multiply(lam, _RESIDUAL_ULPS * 2.0**-52, out=work[1])
         error += np.abs(kept, out=work[2])

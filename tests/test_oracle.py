@@ -224,20 +224,29 @@ def test_batch_start_lies_above_every_root():
 
 
 def test_the_walk_in_one_batch(monkeypatch):
-    # verify's batch over the walk hands 598 of the 3505 inputs to the
-    # scalar solver, 33 when it had a probe pass: every root above 421.05,
-    # where E alone exceeds the slope floor's bound, and the elements below
-    # that stopped early or whose |r(w)| + E still exceeds it.  Every root
-    # it settles itself shows an exact sign change across +-LAMBDA_TOL, and
-    # every root it hands on is eval_point's.  The batch builds each config
-    # from a float K, so a K above 2**53 is matched as int(float(K)).
+    # verify's batch over the walk hands 599 of the 3505 inputs to the
+    # scalar solver, 598 before its first passes ran in float32 and 33 when
+    # it had a probe pass: every root above 421.05, where E alone exceeds
+    # the slope floor's bound, and the elements below that stopped early or
+    # whose |r(w)| + E still exceeds it.  The one added since float32 is K
+    # = 2 at pi = 7.66e88, whose root is an ulp below the cap 2: its
+    # float32 power is inf, so the float64 passes start at 2, where the
+    # first only steps, and the second steps back above 2 on float noise
+    # (r(2) = 2.2e-16, r(2 - ulp) = -6.7e-16).  eval_point roots it at 2 -
+    # ulp, where the batch settled it before.  Every root
+    # the batch settles itself shows an exact sign change across
+    # +-LAMBDA_TOL, and every root it hands on is eval_point's.  The batch
+    # builds each config from a float K, so a K above 2**53 is matched as
+    # int(float(K)).
     handed = handed_over(monkeypatch)
     configs = walk_configs()
     pis = np.array([config.total_power for config in configs])
     caps = np.array([math.inf if config.users is None else config.users for config in configs],
                     dtype=float)
     lam = _root_many(caps, pis).tolist()
-    assert len(handed) == 598
+    assert len(handed) == 599
+    cap_root = ChannelConfig(2, total_power=7.663522435439674e+88)
+    assert cap_root in handed and eval_point(cap_root).lambda_star == math.nextafter(2.0, 0.0)
     handed_set = set(handed)
     batch_configs = [ChannelConfig(None if cap == math.inf else int(cap), total_power=pi)
                      for cap, pi in zip(caps.tolist(), pis.tolist())]

@@ -339,12 +339,14 @@ class TestRunSuite:
 # Report lines of the default suite and of the sabotage control, recorded
 # from the scalar per-sample solver.  The batched suite must reproduce them
 # byte for byte.  The sandwich_large_k slack is that of the balanced-form
-# root at K=1e8; 50-digit arithmetic gives 2.308710058e-06.
+# root at K=1e8; 50-digit arithmetic gives 2.308710058e-06.  The
+# root_quality line moves with the batch's Newton points: its worst slack is
+# the float noise of the per-user residual at K = 2, in steps of 8.9e-16.
 GOLDEN_LINES = [
     "point_bounds: pass samples=50000 violations=0 worst_slack=1.087676e-07 "
     "witness[bracket_cap at K=9921 P=930.265]",
-    "root_quality: pass samples=30000 violations=0 worst_slack=9.998490e-11 "
-    "witness[residual_within_tol at K=2 P=758.698]",
+    "root_quality: pass samples=30000 violations=0 worst_slack=9.999112e-11 "
+    "witness[residual_within_tol at K=2 P=979.798]",
     "sandwich_large_k: pass samples=8 violations=0 worst_slack=2.308710e-06 "
     "witness[fixed_point_ceiling at K=100000000 P=1]",
     "tail_bounds: pass samples=136 violations=0 worst_slack=7.238240e-08 "
@@ -522,11 +524,12 @@ class TestReport:
 
 
 # SHA-256 over the report lines, in order, of the default suites of nine
-# seeds and then of four 200-sample sabotage suites, recorded before the
-# scorer went column by column and the user counts became floats.  A root
-# or scoring change that moves any line fails here.
+# seeds and then of four 200-sample sabotage suites, recorded when the
+# batch's first passes went to float32, which moved the nine root_quality
+# lines and no other.  A root or scoring change that moves any line fails
+# here.
 REPORT_SEEDS, SABOTAGE_SEEDS = (1, 2, 3, 5, 7, 11, 42, 101, 202), (1, 3, 7, 9)
-REPORT_DIGEST = "c214be18f25052945a2d5dce3361ef0624631e7e471ab63b601aff233c4e16c7"
+REPORT_DIGEST = "fa19ec6d9f28ac585283d49f775119a974dde7949d0b70f880e86582e99054cb"
 
 
 def test_report_lines_match_their_digest():
@@ -537,6 +540,19 @@ def test_report_lines_match_their_digest():
         for report in reports:
             digest.update(report.line().encode())
     assert digest.hexdigest() == REPORT_DIGEST
+
+
+@pytest.mark.parametrize("seed, n_samples",
+                         [(seed, 10_000) for seed in REPORT_SEEDS] + [(42, MAX_SAMPLES)])
+def test_residual_at_the_roots_is_float_noise(seed, n_samples):
+    # root_quality's bar is ROOT_RESIDUAL_TOL = 1e-10; at the batch's roots
+    # the per-user residual stays within 2.5e-14 (worst 1.87e-14, at K = 2
+    # and P near 875 on seed 42 at 100000 samples).
+    K, P = draw_samples(SampleSpec(seed, n_samples))
+    K = K.astype(float)
+    lam = _root_many(K, K * P)
+    res = _balance(lam, K, P, np.log1p) / (K * (K - 1.0))
+    assert np.max(np.abs(res)) <= 2.5e-14
 
 
 def seed_1_roots():
@@ -704,6 +720,10 @@ def _shrink_start(monkeypatch, factor):
 
     monkeypatch.setattr(macgain.verify, "np", Numpy())
     return starts
+
+
+def _refuse_hand_off(config):
+    raise AssertionError(f"handed to the scalar solver: {config}")
 
 
 def _no_floor(pi, hi, work):
@@ -989,15 +1009,16 @@ class TestBatchedSolve:
         assert lam[0] == solve_lambda_star(2, 5e25).lambda_star
 
     def test_elements_handed_over_stop_at_once(self, monkeypatch):
-        # An overflowing power reads NaN from its first Newton pass and one
+        # An overflowing power reads NaN from its first float64 pass and one
         # with a halved start, below its root, steps out of [1, hi]: both
-        # stop there, so the batch ends after its first pass, well inside
-        # the bar of 7, instead of running to MAX_ITER.  The one Newton pass
-        # is the batch's only residual call.
+        # stop there, so the batch ends after the three float32 passes and
+        # its first float64 pass, well inside the bar of 7, instead of
+        # running to MAX_ITER.  Those four Newton passes are the batch's
+        # only residual calls.
         passes = []
 
         def counted(K, pi, lam, work):
-            passes.append(lam.size)
+            passes.append((lam.size, lam.dtype.name))
             return _fixed_point_many(K, pi, lam, work)
 
         handed = []
@@ -1015,7 +1036,7 @@ class TestBatchedSolve:
         assert lam.tolist() == [solve_lambda_massive(pi).lambda_star for pi in pis]
         assert len(starts) == 1
         assert len(passes) <= 7
-        assert passes == [2]
+        assert passes == [(2, "float32")] * 3 + [(2, "float64")]
 
     @pytest.mark.parametrize("bad", [0.0, -0.5, -2.0, math.nan, math.inf,
                                      math.expm1(-1.0)])
@@ -1063,18 +1084,22 @@ class TestBatchedSolve:
 
     def test_default_suite_batch_figures(self, monkeypatch):
         # README's figures for the default seed-1 suite, counted through the
-        # residual seam inside _root_many: 5 Newton passes, each over all
-        # 12130 elements, after which the slope floor, the batch's one
-        # acceptance rule, settles every element: none goes to the scalar
-        # solver.
-        # The witness, where the converging pass stepped from, reads > 0 for
-        # 39% of the elements, < 0 for 26% and exactly 0 for 35%.
-        calls, handed, inside, steps = [], [], [False], []
+        # residual seam inside _root_many: 3 float32 and 2 float64 Newton
+        # passes, each over all 12130 elements, after which the slope floor,
+        # the batch's one acceptance rule, settles every element: none goes
+        # to the scalar solver.  The float32 passes leave every element
+        # within 3.9e-7 of its root, relative, and 61% below it.  Every
+        # element settles in the second float64 pass, the first that may;
+        # its witness, where that pass stepped from, reads > 0 for 65% of
+        # the elements, < 0 for 13% and exactly 0 for 23%.
+        calls, handed, inside, steps, points = [], [], [False], [], []
 
         def counted(K, pi, lam, work):
+            if inside[0]:
+                points.append(lam.astype(float))
             r, d = _fixed_point_many(K, pi, lam, work)
             if inside[0]:
-                calls.append(lam.size)
+                calls.append((lam.size, lam.dtype.name))
                 steps.append(r / d)
             return r, d
 
@@ -1093,14 +1118,95 @@ class TestBatchedSolve:
         monkeypatch.setattr(macgain.verify, "_root_many", batch)
         monkeypatch.setattr(macgain.verify, "eval_point", scalar)
         assert suite_passed(run_suite(SampleSpec(seed=1, n_samples=10_000)))
-        assert calls == [12130] * 5
+        assert calls == [(12130, "float32")] * 3 + [(12130, "float64")] * 2
         assert handed == []
-        newton = np.array(steps[:5])
-        settling = newton[(np.abs(newton) < 0.25 * LAMBDA_TOL).argmax(axis=0),
-                          np.arange(12130)]
+        K, P = draw_samples(SampleSpec(seed=1, n_samples=10_000))
+        *_, fixed_K, fixed_pi, _ = macgain.verify._FIXED
+        roots = _root_many(np.concatenate((K, fixed_K)), np.concatenate((K * P, fixed_pi)))
+        assert np.max(np.abs(points[3] - roots) / roots) <= 3.9e-7
+        assert round(float(np.mean(points[3] < roots)), 2) == 0.61
+        settling = steps[4]
+        assert np.all(np.abs(settling) < 0.25 * LAMBDA_TOL)
         shares = [round(float(np.mean(share)), 2)
                   for share in (settling > 0.0, settling < 0.0, settling == 0.0)]
-        assert shares == [0.39, 0.26, 0.35]
+        assert shares == [0.65, 0.13, 0.23]
+
+    def test_the_first_passes_run_in_float32(self, monkeypatch):
+        # The first three residual calls take float32 K, pi, points and
+        # workspace and return float32 (r, r'), so a silent upcast fails;
+        # their operands are views of the float64 workspace the later
+        # calls write into, so the float32 passes allocate no array.
+        calls = []
+
+        def recorded(K, pi, lam, work):
+            r, d = _fixed_point_many(K, pi, lam, work)
+            calls.append(([a.dtype.name for a in (K, pi, lam, work, r, d)],
+                          [np.shares_memory(a, work) for a in (K, pi, lam)], work))
+            return r, d
+
+        monkeypatch.setattr(macgain.verify, "_fixed_point_many", recorded)
+        K, P = draw_samples(SampleSpec(seed=1, n_samples=10_000))
+        _root_many(K, K * P)
+        assert [dtypes for dtypes, _, _ in calls] == (
+            [["float32"] * 6] * 3 + [["float64"] * 6] * 2)
+        assert [shared for _, shared, _ in calls[:3]] == [[True] * 3] * 3
+        work = calls[-1][2]
+        assert all(np.shares_memory(work32, work) for _, _, work32 in calls[:3])
+
+    def test_the_first_float64_pass_settles_nothing(self, monkeypatch):
+        # The float32 passes' point may lie below G_2(pi), where the slope
+        # floor proves nothing, so the first float64 pass only steps.  At
+        # P = 1e-20 the float32 passes reach lam = 1, where the float64
+        # residual is exactly 0: the step is 0, yet the element settles only
+        # in the second float64 pass.
+        dtypes = []
+
+        def counted(K, pi, lam, work):
+            dtypes.append(lam.dtype.name)
+            return _fixed_point_many(K, pi, lam, work)
+
+        monkeypatch.setattr(macgain.verify, "_fixed_point_many", counted)
+        monkeypatch.setattr(macgain.verify, "eval_point", _refuse_hand_off)
+        lam = _root_many(np.array([100.0]), np.array([1e-18]))
+        assert lam.tolist() == [1.0] and _fixed_point(100.0, 1e-18, 1.0)[0] == 0.0
+        assert dtypes == ["float32"] * 3 + ["float64"] * 2
+
+    @pytest.mark.parametrize("K, pi", [
+        (math.inf, 1e39), (10.0, 1e39), (2.0, 1e39),  # pi is inf in float32
+        (math.inf, 1e-39), (10.0, 1e-39),  # subnormal in float32
+        (math.inf, 1e-45), (10.0, 1e-45),  # the least float32 subnormal
+        (1e300, 5.38), (1e300, 1000.0),  # K is inf in float32
+    ])
+    def test_float32_overflow_and_underflow(self, monkeypatch, K, pi):
+        # Where a float32 form overflows, the float32 point is NaN and the
+        # float64 passes start at hi; where it underflows or K is inf, the
+        # float32 passes still land near the root.  Either way the batch
+        # root is within 8 ulps of eval_point's, or eval_point gave it.
+        handed, points = [], []
+
+        def recorded(K, pi, lam, work):
+            points.append(lam.astype(float).tolist())
+            return _fixed_point_many(K, pi, lam, work)
+
+        def scalar(config):
+            handed.append(config)
+            return eval_point(config)
+
+        monkeypatch.setattr(macgain.verify, "_fixed_point_many", recorded)
+        monkeypatch.setattr(macgain.verify, "eval_point", scalar)
+        with np.errstate(over="ignore"):
+            K32, pi32 = np.float32(K), np.float32(pi)
+        assert math.inf in (K32, pi32) or 0.0 < pi32 < np.finfo(np.float32).tiny
+        (x,) = _root_many(np.array([K]), np.array([pi])).tolist()
+        want = eval_point(ChannelConfig(None if K == math.inf else int(K),
+                                        total_power=pi)).lambda_star
+        if handed:
+            assert x == want
+        else:
+            assert abs(x - want) <= 8.0 * math.ulp(want)
+        if pi32 == math.inf:
+            hi = min(K, 2.0 + 2.0 * np.log1p(pi))
+            assert math.isnan(points[2][0]) and points[3][0] == hi
 
     @pytest.mark.parametrize("sabotage", [False, True])
     @pytest.mark.parametrize("seed, n_samples",
