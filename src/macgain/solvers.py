@@ -10,21 +10,18 @@ Newton steps of the massive residual above the root, by plain Newton
 steps from that end, which stay above the root, the residual being
 convex.  A root is accepted for a residual small against a proven slope
 floor (core._slope_floor), else for a (-, +) pair that one probe closes;
-else _newton brackets it by safeguarded Newton steps, never more than
-_NEWTON_N0 steps beyond bisection.  So nothing about convergence relies on
-numerical luck.  The parametric inversion is the massive solve read
-through core.massive_parametric, with no root of its own.  Peak search,
-whose residual has no closed-form slope at hand, takes _newton's steps on
-a secant slope.  It walks each curve in closed form on the dB of t =
-pi*lam, where lam = G_K(t), and roots F's negated slope there with three
-solves a search, none of them per step.
+else _bisect brackets it by bisection.  So nothing about convergence
+relies on numerical luck.  The parametric inversion is the massive solve
+read through core.massive_parametric, with no root of its own.  Peak
+search walks each curve in closed form on the dB of t = pi*lam, where
+lam = G_K(t), and bisects F's negated slope there with three solves a
+search, none of them per step.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from functools import partial
 from typing import NamedTuple
 
 from .core import (
@@ -73,12 +70,6 @@ DEFAULT_USERS = (2, 3, 10, 100, None)
 # use holds 2001 points; a billion-point grid would exhaust memory.
 MAX_GRID_POINTS = 20_000
 
-# Newton steps on a residual with a closed-form slope fall back to the
-# midpoint whenever the bracket is wider than 2**(_NEWTON_N0 - j) times
-# its initial width before step j, so no tol takes more than _NEWTON_N0
-# steps beyond bisection.
-_NEWTON_N0 = 6
-
 # The total power from which _solve takes r(1) < 0 as proven, unevaluated.
 _POWER_FLOOR = 1e-10
 
@@ -122,12 +113,13 @@ class CurvePoint(NamedTuple):
 class PeakResult(NamedTuple):
     """Located maximum of F along one curve.
 
-    bracket_evidence is the final bracket of the search, two (pi_db, g)
-    pairs where g, the normalised negated slope of F, is negative at the
-    first (F still rising) and positive at the second (F falling).  The
-    search runs on the dB of t = pi*lam, and d(pi_db)/d(t_db) = r' <= 1, so
-    it is at most LAMBDA_TOL wide.  Where g reads exactly 0, which ends the
-    search there, the pairs are g's probes LAMBDA_TOL/4 either side of it.
+    bracket_evidence is the final bracket of the search's bisection, two
+    (pi_db, g) pairs where g, the normalised negated slope of F, is
+    negative at the first (F still rising) and positive at the second (F
+    falling); pi_star_db is the one with the smaller |g|.  The search runs
+    on the dB of t = pi*lam, and d(pi_db)/d(t_db) = r' <= 1, so it is at
+    most LAMBDA_TOL wide.  Where g reads exactly 0, which ends the search
+    there, the pairs are g's probes LAMBDA_TOL/4 either side of it.
     """
 
     users: int | None
@@ -138,74 +130,28 @@ class PeakResult(NamedTuple):
     bracket_evidence: tuple[tuple[float, float], tuple[float, float]]
 
 
-def _newton(fn, lo: float, hi: float, f_lo: float, f_hi: float, d_hi: float,
+def _bisect(fn, lo: float, hi: float, f_lo: float, f_hi: float,
             tol: float, max_iter: int) -> tuple[float, float, int]:
-    """Narrow [lo, hi] given f(lo) < 0 < f(hi) by safeguarded Newton steps.
+    """Narrow [lo, hi] given f_lo = fn(lo) < 0 < fn(hi) = f_hi by bisection.
 
-    fn(x) returns (f(x), f'(x)), and d_hi is f'(hi); the slope may be an
-    estimate, a secant say, for it only steers the steps and the bound below
-    does not depend on it.  Starting from hi, each step takes the Newton
-    point of the last evaluated point.  Once a Newton step is shorter than
-    tol/4, the next step probes tol/4 beyond the point it reached, toward
-    the root, which closes a (-, +) bracket around a converged point; a
-    step too short to move x probes at once.  Before step j the bracket may
-    be at most 2**(_NEWTON_N0 - j) times its initial width; where it is
-    wider, the point is projected into the interval around the midpoint
-    that keeps it so after the step, as ITP does (Oliveira & Takahashi, ACM
-    TOMS 47(1), 2020), and the point itself waits for the next step.  So no
-    root takes more than ceil(log2(width/tol)) + _NEWTON_N0 steps, and a
-    projection on the root's side of the midpoint shrinks the bracket past
-    its half.  The midpoint is taken instead when the point is not strictly
-    inside the bracket (f' = 0 or NaN included).  Stops when the bracket is
-    narrower than tol or when no float fits strictly between its ends.  A
-    NaN residual carries no sign, and max_iter steps that leave a wider
-    bracket certify nothing; both raise ConvergenceError.  Returns
-    (x, fn(x)[0], iterations) at the end of the final bracket with the
-    smaller |f|, or at an exact zero.
+    Each step halves the bracket, so a root takes ceil(log2(width/tol))
+    steps.  Stops when the bracket is at most tol wide or when no float
+    lies strictly between its ends.  A NaN residual carries no sign, and
+    max_iter steps that leave a wider bracket certify nothing; both raise
+    ConvergenceError.  Returns (x, fn(x), iterations) at the end of the
+    final bracket with the smaller |fn|, or at an exact zero.
     """
-    width = hi - lo
-    budget = math.ldexp(width, _NEWTON_N0 - 1)
-    quarter = 0.25 * tol
-    x, f_x, d_x = hi, f_hi, d_hi
-    probe = False
-    held = None  # a point the budget put off
     iterations = 0
-    while width > tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
+    while hi - lo > tol:
+        x = 0.5 * (lo + hi)
+        if not lo < x < hi:
             break
         if iterations == max_iter:
             raise ConvergenceError(
                 f"bracket [{lo!r}, {hi!r}] is wider than {tol!r} after "
                 f"{max_iter} iterations"
             )
-        # With f' = 0, x stays on a bracket end, and the midpoint or, over
-        # budget, its projection is taken.
-        if held is not None:
-            x, held = held, None
-        elif probe:
-            x = x - quarter if f_x > 0.0 else x + quarter
-            probe = False
-        elif d_x:
-            step = f_x / d_x
-            if -quarter < step < quarter:
-                # The Newton point, then a probe past it; if the step rounds
-                # away, x is the Newton point and the probe comes now.
-                probe = x - step != x
-                x = x - step if probe else x - quarter if f_x > 0.0 else x + quarter
-            else:
-                x -= step
-        if width > budget:
-            r = budget - 0.5 * width
-            if x < mid - r:
-                x, held = mid - r, x
-            elif x > mid + r:
-                x, held = mid + r, x
-        if not lo < x < hi:
-            x, held = mid, None
-            probe = False
-        budget *= 0.5
-        f_x, d_x = fn(x)
+        f_x = fn(x)
         iterations += 1
         if f_x < 0.0:
             lo, f_lo = x, f_x
@@ -215,7 +161,6 @@ def _newton(fn, lo: float, hi: float, f_lo: float, f_hi: float, d_hi: float,
             return x, 0.0, iterations
         else:
             raise ConvergenceError(f"residual is NaN at lam={x!r}")
-        width = hi - lo
     return (lo, f_lo, iterations) if -f_lo <= f_hi else (hi, f_hi, iterations)
 
 
@@ -238,11 +183,12 @@ def _solve(config: ChannelConfig) -> GainSolution:
     alone comes near LAMBDA_TOL, from lam = 512 (about 2200 dB) up, one
     probe LAMBDA_TOL/4 past x, across the root from w, keeps x if it reads
     r(w)'s opposite sign inside [1, K].  Only where that pair fails, a step
-    leaves (1, hi) or a slope is not positive does _newton bracket the
-    root on [1, hi], from scratch.  The residual returned is r where the
-    root was certified: at w, the probe or _newton's root.  No closure is
-    built but the partial of r that the fallback hands _newton.  ln(1+pi)
-    is taken once, for the end and the capacity without feedback, and the
+    leaves (1, hi) or a slope is not positive does _bisect bracket the
+    root on [1, hi], from scratch, in at most 50 steps, hi staying below
+    717 on the accepted range.  The residual returned is r where the root
+    was certified: at w, the probe or _bisect's root.  No closure is built
+    but the lambda of r that the fallback hands _bisect.  ln(1+pi) is
+    taken once, for the end and the capacity without feedback, and the
     result is built by tuple.__new__, as ChannelConfig is.  If 0 <= r(1) <
     r(hi), the power is too small for r to separate lam = 1 from the root,
     which is pinned to 1 as degenerate, with 0 iterations.  If r(1) < 0 and
@@ -256,12 +202,12 @@ def _solve(config: ChannelConfig) -> GainSolution:
     capacity_nofb = math.log1p(pi)
     bound = _lambda_bound(pi, capacity_nofb)
     if bound < 1.0 + 2.0 * LAMBDA_TOL:
-        # [1, bound] would pass for converged before a step, and _newton
+        # [1, bound] would pass for converged before a step, and _bisect
         # would return an end of it, 1 or bound, not a point near the root.
         bound = 1.0 + 2.0 * LAMBDA_TOL
     hi = cap if cap < bound else bound
     f_hi, d_hi = _fixed_point(cap, pi, hi)
-    # -inf stands in for a proven r(1) < 0; _newton never returns it.
+    # -inf stands in for a proven r(1) < 0; _bisect never returns it.
     f_lo = -math.inf if pi >= _POWER_FLOOR and f_hi > 0.0 else _fixed_point(cap, pi, 1.0)[0]
     degenerate = 0.0 <= f_lo < f_hi
     if degenerate:
@@ -278,7 +224,7 @@ def _solve(config: ChannelConfig) -> GainSolution:
                     f"got ({f_lo!r}, {f_hi!r})"
                 )
             # Plain Newton steps from hi, which stay above the root, r being
-            # convex; lam stays None where _newton must bracket it instead.
+            # convex; lam stays None where _bisect must bracket it instead.
             quarter, lam = 0.25 * LAMBDA_TOL, None
             w, res, d, iters = hi, f_hi, d_hi, 1
             while d > 0.0:
@@ -307,8 +253,8 @@ def _solve(config: ChannelConfig) -> GainSolution:
                 res, d = _fixed_point(cap, pi, w)
                 iters += 1
             if lam is None:
-                lam, res, steps = _newton(partial(_fixed_point, cap, pi), 1.0, hi, f_lo, f_hi,
-                                          d_hi, LAMBDA_TOL, MAX_ITER)
+                lam, res, steps = _bisect(lambda lam: _fixed_point(cap, pi, lam)[0], 1.0, hi,
+                                          f_lo, f_hi, LAMBDA_TOL, MAX_ITER)
                 iters += steps
         except (BracketError, ConvergenceError) as err:
             where = f"pi={pi!r}" if K is None else f"K={K}, P={P!r}"
@@ -427,12 +373,12 @@ def find_peak(users: int | None, from_db: float = DEFAULT_FROM_DB,
     (1 - G_K(t), 1 - t*G_K'(t)), so lam = 1 - r, pi = t/lam, the
     residual's slope there is r' = (d - r)/lam, and lam + pi*lam' = lam/r'.
     Solves at from_db and to_db give the ends in t, clipped below the
-    largest float, and _newton brackets g's (-, +) root to LAMBDA_TOL with
-    no further solve, on the secant slope of g from the point evaluated
-    just before; the solve at the returned point's pi gives F* and lam.  An
-    exact zero of g ends the search, and g is then probed LAMBDA_TOL/4
-    either side of it for the bracket evidence.  Where lam - 1 <=
-    LAMBDA_TOL F is flat at 1 to the solve, so g counts as negative there.
+    largest float, and _bisect brackets g's (-, +) root to LAMBDA_TOL with
+    no further solve, in ceil(log2((t_hi - t_lo)/LAMBDA_TOL)) steps, 46 on
+    the default range; the solve at the returned point's pi gives F* and
+    lam.  An exact zero of g ends the search, and g is then probed
+    LAMBDA_TOL/4 either side of it for the bracket evidence.  Where lam - 1
+    <= LAMBDA_TOL F is flat at 1 to the solve, so g counts as negative there.
     Raises NoPeakError unless g is negative at from_db and positive at to_db.
     """
     if not to_db > from_db:
@@ -443,9 +389,8 @@ def find_peak(users: int | None, from_db: float = DEFAULT_FROM_DB,
     cap = math.inf if users is None else float(users)
     probed: dict[float, float] = {}  # t_db -> pi_db
     ends: dict[bool, tuple[float, float]] = {}  # the last (pi_db, g) of each sign
-    last = [math.nan, math.nan]  # the (t_db, g) evaluated just before
 
-    def descent(t_db: float) -> tuple[float, float]:
+    def descent(t_db: float) -> float:
         t = db_to_linear(t_db)
         r, d = _fixed_point(cap, t, 1.0)
         lam = 1.0 - r
@@ -458,20 +403,15 @@ def find_peak(users: int | None, from_db: float = DEFAULT_FROM_DB,
         probed[t_db] = pi_db = linear_to_db(pi)
         if g != 0.0:
             ends[g > 0.0] = (pi_db, g)
-        # The secant from the point before, NaN for the first: that point
-        # is an end of _newton's bracket, and each new one lies inside it.
-        x, g_x = last
-        last[:] = t_db, g
-        return g, (g - g_x) / (t_db - x)
+        return g
 
-    (g_lo, _), (g_hi, d_hi) = descent(t_lo), descent(t_hi)
+    g_lo, g_hi = descent(t_lo), descent(t_hi)
     if not g_lo < 0.0 < g_hi:
         raise NoPeakError(
             f"F has no interior maximum in [{from_db!r}, {to_db!r}] dB; "
             f"widen the range"
         )
-    t_star_db, g_star, _ = _newton(descent, t_lo, t_hi, g_lo, g_hi, d_hi,
-                                   LAMBDA_TOL, MAX_ITER)
+    t_star_db, g_star, _ = _bisect(descent, t_lo, t_hi, g_lo, g_hi, LAMBDA_TOL, MAX_ITER)
     if g_star == 0.0:  # the bracket that ended there may be far wider
         descent(t_star_db - 0.25 * LAMBDA_TOL)
         descent(t_star_db + 0.25 * LAMBDA_TOL)

@@ -7,10 +7,10 @@ scalar solver, so the check can be tested apart from run_suite's batches,
 and curve_slope is the slope dlam/dpi that the check reads off the
 residual's slope r'.  frozen_bisect is a test-only ITP kernel (Oliveira &
 Takahashi, ACM TOMS 47(1), 2020), an independent route to the roots that
-the Newton steps find.  frozen_fixed_point is a reference copy of the residual's value as it
-was written with module-global math lookups; the residual must reproduce it
-bit for bit.  bracketed_newton certifies each Newton root by the bracket
-its own points close.
+solvers._bisect finds.  frozen_fixed_point is a reference copy of the
+residual's value as it was written with module-global math lookups; the
+residual must reproduce it bit for bit.  bracketed_bisect certifies each
+root of solvers._bisect by the bracket its own points close.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from mpmath import mp, mpf
 
 import macgain.solvers
 from macgain.core import _SERIES_CUTOFF, ChannelConfig, _fixed_point, log1p_over_x
-from macgain.solvers import ConvergenceError, _newton, eval_point
+from macgain.solvers import ConvergenceError, _bisect, eval_point
 from macgain.verify import DERIVATIVE_GRID, DERIVATIVE_STEP, DERIVATIVE_USERS
 
 
@@ -134,28 +134,34 @@ def frozen_bisect(fn, lo, hi, f_lo, f_hi, tol, max_iter):
     return best_x, best_f, iterations
 
 
-def bracketed_newton(fn, lo, hi, f_lo, f_hi, d_hi, tol, max_iter):
-    """solvers._newton's result, certified by the points it evaluated, and those points.
+def bracketed_bisect(fn, lo, hi, f_lo, f_hi, tol, max_iter):
+    """solvers._bisect's result, certified by the points it evaluated, and those points.
 
-    Where lo and hi are a (-, +) bracket, as _newton requires, the result
-    must be an exact zero, or an end of the (-, +) bracket that they and the
-    evaluated points close: at most tol wide, or with no float strictly
-    between its ends.  A ConvergenceError propagates.
+    Where lo and hi are a (-, +) bracket, as _bisect requires, the result
+    must be an exact zero, or the end with the smaller |f| of the (-, +)
+    bracket that they and the evaluated points close: at most tol wide, or
+    with no float strictly between its ends, and each evaluated point the
+    midpoint of the bracket before it.  A ConvergenceError propagates.
     """
     points, values = [], [(lo, f_lo), (hi, f_hi)]
 
     def logged(x):
         points.append(x)
         result = fn(x)
-        values.append((x, result[0]))
+        values.append((x, result))
         return result
 
-    x, f_x, iterations = _newton(logged, lo, hi, f_lo, f_hi, d_hi, tol, max_iter)
+    x, f_x, iterations = _bisect(logged, lo, hi, f_lo, f_hi, tol, max_iter)
+    assert iterations == len(points)
     if f_lo < 0.0 < f_hi and f_x != 0.0:
-        below = max(p for p, f in values if f < 0.0)
-        above = min(p for p, f in values if f > 0.0)
-        assert x in (below, above)
-        assert above - below <= tol or not below < 0.5 * (below + above) < above
+        below = max((p, f) for p, f in values if f < 0.0)
+        above = min((p, f) for p, f in values if f > 0.0)
+        assert (x, f_x) == (below if -below[1] <= above[1] else above)
+        assert above[0] - below[0] <= tol or not below[0] < 0.5 * (below[0] + above[0]) < above[0]
+        a, b = lo, hi
+        for p, f in values[2:]:
+            assert p == 0.5 * (a + b)
+            a, b = (p, b) if f < 0.0 else (a, p)
     return (x, f_x, iterations), points
 
 

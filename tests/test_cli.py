@@ -752,18 +752,18 @@ GOLDEN_STDOUT = {
     "peak --users 10 --format json": (
         '{\n'
         '  "users": 10,\n'
-        '  "pi_star": 5.293553836435857,\n'
-        '  "pi_star_db": 7.237473342944875,\n'
-        '  "F_star": 1.4458875142360175,\n'
-        '  "lambda_at_peak": 2.51110705212018,\n'
+        '  "pi_star": 5.293553836435777,\n'
+        '  "pi_star_db": 7.237473342944809,\n'
+        '  "F_star": 1.4458875142360172,\n'
+        '  "lambda_at_peak": 2.511107052120168,\n'
         '  "bracket_evidence": [\n'
         '    [\n'
-        '      7.23747334294486,\n'
-        '      -4.440892098500626e-16\n'
+        '      7.237473342944809,\n'
+        '      -1.7763568394002505e-15\n'
         '    ],\n'
         '    [\n'
-        '      7.237473342944875,\n'
-        '      3.3306690738754696e-16\n'
+        '      7.237473342945325,\n'
+        '      1.354472090042691e-14\n'
         '    ]\n'
         '  ]\n'
         '}\n'

@@ -185,7 +185,7 @@ def test_only_the_root_kernels_take_a_tolerance():
                 params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
                 if {p.arg for p in params if p} & {"tol", "max_iter"}:
                     takers.add(f"{path.stem}.{getattr(node, 'name', '<lambda>')}")
-    assert takers == {"solvers._newton"}
+    assert takers == {"solvers._bisect"}
 
 
 def test_verify_imports_no_private_solver_route():
@@ -256,16 +256,16 @@ def test_one_balance_residual():
 
 def test_one_root_per_operating_point():
     # Each operating point is one root of core._fixed_point's residual.
-    # _solve roots it and find_peak roots F's slope along a curve, each on
-    # _newton's steps; the parametric inversion roots nothing of its own,
-    # it reads lam off the massive solve.
+    # _solve roots it and find_peak roots F's slope along a curve, and
+    # they are _bisect's only callers; the parametric inversion roots
+    # nothing of its own, it reads lam off the massive solve.
     trees = dict(_src_trees())
     callers = {
         f"{module}.{top.name}"
         for module, tree in trees.items()
         for top in tree.body
         if isinstance(top, ast.FunctionDef)
-        and any(isinstance(node, ast.Name) and node.id == "_newton"
+        and any(isinstance(node, ast.Name) and node.id == "_bisect"
                 for node in ast.walk(top))
     }
     assert callers == {"solvers._solve", "solvers.find_peak"}
@@ -321,8 +321,8 @@ def _function(tree: ast.AST, name: str) -> ast.FunctionDef:
 
 
 def _step_calls(source: str) -> set[str]:
-    """What the while loop of solvers._newton calls, outside its raise statements."""
-    loop = next(node for node in ast.walk(_function(ast.parse(source), "_newton"))
+    """What the while loop of solvers._bisect calls, outside its raise statements."""
+    loop = next(node for node in ast.walk(_function(ast.parse(source), "_bisect"))
                 if isinstance(node, ast.While))
     raised = {id(node) for stmt in ast.walk(loop) if isinstance(stmt, ast.Raise)
               for node in ast.walk(stmt)}
@@ -374,11 +374,11 @@ def test_solve_reads_its_seams_as_module_globals():
     # _solve builds nothing per call, and it reads the residual, the upper
     # end, the fallback kernel and the step cap from the module each time
     # it runs, so a test that patches solvers._fixed_point, _lambda_bound,
-    # _newton or MAX_ITER reaches every solve.  Binding one as a default or
+    # _bisect or MAX_ITER reaches every solve.  Binding one as a default or
     # in a closure cell trips the check.
     from macgain import solvers
 
-    seams = {"_fixed_point", "_lambda_bound", "_newton", "MAX_ITER"}
+    seams = {"_fixed_point", "_lambda_bound", "_bisect", "MAX_ITER"}
     source = (ROOT / "src" / "macgain" / "solvers.py").read_text(encoding="utf-8")
     assert _global_reads_of_solve(source, seams) == seams
     line = "def _solve(config: ChannelConfig) -> GainSolution:"
@@ -388,14 +388,17 @@ def test_solve_reads_its_seams_as_module_globals():
     assert _global_reads_of_solve(bound, seams) == seams - {"_fixed_point"}
     assert solvers._solve.__defaults__ is None and solvers._solve.__closure__ is None
     assert seams <= set(inspect.getclosurevars(solvers._solve).globals)
-    # The fallback's partial is the one object a solve may build, and it
-    # is built only where _newton is called.
-    built = [ast.unparse(node) for node in ast.walk(_function(ast.parse(source), "_solve"))
+    # The fallback's closure over r is the one object a solve may build,
+    # and it is built only where _bisect is called.
+    tree = ast.parse(source)
+    built = [node for node in ast.walk(_function(tree, "_solve"))
              if isinstance(node, ast.Lambda)
              or isinstance(node, ast.FunctionDef) and node.name != "_solve"
              or isinstance(node, ast.Call) and ast.unparse(node.func) == "partial"]
-    assert built == ["partial(_fixed_point, cap, pi)"]
-    assert _guards(ast.parse(source), "_solve", "partial") == [["lam is None"]]
+    assert [ast.unparse(node) for node in built] == ["lambda lam: _fixed_point(cap, pi, lam)[0]"]
+    [call] = [node for node in ast.walk(_function(tree, "_solve"))
+              if isinstance(node, ast.Call) and ast.unparse(node.func) == "_bisect"]
+    assert call.args[0] is built[0]
 
 
 def _global_reads_of_solve(source: str, names: set[str]) -> set[str]:
@@ -406,13 +409,13 @@ def _global_reads_of_solve(source: str, names: set[str]) -> set[str]:
 
 
 def test_the_probes_run_only_where_the_floor_cannot_certify():
-    # solvers._solve calls _newton only where its steps certified no root.
+    # solvers._solve calls _bisect only where its steps certified no root.
     # verify._root_many has no probe pass: its two residual calls, both
     # unguarded, are its float32 and float64 Newton passes, and what the
     # slope floor leaves goes to eval_point.
     trees = {name: ast.parse((ROOT / "src" / "macgain" / f"{name}.py").read_text(
         encoding="utf-8")) for name in ("solvers", "verify")}
-    assert _guards(trees["solvers"], "_solve", "_newton") == [["lam is None"]]
+    assert _guards(trees["solvers"], "_solve", "_bisect") == [["lam is None"]]
     assert _guards(trees["verify"], "_root_many", "_fixed_point_many") == [[], []]
 
 
@@ -430,14 +433,14 @@ def _residual_lookups(source: str) -> set[str]:
 
 
 def test_bisect_step_calls_only_fn():
-    # Each root step runs this loop; abs, max and math.copysign cost more
-    # there than the arithmetic they stand for.  An abs in the Newton
-    # step's convergence test trips the check.
+    # Each bisection step runs this loop; abs, max and math.copysign cost
+    # more there than the arithmetic they stand for.  An abs in the width
+    # test trips the check.
     source = (ROOT / "src" / "macgain" / "solvers.py").read_text(encoding="utf-8")
     assert _step_calls(source) == {"fn"}
-    short = "if -quarter < step < quarter:"
-    assert short in source
-    with_abs = source.replace(short, "if abs(step) < quarter:")
+    width = "while hi - lo > tol:"
+    assert width in source
+    with_abs = source.replace(width, "while abs(hi - lo) > tol:")
     assert _step_calls(with_abs) == {"fn", "abs"}
 
 

@@ -1,4 +1,4 @@
-"""Solver tests: the Newton kernel, finite and massive roots, the
+"""Solver tests: the bisection kernel, finite and massive roots, the
 parametric cross-check, curve sweeps, and peak search."""
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import pytest
 
 import macgain.solvers as solvers_module
 from conftest import (
-    bracketed_newton,
+    bracketed_bisect,
     brute_peak_k2,
     frozen_fixed_point,
     massive_certified,
@@ -32,7 +32,6 @@ from macgain.solvers import (
     MAX_GRID_POINTS,
     MAX_ITER,
     NoPeakError,
-    _NEWTON_N0,
     db_grid,
     eval_point,
     find_peak,
@@ -65,158 +64,56 @@ def _bisection_steps(lo: float, hi: float, tol: float) -> int:
     return (math.ceil(Fraction(hi - lo) / Fraction(tol)) - 1).bit_length()
 
 
-def _newton_run(fn, lo, hi, tol=LAMBDA_TOL, max_iter=MAX_ITER, d_hi=None):
-    """_newton's result, or its error message, and the points it evaluated.
+def _bisect_run(fn, lo, hi, tol=LAMBDA_TOL, max_iter=MAX_ITER):
+    """_bisect's result, or its error message, and the points it evaluated.
 
-    fn(x) returns (f, f'); d_hi, if given, replaces f'(hi).  A result is
-    certified by its bracket (conftest.bracketed_newton).
+    A result is certified by its bracket (conftest.bracketed_bisect).
     """
-    (f_lo, _), (f_hi, slope) = fn(lo), fn(hi)
-    d_hi = slope if d_hi is None else d_hi
-    points = []
-
-    def logged(x):
-        points.append(x)
-        return fn(x)
-
     try:
-        outcome, _ = bracketed_newton(logged, lo, hi, f_lo, f_hi, d_hi, tol, max_iter)
+        return bracketed_bisect(fn, lo, hi, fn(lo), fn(hi), tol, max_iter)
     except ConvergenceError as err:
-        outcome = str(err)
-    return outcome, points
-
-
-def _overshoot(pi):
-    """s -> (r, r') for r = pi(pi*s) - pi, with pi(t) = t/lam(t) massive_parametric's power.
-
-    Its root is the power gain at pi, and Newton steps on it from above
-    overshoot below the root.
-    """
-
-    def overshoot(s):
-        t = pi * s
-        p, lam = massive_parametric(t)
-        return p - pi, pi * (1.0 - 1.0 / lam + 1.0 / (1.0 + t)) / lam
-
-    return overshoot
-
-
-def _cubic(root):
-    """(x - root) + (x - root)**3 and its slope: increasing, with a root Newton converges to."""
-    return lambda x: ((x - root) + (x - root) ** 3, 1.0 + 3.0 * (x - root) ** 2)
+        return str(err), None
 
 
 class TestNewtonKernel:
-    """_newton on residuals with known paths, each root certified by its bracket."""
+    """_bisect on residuals with known roots, each certified by its bracket.
+
+    The class keeps the name of the safeguarded Newton kernel that
+    bisection replaced; its cases on slopes went with that kernel.
+    """
 
     def test_simple_root(self):
-        (x, fx, iters), points = _newton_run(_cubic(0.3), 0.0, 1.0)
-        assert x == pytest.approx(0.3, abs=1e-12)
-        assert abs(fx) < 1e-12
-        assert 0 < iters == len(points) <= 8
+        (x, fx, iters), points = _bisect_run(lambda x: (x - 0.3) + (x - 0.3) ** 3, 0.0, 1.0)
+        assert x == pytest.approx(0.3, abs=LAMBDA_TOL)
+        assert abs(fx) <= LAMBDA_TOL
+        assert iters == len(points) == _bisection_steps(0.0, 1.0, LAMBDA_TOL) == 40
 
     def test_exact_zero_short_circuit(self):
-        # Newton from hi = 1 lands on 0.5 exactly.
-        (x, fx, iters), _ = _newton_run(lambda x: (x - 0.5, 1.0), 0.0, 1.0)
-        assert (x, fx, iters) == (0.5, 0.0, 1)
+        # The first midpoint is the root.
+        (x, fx, iters), points = _bisect_run(lambda x: x - 0.5, 0.0, 1.0)
+        assert (x, fx, iters, points) == (0.5, 0.0, 1, [0.5])
 
     def test_iteration_cap(self):
-        outcome, points = _newton_run(lambda x: (x * x - 5.0, 2.0 * x), 0.0, 4.0,
-                                      tol=1e-30, max_iter=5)
-        assert outcome.endswith("wider than 1e-30 after 5 iterations") and len(points) == 5
+        outcome, _ = _bisect_run(lambda x: x * x - 5.0, 0.0, 4.0, tol=1e-30, max_iter=5)
+        # Five halvings leave [2.125, 2.25], 4/2**5 wide, around sqrt(5).
+        assert outcome == "bracket [2.125, 2.25] is wider than 1e-30 after 5 iterations"
 
     def test_float_exhaustion_stops(self):
+        # No float lies strictly between the ends, so even tol = 0 stops
+        # before a step, at the end with the smaller |f|.
         lo, hi = 1.0, math.nextafter(1.0, 2.0)
-        (x, fx, iters), points = _newton_run(lambda x: (x - 2.0, 1.0), lo, hi, tol=0.0)
+        (x, fx, iters), points = _bisect_run(lambda x: x - 2.0, lo, hi, tol=0.0)
         assert (x, iters, points) == (hi, 0, [])
+        # Bisected to tol = 0, a bracket narrows until its ends are adjacent
+        # floats, 2**-54 apart around sqrt(0.2): 54 halvings of [0, 1].
+        (x, fx, iters), points = _bisect_run(lambda x: x * x - 0.2, 0.0, 1.0, tol=0.0)
+        assert x == math.sqrt(0.2) and fx != 0.0
+        assert iters == len(points) == 54
 
     def test_nan_raises(self):
-        outcome, points = _newton_run(
-            lambda x: (math.nan, math.nan) if 0.2 < x < 0.9 else (x - 0.3, 1.0), 0.0, 1.0)
-        assert outcome == "residual is NaN at lam=0.30000000000000004"
-        assert points == [1.0 - 0.7]
-
-    def test_probe_closes_the_bracket(self):
-        # Newton from 4 reaches sqrt(5) from above and stays above it; once
-        # a step is below tol/4, the next point is tol/4 below the last,
-        # which brackets the root in about a quarter of tol.
-        (x, fx, iters), points = _newton_run(lambda x: (x * x - 5.0, 2.0 * x), 0.0, 4.0)
-        assert points[-1] == points[-2] - 0.25 * LAMBDA_TOL
-        assert points[-1] * points[-1] < 5.0 < points[-2] * points[-2]
-        assert x == points[-2] and iters == len(points) <= 7
-
-    def test_step_too_short_to_move_probes_at_once(self):
-        # At hi the Newton step is 1e-20, which rounds away: hi is its own
-        # Newton point, so the first point is the probe below it.
-        (x, fx, iters), points = _newton_run(
-            lambda x: (1e-20 if x == 1.0 else x - 0.5, 1.0), 0.0, 1.0)
-        assert points == [1.0 - 0.25 * LAMBDA_TOL, 0.5]
-        assert (x, fx, iters) == (0.5, 0.0, 2)
-
-    @pytest.mark.parametrize("stall", [1e3, 1e9, 1e15])
-    def test_never_beyond_n0_steps_past_bisection(self, stall):
-        # A slope far above the residual's makes every Newton step short
-        # but above tol/4, so Newton from hi crawls.  The budget takes the
-        # midpoint once the bracket is wider than 2**(N0 - j) times its
-        # start, which at 1e9 happens from step N0 + 1 on, every step after.
-        bound = _bisection_steps(0.0, 1.0, LAMBDA_TOL) + _NEWTON_N0
-        (x, _, iters), _ = _newton_run(lambda x: (x - 0.3, stall), 0.0, 1.0)
-        assert x == pytest.approx(0.3, abs=LAMBDA_TOL)
-        assert iters <= bound
-        if stall == 1e9:
-            assert iters == bound
-
-    @pytest.mark.parametrize("fn, lo, hi, root, steps", [
-        # Newton from hi stays above the root and leaves lo where it is.
-        pytest.param(lambda x: (x * x * x - 0.027, 3.0 * x * x), 0.0, 1.0, 0.3, 9,
-                     id="cube"),
-        pytest.param(lambda x: (x * x * x - 1.0 / 27.0, 3.0 * x * x), -3.0, 5.0,
-                     1.0 / 3.0, 18, id="cube-wide"),
-        # Newton overshoots below the root, then climbs to it from below
-        # and leaves hi where it is.  The root is the power gain at pi.
-        pytest.param(_overshoot(1.7415941137674351), 1.0, 4.772588722239782,
-                     solve_lambda_massive(1.7415941137674351).lambda_star, 9,
-                     id="inversion"),
-    ])
-    def test_one_sided_approach_outlasts_the_budget(self, fn, lo, hi, root, steps):
-        # Plain Newton takes 8, 12 and 6 steps here, but the bracket keeps
-        # its far end until the budget binds.  A midpoint there halves the
-        # bracket exactly as fast as the budget halves, so every later step
-        # was a midpoint too: 46, 49 and 48 steps.  Projected toward the
-        # Newton point, a step on the root's side of the midpoint shrinks
-        # the bracket past its half, and the Newton point waits a step.
-        (x, _, iters), _ = _newton_run(fn, lo, hi)
-        assert x == pytest.approx(root, abs=LAMBDA_TOL)
-        assert iters == steps
-
-    def test_zero_slope_under_the_budget(self):
-        # The cube's slope vanishes at its seventh point, 6e-14 above the
-        # root, where the budget binds: with f' = 0, x stays on that point,
-        # whose projection is the top of the budget's interval, 0.25, not
-        # its bottom.
-        (x, _, iters), points = _newton_run(
-            lambda x: (x * x * x - 0.027, 0.0 if abs(x - 0.3) < 1e-9 else 3.0 * x * x),
-            0.0, 1.0)
-        assert points[6] - 0.3 < 1e-13 and points[7] == 0.25
-        assert x == pytest.approx(0.3, abs=LAMBDA_TOL)
-        assert iters <= _bisection_steps(0.0, 1.0, LAMBDA_TOL) + _NEWTON_N0
-
-    def test_a_probe_waits_with_its_point(self):
-        # A slope 10% too steep makes Newton creep down on the root, its
-        # error shrinking elevenfold a step, while the budget projects every
-        # other point.  The Newton point whose step fell below tol/4 waits a
-        # projection, and the probe after it waits one more: the last point
-        # is tol/4 below the one two points before it.
-        (x, _, iters), points = _newton_run(lambda x: (x - 1.0 / 3.0, 1.1), -3.0, 5.0)
-        assert points[-1] == points[-3] - 0.25 * LAMBDA_TOL
-        assert points[-1] < 1.0 / 3.0 < points[-3] and iters == len(points) == 24
-
-    def test_bounded_when_newton_overshoots(self):
-        # atan's Newton steps from far out leave the bracket.
-        (x, _, iters), _ = _newton_run(
-            lambda x: (math.atan(x - 0.3), 1.0 / (1.0 + (x - 0.3) ** 2)), -40.0, 50.0)
-        assert x == pytest.approx(0.3, abs=LAMBDA_TOL)
-        assert iters <= _bisection_steps(-40.0, 50.0, LAMBDA_TOL) + _NEWTON_N0
+        # The second midpoint, 0.25, lies where the residual is NaN.
+        outcome, _ = _bisect_run(lambda x: math.nan if 0.2 < x < 0.3 else x - 0.3, 0.0, 1.0)
+        assert outcome == "residual is NaN at lam=0.25"
 
 
 def _upper_end(config):
@@ -231,11 +128,11 @@ def kernel_calls(monkeypatch):
     """(lo, hi, tol, steps) of every root that a solve or a peak search takes.
 
     A solve's Newton steps on [1, hi] are its evaluations after the one at
-    hi; a _newton call, a peak search's or a solve's fallback, is logged
+    hi; a _bisect call, a peak search's or a solve's fallback, is logged
     with its own bracket and steps.  A test that logged nothing fails.
     """
     calls = []
-    kernel, solve = solvers_module._newton, solvers_module._solve
+    kernel, solve = solvers_module._bisect, solvers_module._solve
 
     def logged_kernel(fn, lo, hi, *rest):
         result = kernel(fn, lo, hi, *rest)
@@ -248,7 +145,7 @@ def kernel_calls(monkeypatch):
             calls.append((1.0, _upper_end(config), LAMBDA_TOL, sol.iterations - 1))
         return sol
 
-    monkeypatch.setattr(solvers_module, "_newton", logged_kernel)
+    monkeypatch.setattr(solvers_module, "_bisect", logged_kernel)
     monkeypatch.setattr(solvers_module, "_solve", logged_solve)
     yield calls
     assert calls, "no solve or search ran through the patched kernels"
@@ -286,9 +183,8 @@ class TestITPSteps:
     """The root kernels keep within a step of bisection on every grid, and beat it on average.
 
     A solve's plain Newton steps root lam, the parametric inversion's
-    through the massive solve, and _newton's safeguarded ones, on a secant
-    slope, the peak search; the class keeps the name of the ITP kernel that
-    once took the last two.
+    through the massive solve, and _bisect roots the peak search's slope;
+    the class keeps the name of the ITP kernel that once took the last two.
     """
 
     @pytest.mark.parametrize(
@@ -319,7 +215,8 @@ class TestITPSteps:
     # below the floor, and at a root taken at the cap, r(1) is read as
     # well.  The evaluations fixture counts them all.  Each root's last
     # Newton step is accepted unevaluated wherever the floor certifies it;
-    # _newton's probe past it cost one more per root on each grid.
+    # the probe past it that the Newton kernel took cost one more per root
+    # on each grid.
 
     def test_mean_steps_on_the_sample_box(self, evaluations):
         # The verify sample box: 3.71 evaluations per root, at most 5, where
@@ -404,14 +301,14 @@ def _frozen_pair(K, pi, lam):
 
 
 def _kernel_results(monkeypatch, frozen, run):
-    """_bits of every solve's (lam, residual, iterations) and _newton result while run() solves.
+    """_bits of every solve's (lam, residual, iterations) and _bisect result while run() solves.
 
     In call order.  frozen swaps in conftest's reference residual,
-    certifies each _newton root by the bracket of its points, and each
+    certifies each _bisect root by the bracket of its points, and each
     solve's root by the reference residual's signs LAMBDA_TOL either side
     of it, inside [1, K], with no sign needed above a root taken at the cap.
     """
-    kernel = (lambda *args: bracketed_newton(*args)[0]) if frozen else solvers_module._newton
+    kernel = (lambda *args: bracketed_bisect(*args)[0]) if frozen else solvers_module._bisect
     solve = solvers_module._solve
     results = []
 
@@ -432,7 +329,7 @@ def _kernel_results(monkeypatch, frozen, run):
         return sol
 
     with monkeypatch.context() as patch:
-        patch.setattr(solvers_module, "_newton", logged_kernel)
+        patch.setattr(solvers_module, "_bisect", logged_kernel)
         patch.setattr(solvers_module, "_solve", logged_solve)
         if frozen:
             patch.setattr(solvers_module, "_fixed_point", _frozen_pair)
@@ -449,7 +346,7 @@ def _sample_box():
 class TestBitIdentity:
     """The root kernels repeat their reference's floats exactly.
 
-    Every solve and every _newton root of a peak search is repeated bit for
+    Every solve and every _bisect root of a peak search is repeated bit for
     bit on conftest's frozen residual, each certified by its signs.
     """
 
@@ -570,7 +467,7 @@ class TestFiniteSolver:
 
 
 class TestAcceptance:
-    """A solve accepts its root by the slope floor, else by a probe, else by _newton."""
+    """A solve accepts its root by the slope floor, else by a probe, else by _bisect."""
 
     def test_the_floor_accepts_an_unevaluated_newton_point(self, evaluated):
         sol = solve_lambda_massive(1000.0)
@@ -601,8 +498,8 @@ class TestAcceptance:
         # LAMBDA_TOL/4 stops up to 2e-12 above the root: the floor does not
         # certify it, and the probe past it reads the same sign as the
         # point it left.  One 10 times too shallow overshoots below the root
-        # and then above hi.  Either way _newton brackets the root once, on
-        # [1, hi] from scratch.
+        # and then above hi.  Either way _bisect brackets the root once, on
+        # [1, hi] from scratch, within a step of bisection's count.
         want = solve_lambda_massive(10.0).lambda_star
         calls = []
 
@@ -611,14 +508,18 @@ class TestAcceptance:
             return r, scale * d
 
         def kernel(fn, lo, hi, *rest):
-            calls.append((lo, hi))
-            return newton(fn, lo, hi, *rest)
+            result = bisect(fn, lo, hi, *rest)
+            calls.append((lo, hi, result[2]))
+            return result
 
-        newton = solvers_module._newton
+        bisect = solvers_module._bisect
         monkeypatch.setattr(solvers_module, "_fixed_point", scaled)
-        monkeypatch.setattr(solvers_module, "_newton", kernel)
+        monkeypatch.setattr(solvers_module, "_bisect", kernel)
         sol = solve_lambda_massive(10.0)
-        assert calls == [(1.0, _upper_end(ChannelConfig.massive(10.0)))]
+        hi = _upper_end(ChannelConfig.massive(10.0))
+        [(lo, up, steps)] = calls
+        assert (lo, up) == (1.0, hi)
+        assert steps <= _bisection_steps(1.0, hi, LAMBDA_TOL) + 1
         assert abs(sol.lambda_star - want) <= LAMBDA_TOL
 
 
@@ -907,18 +808,18 @@ class TestFindPeak:
 
     @staticmethod
     def _search(monkeypatch, users, *range_db):
-        """Checks find_peak(users, *range_db); returns its _newton's final g and evidence width."""
+        """Checks find_peak(users, *range_db); returns its _bisect's final g and evidence width."""
         searched = []
-        kernel = solvers_module._newton
+        kernel = solvers_module._bisect
 
         def logged(fn, *args):
             result = kernel(fn, *args)
-            if getattr(fn, "__name__", None) == "descent":  # not a solve's partial
+            if getattr(fn, "__name__", None) == "descent":  # not a solve's fallback
                 searched.append(result)
             return result
 
         with monkeypatch.context() as patch:
-            patch.setattr(solvers_module, "_newton", logged)
+            patch.setattr(solvers_module, "_bisect", logged)
             peak = find_peak(users, *range_db)
         [(t_db, g, _)] = searched
         # The search ends at a t on the dB axis; the curve read there in
@@ -936,16 +837,17 @@ class TestFindPeak:
         return g, right[0] - left[0]
 
     def test_result_invariants(self, monkeypatch):
-        # g reads exactly 0 inside the bracket, which ends the search there;
-        # g is then probed LAMBDA_TOL/4 in t_db either side, so the evidence
-        # is a (-, +) pair around the peak, 4.4e-13 dB wide in pi_db.
-        g, width = self._search(monkeypatch, 2)
+        # g reads exactly 0 at a midpoint, which ends the search there; g
+        # is then probed LAMBDA_TOL/4 in t_db either side, so the evidence
+        # is a (-, +) pair around the peak, 3.9e-13 dB wide in pi_db.
+        # K = 7 on 0..20 dB is one such search.
+        g, width = self._search(monkeypatch, 7, 0.0, 20.0)
         assert g == 0.0
         assert width <= LAMBDA_TOL
 
     def test_result_invariants_on_a_bracket(self, monkeypatch):
         # No g reads 0: the search ends on a bracket at most LAMBDA_TOL wide
-        # in t_db, 1.5e-14 dB in pi_db, and the peak is the end with the
+        # in t_db, 5.2e-13 dB in pi_db, and the peak is the end with the
         # smaller |g|.  K = 10 on the default range is one such search, as
         # its CLI golden shows.
         g, width = self._search(monkeypatch, 10)
@@ -987,23 +889,37 @@ class TestFindPeak:
     @pytest.mark.parametrize("from_db, to_db", [(-300.0, 3000.0), (0.0, 3082.0),
                                                 (-200.0, 30.0), (DEFAULT_FROM_DB, DEFAULT_TO_DB)])
     def test_wide_ranges_cost_few_solves(self, monkeypatch, from_db, to_db):
-        # Residual evaluations a search, its three solves' included: 24 to
-        # 35 on these ranges and curves, one a probe of the curve at t.
-        # Probing by a solve and re-reading r' at each root took 71 to 171.
-        calls = []
-        residual = solvers_module._fixed_point
+        # Residual evaluations a search: one a probe of the curve at t, at
+        # both ends of [t_lo, t_hi] and at each of bisection's
+        # ceil(log2((t_hi - t_lo)/LAMBDA_TOL)) steps, 46 to 52 on these
+        # ranges, and 8 to 13 for its three solves: 56 to 65 in all.  The
+        # secant steps that bisection replaced took 24 to 35; probing by a
+        # solve and re-reading r' at each root took 71 to 171.
+        calls, steps = [], []
+        residual, kernel = solvers_module._fixed_point, solvers_module._bisect
 
         def counted(K, pi, lam):
             calls.append(lam)
             return residual(K, pi, lam)
 
+        def logged(fn, lo, hi, *rest):
+            result = kernel(fn, lo, hi, *rest)
+            steps.append(result[2])
+            assert result[2] <= _bisection_steps(lo, hi, LAMBDA_TOL)
+            return result
+
         monkeypatch.setattr(solvers_module, "_fixed_point", counted)
+        monkeypatch.setattr(solvers_module, "_bisect", logged)
         counts = {}
         for users in (2, 3, 10, 100, 10**6, None):
             calls.clear()
+            steps.clear()
             find_peak(users, from_db, to_db)
+            [searched] = steps
+            # No solve beyond the three, at most 5 evaluations each.
+            assert len(calls) - searched - 2 <= 15
             counts[users] = len(calls)
-        assert max(counts.values()) <= 40, counts
+        assert max(counts.values()) <= 65, counts
 
     @pytest.mark.parametrize("users, F_floor", [
         (2, 1.190399433042081),

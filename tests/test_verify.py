@@ -17,7 +17,7 @@ import numpy as np
 
 import macgain.solvers
 import macgain.verify
-from conftest import bracketed_newton, frozen_bisect, scalar_derivative_roots
+from conftest import bracketed_bisect, frozen_bisect, scalar_derivative_roots
 from macgain.core import (ChannelConfig, _balance, _fixed_point, _fixed_point_many, _lambda_bound,
                           db_to_linear)
 from macgain.solvers import (
@@ -691,12 +691,8 @@ class TestFixedInputs:
 
 
 def _cube(root):
-    """x**3 - root**3 with its slope.
-
-    Its slope vanishes at 0, so Newton from the upper end of [0, 1] is slow
-    and the budget's midpoints take over: both phases of the kernel run.
-    """
-    return lambda x: (x * x * x - root * root * root, 3.0 * x * x)
+    """x**3 - root**3, flat at 0: regula falsi from [0, 1] crawls, and ITP's midpoints take over."""
+    return lambda x: x * x * x - root * root * root
 
 
 def _shrink_start(monkeypatch, factor):
@@ -734,14 +730,15 @@ def _no_floor(pi, hi, work):
 class TestBatchedSolve:
     """The certified batch against the scalar solvers it stands in for.
 
-    The first three tests drive solvers._newton, the scalar kernel the
-    batch hands its elements to, on the edge cases of its brackets.
+    What the batch's slope floor leaves it hands to eval_point
+    (verify._root_many).  The first two tests drive solvers._bisect, the
+    scalar solve's bracketing kernel, on the edge cases of its brackets.
     """
 
     @pytest.mark.parametrize(
         "lo, hi, root, tol, max_iter",
         [
-            (0.0, 1.0, 0.3, 1e-12, 200),  # Newton steps, then midpoints
+            (0.0, 1.0, 0.3, 1e-12, 200),
             (0.0, 1.0, 0.5, 1e-12, 200),  # an exact zero at 0.5
             (0.0, 1.0, 0.3, 1e-30, 7),  # iteration cap
             (1.0, math.nextafter(1.0, 2.0), 2.0, 0.0, 200),  # no float between ends
@@ -750,67 +747,47 @@ class TestBatchedSolve:
         ],
     )
     def test_kernel_matches_scalar_bisect(self, lo, hi, root, tol, max_iter):
-        # Newton steps and conftest's ITP reference each close a certified
+        # Bisection and conftest's ITP reference each close a certified
         # bracket on the same residual, so their roots are within 2 tol of
         # each other, or both raise at the cap.  Where the ends are no
         # (-, +) bracket (the root 2 lies outside [1, 1 + ulp]), both take
         # the same end.
         fn = _cube(root)
-        (f_lo, _), (f_hi, d_hi) = fn(lo), fn(hi)
-        newton = lambda: bracketed_newton(fn, lo, hi, f_lo, f_hi, d_hi, tol, max_iter)[0]
-        itp = lambda: frozen_bisect(lambda x: fn(x)[0], lo, hi, f_lo, f_hi, tol, max_iter)
+        f_lo, f_hi = fn(lo), fn(hi)
+        bisect = lambda: bracketed_bisect(fn, lo, hi, f_lo, f_hi, tol, max_iter)[0]
+        itp = lambda: frozen_bisect(fn, lo, hi, f_lo, f_hi, tol, max_iter)
         if max_iter == 7:
-            for run in (newton, itp):
+            for run in (bisect, itp):
                 with pytest.raises(ConvergenceError, match="after 7 iterations"):
                     run()
             return
-        (x, _, _), (x_itp, _, _) = newton(), itp()
+        (x, _, _), (x_itp, _, _) = bisect(), itp()
         assert abs(x - x_itp) <= 2.0 * tol
 
-    def test_kernel_stops_a_nan_lane_alone(self):
-        # The second bracket's slope at hi is 0.5, so its first Newton point
-        # is 1 - 0.7/0.5 = -0.4, where the residual is NaN: the kernel
-        # raises there, and the first bracket, with slope 1, settles.
-        (x, fx, iters), _ = bracketed_newton(lambda x: (x - 0.3, 1.0), 0.0, 1.0,
-                                             -0.3, 0.7, 1.0, 1e-12, 200)
-        assert x == pytest.approx(0.3, abs=1e-12) and iters > 1
-        with pytest.raises(ConvergenceError,
-                           match=re.escape(f"residual is NaN at lam={1.0 - 0.7 / 0.5!r}")):
-            bracketed_newton(lambda x: (x - 0.3 if x > 0.0 else math.nan, 1.0), -1.0, 1.0,
-                             -1.3, 0.7, 0.5, 1e-12, 200)
-
     @pytest.mark.parametrize(
-        "fn, lo, hi, f_lo, f_hi, d_hi, tol",
+        "fn, lo, hi, f_lo, f_hi, tol",
         [
-            # An infinite residual at hi over an infinite slope: the Newton
-            # step inf/-inf or inf/inf is NaN.
-            (lambda x: (x * x - 0.2, 2.0 * x), 0.0, 1.0, -0.2, math.inf, -math.inf,
-             1e-12),
-            (lambda x: (x * x - 0.2, 2.0 * x), 0.0, 1.0, -0.2, math.inf, math.inf, 1e-12),
-            # 1 - 0.7/0.7 = 0 lands on the bracket's lower end.
-            (lambda x: (x - 0.3, 0.7), 0.0, 1.0, -0.3, 0.7, 0.7, 1e-12),
-            # A zero or NaN slope has no Newton point: every step bisects.
-            (lambda x: (x - 0.3, 0.0), 0.0, 1.0, -0.3, 0.7, 0.0, 1e-12),
-            (lambda x: (x - 0.3, math.nan), 0.0, 1.0, -0.3, 0.7, math.nan, 1e-12),
-            # 1 - 0.7/0.1 = -6 lies below the bracket.
-            (lambda x: (x - 0.3, 0.1), 0.0, 1.0, -0.3, 0.7, 0.1, 1e-12),
-            # A negative slope's step is below tol/4 but points out of the
-            # bracket: the midpoint, not a probe, comes next.
-            (lambda x: (x - 0.3, -1e15), 0.0, 1.0, -0.3, 0.7, -1e15, 1e-12),
+            # An infinite residual at an end, the lower one as a solve's
+            # proven r(1) < 0 stands in, where a Newton step would be NaN.
+            (lambda x: x * x - 0.2, 0.0, 1.0, -math.inf, 0.8, 1e-12),
+            (lambda x: x * x - 0.2, 0.0, 1.0, -0.2, math.inf, 1e-12),
+            # The Newton point of hi, 1 - 0.7/0.7, is the lower end.
+            (lambda x: x - 0.3, 0.0, 1.0, -0.3, 0.7, 1e-12),
             # No float between the ends: no step at all.
-            (lambda x: (x - 1.0 - 2.0**-53, 1.0), 1.0, math.nextafter(1.0, 2.0),
-             -(2.0**-53), 2.0**-53, 1.0, 0.0),
+            (lambda x: x - 1.0 - 2.0**-53, 1.0, math.nextafter(1.0, 2.0),
+             -(2.0**-53), 2.0**-53, 0.0),
         ],
         ids=["nan_from_lower_inf", "nan_from_upper_inf", "projected_onto_end",
-             "zero_slope", "nan_slope", "outside", "negative_slope", "adjacent_floats"],
+             "adjacent_floats"],
     )
-    def test_fallback_takes_the_midpoint(self, fn, lo, hi, f_lo, f_hi, d_hi, tol):
-        # bracketed_newton certifies the result: an exact zero, or an end
-        # of a (-, +) bracket at most tol wide.
-        want, steps = bracketed_newton(fn, lo, hi, f_lo, f_hi, d_hi, tol, 200)
+    def test_fallback_takes_the_midpoint(self, fn, lo, hi, f_lo, f_hi, tol):
+        # bracketed_bisect certifies the result: an exact zero, or an end
+        # of a (-, +) bracket at most tol wide, never an infinite end.
+        want, steps = bracketed_bisect(fn, lo, hi, f_lo, f_hi, tol, 200)
         if tol == 0.0:
             assert want[2] == 0 and want[0] in (lo, hi)
             return
+        assert math.isfinite(want[1])
         # The first step is the midpoint.
         assert steps[0] == 0.5 * (lo + hi)
 
