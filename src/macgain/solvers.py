@@ -115,11 +115,10 @@ class PeakResult(NamedTuple):
 
     bracket_evidence is the final bracket of the search's bisection, two
     (pi_db, g) pairs where g, the normalised negated slope of F, is
-    negative at the first (F still rising) and positive at the second (F
-    falling); pi_star_db is the one with the smaller |g|.  The search runs
-    on the dB of t = pi*lam, and d(pi_db)/d(t_db) = r' <= 1, so it is at
-    most LAMBDA_TOL wide.  Where g reads exactly 0, which ends the search
-    there, the pairs are g's probes LAMBDA_TOL/4 either side of it.
+    negative at the first (F still rising) and not negative at the second
+    (F not rising); pi_star_db is the one with the smaller |g|.  The search
+    runs on the dB of t = pi*lam, and d(pi_db)/d(t_db) = r' <= 1, so it is
+    at most LAMBDA_TOL wide.
     """
 
     users: int | None
@@ -132,14 +131,14 @@ class PeakResult(NamedTuple):
 
 def _bisect(fn, lo: float, hi: float, f_lo: float, f_hi: float,
             tol: float, max_iter: int) -> tuple[float, float, int]:
-    """Narrow [lo, hi] given f_lo = fn(lo) < 0 < fn(hi) = f_hi by bisection.
+    """Narrow [lo, hi] given f_lo = fn(lo) < 0 <= fn(hi) = f_hi by bisection.
 
-    Each step halves the bracket, so a root takes ceil(log2(width/tol))
-    steps.  Stops when the bracket is at most tol wide or when no float
-    lies strictly between its ends.  A NaN residual carries no sign, and
-    max_iter steps that leave a wider bracket certify nothing; both raise
-    ConvergenceError.  Returns (x, fn(x), iterations) at the end of the
-    final bracket with the smaller |fn|, or at an exact zero.
+    Each step halves the bracket, its upper end taking every f >= 0, so a
+    root takes ceil(log2(width/tol)) steps.  Stops when the bracket is at
+    most tol wide or when no float lies strictly between its ends.  A NaN
+    residual carries no sign, and max_iter steps that leave a wider bracket
+    certify nothing; both raise ConvergenceError.  Returns (x, fn(x),
+    iterations) at the end of the final bracket with the smaller |fn|.
     """
     iterations = 0
     while hi - lo > tol:
@@ -155,10 +154,8 @@ def _bisect(fn, lo: float, hi: float, f_lo: float, f_hi: float,
         iterations += 1
         if f_x < 0.0:
             lo, f_lo = x, f_x
-        elif f_x > 0.0:
+        elif f_x >= 0.0:
             hi, f_hi = x, f_x
-        elif f_x == 0.0:
-            return x, 0.0, iterations
         else:
             raise ConvergenceError(f"residual is NaN at lam={x!r}")
     return (lo, f_lo, iterations) if -f_lo <= f_hi else (hi, f_hi, iterations)
@@ -373,12 +370,13 @@ def find_peak(users: int | None, from_db: float = DEFAULT_FROM_DB,
     (1 - G_K(t), 1 - t*G_K'(t)), so lam = 1 - r, pi = t/lam, the
     residual's slope there is r' = (d - r)/lam, and lam + pi*lam' = lam/r'.
     Solves at from_db and to_db give the ends in t, clipped below the
-    largest float, and _bisect brackets g's (-, +) root to LAMBDA_TOL with
-    no further solve, in ceil(log2((t_hi - t_lo)/LAMBDA_TOL)) steps, 46 on
-    the default range; the solve at the returned point's pi gives F* and
-    lam.  An exact zero of g ends the search, and g is then probed
-    LAMBDA_TOL/4 either side of it for the bracket evidence.  Where lam - 1
-    <= LAMBDA_TOL F is flat at 1 to the solve, so g counts as negative there.
+    largest float, and _bisect brackets g's root to LAMBDA_TOL with no
+    further solve, in ceil(log2((t_hi - t_lo)/LAMBDA_TOL)) steps, 46 on the
+    default range.  Each probe moves one end of its bracket, so the last
+    (pi_db, g) probed with g < 0 and with g >= 0 are the final bracket, the
+    evidence; pi_star_db is the end _bisect returned, and the solve at its
+    pi gives F* and lam.  Where lam - 1 <= LAMBDA_TOL F is flat at 1 to the
+    solve, so g counts as negative there.
     Raises NoPeakError unless g is negative at from_db and positive at to_db.
     """
     if not to_db > from_db:
@@ -387,8 +385,7 @@ def find_peak(users: int | None, from_db: float = DEFAULT_FROM_DB,
                   for sol in (eval_point(ChannelConfig(users, total_power=db_to_linear(pi_db)))
                               for pi_db in (from_db, to_db))]
     cap = math.inf if users is None else float(users)
-    probed: dict[float, float] = {}  # t_db -> pi_db
-    ends: dict[bool, tuple[float, float]] = {}  # the last (pi_db, g) of each sign
+    ends: dict[bool, tuple[float, float]] = {}  # the last (pi_db, g) each side of 0
 
     def descent(t_db: float) -> float:
         t = db_to_linear(t_db)
@@ -400,9 +397,7 @@ def find_peak(users: int | None, from_db: float = DEFAULT_FROM_DB,
         else:
             g = 1.0 - ((lam * lam / (d - r)) * (math.log1p(pi) / math.log1p(t))
                        * ((1.0 + pi) / (1.0 + t)))
-        probed[t_db] = pi_db = linear_to_db(pi)
-        if g != 0.0:
-            ends[g > 0.0] = (pi_db, g)
+        ends[g >= 0.0] = (linear_to_db(pi), g)
         return g
 
     g_lo, g_hi = descent(t_lo), descent(t_hi)
@@ -411,11 +406,8 @@ def find_peak(users: int | None, from_db: float = DEFAULT_FROM_DB,
             f"F has no interior maximum in [{from_db!r}, {to_db!r}] dB; "
             f"widen the range"
         )
-    t_star_db, g_star, _ = _bisect(descent, t_lo, t_hi, g_lo, g_hi, LAMBDA_TOL, MAX_ITER)
-    if g_star == 0.0:  # the bracket that ended there may be far wider
-        descent(t_star_db - 0.25 * LAMBDA_TOL)
-        descent(t_star_db + 0.25 * LAMBDA_TOL)
-    pi_star_db = probed[t_star_db]
+    _, g_star, _ = _bisect(descent, t_lo, t_hi, g_lo, g_hi, LAMBDA_TOL, MAX_ITER)
+    pi_star_db = ends[g_star >= 0.0][0]
     sol = eval_point(ChannelConfig(users, total_power=db_to_linear(pi_star_db)))
     return PeakResult(users, sol.config.total_power, pi_star_db, sol.gain_F,
                       sol.lambda_star, (ends[False], ends[True]))

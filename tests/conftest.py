@@ -137,11 +137,12 @@ def frozen_bisect(fn, lo, hi, f_lo, f_hi, tol, max_iter):
 def bracketed_bisect(fn, lo, hi, f_lo, f_hi, tol, max_iter):
     """solvers._bisect's result, certified by the points it evaluated, and those points.
 
-    Where lo and hi are a (-, +) bracket, as _bisect requires, the result
-    must be an exact zero, or the end with the smaller |f| of the (-, +)
-    bracket that they and the evaluated points close: at most tol wide, or
-    with no float strictly between its ends, and each evaluated point the
-    midpoint of the bracket before it.  A ConvergenceError propagates.
+    Where f is negative at lo and not negative at hi, as _bisect requires,
+    the result must be the end with the smaller |f| of the bracket that
+    they and the evaluated points close, f >= 0 counting as its upper side:
+    at most tol wide, or with no float strictly between its ends, and each
+    evaluated point the midpoint of the bracket before it.  A
+    ConvergenceError propagates.
     """
     points, values = [], [(lo, f_lo), (hi, f_hi)]
 
@@ -153,9 +154,9 @@ def bracketed_bisect(fn, lo, hi, f_lo, f_hi, tol, max_iter):
 
     x, f_x, iterations = _bisect(logged, lo, hi, f_lo, f_hi, tol, max_iter)
     assert iterations == len(points)
-    if f_lo < 0.0 < f_hi and f_x != 0.0:
+    if f_lo < 0.0 <= f_hi:
         below = max((p, f) for p, f in values if f < 0.0)
-        above = min((p, f) for p, f in values if f > 0.0)
+        above = min((p, f) for p, f in values if f >= 0.0)
         assert (x, f_x) == (below if -below[1] <= above[1] else above)
         assert above[0] - below[0] <= tol or not below[0] < 0.5 * (below[0] + above[0]) < above[0]
         a, b = lo, hi

@@ -75,12 +75,8 @@ def _bisect_run(fn, lo, hi, tol=LAMBDA_TOL, max_iter=MAX_ITER):
         return str(err), None
 
 
-class TestNewtonKernel:
-    """_bisect on residuals with known roots, each certified by its bracket.
-
-    The class keeps the name of the safeguarded Newton kernel that
-    bisection replaced; its cases on slopes went with that kernel.
-    """
+class TestBisect:
+    """_bisect on residuals with known roots, each certified by its bracket."""
 
     def test_simple_root(self):
         (x, fx, iters), points = _bisect_run(lambda x: (x - 0.3) + (x - 0.3) ** 3, 0.0, 1.0)
@@ -88,10 +84,12 @@ class TestNewtonKernel:
         assert abs(fx) <= LAMBDA_TOL
         assert iters == len(points) == _bisection_steps(0.0, 1.0, LAMBDA_TOL) == 40
 
-    def test_exact_zero_short_circuit(self):
-        # The first midpoint is the root.
+    def test_exact_zero_becomes_the_upper_end(self):
+        # The first midpoint is the root.  Its f = 0 moves the upper end
+        # like any f > 0, and the bracket narrows below it to tol, 40
+        # midpoints in all; the zero end has the smaller |f|.
         (x, fx, iters), points = _bisect_run(lambda x: x - 0.5, 0.0, 1.0)
-        assert (x, fx, iters, points) == (0.5, 0.0, 1, [0.5])
+        assert (x, fx, iters, points[0]) == (0.5, 0.0, 40, 0.5)
 
     def test_iteration_cap(self):
         outcome, _ = _bisect_run(lambda x: x * x - 5.0, 0.0, 4.0, tol=1e-30, max_iter=5)
@@ -808,7 +806,7 @@ class TestFindPeak:
 
     @staticmethod
     def _search(monkeypatch, users, *range_db):
-        """Checks find_peak(users, *range_db); returns its _bisect's final g and evidence width."""
+        """Checks find_peak(users, *range_db); returns its _bisect's final g and the peak."""
         searched = []
         kernel = solvers_module._bisect
 
@@ -828,31 +826,33 @@ class TestFindPeak:
         assert peak.pi_star_db == linear_to_db(db_to_linear(t_db) / (1.0 - r))
         assert peak.pi_star == db_to_linear(peak.pi_star_db)
         assert 1.0 < peak.F_star < 2.0
-        # The final bracket: F rises at its left end and falls at its right,
-        # which in pi_db is no wider than LAMBDA_TOL, as in t_db.
+        # The final bracket: F rises at its left end and does not rise at
+        # its right, which in pi_db is no wider than LAMBDA_TOL, as in t_db;
+        # the peak is the end with the smaller |g|.
         left, right = peak.bracket_evidence
-        assert left[1] < 0.0 < right[1]
-        assert left[0] <= peak.pi_star_db <= right[0]
+        assert left[1] < 0.0 <= right[1]
+        assert peak.pi_star_db == (left if -left[1] <= right[1] else right)[0]
         assert right[0] - left[0] <= LAMBDA_TOL
-        return g, right[0] - left[0]
+        return g, peak
 
     def test_result_invariants(self, monkeypatch):
-        # g reads exactly 0 at a midpoint, which ends the search there; g
-        # is then probed LAMBDA_TOL/4 in t_db either side, so the evidence
-        # is a (-, +) pair around the peak, 3.9e-13 dB wide in pi_db.
-        # K = 7 on 0..20 dB is one such search.
-        g, width = self._search(monkeypatch, 7, 0.0, 20.0)
+        # g reads exactly 0 at a midpoint, which becomes the bracket's upper
+        # end like any g > 0; the search narrows below it, and the zero is
+        # the end with the smaller |g|.  The evidence is 5.4e-13 dB wide in
+        # pi_db.  K = 7 on 0..20 dB is one such search.
+        g, peak = self._search(monkeypatch, 7, 0.0, 20.0)
         assert g == 0.0
-        assert width <= LAMBDA_TOL
+        assert (peak.pi_star_db, peak.F_star) == (7.219099082621828, 1.4110748682212906)
+        assert peak.bracket_evidence == ((7.219099082621284, -1.509903313490213e-14),
+                                         (7.219099082621828, 0.0))
 
     def test_result_invariants_on_a_bracket(self, monkeypatch):
         # No g reads 0: the search ends on a bracket at most LAMBDA_TOL wide
         # in t_db, 5.2e-13 dB in pi_db, and the peak is the end with the
         # smaller |g|.  K = 10 on the default range is one such search, as
         # its CLI golden shows.
-        g, width = self._search(monkeypatch, 10)
+        g, _ = self._search(monkeypatch, 10)
         assert g != 0.0
-        assert width <= LAMBDA_TOL
 
     def test_peak_on_edge_raises(self):
         with pytest.raises(NoPeakError):

@@ -781,8 +781,8 @@ class TestBatchedSolve:
              "adjacent_floats"],
     )
     def test_fallback_takes_the_midpoint(self, fn, lo, hi, f_lo, f_hi, tol):
-        # bracketed_bisect certifies the result: an exact zero, or an end
-        # of a (-, +) bracket at most tol wide, never an infinite end.
+        # bracketed_bisect certifies the result: an end of a (-, >= 0)
+        # bracket at most tol wide, never an infinite end.
         want, steps = bracketed_bisect(fn, lo, hi, f_lo, f_hi, tol, 200)
         if tol == 0.0:
             assert want[2] == 0 and want[0] in (lo, hi)
