@@ -166,11 +166,11 @@ class GainSolution(NamedTuple):
     cap.  Evaluating the root after a Newton step would cost the
     evaluation the slope floor saves.  ``iterations`` counts the residual
     evaluations at the upper end, :func:`_lambda_bound`, two Newton steps
-    of the massive residual above the root, and after it: all of them from
-    1e-10 total power up, where r(1) < 0 is proven, unless r is not
-    positive at that end.  ``degenerate`` marks a power too small for the
-    residual to separate lam = 1 from the root: it is >= 0 already at lam =
-    1, so the gain is pinned to 1 (0 iterations), with r(1) as residual.
+    of the massive residual above the root, and after it, but r(1), read
+    only where the Newton steps settle nothing: 1 at a root taken at the
+    cap.  ``degenerate`` marks a power too small for the residual to
+    separate lam = 1 from the root: it is >= 0 already at lam = 1, so the
+    gain is pinned to 1 (0 iterations), with r(1) as residual.
     The capacities are ln(1+pi) without and ln(1+pi*lam) with feedback, in
     nats, and ``gain_F`` is their ratio.
     """

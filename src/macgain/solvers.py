@@ -10,8 +10,9 @@ Newton steps of the massive residual above the root, by plain Newton
 steps from that end, which stay above the root, the residual being
 convex.  A root is accepted for a residual small against a proven slope
 floor (core._slope_floor), else for a (-, +) pair that one probe closes;
-else _bisect brackets it by bisection.  So nothing about convergence
-relies on numerical luck.  The parametric inversion is the massive solve
+only else is r(1) read, to pin a vanishing power's root to 1, take the
+cap or hand _bisect the bracket.  So nothing about convergence relies on
+numerical luck.  The parametric inversion is the massive solve
 read through core.massive_parametric, with no root of its own.  Peak
 search walks each curve in closed form on the dB of t = pi*lam, where
 lam = G_K(t), and bisects F's negated slope there with three solves a
@@ -69,9 +70,6 @@ DEFAULT_USERS = (2, 3, 10, 100, None)
 # Sweeps refuse larger grids before allocating them.  The finest grid in
 # use holds 2001 points; a billion-point grid would exhaust memory.
 MAX_GRID_POINTS = 20_000
-
-# The total power from which _solve takes r(1) < 0 as proven, unevaluated.
-_POWER_FLOOR = 1e-10
 
 # Peak search clips t = pi*lam this far below the dB of the largest float,
 # which itself rounds to a power that overflows.
@@ -166,33 +164,31 @@ def _solve(config: ChannelConfig) -> GainSolution:
 
     hi = min(K, core._lambda_bound) with K = inf in the massive limit, an
     end within 6e-4 relative above the massive root but never below 1 +
-    2*LAMBDA_TOL.  G_K rises in t and in K, so lam >= G_K(pi) >= G_2(pi) =
-    2u/(1+u), u = sqrt(1+pi), and r(1) < -2*LAMBDA_TOL from _POWER_FLOOR up
-    (G_2(1e-10) - 1 is about 2.5e-11): there a positive r(hi) brackets the
-    root, and r(1) is read only below the floor or where r(hi) is not
-    positive, which every outcome below needs.  From hi, plain Newton steps
-    x = w - r(w)/r'(w) follow while r'(w) > 0 and x stays in (1, hi), at
-    most MAX_ITER evaluations in all; r is convex, so they stay above the
-    root but for rounding.  Once a step is shorter than LAMBDA_TOL/4, x is
-    returned unevaluated if (|r(w)| + E)/m + |step| <= LAMBDA_TOL, with E =
-    core._RESIDUAL_ULPS ulps of w, a bound on r's float error, and m =
-    core._slope_floor(pi, hi): |w - root| <= (|r(w)| + E)/m.  Where E/m
-    alone comes near LAMBDA_TOL, from lam = 512 (about 2200 dB) up, one
-    probe LAMBDA_TOL/4 past x, across the root from w, keeps x if it reads
-    r(w)'s opposite sign inside [1, K].  Only where that pair fails, a step
-    leaves (1, hi) or a slope is not positive does _bisect bracket the
-    root on [1, hi], from scratch, in at most 50 steps, hi staying below
-    717 on the accepted range.  The residual returned is r where the root
-    was certified: at w, the probe or _bisect's root.  No closure is built
-    but the lambda of r that the fallback hands _bisect.  ln(1+pi) is
-    taken once, for the end and the capacity without feedback, and the
-    result is built by tuple.__new__, as ChannelConfig is.  If 0 <= r(1) <
-    r(hi), the power is too small for r to separate lam = 1 from the root,
-    which is pinned to 1 as degenerate, with 0 iterations.  If r(1) < 0 and
-    r(hi) <= 0 at hi = K, the root lies closer to the cap than r can
-    resolve, and the cap is taken.  A NaN or MAX_ITER evaluations raise
-    ConvergenceError, any other sign pattern, r(hi) <= 0 below the cap
-    included, BracketError; every message ends with the point.
+    2*LAMBDA_TOL.  From hi, plain Newton steps x = w - r(w)/r'(w) follow
+    while r'(w) > 0 and x stays in (1, hi), at most MAX_ITER evaluations
+    in all; r is convex, so they stay above the root but for rounding, and
+    a step from an end where r(hi) <= 0 leaves (1, hi) at once.  Once a
+    step is shorter than LAMBDA_TOL/4, x is returned unevaluated if (|r(w)|
+    + E)/m + |step| <= LAMBDA_TOL, with E = core._RESIDUAL_ULPS ulps of w,
+    a bound on r's float error, and m = core._slope_floor(pi, hi): |w -
+    root| <= (|r(w)| + E)/m.  Where E/m alone comes near LAMBDA_TOL, from
+    lam = 512 (about 2200 dB) up, one probe LAMBDA_TOL/4 past x, across
+    the root from w, keeps x if it reads r(w)'s opposite sign inside [1,
+    K].  Both rest on the analytic root, so neither reads r(1).  Only where
+    that pair fails, a step leaves (1, hi), a slope is not positive or
+    MAX_ITER evaluations pass is r(1) read, once.  If 0 <= r(1) < r(hi),
+    the power is too small for r to separate lam = 1 from the root, which
+    is pinned to 1 as degenerate, with 0 iterations.  If r(1) < 0 and r(hi)
+    <= 0 at hi = K, the root lies closer to the cap than r can resolve, and
+    the cap is taken.  Otherwise _bisect brackets the root on [1, hi], from
+    scratch, in at most 50 steps, hi staying below 717 on the accepted
+    range.  The residual returned is r where the root was certified: at w,
+    the probe or _bisect's root.  No closure is built but the lambda of r
+    that the fallback hands _bisect.  ln(1+pi) is taken once, for the end
+    and the capacity without feedback, and the result is built by
+    tuple.__new__, as ChannelConfig is.  A NaN or _bisect's MAX_ITER steps
+    raise ConvergenceError, any other sign pattern, r(hi) <= 0 below the
+    cap included, BracketError; every message ends with the point.
     """
     K, P, pi = config
     cap = math.inf if K is None else float(K)
@@ -204,58 +200,53 @@ def _solve(config: ChannelConfig) -> GainSolution:
         bound = 1.0 + 2.0 * LAMBDA_TOL
     hi = cap if cap < bound else bound
     f_hi, d_hi = _fixed_point(cap, pi, hi)
-    # -inf stands in for a proven r(1) < 0; _bisect never returns it.
-    f_lo = -math.inf if pi >= _POWER_FLOOR and f_hi > 0.0 else _fixed_point(cap, pi, 1.0)[0]
-    degenerate = 0.0 <= f_lo < f_hi
-    if degenerate:
-        lam, res, iters = 1.0, f_lo, 0
-    elif f_lo < 0.0 and f_hi <= 0.0 and hi == cap:
-        lam, res, iters = cap, f_hi, 1
-    else:
-        try:
-            if not f_lo <= 0.0 < f_hi:
-                if math.isnan(f_hi):  # pi*hi overflows inside r; pi*1 cannot
-                    raise ConvergenceError(f"residual is NaN at lam={hi!r}")
-                raise BracketError(
-                    f"residual must change sign from - to + on [1.0, {hi!r}]; "
-                    f"got ({f_lo!r}, {f_hi!r})"
-                )
-            # Plain Newton steps from hi, which stay above the root, r being
-            # convex; lam stays None where _bisect must bracket it instead.
-            quarter, lam = 0.25 * LAMBDA_TOL, None
-            w, res, d, iters = hi, f_hi, d_hi, 1
-            while d > 0.0:
-                step = res / d
-                x = w - step
-                if not 1.0 < x < hi:
-                    break
-                if -quarter < step < quarter:
-                    error = abs(res) + _RESIDUAL_ULPS * math.ulp(w)
-                    if error / _slope_floor(pi, hi) + abs(step) <= LAMBDA_TOL:
-                        lam = x
-                    else:  # a probe past x, across the root from w
-                        probe = x - quarter if step > 0.0 else x + quarter
-                        f_probe = _fixed_point(cap, pi, probe)[0]
-                        iters += 1
-                        if (f_probe < 0.0 < step or step < 0.0 < f_probe) and 1.0 <= probe <= cap:
-                            lam, res = x, f_probe
-                    break
-                if iters == MAX_ITER:
-                    lo, up = (1.0, w) if res > 0.0 else (w, hi)
-                    raise ConvergenceError(
-                        f"bracket [{lo!r}, {up!r}] is wider than {LAMBDA_TOL!r} after "
-                        f"{MAX_ITER} iterations"
-                    )
-                w = x
-                res, d = _fixed_point(cap, pi, w)
+    # Plain Newton steps from hi, which stay above the root, r being
+    # convex; lam stays None where they settle nothing.
+    quarter, lam, degenerate = 0.25 * LAMBDA_TOL, None, False
+    w, res, d, iters = hi, f_hi, d_hi, 1
+    while d > 0.0:
+        step = res / d
+        x = w - step
+        if not 1.0 < x < hi:
+            break
+        if -quarter < step < quarter:
+            error = abs(res) + _RESIDUAL_ULPS * math.ulp(w)
+            if error / _slope_floor(pi, hi) + abs(step) <= LAMBDA_TOL:
+                lam = x
+            else:  # a probe past x, across the root from w
+                probe = x - quarter if step > 0.0 else x + quarter
+                f_probe = _fixed_point(cap, pi, probe)[0]
                 iters += 1
-            if lam is None:
+                if (f_probe < 0.0 < step or step < 0.0 < f_probe) and 1.0 <= probe <= cap:
+                    lam, res = x, f_probe
+            break
+        if iters == MAX_ITER:
+            break
+        w = x
+        res, d = _fixed_point(cap, pi, w)
+        iters += 1
+    if lam is None:
+        f_lo = _fixed_point(cap, pi, 1.0)[0]
+        degenerate = 0.0 <= f_lo < f_hi
+        if degenerate:
+            lam, res, iters = 1.0, f_lo, 0
+        elif f_lo < 0.0 and f_hi <= 0.0 and hi == cap:
+            lam, res, iters = cap, f_hi, 1
+        else:
+            try:
+                if not f_lo <= 0.0 < f_hi:
+                    if math.isnan(f_hi):  # pi*hi overflows inside r; pi*1 cannot
+                        raise ConvergenceError(f"residual is NaN at lam={hi!r}")
+                    raise BracketError(
+                        f"residual must change sign from - to + on [1.0, {hi!r}]; "
+                        f"got ({f_lo!r}, {f_hi!r})"
+                    )
                 lam, res, steps = _bisect(lambda lam: _fixed_point(cap, pi, lam)[0], 1.0, hi,
                                           f_lo, f_hi, LAMBDA_TOL, MAX_ITER)
                 iters += steps
-        except (BracketError, ConvergenceError) as err:
-            where = f"pi={pi!r}" if K is None else f"K={K}, P={P!r}"
-            raise type(err)(f"{err} for {where}") from None
+            except (BracketError, ConvergenceError) as err:
+                where = f"pi={pi!r}" if K is None else f"K={K}, P={P!r}"
+                raise type(err)(f"{err} for {where}") from None
     t = pi * lam
     # Split like the residual where pi*lam overflows.
     capacity_fb = math.log1p(t) if t < math.inf else math.log(pi) + math.log(lam)

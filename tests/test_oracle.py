@@ -23,7 +23,6 @@ from macgain.core import (_RESIDUAL_ULPS, ChannelConfig, _fixed_point, _fixed_po
 from macgain.solvers import (
     DEFAULT_USERS,
     LAMBDA_TOL,
-    _POWER_FLOOR,
     eval_point,
     find_peak,
     invert_massive_parametric,
@@ -369,42 +368,17 @@ def test_the_residual_error_bound_holds_on_the_walk():
     assert 1.3 * worst <= _RESIDUAL_ULPS, worst
 
 
-# Total powers from solvers._POWER_FLOOR up, where _solve takes r(1) < 0 as
-# proven: the floor, the next float, and every 7.3 dB step above -100 dB up
-# to 3075.5 dB, near the top of the float range.
-FLOOR_POWERS = [_POWER_FLOOR, math.nextafter(_POWER_FLOOR, math.inf)] + [
-    db_to_linear(-100.0 + 7.3 * i) for i in range(1, 436)]
-
-
-def test_r_at_1_is_negative_from_the_floor_up():
-    # The float residual, not only the exact one: the solver reads neither.
-    assert FLOOR_POWERS[-1] > 1e307
-    for users in GRID_USERS + (None,):
-        cap = math.inf if users is None else float(users)
-        positive = [pi for pi in FLOOR_POWERS if not _fixed_point(cap, pi, 1.0)[0] < 0.0]
-        assert positive == [], users
-
-
-def test_the_floor_clears_twice_the_tolerance():
-    # lam >= G_K(pi) >= G_2(pi) = 2u/(1+u), u = sqrt(1+pi), so r(1) <=
-    # 1 - G_2(pi) < -2*LAMBDA_TOL from the floor up: 2.5e-11 at 1e-10.
-    with mp.workdps(50):
-        pi = mpf(_POWER_FLOOR)
-        u = mp.sqrt(1 + pi)
-        g_2 = 2 * u / (1 + u)
-        assert g_2 - 1 > 2 * LAMBDA_TOL
-        assert abs(1 - mp_fixed_point(2, _POWER_FLOOR, 1.0) - g_2) < mpf(10) ** -45
-        for users in GRID_USERS[1:] + (None,):
-            assert 1 - mp_fixed_point(users, _POWER_FLOOR, 1.0) > g_2, users
-
-
-def test_no_solve_from_the_floor_up_returns_the_placeholder():
-    # A solve from the floor up with r(hi) > 0 never reads r(1); -inf
-    # stands in for it at the bracket's lower end.  No such solve is pinned
-    # to 1 or returns that -inf, or any residual that is not finite.
+def test_no_solve_from_1e_10_up_is_pinned_to_1():
+    # From 1e-10 up, r(1) <= 1 - G_2(pi) < -2*LAMBDA_TOL, so no solve is
+    # pinned to 1, and none returns a residual that is not finite: at 1e-10,
+    # the next float, and every 7.3 dB step above -100 dB up to 3075.5 dB,
+    # near the top of the float range.
+    powers = [1e-10, math.nextafter(1e-10, math.inf)] + [
+        db_to_linear(-100.0 + 7.3 * i) for i in range(1, 436)]
+    assert powers[-1] > 1e307
     failed = []
     for users in GRID_USERS + (None,):
-        for pi in FLOOR_POWERS:
+        for pi in powers:
             sol = eval_point(ChannelConfig(users, total_power=pi))
             if not (sol.lambda_star > 1.0 and math.isfinite(sol.residual)
                     and not sol.degenerate):

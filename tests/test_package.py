@@ -465,7 +465,7 @@ def test_residual_reads_only_its_closure():
 
 
 def _unit_reads(source: str) -> list[str | None]:
-    """For each r(1) in solvers._solve, the test of the conditional whose else holds it."""
+    """For each r(1) in solvers._solve, the test of the nearest if whose body holds it."""
     solve = _function(ast.parse(source), "_solve")
     parent = {child: node for node in ast.walk(solve) for child in ast.iter_child_nodes(node)}
     guards = []
@@ -474,25 +474,24 @@ def _unit_reads(source: str) -> list[str | None]:
             node, guard = call, None
             while guard is None and node in parent:
                 branch, node = node, parent[node]
-                if (isinstance(node, ast.IfExp) and branch is node.orelse
-                        or isinstance(node, ast.If) and branch in node.orelse):
+                if isinstance(node, ast.If) and branch in node.body:
                     guard = ast.unparse(node.test)
             guards.append(guard)
     return guards
 
 
 def test_solve_reads_r_at_1_only_where_no_proof_holds():
-    # From solvers._POWER_FLOOR up, r(1) < 0 is proven, so _solve evaluates
-    # it only below the floor or where r(hi) is not positive.  Reading it
-    # before the upper end, as the solve once did, trips the check.
+    # The slope floor and the probe certify a Newton root without r(1), so
+    # _solve evaluates it once, only where they settle nothing.  Reading it
+    # up front, with the upper end, as the solve once did, trips the check.
     from macgain.core import _lambda_bound
 
     source = (ROOT / "src" / "macgain" / "solvers.py").read_text(encoding="utf-8")
-    assert _unit_reads(source) == ["pi >= _POWER_FLOOR and f_hi > 0.0"]
-    line = ("f_lo = -math.inf if pi >= _POWER_FLOOR and f_hi > 0.0 "
-            "else _fixed_point(cap, pi, 1.0)[0]")
-    assert line in source
-    assert _unit_reads(source.replace(line, "f_lo = _fixed_point(cap, pi, 1.0)[0]")) == [None]
+    assert _unit_reads(source) == ["lam is None"]
+    read = "    if lam is None:\n        f_lo = _fixed_point(cap, pi, 1.0)[0]\n"
+    assert read in source
+    up_front = source.replace(read, "    f_lo = _fixed_point(cap, pi, 1.0)[0]\n    if lam is None:\n")
+    assert _unit_reads(up_front) == [None]
     # verify's batch starts from 2 + 2a and takes nothing from the bound,
     # which has lost its array path: its one default is math.log1p.
     verify = ast.parse((ROOT / "src" / "macgain" / "verify.py").read_text(encoding="utf-8"))

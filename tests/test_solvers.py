@@ -14,12 +14,13 @@ import macgain.solvers as solvers_module
 from conftest import (
     bracketed_bisect,
     brute_peak_k2,
+    frozen_bisect,
     frozen_fixed_point,
     massive_certified,
     raw_residual,
     sign_scan_root,
 )
-from test_oracle import GRID_POWER_DB, GRID_USERS, MASSIVE_POWER_DB
+from test_oracle import GRID_POWER_DB, GRID_USERS, MASSIVE_POWER_DB, mp_fixed_point
 from macgain.core import (_RESIDUAL_ULPS, ChannelConfig, _fixed_point, _lambda_bound,
                           _slope_floor, db_to_linear, f_of, linear_to_db, massive_parametric)
 from macgain.solvers import (
@@ -62,6 +63,11 @@ F_K100_P1 = 1.3951252981730995
 def _bisection_steps(lo: float, hi: float, tol: float) -> int:
     """ceil(log2((hi - lo) / tol)) in exact arithmetic: bisection's step count."""
     return (math.ceil(Fraction(hi - lo) / Fraction(tol)) - 1).bit_length()
+
+
+def _cube(root):
+    """x**3 - root**3, flat at 0: regula falsi from [0, 1] crawls, and ITP's midpoints take over."""
+    return lambda x: x * x * x - root * root * root
 
 
 def _bisect_run(fn, lo, hi, tol=LAMBDA_TOL, max_iter=MAX_ITER):
@@ -112,6 +118,62 @@ class TestBisect:
         # The second midpoint, 0.25, lies where the residual is NaN.
         outcome, _ = _bisect_run(lambda x: math.nan if 0.2 < x < 0.3 else x - 0.3, 0.0, 1.0)
         assert outcome == "residual is NaN at lam=0.25"
+
+    @pytest.mark.parametrize(
+        "lo, hi, root, tol, max_iter",
+        [
+            (0.0, 1.0, 0.3, 1e-12, 200),
+            (0.0, 1.0, 0.5, 1e-12, 200),  # an exact zero at 0.5
+            (0.0, 1.0, 0.3, 1e-30, 7),  # iteration cap
+            (1.0, math.nextafter(1.0, 2.0), 2.0, 0.0, 200),  # no float between ends
+            (-3.0, 5.0, 1.0 / 3.0, 1e-15, 200),
+            (0.0, 1.0, 0.5, 2.0, 200),  # no step; lo has the smaller |f|
+        ],
+    )
+    def test_kernel_matches_scalar_bisect(self, lo, hi, root, tol, max_iter):
+        # Bisection and conftest's ITP reference each close a certified
+        # bracket on the same residual, so their roots are within 2 tol of
+        # each other, or both raise at the cap.  Where the ends are no
+        # (-, +) bracket (the root 2 lies outside [1, 1 + ulp]), both take
+        # the same end.
+        fn = _cube(root)
+        f_lo, f_hi = fn(lo), fn(hi)
+        bisect = lambda: bracketed_bisect(fn, lo, hi, f_lo, f_hi, tol, max_iter)[0]
+        itp = lambda: frozen_bisect(fn, lo, hi, f_lo, f_hi, tol, max_iter)
+        if max_iter == 7:
+            for run in (bisect, itp):
+                with pytest.raises(ConvergenceError, match="after 7 iterations"):
+                    run()
+            return
+        (x, _, _), (x_itp, _, _) = bisect(), itp()
+        assert abs(x - x_itp) <= 2.0 * tol
+
+    @pytest.mark.parametrize(
+        "fn, lo, hi, f_lo, f_hi, tol",
+        [
+            # An infinite residual at either end, where a Newton step
+            # would be NaN: the kernel bisects and never returns that end.
+            (lambda x: x * x - 0.2, 0.0, 1.0, -math.inf, 0.8, 1e-12),
+            (lambda x: x * x - 0.2, 0.0, 1.0, -0.2, math.inf, 1e-12),
+            # The Newton point of hi, 1 - 0.7/0.7, is the lower end.
+            (lambda x: x - 0.3, 0.0, 1.0, -0.3, 0.7, 1e-12),
+            # No float between the ends: no step at all.
+            (lambda x: x - 1.0 - 2.0**-53, 1.0, math.nextafter(1.0, 2.0),
+             -(2.0**-53), 2.0**-53, 0.0),
+        ],
+        ids=["nan_from_lower_inf", "nan_from_upper_inf", "projected_onto_end",
+             "adjacent_floats"],
+    )
+    def test_fallback_takes_the_midpoint(self, fn, lo, hi, f_lo, f_hi, tol):
+        # bracketed_bisect certifies the result: an end of a (-, >= 0)
+        # bracket at most tol wide, never an infinite end.
+        want, steps = bracketed_bisect(fn, lo, hi, f_lo, f_hi, tol, 200)
+        if tol == 0.0:
+            assert want[2] == 0 and want[0] in (lo, hi)
+            return
+        assert math.isfinite(want[1])
+        # The first step is the midpoint.
+        assert steps[0] == 0.5 * (lo + hi)
 
 
 def _upper_end(config):
@@ -208,10 +270,10 @@ class TestITPSteps:
     # The mean iterations per root below are machine-independent figures,
     # pinned between the slope floor's and the probe's it replaced, so a
     # start or an acceptance that costs evaluations fails them without a
-    # timing run.  From solvers._POWER_FLOOR up, r(1) < 0 is proven and not
-    # read, so .iterations counts every residual evaluation of a solve;
-    # below the floor, and at a root taken at the cap, r(1) is read as
-    # well.  The evaluations fixture counts them all.  Each root's last
+    # timing run.  .iterations counts every residual evaluation of a solve
+    # but r(1), which is read only where the Newton steps settle nothing:
+    # at a root pinned to 1, taken at the cap or bracketed by _bisect.  The
+    # evaluations fixture counts them all.  Each root's last
     # Newton step is accepted unevaluated wherever the floor certifies it;
     # the probe past it that the Newton kernel took cost one more per root
     # on each grid.
@@ -232,30 +294,30 @@ class TestITPSteps:
         # Bisection of the same brackets takes 41.0 iterations per root
         # here, ITP steps took 8.7, Newton from the closed-form end 4.5,
         # from two map steps 3.64 and from the Newton end with its probe
-        # 3.23: with the floor it takes 2.65, at most 5.  Three solves lie
-        # below the floor and three roots at the cap, so 2.70 evaluations
-        # per root, where the probe made 3.28.
+        # 3.23: with the floor it takes 2.65, at most 5.  Three roots lie at
+        # the cap, which read r(1) as well, so 2.68 evaluations per root,
+        # where the probe made 3.28.
         steps = [solve_lambda_star(K, db_to_linear(power_db)).iterations
                  for K in GRID_USERS for power_db in GRID_POWER_DB]
         assert statistics.mean(steps) <= 2.7
-        assert evaluations[0] == sum(steps) + 6
-        assert round(evaluations[0] / len(steps), 2) == 2.70
+        assert evaluations[0] == sum(steps) + 3
+        assert round(evaluations[0] / len(steps), 2) == 2.68
 
     def test_mean_steps_on_the_massive_grid(self, evaluations):
         # -300 to 3050 dB: 2.01 iterations per root, at most 3, where
         # bisection of the same brackets takes 47.6, ITP steps took 8.7,
         # Newton from the closed-form end 4.1, from two map steps 3.19 and
         # with the probe 2.24.  Above lam = 512, from 2200 dB up, the floor
-        # certifies 12 of the 18 roots and the probe settles 6.  Four
-        # powers lie below the floor, three of them pinned to 1 with 0
-        # iterations and 2 evaluations: 2.12 evaluations per root, where the
-        # probe everywhere made 2.34.
+        # certifies 12 of the 18 roots and the probe settles 6.  Three of
+        # the powers are pinned to 1 with 0 iterations and 2 evaluations,
+        # r(hi) and r(1): 2.10 evaluations per root, where the probe
+        # everywhere made 2.34.
         steps = [solve_lambda_massive(db_to_linear(pi_db)).iterations
                  for pi_db in MASSIVE_POWER_DB]
         assert statistics.mean(steps) <= 2.05
         assert max(steps) <= 3
-        assert evaluations[0] == sum(steps) + 7
-        assert round(evaluations[0] / len(steps), 2) == 2.12
+        assert evaluations[0] == sum(steps) + 6
+        assert round(evaluations[0] / len(steps), 2) == 2.10
 
     def test_mean_steps_on_the_default_sweeps(self, evaluations):
         # Every curve of DEFAULT_USERS on the default range at 0.02 dB, the
@@ -458,9 +520,12 @@ class TestFiniteSolver:
             solve_lambda_massive(5.38)
 
     def test_unreachable_tolerance_raises(self, monkeypatch):
-        # The root takes 4 evaluations here, the one at the upper end included.
+        # The root takes 4 evaluations here, the one at the upper end
+        # included.  The Newton steps stop at 3 and leave it to _bisect,
+        # whose 3 halvings of [1, 3] raise with the bracket they leave.
         monkeypatch.setattr(solvers_module, "MAX_ITER", 3)
-        with pytest.raises(ConvergenceError, match="after 3 iterations for K=3, P=10.0"):
+        message = "bracket [2.25, 2.5] is wider than 1e-12 after 3 iterations for K=3, P=10.0"
+        with pytest.raises(ConvergenceError, match=f"^{re.escape(message)}$"):
             solve_lambda_star(3, 10.0)
 
 
@@ -519,6 +584,34 @@ class TestAcceptance:
         assert (lo, up) == (1.0, hi)
         assert steps <= _bisection_steps(1.0, hi, LAMBDA_TOL) + 1
         assert abs(sol.lambda_star - want) <= LAMBDA_TOL
+
+    def test_bisect_brackets_a_root_where_floor_and_probe_fail(self, monkeypatch, evaluated):
+        # K = 10000 at 2706 dB, lam about 610, with the true residual: four
+        # ulps of lam, 4.5e-13, exceed LAMBDA_TOL/4, so neither the floor nor
+        # the probe settles the second Newton point.  Only then is r(1)
+        # read, and _bisect brackets the root once, on [1, hi] from scratch:
+        # 54 iterations, the upper end, two Newton steps, the probe and 50
+        # bisection steps, and 55 evaluations with r(1).
+        calls = []
+
+        def kernel(fn, lo, hi, *rest):
+            result = bisect(fn, lo, hi, *rest)
+            calls.append((lo, hi, result[2]))
+            return result
+
+        bisect = solvers_module._bisect
+        monkeypatch.setattr(solvers_module, "_bisect", kernel)
+        config = ChannelConfig.finite(10_000, total_power=db_to_linear(2706.0))
+        sol = eval_point(config)
+        hi = _upper_end(config)
+        [(lo, up, steps)] = calls
+        assert (lo, up) == (1.0, hi) and 629.52 < hi < 629.53
+        assert steps == 50 <= _bisection_steps(1.0, hi, LAMBDA_TOL) + 1
+        assert (sol.lambda_star, sol.iterations, len(evaluated)) == (610.0893302272633, 54, 55)
+        assert evaluated[0] == hi and evaluated[4] == 1.0 and evaluated.count(1.0) == 1
+        pi, lam = config.total_power, sol.lambda_star
+        assert mp_fixed_point(10_000, pi, lam - LAMBDA_TOL) < 0 < mp_fixed_point(
+            10_000, pi, lam + LAMBDA_TOL)
 
 
 class TestMassiveSolver:

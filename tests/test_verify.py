@@ -17,7 +17,7 @@ import numpy as np
 
 import macgain.solvers
 import macgain.verify
-from conftest import bracketed_bisect, frozen_bisect, scalar_derivative_roots
+from conftest import scalar_derivative_roots
 from macgain.core import (ChannelConfig, _balance, _fixed_point, _fixed_point_many, _lambda_bound,
                           db_to_linear)
 from macgain.solvers import (
@@ -690,11 +690,6 @@ class TestFixedInputs:
         assert "FAIL" in in_a_row[2][0]
 
 
-def _cube(root):
-    """x**3 - root**3, flat at 0: regula falsi from [0, 1] crawls, and ITP's midpoints take over."""
-    return lambda x: x * x * x - root * root * root
-
-
 def _shrink_start(monkeypatch, factor):
     """Scale _root_many's start to min(K, factor*(2 + 2a)); returns the starts it takes.
 
@@ -731,65 +726,8 @@ class TestBatchedSolve:
     """The certified batch against the scalar solvers it stands in for.
 
     What the batch's slope floor leaves it hands to eval_point
-    (verify._root_many).  The first two tests drive solvers._bisect, the
-    scalar solve's bracketing kernel, on the edge cases of its brackets.
+    (verify._root_many).
     """
-
-    @pytest.mark.parametrize(
-        "lo, hi, root, tol, max_iter",
-        [
-            (0.0, 1.0, 0.3, 1e-12, 200),
-            (0.0, 1.0, 0.5, 1e-12, 200),  # an exact zero at 0.5
-            (0.0, 1.0, 0.3, 1e-30, 7),  # iteration cap
-            (1.0, math.nextafter(1.0, 2.0), 2.0, 0.0, 200),  # no float between ends
-            (-3.0, 5.0, 1.0 / 3.0, 1e-15, 200),
-            (0.0, 1.0, 0.5, 2.0, 200),  # no step; lo has the smaller |f|
-        ],
-    )
-    def test_kernel_matches_scalar_bisect(self, lo, hi, root, tol, max_iter):
-        # Bisection and conftest's ITP reference each close a certified
-        # bracket on the same residual, so their roots are within 2 tol of
-        # each other, or both raise at the cap.  Where the ends are no
-        # (-, +) bracket (the root 2 lies outside [1, 1 + ulp]), both take
-        # the same end.
-        fn = _cube(root)
-        f_lo, f_hi = fn(lo), fn(hi)
-        bisect = lambda: bracketed_bisect(fn, lo, hi, f_lo, f_hi, tol, max_iter)[0]
-        itp = lambda: frozen_bisect(fn, lo, hi, f_lo, f_hi, tol, max_iter)
-        if max_iter == 7:
-            for run in (bisect, itp):
-                with pytest.raises(ConvergenceError, match="after 7 iterations"):
-                    run()
-            return
-        (x, _, _), (x_itp, _, _) = bisect(), itp()
-        assert abs(x - x_itp) <= 2.0 * tol
-
-    @pytest.mark.parametrize(
-        "fn, lo, hi, f_lo, f_hi, tol",
-        [
-            # An infinite residual at an end, the lower one as a solve's
-            # proven r(1) < 0 stands in, where a Newton step would be NaN.
-            (lambda x: x * x - 0.2, 0.0, 1.0, -math.inf, 0.8, 1e-12),
-            (lambda x: x * x - 0.2, 0.0, 1.0, -0.2, math.inf, 1e-12),
-            # The Newton point of hi, 1 - 0.7/0.7, is the lower end.
-            (lambda x: x - 0.3, 0.0, 1.0, -0.3, 0.7, 1e-12),
-            # No float between the ends: no step at all.
-            (lambda x: x - 1.0 - 2.0**-53, 1.0, math.nextafter(1.0, 2.0),
-             -(2.0**-53), 2.0**-53, 0.0),
-        ],
-        ids=["nan_from_lower_inf", "nan_from_upper_inf", "projected_onto_end",
-             "adjacent_floats"],
-    )
-    def test_fallback_takes_the_midpoint(self, fn, lo, hi, f_lo, f_hi, tol):
-        # bracketed_bisect certifies the result: an end of a (-, >= 0)
-        # bracket at most tol wide, never an infinite end.
-        want, steps = bracketed_bisect(fn, lo, hi, f_lo, f_hi, tol, 200)
-        if tol == 0.0:
-            assert want[2] == 0 and want[0] in (lo, hi)
-            return
-        assert math.isfinite(want[1])
-        # The first step is the midpoint.
-        assert steps[0] == 0.5 * (lo + hi)
 
     def test_nan_inside_the_bracket_goes_to_the_scalar_solver(self, monkeypatch):
         # The ends bracket the root, but the first Newton point is NaN: the
