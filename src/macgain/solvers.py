@@ -174,9 +174,15 @@ def _solve(config: ChannelConfig) -> GainSolution:
     root| <= (|r(w)| + E)/m.  Where E/m alone comes near LAMBDA_TOL, from
     lam = 512 (about 2200 dB) up, one probe LAMBDA_TOL/4 past x, across
     the root from w, keeps x if it reads r(w)'s opposite sign inside [1,
-    K].  Both rest on the analytic root, so neither reads r(1).  Only where
-    that pair fails, a step leaves (1, hi), a slope is not positive or
-    MAX_ITER evaluations pass is r(1) read, once.  If 0 <= r(1) < r(hi),
+    K]; where it reads no such sign, an exact 0 among them, the probe is
+    the root if (|r(probe)| + E)/m <= LAMBDA_TOL, E at the probe.  The
+    floor holds there: G_K rises in t, so r' <= 1 and |r(w)| <= |step| <
+    LAMBDA_TOL/4, and m > 0.35 at every power (0.3595 near 6.85 dB), so
+    the floor fails at w only where E/m > (3/4 - 1/(4m))*LAMBDA_TOL, E >
+    0.012*LAMBDA_TOL, at w >= 16, far above G_2(pi) < 2.  All rest on the
+    analytic root, so none reads r(1).  Only where the probe settles
+    nothing, a step leaves (1, hi), a slope is not positive or MAX_ITER
+    evaluations pass is r(1) read, once.  If 0 <= r(1) < r(hi),
     the power is too small for r to separate lam = 1 from the root, which
     is pinned to 1 as degenerate, with 0 iterations.  If r(1) < 0 and r(hi)
     <= 0 at hi = K, the root lies closer to the cap than r can resolve, and
@@ -210,15 +216,18 @@ def _solve(config: ChannelConfig) -> GainSolution:
         if not 1.0 < x < hi:
             break
         if -quarter < step < quarter:
-            error = abs(res) + _RESIDUAL_ULPS * math.ulp(w)
-            if error / _slope_floor(pi, hi) + abs(step) <= LAMBDA_TOL:
+            m = _slope_floor(pi, hi)
+            if (abs(res) + _RESIDUAL_ULPS * math.ulp(w)) / m + abs(step) <= LAMBDA_TOL:
                 lam = x
             else:  # a probe past x, across the root from w
                 probe = x - quarter if step > 0.0 else x + quarter
                 f_probe = _fixed_point(cap, pi, probe)[0]
                 iters += 1
-                if (f_probe < 0.0 < step or step < 0.0 < f_probe) and 1.0 <= probe <= cap:
-                    lam, res = x, f_probe
+                if 1.0 <= probe <= cap:
+                    if f_probe < 0.0 < step or step < 0.0 < f_probe:
+                        lam, res = x, f_probe
+                    elif (abs(f_probe) + _RESIDUAL_ULPS * math.ulp(probe)) / m <= LAMBDA_TOL:
+                        lam, res = probe, f_probe
             break
         if iters == MAX_ITER:
             break

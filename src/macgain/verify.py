@@ -20,10 +20,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import solvers
 from .core import (_RESIDUAL_ULPS, ChannelConfig, _balance, _fixed_point_many,
                    _slope_floor_many, db_to_linear)
-from .solvers import DEFAULT_FROM_DB, DEFAULT_TO_DB, DEFAULT_USERS, db_grid, eval_point
+from .solvers import (DEFAULT_FROM_DB, DEFAULT_TO_DB, DEFAULT_USERS, LAMBDA_TOL, db_grid,
+                      eval_point)
 
 __all__ = [
     "NUMERIC_SLOP",
@@ -210,74 +210,60 @@ def _root_many(K: np.ndarray, pi: np.ndarray) -> np.ndarray:
     Each element starts at hi = min(K, 2 + 2*ln(1+pi)), where the residual
     exceeds 1 - ln(2) > 0 for every K (core._lambda_bound's proof).  The
     first _SINGLE_PASSES Newton passes run core._fixed_point_many on
-    float32 copies of K, pi and hi, in float32 views of the workspace, over
-    every element with no mask; they bring each suite element within 4e-7
-    of its root, relative.  Their point, NaN where a float32 form
-    overflowed, is clipped into [1, hi], NaN to hi, and plain float64
-    Newton steps go on from it until a step is shorter than LAMBDA_TOL/4,
-    for at most MAX_ITER passes in all, both read off the solvers module at
-    call time.  G_K is concave in t, so the residual r is convex in lam
-    with r' > 0 on [1, inf): the first float64 pass steps to a point at or
-    above the root from either side, and only steps, since its own point
-    may lie below G_2(pi); after it the steps stay in [root, hi].
-    An element stops at once where its Newton point is NaN or leaves [1,
-    hi], and, from the second float64 pass, at its Newton point x = w -
-    step where the step is short.  Each pass evaluates every element into
-    one workspace, so none allocates, and keeps r(w) where an element
-    settles.  One rule, the scalar solver's slope floor with |step| at its
-    bound tol/4, then certifies each x, w lying in [G_2(pi), hi] as the
-    floor's proof requires:
-    |r(w)| + E <= (3/4)*LAMBDA_TOL*m, m = core._slope_floor_many at hi, and
-    E = core._RESIDUAL_ULPS*2**-52*x, at least that many ulps of w but for
+    float32 copies of K, pi and hi, in float32 views of the workspace;
+    they bring each suite element within 4e-7 of its root, relative.
+    Their point, NaN where a float32 form overflowed, is clipped into [1,
+    hi], NaN to hi, and two float64 Newton passes follow.  G_K is concave
+    in t, so the residual r is convex in lam with r' > 0 on [1, inf): the
+    first float64 pass steps to a point w at or above the root from either
+    side, and only steps, since its own point may lie below G_2(pi).  The
+    second evaluates r(w) and steps to x = w - step.  Every pass runs over
+    every element with no mask, into one workspace, so none allocates.
+    The scalar solver's slope floor, with |step| at its bound tol/4, tol =
+    LAMBDA_TOL, then certifies each x, w lying in [G_2(pi), hi] as the
+    floor's proof requires: w <= hi, x in [1, hi], |step| < tol/4 and
+    |r(w)| + E <= (3/4)*tol*m, m = core._slope_floor_many at hi, and E =
+    core._RESIDUAL_ULPS*2**-52*x, at least that many ulps of w but for
     under 1e-27, w being within tol/4 and an ulp of x; so |x - root| <=
-    |w - root| + |step| < LAMBDA_TOL.  No other rule settles: every
-    element the floor leaves, one that stopped early or whose x exceeds
-    about 420 (where E alone exceeds the bound), goes in input order to
-    the scalar eval_point at the same K and total power.  That pins it to
-    lam = 1, takes the cap as its root, solves it by its own rule, or
-    raises its own error.  Batch and scalar roots take different Newton
-    points and may be a few ulps apart, each certified by its own rule.
+    |w - root| + |step| < tol.  A NaN fails every test.  No other rule
+    settles: every element the floor leaves, one whose x exceeds about 420
+    (where E alone exceeds the bound) or that two float64 passes leave
+    unsettled, goes in input order to the scalar eval_point at the same K
+    and total power.  That pins it to lam = 1, takes the cap as its root,
+    solves it by its own rule, or raises its own error.  Batch and scalar
+    roots take different Newton points and may be a few ulps apart, each
+    certified by its own rule.
     """
     K = np.asarray(K, dtype=float)
-    n, tol = K.size, solvers.LAMBDA_TOL
-    quarter = 0.25 * tol
-    single = min(_SINGLE_PASSES, solvers.MAX_ITER)
     with np.errstate(all="ignore"):
         top = np.log1p(pi)  # then min(K, 2 + 2a), in place
         top *= 2.0
         top += 2.0
         np.minimum(top, K, out=top)
-        work = np.empty((6, n))  # _fixed_point_many's five rows, then r at w
-        # Twelve float32 rows in its bytes: the float32 passes' five, then
-        # K, pi and their point, all before row 5's r at w.
-        work32 = work.view(np.float32).reshape(12, n)
+        work = np.empty((5, K.size))  # _fixed_point_many's five rows
+        # Ten float32 rows in its bytes: the float32 passes' five, then K,
+        # pi and their point.
+        work32 = work.view(np.float32).reshape(10, -1)
         K32, pi32, x32 = work32[5:8]
         K32[...], pi32[...], x32[...] = K, pi, top
-        for _ in range(single):
+        for _ in range(_SINGLE_PASSES):
             r, d = _fixed_point_many(K32, pi32, x32, work32)
             x32 -= np.divide(r, d, out=r)
-        lam = np.maximum(x32, 1.0, dtype=float)  # x, which stops where its element does
+        lam = np.maximum(x32, 1.0, dtype=float)  # the point, then w and x, in place
         np.fmin(lam, top, out=lam)  # a NaN point takes hi
-        kept = work[5]
-        kept.fill(math.nan)  # until settled, which fails the floor below
-        going, done = np.ones(n, dtype=bool), np.empty(n, dtype=bool)
-        for i in range(single, solvers.MAX_ITER):
-            if not going.any():
-                break
-            r, d = _fixed_point_many(K, pi, lam, work)
-            step = np.divide(r, d, out=work[0])
-            np.subtract(lam, step, out=lam, where=going)
-            going &= np.greater_equal(lam, 1.0, out=done)
-            going &= np.less_equal(lam, top, out=done)
-            if i > single:  # the first float64 pass only steps
-                np.logical_and(going, np.less(np.abs(step, out=d), quarter, out=done),
-                               out=done)
-                np.putmask(kept, done, r)  # r at w
-                going ^= done
-        bound = np.multiply(_slope_floor_many(pi, top, work), 0.75 * tol, out=work[0])
+        r, d = _fixed_point_many(K, pi, lam, work)
+        lam -= np.divide(r, d, out=r)  # the first float64 pass only steps
+        r, d = _fixed_point_many(K, pi, lam, work)
+        settled = lam <= top  # w <= hi
+        step = np.divide(r, d, out=d)
+        lam -= step  # x = w - step, r kept at w
+        settled &= lam >= 1.0
+        settled &= lam <= top
+        settled &= np.abs(step, out=step) < 0.25 * LAMBDA_TOL
+        bound = np.multiply(_slope_floor_many(pi, top, work), 0.75 * LAMBDA_TOL, out=work[0])
         error = np.multiply(lam, _RESIDUAL_ULPS * 2.0**-52, out=work[1])
-        error += np.abs(kept, out=work[2])
-        settled = np.less_equal(error, bound, out=going)
+        error += np.abs(r, out=r)
+        settled &= error <= bound
     for i in np.flatnonzero(~settled):
         users = None if K[i] == math.inf else int(K[i])
         lam[i] = eval_point(ChannelConfig(users, total_power=float(pi[i]))).lambda_star

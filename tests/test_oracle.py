@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf
 
+import macgain.solvers
 import macgain.verify
 from conftest import curve_slope, finite_certified, massive_certified
 from macgain.core import (_RESIDUAL_ULPS, ChannelConfig, _fixed_point, _fixed_point_many,
@@ -109,14 +110,19 @@ def handed_over(monkeypatch):
 
 
 def test_finite_grid_in_one_batch(monkeypatch):
-    # The batch settles every grid root itself; 4 went to the scalar solver
-    # under the earlier certificate, which probed both sides of each root.
+    # The batch settles every grid root below pi = 1e52 itself.  The 14
+    # from K = 100 up at pi >= 1e52 it hands to the scalar solver: their
+    # float32 t = pi*lam overflows, so the float64 passes start at hi, and
+    # two do not settle them.  K = 2, 3 and 10 at 1000 dB start there too,
+    # but at the cap K, within 1e-9 of their roots.
     handed = handed_over(monkeypatch)
     K = np.repeat(GRID_USERS, len(GRID_POWER_DB))
     P = np.tile([db_to_linear(power_db) for power_db in GRID_POWER_DB], len(GRID_USERS))
     lam = _root_many(K, K * P)
     assert uncertified(zip(K.tolist(), P.tolist(), lam.tolist())) == []
-    assert handed == []
+    assert [(config.users, config.total_power) for config in handed] == [
+        (k, pi) for k, pi in zip(K.tolist(), (K * P).tolist()) if pi >= 1e52 and k >= 100]
+    assert len(handed) == 14
 
 
 def test_massive_and_inversion():
@@ -223,27 +229,30 @@ def test_batch_start_lies_above_every_root():
 
 
 def test_the_walk_in_one_batch(monkeypatch):
-    # verify's batch over the walk hands 599 of the 3505 inputs to the
-    # scalar solver, 598 before its first passes ran in float32 and 33 when
-    # it had a probe pass: every root above 421.05, where E alone exceeds
-    # the slope floor's bound, and the elements below that stopped early or
-    # whose |r(w)| + E still exceeds it.  The one added since float32 is K
-    # = 2 at pi = 7.66e88, whose root is an ulp below the cap 2: its
-    # float32 power is inf, so the float64 passes start at 2, where the
-    # first only steps, and the second steps back above 2 on float noise
-    # (r(2) = 2.2e-16, r(2 - ulp) = -6.7e-16).  eval_point roots it at 2 -
-    # ulp, where the batch settled it before.  Every root
-    # the batch settles itself shows an exact sign change across
-    # +-LAMBDA_TOL, and every root it hands on is eval_point's.  The batch
-    # builds each config from a float K, so a K above 2**53 is matched as
-    # int(float(K)).
+    # verify's batch over the walk hands 1235 of the 3505 inputs to the
+    # scalar solver: every root above 421.05, where E alone exceeds the
+    # slope floor's bound, and the elements below that whose two float64
+    # passes leave a step of tol/4 or more, or |r(w)| + E above the bound.
+    # Each has pi above 2.5e36, where its float32 t = pi*lam overflows: the
+    # float32 point is NaN, so the float64 passes start at hi.  1223 have
+    # pi above float32's largest float, and 12 pi from 2.6e36 to 1.3e38.
+    # K = 2 at pi = 7.66e88 has its root an ulp below the cap 2: its
+    # float64 passes start at 2, where the first only steps, and the
+    # second steps back above 2 on float noise (r(2) = 2.2e-16, r(2 - ulp)
+    # = -6.7e-16).  eval_point roots it at 2 - ulp.  Every root the batch
+    # settles itself shows an exact sign change across +-LAMBDA_TOL, and
+    # every root it hands on is eval_point's.  The batch builds each config
+    # from a float K, so a K above 2**53 is matched as int(float(K)).
     handed = handed_over(monkeypatch)
     configs = walk_configs()
     pis = np.array([config.total_power for config in configs])
     caps = np.array([math.inf if config.users is None else config.users for config in configs],
                     dtype=float)
     lam = _root_many(caps, pis).tolist()
-    assert len(handed) == 599
+    assert len(handed) == 1235
+    powers = [config.total_power for config in handed]
+    assert min(powers) > 2.5e36
+    assert sum(pi > float(np.finfo(np.float32).max) for pi in powers) == 1223
     cap_root = ChannelConfig(2, total_power=7.663522435439674e+88)
     assert cap_root in handed and eval_point(cap_root).lambda_star == math.nextafter(2.0, 0.0)
     handed_set = set(handed)
@@ -259,6 +268,46 @@ def test_the_walk_in_one_batch(monkeypatch):
                   config.users, config.total_power, x - LAMBDA_TOL) < 0
               < mp_fixed_point(config.users, config.total_power, x + LAMBDA_TOL)]
     assert failed == []
+
+
+# Steps i of the total powers 2000 + i*0.01 dB, 2000 to 3082 dB, at which
+# the scalar solve's probe reads r = 0.0 exactly, by K: 73 of the 973809
+# solves there for K = 2, 3, 10, 100, 1e4, 1e6, 1e12, 1e100 and the massive
+# limit.
+PROBE_ZEROS = {
+    10**4: (30299, 47685, 48940, 53147, 54355, 55579, 57665, 61573, 62778, 64252, 68192,
+            68194, 69693, 70298, 70301, 70600, 71202, 71499, 72709, 72720, 74809, 75109,
+            76376, 76916, 77816, 78423, 78717, 82634, 83235, 84440, 86547, 88044, 88046,
+            88588, 88641, 89548, 90152, 90809, 91054, 91304, 91338, 92254, 92564, 93760,
+            93830, 93979, 94065, 95873, 97028, 97072, 97076, 97973, 98576, 99475, 99478,
+            99485, 100685, 100743, 100982, 101203, 101886, 104316, 105197),
+    10**6: (58553, 66981, 77204, 84128, 86833, 89834, 104876),
+    10**12: (92246,),
+    10**100: (52838,),
+    None: (52838,),
+}
+
+
+def test_a_probe_that_reads_zero_settles_at_the_probe(monkeypatch):
+    # A probe reading r = 0.0 closes no (-, +) pair; the slope floor at the
+    # probe certifies it instead, so none of these solves reaches _bisect,
+    # each takes at most 4 evaluations, and its root, the probe, shows an
+    # exact sign change across +-LAMBDA_TOL.
+    def refuse(*args):
+        raise AssertionError("_bisect ran")
+
+    monkeypatch.setattr(macgain.solvers, "_bisect", refuse)
+    failed, solves = [], 0
+    for users, steps in PROBE_ZEROS.items():
+        for i in steps:
+            pi = db_to_linear(2000.0 + i * 0.01)
+            sol = eval_point(ChannelConfig(users, total_power=pi))
+            lam, solves = sol.lambda_star, solves + 1
+            if not (sol.residual == 0.0 and sol.iterations <= 4
+                    and mp_fixed_point(users, pi, lam - LAMBDA_TOL) < 0
+                    < mp_fixed_point(users, pi, lam + LAMBDA_TOL)):
+                failed.append((users, i, lam))
+    assert failed == [] and solves == 73
 
 
 def mp_slope(users, pi, y):

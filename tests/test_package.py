@@ -410,13 +410,13 @@ def _global_reads_of_solve(source: str, names: set[str]) -> set[str]:
 
 def test_the_probes_run_only_where_the_floor_cannot_certify():
     # solvers._solve calls _bisect only where its steps certified no root.
-    # verify._root_many has no probe pass: its two residual calls, both
-    # unguarded, are its float32 and float64 Newton passes, and what the
-    # slope floor leaves goes to eval_point.
+    # verify._root_many has no probe pass: its three residual calls, all
+    # unguarded, are its float32 passes' loop and its two float64 Newton
+    # passes, and what the slope floor leaves goes to eval_point.
     trees = {name: ast.parse((ROOT / "src" / "macgain" / f"{name}.py").read_text(
         encoding="utf-8")) for name in ("solvers", "verify")}
     assert _guards(trees["solvers"], "_solve", "_bisect") == [["lam is None"]]
-    assert _guards(trees["verify"], "_root_many", "_fixed_point_many") == [[], []]
+    assert _guards(trees["verify"], "_root_many", "_fixed_point_many") == [[], [], []]
 
 
 def _residual_lookups(source: str) -> set[str]:

@@ -530,7 +530,11 @@ class TestFiniteSolver:
 
 
 class TestAcceptance:
-    """A solve accepts its root by the slope floor, else by a probe, else by _bisect."""
+    """A solve accepts its root by the slope floor, else by a probe, else by _bisect.
+
+    The probe settles by the sign it reads or, where that closes no pair,
+    by the slope floor at the probe.
+    """
 
     def test_the_floor_accepts_an_unevaluated_newton_point(self, evaluated):
         sol = solve_lambda_massive(1000.0)
@@ -585,31 +589,26 @@ class TestAcceptance:
         assert steps <= _bisection_steps(1.0, hi, LAMBDA_TOL) + 1
         assert abs(sol.lambda_star - want) <= LAMBDA_TOL
 
-    def test_bisect_brackets_a_root_where_floor_and_probe_fail(self, monkeypatch, evaluated):
+    def test_the_floor_certifies_a_probe_that_reads_zero(self, monkeypatch, evaluated):
         # K = 10000 at 2706 dB, lam about 610, with the true residual: four
-        # ulps of lam, 4.5e-13, exceed LAMBDA_TOL/4, so neither the floor nor
-        # the probe settles the second Newton point.  Only then is r(1)
-        # read, and _bisect brackets the root once, on [1, hi] from scratch:
-        # 54 iterations, the upper end, two Newton steps, the probe and 50
-        # bisection steps, and 55 evaluations with r(1).
-        calls = []
+        # ulps of lam, 4.5e-13, exceed LAMBDA_TOL/4, so the floor does not
+        # certify the second Newton point, and the probe past it reads r =
+        # 0.0 exactly, which closes no (-, +) pair.  The floor at the probe
+        # itself certifies it, (|r| + E)/m = 9.1e-13 <= LAMBDA_TOL with m =
+        # 1/2: the root is the probe, after 4 evaluations, the upper end,
+        # two Newton steps and the probe, and _bisect does not run.
+        def refuse(*args):
+            raise AssertionError("_bisect ran")
 
-        def kernel(fn, lo, hi, *rest):
-            result = bisect(fn, lo, hi, *rest)
-            calls.append((lo, hi, result[2]))
-            return result
-
-        bisect = solvers_module._bisect
-        monkeypatch.setattr(solvers_module, "_bisect", kernel)
+        monkeypatch.setattr(solvers_module, "_bisect", refuse)
         config = ChannelConfig.finite(10_000, total_power=db_to_linear(2706.0))
         sol = eval_point(config)
         hi = _upper_end(config)
-        [(lo, up, steps)] = calls
-        assert (lo, up) == (1.0, hi) and 629.52 < hi < 629.53
-        assert steps == 50 <= _bisection_steps(1.0, hi, LAMBDA_TOL) + 1
-        assert (sol.lambda_star, sol.iterations, len(evaluated)) == (610.0893302272633, 54, 55)
-        assert evaluated[0] == hi and evaluated[4] == 1.0 and evaluated.count(1.0) == 1
+        assert evaluated[0] == hi and 629.52 < hi < 629.53
+        assert (sol.lambda_star, sol.iterations, len(evaluated)) == (610.0893302272633, 4, 4)
         pi, lam = config.total_power, sol.lambda_star
+        assert lam == evaluated[-1] and sol.residual == _fixed_point(10_000.0, pi, lam)[0] == 0.0
+        assert _RESIDUAL_ULPS * math.ulp(lam) / _slope_floor(pi, hi) <= LAMBDA_TOL
         assert mp_fixed_point(10_000, pi, lam - LAMBDA_TOL) < 0 < mp_fixed_point(
             10_000, pi, lam + LAMBDA_TOL)
 

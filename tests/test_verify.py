@@ -309,9 +309,10 @@ class TestRunSuite:
         assert run_suite(SampleSpec(seed=7, n_samples=10)) == reports
 
     def test_solver_errors_propagate(self, monkeypatch):
-        # Two Newton steps cannot narrow any sample's bracket to
-        # LAMBDA_TOL; the suite raises the scalar solver's error instead of
-        # reporting it.
+        # With no slope floor the batch hands every element to the scalar
+        # solver, whose two Newton steps cannot narrow any sample's bracket
+        # to LAMBDA_TOL; the suite raises its error instead of reporting it.
+        monkeypatch.setattr(macgain.verify, "_slope_floor_many", _no_floor)
         monkeypatch.setattr(macgain.solvers, "MAX_ITER", 2)
         with pytest.raises(ConvergenceError, match="after 2 iterations"):
             run_suite(SampleSpec(seed=1, n_samples=10))
@@ -722,6 +723,39 @@ def _no_floor(pi, hi, work):
     return 0.0
 
 
+def _rig_float64_passes(monkeypatch, first, second):
+    """Make the batch's two float64 passes read (r, r') = first(w) and second(w).
+
+    A pass given None reads the true residual; the float32 passes always do.
+    """
+    rigs = [first, second]
+
+    def rigged(K, pi, lam, work):
+        r, d = _fixed_point_many(K, pi, lam, work)
+        if lam.dtype == np.float64:
+            rig = rigs.pop(0)
+            if rig is not None:
+                r[...], d[...] = rig(lam)
+        return r, d
+
+    monkeypatch.setattr(macgain.verify, "_fixed_point_many", rigged)
+
+
+# Rigged float64 passes (K, pi, first, second) that fail one condition of
+# the batch's certificate each, and one that meets all of them.  At K = 2
+# and pi = 1e26 the root is 1.4e-13 below hi = 2; the massive root at pi =
+# 1e-14 lies 4.9e-15 above 1.  Each residual stays well inside the floor's
+# bound but the one that fails it.
+_CERTIFICATE_CASES = {
+    "w_above_hi": (2, 1e26, lambda w: (w - (2.0 + 5e-14), 1.0), lambda w: (1e-13, 1.0)),
+    "x_above_hi": (2, 1e26, lambda w: (w - (2.0 - 1e-13), 1.0), lambda w: (-2e-13, 1.0)),
+    "x_below_1": (math.inf, 1e-14, None, lambda w: (1e-13, 1.0)),
+    "long_step": (math.inf, 1000.0, None, lambda w: (1e-13, 1e-6)),
+    "residual_above_floor": (math.inf, 1000.0, None, lambda w: (1e-9, 1e6)),
+    "all_hold": (2, 1e26, lambda w: (w - (2.0 - 5e-14), 1.0), lambda w: (1e-13, 1.0)),
+}
+
+
 class TestBatchedSolve:
     """The certified batch against the scalar solvers it stands in for.
 
@@ -793,9 +827,10 @@ class TestBatchedSolve:
                                        rel=1e-10)
 
     def test_unconverged_element_raises_like_scalar(self, monkeypatch):
-        # Four Newton passes settle K=100 at pi=100 (it takes 4) but not K=10
-        # at pi=100 (it takes 5), in the batch as in the scalar solver, which
-        # raises for it.
+        # With no slope floor every element goes to the scalar solver, where
+        # four evaluations settle K=100 at pi=100 (it takes 4) but not K=10
+        # at pi=100 (it takes 5): the batch raises its error for the second.
+        monkeypatch.setattr(macgain.verify, "_slope_floor_many", _no_floor)
         monkeypatch.setattr(macgain.solvers, "MAX_ITER", 4)
         solve_lambda_star(100, 1.0)
         with pytest.raises(ConvergenceError, match="after 4 iterations"):
@@ -805,7 +840,9 @@ class TestBatchedSolve:
             _root_many(np.array([100, 10, 100]), np.array([100.0, 100.0, 100.0]))
 
     def test_first_failure_in_input_order_wins(self, monkeypatch):
-        # Two passes settle neither element; each raises in the scalar solver.
+        # With no slope floor both elements go to the scalar solver, whose
+        # two evaluations settle neither; each raises there.
+        monkeypatch.setattr(macgain.verify, "_slope_floor_many", _no_floor)
         monkeypatch.setattr(macgain.solvers, "MAX_ITER", 2)
         K, pi = np.array([2, 10]), np.array([1000.0, 1000.0])
         for order, first in (([0, 1], "K=2, P="), ([1, 0], "K=10, P=")):
@@ -831,9 +868,9 @@ class TestBatchedSolve:
         lam = _root_many(np.full(top.size, math.inf), top)
         assert handed == top.tolist()
         assert lam.tolist() == [solve_lambda_massive(pi).lambda_star for pi in top]
-        # One step settles none of them (the scalar solver takes 2, 2 and 3,
-        # the batch 2 passes for 1e300 and 3 for 5.38): all three go to the
-        # scalar solver, and the first in input order raises.
+        # The batch settles 5.38 and hands the other two to the scalar
+        # solver, which, allowed one evaluation (it takes 3 for each),
+        # raises for the first in input order.
         monkeypatch.setattr(macgain.solvers, "MAX_ITER", 1)
         with pytest.raises(ConvergenceError, match=re.escape(f"pi={float(top[2])!r}")):
             _root_many(np.full(3, math.inf), np.array([top[2], 1e300, 5.38]))
@@ -923,13 +960,13 @@ class TestBatchedSolve:
         assert 2.0 - 0.25 * LAMBDA_TOL < lam[0] < 2.0
         assert lam[0] == solve_lambda_star(2, 5e25).lambda_star
 
-    def test_elements_handed_over_stop_at_once(self, monkeypatch):
-        # An overflowing power reads NaN from its first float64 pass and one
-        # with a halved start, below its root, steps out of [1, hi]: both
-        # stop there, so the batch ends after the three float32 passes and
-        # its first float64 pass, well inside the bar of 7, instead of
-        # running to MAX_ITER.  Those four Newton passes are the batch's
-        # only residual calls.
+    def test_every_call_makes_five_passes_whatever_it_hands_over(self, monkeypatch):
+        # The batch runs one fixed schedule over every element: three
+        # float32 Newton passes, then two float64 ones, and no other
+        # residual call.  A call that hands nothing over makes them; so does
+        # one where an overflowing power reads NaN and one with a halved
+        # start, below its root, steps out of [1, hi], both going to the
+        # scalar solver.
         passes = []
 
         def counted(K, pi, lam, work):
@@ -943,15 +980,41 @@ class TestBatchedSolve:
             return eval_point(config)
 
         monkeypatch.setattr(macgain.verify, "_fixed_point_many", counted)
-        starts = _shrink_start(monkeypatch, 0.5)
         monkeypatch.setattr(macgain.verify, "eval_point", scalar)
+        schedule = [(2, "float32")] * 3 + [(2, "float64")] * 2
+        _root_many(np.full(2, math.inf), np.array([5.38, 1000.0]))
+        assert handed == [] and passes == schedule
+        passes.clear()
+        starts = _shrink_start(monkeypatch, 0.5)
         pis = np.array([db_to_linear(3070.0), 1000.0])
         lam = _root_many(np.full(2, math.inf), pis)
         assert handed == pis.tolist()
         assert lam.tolist() == [solve_lambda_massive(pi).lambda_star for pi in pis]
         assert len(starts) == 1
-        assert len(passes) <= 7
-        assert passes == [(2, "float32")] * 3 + [(2, "float64")]
+        assert passes == schedule
+
+    @pytest.mark.parametrize("case", list(_CERTIFICATE_CASES))
+    def test_each_certificate_condition_hands_over(self, monkeypatch, case):
+        # The batch settles x = w - step only where w <= hi, x lies in [1,
+        # hi], |step| < LAMBDA_TOL/4 and |r(w)| + E is within the slope
+        # floor's bound.  Each rig fails one condition, and the element goes
+        # to the scalar solver, which roots it by its own rule; the rig that
+        # meets them all settles at x.
+        K, pi, first, second = _CERTIFICATE_CASES[case]
+        handed = []
+
+        def scalar(config):
+            handed.append(config)
+            return eval_point(config)
+
+        _rig_float64_passes(monkeypatch, first, second)
+        monkeypatch.setattr(macgain.verify, "eval_point", scalar)
+        (lam,) = _root_many(np.array([K]), np.array([pi])).tolist()
+        config = ChannelConfig(None if K == math.inf else K, total_power=pi)
+        if case == "all_hold":
+            assert handed == [] and lam == (2.0 - 5e-14) - 1e-13
+        else:
+            assert handed == [config] and lam == eval_point(config).lambda_star
 
     @pytest.mark.parametrize("bad", [0.0, -0.5, -2.0, math.nan, math.inf,
                                      math.expm1(-1.0)])
