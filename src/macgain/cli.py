@@ -104,7 +104,8 @@ def _selected_users(args: argparse.Namespace) -> int | None:
 
 
 def _json_text(payload: dict) -> str:
-    # Imported here so that text and CSV output never load json.
+    # Imported here so that only the solve, peak and verify payloads, a few
+    # dozen values each, load json; point lists render through _json_points.
     import json
 
     return json.dumps(payload, indent=2) + "\n"
@@ -156,15 +157,26 @@ def run_solve(args: argparse.Namespace, out: TextIO) -> int:
     return 0
 
 
-def _point_dict(pt: CurvePoint) -> dict:
-    return {
-        "pi_db": pt.pi_db,
-        "pi": pt.pi,
-        "K": _users_json_value(pt.users),
-        "lambda": pt.lam,
-        "lambda_db": pt.lam_db,
-        "F": pt.F,
-    }
+def _json_users(users: int | None) -> str:
+    return '"massive"' if users is None else repr(users)
+
+
+def _json_points(users: int | None, curve: list[CurvePoint], depth: int) -> str:
+    """The curve's point list, byte for byte as json.dumps(indent=2) writes it
+    at `depth` levels of nesting.
+
+    Each point is an object of the CurvePoint fields under their JSON keys,
+    K as the int or "massive".  One str.format template per curve renders
+    it, floats by float.__repr__, which is json's encoding of a finite
+    float; every swept field is finite.  json runs its pure-Python encoder
+    whenever it indents, so the template is the faster path.
+    """
+    pad = "\n" + "  " * depth
+    keys = ("pi_db", "pi", "K", "lambda", "lambda_db", "F")
+    item = pad + "  {{" + ",".join(
+        f'{pad}    "{key}": ' + (_json_users(users) if name == "users" else f"{{0.{name}!r}}")
+        for key, name in zip(keys, CurvePoint._fields)) + pad + "  }}"
+    return "[" + ",".join(map(item.format, curve)) + pad + "]"
 
 
 def _csv_rows(users: int | None, curve: list[CurvePoint], fields: tuple[str, ...],
@@ -215,7 +227,7 @@ def run_curve(args: argparse.Namespace, out: TextIO) -> int:
         rows = [CSV_HEADER, *_csv_rows(users, points, CurvePoint._fields, args.precision)]
         text = "\n".join(rows) + "\n"
     elif args.format == "json":
-        text = _json_text({"points": [_point_dict(pt) for pt in points]})
+        text = '{\n  "points": ' + _json_points(users, points, 1) + "\n}\n"
     else:
         text = _chart(curves, pfactor=False)
     out.write(text)
@@ -277,11 +289,11 @@ def run_figure(args: argparse.Namespace, out: TextIO) -> int:
             lines += _csv_rows(users, curve, fields, args.precision)
         text = "\n".join(lines) + "\n"
     elif args.format == "json":
-        series = [
-            {"K": _users_json_value(users), "points": [_point_dict(pt) for pt in curve]}
-            for users, curve in curves
-        ]
-        text = _json_text({"which": args.which, "series": series})
+        series = ",".join(
+            f'\n    {{\n      "K": {_json_users(users)},\n      "points": '
+            + _json_points(users, curve, 3) + "\n    }"
+            for users, curve in curves)
+        text = f'{{\n  "which": "{args.which}",\n  "series": [{series}\n  ]\n}}\n'
     else:
         text = _chart(curves, pfactor)
     out.write(text)

@@ -340,22 +340,16 @@ def sweep_curve(users: int | None, from_db: float, to_db: float,
     """Solve one curve on db_grid(from_db, to_db, step_db), ascending in pi_db.
 
     The final point is clamped to to_db; a zero-width range yields the
-    single point at from_db.
+    single point at from_db.  Each point is built by tuple.__new__, as
+    _solve builds its GainSolution.
     """
     points: list[CurvePoint] = []
     for pi_db in db_grid(from_db, to_db, step_db):
         pi = db_to_linear(pi_db)
         sol = eval_point(ChannelConfig(users, total_power=pi))
-        points.append(
-            CurvePoint(
-                pi_db=pi_db,
-                pi=pi,
-                users=users,
-                lam=sol.lambda_star,
-                lam_db=linear_to_db(sol.lambda_star),
-                F=sol.gain_F,
-            )
-        )
+        lam = sol.lambda_star
+        points.append(tuple.__new__(CurvePoint, (pi_db, pi, users, lam, linear_to_db(lam),
+                                                 sol.gain_F)))
     return points
 
 

@@ -4,21 +4,31 @@ exit codes, and byte-level output stability."""
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import math
 import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, strategies as st
 
+import macgain.cli
 import macgain.solvers
 from conftest import finite_certified, massive_certified
-from macgain.cli import CSV_HEADER, decibels, main, user_count
+from macgain.cli import CSV_HEADER, _json_points, decibels, main, user_count
 from macgain.core import ChannelConfig, db_to_linear
-from macgain.solvers import eval_point, invert_massive_parametric, solve_lambda_massive
+from macgain.solvers import (
+    CurvePoint,
+    eval_point,
+    invert_massive_parametric,
+    solve_lambda_massive,
+)
 
 
 def run_cli(capsys, *argv):
@@ -783,6 +793,19 @@ GOLDEN_FIGURE_SHA256 = {
         85, "d2080959ed37a399ca20cbb5552ac234e607cbda3d1f13616f5f11bdd3b9feef"),
 }
 
+# The curve and figure JSON, frozen by digest with their line counts, as
+# json.dumps(indent=2) wrote them before the point lists had a template.
+GOLDEN_JSON_SHA256 = {
+    "curve --users 100 --format json --step-db 0.02": (
+        16012, "141cf314126dc8d5d9e3c8ee6f14053c30c59ba0f60e7214c842d685cde74ccd"),
+    "curve --massive --format json": (
+        3212, "42f9e8270c9513d48e8b8130c55d2a60f24bb4bd8e70db9cba0eaf555f29f03f"),
+    "figure --which pfactor --format json --users 2,massive --step-db 1": (
+        671, "70a5b1af93a84637dbefab97b9f7c5904ee76adab705410f6fa85d5bf550c48f"),
+    "curve --users 3 --format json --step-db 3090": (
+        20, "144c411bda2ddf1bd267c37f70df0342d636c1e0d170d920898070276e8a1b83"),
+}
+
 
 class TestGoldenStdout:
     @pytest.mark.parametrize("command", list(GOLDEN_STDOUT))
@@ -805,6 +828,105 @@ class TestGoldenStdout:
         assert len(out.splitlines()) == lines
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("command", list(GOLDEN_JSON_SHA256))
+    def test_json_digest(self, capsys, command):
+        code, out, err = run_cli(capsys, *command.split())
+        assert (code, err) == (0, "")
+        lines, digest = GOLDEN_JSON_SHA256[command]
+        assert len(out.splitlines()) == lines
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _reference_point(pt: CurvePoint) -> dict:
+    """A point as the CLI built it for json.dumps before the template."""
+    return {
+        "pi_db": pt.pi_db,
+        "pi": pt.pi,
+        "K": "massive" if pt.users is None else pt.users,
+        "lambda": pt.lam,
+        "lambda_db": pt.lam_db,
+        "F": pt.F,
+    }
+
+
+def _reference_curve(curve) -> str:
+    return json.dumps({"points": [_reference_point(pt) for pt in curve]}, indent=2) + "\n"
+
+
+def _reference_figure(which, curves) -> str:
+    series = [{"K": "massive" if users is None else users,
+               "points": [_reference_point(pt) for pt in curve]}
+              for users, curve in curves]
+    return json.dumps({"which": which, "series": series}, indent=2) + "\n"
+
+
+def _render(command, *argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main([command, *argv, "--format", "json"]) == 0
+    return out.getvalue()
+
+
+# Every finite float, subnormals included, and the edges by name.
+_finite_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e300, -1e300,
+                     1.7976931348623157e308, 1000.0, -3.0]),
+)
+
+
+class TestJsonPointTemplate:
+    """cli._json_points renders exactly what json.dumps(indent=2) wrote."""
+
+    @pytest.mark.parametrize("users", [2, 10**12, None])
+    @given(rows=st.lists(st.tuples(*[_finite_floats] * 5), min_size=1, max_size=4))
+    def test_drawn_points(self, users, rows):
+        curve = [CurvePoint(a, b, users, c, d, e) for a, b, c, d, e in rows]
+        curves = [(users, curve), (None, [pt._replace(users=None) for pt in curve])]
+        # run_curve writes its envelope around depth 1, run_figure around depth 3.
+        text = '{\n  "points": ' + _json_points(users, curve, 1) + "\n}\n"
+        assert text == _reference_curve(curve)
+        with patch.object(macgain.cli, "_sweeps", return_value=curves):
+            assert _render("figure", "--which", "pfactor") == _reference_figure(
+                "pfactor", curves)
+
+    @pytest.mark.parametrize("users", [2, 10, 10**12, None])
+    def test_sweeps_at_the_accepted_ends(self, users):
+        # The template is exact only where every field is finite, which json
+        # then also writes as a plain number; at the lowest and the highest
+        # dB a sweep accepts, every swept field must be.  A finite K refuses
+        # a total power whose pi/K underflows, so its sweeps start higher.
+        def swept(db: float) -> bool:
+            try:
+                ChannelConfig(users, total_power=db_to_linear(db))
+            except ValueError:
+                return False
+            return True
+
+        low, top = _accepted_db_ends()
+        low = _edge(swept, 0.0, low)
+        token = "massive" if users is None else str(users)
+        for lo, hi in ((low, low + 40.0), (top - 40.0, top)):
+            curve = macgain.solvers.sweep_curve(users, lo, hi, 4.0)
+            fields = [v for pt in curve for v in (pt.pi_db, pt.pi, pt.lam, pt.lam_db, pt.F)]
+            assert len(curve) == 11 and all(map(math.isfinite, fields))
+            massive = macgain.solvers.sweep_curve(None, lo, hi, 4.0)
+            ends = ("--from-db", repr(lo), "--to-db", repr(hi), "--step-db", "4")
+            assert _render("curve", *(("--massive",) if users is None else ("--users", token)),
+                           *ends) == _reference_curve(curve)
+            assert _render("figure", "--which", "cfactor", "--users", f"{token},massive",
+                           *ends) == _reference_figure(
+                "cfactor", [(users, curve), (None, massive)])
+
+
+def _edge(accepted, inside: float, outside: float) -> float:
+    """The last value from inside towards outside that accepted() takes, to the float."""
+    while True:
+        mid = 0.5 * (inside + outside)
+        if mid in (inside, outside):
+            return inside
+        inside, outside = (mid, outside) if accepted(mid) else (inside, mid)
+
 
 def _accepted_db_ends() -> tuple[float, float]:
     """The lowest and the highest dB value that cli.decibels accepts, to the float."""
@@ -816,15 +938,7 @@ def _accepted_db_ends() -> tuple[float, float]:
             return False
         return True
 
-    ends = []
-    for inside, outside in ((0.0, -4000.0), (0.0, 4000.0)):
-        while True:
-            mid = 0.5 * (inside + outside)
-            if mid in (inside, outside):
-                break
-            inside, outside = (mid, outside) if accepted(mid) else (inside, mid)
-        ends.append(inside)
-    return ends[0], ends[1]
+    return _edge(accepted, 0.0, -4000.0), _edge(accepted, 0.0, 4000.0)
 
 
 class TestEveryAcceptedInput:

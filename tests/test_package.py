@@ -57,9 +57,10 @@ def test_verify_import_solves_nothing():
 
 
 def test_cli_import_leaves_record_and_output_machinery_unloaded():
-    # Records are named tuples, json loads only for --format json and the
-    # SVG renderer only for --format svg, so importing the CLI and running
-    # text and CSV commands load none of these.
+    # Records are named tuples, json loads only for the solve, peak and
+    # verify JSON payloads and the SVG renderer only for --format svg, so
+    # importing the CLI and running text, CSV and curve or figure JSON
+    # commands load none of these.
     code = "\n".join([
         "import sys, macgain.cli",
         "unwanted = {'dataclasses', 'inspect', 'json', 'macgain.svgplot'}",
@@ -67,6 +68,9 @@ def test_cli_import_leaves_record_and_output_machinery_unloaded():
         "macgain.cli.main(['solve', '--users', '2', '--power-db', '0'])",
         "macgain.cli.main(['peak', '--massive'])",
         "macgain.cli.main(['curve', '--users', '3', '--step-db', '1'])",
+        "macgain.cli.main(['curve', '--massive', '--step-db', '1', '--format', 'json'])",
+        "macgain.cli.main(['figure', '--which', 'cfactor', '--users', '3,massive',"
+        " '--step-db', '5', '--format', 'json'])",
         "print(at_import, sorted(unwanted & set(sys.modules)), file=sys.stderr)",
     ])
     result = subprocess.run([sys.executable, "-c", code], timeout=60,
