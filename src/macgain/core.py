@@ -191,6 +191,22 @@ def _balance(lam, K, P, log1p):
     return K * log1p(boosted) - log1p(K * P * lam)
 
 
+def _balance_many(K, P, lam, L, D, out):
+    """_balance over numpy arrays by the same operations, into out, which it returns.
+
+    L = ln(1 + K*P*lam) and D = 1 + (K - lam)*P*lam come formed by the
+    caller, by _balance's operations, so every element keeps its bits.
+    """
+    import numpy as np
+
+    boosted = np.multiply(P, lam, out=out)
+    boosted *= lam
+    boosted /= D
+    np.log1p(boosted, out=out)
+    out *= K
+    return np.subtract(out, L, out=out)
+
+
 def _fixed_point(K, pi, lam, log1p=math.log1p, expm1=math.expm1, log=math.log, inf=math.inf,
                  cutoff=_SERIES_CUTOFF, series=log1p_over_x):
     """(r, r') at lam for r = lam - G_K(pi*lam), unvalidated; K = inf is the massive limit.

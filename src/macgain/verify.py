@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (_RESIDUAL_ULPS, ChannelConfig, _balance, _fixed_point_many,
+from .core import (_RESIDUAL_ULPS, ChannelConfig, _balance_many, _fixed_point_many,
                    _slope_floor_many, db_to_linear)
 from .solvers import (DEFAULT_FROM_DB, DEFAULT_TO_DB, DEFAULT_USERS, LAMBDA_TOL, db_grid,
                       eval_point)
@@ -134,12 +134,11 @@ def draw_samples(spec: SampleSpec) -> tuple[np.ndarray, np.ndarray]:
     rng = np.random.default_rng(spec.seed)
     k_lo, k_hi = SAMPLE_USERS
     p_lo, p_hi = SAMPLE_POWERS
-    ks = np.floor(
-        np.exp(rng.uniform(math.log(k_lo), math.log(k_hi + 1), spec.n_samples))
-    ).astype(int)
-    ks = np.clip(ks, k_lo, k_hi)
-    ps = np.exp(rng.uniform(math.log(p_lo), math.log(p_hi), spec.n_samples))
-    return ks, ps
+    ks = rng.uniform(math.log(k_lo), math.log(k_hi + 1), spec.n_samples)
+    ks = np.floor(np.exp(ks, out=ks), out=ks).astype(int)  # rebound: the floats go at once
+    np.clip(ks, k_lo, k_hi, out=ks)
+    ps = rng.uniform(math.log(p_lo), math.log(p_hi), spec.n_samples)
+    return ks, np.exp(ps, out=ps)
 
 
 def _report(check_name: str, tables, slop: float = NUMERIC_SLOP) -> BoundReport:
@@ -152,9 +151,11 @@ def _report(check_name: str, tables, slop: float = NUMERIC_SLOP) -> BoundReport:
     link, then table by table; the first smallest slack wins a tie.  A
     slack below -slop, or a NaN, is a violation, but a NaN never wins.
     Each column is scored on its own, a missing entry as +inf, so no table
-    is built: one whose plain minimum is >= -slop holds no violation and no
-    NaN; only another is counted and reduced again, skipping NaNs.  Only
-    the winning witness is formatted.
+    is built.  One argmin reads a column's first smallest slack, or its
+    first NaN; if that is >= -slop the column holds no violation and no
+    NaN, and the row is its witness.  Only another column is counted and
+    reduced again, skipping NaNs, and its witness is the first row of that
+    minimum.  Only the winning witness is formatted.
     """
     samples = violations = 0
     best = (math.inf, 0, 0, 0, "", None)  # (slack, table, row, link, name, label)
@@ -163,20 +164,43 @@ def _report(check_name: str, tables, slop: float = NUMERIC_SLOP) -> BoundReport:
             exists = None if valid is None else valid[link]
             kept = slacks if exists is None else np.where(exists, slacks, math.inf)
             samples += kept.size if exists is None else int(np.count_nonzero(exists))
-            low = kept.min(initial=math.inf)
+            if not kept.size:
+                continue
+            row = int(kept.argmin())
+            low = kept[row]
             if not low >= -slop:
                 violations += kept.size - int(np.count_nonzero(kept >= -slop))
                 low = np.fmin.reduce(kept, initial=math.inf)
-            if low < math.inf and low <= best[0]:
                 row = int((kept == low).argmax())
+            if low < math.inf and low <= best[0]:
                 best = min(best, (float(kept[row]), table, row, link, name, label))
     worst, _, row, _, name, label = best
     return BoundReport(check_name, samples, violations, worst if samples else math.nan,
                        f"{name} {label(row)}" if label else "")
 
 
-def point_bound_slacks(K: np.ndarray, P: np.ndarray,
-                       lam: np.ndarray) -> list[tuple[str, np.ndarray]]:
+def _point_terms(K, P, pi, lam, rows):
+    """The terms that the point chains share with the balance residual and F.
+
+    Writes into rows, five arrays of lam's shape, and returns them as (t,
+    L, K - lam, D, t*lam): t = pi*lam, L = ln(1+t) and D = 1 + (K -
+    lam)*P*lam, pi being K*P.  Each is the operation the allocating forms
+    take on the same operands (pi*lam*lam parses as t*lam, K*P*lam as t),
+    so every slack built on them keeps its bits.
+    """
+    t, L, gap, D, t_lam = rows
+    np.multiply(pi, lam, out=t)
+    np.log1p(t, out=L)
+    np.subtract(K, lam, out=gap)
+    np.multiply(gap, P, out=D)
+    D *= lam
+    np.add(1.0, D, out=D)
+    np.multiply(t, lam, out=t_lam)
+    return t, L, gap, D, t_lam
+
+
+def point_bound_slacks(K: np.ndarray, P: np.ndarray, lam: np.ndarray,
+                       rows=None) -> list[tuple[str, np.ndarray]]:
     """Slacks of the root-point inequality chains at equal-length arrays.
 
     The five links, one array each: a two-sided logarithm bracket around
@@ -184,27 +208,45 @@ def point_bound_slacks(K: np.ndarray, P: np.ndarray,
     that keeps the bracket's upper end below K*lam/(K-lam).  The cap is
     defined only for lam < K; callers drop its other entries.  The ceiling
     is core._fixed_point_many's K = inf residual negated, bit for bit.
+    rows, if given, are seven of the caller's: _point_terms' five at these
+    arrays, then two spare.  The five links are written, in order, over
+    t*lam, the first spare row, the second, t and D, so the call allocates
+    nothing.  Without rows, seven are allocated and the terms formed there.
     """
     with np.errstate(all="ignore"):
-        pi = K * P
-        t = pi * lam
-        log_term = np.log1p(t)
-        upper = pi * lam * lam / (1.0 + (K - lam) * P * lam)
+        if rows is None:
+            rows = [np.empty(np.broadcast(K, P, lam).shape) for _ in range(7)]
+            _point_terms(K, P, K * P, lam, rows[:5])
+        t, L, gap, D, t_lam, u, floor = rows
+        upper = np.divide(t_lam, D, out=D)
+        np.add(1.0, t, out=u)
+        lower = np.subtract(L, np.divide(t_lam, u, out=t_lam), out=t_lam)
+        ceiling = np.multiply(u, np.divide(L, t, out=t), out=t)
+        ceiling -= lam
+        log_upper = np.subtract(upper, L, out=u)
+        cap = np.divide(np.multiply(K, lam, out=floor), gap, out=floor)
+        cap = np.subtract(cap, upper, out=upper)
+        np.divide(np.multiply(K, L, out=floor), np.add(K, L, out=gap), out=floor)
         return [
-            ("log_bracket_lower", log_term - t * lam / (1.0 + t)),
-            ("log_bracket_upper", upper - log_term),
-            ("gain_floor", lam - K * log_term / (K + log_term)),
-            ("fixed_point_ceiling", (1.0 + t) * (log_term / t) - lam),
-            ("bracket_cap", K * lam / (K - lam) - upper),
+            ("log_bracket_lower", lower),
+            ("log_bracket_upper", log_upper),
+            ("gain_floor", np.subtract(lam, floor, out=floor)),
+            ("fixed_point_ceiling", ceiling),
+            ("bracket_cap", cap),
         ]
 
 
-def _gain(pi: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """The capacity gain factor F = ln(1+pi*lam) / ln(1+pi), elementwise."""
-    return np.log1p(pi * lam) / np.log1p(pi)
+def _gain(pi: np.ndarray, lam: np.ndarray, logs=None, out=None) -> np.ndarray:
+    """The capacity gain factor F = ln(1+pi*lam) / ln(1+pi), elementwise.
+
+    logs, if given, holds those two logarithms already formed, and out,
+    if given, receives F.
+    """
+    fb, nofb = (np.log1p(pi * lam), np.log1p(pi)) if logs is None else logs
+    return np.divide(fb, nofb, out=out)
 
 
-def _root_many(K: np.ndarray, pi: np.ndarray) -> np.ndarray:
+def _root_many(K: np.ndarray, pi: np.ndarray, work=None) -> np.ndarray:
     """The power gain at every (K, pi), K = inf massive, by certified Newton steps.
 
     Each element starts at hi = min(K, 2 + 2*ln(1+pi)), where the residual
@@ -232,24 +274,27 @@ def _root_many(K: np.ndarray, pi: np.ndarray) -> np.ndarray:
     and total power.  That pins it to lam = 1, takes the cap as its root,
     solves it by its own rule, or raises its own error.  Batch and scalar
     roots take different Newton points and may be a few ulps apart, each
-    certified by its own rule.
+    certified by its own rule.  work, eight rows of K.size elements, is
+    the caller's, or allocated here: rows 0-4 take the residual's rows,
+    row 5 hi, row 6 ln(1+pi), which the caller may read afterwards, and
+    row 7 the roots, returned as a view.
     """
     K = np.asarray(K, dtype=float)
+    if work is None:
+        work = np.empty((8, K.size))
     with np.errstate(all="ignore"):
-        top = np.log1p(pi)  # then min(K, 2 + 2a), in place
-        top *= 2.0
+        top = np.multiply(np.log1p(pi, out=work[6]), 2.0, out=work[5])  # then min(K, 2 + 2a)
         top += 2.0
         np.minimum(top, K, out=top)
-        work = np.empty((5, K.size))  # _fixed_point_many's five rows
-        # Ten float32 rows in its bytes: the float32 passes' five, then K,
-        # pi and their point.
-        work32 = work.view(np.float32).reshape(10, -1)
+        # Ten float32 rows in the bytes of the residual's five: the float32
+        # passes' five, then K, pi and their point.
+        work32 = work[:5].view(np.float32).reshape(10, -1)
         K32, pi32, x32 = work32[5:8]
         K32[...], pi32[...], x32[...] = K, pi, top
         for _ in range(_SINGLE_PASSES):
             r, d = _fixed_point_many(K32, pi32, x32, work32)
             x32 -= np.divide(r, d, out=r)
-        lam = np.maximum(x32, 1.0, dtype=float)  # the point, then w and x, in place
+        lam = np.maximum(x32, 1.0, out=work[7], dtype=float)  # the point, then w and x
         np.fmin(lam, top, out=lam)  # a NaN point takes hi
         r, d = _fixed_point_many(K, pi, lam, work)
         lam -= np.divide(r, d, out=r)  # the first float64 pass only steps
@@ -410,51 +455,67 @@ def run_suite(sample: SampleSpec, sabotage: bool = False) -> list[BoundReport]:
     them with float arrays, which numpy runs about twice as slow on int64
     operands, and every count below 2**53 is exact as a float, so no slack
     moves.  draw_samples keeps drawing integers, the counts it promises.
+    The suite runs in one workspace of ten rows of n + 2130 floats, n
+    samples, allocated per call: rows 0-7 are the batch's (its residual's
+    five, hi, ln(1+pi) and the roots), and K and pi land in rows 8 and 9.
+    Once the batch returns, the first n columns of rows 0-4 take
+    _point_terms' five shared terms, and row 5 and pi's row the slacks; F
+    is written over ln(1+pi), and bracket_cap's mask over F's row once its
+    report is scored.  A row is reused only once what it held is spent, so
+    the per-sample reports are scored global_gain_bounds first, then
+    root_quality, then point_bounds, and every slack keeps its bits.
     Violations are returned as data; solver errors propagate.
     """
     large_K, large_P, curve_pis, tail_pis, limit_pis, fixed_K, fixed_pi, cuts = _FIXED
-    K, P = draw_samples(sample)
-    K = K.astype(float)
-    pi = K * P
+    n = sample.n_samples
+    work = np.empty((10, n + fixed_K.size))
+    K, pi = work[8], work[9]
+    K[:n], P = draw_samples(sample)  # the counts land in K's row as floats
+    K[n:], pi[n:] = fixed_K, fixed_pi
+    np.multiply(K[:n], P, out=pi[:n])
     lam, large_lam, curve_lams, fd_lams, limit_lams, tail_lams, (witness,) = np.split(
-        _root_many(np.concatenate((K, fixed_K)), np.concatenate((pi, fixed_pi))),
-        K.size + cuts)
-    curve_lams = curve_lams.reshape(-1, curve_pis.size)
+        _root_many(K, pi, work[:8]), n + cuts)
+    K, pi, log_pi, spare = K[:n], pi[:n], work[6, :n], work[5, :n]
     if sabotage:
-        lam = np.minimum(lam + 0.5, K)
+        np.minimum(np.add(lam, 0.5, out=lam), K, out=lam)
 
     def at(row: int) -> str:
         return f"at K={int(K[row])} P={float(P[row]):.6g}"
 
-    # The paper's per-user balance residual, at the (possibly sabotaged) lam.
-    res = _balance(lam, K, P, np.log1p) / (K * (K - 1.0))
-    links = point_bound_slacks(K, P, lam)
-    exists = [None] * (len(links) - 1) + [lam < K]  # bracket_cap, the last link
-    F = _gain(pi, lam)
+    terms = _, L, gap, D, _ = _point_terms(K, P, pi, lam, work[:5, :n])
+    F = _gain(pi, lam, (L, log_pi), out=log_pi)
     # Near-extremal witness: the massive curve close to its peak power.
     F_witness = math.log1p(5.38 * float(witness)) / math.log1p(5.38)
+    global_gain = _report("global_gain_bounds", [
+        ([("gain_at_least_1", np.subtract(F, 1.0, out=spare)),
+          ("doubling_cap", np.subtract(2.0, F, out=pi)),
+          ("improved_cap", np.subtract(IMPROVED_GAIN_CAP, F, out=F))], at, None),
+        ([("near_extremal_witness_floor", np.array([F_witness - 1.53])),
+          ("near_extremal_witness_cap", np.array([1.54 - F_witness]))],
+         lambda row: "at pi=5.38", None),
+    ])
+    # The paper's per-user balance residual, at the (possibly sabotaged) lam.
+    res = _balance_many(K, P, lam, L, D, out=spare)
+    res /= np.multiply(K, np.subtract(K, 1.0, out=pi), out=pi)
+    root_quality = _report("root_quality", [([
+        ("residual_within_tol", np.subtract(ROOT_RESIDUAL_TOL, np.abs(res, out=res), out=res)),
+        ("lambda_at_least_1", np.subtract(lam, 1.0, out=pi)),
+        ("lambda_at_most_K", gap),
+    ], at, None)], slop=0.0)
+    cap_exists = np.less(lam, K, out=log_pi.view(bool)[:n])  # bracket_cap, the last link
+    links = point_bound_slacks(K, P, lam, (*terms, spare, pi))
     large = dict(point_bound_slacks(large_K, large_P, large_lam))
     return [
-        _report("point_bounds", [(links, at, exists)]),
-        _report("root_quality", [([
-            ("residual_within_tol", ROOT_RESIDUAL_TOL - np.abs(res)),
-            ("lambda_at_least_1", lam - 1.0),
-            ("lambda_at_most_K", K - lam),
-        ], at, None)], slop=0.0),
+        _report("point_bounds", [(links, at, [None] * (len(links) - 1) + [cap_exists])]),
+        root_quality,
         _report("sandwich_large_k", [(
             [(name, large[name]) for name in ("gain_floor", "fixed_point_ceiling")],
             lambda row: f"at K={large_K[row]} P=1", None)]),
         check_tail_bounds(tail_pis, tail_lams),
         check_derivative(fd_lams),
-        check_monotone_unimodal(curve_pis, curve_lams, limit_pis, limit_lams),
-        _report("global_gain_bounds", [
-            ([("gain_at_least_1", F - 1.0),
-              ("doubling_cap", 2.0 - F),
-              ("improved_cap", IMPROVED_GAIN_CAP - F)], at, None),
-            ([("near_extremal_witness_floor", np.array([F_witness - 1.53])),
-              ("near_extremal_witness_cap", np.array([1.54 - F_witness]))],
-             lambda row: "at pi=5.38", None),
-        ]),
+        check_monotone_unimodal(curve_pis, curve_lams.reshape(-1, curve_pis.size),
+                                limit_pis, limit_lams),
+        global_gain,
     ]
 
 

@@ -15,13 +15,26 @@ root of solvers._bisect by the bracket its own points close.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from mpmath import mp, mpf
+
+# hypothesis's report hook imports this private module when a @given test
+# fails; its libcst import raises a DeprecationWarning from mypy_extensions,
+# which filterwarnings = ["error"] turns into an INTERNALERROR that stops the
+# run.  Imported once here with only that warning ignored, every failure
+# after the first is still run and reported, and every other warning stays
+# an error.  Without libcst the hook skips the module, and so does this.
+with warnings.catch_warnings(), contextlib.suppress(ImportError):
+    warnings.filterwarnings("ignore", "mypy_extensions.TypedDict is deprecated",
+                            DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 import macgain.solvers
 from macgain.core import _SERIES_CUTOFF, ChannelConfig, _fixed_point, log1p_over_x

@@ -8,6 +8,7 @@ import importlib
 import importlib.util
 import inspect
 import math
+import os
 import re
 import subprocess
 import symtable
@@ -504,3 +505,33 @@ def test_solve_reads_r_at_1_only_where_no_proof_holds():
     assert "_lambda_bound" not in imported and "_fixed_point_many" in imported
     assert list(inspect.signature(_lambda_bound).parameters) == ["pi", "a", "log1p"]
     assert _lambda_bound.__defaults__ == (math.log1p,)
+
+
+_TWO_FAILURES = '''
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_drawn(x):
+    assert False
+
+
+def test_plain():
+    assert False
+'''
+
+
+def test_a_failing_given_test_hides_no_later_failure(tmp_path):
+    # Under filterwarnings = ["error"], hypothesis's report hook for a
+    # failing @given test used to end the run with an INTERNALERROR, and no
+    # later test ran.  Run under this repository's pytest config and
+    # conftest, in a directory of its own, both tests must run and fail.
+    (tmp_path / "test_two.py").write_text(_TWO_FAILURES, encoding="utf-8")
+    path = os.pathsep.join([str(ROOT / "tests"), os.environ.get("PYTHONPATH", "")])
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(ROOT / "pyproject.toml"),
+         "-p", "no:cacheprovider", "-p", "conftest", "test_two.py"],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+        text=True, timeout=120)
+    assert "INTERNALERROR" not in result.stdout + result.stderr
+    assert "2 failed" in result.stdout.splitlines()[-1]

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import re
 import subprocess
 import sys
@@ -44,6 +45,7 @@ from macgain.verify import (
     IMPROVED_GAIN_CAP,
     MAX_SAMPLES,
     NUMERIC_SLOP,
+    ROOT_RESIDUAL_TOL,
     SAMPLE_POWERS,
     SAMPLE_USERS,
     SampleSpec,
@@ -577,6 +579,106 @@ def test_float_user_counts_are_exact():
             assert ints.tobytes() == floats.tobytes(), name
 
 
+def expression_point_slacks(K, P, lam):
+    """point_bound_slacks' five links as allocating expressions, one per link."""
+    with np.errstate(all="ignore"):
+        pi = K * P
+        t = pi * lam
+        log_term = np.log1p(t)
+        upper = pi * lam * lam / (1.0 + (K - lam) * P * lam)
+        return [
+            ("log_bracket_lower", log_term - t * lam / (1.0 + t)),
+            ("log_bracket_upper", upper - log_term),
+            ("gain_floor", lam - K * log_term / (K + log_term)),
+            ("fixed_point_ceiling", (1.0 + t) * (log_term / t) - lam),
+            ("bracket_cap", K * lam / (K - lam) - upper),
+        ]
+
+
+def test_point_links_keep_the_bits_of_their_expressions():
+    # point_bound_slacks writes each link over rows that it or its caller
+    # owns; every link is the same IEEE operations as its expression, at the
+    # roots and half a unit off them, for int and float counts alike.
+    K, P, lam = seed_1_roots()
+    for counts in (K, K.astype(float)):
+        for at in (lam, np.minimum(lam + 0.5, K)):
+            for (name, got), (_, want) in zip(point_bound_slacks(counts, P, at),
+                                              expression_point_slacks(counts, P, at)):
+                assert got.tobytes() == want.tobytes(), name
+
+
+def scored_columns(monkeypatch, run):
+    """Every column that run() hands _report, keyed by (check, table, link).
+
+    Each is copied as it is handed over: run_suite reuses its rows, so a
+    column read after its report would show what overwrote it.
+    """
+    columns = {}
+
+    def capture(check_name, tables, **slop):
+        for table, (links, _, _) in enumerate(tables):
+            for name, slacks in links:
+                columns[check_name, table, name] = np.copy(slacks)
+        return _report(check_name, tables, **slop)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(macgain.verify, "_report", capture)
+        run()
+    return columns
+
+
+def fresh_suite_columns(monkeypatch, spec, sabotage):
+    """run_suite's columns from the allocating formulas, each on fresh arrays."""
+    large_K, large_P, curve_pis, tail_pis, limit_pis, fixed_K, fixed_pi, cuts = (
+        macgain.verify._FIXED)
+    K, P = draw_samples(spec)
+    K = K.astype(float)
+    lam, large_lam, curve_lams, fd_lams, limit_lams, tail_lams, (witness,) = np.split(
+        _root_many(np.concatenate((K, fixed_K)), np.concatenate((K * P, fixed_pi))),
+        K.size + cuts)
+    if sabotage:
+        lam = np.minimum(lam + 0.5, K)
+    res = _balance(lam, K, P, np.log1p) / (K * (K - 1.0))
+    F = _gain(K * P, lam)
+    F_witness = math.log1p(5.38 * float(witness)) / math.log1p(5.38)
+    large = dict(expression_point_slacks(large_K, large_P, large_lam))
+    columns = {("point_bounds", 0, name): slacks
+               for name, slacks in expression_point_slacks(K, P, lam)}
+    columns.update({
+        ("root_quality", 0, "residual_within_tol"): ROOT_RESIDUAL_TOL - np.abs(res),
+        ("root_quality", 0, "lambda_at_least_1"): lam - 1.0,
+        ("root_quality", 0, "lambda_at_most_K"): K - lam,
+        ("sandwich_large_k", 0, "gain_floor"): large["gain_floor"],
+        ("sandwich_large_k", 0, "fixed_point_ceiling"): large["fixed_point_ceiling"],
+        ("global_gain_bounds", 0, "gain_at_least_1"): F - 1.0,
+        ("global_gain_bounds", 0, "doubling_cap"): 2.0 - F,
+        ("global_gain_bounds", 0, "improved_cap"): IMPROVED_GAIN_CAP - F,
+        ("global_gain_bounds", 1, "near_extremal_witness_floor"): np.array([F_witness - 1.53]),
+        ("global_gain_bounds", 1, "near_extremal_witness_cap"): np.array([1.54 - F_witness]),
+    })
+    return columns | scored_columns(monkeypatch, lambda: (
+        check_tail_bounds(tail_pis, tail_lams), check_derivative(fd_lams),
+        check_monotone_unimodal(curve_pis, curve_lams.reshape(-1, curve_pis.size),
+                                limit_pis, limit_lams)))
+
+
+@pytest.mark.parametrize("seed, n_samples, sabotage",
+                         [(1, 10_000, False), (2, 10_000, False), (3, 10_000, False),
+                          (42, MAX_SAMPLES, False), (7, 10_000, True), (7, 10, True)])
+def test_suite_columns_keep_their_bits(monkeypatch, seed, n_samples, sabotage):
+    # run_suite forms each shared term once in its one workspace and writes
+    # every slack over a row whose contents are spent; each column it
+    # scores must equal, byte for byte, the allocating formulas' on fresh
+    # arrays: the links' expressions (which point_bound_slacks on fresh
+    # arrays reproduces), the paper's balance form per user, and F.
+    spec = SampleSpec(seed, n_samples)
+    got = scored_columns(monkeypatch, lambda: run_suite(spec, sabotage))
+    want = fresh_suite_columns(monkeypatch, spec, sabotage)
+    assert sorted(got) == sorted(want)
+    for key, slacks in want.items():
+        assert (got[key].dtype, got[key].tobytes()) == (slacks.dtype, slacks.tobytes()), key
+
+
 def traced_peak(fn, *args) -> int:
     """Bytes fn(*args) holds at most beyond what was live when it started."""
     tracemalloc.start()
@@ -598,12 +700,50 @@ class TestScoringMemory:
         assert traced_peak(_report, "point_bounds", [table]) < 2 * lam.nbytes
 
     def test_suite_peak(self):
-        # 1279 KiB, set by the batch's workspace; building the fixed grids
-        # and batch columns in every suite peaked at 1305 KiB, and scoring
-        # on stacked tables at 1542 KiB.
+        # 1111.5 KiB: the suite's one workspace of 10 x 12130 floats (948
+        # KiB), the drawn powers and the bracket cap's masked column.  A
+        # batch with its own workspace, scored on fresh arrays, peaked at
+        # 1269.8 KiB; building the fixed grids and batch columns in every
+        # suite at 1305 KiB, and scoring on stacked tables at 1542 KiB.
         spec = SampleSpec(seed=1, n_samples=10_000)
         run_suite(spec)
-        assert traced_peak(run_suite, spec) <= 1290 * 1024
+        assert traced_peak(run_suite, spec) <= 1130 * 1024
+
+
+# Minor page faults of 50 seed-1 suites after 10 warm-up suites, in a new
+# interpreter, printed per suite; argv[1] == "after_large" first runs one
+# suite of MAX_SAMPLES samples.
+_WARM_FAULTS = """
+import resource, sys
+from macgain.verify import MAX_SAMPLES, SampleSpec, run_suite
+if sys.argv[1] == "after_large":
+    run_suite(SampleSpec(1, MAX_SAMPLES))
+spec = SampleSpec(1, 10_000)
+for _ in range(10):
+    run_suite(spec)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(50):
+    run_suite(spec)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 50)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="counts faults under glibc's malloc")
+@pytest.mark.parametrize("state", ["fresh", "after_large"])
+def test_a_warm_suite_never_faults(state):
+    # glibc's default allocator raises its mmap threshold to the size of
+    # the largest mapped block freed, and its trim threshold to twice that,
+    # so once a suite has freed its workspace the next takes it from the
+    # heap and gives no page back: a warm suite touches no new page, in a
+    # new process or after a larger suite.  The environment's MALLOC_*
+    # settings and glibc tunables, which would fix the thresholds, are left
+    # out.
+    env = {key: value for key, value in os.environ.items()
+           if not key.startswith("MALLOC_") and key != "GLIBC_TUNABLES"}
+    result = subprocess.run([sys.executable, "-c", _WARM_FAULTS, state], env=env,
+                            capture_output=True, text=True, timeout=120, check=True)
+    assert float(result.stdout) <= 1.0
 
 
 def _lines(reports):
@@ -678,9 +818,9 @@ class TestFixedInputs:
         # fixed points again in its own one batch.
         sizes = []
 
-        def batch(K, pi):
+        def batch(K, pi, work):
             sizes.append(K.size)
-            return _root_many(K, pi)
+            return _root_many(K, pi, work)
 
         monkeypatch.setattr(macgain.verify, "_root_many", batch)
         plans = [(1, 10_000, False), (2, 10_000, False), (7, 10_000, True)]
@@ -1081,10 +1221,10 @@ class TestBatchedSolve:
                 steps.append(r / d)
             return r, d
 
-        def batch(K, pi):
+        def batch(K, pi, work):
             inside[0] = True
             try:
-                return _root_many(K, pi)
+                return _root_many(K, pi, work)
             finally:
                 inside[0] = False
 
