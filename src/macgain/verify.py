@@ -330,17 +330,18 @@ def check_tail_bounds(pis: np.ndarray, lams: np.ndarray) -> BoundReport:
     e = max(high, int(np.searchsorted(lams, math.e, side="right")))
     t = pis * lams
     with np.errstate(all="ignore"):
-        F = _gain(pis, lams)
-        a = lams * t / (1.0 + t)
+        fb, one_t, log_lams = np.log1p(t), 1.0 + t, np.log(lams)
+        F = _gain(pis, lams, logs=(fb, np.log1p(pis)))
+        a = lams * t / one_t
         # ln(e^a + lam - 1) evaluated as a + log1p((lam-1)*e^-a) so the
         # huge exponential never materializes.
-        tight = lams / (a + np.log1p((lams - 1.0) * np.exp(-a)) - np.log(lams))
-        loose = 1.0 / (t / (1.0 + t) - np.log(lams) / lams)
+        tight = lams / (a + np.log1p((lams - 1.0) * np.exp(-a)) - log_lams)
+        loose = 1.0 / (t / one_t - log_lams / lams)
         tables = [
             [("small_power_linear_cap", ((1.0 + pis) * lams - F)[:high]),
              ("small_power_ratio_cap", ((1.0 + pis) / (1.0 - pis) - (1.0 + pis) * lams)[:high]),
              ("small_power_11_9", (11.0 / 9.0 - F)[:high])],
-            [("log_dominated", (lams - np.log1p(t))[high:]),
+            [("log_dominated", (lams - fb)[high:]),
              ("large_power_tight_cap", (tight - F)[high:])],
             [("large_power_loose_vs_tight", (loose - tight)[e:])],
             [("tail_cap", TAIL_GAIN_CAP - F)],

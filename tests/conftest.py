@@ -1,12 +1,14 @@
-"""Shared fixtures and independent numeric oracles for the test suite.
+"""Shared fixtures and independent float oracles for the test suite.
 
 The oracle helpers re-derive reference values by brute force (dense grids
 plus cell bisection) so solver tests never validate the solver against
-itself.  scalar_derivative_roots solves check_derivative's points with the
-scalar solver, so the check can be tested apart from run_suite's batches,
-and curve_slope is the slope dlam/dpi that the check reads off the
-residual's slope r'.  frozen_bisect is a test-only ITP kernel (Oliveira &
-Takahashi, ACM TOMS 47(1), 2020), an independent route to the roots that
+itself; the exact mpmath forms and certificates live in reference.py, at
+its one precision rule of 60 digits plus t = pi*lam's leading zeros.
+scalar_derivative_roots solves check_derivative's points with the scalar
+solver, so the check can be tested apart from run_suite's batches, and
+curve_slope is the slope dlam/dpi that the check reads off the residual's
+slope r'.  frozen_bisect is a test-only ITP kernel (Oliveira & Takahashi,
+ACM TOMS 47(1), 2020), an independent route to the roots that
 solvers._bisect finds.  frozen_fixed_point is a reference copy of the
 residual's value as it was written with module-global math lookups; the
 residual must reproduce it bit for bit.  bracketed_bisect certifies each
@@ -23,7 +25,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from mpmath import mp, mpf
 
 # hypothesis's report hook imports this private module when a @given test
 # fails; its libcst import raises a DeprecationWarning from mypy_extensions,
@@ -229,36 +230,6 @@ def scalar_derivative_roots() -> np.ndarray:
     lams = [[[eval_point(ChannelConfig(users, total_power=pi)).lambda_star
               for pi in row] for row in pis.tolist()] for users in DERIVATIVE_USERS]
     return np.array(lams)
-
-
-def finite_certified(K: int, P: float, lam: float, tol: float) -> bool:
-    """True when 50-digit arithmetic puts the K-user root within relative tol of lam.
-
-    The balanced residual, evaluated exactly at the float inputs, must be
-    <= 0 at lam*(1 - tol) and >= 0 at lam*(1 + tol), both clamped to [1, K].
-    """
-    with mp.workdps(50):
-        K_, P_, lam_ = mpf(K), mpf(P), mpf(lam)
-
-        def residual(x):
-            boosted = P_ * x * x / (1 + (K_ - x) * P_ * x)
-            return K_ * mp.log1p(boosted) - mp.log1p(K_ * P_ * x)
-
-        lo = max(mpf(1), lam_ * (1 - mpf(tol)))
-        hi = min(K_, lam_ * (1 + mpf(tol)))
-        return 1 <= lam_ <= K_ and residual(lo) <= 0 <= residual(hi)
-
-
-def massive_certified(pi: float, lam: float, tol: float) -> bool:
-    """The massive-limit twin of finite_certified, on lam - f(pi, lam) over [1, inf)."""
-    with mp.workdps(50):
-        pi_, lam_ = mpf(pi), mpf(lam)
-
-        def slack(x):
-            return x - (1 + 1 / (pi_ * x)) * mp.log1p(pi_ * x)
-
-        lo = max(mpf(1), lam_ * (1 - mpf(tol)))
-        return lam_ >= 1 and slack(lo) <= 0 <= slack(lam_ * (1 + mpf(tol)))
 
 
 def sign_scan_root(K: int, P: float, n_grid: int, refine_tol: float) -> float:

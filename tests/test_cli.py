@@ -20,7 +20,7 @@ from hypothesis import given, strategies as st
 
 import macgain.cli
 import macgain.solvers
-from conftest import finite_certified, massive_certified
+from reference import finite_certified, massive_certified
 from macgain.cli import CSV_HEADER, _json_points, decibels, main, user_count
 from macgain.core import ChannelConfig, db_to_linear
 from macgain.solvers import (

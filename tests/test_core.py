@@ -16,6 +16,7 @@ from hypothesis import given, strategies as st
 from mpmath import mp
 
 from conftest import curve_slope, raw_residual
+from reference import G, fixed_point, precision, root
 from test_oracle import GRID_POWER_DB, GRID_USERS
 from macgain.core import (
     ChannelConfig,
@@ -504,22 +505,18 @@ class TestFixedPointResidual:
 
     @pytest.mark.parametrize("K", [2.0, 10.0, 1e4, math.inf])
     def test_slope_matches_mpmath(self, K):
-        # r' = 1 - (exp(-z) - G_K/(1+t))/lam against 50-digit differentiation
+        # r' = 1 - (exp(-z) - G_K/(1+t))/lam against mpmath's differentiation
         # of lam - G_K(pi*lam), from the series path below t = 1e-8 to an
         # overflowing t, where G_K/(1+t) is 0.  It lies in (0, 1], and at
         # lam = 1 with a large pi, where it is about ln(t)/t, it rounds to 0.
-        with mp.workdps(50):
-            for pi in (1e-12, 1e-3, 0.5, 5.38, 1e3, 1e300, 1e307):
-                def exact(x, pi=mp.mpf(pi)):
-                    L = mp.log1p(pi * x)
-                    G = (1 + 1 / (pi * x)) * L
-                    return x - (G if K == math.inf else G * K * -mp.expm1(-L / K) / L)
-
+        users = None if K == math.inf else K
+        for pi in (1e-12, 1e-3, 0.5, 5.38, 1e3, 1e300, 1e307):
+            with precision(pi):
                 for lam in (1.0, 1.5, 2.0, 9.0, 700.0):
                     slope = _fixed_point(K, pi, lam)[1]
                     assert 0.0 <= slope <= 1.0
-                    assert slope == pytest.approx(float(mp.diff(exact, mp.mpf(lam))),
-                                                  rel=1e-13, abs=1e-15)
+                    exact = mp.diff(lambda x: fixed_point(users, pi, x), mp.mpf(lam))
+                    assert slope == pytest.approx(float(exact), rel=1e-13, abs=1e-15)
 
 
 # Two subnormal total powers, every decade from 1e-300 to 1e308 and the largest float.
@@ -533,45 +530,30 @@ def _bounds(pis):
     return scalar, batch.tolist()
 
 
-def _mp_map(users, t):
-    """G_K(t) = (1+t)*(L/t)*phi(L/K) at the working precision, K = None massive."""
-    L = mp.log1p(t)
-    G = (1 + t) * L / t
-    if users is not None:
-        z = L / users
-        G *= -mp.expm1(-z) / z
-    return G
-
-
 class TestLambdaBound:
     """core._lambda_bound, the scalar solver's first upper end, and the batch's start 2 + 2a."""
 
     def test_above_the_massive_root_on_the_float_range(self):
         # lam - f(pi, lam) is > 0 exactly above the massive root, which is
-        # above every finite-K root: 50 digits must see it > 0 at both.
-        with mp.workdps(50):
-            for pi, ends in zip(BOUND_POWERS, zip(*_bounds(BOUND_POWERS))):
-                for end in ends:
-                    x, pi_ = mp.mpf(end), mp.mpf(pi)
-                    assert x - (1 + 1 / (pi_ * x)) * mp.log1p(pi_ * x) > 0, (pi, end)
+        # above every finite-K root: the exact residual must be > 0 at both.
+        for pi, ends in zip(BOUND_POWERS, zip(*_bounds(BOUND_POWERS))):
+            for end in ends:
+                assert fixed_point(None, pi, end) > 0, (pi, end)
 
     def test_two_newton_steps_close_on_the_root(self):
         # Newton steps on the convex massive residual descend from 2 + 2a
-        # and close on the root quadratically.  Against its 50-digit root,
-        # whose G is formed as (1+t)*L/t, the end is within 6e-4 relative
+        # and close on the root quadratically.  Against its mpmath root
+        # (reference.root), the end is within 6e-4 relative
         # at every power (5.7e-4 near 3.7 dB, 4e-5 from pi = 100 on, 5e-11
         # at the top) and within 1.1e-14 up to pi = 1e-3, -30 dB, where
         # the margin 1 + 1e-14 is nearly all of it.  The two map steps it
         # replaces ended about 2 up to pi = 1, and within 4% from pi = 10.
         excess = []
-        with mp.workdps(50):
-            for pi in BOUND_POWERS:
-                end = _lambda_bound(pi, math.log1p(pi))
-                assert end < 2.0 + 2.0 * math.log1p(pi)
-                pi_ = mp.mpf(pi)
-                root = mp.findroot(lambda x: x - (1 + pi_ * x) * mp.log1p(pi_ * x) / (pi_ * x),
-                                   mp.mpf(end))
-                excess.append((pi, float(mp.mpf(end) / root - 1)))
+        for pi in BOUND_POWERS:
+            end = _lambda_bound(pi, math.log1p(pi))
+            assert end < 2.0 + 2.0 * math.log1p(pi)
+            with precision(pi):
+                excess.append((pi, float(end / root(None, pi) - 1)))
         assert 0.0 < min(e for _, e in excess)
         assert max(e for pi, e in excess if pi <= 1e-3) <= 1.1e-14
         assert max(e for _, e in excess) <= 6e-4
@@ -580,27 +562,24 @@ class TestLambdaBound:
         # The docstring's bound: lam - G_K(pi*lam) > 1 - ln(2) at lam >= 2 +
         # 2a for every K, so at the batch's start in numpy's log1p, and the
         # scalar end lies below the start at every power.  G_K <= G_inf, so
-        # the massive residual, at 50 digits, bounds every K's.
+        # the exact massive residual bounds every K's.
         scalar, batch = _bounds(BOUND_POWERS)
         margin = 1 - mp.log(2)
-        with mp.workdps(50):
-            for pi, end, start in zip(BOUND_POWERS, scalar, batch):
-                assert end < start, pi
-                x = mp.mpf(start)
-                assert x - _mp_map(None, mp.mpf(pi) * x) > margin, pi
+        for pi, end, start in zip(BOUND_POWERS, scalar, batch):
+            assert end < start, pi
+            assert fixed_point(None, pi, start) > margin, pi
 
     @pytest.mark.parametrize("users", [2, 3, 10, 10**4, 10**8, None])
     def test_the_map_is_concave_in_t(self, users):
         # G_K''(t) < 0, so r_K(lam) = lam - G_K(pi*lam) is convex and the
         # batch's plain Newton steps from above stay above the root.  Central
-        # differences at a relative step of 1e-12 and 80 digits, from t =
-        # 1e-12 to 1e12, a decade apart.
-        with mp.workdps(80):
-            for e in range(-12, 13):
+        # differences at a relative step of 1e-12, at the reference's
+        # precision, from t = 1e-12 to 1e12, a decade apart.
+        for e in range(-12, 13):
+            with precision(mp.mpf(10) ** e):
                 t = mp.mpf(10) ** e
                 h = t * mp.mpf("1e-12")
-                second = (_mp_map(users, t + h) - 2 * _mp_map(users, t)
-                          + _mp_map(users, t - h)) / (h * h)
+                second = (G(users, t + h) - 2 * G(users, t) + G(users, t - h)) / (h * h)
                 assert second < 0, (users, e)
 
 

@@ -1,10 +1,10 @@
-"""50-digit oracle tests: every solved lambda must be certified by mpmath.
+"""mpmath oracle tests: every solved lambda must be certified by mpmath.
 
 A lambda is certified when the exact residual at the float inputs changes
 sign across lambda*(1 - 1e-12) .. lambda*(1 + 1e-12), clamped to the
-root's domain (see conftest.finite_certified).  The grids reach far past
-the verify suite's sample box: K up to 1e300 and powers from -300 dB to
-the top of the float range.
+root's domain (reference.finite_certified, at 60 digits plus t = pi*lam's
+leading zeros).  The grids reach far past the verify suite's sample box:
+K up to 1e300 and powers from -300 dB to the top of the float range.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from mpmath import mp, mpf
 
 import macgain.solvers
 import macgain.verify
-from conftest import curve_slope, finite_certified, massive_certified
+from conftest import curve_slope
 from macgain.core import (_RESIDUAL_ULPS, ChannelConfig, _fixed_point, _fixed_point_many,
                           _lambda_bound, _slope_floor, _slope_floor_many, db_to_linear)
 from macgain.solvers import (
@@ -36,6 +36,8 @@ from macgain.verify import (
     DERIVATIVE_USERS,
     _root_many,
 )
+from reference import (balance_slope, brackets, finite_certified, fixed_point,
+                       fixed_points_near, gain, massive_certified, precision, root, slope)
 from test_cli import GOLDEN_STDOUT
 
 TOL = 1e-12
@@ -51,6 +53,12 @@ HUGE_POWER_DB = (-300, -200, -120, -60, 0, 20)
 MASSIVE_POWER_DB = tuple(range(-300, 3051, 50))
 
 
+def solved(pairs):
+    """(K, P, lam) at each (K, per-user power in dB) of pairs, lam solve_lambda_star's root."""
+    return [(K, P, solve_lambda_star(K, P).lambda_star)
+            for K, P in ((K, db_to_linear(power_db)) for K, power_db in pairs)]
+
+
 def uncertified(points):
     """The (K, P, lam) triples whose lam the oracle does not certify."""
     return [(K, P, lam) for K, P, lam in points if not finite_certified(K, P, lam, TOL)]
@@ -58,20 +66,12 @@ def uncertified(points):
 
 @pytest.mark.parametrize("K", GRID_USERS)
 def test_finite_grid(K):
-    points = []
-    for power_db in GRID_POWER_DB:
-        P = db_to_linear(power_db)
-        points.append((K, P, solve_lambda_star(K, P).lambda_star))
-    assert uncertified(points) == []
+    assert uncertified(solved((K, power_db) for power_db in GRID_POWER_DB)) == []
 
 
 @pytest.mark.parametrize("K", HUGE_USERS, ids=("1e20", "1e60", "1e300"))
 def test_finite_beyond_the_grid(K):
-    points = []
-    for power_db in HUGE_POWER_DB:
-        P = db_to_linear(power_db)
-        points.append((K, P, solve_lambda_star(K, P).lambda_star))
-    assert uncertified(points) == []
+    assert uncertified(solved((K, power_db) for power_db in HUGE_POWER_DB)) == []
 
 
 def test_vanishing_power_pins_a_certified_root():
@@ -87,10 +87,7 @@ TOP_OF_RANGE = ((2, 3077.5), (10, 3065.0), (1000, 3027.5), (2, 500.0))
 
 
 def test_top_of_the_range_and_cap_roots():
-    points = []
-    for K, power_db in TOP_OF_RANGE:
-        P = db_to_linear(power_db)
-        points.append((K, P, solve_lambda_star(K, P).lambda_star))
+    points = solved(TOP_OF_RANGE)
     assert points[-1][2] == 2.0
     assert uncertified(points) == []
     pi = db_to_linear(3052.5)
@@ -158,24 +155,6 @@ def walk_configs():
     return configs
 
 
-def mp_fixed_point(users, pi, x):
-    """x - G_K(pi*x) at the float inputs, users None the massive limit, exactly enough to sign.
-
-    G_K(t) = (1+t)*(L/t)*phi(L/K), with L = ln(1+t) and phi(z) =
-    -expm1(-z)/z, in 60 digits plus as many as t has leading zeros, so
-    that 1 + t keeps t.
-    """
-    t = mpf(pi) * mpf(x)
-    with mp.workdps(60 + max(0, -int(mp.floor(mp.log10(t))))):
-        t = mpf(pi) * mpf(x)
-        L = mp.log1p(t)
-        G = (1 + t) * L / t
-        if users is not None:
-            z = L / users
-            G *= -mp.expm1(-z) / z
-        return mpf(x) - G
-
-
 def test_upper_end_lies_above_every_root():
     # core._lambda_bound's end on the walk: where it lies below K, the exact
     # residual there is > 0, so it lies above the root, and so is the float
@@ -197,7 +176,7 @@ def test_upper_end_lies_above_every_root():
         pinned += r_1 >= 0.0
         if end < cap:
             checked += 1
-            ok = ok and r_end > 0.0 and r_hi > 0.0 and mp_fixed_point(config.users, pi, end) > 0
+            ok = ok and r_end > 0.0 and r_hi > 0.0 and fixed_point(config.users, pi, end) > 0
         if not ok:
             failed.append((config.users, pi, end))
     # 3505 inputs; 3009 of their ends lie below K and 1531 read r(1) >= 0.
@@ -222,7 +201,7 @@ def test_batch_start_lies_above_every_root():
     below = np.flatnonzero(starts < caps)
     failed = [(configs[i].users, pis[i], starts[i]) for i in below
               if not ((r[i] > 0.0 or overflows[i] and math.isnan(r[i]))
-                      and mp_fixed_point(configs[i].users, pis[i], starts[i]) > 0)]
+                      and fixed_point(configs[i].users, pis[i], starts[i]) > 0)]
     # 2669 of the 3505 starts lie below K, 15 of them where pi*start overflows.
     assert failed == []
     assert below.size == 2669 and int(overflows[below].sum()) == 15
@@ -264,9 +243,7 @@ def test_the_walk_in_one_batch(monkeypatch):
     assert max(x for x, out in zip(lam, is_handed) if not out) < 421.06
     failed = [(config.users, config.total_power, x)
               for config, x, out in zip(configs, lam, is_handed)
-              if not out and not mp_fixed_point(
-                  config.users, config.total_power, x - LAMBDA_TOL) < 0
-              < mp_fixed_point(config.users, config.total_power, x + LAMBDA_TOL)]
+              if not (out or brackets(config.users, config.total_power, x, LAMBDA_TOL))]
     assert failed == []
 
 
@@ -304,24 +281,9 @@ def test_a_probe_that_reads_zero_settles_at_the_probe(monkeypatch):
             sol = eval_point(ChannelConfig(users, total_power=pi))
             lam, solves = sol.lambda_star, solves + 1
             if not (sol.residual == 0.0 and sol.iterations <= 4
-                    and mp_fixed_point(users, pi, lam - LAMBDA_TOL) < 0
-                    < mp_fixed_point(users, pi, lam + LAMBDA_TOL)):
+                    and brackets(users, pi, lam, LAMBDA_TOL)):
                 failed.append((users, i, lam))
     assert failed == [] and solves == 73
-
-
-def mp_slope(users, pi, y):
-    """r'(y) = 1 - (exp(-z) - G_K(t)/(1+t))/y at t = pi*y, z = ln(1+t)/K, as mp_fixed_point."""
-    t = mpf(pi) * mpf(y)
-    with mp.workdps(60 + max(0, -int(mp.floor(mp.log10(t))))):
-        t = mpf(pi) * mpf(y)
-        L = mp.log1p(t)
-        G, decay = (1 + t) * L / t, 1
-        if users is not None:
-            z = L / users
-            G *= -mp.expm1(-z) / z
-            decay = mp.exp(-z)
-        return 1 - (decay - G / (1 + t)) / y
 
 
 def test_the_slope_floor_holds_on_the_walk():
@@ -340,9 +302,9 @@ def test_the_slope_floor_holds_on_the_walk():
             np.minimum(caps, 2.0 + 2.0 * np.log1p(pis))]
     failed = []
     for config, pi, solve_hi, batch_hi in zip(configs, pis.tolist(), *(e.tolist() for e in ends)):
-        with mp.workdps(60):
+        with precision(pi):
             u = mp.sqrt(1 + mpf(pi))
-            least = mp_slope(config.users, pi, 2 * u / (1 + u))
+            least = slope(config.users, pi, 2 * u / (1 + u))
             for hi in (solve_hi, batch_hi):
                 if not _slope_floor(pi, hi) <= least * (1 + mpf(2) ** -51):
                     failed.append((config.users, pi, hi))
@@ -354,43 +316,6 @@ def test_the_slope_floor_holds_on_the_walk():
                                  for pi, end in zip(pis.tolist(), hi.tolist())]
 
 
-def mp_fixed_points_near(users, pi, lam, ys):
-    """mp_fixed_point at each float y of ys, rounded to a float; ys ascending, near lam.
-
-    Every y lies within 16 ulps of lam.  One log1p and one expm1 serve
-    them all, at mp_fixed_point's working precision for the first y, whose
-    t has the most leading zeros.  With t0 = pi*lam, L0 = ln(1+t0) and
-    eps = pi*(y - lam)/(1+t0), exactly ln(1 + pi*y) = L0 + log1p(eps);
-    with z = L/K and dz = log1p(eps)/K, exactly expm1(-z) = E0 +
-    (1+E0)*expm1(-dz), E0 = expm1(-L0/K).  Each increment is its quadratic
-    Taylor polynomial.  |eps| <= 16*2**-52*t0/(1+t0), under 3.6e-15 and
-    3.6e-15*L0, and |dz| <= 1.01*|eps|/K, so the truncations, at most
-    |eps|**3/(3(1 - |eps|)) and |dz|**3/6*e**|dz|, move L and expm1(-z) by
-    under 2e-44 relative and r by under 1e-27 ulps of y.
-    """
-    with mp.workdps(60 + max(0, -int(mp.floor(mp.log10(mpf(pi) * mpf(ys[0])))))):
-        pi_mp = mpf(pi)
-        t0 = pi_mp * lam
-        L0 = mp.log1p(t0)
-        per_eps = pi_mp / (1 + t0)
-        half = mpf(1) / 2
-        if users is not None:
-            K = mpf(users)
-            E0 = mp.expm1(-L0 / K)
-            decay0 = 1 + E0
-        out = []
-        for y in ys:
-            eps = per_eps * (y - lam)  # y - lam is exact
-            s = eps - eps * eps * half
-            L = L0 + s
-            G = L + L / (pi_mp * y)
-            if users is not None:
-                dz = s / K
-                G *= (decay0 * (dz - dz * dz * half) - E0) / (L / K)
-            out.append(float(y - G))
-        return out
-
-
 def test_the_residual_error_bound_holds_on_the_walk():
     # Both float residuals, core._fixed_point's and _fixed_point_many's,
     # lie within _RESIDUAL_ULPS ulps of y of the exact residual at every
@@ -398,14 +323,19 @@ def test_the_residual_error_bound_holds_on_the_walk():
     # at least 1.3: the worst is 2.92 ulps (K = 1000 at 3008 dB, lam =
     # 502.9).  The batch's NaN where pi*y overflows is its hand-off.  The
     # exact residual is a few ulps of y, so rounding it to a float moves
-    # each difference by under 1e-14 ulps.
-    ys, exact, scalar, caps, pis = [], [], [], [], []
-    for config in walk_configs():
+    # each difference by under 1e-14 ulps.  That exact residual is
+    # fixed_point's to 1e-14 ulps at every 10th root's lowest y, where a
+    # reference at float precision reads the two about an ulp apart.
+    ys, exact, scalar, caps, pis, apart = [], [], [], [], [], []
+    for i, config in enumerate(walk_configs()):
         lam, pi = eval_point(config).lambda_star, config.total_power
         cap = math.inf if config.users is None else float(config.users)
         near = [y for y in (lam + k * math.ulp(lam) for k in range(-16, 17)) if y >= 1.0]
         ys += near
-        exact += mp_fixed_points_near(config.users, pi, lam, near)
+        exact += fixed_points_near(config.users, pi, lam, near)
+        if i % 10 == 0:
+            apart.append(abs(float(fixed_point(config.users, pi, near[0])) - exact[-len(near)])
+                         / math.ulp(near[0]))
         scalar += [_fixed_point(cap, pi, y)[0] for y in near]
         caps += [cap] * len(near)
         pis += [pi] * len(near)
@@ -413,7 +343,7 @@ def test_the_residual_error_bound_holds_on_the_walk():
     with np.errstate(all="ignore"):
         batch = _fixed_point_many(np.array(caps), np.array(pis), ys, np.empty((5, ys.size)))[0]
     worst = max(np.nanmax(np.abs(r - exact) / np.spacing(ys)) for r in (np.array(scalar), batch))
-    assert ys.size > 90_000
+    assert ys.size > 90_000 and max(apart) <= 1e-14
     assert 1.3 * worst <= _RESIDUAL_ULPS, worst
 
 
@@ -461,38 +391,19 @@ def test_golden_lambdas_are_certified():
     assert finite_certified(10, peak_P, peak["lambda_at_peak"], TOL)
 
 
-def mp_balance(users, pi, x):
-    """The balance residual at total power pi in mpmath; users None is the massive limit."""
-    if users is None:
-        return x - (1 + 1 / (pi * x)) * mp.log1p(pi * x)
-    K = mpf(users)
-    P = pi / K
-    return K * mp.log1p(P * x * x / (1 + (K - x) * P * x)) - mp.log1p(K * P * x)
-
-
-def mp_lambda(users, pi):
-    """mpmath's root of mp_balance, bracketed on [1, K], or on [1, 100] when massive."""
-    cap = 100 if users is None else users
-    return mp.findroot(lambda x: mp_balance(users, pi, x), (mpf(1), mpf(cap)),
-                       solver="anderson")
-
-
 @pytest.mark.parametrize("users", GRID_USERS + (None,),
                          ids=lambda users: "massive" if users is None else str(users))
 def test_slope_matches_implicit_derivative(users):
     # lam*(1 - r')/(pi*r'), with the fixed-point residual's slope r', against the
     # implicit derivative -(dB/dpi)/(dB/dlam) of the paper-form balance
-    # residual B in 50 digits, both at the float root, from -60 to 100 dB
+    # residual B in mpmath, both at the float root, from -60 to 100 dB
     # total.  The worst is 2.8e-10 (K = 2, -60 dB), where 1 - r' cancels.
     worst = []
-    with mp.workdps(50):
-        for power_db in range(-60, 101, 5):
-            pi = db_to_linear(power_db)
-            lam = eval_point(ChannelConfig(users, total_power=pi)).lambda_star
-            pi_, lam_ = mpf(pi), mpf(lam)
-            exact = (-mp.diff(lambda p: mp_balance(users, p, lam_), pi_)
-                     / mp.diff(lambda x: mp_balance(users, pi_, x), lam_))
-            worst.append((abs(curve_slope(users, pi, lam) - exact) / exact, power_db))
+    for power_db in range(-60, 101, 5):
+        pi = db_to_linear(power_db)
+        lam = eval_point(ChannelConfig(users, total_power=pi)).lambda_star
+        exact = balance_slope(users, pi, lam)
+        worst.append((abs(curve_slope(users, pi, lam) - exact) / exact, power_db))
     rel, power_db = max(worst)
     assert rel <= 1e-8, (rel, power_db)
 
@@ -504,33 +415,22 @@ def test_derivative_step_error_budget():
     # LAMBDA_TOL/(pi*h*lam'), must stay within a tenth of the check's 1e-5
     # bound on every curve it checks.
     h = DERIVATIVE_STEP
-    with mp.workdps(40):
-        for users in DERIVATIVE_USERS:
-            for pi in DERIVATIVE_GRID:
-                pi_ = mpf(pi)
-                root = mp_lambda(users, pi_)
-                slope = (-mp.diff(lambda p: mp_balance(users, p, root), pi_)
-                         / mp.diff(lambda x: mp_balance(users, pi_, x), root))
+    for users in DERIVATIVE_USERS:
+        for pi in DERIVATIVE_GRID:
+            with precision(pi):
+                step = mpf(pi) * h  # exact
+                lam_slope = balance_slope(users, pi, root(users, pi))
                 # The quotient's powers are the floats run_suite solves at.
-                fd = ((mp_lambda(users, mpf(pi * (1.0 + h)))
-                       - mp_lambda(users, mpf(pi * (1.0 - h)))) / (2 * pi_ * mpf(h)))
-                truncation = abs(fd - slope) / slope
-                root_noise = LAMBDA_TOL / (pi_ * mpf(h) * slope)
+                fd = (root(users, pi * (1.0 + h)) - root(users, pi * (1.0 - h))) / (2 * step)
+                truncation = abs(fd - lam_slope) / lam_slope
+                root_noise = LAMBDA_TOL / (step * lam_slope)
                 assert truncation + root_noise <= 1e-6, (users, pi)
 
 
 def mp_gain_slope(users, pi_db):
-    """dF/dpi at pi_db dB in 50-digit arithmetic, from mpmath's own roots.
-
-    F(pi) = ln(1 + pi*lam)/ln(1 + pi) with lam found by mp.findroot on the
-    balance equation (the massive fixed point for users None), and the
-    slope by mp.diff: no macgain formula enters.
-    """
-    with mp.workdps(50):
-        def gain(pi):
-            return mp.log1p(pi * mp_lambda(users, pi)) / mp.log1p(pi)
-
-        return mp.diff(gain, mpf(10) ** (mpf(pi_db) / 10))
+    """dF/dpi at pi_db dB, mp.diff of reference.gain at reference.root: no macgain formula enters."""
+    with precision(10 ** (pi_db / 10)):
+        return mp.diff(lambda pi: gain(pi, root(users, pi)), mpf(10) ** (mpf(pi_db) / 10))
 
 
 @pytest.mark.parametrize("users", DEFAULT_USERS,

@@ -535,3 +535,10 @@ def test_a_failing_given_test_hides_no_later_failure(tmp_path):
         text=True, timeout=120)
     assert "INTERNALERROR" not in result.stdout + result.stderr
     assert "2 failed" in result.stdout.splitlines()[-1]
+
+
+def test_one_exact_reference():
+    # Each exact form is written once, in tests/reference.py, under one precision rule.
+    calls = tuple(f"mp.{name}(" for name in ("log1p", "expm1", "findroot"))
+    assert {path.name for path in (ROOT / "tests").rglob("*.py")
+            if any(call in path.read_text(encoding="utf-8") for call in calls)} == {"reference.py"}

@@ -16,11 +16,11 @@ from conftest import (
     brute_peak_k2,
     frozen_bisect,
     frozen_fixed_point,
-    massive_certified,
     raw_residual,
     sign_scan_root,
 )
-from test_oracle import GRID_POWER_DB, GRID_USERS, MASSIVE_POWER_DB, mp_fixed_point
+from reference import brackets, massive_certified
+from test_oracle import GRID_POWER_DB, GRID_USERS, MASSIVE_POWER_DB
 from macgain.core import (_RESIDUAL_ULPS, ChannelConfig, _fixed_point, _lambda_bound,
                           _slope_floor, db_to_linear, f_of, linear_to_db, massive_parametric)
 from macgain.solvers import (
@@ -609,8 +609,7 @@ class TestAcceptance:
         pi, lam = config.total_power, sol.lambda_star
         assert lam == evaluated[-1] and sol.residual == _fixed_point(10_000.0, pi, lam)[0] == 0.0
         assert _RESIDUAL_ULPS * math.ulp(lam) / _slope_floor(pi, hi) <= LAMBDA_TOL
-        assert mp_fixed_point(10_000, pi, lam - LAMBDA_TOL) < 0 < mp_fixed_point(
-            10_000, pi, lam + LAMBDA_TOL)
+        assert brackets(10_000, pi, lam, LAMBDA_TOL)
 
 
 class TestMassiveSolver:
